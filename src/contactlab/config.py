@@ -8,7 +8,10 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
+import types
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 
 def _default_tolerances() -> dict:
@@ -43,14 +46,14 @@ class ScenarioConfig:
     p0: float = 1.0
     twist_k: int = 1
     scale_C: float = 4.0
-    deltas: list = field(default_factory=lambda: [0.05, 0.1])
-    window_deltas: list = field(default_factory=lambda: [0.02, 0.01, 0.005])
-    a_values: list = field(default_factory=lambda: [10.0, 100.0, 1000.0, 10000.0])
+    deltas: list[float] = field(default_factory=lambda: [0.05, 0.1])
+    window_deltas: list[float] = field(default_factory=lambda: [0.02, 0.01, 0.005])
+    a_values: list[float] = field(default_factory=lambda: [10.0, 100.0, 1000.0, 10000.0])
 
     # dimensions
-    sphere_dims: list = field(default_factory=lambda: [1, 2, 3])
-    model_dims: list = field(default_factory=lambda: [[2, 1], [3, 1], [3, 2]])
-    page_blocks: list = field(default_factory=lambda: [2, 3, 4])  # z,w block sizes
+    sphere_dims: list[int] = field(default_factory=lambda: [1, 2, 3])
+    model_dims: list[list[int]] = field(default_factory=lambda: [[2, 1], [3, 1], [3, 2]])
+    page_blocks: list[int] = field(default_factory=lambda: [2, 3, 4])  # z,w block sizes
 
     # sample counts
     n_twist: int = 500
@@ -71,31 +74,37 @@ class ScenarioConfig:
     quad_nodes: int = 32
     search_depth: int = 6
 
-    tolerances: dict = field(default_factory=_default_tolerances)
+    tolerances: dict[str, float] = field(default_factory=_default_tolerances)
 
     def __post_init__(self):
         problems = []
-        if self.suite not in SUITE_NAMES:
-            problems.append(f"suite: unknown name {self.suite!r}, expected one of {sorted(SUITE_NAMES)}")
-        for name in ("epsilon", "window_epsilon"):
-            v = getattr(self, name)
-            if not 0.0 < v < 0.25:
-                problems.append(f"{name}: page half-angle must lie in (0, 1/4), got {v}")
-        if self.p0 <= 0:
-            problems.append(f"p0: must be positive, got {self.p0}")
-        if self.twist_k < 1:
-            problems.append(f"twist_k: must be a positive integer, got {self.twist_k}")
-        if self.scale_C <= 0:
-            problems.append(f"scale_C: must be positive, got {self.scale_C}")
-        for name in [f.name for f in fields(self) if f.name.startswith("n_")]:
-            if getattr(self, name) < 1:
-                problems.append(f"{name}: sample count must be >= 1")
-        for key, value in self.tolerances.items():
-            if not value > 0:
-                problems.append(f"tolerances.{key}: must be positive, got {value}")
-        missing = set(_default_tolerances()) - set(self.tolerances)
-        if missing:
-            problems.append(f"tolerances: missing keys {sorted(missing)}")
+        typed = set()
+        for f in fields(self):
+            value, hint = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if _conforms(value, hint):
+                typed.add(f.name)
+            elif get_origin(hint) is dict and isinstance(value, dict):
+                key_type, item = get_args(hint)
+                problems.extend(f"{f.name}.{key}: expected {item.__name__}, got {v!r}"
+                                for key, v in value.items()
+                                if not (_conforms(key, key_type) and _conforms(v, item)))
+            else:
+                problems.append(f"{f.name}: expected {f.type}, got {value!r}")
+        for names, holds, rule in _RULES:
+            for name in names:
+                if name in typed and not holds(getattr(self, name)):
+                    problems.append(f"{name}: {rule}, got {getattr(self, name)!r}")
+        if "tolerances" in typed:
+            known = set(_default_tolerances())
+            for key, value in self.tolerances.items():
+                if not value > 0:
+                    problems.append(f"tolerances.{key}: must be positive, got {value}")
+            missing = known - set(self.tolerances)
+            if missing:
+                problems.append(f"tolerances: missing keys {sorted(missing)}")
+            unknown = set(self.tolerances) - known
+            if unknown:
+                problems.append(f"tolerances: unknown keys {sorted(unknown)}")
         if problems:
             raise ConfigError(problems)
 
@@ -115,16 +124,64 @@ class ConfigError(ValueError):
 SUITE_NAMES = {"dehn-twist", "weinstein-strictness", "monodromy", "giroux",
                "binding", "moves", "all"}
 
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
+_SAMPLE_COUNTS = tuple(f.name for f in fields(ScenarioConfig) if f.name.startswith("n_"))
+
+# (fields, predicate, what the predicate requires); applied to fields whose
+# values already match their annotation
+_RULES = [
+    (("suite",), lambda v: v in SUITE_NAMES,
+     f"unknown name, expected one of {sorted(SUITE_NAMES)}"),
+    (("epsilon", "window_epsilon"), lambda v: 0.0 < v < 0.25,
+     "page half-angle must lie in (0, 1/4)"),
+    (("p0", "scale_C", "h_fd", "flow_step", "giroux_flow_step"), lambda v: v > 0,
+     "must be positive"),
+    (("twist_k",), lambda v: v >= 1, "must be a positive integer"),
+    (("seed",), lambda v: v >= 0, "must be non-negative"),
+    (("quad_nodes",), lambda v: v >= 1, "needs at least one node"),
+    (_SAMPLE_COUNTS, lambda v: v >= 1, "sample count must be >= 1"),
+    (("window_deltas",), lambda v: len(set(v)) >= 2 and min(v) > 0,
+     "the log-log slope fit needs at least two distinct positive values"),
+    (("deltas", "a_values"), lambda v: v and min(v) > 0, "needs positive values"),
+    (("sphere_dims",), lambda v: v and min(v) >= 1, "needs sphere dimensions >= 1"),
+    (("page_blocks",), lambda v: v and min(v) >= 2, "needs block sizes >= 2"),
+    (("model_dims",), lambda v: v and all(len(d) == 2 and 1 <= d[1] < d[0] for d in v),
+     "needs [n, k] pairs with 1 <= k < n"),
+]
+
+
+def _conforms(value, annotation) -> bool:
+    """Whether a JSON-decoded value fits a field annotation.  bool never
+    counts as a number; an int counts as a float."""
+    origin = get_origin(annotation)
+    if origin is list:
+        (item,) = get_args(annotation)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if origin is dict:
+        key, item = get_args(annotation)
+        return isinstance(value, dict) and all(
+            _conforms(k, key) and _conforms(v, item) for k, v in value.items())
+    if origin is types.UnionType:
+        return any(_conforms(value, arg) for arg in get_args(annotation))
+    if annotation is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if annotation is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, annotation)
+
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     known = {f.name for f in fields(ScenarioConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError([f"unknown fields: {sorted(unknown)}"])
-    merged_tol = _default_tolerances()
-    merged_tol.update(data.get("tolerances", {}))
     data = dict(data)
-    data["tolerances"] = merged_tol
+    if isinstance(data.get("tolerances", {}), dict):
+        merged_tol = _default_tolerances()
+        merged_tol.update(data.get("tolerances", {}))
+        data["tolerances"] = merged_tol
     return ScenarioConfig(**data)
 
 

@@ -318,6 +318,8 @@ def delta_deviation_scan(rng: np.random.Generator, deltas: list[float],
 
 def fit_log_slope(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of log y against log x."""
+    if len(set(xs)) < 2:
+        raise ValueError(f"a slope needs at least two distinct x values, got {list(xs)}")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     lx = lx - lx.mean()

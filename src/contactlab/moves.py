@@ -230,7 +230,28 @@ def to_text(desc: OpenBookDesc) -> str:
     return "\n".join(lines) + "\n"
 
 
+# token count of each line kind, and the keywords at fixed positions; a
+# sphere line may carry the optional disk clause
+_LINE_SHAPES = {
+    "page": ((2,), {}),
+    "handle": ((6,), {2: "index", 4: "framing"}),
+    "sphere": ((4, 8), {2: "supports", 4: "disk", 6: "tag"}),
+    "disk": ((4,), {2: "tag"}),
+}
+
+
+def _int_token(token: str, raw: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {token!r} in line: {raw}") from None
+
+
 def from_text(text: str) -> OpenBookDesc:
+    """Parse the descriptor text format; a malformed line raises ValueError
+    naming it."""
+    if not text.strip():
+        raise ValueError("empty descriptor text")
     half_dim = 2
     handles: list[Handle] = []
     spheres: list[LagrangianSphere] = []
@@ -241,31 +262,26 @@ def from_text(text: str) -> OpenBookDesc:
         if not parts:
             continue
         kind = parts[0]
+        if kind in _LINE_SHAPES:
+            counts, keywords = _LINE_SHAPES[kind]
+            if len(parts) not in counts or any(
+                    parts[i] != kw for i, kw in keywords.items() if i < len(parts)):
+                raise ValueError(f"malformed {kind} line: {raw}")
         if kind == "page":
-            half_dim = int(parts[1])
+            half_dim = _int_token(parts[1], raw)
         elif kind == "handle":
-            if parts[2] != "index" or parts[4] != "framing":
-                raise ValueError(f"malformed handle line: {raw}")
-            handles.append(Handle(parts[1], int(parts[3]), parts[5]))
+            handles.append(Handle(parts[1], _int_token(parts[3], raw), parts[5]))
         elif kind == "sphere":
-            if parts[2] != "supports":
-                raise ValueError(f"malformed sphere line: {raw}")
             supports = tuple(parts[3].split(","))
-            from_disk = None
-            if len(parts) > 4:
-                if parts[4] != "disk" or parts[6] != "tag":
-                    raise ValueError(f"malformed sphere line: {raw}")
-                from_disk = DiskBoundary(parts[5], parts[7])
+            from_disk = DiskBoundary(parts[5], parts[7]) if len(parts) == 8 else None
             spheres.append(LagrangianSphere(parts[1], supports, from_disk))
         elif kind == "disk":
-            if parts[2] != "tag":
-                raise ValueError(f"malformed disk line: {raw}")
             disks.append(DiskBoundary(parts[1], parts[3]))
         elif kind == "word":
             letters = []
             for tok in parts[1:]:
                 lbl, _, pw = tok.rpartition("^")
-                letters.append((lbl, int(pw)))
+                letters.append((lbl, _int_token(pw, raw)))
             word = tuple(letters)
         else:
             raise ValueError(f"unknown descriptor line: {raw}")

@@ -31,10 +31,19 @@ Array = np.ndarray
 
 @dataclass
 class BatchedMapOps:
-    """Vectorized twins of a map: func (m,d)->(m,d), jac (m,d)->(m,d,d)."""
+    """Vectorized twins of a map: func (m,d)->(m,d), jac (m,d)->(m,d,d).
+
+    ``func_jac`` returns both at once; a map whose Jacobian rides along with
+    its own computation supplies it so callers needing both pay once.
+    """
 
     func: Callable[[Array], Array]
     jac: Callable[[Array], Array]
+    func_jac: Optional[Callable[[Array], tuple[Array, Array]]] = None
+
+    def __post_init__(self):
+        if self.func_jac is None:
+            self.func_jac = lambda pts: (self.func(pts), self.jac(pts))
 
 
 @dataclass
@@ -102,6 +111,14 @@ class SymplectomorphismCandidate:
 
     def __post_init__(self):
         self.support_box = np.asarray(self.support_box, dtype=float)
+
+    def image_and_jacobian(self, x: Array) -> tuple[Array, Array]:
+        """psi(x) and its Jacobian at one point, from one batched call when
+        the candidate has batched ops."""
+        if self.batched is None:
+            return self.mapping(x), self.mapping.jacobian(x)
+        img, jac = self.batched.func_jac(np.asarray(x, dtype=float)[None, :])
+        return img[0], jac[0]
 
     def identity_defect_outside(self, samples: Array) -> float:
         """max |psi(x) - x| over samples outside the support box."""
@@ -228,46 +245,62 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
     """
     r02 = support_radius ** 2
 
-    def x_h_batch(pts):
-        s = np.einsum("mi,mi->m", pts, pts)
-        coeff = -8.0 * amplitude / r02 * np.clip(1.0 - s / r02, 0.0, None) ** 3
-        # X_H = J grad H with grad H = coeff * u
-        return np.stack([coeff * pts[:, 1], -coeff * pts[:, 0]], axis=1)
+    def x_h_into(out, u):
+        # X_H = J grad H with grad H = coeff * u, written into out[:, :2];
+        # returns the bump base (1 - |u|^2/r0^2)_+ and its cube for the Hessian
+        x, y = u[:, 0], u[:, 1]
+        base = np.maximum(1.0 - (x * x + y * y) / r02, 0.0)
+        base3 = base ** 3
+        coeff = -8.0 * amplitude / r02 * base3
+        out[:, 0] = coeff * y
+        out[:, 1] = -coeff * x
+        return base, base3
 
-    def dx_h_batch(pts):
+    def x_h_batch(pts):
+        out = np.empty_like(pts)
+        x_h_into(out, pts)
+        return out
+
+    def variational_field(u):
+        # rows (x, y, J00, J01, J10, J11): X_H and d/dt J = (J_std Hess H) J
+        out = np.empty_like(u)
+        base, base3 = x_h_into(out, u)
+        x, y = u[:, 0], u[:, 1]
         # Hess H = 2 A q'(s) I + 4 A q''(s) u u^T with q(s) = (1 - s/r0^2)^4
-        s = np.einsum("mi,mi->m", pts, pts)
-        base = np.clip(1.0 - s / r02, 0.0, None)
-        q_d = -4.0 * base ** 3 / r02
-        q_dd = 12.0 * base ** 2 / r02 ** 2
-        hess = 2.0 * amplitude * q_d[:, None, None] * np.eye(2)[None] \
-            + 4.0 * amplitude * q_dd[:, None, None] * np.einsum("mi,mj->mij", pts, pts)
-        j_std = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        return np.einsum("ij,mjk->mik", j_std, hess)
+        diag = 2.0 * amplitude * (-4.0 * base3 / r02)
+        outer = 4.0 * amplitude * (12.0 * base ** 2 / r02 ** 2)
+        h00 = diag + outer * (x * x)
+        h01 = outer * (x * y)
+        h11 = diag + outer * (y * y)
+        # J_std = [[0, 1], [-1, 0]] turns Hess H into rows (h01, h11), (-h00, -h01)
+        nh00 = -h00
+        j00, j01, j10, j11 = u[:, 2], u[:, 3], u[:, 4], u[:, 5]
+        out[:, 2] = h01 * j00 + h11 * j10
+        out[:, 3] = h01 * j01 + h11 * j11
+        out[:, 4] = nh00 * j00 - h01 * j10
+        out[:, 5] = nh00 * j01 - h01 * j11
+        return out
 
     def func_batch(pts):
         return _rk4_batch(x_h_batch, pts, 1.0, step)
 
+    def func_jac_batch(pts):
+        # the variational flow carries the trajectory: its x-columns are the map
+        state = np.zeros((len(pts), 6))
+        state[:, :2] = pts
+        state[:, 2] = 1.0
+        state[:, 5] = 1.0
+        out = _rk4_batch(variational_field, state, 1.0, step)
+        return out[:, :2], out[:, 2:].reshape(len(pts), 2, 2)
+
     def jac_batch(pts):
-        m = len(pts)
-        state = np.concatenate([pts, np.tile(np.eye(2).reshape(1, 4), (m, 1))], axis=1)
-
-        def field(u):
-            x = u[:, :2]
-            jac = u[:, 2:].reshape(m, 2, 2)
-            dx = dx_h_batch(x)
-            return np.concatenate([x_h_batch(x),
-                                   np.einsum("mij,mjk->mik", dx, jac).reshape(m, 4)],
-                                  axis=1)
-
-        out = _rk4_batch(field, state, 1.0, step)
-        return out[:, 2:].reshape(m, 2, 2)
+        return func_jac_batch(pts)[1]
 
     mapping = SmoothMap(2, 2, lambda u: func_batch(u[None, :])[0],
                         jac=lambda u: jac_batch(u[None, :])[0])
     box = np.array([[-support_radius, support_radius]] * 2)
-    return SymplectomorphismCandidate(mapping, box,
-                                      batched=BatchedMapOps(func_batch, jac_batch))
+    return SymplectomorphismCandidate(
+        mapping, box, batched=BatchedMapOps(func_batch, jac_batch, func_jac_batch))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +447,7 @@ def giroux_correction(domain: ExactSymplecticDomain,
     lam = domain.lam
 
     def mu_vec(x):
-        jac = psi.mapping.jacobian(x)
-        image = psi.mapping(x)
+        image, jac = psi.image_and_jacobian(x)
         basis = np.eye(domain.dim)
         return np.array([lam(image, jac @ e) - lam(x, e) for e in basis])
 
@@ -434,38 +466,46 @@ def giroux_correction(domain: ExactSymplecticDomain,
                          "the input does not preserve d(lambda)")
 
     cond_tracker = {"max": 0.0}
+    if domain.dlambda_const is not None:
+        cond_tracker["max"] = float(np.linalg.cond(domain.dlambda_const))
 
-    def y_func(x):
-        b = domain.dlambda_matrix(x)
-        cond_tracker["max"] = max(cond_tracker["max"], float(np.linalg.cond(b)))
-        return np.linalg.solve(b.T, -mu_vec(x))
+        def y_func(x):
+            return np.linalg.solve(domain.dlambda_const.T, -mu_vec(x))
+    else:
+        def y_func(x):
+            b = domain.dlambda_matrix(x)
+            cond_tracker["max"] = max(cond_tracker["max"], float(np.linalg.cond(b)))
+            return np.linalg.solve(b.T, -mu_vec(x))
 
     y_field = VectorFieldOracle(domain.dim, y_func)
 
-    def flow_time1(x):
-        return _py_rk4_final(y_field, np.asarray(x, dtype=float), 1.0, flow_cfg)
-
-    psi_hat = SmoothMap(domain.dim, domain.dim,
-                        lambda x: psi.mapping(flow_time1(x)),
-                        h_fd=psi.mapping.h_fd)
-
-    # primitive of psi_hat^* lambda - lambda by quadrature along the Y-flow:
-    # augment the flow with  sdot = lambda(Y)  and read off the end value.
+    # one flow serves both outputs: the Y-flow augmented with the quadrature
+    # variable sdot = lambda(Y), whose end state holds the time-1 image (for
+    # psi_hat) and the primitive's raw value (for h)
     def augmented(state):
         x = state[:-1]
         y = y_func(x)
         return np.append(y, lam(x, y))
 
     aug_field = VectorFieldOracle(domain.dim + 1, augmented)
+    last = {"key": None, "end": None}  # memo of the last start point
 
-    def h_raw(x):
-        state = np.append(np.asarray(x, dtype=float), 0.0)
-        return float(_py_rk4_final(aug_field, state, 1.0, flow_cfg)[-1])
+    def flow_end(x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key != last["key"]:
+            last["end"] = _py_rk4_final(aug_field, np.append(x, 0.0), 1.0, flow_cfg)
+            last["key"] = key
+        return last["end"]
 
-    h_base = h_raw(base_point)
+    psi_hat = SmoothMap(domain.dim, domain.dim,
+                        lambda x: psi.mapping(flow_end(x)[:-1].copy()),
+                        h_fd=psi.mapping.h_fd)
+
+    h_base = float(flow_end(base_point)[-1])
 
     def h(x):
-        return -(h_raw(x) - h_base)
+        return -(float(flow_end(x)[-1]) - h_base)
 
     return GirouxResult(psi_hat=psi_hat, h=h, y_field=y_field,
                         mu_closedness=worst_dmu, cond_max=cond_tracker["max"],
@@ -485,8 +525,7 @@ def make_batched_y(domain: ExactSymplecticDomain,
     solve_mat = np.linalg.inv(domain.dlambda_const.T)
 
     def y_batch(pts):
-        img = psi.batched.func(pts)
-        jac = psi.batched.jac(pts)
+        img, jac = psi.batched.func_jac(pts)
         mu = np.einsum("mi,mik->mk", domain.lam_batch(img), jac) \
             - domain.lam_batch(pts)
         return -(mu @ solve_mat.T)

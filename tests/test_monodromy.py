@@ -154,6 +154,13 @@ def test_window_scan_reports_linear_slope():
     assert 0.7 <= slope <= 1.3
 
 
+def test_log_slope_needs_two_distinct_abscissae():
+    assert mono.fit_log_slope([1.0, 10.0], [2.0, 20.0]) == pytest.approx(1.0)
+    for xs in ([0.01], [0.01, 0.01]):
+        with pytest.raises(ValueError, match="two distinct"):
+            mono.fit_log_slope(xs, [1.0] * len(xs))
+
+
 def test_word_identity_and_single_letter():
     base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
                                             np.array([0.0, 0.4])))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from contactlab import forms, openbook as ob, sphere
-from contactlab.flows import IntegratorConfig
-from contactlab.forms import ScalarField, pullback_eval
+from contactlab.flows import IntegratorConfig, flow_fixed_time
+from contactlab.forms import ScalarField, VectorFieldOracle, pullback_eval
 from contactlab.profiles import BindingProfile
 
 rng = np.random.default_rng(41)
@@ -195,6 +195,122 @@ def test_hamiltonian_bump_is_symplectic():
         x = rng.uniform(-0.75, 0.75, 2)
         jac = candidate.mapping.jacobian(x)
         assert abs(np.linalg.det(jac) - 1.0) < 1e-9
+
+
+def _einsum_bump_variational_field(amplitude, r02):
+    """The bump map's variational field in matrix form, as a reference."""
+    j_std = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def field(u):
+        m = len(u)
+        x = u[:, :2]
+        s = np.einsum("mi,mi->m", x, x)
+        base = np.clip(1.0 - s / r02, 0.0, None)
+        coeff = -8.0 * amplitude / r02 * base ** 3
+        x_h = np.stack([coeff * x[:, 1], -coeff * x[:, 0]], axis=1)
+        hess = 2.0 * amplitude * (-4.0 * base ** 3 / r02)[:, None, None] * np.eye(2)[None] \
+            + 4.0 * amplitude * (12.0 * base ** 2 / r02 ** 2)[:, None, None] \
+            * np.einsum("mi,mj->mij", x, x)
+        dx = np.einsum("ij,mjk->mik", j_std, hess)
+        jac = u[:, 2:].reshape(m, 2, 2)
+        return np.concatenate([x_h, np.einsum("mij,mjk->mik", dx, jac).reshape(m, 4)],
+                              axis=1)
+
+    return field
+
+
+def test_bump_func_jac_is_one_integration_of_both():
+    candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.05)
+    # inside the support, outside it, and on its boundary circle
+    pts = np.vstack([rng.uniform(-0.75, 0.75, (6, 2)), rng.uniform(0.85, 1.2, (3, 2)),
+                     [[0.8, 0.0], [0.0, -0.8]]])
+    img, jac = candidate.batched.func_jac(pts)
+    assert np.array_equal(img, candidate.batched.func(pts))
+    assert np.array_equal(jac, candidate.batched.jac(pts))
+    assert np.array_equal(img[6:], pts[6:])
+    # the flat column field repeats the matrix form's arithmetic exactly
+    state = np.hstack([pts, np.tile([1.0, 0.0, 0.0, 1.0], (len(pts), 1))])
+    ref = ob._rk4_batch(_einsum_bump_variational_field(0.15, 0.8 ** 2), state, 1.0, 0.05)
+    assert np.array_equal(img, ref[:, :2])
+    assert np.array_equal(jac, ref[:, 2:].reshape(-1, 2, 2))
+
+
+def test_default_func_jac_pairs_func_and_jac():
+    candidate = ob.radial_twist_map(0.8, 0.8)
+    pts = rng.uniform(-1.0, 1.0, (5, 2))
+    img, jac = candidate.batched.func_jac(pts)
+    assert np.array_equal(img, candidate.batched.func(pts))
+    assert np.array_equal(jac, candidate.batched.jac(pts))
+
+
+@pytest.mark.parametrize("make", [lambda: ob.radial_twist_map(0.8, 0.8),
+                                  lambda: ob.hamiltonian_bump_map(0.15, 0.8, step=0.05)])
+def test_shared_flow_matches_separate_integrations(make):
+    domain = ob.standard_disk_domain()
+    candidate = make()
+    coarse = IntegratorConfig(step=0.25, max_time=2.0)
+    result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
+    x = np.array([0.3, -0.2])
+
+    def augmented(state):
+        y = result.y_field(state[:-1])
+        return np.append(y, domain.lam(state[:-1], y))
+
+    aug = VectorFieldOracle(3, augmented)
+
+    def h_raw(p):
+        return float(flow_fixed_time(aug, np.append(p, 0.0), 1.0, coarse)[-1])
+
+    h_sep = -(h_raw(x) - h_raw(result.base_point))
+    psi_hat_sep = candidate.mapping(flow_fixed_time(result.y_field, x, 1.0, coarse))
+    assert result.h(x) == h_sep
+    assert np.array_equal(result.psi_hat(x), psi_hat_sep)
+    assert abs(h_sep) > 1e-3  # the flow does move this point
+
+
+def test_h_then_psi_hat_integrates_the_flow_once(monkeypatch):
+    domain = ob.standard_disk_domain()
+    candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.05)
+    coarse = IntegratorConfig(step=0.25, max_time=2.0)
+    result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
+    assert result.cond_max == np.linalg.cond(domain.dlambda_const)
+    counts = {"func_jac": 0, "bump": 0}
+    func_jac = candidate.batched.func_jac
+    rk4 = ob._rk4_batch
+
+    def counted_func_jac(pts):
+        counts["func_jac"] += 1
+        return func_jac(pts)
+
+    def counted_rk4(*args):
+        counts["bump"] += 1
+        return rk4(*args)
+
+    def no_fd(*args, **kwargs):
+        raise AssertionError("d(lambda) is constant on this domain")
+
+    candidate.batched.func_jac = counted_func_jac
+    monkeypatch.setattr(ob, "_rk4_batch", counted_rk4)
+    monkeypatch.setattr(ob.ExactSymplecticDomain, "dlambda_matrix", no_fd)
+    x = np.array([0.3, -0.2])
+    result.h(x)
+    result.psi_hat(x)
+    y_evals = 4 * round(1.0 / coarse.step)
+    # one Y evaluation per func_jac call, one bump integration each, plus
+    # the bump map applied once to the flow's end point for psi_hat
+    assert counts == {"func_jac": y_evals, "bump": y_evals + 1}
+
+
+def test_finite_difference_dlambda_matches_constant():
+    const = ob.standard_disk_domain()
+    fd_domain = ob.ExactSymplecticDomain(2, const.lam, const.sample_box)
+    candidate = ob.radial_twist_map(0.8, 0.8)
+    results = [ob.giroux_correction(d, candidate, FLOW, rng=np.random.default_rng(3))
+               for d in (const, fd_domain)]
+    x = np.array([0.25, 0.4])
+    assert results[0].h(x) == results[1].h(x)
+    assert np.array_equal(results[0].psi_hat(x), results[1].psi_hat(x))
+    assert results[0].cond_max == results[1].cond_max
 
 
 def test_legendrian_realization_requires_higher_dimension():

@@ -1,0 +1,143 @@
+"""Inputs from outside the program: scenario configs and descriptor text
+either parse or fail with a named ValueError, never with a stray exception."""
+
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from contactlab import cli, moves as mv
+from contactlab.config import ConfigError, ScenarioConfig, config_from_dict
+
+FIELDS = [f.name for f in fields(ScenarioConfig)]
+TOLERANCE_KEYS = list(ScenarioConfig().tolerances)
+
+json_scalars = st.none() | st.booleans() | st.integers(-10**6, 10**6) \
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(TOLERANCE_KEYS) | st.text(max_size=6), inner,
+                      max_size=3),
+    max_leaves=8)
+json_configs = st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=6),
+                               json_values, max_size=5)
+
+
+@given(json_configs)
+@settings(max_examples=300, deadline=None)
+def test_any_json_object_gives_a_config_or_config_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError as exc:
+        assert exc.problems
+        return
+    for key, value in data.items():
+        if key != "tolerances":
+            assert getattr(cfg, key) == value
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"epsilon": "0.1"}, "epsilon"),
+    ({"n_chains": "5"}, "n_chains"),
+    ({"twist_k": True}, "twist_k"),
+    ({"n_twist": 2.5}, "n_twist"),
+    ({"seed": -1}, "seed"),
+    ({"flow_step": -1e-3}, "flow_step"),
+    ({"giroux_flow_step": 0.0}, "giroux_flow_step"),
+    ({"h_fd": 0}, "h_fd"),
+    ({"quad_nodes": 0}, "quad_nodes"),
+    ({"tolerances": {"bogus": 1.0}}, "bogus"),
+    ({"tolerances": {"strictness": "1e-8"}}, "tolerances.strictness"),
+    ({"window_deltas": [0.01]}, "window_deltas"),
+    ({"window_deltas": [0.01, 0.01]}, "window_deltas"),
+    ({"deltas": [0.05, "0.1"]}, "deltas"),
+    ({"suite": ["moves"]}, "suite"),
+    ({"deltas": []}, "deltas"),
+    ({"a_values": [10.0, -1.0]}, "a_values"),
+    ({"sphere_dims": [0]}, "sphere_dims"),
+    ({"page_blocks": [1]}, "page_blocks"),
+    ({"model_dims": [[2, 5]]}, "model_dims"),
+    ({"model_dims": [[2]]}, "model_dims"),
+])
+def test_bad_config_values_are_named(data, field):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    {"suite": "moves", "n_chains": 20, "search_depth": 4},
+    {"suite": "all", "seed": 11, "n_twist": 25, "n_strict": 25, "n_liouville": 15,
+     "n_surface_scan": 400, "n_monodromy": 12, "n_giroux": 12, "n_giroux_numeric": 2,
+     "n_chains": 60, "n_nonconnected": 12, "n_window": 5},
+    {"p0": 1, "out_dir": None, "window_deltas": [0.02, 0.01]},
+])
+def test_good_configs_parse(data):
+    cfg = config_from_dict(data)
+    assert all(getattr(cfg, k) == v for k, v in data.items())
+
+
+labels = st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters="^(),_"),
+                 min_size=1, max_size=4)
+lines = st.one_of(
+    st.builds(lambda n: f"page {n}", st.integers(0, 5) | labels),
+    st.builds(lambda a, k, f: f"handle {a} index {k} framing {f}",
+              labels, st.integers(0, 4) | labels, labels),
+    st.builds(lambda a, s: f"sphere {a} supports {s}", labels, labels),
+    st.builds(lambda a, s, d, t: f"sphere {a} supports {s} disk {d} tag {t}",
+              labels, labels, labels, labels),
+    st.builds(lambda d, t: f"disk {d} tag {t}", labels, labels),
+    st.builds(lambda ws: "word " + " ".join(ws),
+              st.lists(st.builds(lambda a, p: f"{a}^{p}", labels,
+                                 st.sampled_from(["+1", "-1", "1", "2", "x", ""])),
+                       max_size=3)),
+    # truncated or overlong versions of any line
+    st.builds(lambda words, cut: " ".join(words[:cut]),
+              st.lists(labels | st.sampled_from(["page", "handle", "sphere", "disk", "word",
+                                                 "index", "framing", "supports", "tag"]),
+                       min_size=1, max_size=9),
+              st.integers(0, 9)),
+)
+texts = st.lists(lines, max_size=7).map("\n".join) | st.text(max_size=40)
+
+
+@given(texts)
+@settings(max_examples=400, deadline=None)
+def test_any_text_gives_a_round_tripping_descriptor_or_value_error(text):
+    try:
+        desc = mv.from_text(text)
+    except ValueError:
+        return
+    assert mv.from_text(mv.to_text(desc)) == desc
+
+
+@pytest.mark.parametrize("text", [
+    "handle h0 index 1",
+    "page 2\nhandle h0 index 1",
+    "sphere S0",
+    "disk D0",
+    "page",
+    "page two",
+    "page 2\nhandle h0 index one framing std",
+    "page 2\nhandle h0 index 1 framing std\nsphere S0 supports h0\nword S0^+x",
+    "page 2\nhandle h0 index 1 framing std extra",
+    "page 2\nhandle h0 index 1 framing std\nsphere S0 supports h0 disk d0",
+    "",
+    "  \n\t\n",
+])
+def test_malformed_text_raises_value_error_naming_the_line(text):
+    with pytest.raises(ValueError) as exc:
+        mv.from_text(text)
+    bad_lines = [line for line in text.splitlines() if line.strip()]
+    assert (bad_lines[-1] in str(exc.value)) if bad_lines else "empty" in str(exc.value)
+
+
+def test_cli_exits_2_naming_mistyped_fields(tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"suite": "moves", "epsilon": "0.1", "seed": -1}))
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "seed" in err
