@@ -9,6 +9,10 @@ move calculus for abstract open books.
 
 __version__ = "0.1.0"
 
-from .backend import active_backend
+
+def active_backend() -> str:
+    """The numeric backend in use: flows run on one NumPy/Python integrator."""
+    return "numpy"
+
 
 __all__ = ["active_backend", "__version__"]

@@ -1,11 +1,12 @@
-"""Hot numeric kernels: profile scalars, fixed-step RK4 with events, batch scans.
+"""The fixed-step RK4 integrator behind every flow in the package.
 
-Everything here is written in numba-compatible scalar/loop style and compiled
-via :func:`contactlab.backend.maybe_njit`; with ``CONTACTLAB_BACKEND=numpy``
-the same source runs uncompiled.
-
-State layout for the surgery model kernels is the flat block vector
-``[x (nxy) | y (nxy) | z (nzw) | w (nzw)]``.
+A flow is given by plain callables: a right-hand side ``rhs(u) -> du`` whose
+output has the state's shape, an optional projection ``project(u) -> u``
+applied after each step (it may work in place on the stepped state), and, for
+:func:`rk4_until_event`, a scalar event ``event(u) -> float``.  States are
+``(d,)`` vectors; :func:`rk4_final` also advances ``(m, d)`` row batches in
+lockstep.  A right-hand side of the wrong output shape, or a state that turns
+non-finite, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,407 +15,109 @@ import math
 
 import numpy as np
 
-from .backend import maybe_njit
-
-# vector field codes
-FIELD_LIOUVILLE = 0          # (x/2, y/2, 2z, -w)
-FIELD_LIOUVILLE_A = 1        # ((1+a) z, -a w) on the (z, w) blocks; params[0] = a
-FIELD_REEB = 2               # zdot = w
-FIELD_HANDLE_HAMILTONIAN = 3  # zdot = 2 f'(|w|^2) w, wdot = 2 g'(rho^2) z; params[0] = delta
-
-# event function codes
-EVENT_PAGE = 1               # z . w
-EVENT_LEVEL = 2              # -f(|w|^2) + g(rho^2); params[0] = delta
-EVENT_WNORM2 = 3             # |w|^2
-EVENT_ZNORM2 = 4             # |z|^2
-
-# post-step projection codes
-PROJ_NONE = 0
-PROJ_UNIT_W = 1              # renormalize the w block
-PROJ_LEVEL = 2               # Newton onto the zero level of the handle function
-
-STATUS_EVENT = 0
-STATUS_NO_EVENT = 1
-STATUS_NONFINITE = 2
-
-_NO_PARAMS = np.zeros(1)
+# |t| / step may exceed a whole number of steps by rounding alone; a residue
+# below this fraction of a step is not a further step
+_SCHEDULE_SLACK = 1e-9
 
 
-# ---------------------------------------------------------------------------
-# profile scalars
-# ---------------------------------------------------------------------------
-
-@maybe_njit
-def smoothstep(t):
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-@maybe_njit
-def smoothstep_d(t):
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    u = t * (1.0 - t)
-    return 30.0 * u * u
-
-
-@maybe_njit
-def handle_f(s, delta):
-    if s <= 1.0 - delta:
-        return 1.0
-    if s >= 1.0 - 0.5 * delta:
-        return s + delta
-    t = (s - (1.0 - delta)) / (0.5 * delta)
-    return 1.0 + (s + delta - 1.0) * smoothstep(t)
-
-
-@maybe_njit
-def handle_f_d(s, delta):
-    if s <= 1.0 - delta:
-        return 0.0
-    if s >= 1.0 - 0.5 * delta:
-        return 1.0
-    t = (s - (1.0 - delta)) / (0.5 * delta)
-    return smoothstep(t) + (s + delta - 1.0) * smoothstep_d(t) * (2.0 / delta)
-
-
-@maybe_njit
-def handle_g(s, delta):
-    if s <= 1.0:
-        return s
-    if s >= 1.0 + delta:
-        return 1.0 + delta
-    t = (s - 1.0) / delta
-    sm = smoothstep(t)
-    return (1.0 - sm) * s + sm * (1.0 + delta)
-
-
-@maybe_njit
-def handle_g_d(s, delta):
-    if s <= 1.0:
-        return 1.0
-    if s >= 1.0 + delta:
-        return 0.0
-    t = (s - 1.0) / delta
-    return (1.0 - smoothstep(t)) + smoothstep_d(t) * (1.0 + delta - s) / delta
-
-
-# initial-slope weight of the angle profile: small enough that twist
-# Jacobians across a 1e-3 sphere around the zero section match to 1e-4
-# (the antipodal mismatch scales like 4 |g1'(0)| * radius), yet strictly
-# nonzero so the profile leaves k*pi with negative slope
-_TWIST_TILT = 0.005
-
-
-@maybe_njit
-def twist_g1(s, p0, k):
-    if s <= 0.0:
-        return k * math.pi
-    if s >= p0:
-        return 0.0
-    u = 1.0 - s / p0
-    shape = smoothstep(u) + _TWIST_TILT * (u ** 4 - u ** 3)
-    return k * math.pi * shape
-
-
-@maybe_njit
-def twist_g1_d(s, p0, k):
-    if s < 0.0 or s >= p0:
-        return 0.0
-    u = 1.0 - s / p0
-    shape_d = smoothstep_d(u) + _TWIST_TILT * (4.0 * u ** 3 - 3.0 * u ** 2)
-    return -k * math.pi * shape_d / p0
-
-
-# ---------------------------------------------------------------------------
-# model fields, events, projections on the flat block state
-# ---------------------------------------------------------------------------
-
-@maybe_njit
-def field_rhs(u, nxy, nzw, code, params):
-    du = np.zeros(u.size)
-    base = 2 * nxy
-    if code == FIELD_LIOUVILLE:
-        for i in range(2 * nxy):
-            du[i] = 0.5 * u[i]
-        for i in range(nzw):
-            du[base + i] = 2.0 * u[base + i]
-            du[base + nzw + i] = -u[base + nzw + i]
-    elif code == FIELD_LIOUVILLE_A:
-        a = params[0]
-        for i in range(nzw):
-            du[base + i] = (1.0 + a) * u[base + i]
-            du[base + nzw + i] = -a * u[base + nzw + i]
-    elif code == FIELD_REEB:
-        for i in range(nzw):
-            du[base + i] = u[base + nzw + i]
-    elif code == FIELD_HANDLE_HAMILTONIAN:
-        delta = params[0]
-        w2 = 0.0
-        for i in range(nzw):
-            w2 += u[base + nzw + i] ** 2
-        rho2 = 0.0
-        for i in range(base):
-            rho2 += u[i] ** 2
-        for i in range(nzw):
-            rho2 += u[base + i] ** 2
-        fp = handle_f_d(w2, delta)
-        gp = handle_g_d(rho2, delta)
-        for i in range(nzw):
-            du[base + i] = 2.0 * fp * u[base + nzw + i]
-            du[base + nzw + i] = 2.0 * gp * u[base + i]
-    return du
-
-
-@maybe_njit
-def event_value(u, nxy, nzw, code, params):
-    base = 2 * nxy
-    if code == EVENT_PAGE:
-        v = 0.0
-        for i in range(nzw):
-            v += u[base + i] * u[base + nzw + i]
-        return v
-    if code == EVENT_LEVEL:
-        delta = params[0]
-        w2 = 0.0
-        for i in range(nzw):
-            w2 += u[base + nzw + i] ** 2
-        rho2 = 0.0
-        for i in range(base):
-            rho2 += u[i] ** 2
-        for i in range(nzw):
-            rho2 += u[base + i] ** 2
-        return -handle_f(w2, delta) + handle_g(rho2, delta)
-    if code == EVENT_WNORM2:
-        v = 0.0
-        for i in range(nzw):
-            v += u[base + nzw + i] ** 2
-        return v
-    if code == EVENT_ZNORM2:
-        v = 0.0
-        for i in range(nzw):
-            v += u[base + i] ** 2
-        return v
-    return 0.0
-
-
-@maybe_njit
-def apply_projection(u, nxy, nzw, code, params):
-    base = 2 * nxy
-    if code == PROJ_UNIT_W:
-        norm = 0.0
-        for i in range(nzw):
-            norm += u[base + nzw + i] ** 2
-        norm = math.sqrt(norm)
-        if norm > 0.0:
-            for i in range(nzw):
-                u[base + nzw + i] /= norm
-    elif code == PROJ_LEVEL:
-        delta = params[0]
-        for _ in range(8):
-            fval = event_value(u, nxy, nzw, EVENT_LEVEL, params)
-            if abs(fval) < 1e-13:
-                break
-            w2 = 0.0
-            for i in range(nzw):
-                w2 += u[base + nzw + i] ** 2
-            rho2 = 0.0
-            for i in range(base):
-                rho2 += u[i] ** 2
-            for i in range(nzw):
-                rho2 += u[base + i] ** 2
-            fp = handle_f_d(w2, delta)
-            gp = handle_g_d(rho2, delta)
-            grad = np.zeros(u.size)
-            for i in range(base):
-                grad[i] = 2.0 * gp * u[i]
-            for i in range(nzw):
-                grad[base + i] = 2.0 * gp * u[base + i]
-                grad[base + nzw + i] = -2.0 * fp * u[base + nzw + i]
-            gnorm2 = 0.0
-            for i in range(u.size):
-                gnorm2 += grad[i] ** 2
-            if gnorm2 == 0.0:
-                break
-            scale = fval / gnorm2
-            for i in range(u.size):
-                u[i] -= scale * grad[i]
-    return u
-
-
-@maybe_njit
-def rk4_step(u, h, nxy, nzw, code, params):
-    k1 = field_rhs(u, nxy, nzw, code, params)
-    k2 = field_rhs(u + 0.5 * h * k1, nxy, nzw, code, params)
-    k3 = field_rhs(u + 0.5 * h * k2, nxy, nzw, code, params)
-    k4 = field_rhs(u + h * k3, nxy, nzw, code, params)
+def rk4_step(rhs, u, h):
+    """One classical RK4 step of signed size h."""
+    k1 = rhs(u)
+    if np.shape(k1) != u.shape:
+        raise ValueError(f"right-hand side returned shape {np.shape(k1)} "
+                         f"for a state of shape {u.shape}")
+    k2 = rhs(u + 0.5 * h * k1)
+    k3 = rhs(u + 0.5 * h * k2)
+    k4 = rhs(u + h * k3)
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@maybe_njit
-def _all_finite(u):
-    for i in range(u.size):
-        if not math.isfinite(u[i]):
-            return False
-    return True
-
-
-@maybe_njit
-def rk4_final(u0, nxy, nzw, fcode, fparams, t, step, pcode, pparams):
-    """Flow for a signed time t with fixed steps and post-step projection."""
-    u = u0.copy()
+def _schedule(t, step):
+    """Step sizes covering |t|: ceil(|t| / step) steps, each the smaller of
+    step and the time still to go."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
     remaining = abs(t)
-    sgn = 1.0 if t >= 0.0 else -1.0
-    while remaining > 0.0:
-        h = step if remaining > step else remaining
-        u = rk4_step(u, sgn * h, nxy, nzw, fcode, fparams)
-        u = apply_projection(u, nxy, nzw, pcode, pparams)
-        if not _all_finite(u):
-            raise ValueError("flow state became non-finite")
+    for _ in range(math.ceil(remaining / step - _SCHEDULE_SLACK)):
+        h = min(step, remaining)
         remaining -= h
+        yield h
+
+
+def _advance(rhs, u, h, project):
+    u = rk4_step(rhs, u, h)
+    if project is not None:
+        u = project(u)
+    if not np.isfinite(u).all():
+        raise ValueError("flow state became non-finite")
     return u
 
 
-@maybe_njit
-def rk4_record(u0, nxy, nzw, fcode, fparams, t, step, pcode, pparams):
-    """Like rk4_final but returns the whole sampled trajectory.
-
-    Times are reported as nonnegative elapsed |t| regardless of direction.
-    """
-    n_steps = int(math.ceil(abs(t) / step - 1e-12)) if t != 0.0 else 0
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, u0.size))
-    u = u0.copy()
-    times[0] = 0.0
-    states[0] = u
+def rk4_final(rhs, u0, t, step, project=None):
+    """The state after flowing for signed time t; u0 is (d,) or (m, d)."""
+    u = np.array(u0, dtype=float)
     sgn = 1.0 if t >= 0.0 else -1.0
+    for h in _schedule(t, step):
+        u = _advance(rhs, u, sgn * h, project)
+    return u
+
+
+def rk4_record(rhs, u0, t, step, project=None):
+    """Like rk4_final, but returns (times, states) of the whole sampled
+    trajectory; times are the elapsed |t| whatever the direction."""
+    u = np.array(u0, dtype=float)
+    sgn = 1.0 if t >= 0.0 else -1.0
+    times, states = [0.0], [u]
     elapsed = 0.0
-    for j in range(n_steps):
-        remaining = abs(t) - elapsed
-        h = step if remaining > step else remaining
-        u = rk4_step(u, sgn * h, nxy, nzw, fcode, fparams)
-        u = apply_projection(u, nxy, nzw, pcode, pparams)
-        if not _all_finite(u):
-            raise ValueError("flow state became non-finite")
+    for h in _schedule(t, step):
+        u = _advance(rhs, u, sgn * h, project)
         elapsed += h
-        times[j + 1] = elapsed
-        states[j + 1] = u
-    return times, states
+        times.append(elapsed)
+        states.append(u)
+    return np.array(times), np.array(states)
 
 
-@maybe_njit
-def rk4_until_event(u0, nxy, nzw, fcode, fparams, ecode, eparams, target,
-                    step, max_time, event_tol, pcode, pparams, direction):
-    """March until the event function crosses the target, then bisect the crossing.
+def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
+                    project=None, direction=1.0):
+    """March until ``event(u) - target`` changes sign or comes within
+    event_tol, then bisect the crossing inside the last step.
 
-    ``direction`` is +1.0 (forward) or -1.0 (backward); times are reported as
-    nonnegative elapsed |t|.  Returns (status, event_time, times, states,
-    count); rows [0:count] of the preallocated arrays are valid and the last
-    row is the refined event point when status == STATUS_EVENT.
+    ``direction`` is +1.0 (forward) or -1.0 (backward).  Returns
+    ``(t_event, times, states)`` with times the elapsed |t|; t_event is None
+    when no crossing occurred within max_time, and otherwise the last row of
+    states is the refined event point.
     """
-    max_steps = int(max_time / step) + 2
-    times = np.zeros(max_steps + 2)
-    states = np.zeros((max_steps + 2, u0.size))
-    u = u0.copy()
-    times[0] = 0.0
-    states[0] = u
-    count = 1
-    v_prev = event_value(u, nxy, nzw, ecode, eparams) - target
+    u = np.array(u0, dtype=float)
+    times, states = [0.0], [u]
+    v_prev = event(u) - target
     if abs(v_prev) <= event_tol:
-        return STATUS_EVENT, 0.0, times, states, count
+        return 0.0, np.array(times), np.array(states)
     t_now = 0.0
-    while t_now < max_time:
-        h = step if (max_time - t_now) > step else (max_time - t_now)
-        u_next = rk4_step(u, direction * h, nxy, nzw, fcode, fparams)
-        u_next = apply_projection(u_next, nxy, nzw, pcode, pparams)
-        if not _all_finite(u_next):
-            return STATUS_NONFINITE, t_now, times, states, count
-        v_next = event_value(u_next, nxy, nzw, ecode, eparams) - target
+    for h in _schedule(max_time, step):
+        u_next = _advance(rhs, u, direction * h, project)
+        v_next = event(u_next) - target
         if abs(v_next) <= event_tol or v_prev * v_next < 0.0:
             # refine inside (0, h] by bisection on the substep size
             lo, hi = 0.0, h
-            u_hit = u_next
-            t_hit = h
+            u_hit, t_hit = u_next, h
             for _ in range(60):
                 if hi - lo < 1e-17:
                     break
                 mid = 0.5 * (lo + hi)
-                u_mid = rk4_step(u, direction * mid, nxy, nzw, fcode, fparams)
-                u_mid = apply_projection(u_mid, nxy, nzw, pcode, pparams)
-                v_mid = event_value(u_mid, nxy, nzw, ecode, eparams) - target
+                u_mid = _advance(rhs, u, direction * mid, project)
+                v_mid = event(u_mid) - target
                 if abs(v_mid) <= event_tol:
-                    u_hit = u_mid
-                    t_hit = mid
+                    u_hit, t_hit = u_mid, mid
                     break
                 if v_prev * v_mid < 0.0:
-                    hi = mid
-                    u_hit = u_mid
-                    t_hit = mid
+                    hi, u_hit, t_hit = mid, u_mid, mid
                 else:
                     lo = mid
-            times[count] = t_now + t_hit
-            states[count] = u_hit
-            count += 1
-            return STATUS_EVENT, t_now + t_hit, times, states, count
+            times.append(t_now + t_hit)
+            states.append(u_hit)
+            return t_now + t_hit, np.array(times), np.array(states)
         t_now += h
-        u = u_next
-        v_prev = v_next
-        times[count] = t_now
-        states[count] = u
-        count += 1
-    return STATUS_NO_EVENT, t_now, times, states, count
-
-
-# ---------------------------------------------------------------------------
-# batch scans
-# ---------------------------------------------------------------------------
-
-@maybe_njit
-def transversality_margins(pts, nxy, nzw, delta):
-    """(|x|^2/2 + |y|^2/2 + 2|z|^2) g' + |w|^2 f' per row of pts."""
-    m = pts.shape[0]
-    out = np.empty(m)
-    base = 2 * nxy
-    for row in range(m):
-        xy2 = 0.0
-        for i in range(base):
-            xy2 += pts[row, i] ** 2
-        z2 = 0.0
-        for i in range(nzw):
-            z2 += pts[row, base + i] ** 2
-        w2 = 0.0
-        for i in range(nzw):
-            w2 += pts[row, base + nzw + i] ** 2
-        rho2 = xy2 + z2
-        out[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(rho2, delta) \
-            + w2 * handle_f_d(w2, delta)
-    return out
-
-
-@maybe_njit
-def dehn_twist_batch(q, p, p0, k):
-    """Apply the twist to each (q, p) row pair; rows with |p| = 0 map to ((-1)^k q, 0)."""
-    m, d = q.shape
-    q_out = np.empty((m, d))
-    p_out = np.empty((m, d))
-    flip = 1.0 if k % 2 == 0 else -1.0
-    for row in range(m):
-        norm = 0.0
-        for i in range(d):
-            norm += p[row, i] ** 2
-        norm = math.sqrt(norm)
-        if norm == 0.0:
-            for i in range(d):
-                q_out[row, i] = flip * q[row, i]
-                p_out[row, i] = 0.0
-            continue
-        t = twist_g1(norm, p0, k)
-        c = math.cos(t)
-        s = math.sin(t)
-        for i in range(d):
-            q_out[row, i] = c * q[row, i] + (s / norm) * p[row, i]
-            p_out[row, i] = -norm * s * q[row, i] + c * p[row, i]
-    return q_out, p_out
+        u, v_prev = u_next, v_next
+        times.append(t_now)
+        states.append(u)
+    return None, np.array(times), np.array(states)

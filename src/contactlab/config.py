@@ -80,7 +80,7 @@ class ScenarioConfig:
         problems = []
         typed = set()
         for f in fields(self):
-            value, hint = getattr(self, f.name), _FIELD_TYPES[f.name]
+            value, hint = getattr(self, f.name), _TYPE_HINTS[f.name]
             if _conforms(value, hint):
                 typed.add(f.name)
             elif get_origin(hint) is dict and isinstance(value, dict):
@@ -124,7 +124,7 @@ class ConfigError(ValueError):
 SUITE_NAMES = {"dehn-twist", "weinstein-strictness", "monodromy", "giroux",
                "binding", "moves", "all"}
 
-_FIELD_TYPES = get_type_hints(ScenarioConfig)
+_TYPE_HINTS = get_type_hints(ScenarioConfig)
 _SAMPLE_COUNTS = tuple(f.name for f in fields(ScenarioConfig) if f.name.startswith("n_"))
 
 # (fields, predicate, what the predicate requires); applied to fields whose

@@ -1,9 +1,9 @@
 """Deterministic fixed-step RK4 flows with event detection and projection.
 
-Vector fields built by :mod:`contactlab.surgery` carry kernel metadata and
-are integrated by the compiled kernels; arbitrary Python callables take the
-generic path below, which implements the identical stepping, projection and
-bisection semantics.
+Every flow runs through the one integrator in :mod:`contactlab._kernels`,
+which takes the field, event and projection as plain callables.  A
+projection acts on the flat block state of the surgery model, so it needs a
+field that carries its block layout.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, surgery
 from .forms import VectorFieldOracle
 
 Array = np.ndarray
@@ -38,46 +38,25 @@ class IntegratorConfig:
         if self.projection not in (None, "unit_w", "level_f"):
             raise ValueError(f"unknown projection {self.projection!r}")
 
-    def proj_code_params(self):
-        if self.projection is None:
-            return _kernels.PROJ_NONE, _kernels._NO_PARAMS
-        if self.projection == "unit_w":
-            return _kernels.PROJ_UNIT_W, _kernels._NO_PARAMS
-        return _kernels.PROJ_LEVEL, np.array([self.level_delta])
-
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A scalar observable along the flow, with an optional compiled twin."""
+    """A named scalar observable along the flow."""
 
     name: str
     func: Callable[[Array], float]
-    kernel_code: Optional[int] = None
-    kernel_params: Optional[Array] = None
 
 
 def page_event(nxy: int, nzw: int) -> EventSpec:
-    def func(u):
-        return float(u[2 * nxy:2 * nxy + nzw] @ u[2 * nxy + nzw:])
-
-    return EventSpec("page", func, _kernels.EVENT_PAGE, _kernels._NO_PARAMS)
+    return EventSpec("page", surgery.page_value(nxy, nzw))
 
 
 def level_event(nxy: int, nzw: int, delta: float) -> EventSpec:
-    params = np.array([delta])
-
-    def func(u):
-        return float(_kernels.event_value(u, nxy, nzw, _kernels.EVENT_LEVEL, params))
-
-    return EventSpec("level", func, _kernels.EVENT_LEVEL, params)
+    return EventSpec("level", surgery.level_value(nxy, nzw, delta))
 
 
 def wnorm2_event(nxy: int, nzw: int) -> EventSpec:
-    def func(u):
-        w = u[2 * nxy + nzw:]
-        return float(w @ w)
-
-    return EventSpec("wnorm2", func, _kernels.EVENT_WNORM2, _kernels._NO_PARAMS)
+    return EventSpec("wnorm2", surgery.wnorm2_value(nxy, nzw))
 
 
 @dataclass
@@ -97,34 +76,33 @@ class Trajectory:
         return self.points[-1]
 
 
-def _kernel_ready(field: VectorFieldOracle, cfg: IntegratorConfig) -> bool:
-    return field.kernel_code is not None and field.blocks is not None
+def _projection(constraint: str, nxy: int, nzw: int, delta: float):
+    if constraint == "unit_w":
+        return surgery.unit_w_projection(nxy, nzw)
+    if constraint == "level_f":
+        return surgery.level_projection(nxy, nzw, delta)
+    raise ValueError(f"unknown constraint {constraint!r}")
+
+
+def _field_projection(field: VectorFieldOracle, cfg: IntegratorConfig):
+    if cfg.projection is None:
+        return None
+    if field.blocks is None:
+        raise ValueError("projection requested but the field carries no block layout")
+    return _projection(cfg.projection, *field.blocks, cfg.level_delta)
 
 
 def flow_fixed_time(field: VectorFieldOracle, start: Array, t: float,
                     cfg: IntegratorConfig) -> Array:
     """Classical RK4 for signed time t with post-step constraint projection."""
-    u0 = np.asarray(start, dtype=float)
-    pcode, pparams = cfg.proj_code_params()
-    if _kernel_ready(field, cfg):
-        nxy, nzw = field.blocks
-        return _kernels.rk4_final(u0, nxy, nzw, field.kernel_code,
-                                  field.kernel_params, float(t), cfg.step,
-                                  pcode, pparams)
-    return _py_rk4_final(field, u0, float(t), cfg)
+    return _kernels.rk4_final(field.func, start, float(t), cfg.step,
+                              _field_projection(field, cfg))
 
 
 def flow_record(field: VectorFieldOracle, start: Array, t: float,
                 cfg: IntegratorConfig) -> Trajectory:
-    u0 = np.asarray(start, dtype=float)
-    pcode, pparams = cfg.proj_code_params()
-    if _kernel_ready(field, cfg):
-        nxy, nzw = field.blocks
-        times, states = _kernels.rk4_record(u0, nxy, nzw, field.kernel_code,
-                                            field.kernel_params, float(t),
-                                            cfg.step, pcode, pparams)
-        return Trajectory(times, states)
-    times, states = _py_rk4_record(field, u0, float(t), cfg)
+    times, states = _kernels.rk4_record(field.func, start, float(t), cfg.step,
+                                        _field_projection(field, cfg))
     return Trajectory(times, states)
 
 
@@ -136,22 +114,13 @@ def flow_until_event(field: VectorFieldOracle, start: Array, event: EventSpec,
     A trajectory without an event record means no crossing occurred within
     cfg.max_time; callers must inspect ``trajectory.event``.
     """
-    u0 = np.asarray(start, dtype=float)
-    pcode, pparams = cfg.proj_code_params()
-    if _kernel_ready(field, cfg) and event.kernel_code is not None:
-        nxy, nzw = field.blocks
-        status, t_ev, times, states, count = _kernels.rk4_until_event(
-            u0, nxy, nzw, field.kernel_code, field.kernel_params,
-            event.kernel_code, event.kernel_params, float(target),
-            cfg.step, cfg.max_time, cfg.event_tol, pcode, pparams,
-            float(direction))
-        if status == _kernels.STATUS_NONFINITE:
-            raise ValueError("flow state became non-finite before the event")
-        traj = Trajectory(times[:count].copy(), states[:count].copy())
-        if status == _kernels.STATUS_EVENT:
-            traj.event = (event.name, float(t_ev), states[count - 1].copy())
-        return traj
-    return _py_flow_until_event(field, u0, event, float(target), cfg, direction)
+    t_event, times, states = _kernels.rk4_until_event(
+        field.func, start, event.func, float(target), cfg.step, cfg.max_time,
+        cfg.event_tol, _field_projection(field, cfg), float(direction))
+    traj = Trajectory(times, states)
+    if t_event is not None:
+        traj.event = (event.name, float(t_event), states[-1].copy())
+    return traj
 
 
 def project_constraint(pt: Array, constraint: str, nxy: int, nzw: int,
@@ -161,125 +130,17 @@ def project_constraint(pt: Array, constraint: str, nxy: int, nzw: int,
     Raises when the correction exceeds ``max_displacement`` (the point was
     not close to the constraint) or when the Newton projection stalls.
     """
-    u = np.asarray(pt, dtype=float).copy()
-    if constraint == "unit_w":
-        code, params = _kernels.PROJ_UNIT_W, _kernels._NO_PARAMS
-    elif constraint == "level_f":
-        code, params = _kernels.PROJ_LEVEL, np.array([delta])
-    else:
-        raise ValueError(f"unknown constraint {constraint!r}")
-    out = _kernels.apply_projection(u.copy(), nxy, nzw, code, params)
+    u = np.asarray(pt, dtype=float)
+    out = _projection(constraint, nxy, nzw, delta)(u.copy())
     moved = float(np.linalg.norm(out - u))
     if moved > max_displacement:
         raise ValueError(f"projection displaced the point by {moved:.3e} "
                          f"(> {max_displacement:.3e}); state had drifted too far")
-    if code == _kernels.PROJ_LEVEL:
-        residual = _kernels.event_value(out, nxy, nzw, _kernels.EVENT_LEVEL, params)
+    if constraint == "level_f":
+        residual = surgery.level_value(nxy, nzw, delta)(out)
         if abs(residual) > 1e-10:
             raise ValueError(f"Newton projection stalled with residual {residual:.3e}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# generic path for arbitrary callables (identical semantics to the kernels)
-# ---------------------------------------------------------------------------
-
-def _py_step(field, u, h):
-    k1 = field(u)
-    k2 = field(u + 0.5 * h * k1)
-    k3 = field(u + 0.5 * h * k2)
-    k4 = field(u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _py_project(u, cfg: IntegratorConfig, field: VectorFieldOracle):
-    pcode, pparams = cfg.proj_code_params()
-    if pcode == _kernels.PROJ_NONE:
-        return u
-    if field.blocks is None:
-        raise ValueError("projection requested but the field carries no block layout")
-    nxy, nzw = field.blocks
-    return _kernels.apply_projection(u, nxy, nzw, pcode, pparams)
-
-
-def _py_rk4_final(field, u0, t, cfg):
-    u = u0.copy()
-    remaining = abs(t)
-    sgn = 1.0 if t >= 0 else -1.0
-    while remaining > 0.0:
-        h = min(cfg.step, remaining)
-        u = _py_step(field, u, sgn * h)
-        u = _py_project(u, cfg, field)
-        if not np.all(np.isfinite(u)):
-            raise ValueError("flow state became non-finite")
-        remaining -= h
-    return u
-
-
-def _py_rk4_record(field, u0, t, cfg):
-    times = [0.0]
-    states = [u0.copy()]
-    u = u0.copy()
-    remaining = abs(t)
-    sgn = 1.0 if t >= 0 else -1.0
-    elapsed = 0.0
-    while remaining > 1e-15:
-        h = min(cfg.step, remaining)
-        u = _py_step(field, u, sgn * h)
-        u = _py_project(u, cfg, field)
-        if not np.all(np.isfinite(u)):
-            raise ValueError("flow state became non-finite")
-        elapsed += h
-        remaining -= h
-        times.append(elapsed)
-        states.append(u.copy())
-    return np.array(times), np.array(states)
-
-
-def _py_flow_until_event(field, u0, event, target, cfg, direction):
-    u = u0.copy()
-    times = [0.0]
-    states = [u.copy()]
-    v_prev = event.func(u) - target
-    if abs(v_prev) <= cfg.event_tol:
-        traj = Trajectory(np.array(times), np.array(states))
-        traj.event = (event.name, 0.0, u.copy())
-        return traj
-    t_now = 0.0
-    while t_now < cfg.max_time:
-        h = min(cfg.step, cfg.max_time - t_now)
-        u_next = _py_step(field, u, direction * h)
-        u_next = _py_project(u_next, cfg, field)
-        if not np.all(np.isfinite(u_next)):
-            raise ValueError("flow state became non-finite before the event")
-        v_next = event.func(u_next) - target
-        if abs(v_next) <= cfg.event_tol or v_prev * v_next < 0.0:
-            lo, hi = 0.0, h
-            u_hit, t_hit = u_next, h
-            for _ in range(60):
-                if hi - lo < 1e-17:
-                    break
-                mid = 0.5 * (lo + hi)
-                u_mid = _py_project(_py_step(field, u, direction * mid), cfg, field)
-                v_mid = event.func(u_mid) - target
-                if abs(v_mid) <= cfg.event_tol:
-                    u_hit, t_hit = u_mid, mid
-                    break
-                if v_prev * v_mid < 0.0:
-                    hi, u_hit, t_hit = mid, u_mid, mid
-                else:
-                    lo = mid
-            times.append(t_now + t_hit)
-            states.append(u_hit.copy())
-            traj = Trajectory(np.array(times), np.array(states))
-            traj.event = (event.name, t_now + t_hit, u_hit.copy())
-            return traj
-        t_now += h
-        u = u_next
-        v_prev = v_next
-        times.append(t_now)
-        states.append(u.copy())
-    return Trajectory(np.array(times), np.array(states))
 
 
 # ---------------------------------------------------------------------------

@@ -127,13 +127,12 @@ class KFormOracle:
 
 @dataclass
 class VectorFieldOracle:
-    """A vector field; the optional kernel metadata routes flows to the
-    compiled integrator for the model fields."""
+    """A vector field.  Calls check the output; flows integrate ``func``
+    directly.  ``blocks`` is the (nxy, nzw) layout of a surgery-model field,
+    which a flow needs to project onto that model's constraint sets."""
 
     dim: int
     func: Callable[[Array], Array]
-    kernel_code: Optional[int] = None
-    kernel_params: Optional[Array] = None
     blocks: Optional[tuple[int, int]] = None  # (nxy, nzw)
 
     def __call__(self, x: Array) -> Array:

@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flows import IntegratorConfig, _py_rk4_final
+from . import _kernels, flows
+from .flows import IntegratorConfig
 from .forms import (KFormOracle, ScalarField, SmoothMap, VectorFieldOracle,
                     exterior_derivative, one_form, pullback_eval)
 from .profiles import BindingProfile, smoothstep
@@ -128,23 +129,6 @@ class SymplectomorphismCandidate:
             if not inside:
                 worst = max(worst, float(np.max(np.abs(self.mapping(x) - x))))
         return worst
-
-
-def _rk4_batch(field: Callable[[Array], Array], states: Array, t: float,
-               step: float) -> Array:
-    """Vectorized fixed-step RK4 over rows of ``states``."""
-    u = np.array(states, dtype=float)
-    remaining = abs(t)
-    sgn = 1.0 if t >= 0 else -1.0
-    while remaining > 1e-15:
-        h = min(step, remaining)
-        k1 = field(u)
-        k2 = field(u + 0.5 * sgn * h * k1)
-        k3 = field(u + 0.5 * sgn * h * k2)
-        k4 = field(u + sgn * h * k3)
-        u = u + (sgn * h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        remaining -= h
-    return u
 
 
 def radial_twist_map(amplitude: float, support_radius: float) -> SymplectomorphismCandidate:
@@ -282,7 +266,7 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
         return out
 
     def func_batch(pts):
-        return _rk4_batch(x_h_batch, pts, 1.0, step)
+        return _kernels.rk4_final(x_h_batch, pts, 1.0, step)
 
     def func_jac_batch(pts):
         # the variational flow carries the trajectory: its x-columns are the map
@@ -290,7 +274,7 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
         state[:, :2] = pts
         state[:, 2] = 1.0
         state[:, 5] = 1.0
-        out = _rk4_batch(variational_field, state, 1.0, step)
+        out = _kernels.rk4_final(variational_field, state, 1.0, step)
         return out[:, :2], out[:, 2:].reshape(len(pts), 2, 2)
 
     def jac_batch(pts):
@@ -494,7 +478,7 @@ def giroux_correction(domain: ExactSymplecticDomain,
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
         if key != last["key"]:
-            last["end"] = _py_rk4_final(aug_field, np.append(x, 0.0), 1.0, flow_cfg)
+            last["end"] = flows.flow_fixed_time(aug_field, np.append(x, 0.0), 1.0, flow_cfg)
             last["key"] = key
         return last["end"]
 
@@ -562,7 +546,7 @@ def giroux_flow_batch(domain: ExactSymplecticDomain,
         s_dot = np.einsum("mi,mi->m", domain.lam_batch(x), y)
         return np.concatenate([y, s_dot[:, None]], axis=1)
 
-    out = _rk4_batch(field, aug, 1.0, flow_cfg.step)
+    out = _kernels.rk4_final(field, aug, 1.0, flow_cfg.step)
     h_raw = out[:, d]
     h = -(h_raw[:-1] - h_raw[-1])
     psi_hat = psi.batched.func(out[:-1, :d])

@@ -1,10 +1,11 @@
 """Scalar shape functions for handles, twists and binding collars.
 
 Every profile blends exact pieces (flat, linear, exponential) with quintic
-polynomials so the result is C^2 across the joints.  The hot scalar kernels
-live in :mod:`contactlab._kernels`; the dataclasses here are thin parameter
-holders over them.  Transversality and contact positivity are *checked*
-numerically by the test suites, never assumed.
+polynomials so the result is C^2 across the joints.  The model fields,
+events and batch scans call the plain scalar functions below with the
+smoothing width or support radius as an argument; the dataclasses hold those
+parameters.  Transversality and contact positivity are *checked* numerically
+by the test suites, never assumed.
 """
 
 from __future__ import annotations
@@ -12,10 +13,82 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _kernels as k
 
-smoothstep = k.smoothstep
-smoothstep_d = k.smoothstep_d
+def smoothstep(t):
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+def smoothstep_d(t):
+    if t <= 0.0 or t >= 1.0:
+        return 0.0
+    u = t * (1.0 - t)
+    return 30.0 * u * u
+
+
+def handle_f(s, delta):
+    if s <= 1.0 - delta:
+        return 1.0
+    if s >= 1.0 - 0.5 * delta:
+        return s + delta
+    t = (s - (1.0 - delta)) / (0.5 * delta)
+    return 1.0 + (s + delta - 1.0) * smoothstep(t)
+
+
+def handle_f_d(s, delta):
+    if s <= 1.0 - delta:
+        return 0.0
+    if s >= 1.0 - 0.5 * delta:
+        return 1.0
+    t = (s - (1.0 - delta)) / (0.5 * delta)
+    return smoothstep(t) + (s + delta - 1.0) * smoothstep_d(t) * (2.0 / delta)
+
+
+def handle_g(s, delta):
+    if s <= 1.0:
+        return s
+    if s >= 1.0 + delta:
+        return 1.0 + delta
+    t = (s - 1.0) / delta
+    sm = smoothstep(t)
+    return (1.0 - sm) * s + sm * (1.0 + delta)
+
+
+def handle_g_d(s, delta):
+    if s <= 1.0:
+        return 1.0
+    if s >= 1.0 + delta:
+        return 0.0
+    t = (s - 1.0) / delta
+    return (1.0 - smoothstep(t)) + smoothstep_d(t) * (1.0 + delta - s) / delta
+
+
+# initial-slope weight of the angle profile: small enough that twist
+# Jacobians across a 1e-3 sphere around the zero section match to 1e-4
+# (the antipodal mismatch scales like 4 |g1'(0)| * radius), yet strictly
+# nonzero so the profile leaves k*pi with negative slope
+_TWIST_TILT = 0.005
+
+
+def twist_g1(s, p0, k):
+    if s <= 0.0:
+        return k * math.pi
+    if s >= p0:
+        return 0.0
+    u = 1.0 - s / p0
+    shape = smoothstep(u) + _TWIST_TILT * (u ** 4 - u ** 3)
+    return k * math.pi * shape
+
+
+def twist_g1_d(s, p0, k):
+    if s < 0.0 or s >= p0:
+        return 0.0
+    u = 1.0 - s / p0
+    shape_d = smoothstep_d(u) + _TWIST_TILT * (4.0 * u ** 3 - 3.0 * u ** 2)
+    return -k * math.pi * shape_d / p0
 
 
 def hermite_quintic(t: float, v0: float, d0: float, s0: float,
@@ -60,16 +133,16 @@ class HandleProfile:
             raise ValueError(f"delta must lie in (0, 1/4), got {self.delta}")
 
     def f(self, s: float) -> float:
-        return k.handle_f(s, self.delta)
+        return handle_f(s, self.delta)
 
     def f_d(self, s: float) -> float:
-        return k.handle_f_d(s, self.delta)
+        return handle_f_d(s, self.delta)
 
     def g(self, s: float) -> float:
-        return k.handle_g(s, self.delta)
+        return handle_g(s, self.delta)
 
     def g_d(self, s: float) -> float:
-        return k.handle_g_d(s, self.delta)
+        return handle_g_d(s, self.delta)
 
     def g_inverse(self, v: float, tol: float = 1e-14) -> float:
         """Invert g on [0, 1+delta): bisection on the monotone blend window."""
@@ -105,10 +178,10 @@ class DehnTwistProfile:
             raise ValueError("twist multiplicity k must be a positive integer")
 
     def g1(self, s: float) -> float:
-        return k.twist_g1(s, self.p0, self.k)
+        return twist_g1(s, self.p0, self.k)
 
     def g1_d(self, s: float) -> float:
-        return k.twist_g1_d(s, self.p0, self.k)
+        return twist_g1_d(s, self.p0, self.k)
 
 
 @dataclass(frozen=True)

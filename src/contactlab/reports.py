@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .backend import active_backend
+from . import active_backend
 
 
 @dataclass

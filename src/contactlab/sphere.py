@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .forms import KFormOracle, SmoothMap, one_form
-from .profiles import DehnTwistProfile
+from .profiles import DehnTwistProfile, twist_g1
 
 Array = np.ndarray
 
@@ -115,10 +114,30 @@ def dehn_twist(pt: SpherePoint, profile: DehnTwistProfile) -> SpherePoint:
 
 
 def dehn_twist_batch(points_q: Array, points_p: Array, profile: DehnTwistProfile):
-    """Twist a batch of row pairs through the compiled kernel."""
-    return _kernels.dehn_twist_batch(np.ascontiguousarray(points_q, dtype=float),
-                                     np.ascontiguousarray(points_p, dtype=float),
-                                     profile.p0, profile.k)
+    """Twist each (q, p) row pair; rows with |p| = 0 map to ((-1)^k q, 0)."""
+    q = np.asarray(points_q, dtype=float)
+    p = np.asarray(points_p, dtype=float)
+    m, d = q.shape
+    q_out = np.empty((m, d))
+    p_out = np.empty((m, d))
+    flip = 1.0 if profile.k % 2 == 0 else -1.0
+    for row in range(m):
+        norm = 0.0
+        for i in range(d):
+            norm += p[row, i] ** 2
+        norm = math.sqrt(norm)
+        if norm == 0.0:
+            for i in range(d):
+                q_out[row, i] = flip * q[row, i]
+                p_out[row, i] = 0.0
+            continue
+        t = twist_g1(norm, profile.p0, profile.k)
+        c = math.cos(t)
+        s = math.sin(t)
+        for i in range(d):
+            q_out[row, i] = c * q[row, i] + (s / norm) * p[row, i]
+            p_out[row, i] = -norm * s * q[row, i] + c * p[row, i]
+    return q_out, p_out
 
 
 def dehn_twist_map(profile: DehnTwistProfile, n: int) -> SmoothMap:
@@ -180,13 +199,20 @@ def _orthonormal_complement(q: Array) -> list[Array]:
 
 def random_sphere_point(rng: np.random.Generator, n: int,
                         p_low: float = 0.0, p_high: float = 2.0) -> SpherePoint:
-    """Uniform random direction on the sphere with fiber norm in [p_low, p_high)."""
-    q = rng.standard_normal(n + 1)
-    q /= np.linalg.norm(q)
-    v = rng.standard_normal(n + 1)
-    v -= (v @ q) * q
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        return random_sphere_point(rng, n, p_low, p_high)
+    """Uniform random direction on the sphere with fiber norm in [p_low, p_high).
+
+    Needs n >= 1: the fibers of S^0 are zero-dimensional, so no direction
+    exists to scale.
+    """
+    if n < 1:
+        raise ValueError(f"the sphere dimension must be at least 1, got {n}")
+    while True:
+        q = rng.standard_normal(n + 1)
+        q /= np.linalg.norm(q)
+        v = rng.standard_normal(n + 1)
+        v -= (v @ q) * q
+        norm = np.linalg.norm(v)
+        if norm >= 1e-12:
+            break
     target = p_low + (p_high - p_low) * rng.random()
     return SpherePoint(q, v / norm * target)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .forms import KFormOracle, SmoothMap, VectorFieldOracle, one_form
-from .profiles import HandleProfile
+from .profiles import HandleProfile, handle_f, handle_f_d, handle_g, handle_g_d
 from .sphere import SpherePoint, _orthonormal_complement
 
 Array = np.ndarray
@@ -127,14 +127,33 @@ def liouville_X(pt: ModelPoint) -> ModelPoint:
     return ModelPoint(0.5 * pt.x, 0.5 * pt.y, 2.0 * pt.z, -pt.w)
 
 
+# ---------------------------------------------------------------------------
+# model fields, events and projections on the flat block state
+# ---------------------------------------------------------------------------
+# Sums of squares and products run in index order over Python floats, with
+# ``**`` for squares, so every flow of a model field repeats the same bits.
+
+def _sum_sq(values: list) -> float:
+    total = 0.0
+    for v in values:
+        total += v ** 2
+    return total
+
+
+def _rho2_w2(v: list, nxy: int, nzw: int) -> tuple[float, float]:
+    """|x|^2 + |y|^2 + |z|^2 and |w|^2 of a flat state given as a list."""
+    b = 2 * nxy + nzw
+    return _sum_sq(v[:b]), _sum_sq(v[b:])
+
+
 def liouville_field(nxy: int, nzw: int) -> VectorFieldOracle:
     dim = 2 * nxy + 2 * nzw
+    scale = np.concatenate([np.full(2 * nxy, 0.5), np.full(nzw, 2.0), np.full(nzw, -1.0)])
 
     def func(u):
-        return _kernels.field_rhs(u, nxy, nzw, _kernels.FIELD_LIOUVILLE, _kernels._NO_PARAMS)
+        return scale * u
 
-    return VectorFieldOracle(dim, func, kernel_code=_kernels.FIELD_LIOUVILLE,
-                             kernel_params=_kernels._NO_PARAMS, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
 
 
 def liouville_X_a(pt: ModelPoint, a: float) -> ModelPoint:
@@ -144,13 +163,16 @@ def liouville_X_a(pt: ModelPoint, a: float) -> ModelPoint:
 
 def liouville_a_field(nxy: int, nzw: int, a: float) -> VectorFieldOracle:
     dim = 2 * nxy + 2 * nzw
-    params = np.array([float(a)])
+    b = 2 * nxy
+    a = float(a)
 
     def func(u):
-        return _kernels.field_rhs(u, nxy, nzw, _kernels.FIELD_LIOUVILLE_A, params)
+        du = np.zeros(u.size)
+        du[b:b + nzw] = (1.0 + a) * u[b:b + nzw]
+        du[b + nzw:] = -a * u[b + nzw:]
+        return du
 
-    return VectorFieldOracle(dim, func, kernel_code=_kernels.FIELD_LIOUVILLE_A,
-                             kernel_params=params, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
 
 
 def alpha_s_minus1_eval(pt: ModelPoint, v: Array, check: bool = True) -> float:
@@ -198,17 +220,52 @@ def reeb_s_minus1(pt: ModelPoint) -> ModelPoint:
 
 def reeb_field(nxy: int, nzw: int) -> VectorFieldOracle:
     dim = 2 * nxy + 2 * nzw
+    b = 2 * nxy
 
     def func(u):
-        return _kernels.field_rhs(u, nxy, nzw, _kernels.FIELD_REEB, _kernels._NO_PARAMS)
+        du = np.zeros(u.size)
+        du[b:b + nzw] = u[b + nzw:]
+        return du
 
-    return VectorFieldOracle(dim, func, kernel_code=_kernels.FIELD_REEB,
-                             kernel_params=_kernels._NO_PARAMS, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
 
 
 def theta_page(pt: ModelPoint) -> float:
     """The page function z . w."""
     return pt.theta()
+
+
+def page_value(nxy: int, nzw: int):
+    """The page function z . w of a flat state."""
+    b = 2 * nxy
+
+    def value(u):
+        v = u.tolist()
+        total = 0.0
+        for z, w in zip(v[b:b + nzw], v[b + nzw:]):
+            total += z * w
+        return total
+
+    return value
+
+
+def wnorm2_value(nxy: int, nzw: int):
+    """|w|^2 of a flat state."""
+    b = 2 * nxy + nzw
+    return lambda u: _sum_sq(u.tolist()[b:])
+
+
+def unit_w_projection(nxy: int, nzw: int):
+    """Rescale the w block of a flat state, in place, to unit length."""
+    b = 2 * nxy + nzw
+
+    def project(u):
+        norm = math.sqrt(_sum_sq(u.tolist()[b:]))
+        if norm > 0.0:
+            u[b:] /= norm
+        return u
+
+    return project
 
 
 def s_minus1_tangent_frame(pt: ModelPoint) -> list[Array]:
@@ -355,14 +412,24 @@ def transversality_margin(pt: ModelPoint, profile: HandleProfile) -> float:
     twice this margin; both vanish together, so positivity of either one is
     the transversality statement.
     """
-    pts = pt.as_array()[None, :]
-    return float(_kernels.transversality_margins(pts, pt.nxy, pt.nzw, profile.delta)[0])
+    return _margin(pt.as_array().tolist(), pt.nxy, pt.nzw, profile.delta)
 
 
 def transversality_margins(points: Array, nxy: int, nzw: int,
                            profile: HandleProfile) -> Array:
-    return _kernels.transversality_margins(np.ascontiguousarray(points, dtype=float),
-                                           nxy, nzw, profile.delta)
+    pts = np.asarray(points, dtype=float)
+    out = np.empty(len(pts))
+    for i, row in enumerate(pts):
+        out[i] = _margin(row.tolist(), nxy, nzw, profile.delta)
+    return out
+
+
+def _margin(v: list, nxy: int, nzw: int, delta: float) -> float:
+    b = 2 * nxy
+    xy2 = _sum_sq(v[:b])
+    z2 = _sum_sq(v[b:b + nzw])
+    w2 = _sum_sq(v[b + nzw:])
+    return (0.5 * xy2 + 2.0 * z2) * handle_g_d(xy2 + z2, delta) + w2 * handle_f_d(w2, delta)
 
 
 def hamiltonian_field_xf(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
@@ -375,13 +442,50 @@ def hamiltonian_field_xf(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
 
 def handle_hamiltonian_field(nxy: int, nzw: int, profile: HandleProfile) -> VectorFieldOracle:
     dim = 2 * nxy + 2 * nzw
-    params = np.array([profile.delta])
+    b = 2 * nxy
+    delta = profile.delta
+    zero_xy = [0.0] * b
 
     def func(u):
-        return _kernels.field_rhs(u, nxy, nzw, _kernels.FIELD_HANDLE_HAMILTONIAN, params)
+        v = u.tolist()
+        rho2, w2 = _rho2_w2(v, nxy, nzw)
+        cf = 2.0 * handle_f_d(w2, delta)
+        cg = 2.0 * handle_g_d(rho2, delta)
+        return np.array(zero_xy + [cf * c for c in v[b + nzw:]]
+                        + [cg * c for c in v[b:b + nzw]])
 
-    return VectorFieldOracle(dim, func, kernel_code=_kernels.FIELD_HANDLE_HAMILTONIAN,
-                             kernel_params=params, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
+
+
+def level_value(nxy: int, nzw: int, delta: float):
+    """The handle function -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2) of a flat state."""
+    def value(u):
+        rho2, w2 = _rho2_w2(u.tolist(), nxy, nzw)
+        return -handle_f(w2, delta) + handle_g(rho2, delta)
+
+    return value
+
+
+def level_projection(nxy: int, nzw: int, delta: float):
+    """Newton steps, in place, onto the zero level of the handle function."""
+    b = 2 * nxy + nzw
+
+    def project(u):
+        for _ in range(8):
+            rho2, w2 = _rho2_w2(u.tolist(), nxy, nzw)
+            fval = -handle_f(w2, delta) + handle_g(rho2, delta)
+            if abs(fval) < 1e-13:
+                break
+            grad = np.empty(u.size)
+            grad[:b] = (2.0 * handle_g_d(rho2, delta)) * u[:b]
+            grad[b:] = (-2.0 * handle_f_d(w2, delta)) * u[b:]
+            gnorm2 = _sum_sq(grad.tolist())
+            if gnorm2 == 0.0:
+                break
+            u -= (fval / gnorm2) * grad
+        return u
+
+    return project
 
 
 def s1_tangent_frame(pt: ModelPoint, profile: HandleProfile) -> list[Array]:
@@ -520,15 +624,15 @@ def handle_membership(pt: ModelPoint, config: SurgeryConfig, profile: HandleProf
     w_norm = float(np.linalg.norm(pt.w))
     if w_norm == 0.0:
         return False  # |w| stays 0 along the flow, never reaches the collar
+    liouville = liouville_field(nxy, nzw).func
     if w_norm > 1.0 + 1e-12:
         reach_glue = False  # backward flow inflates |w| further
     else:
-        status, _, _, states, count = _kernels.rk4_until_event(
-            u0, nxy, nzw, _kernels.FIELD_LIOUVILLE, _kernels._NO_PARAMS,
-            _kernels.EVENT_WNORM2, _kernels._NO_PARAMS, 1.0,
-            step, max_time, event_tol, _kernels.PROJ_NONE, _kernels._NO_PARAMS, -1.0)
-        if status == _kernels.STATUS_EVENT:
-            hit = ModelPoint.from_array(states[count - 1], nxy, nzw)
+        t_hit, _, states = _kernels.rk4_until_event(
+            liouville, u0, wnorm2_value(nxy, nzw), 1.0, step, max_time, event_tol,
+            direction=-1.0)
+        if t_hit is not None:
+            hit = ModelPoint.from_array(states[-1], nxy, nzw)
             rho2 = float(hit.x @ hit.x + hit.y @ hit.y + hit.z @ hit.z)
             reach_glue = rho2 <= config.glue_radius ** 2
         else:
@@ -539,14 +643,13 @@ def handle_membership(pt: ModelPoint, config: SurgeryConfig, profile: HandleProf
     if f0 < 0.0 and rho0 < 1e-14:
         reach_s1 = False  # on the w axis the level value caps out below zero
     else:
-        status, _, _, states, count = _kernels.rk4_until_event(
-            u0, nxy, nzw, _kernels.FIELD_LIOUVILLE, _kernels._NO_PARAMS,
-            _kernels.EVENT_LEVEL, np.array([profile.delta]), 0.0,
-            step, max_time, event_tol, _kernels.PROJ_NONE, _kernels._NO_PARAMS, 1.0)
-        if status == _kernels.STATUS_EVENT:
+        t_hit, _, states = _kernels.rk4_until_event(
+            liouville, u0, level_value(nxy, nzw, profile.delta), 0.0, step, max_time,
+            event_tol)
+        if t_hit is not None:
             reach_s1 = True
         else:
-            f_end = f_eval(ModelPoint.from_array(states[count - 1], nxy, nzw), profile)
+            f_end = f_eval(ModelPoint.from_array(states[-1], nxy, nzw), profile)
             if f0 > 0.0 and f_end >= f0:
                 reach_s1 = False  # level value only grows along the forward flow
             else:
@@ -580,6 +683,7 @@ def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
     dim = 2 * nxy + 2 * nzw
     out = np.empty((count, dim))
     delta = profile.delta
+    project = level_projection(nxy, nzw, delta)
     for i in range(count):
         if rng.random() < 0.7:
             s = rng.random()  # |w|^2 in [0, 1]
@@ -595,7 +699,5 @@ def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
         u[:2 * nxy] = math.sqrt(rho2) * r_dir[:2 * nxy]
         u[2 * nxy:2 * nxy + nzw] = math.sqrt(rho2) * r_dir[2 * nxy:]
         u[2 * nxy + nzw:] = math.sqrt(s) * w_dir
-        u = _kernels.apply_projection(u, nxy, nzw, _kernels.PROJ_LEVEL,
-                                      np.array([delta]))
-        out[i] = u
+        out[i] = project(u)
     return out

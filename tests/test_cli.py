@@ -145,19 +145,19 @@ def test_report_json_is_deterministic(all_suite_report, all_suite_report_rerun):
 
 
 def test_numpy_backend_subprocess_runs_moves_suite():
-    # Minimal env, so no backend setting leaks in from the parent; the child
-    # imports the same contactlab as this process (a checkout or an install).
+    # A fresh interpreter with a minimal env, so nothing leaks in from the
+    # parent; the child imports the same contactlab as this process (a
+    # checkout or an install).
     package_root = str(Path(contactlab.__file__).resolve().parents[1])
     code = subprocess.run(
         [sys.executable, "-c",
-         "from contactlab.backend import active_backend;"
+         "from contactlab import active_backend;"
          "from contactlab.config import config_from_dict;"
          "from contactlab.suites import run_suite;"
          "assert active_backend() == 'numpy';"
          "rep = run_suite(config_from_dict({'suite': 'moves', 'n_chains': 20,"
          "'n_nonconnected': 5}));"
          "assert rep.passed"],
-        env={"CONTACTLAB_BACKEND": "numpy", "PATH": "/usr/bin:/bin",
-             "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
         capture_output=True, text=True)
     assert code.returncode == 0, code.stderr

@@ -1,4 +1,4 @@
-"""Fixed-step flows: order, events, projection, export, backend parity."""
+"""Fixed-step flows: order, events, projection, export."""
 
 import csv
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contactlab import flows, surgery
-from contactlab.flows import (EventSpec, IntegratorConfig, flow_fixed_time,
+from contactlab.flows import (IntegratorConfig, flow_fixed_time,
                               flow_record, flow_until_event,
                               project_constraint, trajectory_to_csv)
 from contactlab.forms import VectorFieldOracle
@@ -92,22 +92,6 @@ def test_no_event_within_bound_reports_absence():
     traj = flow_until_event(fld, start, ev, 10.0, short)
     assert traj.event is None
     assert traj.times[-1] == pytest.approx(0.05)
-
-
-def test_generic_python_path_matches_kernel_path():
-    fld = surgery.liouville_a_field(0, 2, 3.0)
-    plain = VectorFieldOracle(4, fld.func)  # no kernel metadata
-    u0 = np.array([0.2, -0.4, 0.8, 0.6])
-    a = flow_fixed_time(fld, u0, 0.3, CFG)
-    b = flow_fixed_time(plain, u0, 0.3, CFG)
-    assert np.max(np.abs(a - b)) < 1e-13
-    ev_kernel = flows.wnorm2_event(0, 2)
-    ev_plain = EventSpec("wnorm2", ev_kernel.func)
-    ta = flow_until_event(fld, u0, ev_kernel, 0.5, CFG)
-    tb = flow_until_event(plain, u0, ev_plain, 0.5, CFG)
-    assert ta.event is not None and tb.event is not None
-    assert abs(ta.event[1] - tb.event[1]) < 1e-12
-    assert np.max(np.abs(ta.event[2] - tb.event[2])) < 1e-12
 
 
 def test_projection_unit_w_keeps_constraint():

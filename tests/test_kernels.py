@@ -1,94 +1,220 @@
-"""Compiled kernels against their uncompiled source (backend parity)."""
+"""The RK4 integrator over plain callables, and the model functions it flows.
+
+The model fields, events and projections keep the scalar-loop arithmetic of
+their earlier integer-coded kernels; the loops below are that source, kept
+as the reference the flat-state functions must match bit for bit.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
 from contactlab import _kernels as k
-from contactlab.backend import active_backend, python_impl
-from contactlab.profiles import DehnTwistProfile, HandleProfile
+from contactlab import active_backend, flows, sphere, surgery
+from contactlab.flows import EventSpec, IntegratorConfig
+from contactlab.forms import VectorFieldOracle
+from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
+                                 handle_g, handle_g_d, twist_g1)
 
 rng = np.random.default_rng(33)
-NOP = k._NO_PARAMS
+DELTA = 0.05
 
 
-def both(fn):
-    """The bound kernel and its plain-Python source (same object on numpy backend)."""
-    return fn, python_impl(fn)
+def _loop_norms(u, nxy, nzw):
+    base = 2 * nxy
+    w2 = 0.0
+    for i in range(nzw):
+        w2 += u[base + nzw + i] ** 2
+    rho2 = 0.0
+    for i in range(base + nzw):
+        rho2 += u[i] ** 2
+    return rho2, w2
 
 
-@pytest.mark.parametrize("code,params", [
-    (k.FIELD_LIOUVILLE, NOP),
-    (k.FIELD_LIOUVILLE_A, np.array([7.0])),
-    (k.FIELD_REEB, NOP),
-    (k.FIELD_HANDLE_HAMILTONIAN, np.array([0.05])),
-])
-def test_field_rhs_backend_parity(code, params):
-    fast, plain = both(k.field_rhs)
-    for _ in range(10):
-        u = rng.standard_normal(8)
-        a = fast(u, 1, 2, code, params)
-        b = plain(u, 1, 2, code, params)
-        # compiled code may contract multiplies and adds, so compare tightly
-        # rather than bitwise
-        assert np.allclose(a, b, rtol=1e-14, atol=1e-15)
+def _loop_field(kind, u, nxy, nzw, param):
+    du = np.zeros(u.size)
+    base = 2 * nxy
+    for i in range(nzw):
+        z, w = base + i, base + nzw + i
+        if kind == "liouville":
+            du[z], du[w] = 2.0 * u[z], -u[w]
+        elif kind == "liouville_a":
+            du[z], du[w] = (1.0 + param) * u[z], -param * u[w]
+        elif kind == "reeb":
+            du[z] = u[w]
+        else:
+            rho2, w2 = _loop_norms(u, nxy, nzw)
+            du[z] = 2.0 * handle_f_d(w2, param) * u[w]
+            du[w] = 2.0 * handle_g_d(rho2, param) * u[z]
+    if kind == "liouville":
+        for i in range(base):
+            du[i] = 0.5 * u[i]
+    return du
 
 
-def test_rk4_final_backend_parity():
-    fast, plain = both(k.rk4_final)
-    u = rng.standard_normal(6)
-    args = (1, 2, k.FIELD_LIOUVILLE, NOP, 0.37, 1e-3, k.PROJ_NONE, NOP)
-    assert np.allclose(fast(u, *args), plain(u, *args), rtol=1e-13, atol=1e-14)
+FIELDS = {
+    "liouville": lambda nxy, nzw: surgery.liouville_field(nxy, nzw),
+    "liouville_a": lambda nxy, nzw: surgery.liouville_a_field(nxy, nzw, 7.0),
+    "reeb": lambda nxy, nzw: surgery.reeb_field(nxy, nzw),
+    "handle": lambda nxy, nzw: surgery.handle_hamiltonian_field(nxy, nzw, HandleProfile(DELTA)),
+}
 
 
-def test_rk4_event_backend_parity():
-    fast, plain = both(k.rk4_until_event)
-    u = np.array([-0.1, 0.5, 1.0, 0.0])
-    args = (0, 2, k.FIELD_REEB, NOP, k.EVENT_PAGE, NOP, 0.1,
-            1e-3, 2.0, 1e-12, k.PROJ_NONE, NOP, 1.0)
-    sa, ta, _, states_a, ca = fast(u, *args)
-    sb, tb, _, states_b, cb = plain(u, *args)
-    assert sa == sb == k.STATUS_EVENT
-    assert abs(ta - tb) < 1e-9
-    assert ca == cb
-    assert np.allclose(states_a[:ca], states_b[:cb], rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_model_fields_match_scalar_loops(kind):
+    param = 7.0 if kind == "liouville_a" else DELTA
+    for nxy, nzw in [(0, 2), (1, 2), (2, 3)]:
+        fld = FIELDS[kind](nxy, nzw)
+        for _ in range(20):
+            u = rng.standard_normal(2 * nxy + 2 * nzw) * rng.uniform(0.2, 1.5)
+            assert np.array_equal(fld.func(u), _loop_field(kind, u, nxy, nzw, param))
 
 
-def test_margins_backend_parity():
-    fast, plain = both(k.transversality_margins)
+def test_model_events_match_scalar_loops():
+    nxy, nzw = 1, 3
+    base = 2 * nxy
+    for _ in range(50):
+        u = rng.standard_normal(2 * nxy + 2 * nzw) * rng.uniform(0.2, 1.5)
+        rho2, w2 = _loop_norms(u, nxy, nzw)
+        page = 0.0
+        for i in range(nzw):
+            page += u[base + i] * u[base + nzw + i]
+        assert flows.page_event(nxy, nzw).func(u) == page
+        assert flows.wnorm2_event(nxy, nzw).func(u) == w2
+        assert flows.level_event(nxy, nzw, DELTA).func(u) == \
+            -handle_f(w2, DELTA) + handle_g(rho2, DELTA)
+
+
+def test_margins_match_scalar_loop():
+    nxy, nzw = 1, 2
+    base = 2 * nxy
     pts = rng.standard_normal((50, 6))
-    assert np.allclose(fast(pts, 1, 2, 0.1), plain(pts, 1, 2, 0.1),
-                       rtol=1e-13, atol=1e-15)
-
-
-def test_twist_batch_backend_parity():
-    fast, plain = both(k.dehn_twist_batch)
-    q = rng.standard_normal((20, 3))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    p = rng.standard_normal((20, 3)) * 0.7
-    qa, pa = fast(q, p, 1.0, 2)
-    qb, pb = plain(q, p, 1.0, 2)
-    assert np.allclose(qa, qb, rtol=1e-13, atol=1e-14)
-    assert np.allclose(pa, pb, rtol=1e-13, atol=1e-14)
+    ref = np.empty(len(pts))
+    for row in range(len(pts)):
+        xy2 = z2 = w2 = 0.0
+        for i in range(base):
+            xy2 += pts[row, i] ** 2
+        for i in range(nzw):
+            z2 += pts[row, base + i] ** 2
+            w2 += pts[row, base + nzw + i] ** 2
+        ref[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(xy2 + z2, 0.1) \
+            + w2 * handle_f_d(w2, 0.1)
+    got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(0.1))
+    assert np.array_equal(got, ref)
 
 
 def test_scalar_kernels_match_profile_dataclasses():
     hp = HandleProfile(0.07)
     tw = DehnTwistProfile(1.3, 2)
     for s in np.linspace(0.0, 2.0, 300):
-        assert abs(hp.f(s) - python_impl(k.handle_f)(s, 0.07)) < 1e-15
-        assert abs(hp.g_d(s) - python_impl(k.handle_g_d)(s, 0.07)) < 1e-13
-        assert abs(tw.g1(s) - python_impl(k.twist_g1)(s, 1.3, 2)) < 1e-13
+        assert abs(hp.f(s) - handle_f(s, 0.07)) < 1e-15
+        assert abs(hp.g_d(s) - handle_g_d(s, 0.07)) < 1e-13
+        assert abs(tw.g1(s) - twist_g1(s, 1.3, 2)) < 1e-13
+
+
+def test_twist_batch_matches_pointwise_twist():
+    profile = DehnTwistProfile(1.0, 2)
+    q = rng.standard_normal((20, 3))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    p = rng.standard_normal((20, 3)) * 0.7
+    p -= (p * q).sum(axis=1, keepdims=True) * q
+    p[0] = 0.0
+    q_b, p_b = sphere.dehn_twist_batch(q, p, profile)
+    for i in range(len(q)):
+        out = sphere.dehn_twist(sphere.SpherePoint(q[i], p[i]), profile)
+        assert np.allclose(q_b[i], out.q, rtol=1e-13, atol=1e-14)
+        assert np.allclose(p_b[i], out.p, rtol=1e-13, atol=1e-14)
 
 
 def test_projection_kernels():
     u = np.array([0.0, 0.0, 0.6, 0.8000001])
-    out = k.apply_projection(u.copy(), 0, 2, k.PROJ_UNIT_W, NOP)
+    out = surgery.unit_w_projection(0, 2)(u.copy())
     assert abs(out[2:] @ out[2:] - 1.0) < 1e-15
-    hp = HandleProfile(0.1)
     v = np.array([0.9, 0.1, 0.1, 0.95])
-    out = k.apply_projection(v.copy(), 0, 2, k.PROJ_LEVEL, np.array([0.1]))
-    assert abs(k.event_value(out, 0, 2, k.EVENT_LEVEL, np.array([0.1]))) < 1e-12
+    out = surgery.level_projection(0, 2, 0.1)(v.copy())
+    assert abs(surgery.level_value(0, 2, 0.1)(out)) < 1e-12
 
 
 def test_backend_selection_reports_valid_name():
-    assert active_backend() in ("numba", "numpy")
+    assert active_backend() == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# the integrator
+# ---------------------------------------------------------------------------
+
+def _pendulum(u):
+    # polynomial, so a row of a batch and a lone row see identical arithmetic
+    x, y = u[..., 0], u[..., 1]
+    return np.stack([y, -x - 0.3 * x * x * x], axis=-1)
+
+
+def test_fixed_time_takes_no_residue_step():
+    # ten subtractions of 0.1 from 1.0 leave about 1.4e-16, which is no step
+    calls = []
+
+    def counted(u):
+        calls.append(None)
+        return _pendulum(u)
+
+    k.rk4_final(counted, np.array([0.5, 0.0]), 1.0, 0.1)
+    assert len(calls) == 4 * 10
+    times, _ = k.rk4_record(_pendulum, np.array([0.5, 0.0]), 1.0, 0.1)
+    assert len(times) == 11
+
+
+@pytest.mark.parametrize("step", [0.1, 0.02, 0.001])
+def test_record_end_equals_fixed_time_flow(step):
+    fld = surgery.liouville_field(1, 2)
+    u0 = np.array([0.3, -0.1, 0.2, 0.5, 0.7, 0.4])
+    cfg = IntegratorConfig(step=step, max_time=2.0)
+    assert np.array_equal(flows.flow_record(fld, u0, 1.0, cfg).end,
+                          flows.flow_fixed_time(fld, u0, 1.0, cfg))
+
+
+def test_batch_rows_equal_single_row_flows():
+    starts = rng.uniform(-1.0, 1.0, (7, 2))
+    batch = k.rk4_final(_pendulum, starts, -0.73, 0.05)
+    for row, start in zip(batch, starts):
+        assert np.array_equal(row, k.rk4_final(_pendulum, start, -0.73, 0.05))
+
+
+def _bad_shape(u):
+    return np.zeros(u.shape[-1] + 1)
+
+
+def _nan_past_half(u):
+    # moves every coordinate at unit speed, and turns NaN once x passes 0.5
+    return np.where(u[..., :1] < 0.5, 1.0, np.nan) * np.ones_like(u)
+
+
+@pytest.mark.parametrize("rhs,match", [(_bad_shape, "shape"), (_nan_past_half, "finite")])
+def test_bad_fields_raise_from_every_flow(rhs, match):
+    fld = VectorFieldOracle(2, rhs)
+    cfg = IntegratorConfig(step=0.1, max_time=2.0)
+    never = EventSpec("never", lambda u: 1.0)
+    start = np.zeros(2)
+    with pytest.raises(ValueError, match=match):
+        flows.flow_fixed_time(fld, start, 1.5, cfg)
+    with pytest.raises(ValueError, match=match):
+        flows.flow_record(fld, start, 1.5, cfg)
+    with pytest.raises(ValueError, match=match):
+        flows.flow_until_event(fld, start, never, 0.0, cfg)
+    with pytest.raises(ValueError, match=match):
+        k.rk4_final(rhs, np.zeros((3, 2)), 1.5, 0.1)
+
+
+def test_batch_field_returning_one_row_raises():
+    with pytest.raises(ValueError, match="shape"):
+        k.rk4_final(lambda u: np.ones(2), np.zeros((3, 2)), 1.0, 0.1)
+
+
+def test_event_time_is_bisected_inside_the_last_step():
+    # x' = 1 from 0 meets x = 0.2345 between steps of 0.1
+    t_ev, times, states = k.rk4_until_event(
+        lambda u: np.ones_like(u), np.zeros(1), lambda u: float(u[0]), 0.2345,
+        0.1, 1.0, 1e-12)
+    assert math.isclose(t_ev, 0.2345, abs_tol=1e-12)
+    assert times[-1] == t_ev and len(times) == 4
+    assert abs(states[-1, 0] - 0.2345) <= 1e-12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from contactlab import forms, openbook as ob, sphere
+from contactlab import _kernels, forms, openbook as ob, sphere
 from contactlab.flows import IntegratorConfig, flow_fixed_time
 from contactlab.forms import ScalarField, VectorFieldOracle, pullback_eval
 from contactlab.profiles import BindingProfile
@@ -230,7 +230,7 @@ def test_bump_func_jac_is_one_integration_of_both():
     assert np.array_equal(img[6:], pts[6:])
     # the flat column field repeats the matrix form's arithmetic exactly
     state = np.hstack([pts, np.tile([1.0, 0.0, 0.0, 1.0], (len(pts), 1))])
-    ref = ob._rk4_batch(_einsum_bump_variational_field(0.15, 0.8 ** 2), state, 1.0, 0.05)
+    ref = _kernels.rk4_final(_einsum_bump_variational_field(0.15, 0.8 ** 2), state, 1.0, 0.05)
     assert np.array_equal(img, ref[:, :2])
     assert np.array_equal(jac, ref[:, 2:].reshape(-1, 2, 2))
 
@@ -274,31 +274,31 @@ def test_h_then_psi_hat_integrates_the_flow_once(monkeypatch):
     coarse = IntegratorConfig(step=0.25, max_time=2.0)
     result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
     assert result.cond_max == np.linalg.cond(domain.dlambda_const)
-    counts = {"func_jac": 0, "bump": 0}
+    counts = {"func_jac": 0, "rk4": 0}
     func_jac = candidate.batched.func_jac
-    rk4 = ob._rk4_batch
+    rk4 = _kernels.rk4_final
 
     def counted_func_jac(pts):
         counts["func_jac"] += 1
         return func_jac(pts)
 
     def counted_rk4(*args):
-        counts["bump"] += 1
+        counts["rk4"] += 1
         return rk4(*args)
 
     def no_fd(*args, **kwargs):
         raise AssertionError("d(lambda) is constant on this domain")
 
     candidate.batched.func_jac = counted_func_jac
-    monkeypatch.setattr(ob, "_rk4_batch", counted_rk4)
+    monkeypatch.setattr(_kernels, "rk4_final", counted_rk4)
     monkeypatch.setattr(ob.ExactSymplecticDomain, "dlambda_matrix", no_fd)
     x = np.array([0.3, -0.2])
     result.h(x)
     result.psi_hat(x)
     y_evals = 4 * round(1.0 / coarse.step)
     # one Y evaluation per func_jac call, one bump integration each, plus
-    # the bump map applied once to the flow's end point for psi_hat
-    assert counts == {"func_jac": y_evals, "bump": y_evals + 1}
+    # the Y-flow itself and the bump map applied once to its end point for psi_hat
+    assert counts == {"func_jac": y_evals, "rk4": y_evals + 2}
 
 
 def test_finite_difference_dlambda_matches_constant():

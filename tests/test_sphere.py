@@ -25,6 +25,34 @@ def test_projection_frozen_examples():
     assert np.allclose(pt.p, [0.64, -0.48])
 
 
+class _ScriptedRng:
+    """Hands out fixed normal draws, so a degenerate first draw can be forced."""
+
+    def __init__(self, normals):
+        self.normals = [np.asarray(v, dtype=float) for v in normals]
+
+    def standard_normal(self, size):
+        return self.normals.pop(0)
+
+    def random(self):
+        return 0.5
+
+
+def test_random_sphere_point_redraws_a_degenerate_direction():
+    # the first fiber draw is parallel to q, so its tangent part vanishes
+    rng_s = _ScriptedRng([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
+    pt = sphere.random_sphere_point(rng_s, 1, 0.0, 2.0)
+    assert np.array_equal(pt.q, [0.0, 1.0])
+    assert np.allclose(pt.p, [1.0, 0.0])
+    assert not rng_s.normals
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_sphere_point_rejects_dimension_below_one(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        sphere.random_sphere_point(np.random.default_rng(0), n)
+
+
 def test_projection_rejects_zero_base():
     with pytest.raises(ValueError):
         project_to_bundle(np.zeros(2), np.ones(2))
