@@ -22,7 +22,7 @@ from . import flows, monodromy as mono, surgery
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .flows import IntegratorConfig, Trajectory
 from .profiles import HandleProfile
-from .suites import SUITES, run_suite
+from .suites import run_suite, suite_names
 
 
 def emit_plot_data(obj, path) -> None:
@@ -83,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="seed (overrides the config field)")
     parser.add_argument("--out", help="output directory for report and plot data")
     parser.add_argument("--list-suites", action="store_true",
-                        help="print available suite names and exit")
+                        help="print the registered suite names in run order and exit")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_suites:
-        for name in sorted(SUITES) + ["all"]:
+        for name in suite_names():
             print(name)
         return 0
     try:

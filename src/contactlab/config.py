@@ -90,6 +90,11 @@ class ScenarioConfig:
                                 if not (_conforms(key, key_type) and _conforms(v, item)))
             else:
                 problems.append(f"{f.name}: expected {f.type}, got {value!r}")
+        if "suite" in typed:
+            from .suites import suite_names  # late: the registry imports this module
+            if self.suite not in suite_names():
+                problems.append(f"suite: unknown name, expected one of {suite_names()}, "
+                                f"got {self.suite!r}")
         for names, holds, rule in _RULES:
             for name in names:
                 if name in typed and not holds(getattr(self, name)):
@@ -121,17 +126,12 @@ class ConfigError(ValueError):
         super().__init__("invalid scenario config:\n  " + "\n  ".join(problems))
 
 
-SUITE_NAMES = {"dehn-twist", "weinstein-strictness", "monodromy", "giroux",
-               "binding", "moves", "all"}
-
 _TYPE_HINTS = get_type_hints(ScenarioConfig)
 _SAMPLE_COUNTS = tuple(f.name for f in fields(ScenarioConfig) if f.name.startswith("n_"))
 
 # (fields, predicate, what the predicate requires); applied to fields whose
 # values already match their annotation
 _RULES = [
-    (("suite",), lambda v: v in SUITE_NAMES,
-     f"unknown name, expected one of {sorted(SUITE_NAMES)}"),
     (("epsilon", "window_epsilon"), lambda v: 0.0 < v < 0.25,
      "page half-angle must lie in (0, 1/4)"),
     (("p0", "scale_C", "h_fd", "flow_step", "giroux_flow_step"), lambda v: v > 0,
@@ -173,6 +173,8 @@ def _conforms(value, annotation) -> bool:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise ConfigError([f"config root must be a JSON object, got {type(data).__name__}"])
     known = {f.name for f in fields(ScenarioConfig)}
     unknown = set(data) - known
     if unknown:
@@ -191,6 +193,4 @@ def load_config(path: str) -> ScenarioConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"not valid JSON: {exc}"]) from exc
-    if not isinstance(data, dict):
-        raise ConfigError(["config root must be a JSON object"])
     return config_from_dict(data)

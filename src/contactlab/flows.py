@@ -55,10 +55,6 @@ def level_event(nxy: int, nzw: int, delta: float) -> EventSpec:
     return EventSpec("level", surgery.level_value(nxy, nzw, delta))
 
 
-def wnorm2_event(nxy: int, nzw: int) -> EventSpec:
-    return EventSpec("wnorm2", surgery.wnorm2_value(nxy, nzw))
-
-
 @dataclass
 class Trajectory:
     times: Array

@@ -1,14 +1,20 @@
-"""Named verification suites.
+"""Named verification suites, declared in one registry.
 
-Each suite turns the model formulas into residual checks and returns a list
-of :class:`contactlab.reports.CheckRecord`.  Anchors quote the identity
-being verified; `ops` lists the public operations a check exercises (the
-"all" suite must cover the whole registry in QUOTED_OPS).
+Each suite body is registered by ``@suite(name)``; definition order is the
+order in which the "all" suite runs them.  ``run_suite`` calls a body as
+``body(cfg, check)``, and the body declares each of its checks once, by
+``@check(name, anchor, ops, tolerance)`` directly above a closure that returns
+``(max_residual, samples, details)``.  The decorator runs the closure through
+:func:`contactlab.reports.run_check` and keeps the resulting
+:class:`contactlab.reports.CheckRecord`.  Anchors quote the identity being
+verified; `ops` lists the public operations a check exercises (the "all"
+suite must cover every operation in QUOTED_OPS).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -16,7 +22,7 @@ from . import flows, forms, monodromy as mono, moves as mv, openbook as ob, sphe
 from .config import ScenarioConfig
 from .flows import IntegratorConfig
 from .profiles import BindingProfile, DehnTwistProfile, HandleProfile
-from .reports import CheckRecord, VerificationReport, check_rng, run_check
+from .reports import VerificationReport, check_rng, run_check
 from .surgery import ModelPoint, SurgeryConfig
 
 Array = np.ndarray
@@ -37,6 +43,24 @@ QUOTED_OPS = [
     "recognize_dehn_twist", "composed_monodromy_word",
     "cyclic_rotate", "conjugate", "subcritical_attach", "stabilize", "destabilize",
 ]
+
+
+# suite name -> body, filled by @suite in definition order, which is the
+# order the "all" suite runs them in
+SUITES: dict[str, Callable[[ScenarioConfig, Callable], None]] = {}
+
+
+def suite(name: str):
+    """Register a suite body ``body(cfg, check)`` under ``name``."""
+    def register(body):
+        SUITES[name] = body
+        return body
+    return register
+
+
+def suite_names() -> list[str]:
+    """The registered suites in run order, then "all"."""
+    return [*SUITES, "all"]
 
 
 def _dlam_can(u: Array, v: Array) -> float:
@@ -66,10 +90,13 @@ def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
     return worst
 
 
-def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
-    checks = []
+@suite("dehn-twist")
+def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
     profile = DehnTwistProfile(cfg.p0, cfg.twist_k)
 
+    @check("twist-symplectomorphism",
+           "pullback of d(p dq) through the twist equals d(p dq) on the bundle tangent spaces",
+           ["dehn_twist"], cfg.tol("twist_symplecto"))
     def symplecto():
         worst = 0.0
         total = 0
@@ -80,11 +107,9 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
             total += cfg.n_twist
         return worst, total, {"dims": list(cfg.sphere_dims)}
 
-    checks.append(run_check(
-        "twist-symplectomorphism",
-        "pullback of d(p dq) through the twist equals d(p dq) on the bundle tangent spaces",
-        ["dehn_twist"], cfg.tol("twist_symplecto"), symplecto))
-
+    @check("twist-compact-support",
+           "the twist is the pointwise identity once |p| reaches the support radius",
+           ["dehn_twist"], 0.0)
     def support():
         rng = check_rng(cfg.seed, "twist-support")
         worst = 0.0
@@ -94,11 +119,9 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, float(np.max(np.abs(out.as_array() - pt.as_array()))))
         return worst, 100, {}
 
-    checks.append(run_check(
-        "twist-compact-support",
-        "the twist is the pointwise identity once |p| reaches the support radius",
-        ["dehn_twist"], 0.0, support))
-
+    @check("twist-zero-section-antipode",
+           "a single twist acts on the zero section as q -> -q",
+           ["dehn_twist"], 0.0)
     def zero_section():
         rng = check_rng(cfg.seed, "twist-zero-section")
         k1 = DehnTwistProfile(cfg.p0, 1)
@@ -112,11 +135,9 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
                         float(np.max(np.abs(out.p))))
         return worst, 50, {}
 
-    checks.append(run_check(
-        "twist-zero-section-antipode",
-        "a single twist acts on the zero section as q -> -q",
-        ["dehn_twist"], 0.0, zero_section))
-
+    @check("geodesic-flow-constraints",
+           "the normalized geodesic rotation preserves |p| and the bundle constraints",
+           ["geodesic_flow"], 1e-9)
     def geodesic():
         rng = check_rng(cfg.seed, "geodesic")
         worst = 0.0
@@ -140,11 +161,9 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
                     float(np.max(np.abs(out.p - np.array([0.0, -2.0])))))
         return worst, 102, {}
 
-    checks.append(run_check(
-        "geodesic-flow-constraints",
-        "the normalized geodesic rotation preserves |p| and the bundle constraints",
-        ["geodesic_flow"], 1e-9, geodesic))
-
+    @check("canonical-form-values",
+           "p dq vanishes on the zero section and on fiber directions, and pairs p with dq",
+           ["canonical_form_eval"], 1e-12)
     def canonical_values():
         worst = 0.0
         pt = sphere.SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
@@ -156,11 +175,9 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
             pt, np.array([0.0, 0.0, 0.4, -0.2]))))
         return worst, 3, {}
 
-    checks.append(run_check(
-        "canonical-form-values",
-        "p dq vanishes on the zero section and on fiber directions, and pairs p with dq",
-        ["canonical_form_eval"], 1e-12, canonical_values))
-
+    @check("twist-smooth-across-zero-section",
+           "twist Jacobians match across a small sphere in p around the zero section",
+           ["dehn_twist"], 1e-4)
     def smoothness():
         rng = check_rng(cfg.seed, "twist-smooth")
         twist = sphere.dehn_twist_map(profile, 2)
@@ -178,11 +195,9 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, float(np.max(np.abs(j_plus - j_minus))))
         return worst, 20, {}
 
-    checks.append(run_check(
-        "twist-smooth-across-zero-section",
-        "twist Jacobians match across a small sphere in p around the zero section",
-        ["dehn_twist"], 1e-4, smoothness))
-
+    @check("twist-k-fold-composition",
+           "two single twists compose to the doubled angle profile exactly",
+           ["dehn_twist", "geodesic_flow"], 1e-12)
     def k_fold():
         rng = check_rng(cfg.seed, "twist-kfold")
         single = DehnTwistProfile(cfg.p0, 1)
@@ -199,11 +214,10 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, float(np.max(np.abs(fixed.q - q))))
         return worst, 101, {}
 
-    checks.append(run_check(
-        "twist-k-fold-composition",
-        "two single twists compose to the doubled angle profile exactly",
-        ["dehn_twist", "geodesic_flow"], 1e-12, k_fold))
-
+    @check("twist-angle-profile",
+           "the angle profile starts at k*pi with strictly negative slope and "
+           "decreases to 0 at the support radius",
+           ["dehn_twist"], 1e-12)
     def profile_shape():
         worst = 0.0
         for k in (1, 2, 3):
@@ -216,14 +230,6 @@ def suite_dehn_twist(cfg: ScenarioConfig) -> list[CheckRecord]:
             vals = np.array([p.g1(s) for s in ss])
             worst = max(worst, float(np.max(np.maximum(np.diff(vals), 0.0))))
         return worst, 3, {}
-
-    checks.append(run_check(
-        "twist-angle-profile",
-        "the angle profile starts at k*pi with strictly negative slope and "
-        "decreases to 0 at the support radius",
-        ["dehn_twist"], 1e-12, profile_shape))
-
-    return checks
 
 
 # ===========================================================================
@@ -256,9 +262,12 @@ def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) ->
     return worst
 
 
-def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
-    checks = []
-
+@suite("weinstein-strictness")
+def suite_weinstein(cfg: ScenarioConfig, check) -> None:
+    @check("straightening-strictness",
+           "the sphere-bundle chart pulls (x dy - y dx)/2 + 2z dw + w dz back to "
+           "dz + p dq + (x dy - y dx)/2",
+           ["psi_w", "pullback_eval"], cfg.tol("strictness"))
     def strictness():
         worst = 0.0
         total = 0
@@ -268,12 +277,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
             total += cfg.n_strict
         return worst, total, {"dims": [list(d) for d in cfg.model_dims]}
 
-    checks.append(run_check(
-        "straightening-strictness",
-        "the sphere-bundle chart pulls (x dy - y dx)/2 + 2z dw + w dz back to "
-        "dz + p dq + (x dy - y dx)/2",
-        ["psi_w", "pullback_eval"], cfg.tol("strictness"), strictness))
-
+    @check("straightening-roundtrip",
+           "decomposing z into (z.w) w + fiber part inverts the chart exactly",
+           ["psi_w", "psi_w_inverse"], 1e-10)
     def roundtrip():
         rng = check_rng(cfg.seed, "psiw-roundtrip")
         worst = 0.0
@@ -289,11 +295,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(z + 0.1), float(np.max(np.abs(sp.p - np.array([0.0, 0.5])))))
         return worst, 101, {}
 
-    checks.append(run_check(
-        "straightening-roundtrip",
-        "decomposing z into (z.w) w + fiber part inverts the chart exactly",
-        ["psi_w", "psi_w_inverse"], 1e-10, roundtrip))
-
+    @check("rescaling-conformality",
+           "(z,q,p,x,y) -> (Cz,q,Cp,sqrt(C)x,sqrt(C)y) scales the contact form by C",
+           ["phi_c", "pullback_eval"], cfg.tol("conformality"))
     def conformality():
         rng = check_rng(cfg.seed, "conformality")
         worst = 0.0
@@ -311,11 +315,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
                     worst = max(worst, abs(lhs - c_val * source(u, v)))
         return worst, 90, {"C": [1.0, 4.0, cfg.scale_C]}
 
-    checks.append(run_check(
-        "rescaling-conformality",
-        "(z,q,p,x,y) -> (Cz,q,Cp,sqrt(C)x,sqrt(C)y) scales the contact form by C",
-        ["phi_c", "pullback_eval"], cfg.tol("conformality"), conformality))
-
+    @check("isotropic-sphere",
+           "the contact form vanishes on the tangent spaces of {x=y=0, z=0, |w|=1}",
+           ["alpha_s_minus1_eval", "psi_w"], 1e-12)
     def isotropic():
         rng = check_rng(cfg.seed, "isotropic")
         worst = 0.0
@@ -329,11 +331,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
                 worst = max(worst, abs(surgery.alpha_s_minus1_eval(pt, v)))
         return worst, 50, {}
 
-    checks.append(run_check(
-        "isotropic-sphere",
-        "the contact form vanishes on the tangent spaces of {x=y=0, z=0, |w|=1}",
-        ["alpha_s_minus1_eval", "psi_w"], 1e-12, isotropic))
-
+    @check("liouville-expansion",
+           "the field (x/2, y/2, 2z, -w) satisfies L_X omega = omega for dx^dy + dz^dw",
+           ["liouville_X", "liouville_residual"], cfg.tol("liouville"))
     def liouville_main():
         rng = check_rng(cfg.seed, "liouville-main")
         worst = 0.0
@@ -347,11 +347,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
                                                         frame, cfg.h_fd))
         return worst, cfg.n_liouville, {}
 
-    checks.append(run_check(
-        "liouville-expansion",
-        "the field (x/2, y/2, 2z, -w) satisfies L_X omega = omega for dx^dy + dz^dw",
-        ["liouville_X", "liouville_residual"], cfg.tol("liouville"), liouville_main))
-
+    @check("liouville-speed-family",
+           "((1+a) z, -a w) is Liouville for dz^dw at every speed a",
+           ["liouville_X_a", "liouville_residual"], cfg.tol("liouville"))
     def liouville_a():
         rng = check_rng(cfg.seed, "liouville-a")
         worst = 0.0
@@ -370,11 +368,10 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, float(np.max(np.abs(vec - np.array([2.0, 0.0, 0.0, -1.0])))))
         return worst, 91, {"a": [0.0, 1.0, 10.0]}
 
-    checks.append(run_check(
-        "liouville-speed-family",
-        "((1+a) z, -a w) is Liouville for dz^dw at every speed a",
-        ["liouville_X_a", "liouville_residual"], cfg.tol("liouville"), liouville_a))
-
+    @check("level-set-transversality",
+           "(|x|^2/2 + |y|^2/2 + 2|z|^2) g' + |w|^2 f' stays positive on the "
+           "surgered hypersurface (it is half the Liouville derivative of the level function)",
+           ["transversality_margin", "f_eval"], 0.0)
     def transversality():
         worst_floor = -math.inf
         total = 0
@@ -398,12 +395,10 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst_floor, v1, v2)
         return worst, total + 2, {"min_margin": mins}
 
-    checks.append(run_check(
-        "level-set-transversality",
-        "(|x|^2/2 + |y|^2/2 + 2|z|^2) g' + |w|^2 f' stays positive on the "
-        "surgered hypersurface (it is half the Liouville derivative of the level function)",
-        ["transversality_margin", "f_eval"], 0.0, transversality))
-
+    @check("handle-function-values",
+           "-f(|w|^2) + g(|x|^2+|y|^2+|z|^2) takes its frozen values on the "
+           "flat pieces, at the origin and far out the w axis",
+           ["f_eval"], 1e-12)
     def f_values():
         profile = HandleProfile(0.1)
         worst = 0.0
@@ -416,12 +411,10 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(surgery.f_eval(outside, profile) + (4.0 + 0.1)))
         return worst, 3, {}
 
-    checks.append(run_check(
-        "handle-function-values",
-        "-f(|w|^2) + g(|x|^2+|y|^2+|z|^2) takes its frozen values on the "
-        "flat pieces, at the origin and far out the w axis",
-        ["f_eval"], 1e-12, f_values))
-
+    @check("page-hamiltonian-sign",
+           "2 g' z d_w + 2 f' w d_z contracts the symplectic form to minus the "
+           "differential of the handle function",
+           ["hamiltonian_field_xf", "omega0_eval"], cfg.tol("liouville"))
     def hamiltonian_sign():
         rng = check_rng(cfg.seed, "xf-sign")
         profile = HandleProfile(0.05)
@@ -441,12 +434,10 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
                     float(np.max(np.abs(xf.z))))
         return worst, 101, {"convention": "i_X omega = -dF"}
 
-    checks.append(run_check(
-        "page-hamiltonian-sign",
-        "2 g' z d_w + 2 f' w d_z contracts the symplectic form to minus the "
-        "differential of the handle function",
-        ["hamiltonian_field_xf", "omega0_eval"], cfg.tol("liouville"), hamiltonian_sign))
-
+    @check("reeb-field-on-model",
+           "the w vector in the z slot has alpha(R) = 1 and contracts d(alpha) "
+           "to zero on the hypersurface tangent spaces",
+           ["reeb_s_minus1", "alpha_s_minus1_eval"], 1e-7)
     def reeb_properties():
         rng = check_rng(cfg.seed, "reeb-props")
         worst = 0.0
@@ -464,12 +455,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
                     float(np.max(np.abs(r_vec.w))))
         return worst, 21, {}
 
-    checks.append(run_check(
-        "reeb-field-on-model",
-        "the w vector in the z slot has alpha(R) = 1 and contracts d(alpha) "
-        "to zero on the hypersurface tangent spaces",
-        ["reeb_s_minus1", "alpha_s_minus1_eval"], 1e-7, reeb_properties))
-
+    @check("page-function-values",
+           "the page function z.w advances at unit rate along the Reeb field",
+           ["theta_page", "flow_fixed_time"], 1e-10)
     def theta_values():
         worst = 0.0
         pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([1.0, 0.0]))
@@ -483,11 +471,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(float(out[:2] @ out[2:]) - (-0.1 + 0.3)))
         return worst, 3, {}
 
-    checks.append(run_check(
-        "page-function-values",
-        "the page function z.w advances at unit rate along the Reeb field",
-        ["theta_page", "flow_fixed_time"], 1e-10, theta_values))
-
+    @check("symplectic-form-values",
+           "dx^dy + dz^dw on paired, repeated and mixed block vectors",
+           ["omega0_eval"], 1e-14)
     def omega_values():
         pt = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
         e = np.eye(6)  # layout x | y | z(2) | w(2)
@@ -498,11 +484,10 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(surgery.omega0_eval(pt, v1, v2) + 2.0))
         return worst, 3, {}
 
-    checks.append(run_check(
-        "symplectic-form-values",
-        "dx^dy + dz^dw on paired, repeated and mixed block vectors",
-        ["omega0_eval"], 1e-14, omega_values))
-
+    @check("plurisubharmonic-metric",
+           "-d(df o J)(U, J V) is positive definite for the round quarter-square "
+           "potential and degenerate or indefinite for harmonic ones",
+           ["psh_gram_matrix"], 1e-6)
     def psh():
         worst = 0.0
         # f = |u|^2/4 on the plane: the candidate metric is the identity
@@ -529,12 +514,10 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, 1.0)
         return worst, 4, {}
 
-    checks.append(run_check(
-        "plurisubharmonic-metric",
-        "-d(df o J)(U, J V) is positive definite for the round quarter-square "
-        "potential and degenerate or indefinite for harmonic ones",
-        ["psh_gram_matrix"], 1e-6, psh))
-
+    @check("hypersurface-contact-volume",
+           "alpha wedge (d alpha)^n is nowhere zero on tangent frames of the "
+           "|w|^2 = 1 hypersurface",
+           ["contact_volume", "alpha_s_minus1_eval"], 0.0)
     def contact_volume_sminus1():
         rng = check_rng(cfg.seed, "volume-sminus1")
         alpha = surgery.alpha_model_form(1, 2)
@@ -555,12 +538,10 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, cfg.tol("positivity_floor") - vol)
         return max(worst, 0.0), 30, {"min_volume": vol_min}
 
-    checks.append(run_check(
-        "hypersurface-contact-volume",
-        "alpha wedge (d alpha)^n is nowhere zero on tangent frames of the "
-        "|w|^2 = 1 hypersurface",
-        ["contact_volume", "alpha_s_minus1_eval"], 0.0, contact_volume_sminus1))
-
+    @check("handle-membership-oracle",
+           "flow conditions: backward reach of the gluing collar and forward "
+           "reach of the surgered hypersurface",
+           ["handle_membership"], 0.0)
     def membership():
         profile = HandleProfile(0.05)
         config = SurgeryConfig(epsilon=cfg.epsilon, delta=0.05)
@@ -582,12 +563,9 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = 1.0
         return worst, 12, {"surface_hits": hits}
 
-    checks.append(run_check(
-        "handle-membership-oracle",
-        "flow conditions: backward reach of the gluing collar and forward "
-        "reach of the surgered hypersurface",
-        ["handle_membership"], 0.0, membership))
-
+    @check("finite-difference-order",
+           "central-difference Jacobians converge at second order against the analytic one",
+           [], 0.0)
     def fd_order():
         # halving the step must cut the central-difference Jacobian error ~4x
         def func(u):
@@ -607,24 +585,21 @@ def suite_weinstein(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = 0.0 if 3.0 <= factor <= 5.0 else abs(factor - 4.0)
         return worst, 2, {"factor": factor}
 
-    checks.append(run_check(
-        "finite-difference-order",
-        "central-difference Jacobians converge at second order against the analytic one",
-        [], 0.0, fd_order))
-
-    return checks
 
 # ===========================================================================
 # monodromy suite
 # ===========================================================================
 
-def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
-    checks = []
+@suite("monodromy")
+def suite_monodromy(cfg: ScenarioConfig, check) -> None:
     eps = cfg.epsilon
     profile = HandleProfile(0.05)
     config = SurgeryConfig(epsilon=eps, delta=0.05)
     flow_cfg = IntegratorConfig(step=cfg.flow_step, max_time=2.0, event_tol=1e-12)
 
+    @check("pre-surgery-trivial",
+           "Reeb transport over page-time 2*eps keeps the (w, r) page decomposition fixed",
+           ["pre_surgery_monodromy", "flow_until_event"], cfg.tol("pre_surgery"))
     def pre_surgery():
         rng = check_rng(cfg.seed, "pre-surgery")
         worst = 0.0
@@ -638,11 +613,12 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
                         float(np.max(np.abs(dec_out.r - dec_in.r))))
         return worst, 50, {}
 
-    checks.append(run_check(
-        "pre-surgery-trivial",
-        "Reeb transport over page-time 2*eps keeps the (w, r) page decomposition fixed",
-        ["pre_surgery_monodromy", "flow_until_event"], cfg.tol("pre_surgery"), pre_surgery))
-
+    @check("pipeline-vs-closed-form",
+           "limit transfer + page flow + inverse transfer reproduces "
+           "(z, w + 2 eps z/|z|^2), which the block circle matrix decomposes",
+           ["post_surgery_pipeline", "post_surgery_closed_form", "recognize_dehn_twist",
+            "limit_transfer_to_s1", "flow_until_event"],
+           cfg.tol("pipeline_vs_closed"))
     def pipeline():
         worst = 0.0
         worst_matrix = 0.0
@@ -666,14 +642,10 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, 1.0)
         return worst, total, details
 
-    checks.append(run_check(
-        "pipeline-vs-closed-form",
-        "limit transfer + page flow + inverse transfer reproduces "
-        "(z, w + 2 eps z/|z|^2), which the block circle matrix decomposes",
-        ["post_surgery_pipeline", "post_surgery_closed_form", "recognize_dehn_twist",
-         "limit_transfer_to_s1", "flow_until_event"],
-        cfg.tol("pipeline_vs_closed"), pipeline))
-
+    @check("worked-page-point",
+           "the page point with w = (1,0), r = (0,1/2), eps = 1/10 lands on "
+           "w = (0.923077, 0.384615) with matching circle functions",
+           ["post_surgery_closed_form", "recognize_dehn_twist"], 1e-6)
     def worked_point():
         start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), 0.1)
         conf = SurgeryConfig(epsilon=0.1, delta=0.05)
@@ -686,12 +658,10 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
         return worst, 1, {"w_out": [float(v) for v in w_out],
                           "minus_cos_g": -tw.cos_g, "sin_g": tw.sin_g}
 
-    checks.append(run_check(
-        "worked-page-point",
-        "the page point with w = (1,0), r = (0,1/2), eps = 1/10 lands on "
-        "w = (0.923077, 0.384615) with matching circle functions",
-        ["post_surgery_closed_form", "recognize_dehn_twist"], 1e-6, worked_point))
-
+    @check("twist-angle-extremes",
+           "the recognized angle passes through the quarter circle at |r| = eps "
+           "and the transport approaches the identity for |r| >> eps",
+           ["recognize_dehn_twist", "post_surgery_closed_form"], 1e-9)
     def twist_tail():
         # far from the surgered sphere the transport displacement shrinks to 2*eps/|r|
         w = np.array([1.0, 0.0])
@@ -707,12 +677,9 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(tw.cos_g), abs(tw.sin_g - 1.0))
         return worst, 2, {"far_displacement": displacement}
 
-    checks.append(run_check(
-        "twist-angle-extremes",
-        "the recognized angle passes through the quarter circle at |r| = eps "
-        "and the transport approaches the identity for |r| >> eps",
-        ["recognize_dehn_twist", "post_surgery_closed_form"], 1e-9, twist_tail))
-
+    @check("page-speed-law",
+           "along the flat-piece page flow the page value grows as -eps + 2s",
+           ["flow_until_event", "theta_page"], cfg.tol("page_speed"))
     def page_speed():
         rng = check_rng(cfg.seed, "page-speed")
         worst = 0.0
@@ -725,11 +692,9 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, mono.page_speed_residual(traj, 0, 2, eps))
         return worst, 20, {}
 
-    checks.append(run_check(
-        "page-speed-law",
-        "along the flat-piece page flow the page value grows as -eps + 2s",
-        ["flow_until_event", "theta_page"], cfg.tol("page_speed"), page_speed))
-
+    @check("transfer-preserves-page",
+           "the infinite-speed transfer (z/|z|, |z| w) keeps z.w fixed exactly",
+           ["limit_transfer_to_s1", "theta_page"], cfg.tol("transfer_theta"))
     def transfer_theta():
         rng = check_rng(cfg.seed, "transfer-theta")
         worst = 0.0
@@ -748,11 +713,10 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, max(0.0, frozen_defect - 1e-6))
         return worst, 101, {}
 
-    checks.append(run_check(
-        "transfer-preserves-page",
-        "the infinite-speed transfer (z/|z|, |z| w) keeps z.w fixed exactly",
-        ["limit_transfer_to_s1", "theta_page"], cfg.tol("transfer_theta"), transfer_theta))
-
+    @check("finite-speed-transfer",
+           "the closed-form ((1+a)z, -aw) transfer agrees with event-detected "
+           "integration of the same field and fixes points already on the level set",
+           ["transfer_to_s1_finite_a", "flow_until_event"], 1e-8)
     def finite_transfer():
         rng = check_rng(cfg.seed, "finite-transfer")
         worst = 0.0
@@ -777,12 +741,9 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, float(np.max(np.abs(out.as_array() - row))))
         return worst, 13, {}
 
-    checks.append(run_check(
-        "finite-speed-transfer",
-        "the closed-form ((1+a)z, -aw) transfer agrees with event-detected "
-        "integration of the same field and fixes points already on the level set",
-        ["transfer_to_s1_finite_a", "flow_until_event"], 1e-8, finite_transfer))
-
+    @check("finite-speed-convergence",
+           "transfer error against the infinite-speed limit decreases monotonically in a",
+           ["transfer_to_s1_finite_a", "post_surgery_pipeline"], 0.0)
     def a_convergence():
         rng = check_rng(cfg.seed, "a-conv")
         start = mono.admissible_start(rng, 2, eps, profile.delta)
@@ -792,11 +753,10 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = 0.0 if monotone else 1.0
         return worst, len(cfg.a_values), {"errors": {str(a): errs[float(a)] for a in cfg.a_values}}
 
-    checks.append(run_check(
-        "finite-speed-convergence",
-        "transfer error against the infinite-speed limit decreases monotonically in a",
-        ["transfer_to_s1_finite_a", "post_surgery_pipeline"], 0.0, a_convergence))
-
+    @check("smoothing-window-bound",
+           "pipeline-vs-closed-form deviation for starts inside the smoothing "
+           "window shrinks linearly with the smoothing width",
+           ["post_surgery_pipeline", "limit_transfer_to_s1"], 0.0)
     def window_fit():
         rng = check_rng(cfg.seed, "window")
         weps = cfg.window_epsilon
@@ -814,12 +774,9 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
                 worst = max(worst, abs(slope - 1.0))
         return worst, 2 * cfg.n_window * len(cfg.window_deltas), fits
 
-    checks.append(run_check(
-        "smoothing-window-bound",
-        "pipeline-vs-closed-form deviation for starts inside the smoothing "
-        "window shrinks linearly with the smoothing width",
-        ["post_surgery_pipeline", "limit_transfer_to_s1"], 0.0, window_fit))
-
+    @check("integrator-order",
+           "halving the step cuts the endpoint error of the classical scheme by >= 8",
+           ["flow_fixed_time"], 0.0)
     def flow_order():
         # quartic error decay against the closed-form linear flow
         pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([0.3, -0.2]),
@@ -837,11 +794,10 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = 0.0 if factor >= 8.0 else 8.0 - factor
         return worst, 2, {"factor": factor, "errors": errs}
 
-    checks.append(run_check(
-        "integrator-order",
-        "halving the step cuts the endpoint error of the classical scheme by >= 8",
-        ["flow_fixed_time"], 0.0, flow_order))
-
+    @check("flow-invariants",
+           "Reeb flow preserves the collar constraint and unit pairing; the page "
+           "Hamiltonian flow preserves the handle level set after projection",
+           ["flow_fixed_time", "reeb_s_minus1"], 1e-8)
     def flow_invariants():
         rng = check_rng(cfg.seed, "flow-invariants")
         worst = 0.0
@@ -868,12 +824,10 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
                                                   profile_l)))
         return worst, 10, {}
 
-    checks.append(run_check(
-        "flow-invariants",
-        "Reeb flow preserves the collar constraint and unit pairing; the page "
-        "Hamiltonian flow preserves the handle level set after projection",
-        ["flow_fixed_time", "reeb_s_minus1"], 1e-8, flow_invariants))
-
+    @check("twist-word-composition",
+           "words of chart twists compose associatively and cyclic rotation "
+           "conjugates the composed map",
+           ["composed_monodromy_word", "recognize_dehn_twist"], 1e-8)
     def word_composition():
         from contactlab.sphere import SpherePoint
         worst = 0.0
@@ -905,14 +859,6 @@ def suite_monodromy(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, float(np.max(np.abs(m_rot.point.as_array()
                                                - m_expected.as_array()))))
         return worst, 3, {}
-
-    checks.append(run_check(
-        "twist-word-composition",
-        "words of chart twists compose associatively and cyclic rotation "
-        "conjugates the composed map",
-        ["composed_monodromy_word", "recognize_dehn_twist"], 1e-8, word_composition))
-
-    return checks
 
 
 # ===========================================================================
@@ -967,11 +913,14 @@ def _giroux_case_residuals(cfg: ScenarioConfig, domain, candidate, name: str,
     return result, worst, agree, dl_resid
 
 
-def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
-    checks = []
+@suite("giroux")
+def suite_giroux(cfg: ScenarioConfig, check) -> None:
     domain = ob.standard_disk_domain(1.0)
     flow_cfg = IntegratorConfig(step=cfg.giroux_flow_step, max_time=2.0)
 
+    @check("exactness-correction-identity",
+           "the identity needs no correction: zero field, constant primitive",
+           ["giroux_correction"], 1e-9)
     def identity_case():
         candidate = ob.SymplectomorphismCandidate(forms.identity_map(2),
                                                   np.array([[-0.1, 0.1]] * 2))
@@ -984,11 +933,10 @@ def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, abs(result.h(x)))
         return worst, 40, {}
 
-    checks.append(run_check(
-        "exactness-correction-identity",
-        "the identity needs no correction: zero field, constant primitive",
-        ["giroux_correction"], 1e-9, identity_case))
-
+    @check("exactness-correction-twist",
+           "after the correcting flow, the pullback of the primitive differs "
+           "from it by an exact form: |psi_hat^* lambda - lambda + dh| small",
+           ["giroux_correction"], cfg.tol("giroux_residual"))
     def twist_case():
         candidate = ob.radial_twist_map(0.8, 0.8)
         result, worst, agree, dl = _giroux_case_residuals(
@@ -1000,12 +948,10 @@ def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
                                      "pointwise_agreement": agree,
                                      "dlambda_residual": dl}
 
-    checks.append(run_check(
-        "exactness-correction-twist",
-        "after the correcting flow, the pullback of the primitive differs "
-        "from it by an exact form: |psi_hat^* lambda - lambda + dh| small",
-        ["giroux_correction"], cfg.tol("giroux_residual"), twist_case))
-
+    @check("exactness-correction-shear",
+           "a map already satisfying the exactness identity has its known "
+           "primitive recovered by line integration, up to an additive constant",
+           ["giroux_correction"], cfg.tol("giroux_residual"))
     def shear_case():
         candidate, h0 = ob.strip_shear_map(0.5, 0.8)
         result, worst, agree, dl = _giroux_case_residuals(
@@ -1030,12 +976,10 @@ def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
         return worst, cfg.n_giroux, {"h0_offset_spread": spread,
                                      "dlambda_residual": dl}
 
-    checks.append(run_check(
-        "exactness-correction-shear",
-        "a map already satisfying the exactness identity has its known "
-        "primitive recovered by line integration, up to an additive constant",
-        ["giroux_correction"], cfg.tol("giroux_residual"), shear_case))
-
+    @check("exactness-correction-integrated-flow",
+           "the correction also succeeds on a map built by integrating a "
+           "compactly supported Hamiltonian field",
+           ["giroux_correction"], cfg.tol("giroux_residual"))
     def numeric_flow_case():
         candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.01)
         result, worst, agree, dl = _giroux_case_residuals(
@@ -1045,12 +989,10 @@ def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
         return worst, cfg.n_giroux_numeric, {"mu_closedness": result.mu_closedness,
                                              "dlambda_residual": dl}
 
-    checks.append(run_check(
-        "exactness-correction-integrated-flow",
-        "the correction also succeeds on a map built by integrating a "
-        "compactly supported Hamiltonian field",
-        ["giroux_correction"], cfg.tol("giroux_residual"), numeric_flow_case))
-
+    @check("primitive-path-independence",
+           "the line-integral primitive agrees across independent paths and with "
+           "the flow-quadrature primitive",
+           ["giroux_correction"], cfg.tol("giroux_path"))
     def path_independence():
         candidate = ob.radial_twist_map(0.8, 0.8)
         rng = check_rng(cfg.seed, "giroux-path")
@@ -1075,12 +1017,10 @@ def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, abs(integrals[0] - h_vals[-1]))
         return worst, 4, {}
 
-    checks.append(run_check(
-        "primitive-path-independence",
-        "the line-integral primitive agrees across independent paths and with "
-        "the flow-quadrature primitive",
-        ["giroux_correction"], cfg.tol("giroux_path"), path_independence))
-
+    @check("correction-fixes-support",
+           "the correcting field vanishes with the pullback defect, so the "
+           "corrected map equals the input outside its support box",
+           ["giroux_correction", "pullback_eval"], 1e-8)
     def support_case():
         candidate = ob.radial_twist_map(0.8, 0.8)
         boundary = np.array([[0.95, 0.9], [-0.95, 0.9], [0.95, -0.9], [0.9, 0.95]])
@@ -1090,12 +1030,10 @@ def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
             worst = max(worst, float(np.max(np.abs(img - candidate.mapping(x)))))
         return worst, len(boundary), {}
 
-    checks.append(run_check(
-        "correction-fixes-support",
-        "the correcting field vanishes with the pullback defect, so the "
-        "corrected map equals the input outside its support box",
-        ["giroux_correction", "pullback_eval"], 1e-8, support_case))
-
+    @check("legendrian-realization",
+           "subtracting d(rho g) makes the zero section Legendrian for dt + "
+           "corrected primitive without changing the symplectic form",
+           ["legendrian_realization"], 1e-5)
     def legendrian():
         rng = check_rng(cfg.seed, "legendrian")
         n = 2
@@ -1150,14 +1088,6 @@ def suite_giroux(cfg: ScenarioConfig) -> list[CheckRecord]:
                     worst = max(worst, abs(lhs - rhs))
         return worst, 20, {}
 
-    checks.append(run_check(
-        "legendrian-realization",
-        "subtracting d(rho g) makes the zero section Legendrian for dt + "
-        "corrected primitive without changing the symplectic form",
-        ["legendrian_realization"], 1e-5, legendrian))
-
-    return checks
-
 
 # ===========================================================================
 # binding suite
@@ -1182,10 +1112,14 @@ def _s3_boundary_form():
     return forms.one_form(4, coeffs, jac)
 
 
-def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
-    checks = []
+@suite("binding")
+def suite_binding(cfg: ScenarioConfig, check) -> None:
     profile = BindingProfile()
 
+    @check("mapping-torus-volume",
+           "lambda + dphi has positive contact volume over the page and pairs "
+           "the circle direction to one",
+           ["mapping_torus_form", "contact_volume"], 0.0)
     def torus_volume():
         rng = check_rng(cfg.seed, "torus-volume")
         domain = ob.standard_disk_domain(1.0)
@@ -1205,12 +1139,10 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(alpha(x, np.array([1.0, 0.0, 0.0]))))
         return max(worst, 0.0), 102, {"min_volume": vol_min}
 
-    checks.append(run_check(
-        "mapping-torus-volume",
-        "lambda + dphi has positive contact volume over the page and pairs "
-        "the circle direction to one",
-        ["mapping_torus_form", "contact_volume"], 0.0, torus_volume))
-
+    @check("glue-map-pullback",
+           "(x, r, phi) -> (1/2 - r, x, phi) pulls exp(s) boundary-form + dphi "
+           "back to exp(1/2 - r) boundary-form + dphi",
+           ["glue_map", "pullback_eval"], cfg.tol("glue_overlap"))
     def glue_pullback():
         rng = check_rng(cfg.seed, "glue")
         lam_b = _circle_boundary_form()
@@ -1231,12 +1163,9 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(glue(np.array([0.3, 0.9, 1.0]))[0] + 0.4))
         return worst, 42, {}
 
-    checks.append(run_check(
-        "glue-map-pullback",
-        "(x, r, phi) -> (1/2 - r, x, phi) pulls exp(s) boundary-form + dphi "
-        "back to exp(1/2 - r) boundary-form + dphi",
-        ["glue_map", "pullback_eval"], cfg.tol("glue_overlap"), glue_pullback))
-
+    @check("collar-binding-overlap",
+           "the binding form equals the glued collar form on the matching annulus",
+           ["binding_form_polar", "glue_map"], 1e-14)
     def overlap_agreement():
         rng = check_rng(cfg.seed, "overlap")
         lam_b = _circle_boundary_form()
@@ -1259,11 +1188,10 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(beta(u0, np.array([1.0, 0.0, 0.0])) - profile.h1(0.0)))
         return worst, 62, {}
 
-    checks.append(run_check(
-        "collar-binding-overlap",
-        "the binding form equals the glued collar form on the matching annulus",
-        ["binding_form_polar", "glue_map"], 1e-14, overlap_agreement))
-
+    @check("binding-volume-circle",
+           "h1 lambda + h2 dphi has contact volume h1 h2' - h1' h2 > 0 across "
+           "the collar radii for the circle binding",
+           ["binding_form_polar", "contact_volume"], 0.0)
     def binding_volume_s1():
         lam_b = _circle_boundary_form()
         beta = ob.binding_form_polar(profile, lam_b)
@@ -1282,12 +1210,10 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
                 count += 1
         return max(worst, 0.0), count, {"min_volume": vol_min}
 
-    checks.append(run_check(
-        "binding-volume-circle",
-        "h1 lambda + h2 dphi has contact volume h1 h2' - h1' h2 > 0 across "
-        "the collar radii for the circle binding",
-        ["binding_form_polar", "contact_volume"], 0.0, binding_volume_s1))
-
+    @check("binding-volume-three-sphere",
+           "the collar form over the standard contact three-sphere binding has "
+           "positive contact volume on the radii grid",
+           ["binding_form_polar", "contact_volume"], 0.0)
     def binding_volume_s3():
         rng = check_rng(cfg.seed, "binding-s3")
         lam_b = _s3_boundary_form()
@@ -1314,12 +1240,10 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
                 count += 1
         return max(worst, 0.0), count, {"min_volume": vol_min}
 
-    checks.append(run_check(
-        "binding-volume-three-sphere",
-        "the collar form over the standard contact three-sphere binding has "
-        "positive contact volume on the radii grid",
-        ["binding_form_polar", "contact_volume"], 0.0, binding_volume_s3))
-
+    @check("binding-smooth-across-axis",
+           "in Cartesian disk coordinates the collar form extends evenly and "
+           "smoothly across the binding axis (h2/r^2 -> 1)",
+           ["binding_form_polar"], 1e-6)
     def cartesian_smooth():
         lam_b = _circle_boundary_form()
         beta_c = ob.binding_form_cartesian(profile, lam_b)
@@ -1339,12 +1263,11 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, abs(profile.h2_over_r2(1e-6) - 1.0))
         return worst, 38, {}
 
-    checks.append(run_check(
-        "binding-smooth-across-axis",
-        "in Cartesian disk coordinates the collar form extends evenly and "
-        "smoothly across the binding axis (h2/r^2 -> 1)",
-        ["binding_form_polar"], 1e-6, cartesian_smooth))
-
+    @check("binding-profile-shape",
+           "h1 > 0 drops exponentially past the matching radius, h2 rises "
+           "quadratically near the axis and saturates at 1, and the contact "
+           "positivity combination stays positive",
+           ["binding_form_polar"], 0.0)
     def profile_invariants():
         rs = np.linspace(1e-3, 0.999, 2000)
         h1 = np.array([profile.h1(r) for r in rs])
@@ -1367,13 +1290,11 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
         worst = max(worst, cfg.tol("positivity_floor") - float(pos.min()))
         return max(worst, 0.0), len(rs), {"min_positivity": float(pos.min())}
 
-    checks.append(run_check(
-        "binding-profile-shape",
-        "h1 > 0 drops exponentially past the matching radius, h2 rises "
-        "quadratically near the axis and saturates at 1, and the contact "
-        "positivity combination stays positive",
-        ["binding_form_polar"], 0.0, profile_invariants))
-
+    @check("reeb-page-transversality",
+           "the Reeb derivative of the page function is 1 for the model open "
+           "book and for the surgery hypersurface, and 0 for the constructed "
+           "non-adapted form",
+           ["reeb_transversality_check"], 1e-6)
     def transversality():
         worst = 0.0
         # model open book: R = circle direction, page derivative 1
@@ -1409,15 +1330,6 @@ def suite_binding(cfg: ScenarioConfig) -> list[CheckRecord]:
         val_m = ob.reeb_transversality_check(alpha_model, theta_model, samples_m, cfg.h_fd)
         worst = max(worst, abs(val_m - 1.0))
         return worst, 30, {"model": val_m, "bad": val_bad}
-
-    checks.append(run_check(
-        "reeb-page-transversality",
-        "the Reeb derivative of the page function is 1 for the model open "
-        "book and for the surgery hypersurface, and 0 for the constructed "
-        "non-adapted form",
-        ["reeb_transversality_check"], 1e-6, transversality))
-
-    return checks
 
 
 # ===========================================================================
@@ -1476,9 +1388,12 @@ word B0^+1 S(d1)^+1
 """
 
 
-def suite_moves(cfg: ScenarioConfig) -> list[CheckRecord]:
-    checks = []
-
+@suite("moves")
+def suite_moves(cfg: ScenarioConfig, check) -> None:
+    @check("move-roundtrips",
+           "attach-then-cancel, conjugate-then-unconjugate and rotate-then-unrotate "
+           "are the identity on descriptors",
+           ["stabilize", "destabilize", "conjugate", "cyclic_rotate"], 0.0)
     def roundtrips():
         rng = np.random.default_rng([cfg.seed, 101])
         bad = 0
@@ -1503,12 +1418,10 @@ def suite_moves(cfg: ScenarioConfig) -> list[CheckRecord]:
                     bad += 1
         return float(bad), 200, {}
 
-    checks.append(run_check(
-        "move-roundtrips",
-        "attach-then-cancel, conjugate-then-unconjugate and rotate-then-unrotate "
-        "are the identity on descriptors",
-        ["stabilize", "destabilize", "conjugate", "cyclic_rotate"], 0.0, roundtrips))
-
+    @check("word-move-values",
+           "rotation, conjugation with free reduction, and page attachment with "
+           "untouched word behave on the frozen examples",
+           ["cyclic_rotate", "conjugate", "subcritical_attach"], 0.0)
     def word_examples():
         page = mv.AbstractPage(
             3,
@@ -1535,12 +1448,10 @@ def suite_moves(cfg: ScenarioConfig) -> list[CheckRecord]:
             bad += 1
         return float(bad), 7, {}
 
-    checks.append(run_check(
-        "word-move-values",
-        "rotation, conjugation with free reduction, and page attachment with "
-        "untouched word behave on the frozen examples",
-        ["cyclic_rotate", "conjugate", "subcritical_attach"], 0.0, word_examples))
-
+    @check("move-chain-recognition",
+           "randomized chains of at most six sound moves are recognized by the "
+           "bounded bidirectional search",
+           ["cyclic_rotate", "conjugate", "stabilize", "destabilize"], 0.0)
     def chains():
         rng = np.random.default_rng([cfg.seed, 202])
         base = _sample_page(rng)
@@ -1552,12 +1463,10 @@ def suite_moves(cfg: ScenarioConfig) -> list[CheckRecord]:
                 unknowns += 1
         return float(unknowns), cfg.n_chains, {}
 
-    checks.append(run_check(
-        "move-chain-recognition",
-        "randomized chains of at most six sound moves are recognized by the "
-        "bounded bidirectional search",
-        ["cyclic_rotate", "conjugate", "stabilize", "destabilize"], 0.0, chains))
-
+    @check("no-false-equivalence",
+           "pages with different subcritical inventories are never declared "
+           "equivalent: the three-valued answer stays at unknown",
+           ["subcritical_attach", "cyclic_rotate"], 0.0)
     def non_connected():
         rng = np.random.default_rng([cfg.seed, 303])
         false_positives = 0
@@ -1572,12 +1481,10 @@ def suite_moves(cfg: ScenarioConfig) -> list[CheckRecord]:
                 false_positives += 1
         return float(false_positives), cfg.n_nonconnected, {}
 
-    checks.append(run_check(
-        "no-false-equivalence",
-        "pages with different subcritical inventories are never declared "
-        "equivalent: the three-valued answer stays at unknown",
-        ["subcritical_attach", "cyclic_rotate"], 0.0, non_connected))
-
+    @check("descriptor-golden-text",
+           "the canonical descriptor serialization matches the frozen golden "
+           "file and round-trips",
+           ["stabilize"], 0.0)
     def golden():
         page = mv.AbstractPage(
             3,
@@ -1593,42 +1500,26 @@ def suite_moves(cfg: ScenarioConfig) -> list[CheckRecord]:
             bad = 1.0
         return bad, 1, {"text": text}
 
-    checks.append(run_check(
-        "descriptor-golden-text",
-        "the canonical descriptor serialization matches the frozen golden "
-        "file and round-trips",
-        ["stabilize"], 0.0, golden))
-
-    return checks
-
 
 # ===========================================================================
-# registry and runner
+# runner
 # ===========================================================================
-
-SUITES = {
-    "dehn-twist": suite_dehn_twist,
-    "weinstein-strictness": suite_weinstein,
-    "monodromy": suite_monodromy,
-    "giroux": suite_giroux,
-    "binding": suite_binding,
-    "moves": suite_moves,
-}
-
 
 def run_suite(cfg: ScenarioConfig) -> VerificationReport:
     """Execute the configured suite (or all of them) into one report."""
-    if cfg.suite == "all":
-        names = ["dehn-twist", "weinstein-strictness", "monodromy", "giroux",
-                 "binding", "moves"]
-    elif cfg.suite in SUITES:
-        names = [cfg.suite]
-    else:
-        raise ValueError(f"unknown suite {cfg.suite!r}; pick from "
-                         f"{sorted(SUITES) + ['all']}")
-    checks = []
-    for name in names:
-        checks.extend(SUITES[name](cfg))
+    if cfg.suite not in suite_names():
+        raise ValueError(f"unknown suite {cfg.suite!r}; pick from {suite_names()}")
+    records = []
+
+    def check(name: str, anchor: str, ops: list[str], tolerance: float):
+        def record(body: Callable[[], tuple[float, int, dict]]):
+            # run_check is looked up at call time, so a tracer may rebind it
+            records.append(run_check(name, anchor, ops, tolerance, body))
+            return body
+        return record
+
+    for name in SUITES if cfg.suite == "all" else [cfg.suite]:
+        SUITES[name](cfg, check)
     echo = cfg.as_dict()
     echo.pop("out_dir", None)  # a write location must not affect report bytes
-    return VerificationReport(suite=cfg.suite, config=echo, checks=checks)
+    return VerificationReport(suite=cfg.suite, config=echo, checks=records)

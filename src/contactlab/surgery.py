@@ -488,14 +488,6 @@ def level_projection(nxy: int, nzw: int, delta: float):
     return project
 
 
-def s1_tangent_frame(pt: ModelPoint, profile: HandleProfile) -> list[Array]:
-    grad = grad_f(pt, profile)
-    norm = np.linalg.norm(grad)
-    if norm < 1e-12:
-        raise ValueError("level-set gradient vanishes; no tangent frame")
-    return [np.asarray(v) for v in _orthonormal_complement(grad / norm)]
-
-
 # ---------------------------------------------------------------------------
 # Liouville transfer between the hypersurfaces
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_model_events_match_scalar_loops():
         for i in range(nzw):
             page += u[base + i] * u[base + nzw + i]
         assert flows.page_event(nxy, nzw).func(u) == page
-        assert flows.wnorm2_event(nxy, nzw).func(u) == w2
+        assert surgery.wnorm2_value(nxy, nzw)(u) == w2
         assert flows.level_event(nxy, nzw, DELTA).func(u) == \
             -handle_f(w2, DELTA) + handle_g(rho2, DELTA)
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactlab import monodromy as mono, surgery
+from contactlab.config import ScenarioConfig
 from contactlab.flows import IntegratorConfig
 from contactlab.profiles import HandleProfile
+from contactlab.reports import check_rng
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint, SurgeryConfig
 
@@ -152,6 +154,27 @@ def test_window_scan_reports_linear_slope():
     devs = mono.delta_deviation_scan(rng, [0.02, 0.01, 0.005], 10, 2, wconf, FLOW)
     slope = mono.fit_log_slope(list(devs), list(devs.values()))
     assert 0.7 <= slope <= 1.3
+
+
+def test_window_deviation_does_not_depend_on_the_frame():
+    wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
+    for nzw in (2, 3):
+        devs = [mono.delta_deviation_scan(np.random.default_rng(seed), [0.01], 1, nzw,
+                                          wconf, FLOW)[0.01]
+                for seed in (1, 2)]
+        assert abs(devs[0] - devs[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [103, 115])
+def test_window_slopes_hold_at_default_settings(seed):
+    cfg = ScenarioConfig(seed=seed)
+    rng = check_rng(seed, "window")
+    wconf = SurgeryConfig(epsilon=cfg.window_epsilon, delta=0.05)
+    for nzw in (2, 3):
+        devs = mono.delta_deviation_scan(rng, list(cfg.window_deltas), cfg.n_window, nzw,
+                                         wconf, FLOW)
+        slope = mono.fit_log_slope(list(devs), list(devs.values()))
+        assert cfg.tol("window_exponent_low") <= slope <= cfg.tol("window_exponent_high")
 
 
 def test_log_slope_needs_two_distinct_abscissae():

@@ -67,6 +67,12 @@ def test_bad_config_values_are_named(data, field):
     assert field in str(exc.value)
 
 
+@pytest.mark.parametrize("data", [5, None, "abc", [1]])
+def test_config_root_must_be_an_object(data):
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        config_from_dict(data)
+
+
 @pytest.mark.parametrize("data", [
     {},
     {"suite": "moves", "n_chains": 20, "search_depth": 4},
