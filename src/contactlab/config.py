@@ -178,7 +178,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     known = {f.name for f in fields(ScenarioConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError([f"unknown fields: {sorted(unknown)}"])
+        # keys of mixed types do not compare, so they sort by their text
+        raise ConfigError([f"unknown fields: {sorted(unknown, key=str)}"])
     data = dict(data)
     if isinstance(data.get("tolerances", {}), dict):
         merged_tol = _default_tolerances()

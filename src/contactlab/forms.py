@@ -128,12 +128,10 @@ class KFormOracle:
 @dataclass
 class VectorFieldOracle:
     """A vector field.  Calls check the output; flows integrate ``func``
-    directly.  ``blocks`` is the (nxy, nzw) layout of a surgery-model field,
-    which a flow needs to project onto that model's constraint sets."""
+    directly."""
 
     dim: int
     func: Callable[[Array], Array]
-    blocks: Optional[tuple[int, int]] = None  # (nxy, nzw)
 
     def __call__(self, x: Array) -> Array:
         out = np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -324,24 +322,6 @@ def psh_gram_matrix(f: ScalarField, pt: Array, vectors: Sequence[Array],
         for b in range(m):
             gram[a, b] = -exterior_derivative(eta, pt, [vectors[a], j_std @ vectors[b]], h_fd)
     return gram
-
-
-def hamiltonian_coefficients(omega: KFormOracle, dh: Array, pt: Array,
-                             frame: Sequence[Array], sign: int = -1) -> Array:
-    """Coefficients c of X = sum c_i v_i solving omega(X, v_j) = sign * dH(v_j).
-
-    Both sign conventions for Hamiltonian vector fields are exposed; the
-    surgery model pins sign = -1, which matches its explicit handle field.
-    ``dh`` holds the values dH(v_j) on the frame.
-    """
-    frame = [np.asarray(v, dtype=float) for v in frame]
-    m = len(frame)
-    gram = np.array([[omega(pt, frame[i], frame[j]) for j in range(m)] for i in range(m)])
-    rhs = sign * np.asarray(dh, dtype=float)
-    try:
-        return np.linalg.solve(gram.T, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate 2-form Gram matrix in Hamiltonian solve") from exc
 
 
 def reeb_coefficients(alpha: KFormOracle, pt: Array, frame: Sequence[Array],

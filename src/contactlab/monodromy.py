@@ -16,7 +16,7 @@ circle parametrization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -178,11 +178,15 @@ def page_speed_residual(traj: Trajectory, nxy: int, nzw: int, epsilon: float) ->
 # twist recognition
 # ---------------------------------------------------------------------------
 
+def _circle_angle(r_norm: float, epsilon: float) -> float:
+    """2*atan(|r|/eps): the circle angle g of the rational parametrization."""
+    return 2.0 * math.atan2(r_norm, epsilon)
+
+
 def recognized_angle(dec: PageDecomposition, epsilon: float) -> float:
     """The circle angle g with cos g = (eps^2 - r^2)/(r^2 + eps^2); equals
     2*atan(|r|/eps) by the rational parametrization."""
-    r_norm = float(np.linalg.norm(dec.r))
-    return 2.0 * math.atan2(r_norm, epsilon)
+    return _circle_angle(float(np.linalg.norm(dec.r)), epsilon)
 
 
 @dataclass
@@ -240,8 +244,7 @@ def twist_letter_action(pt: SpherePoint, epsilon: float, power: int) -> SpherePo
     r_norm = float(np.linalg.norm(pt.p))
     if r_norm == 0.0:
         raise ValueError("the twist letter is undefined on the surgered locus r = 0")
-    g = 2.0 * math.atan2(r_norm, epsilon)
-    return geodesic_flow(pt, power * (math.pi - g))
+    return geodesic_flow(pt, power * (math.pi - _circle_angle(r_norm, epsilon)))
 
 
 def composed_monodromy_word(start: ChartPoint, word: list[tuple[str, int]],
@@ -262,15 +265,21 @@ def composed_monodromy_word(start: ChartPoint, word: list[tuple[str, int]],
 # samplers and scans
 # ---------------------------------------------------------------------------
 
-def admissible_start(rng: np.random.Generator, nzw: int, epsilon: float,
-                     delta: float, r_floor: float = 0.05) -> ModelPoint:
-    """A page -eps point whose transfer image stays on the inward flat piece:
-    |z|^2 = eps^2 + |r|^2 < 1 - delta."""
+def _random_frame(rng: np.random.Generator, nzw: int) -> tuple[Array, Array]:
+    """A random unit direction w and a random unit v orthogonal to it."""
     w = rng.standard_normal(nzw)
     w /= np.linalg.norm(w)
     v = rng.standard_normal(nzw)
     v -= (v @ w) * w
     v /= np.linalg.norm(v)
+    return w, v
+
+
+def admissible_start(rng: np.random.Generator, nzw: int, epsilon: float,
+                     delta: float, r_floor: float = 0.05) -> ModelPoint:
+    """A page -eps point whose transfer image stays on the inward flat piece:
+    |z|^2 = eps^2 + |r|^2 < 1 - delta."""
+    w, v = _random_frame(rng, nzw)
     r_cap = math.sqrt(max((1.0 - delta) - epsilon ** 2, 0.0)) * 0.98
     r_norm = r_floor + (r_cap - r_floor) * rng.random()
     return build_start(w, r_norm * v, epsilon)
@@ -281,11 +290,7 @@ def rounded_window_start(rng: np.random.Generator, nzw: int, epsilon: float,
     """A page -eps point with |z|^2 inside the smoothing window (1-delta, 1+delta).
 
     ``frac`` places |z|^2 at a chosen fraction of the window; None draws it."""
-    w = rng.standard_normal(nzw)
-    w /= np.linalg.norm(w)
-    v = rng.standard_normal(nzw)
-    v -= (v @ w) * w
-    v /= np.linalg.norm(v)
+    w, v = _random_frame(rng, nzw)
     if frac is None:
         frac = rng.random()
     z2 = 1.0 - delta + 2.0 * delta * frac
@@ -308,8 +313,7 @@ def delta_deviation_scan(rng: np.random.Generator, deltas: list[float],
     fracs = np.linspace(0.02, 0.98, count)
     for delta in deltas:
         profile = HandleProfile(delta)
-        conf = SurgeryConfig(epsilon=config.epsilon, a=config.a, C=config.C,
-                             delta=delta, glue_radius=config.glue_radius)
+        conf = replace(config, delta=delta)
         worst = 0.0
         for frac in fracs:
             start = rounded_window_start(rng, nzw, config.epsilon, delta, float(frac))
@@ -334,13 +338,10 @@ def a_convergence_scan(start: ModelPoint, a_values: list[float],
                        config: SurgeryConfig, profile: HandleProfile,
                        cfg: IntegratorConfig | None = None) -> dict[float, float]:
     """Pipeline error against the infinite-speed answer, per finite a."""
-    conf_inf = SurgeryConfig(epsilon=config.epsilon, a=math.inf, C=config.C,
-                             delta=config.delta, glue_radius=config.glue_radius)
+    conf_inf = replace(config, a=math.inf)
     ref = post_surgery_pipeline(start, conf_inf, profile, cfg).pipeline_point.as_array()
     out = {}
     for a in a_values:
-        conf = SurgeryConfig(epsilon=config.epsilon, a=float(a), C=config.C,
-                             delta=config.delta, glue_radius=config.glue_radius)
-        res = post_surgery_pipeline(start, conf, profile, cfg)
+        res = post_surgery_pipeline(start, replace(config, a=float(a)), profile, cfg)
         out[float(a)] = float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
     return out

@@ -19,7 +19,10 @@ import numpy as np
 from . import _kernels, flows
 from .flows import IntegratorConfig
 from .forms import (KFormOracle, ScalarField, SmoothMap, VectorFieldOracle,
-                    exterior_derivative, one_form, pullback_eval)
+                    exterior_derivative, one_form)
+# not called here; kept as a module attribute because perfbench/layers.py
+# rebinds openbook.pullback_eval to time it
+from .forms import pullback_eval  # noqa: F401
 from .profiles import BindingProfile, smoothstep
 from .sphere import canonical_one_form
 
@@ -51,16 +54,16 @@ class BatchedMapOps:
 class ExactSymplecticDomain:
     """A star-shaped coordinate patch with an exact symplectic primitive.
 
-    ``lam_batch`` (coefficient rows for a batch of points) and
-    ``dlambda_const`` (a constant coefficient matrix of d lambda) enable the
-    vectorized fast path of the exactness-correction checks.
+    ``lam_batch`` gives the coefficient rows of lambda for a batch of points
+    and ``dlambda_const`` the constant coefficient matrix of d lambda; the
+    exactness correction solves for its field with that matrix.
     """
 
     dim: int
     lam: KFormOracle
     sample_box: Array  # (dim, 2) bounds
-    lam_batch: Optional[Callable[[Array], Array]] = None
-    dlambda_const: Optional[Array] = None
+    lam_batch: Callable[[Array], Array]
+    dlambda_const: Array
 
     def __post_init__(self):
         self.sample_box = np.asarray(self.sample_box, dtype=float)
@@ -104,31 +107,34 @@ def standard_disk_domain(half_width: float = 1.0) -> ExactSymplecticDomain:
 
 @dataclass
 class SymplectomorphismCandidate:
-    """A compactly supported map expected to preserve d(lambda)."""
+    """A map expected to preserve d(lambda), equal to the identity outside its
+    (dim, 2) support box.  ``mapping`` is its one-point form, built from the
+    batched ops as they are when the candidate is made."""
 
-    mapping: SmoothMap
+    batched: BatchedMapOps
     support_box: Array
-    batched: Optional[BatchedMapOps] = None
+    mapping: SmoothMap = field(init=False)
 
     def __post_init__(self):
         self.support_box = np.asarray(self.support_box, dtype=float)
+        func, jac = self.batched.func, self.batched.jac
+        dim = len(self.support_box)
+        self.mapping = SmoothMap(dim, dim, lambda u: func(u[None, :])[0],
+                                 jac=lambda u: jac(u[None, :])[0])
 
     def image_and_jacobian(self, x: Array) -> tuple[Array, Array]:
-        """psi(x) and its Jacobian at one point, from one batched call when
-        the candidate has batched ops."""
-        if self.batched is None:
-            return self.mapping(x), self.mapping.jacobian(x)
+        """psi(x) and its Jacobian at one point, from one batched call."""
         img, jac = self.batched.func_jac(np.asarray(x, dtype=float)[None, :])
         return img[0], jac[0]
 
-    def identity_defect_outside(self, samples: Array) -> float:
-        """max |psi(x) - x| over samples outside the support box."""
-        worst = 0.0
-        for x in np.atleast_2d(samples):
-            inside = np.all((x >= self.support_box[:, 0]) & (x <= self.support_box[:, 1]))
-            if not inside:
-                worst = max(worst, float(np.max(np.abs(self.mapping(x) - x))))
-        return worst
+
+def identity_candidate(dim: int) -> SymplectomorphismCandidate:
+    """The identity map, which needs no correction; its support box is the
+    origin alone."""
+    return SymplectomorphismCandidate(
+        BatchedMapOps(lambda pts: pts.copy(),
+                      lambda pts: np.tile(np.eye(dim), (len(pts), 1, 1))),
+        np.zeros((dim, 2)))
 
 
 def radial_twist_map(amplitude: float, support_radius: float) -> SymplectomorphismCandidate:
@@ -169,11 +175,8 @@ def radial_twist_map(amplitude: float, support_radius: float) -> Symplectomorphi
         return rot + 2.0 * angle_d_np(s)[:, None, None] * \
             np.einsum("mi,mj->mij", rotated, pts)
 
-    mapping = SmoothMap(2, 2, lambda u: func_batch(u[None, :])[0],
-                        jac=lambda u: jac_batch(u[None, :])[0])
     box = np.array([[-support_radius, support_radius]] * 2)
-    return SymplectomorphismCandidate(mapping, box,
-                                      batched=BatchedMapOps(func_batch, jac_batch))
+    return SymplectomorphismCandidate(BatchedMapOps(func_batch, jac_batch), box)
 
 
 def strip_shear_map(amplitude: float, half_width: float):
@@ -211,12 +214,8 @@ def strip_shear_map(amplitude: float, half_width: float):
         # psi^* lambda - lambda = ((c - x c')/2) dx = -d h0
         return -(float(c_int(u[0])) - 0.5 * u[0] * float(c_np(u[0])))
 
-    mapping = SmoothMap(2, 2, lambda u: func_batch(u[None, :])[0],
-                        jac=lambda u: jac_batch(u[None, :])[0])
     box = np.array([[-half_width, half_width], [-50.0, 50.0]])
-    candidate = SymplectomorphismCandidate(mapping, box,
-                                           batched=BatchedMapOps(func_batch, jac_batch))
-    return candidate, h0
+    return SymplectomorphismCandidate(BatchedMapOps(func_batch, jac_batch), box), h0
 
 
 def hamiltonian_bump_map(amplitude: float, support_radius: float,
@@ -280,11 +279,9 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
     def jac_batch(pts):
         return func_jac_batch(pts)[1]
 
-    mapping = SmoothMap(2, 2, lambda u: func_batch(u[None, :])[0],
-                        jac=lambda u: jac_batch(u[None, :])[0])
     box = np.array([[-support_radius, support_radius]] * 2)
     return SymplectomorphismCandidate(
-        mapping, box, batched=BatchedMapOps(func_batch, jac_batch, func_jac_batch))
+        BatchedMapOps(func_batch, jac_batch, func_jac_batch), box)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +396,6 @@ class GirouxResult:
     cond_max: float
     base_point: Array
 
-    def nu_eval(self, lam: KFormOracle, x: Array, v: Array) -> float:
-        """(psi_hat^* lambda - lambda)(x)(v)."""
-        return pullback_eval(self.psi_hat, lam, x, [v]) - lam(x, v)
-
 
 def giroux_correction(domain: ExactSymplecticDomain,
                       psi: SymplectomorphismCandidate,
@@ -410,8 +403,7 @@ def giroux_correction(domain: ExactSymplecticDomain,
                       base_point: Optional[Array] = None,
                       closedness_samples: int = 12,
                       closedness_tol: float = 1e-6,
-                      rng: Optional[np.random.Generator] = None,
-                      quad_nodes: int = 64) -> GirouxResult:
+                      rng: Optional[np.random.Generator] = None) -> GirouxResult:
     """Isotope psi to psi_hat with psi_hat^* lambda = lambda - dh.
 
     The correcting field Y solves i_Y d(lambda) = -(psi^* lambda - lambda)
@@ -449,17 +441,8 @@ def giroux_correction(domain: ExactSymplecticDomain,
         raise ValueError(f"psi^* lambda - lambda is not closed (residual {worst_dmu:.2e}); "
                          "the input does not preserve d(lambda)")
 
-    cond_tracker = {"max": 0.0}
-    if domain.dlambda_const is not None:
-        cond_tracker["max"] = float(np.linalg.cond(domain.dlambda_const))
-
-        def y_func(x):
-            return np.linalg.solve(domain.dlambda_const.T, -mu_vec(x))
-    else:
-        def y_func(x):
-            b = domain.dlambda_matrix(x)
-            cond_tracker["max"] = max(cond_tracker["max"], float(np.linalg.cond(b)))
-            return np.linalg.solve(b.T, -mu_vec(x))
+    def y_func(x):
+        return np.linalg.solve(domain.dlambda_const.T, -mu_vec(x))
 
     y_field = VectorFieldOracle(domain.dim, y_func)
 
@@ -492,7 +475,8 @@ def giroux_correction(domain: ExactSymplecticDomain,
         return -(float(flow_end(x)[-1]) - h_base)
 
     return GirouxResult(psi_hat=psi_hat, h=h, y_field=y_field,
-                        mu_closedness=worst_dmu, cond_max=cond_tracker["max"],
+                        mu_closedness=worst_dmu,
+                        cond_max=float(np.linalg.cond(domain.dlambda_const)),
                         base_point=base_point)
 
 
@@ -500,12 +484,8 @@ def make_batched_y(domain: ExactSymplecticDomain,
                    psi: SymplectomorphismCandidate) -> Callable[[Array], Array]:
     """Vectorized correcting field: rows Y with i_Y d(lambda) = -(psi^*lambda - lambda).
 
-    Requires the domain's constant d(lambda) matrix and the candidate's
-    batched ops; agreement with the pointwise solve is a tested property.
+    Agreement with the pointwise solve is a tested property.
     """
-    if psi.batched is None or domain.lam_batch is None or domain.dlambda_const is None:
-        raise ValueError("batched correction needs batched map ops and a "
-                         "constant-coefficient d(lambda)")
     solve_mat = np.linalg.inv(domain.dlambda_const.T)
 
     def y_batch(pts):

@@ -57,18 +57,6 @@ class SpherePoint:
         return SpherePoint(u[:d], u[d:])
 
 
-def project_to_bundle(q_raw: Array, p_raw: Array) -> SpherePoint:
-    """Retract raw coordinates onto the constraint set: normalize q, project p off q."""
-    q_raw = np.asarray(q_raw, dtype=float)
-    p_raw = np.asarray(p_raw, dtype=float)
-    norm = np.linalg.norm(q_raw)
-    if norm == 0.0:
-        raise ValueError("cannot project from q = 0")
-    q = q_raw / norm
-    p = p_raw - (p_raw @ q) * q
-    return SpherePoint(q, p)
-
-
 def canonical_form_eval(pt: SpherePoint, v: Array) -> float:
     """p dq on a tangent vector v = (v_q, v_p)."""
     v = np.asarray(v, dtype=float)

@@ -153,7 +153,7 @@ def liouville_field(nxy: int, nzw: int) -> VectorFieldOracle:
     def func(u):
         return scale * u
 
-    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func)
 
 
 def liouville_X_a(pt: ModelPoint, a: float) -> ModelPoint:
@@ -172,7 +172,7 @@ def liouville_a_field(nxy: int, nzw: int, a: float) -> VectorFieldOracle:
         du[b + nzw:] = -a * u[b + nzw:]
         return du
 
-    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func)
 
 
 def alpha_s_minus1_eval(pt: ModelPoint, v: Array, check: bool = True) -> float:
@@ -227,7 +227,7 @@ def reeb_field(nxy: int, nzw: int) -> VectorFieldOracle:
         du[b:b + nzw] = u[b + nzw:]
         return du
 
-    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func)
 
 
 def theta_page(pt: ModelPoint) -> float:
@@ -454,7 +454,7 @@ def handle_hamiltonian_field(nxy: int, nzw: int, profile: HandleProfile) -> Vect
         return np.array(zero_xy + [cf * c for c in v[b + nzw:]]
                         + [cg * c for c in v[b:b + nzw]])
 
-    return VectorFieldOracle(dim, func, blocks=(nxy, nzw))
+    return VectorFieldOracle(dim, func)
 
 
 def level_value(nxy: int, nzw: int, delta: float):

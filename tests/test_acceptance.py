@@ -168,10 +168,7 @@ def test_criterion_07_exactness_correction():
     rng = np.random.default_rng(700)
     worst = 0.0
     cases = [
-        ob.SymplectomorphismCandidate(
-            forms.identity_map(2), np.array([[-0.1, 0.1]] * 2),
-            batched=ob.BatchedMapOps(lambda pts: pts.copy(),
-                                     lambda pts: np.tile(np.eye(2), (len(pts), 1, 1)))),
+        ob.identity_candidate(2),
         ob.radial_twist_map(0.8, 0.8),
         ob.strip_shear_map(0.5, 0.8)[0],
     ]

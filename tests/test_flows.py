@@ -8,8 +8,7 @@ import pytest
 
 from contactlab import flows, surgery
 from contactlab.flows import (IntegratorConfig, flow_fixed_time,
-                              flow_record, flow_until_event,
-                              project_constraint, trajectory_to_csv)
+                              flow_record, flow_until_event, trajectory_to_csv)
 from contactlab.forms import VectorFieldOracle
 from contactlab.profiles import HandleProfile
 from contactlab.surgery import ModelPoint
@@ -23,8 +22,6 @@ def test_config_validation():
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(step=2.0, max_time=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(projection="bogus")
 
 
 def test_zero_time_is_identity():
@@ -96,32 +93,30 @@ def test_no_event_within_bound_reports_absence():
 
 def test_projection_unit_w_keeps_constraint():
     fld = surgery.reeb_field(0, 2)
-    cfg = IntegratorConfig(step=1e-3, max_time=2.0, projection="unit_w")
+    cfg = IntegratorConfig(step=1e-3, max_time=2.0)
     start = np.array([-0.1, 0.5, 0.6, 0.8])
-    traj = flow_record(fld, start, 1.0, cfg)
+    traj = flow_record(fld, start, 1.0, cfg, surgery.unit_w_projection(0, 2))
     for row in traj.points:
         assert abs(row[2:] @ row[2:] - 1.0) < 1e-12
 
 
-def test_project_constraint_unit_w():
-    out = project_constraint(np.array([0.0, 0.0, 0.6, 0.8 + 1e-9]), "unit_w", 0, 2,
-                             max_displacement=1e-6)
-    w = out[2:]
-    assert abs(w @ w - 1.0) < 1e-14
-    with pytest.raises(ValueError, match="drifted"):
-        project_constraint(np.array([0.0, 0.0, 0.6, 1.6]), "unit_w", 0, 2,
-                           max_displacement=1e-6)
+def test_event_flow_projects_after_every_step():
+    fld = surgery.reeb_field(0, 2)
+    unit_w = surgery.unit_w_projection(0, 2)
+    calls = []
 
+    def counted(u):
+        calls.append(1)
+        return unit_w(u)
 
-def test_project_constraint_newton_onto_level_set():
-    prof = HandleProfile(0.1)
-    pts = surgery.sample_s1_points(rng, 5, 0, 2, prof)
-    for row in pts:
-        drifted = row + 1e-3 * rng.standard_normal(4)
-        out = project_constraint(drifted, "level_f", 0, 2, delta=0.1,
-                                 max_displacement=1e-2)
-        val = surgery.f_eval(ModelPoint.from_array(out, 0, 2), prof)
-        assert abs(val) < 1e-10
+    # page -0.1 with w slightly off the unit circle
+    start = np.array([0.34, -0.38, 0.6, 0.8 + 1e-6])
+    traj = flow_until_event(fld, start, flows.page_event(0, 2), 0.1, CFG,
+                            project=counted)
+    assert traj.event is not None
+    assert len(calls) >= len(traj.times) - 1
+    for row in traj.points[1:]:
+        assert abs(row[2:] @ row[2:] - 1.0) < 1e-12
 
 
 def test_non_finite_state_raises():

@@ -11,8 +11,7 @@ from contactlab.forms import (KFormOracle, ScalarField, SmoothMap,
                               constant_two_form, exterior_derivative,
                               fd_jacobian, identity_map, compose_maps,
                               liouville_residual, one_form, psh_gram_matrix,
-                              pullback_eval, contact_volume,
-                              hamiltonian_coefficients, reeb_coefficients)
+                              pullback_eval, contact_volume, reeb_coefficients)
 
 rng = np.random.default_rng(11)
 
@@ -213,19 +212,6 @@ def test_psh_positive_definite_only_for_subharmonic():
     f_const = ScalarField(2, lambda u: 3.0, grad=lambda u: np.zeros(2))
     gram = psh_gram_matrix(f_const, np.array([0.1, 0.2]), list(np.eye(2)))
     assert np.max(np.abs(gram)) < 1e-8
-
-
-def test_hamiltonian_conventions_differ_by_sign():
-    om = constant_two_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    dh = np.array([0.3, -0.8])
-    frame = list(np.eye(2))
-    plus = hamiltonian_coefficients(om, dh, np.zeros(2), frame, sign=+1)
-    minus = hamiltonian_coefficients(om, dh, np.zeros(2), frame, sign=-1)
-    assert np.max(np.abs(plus + minus)) < 1e-12
-    # the minus convention satisfies omega(X, v) = -dH(v)
-    for k, v in enumerate(frame):
-        val = om(np.zeros(2), minus, v)
-        assert abs(val + dh[k]) < 1e-12
 
 
 def test_reeb_solver_on_product_form():

@@ -60,6 +60,7 @@ def test_any_json_object_gives_a_config_or_config_error(data):
     ({"page_blocks": [1]}, "page_blocks"),
     ({"model_dims": [[2, 5]]}, "model_dims"),
     ({"model_dims": [[2]]}, "model_dims"),
+    ({1: 2, "a": 3}, "unknown fields: [1, 'a']"),
 ])
 def test_bad_config_values_are_named(data, field):
     with pytest.raises(ConfigError) as exc:

@@ -1,28 +1,16 @@
-"""Embedded sphere cotangent bundle: projections, geodesic flow, twists."""
+"""Embedded sphere cotangent bundle: points, geodesic flow, twists."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from contactlab import sphere
 from contactlab.profiles import DehnTwistProfile
 from contactlab.sphere import (SpherePoint, canonical_form_eval, dehn_twist,
-                               dehn_twist_batch, geodesic_flow,
-                               project_to_bundle, tangent_frame)
+                               dehn_twist_batch, geodesic_flow, tangent_frame)
 
 rng = np.random.default_rng(5)
-
-
-def test_projection_frozen_examples():
-    pt = project_to_bundle(np.array([2.0, 0.0]), np.array([0.0, 3.0]))
-    assert np.allclose(pt.q, [1.0, 0.0]) and np.allclose(pt.p, [0.0, 3.0])
-    pt = project_to_bundle(np.array([1.0, 0.0]), np.array([0.1, 0.5]))
-    assert np.allclose(pt.q, [1.0, 0.0]) and np.allclose(pt.p, [0.0, 0.5])
-    pt = project_to_bundle(np.array([0.6, 0.8]), np.array([1.0, 0.0]))
-    assert np.allclose(pt.q, [0.6, 0.8])
-    assert np.allclose(pt.p, [0.64, -0.48])
 
 
 class _ScriptedRng:
@@ -51,22 +39,6 @@ def test_random_sphere_point_redraws_a_degenerate_direction():
 def test_random_sphere_point_rejects_dimension_below_one(n):
     with pytest.raises(ValueError, match="at least 1"):
         sphere.random_sphere_point(np.random.default_rng(0), n)
-
-
-def test_projection_rejects_zero_base():
-    with pytest.raises(ValueError):
-        project_to_bundle(np.zeros(2), np.ones(2))
-
-
-@given(st.integers(1, 3), st.integers(0, 10 ** 6))
-@settings(max_examples=50, deadline=None)
-def test_projection_satisfies_invariants(n, seed):
-    local = np.random.default_rng(seed)
-    q_raw = local.standard_normal(n + 1) + 0.1
-    p_raw = local.standard_normal(n + 1)
-    pt = project_to_bundle(q_raw, p_raw)
-    assert abs(pt.q @ pt.q - 1.0) < 1e-12
-    assert abs(pt.q @ pt.p) < 1e-12
 
 
 def test_sphere_point_validates_constraints():
