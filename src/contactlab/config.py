@@ -136,6 +136,9 @@ _RULES = [
      "page half-angle must lie in (0, 1/4)"),
     (("p0", "scale_C", "h_fd", "flow_step", "giroux_flow_step"), lambda v: v > 0,
      "must be positive"),
+    # each step must be shorter than the shortest span it drives
+    (("flow_step",), lambda v: v < 1.0, "must be below 1, the shortest flow time bound"),
+    (("giroux_flow_step",), lambda v: v < 2.0, "must be below 2, the flow time bound"),
     (("twist_k",), lambda v: v >= 1, "must be a positive integer"),
     (("seed",), lambda v: v >= 0, "must be non-negative"),
     (("quad_nodes",), lambda v: v >= 1, "needs at least one node"),
@@ -143,6 +146,8 @@ _RULES = [
     (("window_deltas",), lambda v: len(set(v)) >= 2 and min(v) > 0,
      "the log-log slope fit needs at least two distinct positive values"),
     (("deltas", "a_values"), lambda v: v and min(v) > 0, "needs positive values"),
+    (("deltas", "window_deltas"), lambda v: all(0.0 < d < 0.25 for d in v),
+     "smoothing widths must lie in (0, 1/4)"),
     (("sphere_dims",), lambda v: v and min(v) >= 1, "needs sphere dimensions >= 1"),
     (("page_blocks",), lambda v: v and min(v) >= 2, "needs block sizes >= 2"),
     (("model_dims",), lambda v: v and all(len(d) == 2 and 1 <= d[1] < d[0] for d in v),

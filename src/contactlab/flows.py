@@ -1,10 +1,10 @@
 """Deterministic fixed-step RK4 flows with event detection and projection.
 
 Every flow runs through the one integrator in :mod:`contactlab._kernels`,
-which takes the field, event and projection as plain callables.  A flow
-that must stay on a constraint set takes its projection ``project(u) -> u``
-as an argument, such as :func:`surgery.unit_w_projection` or
-:func:`surgery.level_projection`; it is applied after every step.
+which takes the field, event and projection as plain callables: an event
+``event(u) -> float`` such as :func:`surgery.page_value`, and a projection
+``project(u) -> u`` such as :func:`surgery.unit_w_projection`, which keeps a
+flow on its constraint set and is applied after every step.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels, surgery
+from . import _kernels
 from .forms import VectorFieldOracle
 
 Array = np.ndarray
@@ -36,27 +36,11 @@ class IntegratorConfig:
             raise ValueError("event tolerance must be positive")
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """A named scalar observable along the flow."""
-
-    name: str
-    func: Callable[[Array], float]
-
-
-def page_event(nxy: int, nzw: int) -> EventSpec:
-    return EventSpec("page", surgery.page_value(nxy, nzw))
-
-
-def level_event(nxy: int, nzw: int, delta: float) -> EventSpec:
-    return EventSpec("level", surgery.level_value(nxy, nzw, delta))
-
-
 @dataclass
 class Trajectory:
     times: Array
     points: Array
-    event: Optional[tuple[str, float, Array]] = None
+    t_event: Optional[float] = None  # elapsed time of the detected event, if any
 
     def __post_init__(self):
         if len(self.times) != len(self.points):
@@ -84,34 +68,30 @@ def flow_record(field: VectorFieldOracle, start: Array, t: float,
     return Trajectory(times, states)
 
 
-def flow_until_event(field: VectorFieldOracle, start: Array, event: EventSpec,
-                     target: float, cfg: IntegratorConfig,
-                     direction: float = 1.0, project: Projection = None) -> Trajectory:
-    """Integrate until the event observable crosses the target (bisection-refined).
+def flow_until_event(field: VectorFieldOracle, start: Array,
+                     event: Callable[[Array], float], target: float,
+                     cfg: IntegratorConfig, project: Projection = None) -> Trajectory:
+    """Integrate until ``event(u)`` crosses the target (bisection-refined).
 
-    A trajectory without an event record means no crossing occurred within
-    cfg.max_time; callers must inspect ``trajectory.event``.
+    When a crossing occurs within cfg.max_time, ``trajectory.t_event`` is its
+    time and ``trajectory.end`` the refined event point; otherwise
+    ``t_event`` is None and callers must check it.
     """
     t_event, times, states = _kernels.rk4_until_event(
-        field.func, start, event.func, float(target), cfg.step, cfg.max_time,
-        cfg.event_tol, project, float(direction))
-    traj = Trajectory(times, states)
-    if t_event is not None:
-        traj.event = (event.name, float(t_event), states[-1].copy())
-    return traj
+        field.func, start, event, float(target), cfg.step, cfg.max_time,
+        cfg.event_tol, project)
+    return Trajectory(times, states, t_event)
 
 
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
-def trajectory_to_csv(traj: Trajectory, path, coord_names: Optional[list[str]] = None) -> None:
-    """Write rows (time, coords...) with a header; deterministic ordering."""
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """Write rows (time, c0, c1, ...) with a header; deterministic ordering."""
     dim = traj.points.shape[1] if len(traj.points) else 0
-    if coord_names is None:
-        coord_names = [f"c{i}" for i in range(dim)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time"] + coord_names)
+        writer.writerow(["time"] + [f"c{i}" for i in range(dim)])
         for t, row in zip(traj.times, traj.points):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])

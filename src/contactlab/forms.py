@@ -1,8 +1,8 @@
 """Pointwise exterior calculus on oracle-defined objects.
 
 Maps, k-forms and vector fields are stored as evaluation callables plus
-optional analytic derivative oracles; finite differences (central, with an
-optional Richardson refinement) are the fallback.  Everything lives in a
+optional analytic derivative oracles; central finite differences are the
+fallback.  Everything lives in a
 single ambient chart: points are 1-d float arrays, tangent vectors are
 arrays of the same length.
 
@@ -31,14 +31,9 @@ DEFAULT_FD_STEP = 1e-5
 # ---------------------------------------------------------------------------
 
 def fd_directional(func: Callable[[Array], float], x: Array, v: Array,
-                   h: float = DEFAULT_FD_STEP, richardson: bool = False) -> float:
-    """Central-difference directional derivative, optionally Richardson-refined."""
-    def central(step):
-        return (func(x + step * v) - func(x - step * v)) / (2.0 * step)
-
-    d = central(h)
-    if richardson:
-        d = (4.0 * central(h / 2.0) - d) / 3.0
+                   h: float = DEFAULT_FD_STEP) -> float:
+    """Central-difference directional derivative."""
+    d = (func(x + h * v) - func(x - h * v)) / (2.0 * h)
     if not np.isfinite(d):
         raise ValueError("directional derivative is not finite; "
                          "function not differentiable here or step too small")
@@ -46,7 +41,7 @@ def fd_directional(func: Callable[[Array], float], x: Array, v: Array,
 
 
 def fd_jacobian(func: Callable[[Array], Array], x: Array,
-                h: float = DEFAULT_FD_STEP, richardson: bool = False) -> Array:
+                h: float = DEFAULT_FD_STEP) -> Array:
     """Jacobian by central differences, one column per coordinate direction."""
     x = np.asarray(x, dtype=float)
     fx = np.asarray(func(x), dtype=float)
@@ -54,14 +49,7 @@ def fd_jacobian(func: Callable[[Array], Array], x: Array,
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = 1.0
-
-        def central(step):
-            return (np.asarray(func(x + step * e)) - np.asarray(func(x - step * e))) / (2.0 * step)
-
-        col = central(h)
-        if richardson:
-            col = (4.0 * central(h / 2.0) - col) / 3.0
-        jac[:, j] = col
+        jac[:, j] = (np.asarray(func(x + h * e)) - np.asarray(func(x - h * e))) / (2.0 * h)
     if not np.all(np.isfinite(jac)):
         raise ValueError("Jacobian evaluation produced non-finite entries")
     return jac
@@ -177,7 +165,7 @@ def constant_two_form(matrix: Array) -> KFormOracle:
 # ---------------------------------------------------------------------------
 
 def exterior_derivative(form: KFormOracle, pt: Array, vectors: Sequence[Array],
-                        h_fd: float = DEFAULT_FD_STEP, richardson: bool = False) -> float:
+                        h_fd: float = DEFAULT_FD_STEP) -> float:
     """(d form)(pt)(v_0 ... v_k) with constant extensions of the arguments."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if len(vectors) != form.degree + 1:
@@ -188,7 +176,7 @@ def exterior_derivative(form: KFormOracle, pt: Array, vectors: Sequence[Array],
     for i, vi in enumerate(vectors):
         rest = vectors[:i] + vectors[i + 1:]
         total += (-1.0) ** i * fd_directional(
-            lambda x: form(x, *rest), pt, vi, h_fd, richardson)
+            lambda x: form(x, *rest), pt, vi, h_fd)
     return total
 
 

@@ -62,13 +62,11 @@ class PageDecomposition:
         return PageDecomposition(w, pt.z - theta * w, side)
 
 
-def build_start(w: Array, r: Array, epsilon: float,
-                nxy: int = 0) -> ModelPoint:
-    """The page -eps point with direction w and fiber part r."""
+def build_start(w: Array, r: Array, epsilon: float) -> ModelPoint:
+    """The page -eps point with direction w and fiber part r (empty x, y)."""
     dec = PageDecomposition(np.asarray(w, dtype=float),
                             np.asarray(r, dtype=float), -epsilon)
-    zeros = np.zeros(nxy)
-    return ModelPoint(zeros, zeros.copy(), dec.z(), dec.w.copy())
+    return ModelPoint(np.zeros(0), np.zeros(0), dec.z(), dec.w.copy())
 
 
 @dataclass
@@ -93,11 +91,11 @@ def pre_surgery_monodromy(start: ModelPoint, epsilon: float,
     if not start.on_s_minus1():
         raise ValueError("start must lie on the |w|^2 = 1 hypersurface")
     fld = surgery.reeb_field(start.nxy, start.nzw)
-    ev = flows.page_event(start.nxy, start.nzw)
-    traj = flows.flow_until_event(fld, start.as_array(), ev, +epsilon, cfg)
-    if traj.event is None:
+    page = surgery.page_value(start.nxy, start.nzw)
+    traj = flows.flow_until_event(fld, start.as_array(), page, +epsilon, cfg)
+    if traj.t_event is None:
         raise ValueError("page event not reached within the time bound")
-    return ModelPoint.from_array(traj.event[2], start.nxy, start.nzw)
+    return ModelPoint.from_array(traj.end, start.nxy, start.nzw)
 
 
 def post_surgery_closed_form(start: ModelPoint, epsilon: float) -> ModelPoint:
@@ -113,7 +111,7 @@ def post_surgery_closed_form(start: ModelPoint, epsilon: float) -> ModelPoint:
 
 def post_surgery_pipeline(start: ModelPoint, config: SurgeryConfig,
                           profile: HandleProfile,
-                          cfg: IntegratorConfig | None = None) -> MonodromyResult:
+                          cfg: IntegratorConfig) -> MonodromyResult:
     """Three-stage transport: Liouville transfer out, page flow, transfer back.
 
     Stage 2 stops on the page observable reaching +eps, not on elapsed time.
@@ -121,8 +119,6 @@ def post_surgery_pipeline(start: ModelPoint, config: SurgeryConfig,
     per-stage diagnostics.
     """
     eps = config.epsilon
-    if cfg is None:
-        cfg = IntegratorConfig(step=1e-3, max_time=2.0, event_tol=1e-12)
     dec_in = PageDecomposition.of(start, -eps)
     if float(np.linalg.norm(start.z)) == 0.0:
         raise ValueError("the z = 0 locus is removed by the surgery")
@@ -136,11 +132,11 @@ def post_surgery_pipeline(start: ModelPoint, config: SurgeryConfig,
 
     # stage 2: Hamiltonian page flow until the +eps page
     fld = surgery.handle_hamiltonian_field(start.nxy, start.nzw, profile)
-    ev = flows.page_event(start.nxy, start.nzw)
-    traj = flows.flow_until_event(fld, on_s1.as_array(), ev, +eps, cfg)
-    if traj.event is None:
+    page = surgery.page_value(start.nxy, start.nzw)
+    traj = flows.flow_until_event(fld, on_s1.as_array(), page, +eps, cfg)
+    if traj.t_event is None:
         raise ValueError("page event not reached during the page flow")
-    at_page = ModelPoint.from_array(traj.event[2], start.nxy, start.nzw)
+    at_page = ModelPoint.from_array(traj.end, start.nxy, start.nzw)
     res_stage2_theta = abs(at_page.theta() - eps)
     res_stage2_level = abs(surgery.f_eval(at_page, profile)
                            - surgery.f_eval(on_s1, profile))
@@ -276,23 +272,20 @@ def _random_frame(rng: np.random.Generator, nzw: int) -> tuple[Array, Array]:
 
 
 def admissible_start(rng: np.random.Generator, nzw: int, epsilon: float,
-                     delta: float, r_floor: float = 0.05) -> ModelPoint:
+                     delta: float) -> ModelPoint:
     """A page -eps point whose transfer image stays on the inward flat piece:
-    |z|^2 = eps^2 + |r|^2 < 1 - delta."""
+    |z|^2 = eps^2 + |r|^2 < 1 - delta, with |r| at least 0.05."""
     w, v = _random_frame(rng, nzw)
     r_cap = math.sqrt(max((1.0 - delta) - epsilon ** 2, 0.0)) * 0.98
-    r_norm = r_floor + (r_cap - r_floor) * rng.random()
+    r_norm = 0.05 + (r_cap - 0.05) * rng.random()
     return build_start(w, r_norm * v, epsilon)
 
 
 def rounded_window_start(rng: np.random.Generator, nzw: int, epsilon: float,
-                         delta: float, frac: float | None = None) -> ModelPoint:
-    """A page -eps point with |z|^2 inside the smoothing window (1-delta, 1+delta).
-
-    ``frac`` places |z|^2 at a chosen fraction of the window; None draws it."""
+                         delta: float, frac: float) -> ModelPoint:
+    """A page -eps point with |z|^2 inside the smoothing window (1-delta, 1+delta),
+    at the fraction ``frac`` of the window; rng draws its frame."""
     w, v = _random_frame(rng, nzw)
-    if frac is None:
-        frac = rng.random()
     z2 = 1.0 - delta + 2.0 * delta * frac
     r_norm = math.sqrt(z2 - epsilon ** 2)
     return build_start(w, r_norm * v, epsilon)
@@ -300,7 +293,7 @@ def rounded_window_start(rng: np.random.Generator, nzw: int, epsilon: float,
 
 def delta_deviation_scan(rng: np.random.Generator, deltas: list[float],
                          count: int, nzw: int, config: SurgeryConfig,
-                         cfg: IntegratorConfig | None = None) -> dict[float, float]:
+                         cfg: IntegratorConfig) -> dict[float, float]:
     """max Euclidean pipeline-vs-closed-form deviation over rounded-window
     starts, per delta.
 
@@ -336,7 +329,7 @@ def fit_log_slope(xs: list[float], ys: list[float]) -> float:
 
 def a_convergence_scan(start: ModelPoint, a_values: list[float],
                        config: SurgeryConfig, profile: HandleProfile,
-                       cfg: IntegratorConfig | None = None) -> dict[float, float]:
+                       cfg: IntegratorConfig) -> dict[float, float]:
     """Pipeline error against the infinite-speed answer, per finite a."""
     conf_inf = replace(config, a=math.inf)
     ref = post_surgery_pipeline(start, conf_inf, profile, cfg).pipeline_point.as_array()

@@ -19,12 +19,12 @@ import numpy as np
 from . import _kernels, flows
 from .flows import IntegratorConfig
 from .forms import (KFormOracle, ScalarField, SmoothMap, VectorFieldOracle,
-                    exterior_derivative, one_form)
+                    exterior_derivative, one_form, reeb_coefficients)
 # not called here; kept as a module attribute because perfbench/layers.py
 # rebinds openbook.pullback_eval to time it
 from .forms import pullback_eval  # noqa: F401
-from .profiles import BindingProfile, smoothstep
-from .sphere import canonical_one_form
+from .profiles import BindingProfile, smoothstep, smoothstep_d
+from .sphere import SpherePoint, canonical_one_form, tangent_frame
 
 Array = np.ndarray
 
@@ -70,28 +70,19 @@ class ExactSymplecticDomain:
         if self.sample_box.shape != (self.dim, 2):
             raise ValueError("sample_box must be (dim, 2) bounds")
 
-    def dlambda_matrix(self, x: Array, h_fd: float = 1e-5) -> Array:
+    def dlambda_matrix(self, x: Array) -> Array:
+        """d(lambda) at x by central differences of lambda (step 1e-5)."""
         basis = np.eye(self.dim)
         mat = np.zeros((self.dim, self.dim))
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                mat[i, j] = exterior_derivative(self.lam, x, [basis[i], basis[j]], h_fd)
+                mat[i, j] = exterior_derivative(self.lam, x, [basis[i], basis[j]], 1e-5)
                 mat[j, i] = -mat[i, j]
         return mat
 
     def sample(self, rng: np.random.Generator, count: int) -> Array:
         lo, hi = self.sample_box[:, 0], self.sample_box[:, 1]
         return lo + (hi - lo) * rng.random((count, self.dim))
-
-    def check_nondegenerate(self, rng: np.random.Generator, count: int = 20,
-                            threshold: float = 1e-8) -> float:
-        worst = math.inf
-        for x in self.sample(rng, count):
-            det = abs(np.linalg.det(self.dlambda_matrix(x)))
-            worst = min(worst, det)
-        if worst <= threshold:
-            raise ValueError(f"d(lambda) degenerate on the sample box (min |det| = {worst:.2e})")
-        return worst
 
 
 def standard_disk_domain(half_width: float = 1.0) -> ExactSymplecticDomain:
@@ -399,27 +390,20 @@ class GirouxResult:
 
 def giroux_correction(domain: ExactSymplecticDomain,
                       psi: SymplectomorphismCandidate,
-                      flow_cfg: Optional[IntegratorConfig] = None,
-                      base_point: Optional[Array] = None,
-                      closedness_samples: int = 12,
-                      closedness_tol: float = 1e-6,
-                      rng: Optional[np.random.Generator] = None) -> GirouxResult:
+                      flow_cfg: IntegratorConfig,
+                      rng: np.random.Generator,
+                      closedness_samples: int = 12) -> GirouxResult:
     """Isotope psi to psi_hat with psi_hat^* lambda = lambda - dh.
 
     The correcting field Y solves i_Y d(lambda) = -(psi^* lambda - lambda)
     pointwise; psi_hat = psi o (time-1 flow of Y).  The primitive h is
     produced by quadrature of the contraction i_Y lambda along the Y-flow
-    (normalized to vanish at the base point), which differentiates to
-    -(psi_hat^* lambda - lambda) when the correction succeeds; the identity
-    is a *checked* output, not an assumption.
+    (normalized to vanish at the centre of the sample box), which
+    differentiates to -(psi_hat^* lambda - lambda) when the correction
+    succeeds; the identity is a *checked* output, not an assumption.  Inputs
+    with |d(psi^* lambda - lambda)| > 1e-6 at a sample are rejected.
     """
-    if flow_cfg is None:
-        flow_cfg = IntegratorConfig(step=1e-2, max_time=2.0)
-    if rng is None:
-        rng = np.random.default_rng(7)
-    if base_point is None:
-        base_point = domain.sample_box.mean(axis=1)
-    base_point = np.asarray(base_point, dtype=float)
+    base_point = domain.sample_box.mean(axis=1)
     lam = domain.lam
 
     def mu_vec(x):
@@ -437,7 +421,7 @@ def giroux_correction(domain: ExactSymplecticDomain,
             for j in range(i + 1, domain.dim):
                 worst_dmu = max(worst_dmu, abs(exterior_derivative(
                     mu_form, x, [basis[i], basis[j]], 1e-4)))
-    if worst_dmu > closedness_tol:
+    if worst_dmu > 1e-6:
         raise ValueError(f"psi^* lambda - lambda is not closed (residual {worst_dmu:.2e}); "
                          "the input does not preserve d(lambda)")
 
@@ -508,13 +492,12 @@ class GirouxBatchEval:
 
 def giroux_flow_batch(domain: ExactSymplecticDomain,
                       psi: SymplectomorphismCandidate, points: Array,
-                      flow_cfg: IntegratorConfig,
-                      base_point: Optional[Array] = None) -> GirouxBatchEval:
+                      flow_cfg: IntegratorConfig) -> GirouxBatchEval:
     """One vectorized integration of the correcting flow with its quadrature
-    variable, for every requested point at once."""
+    variable, for every requested point at once; h vanishes at the centre of
+    the sample box, as in :func:`giroux_correction`."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if base_point is None:
-        base_point = domain.sample_box.mean(axis=1)
+    base_point = domain.sample_box.mean(axis=1)
     y_batch = make_batched_y(domain, psi)
     d = domain.dim
     stacked = np.vstack([points, base_point[None, :]])
@@ -533,14 +516,15 @@ def giroux_flow_batch(domain: ExactSymplecticDomain,
     return GirouxBatchEval(points=points, h=h, psi_hat=psi_hat)
 
 
-def path_quadrature(segments: Sequence[tuple[Array, Array]], nodes: int,
-                    panels: int = 4):
+def path_quadrature(segments: Sequence[tuple[Array, Array]], nodes: int):
     """Composite Gauss-Legendre rule along straight segments.
 
     Returns (points, weights, directions); a line integral of a 1-form nu is
-    then sum_i weights[i] * nu(points[i])(directions[i]).  Panels keep the
-    rule accurate across the finitely-smooth joints of bump profiles.
+    then sum_i weights[i] * nu(points[i])(directions[i]).  Four panels per
+    segment keep the rule accurate across the finitely-smooth joints of bump
+    profiles.
     """
+    panels = 4
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
     pts, weights, dirs = [], [], []
     for a, b in segments:
@@ -557,16 +541,11 @@ def path_quadrature(segments: Sequence[tuple[Array, Array]], nodes: int,
 
 
 def line_integral_primitive(nu: Callable[[Array, Array], float], base: Array,
-                            x: Array, waypoints: Optional[Sequence[Array]] = None,
-                            nodes: int = 48, panels: int = 4) -> float:
-    """-(integral of the 1-form nu) along base -> waypoints... -> x, straight
-    segments, composite Gauss-Legendre quadrature per segment."""
-    pts = [np.asarray(base, dtype=float)]
-    if waypoints is not None:
-        pts.extend(np.asarray(w, dtype=float) for w in waypoints)
-    pts.append(np.asarray(x, dtype=float))
-    nodes_pts, weights, dirs = path_quadrature(list(zip(pts[:-1], pts[1:])),
-                                               nodes, panels)
+                            x: Array, nodes: int) -> float:
+    """-(integral of the 1-form nu) along the straight segment base -> x, by
+    composite Gauss-Legendre quadrature."""
+    nodes_pts, weights, dirs = path_quadrature(
+        [(np.asarray(base, dtype=float), np.asarray(x, dtype=float))], nodes)
     total = 0.0
     for p, w, d in zip(nodes_pts, weights, dirs):
         total += w * nu(p, d)
@@ -598,30 +577,29 @@ class LegendrianRealization:
     base_q: Array
 
 
-def legendrian_realization(n: int, lam: KFormOracle,
-                           rho_in: float = 0.3, rho_out: float = 0.8,
-                           base_q: Optional[Array] = None,
-                           nodes: int = 48,
-                           path_check: int = 0,
-                           path_tol: float = 1e-6) -> LegendrianRealization:
+# the cut-off rho(|p|) is 1 for |p| <= RHO_IN and 0 for |p| >= RHO_OUT
+RHO_IN, RHO_OUT = 0.3, 0.8
+
+
+def legendrian_realization(n: int, lam: KFormOracle, nodes: int = 48,
+                           path_check: int = 0) -> LegendrianRealization:
     """Correct a primitive on a sphere-bundle neighborhood so the zero section
     becomes Legendrian for dt + corrected form.
 
     Requires n > 1 so that every closed 1-form on the sphere is exact and the
     potential g of (lam - p dq) is recoverable by line integration.  Paths run
-    along a great circle on the zero section and then straight up the fiber;
-    with ``path_check`` > 0 the potential is re-integrated through detour
-    waypoints at that many points and a mismatch (a closedness failure of
-    lam - p dq) raises instead of silently returning a path-dependent g.
+    from the base point e_0 along a great circle on the zero section and then
+    straight up the fiber; with ``path_check`` > 0 the potential is
+    re-integrated through detour waypoints at that many points and a mismatch
+    (a closedness failure of lam - p dq) raises instead of silently returning
+    a path-dependent g.
     """
     if n <= 1:
         raise ValueError("realization needs sphere dimension n > 1 "
                          "(closed 1-forms on the base must be exact)")
     d = n + 1
     dim = 2 * d
-    if base_q is None:
-        base_q = np.eye(d)[0]
-    base_q = np.asarray(base_q, dtype=float)
+    base_q = np.eye(d)[0]
     lam_can = canonical_one_form(dim)
 
     def mu(x, v):
@@ -656,7 +634,6 @@ def legendrian_realization(n: int, lam: KFormOracle,
         return total
 
     if path_check > 0:
-        from .sphere import SpherePoint, tangent_frame
         mu_form = KFormOracle(1, dim, mu)
         check_rng_local = np.random.default_rng(path_check)
         for _ in range(path_check):
@@ -668,7 +645,7 @@ def legendrian_realization(n: int, lam: KFormOracle,
             waypoint = check_rng_local.standard_normal(d)
             waypoint /= np.linalg.norm(waypoint)
             gap = abs(g(q, p) - g(q, p, waypoint=waypoint))
-            if gap > path_tol:
+            if gap > 1e-6:
                 raise ValueError(
                     f"path-dependence detected (potential differs by {gap:.2e} "
                     "across detours); lam - p dq is not closed on the neighborhood")
@@ -679,23 +656,20 @@ def legendrian_realization(n: int, lam: KFormOracle,
             for i in range(len(frame)):
                 for j in range(i + 1, len(frame)):
                     dmu = exterior_derivative(mu_form, x, [frame[i], frame[j]], 1e-5)
-                    if abs(dmu) > max(path_tol, 1e-5):
+                    if abs(dmu) > 1e-5:
                         raise ValueError(
                             f"path-dependence detected (d(lam - p dq) = {dmu:.2e} "
                             "on a tangent pair); the potential is ill-defined")
 
     def rho(r: float) -> float:
-        if r <= rho_in:
+        if r <= RHO_IN:
             return 1.0
-        if r >= rho_out:
+        if r >= RHO_OUT:
             return 0.0
-        return 1.0 - smoothstep((r - rho_in) / (rho_out - rho_in))
+        return 1.0 - smoothstep((r - RHO_IN) / (RHO_OUT - RHO_IN))
 
     def rho_d(r: float) -> float:
-        if r <= rho_in or r >= rho_out:
-            return 0.0
-        h = 1e-6
-        return (rho(r + h) - rho(r - h)) / (2.0 * h)
+        return -smoothstep_d((r - RHO_IN) / (RHO_OUT - RHO_IN)) / (RHO_OUT - RHO_IN)
 
     def lam_tilde_eval(x, v):
         # d(rho g) = rho' d|p| g + rho dg with dg = mu on the neighborhood
@@ -733,8 +707,6 @@ def reeb_transversality_check(alpha: KFormOracle, theta: ScalarField,
     alpha(R) = 1, i_R d(alpha) = 0 in the frame.  Positivity of the returned
     minimum is the adaptedness condition.
     """
-    from .forms import reeb_coefficients
-
     worst = math.inf
     for pt, frame in samples:
         coeff = reeb_coefficients(alpha, pt, frame, h_fd)

@@ -144,14 +144,15 @@ class HandleProfile:
     def g_d(self, s: float) -> float:
         return handle_g_d(s, self.delta)
 
-    def g_inverse(self, v: float, tol: float = 1e-14) -> float:
-        """Invert g on [0, 1+delta): bisection on the monotone blend window."""
+    def g_inverse(self, v: float) -> float:
+        """Invert g on [0, 1+delta): bisection on the monotone blend window,
+        to a bracket of width 1e-14."""
         if v <= 1.0:
             return v
         if v >= 1.0 + self.delta:
             raise ValueError(f"g saturates at {1.0 + self.delta}; {v} not attained")
         lo, hi = 1.0, 1.0 + self.delta
-        while hi - lo > tol:
+        while hi - lo > 1e-14:
             mid = 0.5 * (lo + hi)
             if self.g(mid) < v:
                 lo = mid

@@ -687,8 +687,8 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             start = mono.admissible_start(rng, 2, eps, profile.delta)
             on_s1 = surgery.limit_transfer_to_s1(start, profile)
             fld = surgery.handle_hamiltonian_field(0, 2, profile)
-            ev = flows.page_event(0, 2)
-            traj = flows.flow_until_event(fld, on_s1.as_array(), ev, +eps, flow_cfg)
+            traj = flows.flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2),
+                                          +eps, flow_cfg)
             worst = max(worst, mono.page_speed_residual(traj, 0, 2, eps))
         return worst, 20, {}
 
@@ -724,13 +724,13 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             start = mono.admissible_start(rng, 2, eps, profile.delta)
             closed = surgery.transfer_to_s1_finite_a(start, 1000.0, profile)
             fld = surgery.liouville_a_field(0, 2, 1000.0)
-            ev = flows.level_event(0, 2, profile.delta)
+            level = surgery.level_value(0, 2, profile.delta)
             cfg_i = IntegratorConfig(step=1e-5, max_time=0.5, event_tol=1e-13)
-            traj = flows.flow_until_event(fld, start.as_array(), ev, 0.0, cfg_i)
-            if traj.event is None:
+            traj = flows.flow_until_event(fld, start.as_array(), level, 0.0, cfg_i)
+            if traj.t_event is None:
                 worst = max(worst, 1.0)
                 continue
-            worst = max(worst, float(np.max(np.abs(traj.event[2] - closed.as_array()))))
+            worst = max(worst, float(np.max(np.abs(traj.end - closed.as_array()))))
         # already on the surgered hypersurface: zero transfer time
         pts = surgery.sample_s1_points(check_rng(cfg.seed, "ft2"), 3, 0, 2, profile)
         for row in pts:
@@ -865,10 +865,10 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 # giroux suite
 # ===========================================================================
 
-def _giroux_batched_eval(domain, candidate, samples: Array,
-                         flow_cfg: IntegratorConfig, fd: float = 1e-5):
+def _giroux_batched_eval(domain, candidate, samples: Array, flow_cfg: IntegratorConfig):
     """h, dh, psi_hat and its Jacobian over the samples from one vectorized
     integration of the correcting flow (center plus FD neighbors)."""
+    fd = 1e-5
     m, d = samples.shape
     variants = [samples]
     for i in range(d):
@@ -1052,8 +1052,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
             return lam_can(x, v) + float(grad_xi(x) @ np.asarray(v, dtype=float))
 
         lam = forms.KFormOracle(1, dim, lam_eval)
-        real = ob.legendrian_realization(n, lam, rho_in=0.3, rho_out=0.8,
-                                         nodes=cfg.quad_nodes, path_check=2)
+        real = ob.legendrian_realization(n, lam, nodes=cfg.quad_nodes, path_check=2)
         worst = 0.0
         # the potential is recovered up to a constant
         offsets = []

@@ -76,8 +76,8 @@ class ModelPoint:
     def theta(self) -> float:
         return float(self.z @ self.w)
 
-    def on_s_minus1(self, tol: float = S_TOL) -> bool:
-        return abs(self.w @ self.w - 1.0) < tol
+    def on_s_minus1(self) -> bool:
+        return abs(self.w @ self.w - 1.0) < S_TOL
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,13 @@ def liouville_a_field(nxy: int, nzw: int, a: float) -> VectorFieldOracle:
     return VectorFieldOracle(dim, func)
 
 
-def alpha_s_minus1_eval(pt: ModelPoint, v: Array, check: bool = True) -> float:
+def alpha_s_minus1_eval(pt: ModelPoint, v: Array) -> float:
     """(x dy - y dx)/2 + 2 z dw + w dz on a tangent vector of S_{-1}."""
-    if check:
-        if not pt.on_s_minus1():
-            raise ValueError("point is not on the |w|^2 = 1 hypersurface")
-        v_w = np.asarray(v, dtype=float)[2 * pt.nxy + pt.nzw:]
-        if abs(pt.w @ v_w) > S_TOL:
-            raise ValueError("vector is not tangent to the hypersurface")
+    if not pt.on_s_minus1():
+        raise ValueError("point is not on the |w|^2 = 1 hypersurface")
+    v_w = np.asarray(v, dtype=float)[2 * pt.nxy + pt.nzw:]
+    if abs(pt.w @ v_w) > S_TOL:
+        raise ValueError("vector is not tangent to the hypersurface")
     return alpha_model_form(pt.nxy, pt.nzw)(pt.as_array(), np.asarray(v, dtype=float))
 
 
@@ -492,21 +491,21 @@ def level_projection(nxy: int, nzw: int, delta: float):
 # Liouville transfer between the hypersurfaces
 # ---------------------------------------------------------------------------
 
-def _bisect_root(fn, lo: float, hi: float, f_tol: float = 1e-10,
-                 max_iter: int = 200) -> float:
-    """Bisection for a sign change of fn on [lo, hi]; tolerance is on |fn|."""
+def _bisect_root(fn, lo: float, hi: float) -> float:
+    """Bisection for a sign change of fn on [lo, hi]: stops once |fn| <= 1e-10,
+    the bracket reaches rounding size, or after 200 halvings."""
     f_lo = fn(lo)
     f_hi = fn(hi)
-    if abs(f_lo) <= f_tol:
+    if abs(f_lo) <= 1e-10:
         return lo
-    if abs(f_hi) <= f_tol:
+    if abs(f_hi) <= 1e-10:
         return hi
     if f_lo * f_hi > 0.0:
         raise ValueError("root not bracketed")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
-        if abs(f_mid) <= f_tol or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
+        if abs(f_mid) <= 1e-10 or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
             return mid
         if f_lo * f_mid <= 0.0:
             hi = mid
@@ -597,9 +596,8 @@ def transfer_to_s_minus1(pt: ModelPoint) -> ModelPoint:
 # handle membership by flow oracle
 # ---------------------------------------------------------------------------
 
-def handle_membership(pt: ModelPoint, config: SurgeryConfig, profile: HandleProfile,
-                      step: float = 1e-3, max_time: float = 12.0,
-                      event_tol: float = 1e-10) -> Optional[bool]:
+def handle_membership(pt: ModelPoint, config: SurgeryConfig,
+                      profile: HandleProfile) -> Optional[bool]:
     """Membership in the handle region, decided by flowing along the Liouville field.
 
     True when the backward flow meets the gluing collar on |w|^2 = 1 (within
@@ -607,6 +605,7 @@ def handle_membership(pt: ModelPoint, config: SurgeryConfig, profile: HandleProf
     hypersurface; False when either is provably unreachable; None when the
     flow oracle is inconclusive within the time bound.
     """
+    step, max_time, event_tol = 1e-3, 12.0, 1e-10  # the flow oracle's RK4
     u0 = pt.as_array()
     nxy, nzw = pt.nxy, pt.nzw
     field_speed = np.linalg.norm(liouville_X(pt).as_array())
@@ -654,13 +653,13 @@ def handle_membership(pt: ModelPoint, config: SurgeryConfig, profile: HandleProf
 # samplers
 # ---------------------------------------------------------------------------
 
-def random_s_minus1_point(rng: np.random.Generator, nxy: int, nzw: int,
-                          z_scale: float = 0.8, xy_scale: float = 0.5) -> ModelPoint:
+def random_s_minus1_point(rng: np.random.Generator, nxy: int, nzw: int) -> ModelPoint:
+    """A point of S_{-1}: uniform unit w, Gaussian z and x, y of scales 0.8 and 0.5."""
     w = rng.standard_normal(nzw)
     w /= np.linalg.norm(w)
-    z = rng.standard_normal(nzw) * z_scale / math.sqrt(nzw)
-    x = rng.standard_normal(nxy) * xy_scale if nxy else np.zeros(0)
-    y = rng.standard_normal(nxy) * xy_scale if nxy else np.zeros(0)
+    z = rng.standard_normal(nzw) * 0.8 / math.sqrt(nzw)
+    x = rng.standard_normal(nxy) * 0.5 if nxy else np.zeros(0)
+    y = rng.standard_normal(nxy) * 0.5 if nxy else np.zeros(0)
     return ModelPoint(x, y, z, w)
 
 

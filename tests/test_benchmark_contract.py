@@ -7,13 +7,14 @@ loaded by path and only read.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
 import contactlab
-from contactlab import moves, openbook as ob, sphere, suites
+from contactlab import monodromy, moves, openbook as ob, sphere, suites
 from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig
 from contactlab.reports import CheckRecord
@@ -67,6 +68,24 @@ def test_names_the_worker_calls_exist():
     assert contactlab.active_backend() == "numpy"
 
 
+def test_worker_call_shapes_bind():
+    # the argument shapes perfbench/worker.py uses; bind raises TypeError
+    # when a signature no longer accepts them
+    x = object()  # a stand-in: only the shape of each call is checked
+    shapes = [
+        (ob.giroux_correction, (x, x, x), {"rng": x}),
+        (ob.standard_disk_domain, (1.0,), {}),
+        (ob.hamiltonian_bump_map, (x, x), {}),
+        (ob.radial_twist_map, (0.8, 0.8), {}),
+        (monodromy.post_surgery_pipeline, (x, x, x, x), {}),
+        (sphere.dehn_twist_batch, (x, x, x), {}),
+        (moves.conjugate, (x, x, x), {}),
+        (moves.equivalent_up_to_moves, (x, x), {}),
+    ]
+    for func, args, kwargs in shapes:
+        inspect.signature(func).bind(*args, **kwargs)
+
+
 def test_traced_results_take_wrapped_functions():
     calls = []
 
@@ -88,7 +107,7 @@ def test_traced_results_take_wrapped_functions():
     calls.clear()
     res = ob.giroux_correction(ob.standard_disk_domain(), ob.radial_twist_map(0.8, 0.8),
                                IntegratorConfig(step=0.25, max_time=2.0),
-                               closedness_samples=2)
+                               rng=np.random.default_rng(7), closedness_samples=2)
     h, psi_hat_func = res.h, res.psi_hat.func
     res.h = counted(h)
     res.psi_hat.func = counted(psi_hat_func)

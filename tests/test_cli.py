@@ -140,10 +140,6 @@ def test_all_suite_passes_at_reduced_scale(all_suite_report):
     assert not failed, f"failed checks: {failed}"
 
 
-def test_report_json_is_deterministic(all_suite_report, all_suite_report_rerun):
-    assert all_suite_report.to_json() == all_suite_report_rerun.to_json()
-
-
 def test_numpy_backend_subprocess_runs_moves_suite():
     # A fresh interpreter with a minimal env, so nothing leaks in from the
     # parent; the child imports the same contactlab as this process (a

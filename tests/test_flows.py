@@ -60,11 +60,10 @@ def test_backward_flow_inverts_forward():
 
 def test_event_already_satisfied_gives_zero_length():
     fld = surgery.reeb_field(0, 2)
-    ev = flows.page_event(0, 2)
     start = np.array([0.1, 0.5, 1.0, 0.0])  # theta already 0.1
-    traj = flow_until_event(fld, start, ev, 0.1, CFG)
-    assert traj.event is not None
-    assert traj.event[1] == 0.0
+    traj = flow_until_event(fld, start, surgery.page_value(0, 2), 0.1, CFG)
+    assert traj.t_event is not None
+    assert traj.t_event == 0.0
     assert len(traj.times) == 1
 
 
@@ -74,20 +73,18 @@ def test_event_detection_at_page_value():
                        np.array([1.0, 0.0]))
     on_s1 = surgery.limit_transfer_to_s1(start, prof)
     fld = surgery.handle_hamiltonian_field(0, 2, prof)
-    ev = flows.page_event(0, 2)
-    traj = flow_until_event(fld, on_s1.as_array(), ev, 0.1, CFG)
-    assert traj.event is not None
+    traj = flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2), 0.1, CFG)
+    assert traj.t_event is not None
     # page speed two on the flat piece: the stop time is eps
-    assert abs(traj.event[1] - 0.1) < 1e-10
+    assert abs(traj.t_event - 0.1) < 1e-10
 
 
 def test_no_event_within_bound_reports_absence():
     fld = surgery.reeb_field(0, 2)
-    ev = flows.page_event(0, 2)
     start = np.array([-0.1, 0.5, 1.0, 0.0])
     short = IntegratorConfig(step=1e-3, max_time=0.05, event_tol=1e-12)
-    traj = flow_until_event(fld, start, ev, 10.0, short)
-    assert traj.event is None
+    traj = flow_until_event(fld, start, surgery.page_value(0, 2), 10.0, short)
+    assert traj.t_event is None
     assert traj.times[-1] == pytest.approx(0.05)
 
 
@@ -111,9 +108,9 @@ def test_event_flow_projects_after_every_step():
 
     # page -0.1 with w slightly off the unit circle
     start = np.array([0.34, -0.38, 0.6, 0.8 + 1e-6])
-    traj = flow_until_event(fld, start, flows.page_event(0, 2), 0.1, CFG,
+    traj = flow_until_event(fld, start, surgery.page_value(0, 2), 0.1, CFG,
                             project=counted)
-    assert traj.event is not None
+    assert traj.t_event is not None
     assert len(calls) >= len(traj.times) - 1
     for row in traj.points[1:]:
         assert abs(row[2:] @ row[2:] - 1.0) < 1e-12
@@ -142,10 +139,10 @@ def test_trajectory_csv_export(tmp_path):
     traj = flow_record(fld, np.array([-0.1, 0.5, 1.0, 0.0]), 0.01,
                        IntegratorConfig(step=2e-3, max_time=1.0))
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path, coord_names=["z1", "z2", "w1", "w2"])
+    trajectory_to_csv(traj, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "z1", "z2", "w1", "w2"]
+    assert rows[0] == ["time", "c0", "c1", "c2", "c3"]
     assert len(rows) == len(traj.times) + 1
     assert float(rows[1][1]) == pytest.approx(-0.1)
     # empty trajectory still writes the header

@@ -120,17 +120,6 @@ def test_fd_jacobian_second_order():
     assert 3.0 <= e1 / e2 <= 5.0
 
 
-def test_fd_jacobian_richardson_refines():
-    def func(u):
-        return np.array([math.sin(u[0]) * u[1]])
-
-    x = np.array([0.4, 1.1])
-    plain = fd_jacobian(func, x, 1e-3)
-    refined = fd_jacobian(func, x, 1e-3, richardson=True)
-    exact = np.array([[math.cos(0.4) * 1.1, math.sin(0.4)]])
-    assert np.max(np.abs(refined - exact)) < np.max(np.abs(plain - exact))
-
-
 def test_liouville_check_zero_field_fails():
     om = constant_two_form(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     zero = forms.VectorFieldOracle(2, lambda u: np.zeros(2))

@@ -12,7 +12,7 @@ import pytest
 
 from contactlab import _kernels as k
 from contactlab import active_backend, flows, sphere, surgery
-from contactlab.flows import EventSpec, IntegratorConfig
+from contactlab.flows import IntegratorConfig
 from contactlab.forms import VectorFieldOracle
 from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
                                  handle_g, handle_g_d, twist_g1)
@@ -80,9 +80,9 @@ def test_model_events_match_scalar_loops():
         page = 0.0
         for i in range(nzw):
             page += u[base + i] * u[base + nzw + i]
-        assert flows.page_event(nxy, nzw).func(u) == page
+        assert surgery.page_value(nxy, nzw)(u) == page
         assert surgery.wnorm2_value(nxy, nzw)(u) == w2
-        assert flows.level_event(nxy, nzw, DELTA).func(u) == \
+        assert surgery.level_value(nxy, nzw, DELTA)(u) == \
             -handle_f(w2, DELTA) + handle_g(rho2, DELTA)
 
 
@@ -193,7 +193,9 @@ def _nan_past_half(u):
 def test_bad_fields_raise_from_every_flow(rhs, match):
     fld = VectorFieldOracle(2, rhs)
     cfg = IntegratorConfig(step=0.1, max_time=2.0)
-    never = EventSpec("never", lambda u: 1.0)
+    def never(u):
+        return 1.0
+
     start = np.zeros(2)
     with pytest.raises(ValueError, match=match):
         flows.flow_fixed_time(fld, start, 1.5, cfg)

@@ -18,16 +18,6 @@ def circle_form():
     return forms.one_form(1, lambda u: np.array([1.0]), lambda u: np.zeros((1, 1)))
 
 
-def test_domain_nondegeneracy_check():
-    domain = ob.standard_disk_domain()
-    assert domain.check_nondegenerate(rng) > 0.5
-    degenerate = ob.ExactSymplecticDomain(
-        2, forms.one_form(2, lambda u: np.zeros(2), lambda u: np.zeros((2, 2))),
-        np.array([[-1.0, 1.0]] * 2), lambda pts: np.zeros_like(pts), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="degenerate"):
-        degenerate.check_nondegenerate(rng)
-
-
 def test_mapping_torus_form_values():
     domain = ob.standard_disk_domain()
     alpha = ob.mapping_torus_form(domain.lam)
@@ -322,6 +312,34 @@ def test_legendrian_realization_trivial_case():
         for v in sphere.tangent_frame(sp):
             assert abs(real.lam_tilde(x, v) - lam(x, v)) < 1e-10
     assert np.max(vals) - np.min(vals) < 1e-10
+
+
+def test_legendrian_correction_is_exact_in_the_cutoff_band():
+    # lambda = lambda_can + d(xi), as in the legendrian-realization check; in
+    # the band RHO_IN < |p| < RHO_OUT the correction d(rho g) carries rho'
+    n, d = 2, 3
+    lam_can = sphere.canonical_one_form(2 * d)
+    cvec = np.array([0.3, -0.2, 0.4])
+
+    def lam_eval(x, v):
+        q, p = x[:d], x[d:]
+        grad_xi = np.concatenate([cvec * (1.0 + p @ p), 2.0 * (q @ cvec) * p])
+        return lam_can(x, v) + float(grad_xi @ np.asarray(v, dtype=float))
+
+    lam = forms.KFormOracle(1, 2 * d, lam_eval)
+    real = ob.legendrian_realization(n, lam, nodes=32)
+    local = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(6):
+        sp = sphere.random_sphere_point(local, n, 0.32, 0.78)
+        x = np.concatenate([sp.q, sp.p])
+        frame = sphere.tangent_frame(sp)
+        for i in range(len(frame)):
+            for j in range(i + 1, len(frame)):
+                pair = [frame[i], frame[j]]
+                worst = max(worst, abs(forms.exterior_derivative(real.lam_tilde, x, pair, 1e-4)
+                                       - forms.exterior_derivative(lam, x, pair, 1e-4)))
+    assert worst < 1e-6
 
 
 def test_reeb_transversality_three_cases():

@@ -61,6 +61,11 @@ def test_any_json_object_gives_a_config_or_config_error(data):
     ({"model_dims": [[2, 5]]}, "model_dims"),
     ({"model_dims": [[2]]}, "model_dims"),
     ({1: 2, "a": 3}, "unknown fields: [1, 'a']"),
+    ({"suite": "giroux", "giroux_flow_step": 2.5}, "giroux_flow_step"),
+    ({"suite": "monodromy", "flow_step": 2.0}, "flow_step"),
+    ({"suite": "moves", "flow_step": 1.5}, "flow_step"),
+    ({"deltas": [0.3]}, "deltas"),
+    ({"window_deltas": [0.3, 0.2]}, "window_deltas"),
 ])
 def test_bad_config_values_are_named(data, field):
     with pytest.raises(ConfigError) as exc:
