@@ -142,6 +142,7 @@ _RULES = [
     (("twist_k",), lambda v: v >= 1, "must be a positive integer"),
     (("seed",), lambda v: v >= 0, "must be non-negative"),
     (("quad_nodes",), lambda v: v >= 1, "needs at least one node"),
+    (("search_depth",), lambda v: v >= 0, "must be non-negative"),
     (_SAMPLE_COUNTS, lambda v: v >= 1, "sample count must be >= 1"),
     (("window_deltas",), lambda v: len(set(v)) >= 2 and min(v) > 0,
      "the log-log slope fit needs at least two distinct positive values"),
@@ -194,9 +195,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    except OSError as exc:
+        raise ConfigError([f"cannot read config {path!r}: {exc.strerror or exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config {path!r} is not UTF-8 text: {exc}"]) from exc
     return config_from_dict(data)

@@ -209,70 +209,78 @@ def strip_shear_map(amplitude: float, half_width: float):
     return SymplectomorphismCandidate(BatchedMapOps(func_batch, jac_batch), box), h0
 
 
+def bump_variational_terms(amplitude, r02, base, x, y, j00, j01, j10, j11):
+    """The variational field of the bump H = A (1 - |u|^2/r0^2)_+^4 as the six
+    terms (X_H, d/dt J) for the state (x, y, J00, J01, J10, J11).
+
+    Operands are Python floats or NumPy columns alike; ``base`` is the clipped
+    (1 - |u|^2/r0^2)_+, which the caller computes because only the clip
+    differs between the two.  Powers are written as products: NumPy's
+    vectorised ``pow`` and libm's disagree in the last bit on some inputs.
+    """
+    base2 = base * base
+    base3 = base2 * base
+    # X_H = J_std grad H with grad H = coeff * u
+    coeff = -8.0 * amplitude / r02 * base3
+    # Hess H = 2 A q'(s) I + 4 A q''(s) u u^T with q(s) = (1 - s/r0^2)^4
+    diag = 2.0 * amplitude * (-4.0 * base3 / r02)
+    outer = 4.0 * amplitude * (12.0 * base2 / (r02 * r02))
+    h00 = diag + outer * (x * x)
+    h01 = outer * (x * y)
+    h11 = diag + outer * (y * y)
+    # J_std = [[0, 1], [-1, 0]] turns Hess H into rows (h01, h11), (-h00, -h01)
+    nh00 = -h00
+    return (coeff * y, -coeff * x,
+            h01 * j00 + h11 * j10, h01 * j01 + h11 * j11,
+            nh00 * j00 - h01 * j10, nh00 * j01 - h01 * j11)
+
+
 def hamiltonian_bump_map(amplitude: float, support_radius: float,
                          step: float = 0.01) -> SymplectomorphismCandidate:
     """Time-1 flow of the Hamiltonian field of a compactly supported bump on
     the plane; d(lambda)-preserving by construction (up to integrator error).
 
     The Jacobian rides along as the variational flow, so both the map and its
-    derivative come from one integration.
+    derivative come from one integration.  A single point flows in Python
+    floats, where NumPy's per-call cost on one-row arrays would dominate; a
+    batch flows in NumPy columns.  Both run :func:`bump_variational_terms`,
+    so a row's bits do not depend on the route.
     """
     r02 = support_radius ** 2
 
-    def x_h_into(out, u):
-        # X_H = J grad H with grad H = coeff * u, written into out[:, :2];
-        # returns the bump base (1 - |u|^2/r0^2)_+ and its cube for the Hessian
+    def float_field(u):
+        x, y, j00, j01, j10, j11 = u.tolist()
+        base = max(1.0 - (x * x + y * y) / r02, 0.0)
+        return np.array(bump_variational_terms(amplitude, r02, base, x, y,
+                                               j00, j01, j10, j11))
+
+    def column_field(u):
         x, y = u[:, 0], u[:, 1]
         base = np.maximum(1.0 - (x * x + y * y) / r02, 0.0)
-        base3 = base ** 3
-        coeff = -8.0 * amplitude / r02 * base3
-        out[:, 0] = coeff * y
-        out[:, 1] = -coeff * x
-        return base, base3
-
-    def x_h_batch(pts):
-        out = np.empty_like(pts)
-        x_h_into(out, pts)
-        return out
-
-    def variational_field(u):
-        # rows (x, y, J00, J01, J10, J11): X_H and d/dt J = (J_std Hess H) J
         out = np.empty_like(u)
-        base, base3 = x_h_into(out, u)
-        x, y = u[:, 0], u[:, 1]
-        # Hess H = 2 A q'(s) I + 4 A q''(s) u u^T with q(s) = (1 - s/r0^2)^4
-        diag = 2.0 * amplitude * (-4.0 * base3 / r02)
-        outer = 4.0 * amplitude * (12.0 * base ** 2 / r02 ** 2)
-        h00 = diag + outer * (x * x)
-        h01 = outer * (x * y)
-        h11 = diag + outer * (y * y)
-        # J_std = [[0, 1], [-1, 0]] turns Hess H into rows (h01, h11), (-h00, -h01)
-        nh00 = -h00
-        j00, j01, j10, j11 = u[:, 2], u[:, 3], u[:, 4], u[:, 5]
-        out[:, 2] = h01 * j00 + h11 * j10
-        out[:, 3] = h01 * j01 + h11 * j11
-        out[:, 4] = nh00 * j00 - h01 * j10
-        out[:, 5] = nh00 * j01 - h01 * j11
+        for k, term in enumerate(bump_variational_terms(amplitude, r02, base, x, y, u[:, 2],
+                                                        u[:, 3], u[:, 4], u[:, 5])):
+            out[:, k] = term
         return out
-
-    def func_batch(pts):
-        return _kernels.rk4_final(x_h_batch, pts, 1.0, step)
 
     def func_jac_batch(pts):
         # the variational flow carries the trajectory: its x-columns are the map
-        state = np.zeros((len(pts), 6))
-        state[:, :2] = pts
-        state[:, 2] = 1.0
-        state[:, 5] = 1.0
-        out = _kernels.rk4_final(variational_field, state, 1.0, step)
+        if len(pts) == 1:
+            (x, y), = pts.tolist()
+            out = _kernels.rk4_final(float_field, [x, y, 1.0, 0.0, 0.0, 1.0],
+                                     1.0, step)[None, :]
+        else:
+            state = np.zeros((len(pts), 6))
+            state[:, :2] = pts
+            state[:, 2] = 1.0
+            state[:, 5] = 1.0
+            out = _kernels.rk4_final(column_field, state, 1.0, step)
         return out[:, :2], out[:, 2:].reshape(len(pts), 2, 2)
-
-    def jac_batch(pts):
-        return func_jac_batch(pts)[1]
 
     box = np.array([[-support_radius, support_radius]] * 2)
     return SymplectomorphismCandidate(
-        BatchedMapOps(func_batch, jac_batch, func_jac_batch), box)
+        BatchedMapOps(lambda pts: func_jac_batch(pts)[0],
+                      lambda pts: func_jac_batch(pts)[1], func_jac_batch), box)
 
 
 # ---------------------------------------------------------------------------

@@ -1070,18 +1070,21 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
                 worst = max(worst, abs(real.lam_tilde(x, v)))
                 worst = max(worst, abs(real.contact_form(np.concatenate([[0.0], x]),
                                                          np.concatenate([[0.0], v]))))
-        # the correction is exact: d lambda_tilde = d lambda on tangent frames
-        for _ in range(4):
-            sp = sphere.random_sphere_point(rng, n, 0.05, 0.2)
-            x = np.concatenate([sp.q, sp.p])
-            frame = sphere.tangent_frame(sp)
-            for i in range(0, len(frame), 2):
-                for j in range(i + 1, len(frame), 3):
-                    lhs = forms.exterior_derivative(real.lam_tilde, x,
-                                                    [frame[i], frame[j]], 1e-4)
-                    rhs = forms.exterior_derivative(lam, x, [frame[i], frame[j]], 1e-4)
-                    worst = max(worst, abs(lhs - rhs))
-        return worst, 20, {}
+        # the correction is exact: d lambda_tilde = d lambda on tangent frames,
+        # inside the cut-off and then in its band RHO_IN < |p| < RHO_OUT,
+        # where d(rho g) carries rho'
+        for p_low, p_high in ((0.05, 0.2), (0.32, 0.78)):
+            for _ in range(4):
+                sp = sphere.random_sphere_point(rng, n, p_low, p_high)
+                x = np.concatenate([sp.q, sp.p])
+                frame = sphere.tangent_frame(sp)
+                for i in range(0, len(frame), 2):
+                    for j in range(i + 1, len(frame), 3):
+                        lhs = forms.exterior_derivative(real.lam_tilde, x,
+                                                        [frame[i], frame[j]], 1e-4)
+                        rhs = forms.exterior_derivative(lam, x, [frame[i], frame[j]], 1e-4)
+                        worst = max(worst, abs(lhs - rhs))
+        return worst, 24, {}
 
 
 # ===========================================================================

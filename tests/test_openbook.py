@@ -198,10 +198,11 @@ def _einsum_bump_variational_field(amplitude, r02):
         x = u[:, :2]
         s = np.einsum("mi,mi->m", x, x)
         base = np.clip(1.0 - s / r02, 0.0, None)
-        coeff = -8.0 * amplitude / r02 * base ** 3
+        coeff = -8.0 * amplitude / r02 * (base * base * base)
         x_h = np.stack([coeff * x[:, 1], -coeff * x[:, 0]], axis=1)
-        hess = 2.0 * amplitude * (-4.0 * base ** 3 / r02)[:, None, None] * np.eye(2)[None] \
-            + 4.0 * amplitude * (12.0 * base ** 2 / r02 ** 2)[:, None, None] \
+        hess = 2.0 * amplitude * (-4.0 * (base * base * base) / r02)[:, None, None] \
+            * np.eye(2)[None] \
+            + 4.0 * amplitude * (12.0 * (base * base) / (r02 * r02))[:, None, None] \
             * np.einsum("mi,mj->mij", x, x)
         dx = np.einsum("ij,mjk->mik", j_std, hess)
         jac = u[:, 2:].reshape(m, 2, 2)
@@ -225,6 +226,43 @@ def test_bump_func_jac_is_one_integration_of_both():
     ref = _kernels.rk4_final(_einsum_bump_variational_field(0.15, 0.8 ** 2), state, 1.0, 0.05)
     assert np.array_equal(img, ref[:, :2])
     assert np.array_equal(jac, ref[:, 2:].reshape(-1, 2, 2))
+
+
+def test_bump_field_float_and_column_forms_agree_bitwise():
+    amplitude, r02 = 0.15, 0.8 ** 2
+    local = np.random.default_rng(17)
+    # 100 points each inside the support, outside it and on its boundary circle
+    radii = np.concatenate([local.uniform(0.0, 0.8, 100), local.uniform(0.8, 1.5, 100),
+                            np.full(100, 0.8)])
+    angles = local.uniform(0.0, 2.0 * math.pi, 300)
+    states = np.column_stack([radii * np.cos(angles), radii * np.sin(angles),
+                              local.standard_normal((300, 4))])
+    x, y = states[:, 0], states[:, 1]
+    base = np.maximum(1.0 - (x * x + y * y) / r02, 0.0)
+    columns = np.column_stack(ob.bump_variational_terms(
+        amplitude, r02, base, x, y, *states[:, 2:].T))
+    assert np.count_nonzero(base == 0.0) > 100 and np.count_nonzero(base > 0.0) > 100
+    for row, expected in zip(states.tolist(), columns):
+        xf, yf, *jac = row
+        base_f = max(1.0 - (xf * xf + yf * yf) / r02, 0.0)
+        terms = ob.bump_variational_terms(amplitude, r02, base_f, xf, yf, *jac)
+        assert all(type(t) is float for t in terms)
+        assert np.array_equal(np.array(terms), expected)
+
+
+def test_bump_single_row_flow_matches_its_row_of_a_batch():
+    candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.01)
+    local = np.random.default_rng(23)
+    radii = np.concatenate([local.uniform(0.0, 0.8, 21), local.uniform(0.8, 1.2, 6),
+                            np.full(4, 0.8)])
+    angles = local.uniform(0.0, 2.0 * math.pi, 31)
+    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    img, jac = candidate.batched.func_jac(pts)
+    for i in range(len(pts)):
+        img_i, jac_i = candidate.batched.func_jac(pts[i:i + 1])
+        assert img_i.shape == (1, 2) and jac_i.shape == (1, 2, 2)
+        assert np.array_equal(img_i[0], img[i])
+        assert np.array_equal(jac_i[0], jac[i])
 
 
 def test_default_func_jac_pairs_func_and_jac():

@@ -66,6 +66,7 @@ def test_any_json_object_gives_a_config_or_config_error(data):
     ({"suite": "moves", "flow_step": 1.5}, "flow_step"),
     ({"deltas": [0.3]}, "deltas"),
     ({"window_deltas": [0.3, 0.2]}, "window_deltas"),
+    ({"suite": "moves", "search_depth": -1}, "search_depth"),
 ])
 def test_bad_config_values_are_named(data, field):
     with pytest.raises(ConfigError) as exc:
@@ -153,3 +154,17 @@ def test_cli_exits_2_naming_mistyped_fields(tmp_path, capsys):
     assert cli.main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "epsilon" in err and "seed" in err
+
+
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file"),
+                                          ("directory", "Is a directory"),
+                                          ("not UTF-8", "not UTF-8")])
+def test_cli_exits_2_naming_an_unreadable_config(tmp_path, capsys, kind, reason):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not UTF-8":
+        path.write_bytes(b"\xff\xfe{")
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and reason in err
