@@ -3,10 +3,10 @@
 A flow is given by plain callables: a right-hand side ``rhs(u) -> du`` whose
 output has the state's shape, an optional projection ``project(u) -> u``
 applied after each step (it may work in place on the stepped state), and, for
-:func:`rk4_until_event`, a scalar event ``event(u) -> float``.  States are
-``(d,)`` vectors; :func:`rk4_final` also advances ``(m, d)`` row batches in
-lockstep.  A right-hand side of the wrong output shape, or a state that turns
-non-finite, raises ``ValueError``.
+:func:`rk4_until_event`, an event ``event(u) -> float``.  States are ``(d,)``
+vectors or ``(m, d)`` row batches, which :func:`rk4_final` and
+:func:`rk4_until_event` advance in lockstep.  A right-hand side of the wrong
+output shape, or a state that turns non-finite, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -82,42 +82,111 @@ def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
     """March until ``event(u) - target`` changes sign or comes within
     event_tol, then bisect the crossing inside the last step.
 
-    ``direction`` is +1.0 (forward) or -1.0 (backward).  Returns
-    ``(t_event, times, states)`` with times the elapsed |t|; t_event is None
-    when no crossing occurred within max_time, and otherwise the last row of
-    states is the refined event point.
+    ``u0`` is a ``(d,)`` start, or an ``(m, d)`` batch whose rows march in
+    lockstep; ``event`` maps a state of either shape to a float or an
+    ``(m,)`` column.  Each row freezes at its own crossing, and one
+    vectorised bisection then refines every frozen row, row for row the same
+    arithmetic as a lone run of that row.  ``direction`` is +1.0 (forward) or
+    -1.0 (backward); times are the elapsed |t|.
+
+    A ``(d,)`` start returns ``(t_event, times, states)``, the whole sampled
+    trajectory; t_event is None when no crossing occurred within max_time,
+    and otherwise the last row of states is the refined event point.  A
+    batch returns ``(t_event, ends)``: t_event is NaN for a row that did not
+    cross, and its end is then its state at max_time.
     """
-    u = np.array(u0, dtype=float)
-    times, states = [0.0], [u]
-    v_prev = event(u) - target
-    if abs(v_prev) <= event_tol:
-        return 0.0, np.array(times), np.array(states)
+    u0 = np.array(u0, dtype=float)
+    if u0.ndim != 1:
+        return _until_event(rhs, u0, event, target, step, max_time, event_tol,
+                            project, direction, None)
+    # one start is the m = 1 batch, with the field and event called on the row
+    times, states = [0.0], [u0]
+    t_event, ends = _until_event(
+        lambda u: rhs(u[0])[None], u0[None], lambda u: np.array([event(u[0])]),
+        target, step, max_time, event_tol,
+        None if project is None else lambda u: project(u[0])[None],
+        direction, (times, states))
+    t_event = float(t_event[0])
+    if math.isnan(t_event):
+        return None, np.array(times), np.array(states)
+    if t_event > 0.0:
+        times.append(t_event)
+        states.append(ends[0])
+    return t_event, np.array(times), np.array(states)
+
+
+def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
+                 direction, record):
+    """The lockstep event loop on an (m, d) batch; for one row, ``record``
+    may hold (times, states) lists that every marching step appends to."""
+    t_event = np.full(len(u), np.nan)
+    ends = u.copy()
+    v = event(u) - target
+    on_event = np.abs(v) <= event_tol
+    t_event[on_event] = 0.0
+    rows = np.flatnonzero(~on_event)  # batch indices of the marching rows
+    # until it crosses, a row's event value keeps the sign of its start, so a
+    # step's sign change or |v| <= event_tol is side * v <= event_tol
+    u, side = u[rows], np.sign(v[rows])
+    # per crossing step: the rows that froze, their sides, pre-step and
+    # stepped states, the step and the time before it
+    frozen = []
     t_now = 0.0
     for h in _schedule(max_time, step):
+        if not rows.size:
+            break
         u_next = _advance(rhs, u, direction * h, project)
-        v_next = event(u_next) - target
-        if abs(v_next) <= event_tol or v_prev * v_next < 0.0:
-            # refine inside (0, h] by bisection on the substep size
-            lo, hi = 0.0, h
-            u_hit, t_hit = u_next, h
-            for _ in range(60):
-                if hi - lo < 1e-17:
-                    break
-                mid = 0.5 * (lo + hi)
-                u_mid = _advance(rhs, u, direction * mid, project)
-                v_mid = event(u_mid) - target
-                if abs(v_mid) <= event_tol:
-                    u_hit, t_hit = u_mid, mid
-                    break
-                if v_prev * v_mid < 0.0:
-                    hi, u_hit, t_hit = mid, u_mid, mid
-                else:
-                    lo = mid
-            times.append(t_now + t_hit)
-            states.append(u_hit)
-            return t_now + t_hit, np.array(times), np.array(states)
+        hit = side * (event(u_next) - target) <= event_tol
+        n_hit = np.count_nonzero(hit)  # cheaper than hit.any() on small arrays
+        if n_hit:
+            frozen.append((rows[hit], side[hit], u[hit], u_next[hit],
+                           np.full(n_hit, h), np.full(n_hit, t_now)))
+            keep = ~hit
+            rows, side, u_next = rows[keep], side[keep], u_next[keep]
         t_now += h
-        u, v_prev = u_next, v_next
-        times.append(t_now)
-        states.append(u)
-    return None, np.array(times), np.array(states)
+        u = u_next
+        if record is not None and rows.size:
+            record[0].append(t_now)
+            record[1].append(u[0])
+    ends[rows] = u
+    if frozen:
+        hit_rows, side, u_pre, u_hit, h_hit, t_pre = (np.concatenate(part)
+                                                     for part in zip(*frozen))
+        t_hit, ends[hit_rows] = _bisect_crossings(rhs, event, target, event_tol, project,
+                                                  direction, side, u_pre, u_hit, h_hit)
+        t_event[hit_rows] = t_pre + t_hit
+    return t_event, ends
+
+
+def _bisect_crossings(rhs, event, target, event_tol, project, direction,
+                      side, u_pre, u_hit, h):
+    """Refine each frozen row's crossing inside (0, h] by bisection on its
+    substep size; returns the substeps and states of the refined points.
+
+    A row stops once its bracket is below 1e-17 or its event value is within
+    event_tol; the rows still open are kept compacted, so a step of the loop
+    touches only them.
+    """
+    t_out, u_out = h.copy(), u_hit.copy()
+    rows = np.arange(len(h))  # output indices of the open rows
+    lo, hi, t_hit = np.zeros(len(h)), h.copy(), h.copy()
+    for _ in range(60):
+        done = hi - lo < 1e-17
+        if np.count_nonzero(done):
+            t_out[rows[done]], u_out[rows[done]] = t_hit[done], u_hit[done]
+            keep = ~done
+            rows, lo, hi, t_hit, u_hit = rows[keep], lo[keep], hi[keep], t_hit[keep], u_hit[keep]
+            side, u_pre = side[keep], u_pre[keep]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        u_mid = _advance(rhs, u_pre, direction * mid[:, None], project)
+        x = side * (event(u_mid) - target)
+        take = x <= event_tol  # crossed, or within event_tol
+        t_hit = np.where(take, mid, t_hit)
+        u_hit = np.where(take[:, None], u_mid, u_hit)
+        # a row within event_tol gets lo = hi = mid, a zero bracket that stops it
+        hi = np.where(take, mid, hi)
+        lo = np.where(x < -event_tol, lo, mid)
+    t_out[rows], u_out[rows] = t_hit, u_hit
+    return t_out, u_out

@@ -112,6 +112,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the output directory must be usable before the suite runs, not after
+    if cfg.out_dir:
+        out_dir = Path(cfg.out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot use output directory {out_dir}: {exc}", file=sys.stderr)
+            return 2
 
     report = run_suite(cfg)
     for line in report.summary_lines():
@@ -120,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
           f"({sum(c.passed for c in report.checks)}/{len(report.checks)} checks)")
 
     if cfg.out_dir:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / f"report-{cfg.suite}.json"
         report_path.write_text(report.to_json())
         print(f"report written to {report_path}")

@@ -5,6 +5,8 @@ which takes the field, event and projection as plain callables: an event
 ``event(u) -> float`` such as :func:`surgery.page_value`, and a projection
 ``project(u) -> u`` such as :func:`surgery.unit_w_projection`, which keeps a
 flow on its constraint set and is applied after every step.
+:func:`flow_rows_until_event` flows an ``(m, d)`` batch of starts in
+lockstep; its callables take the batch, and its event gives one value per row.
 """
 
 from __future__ import annotations
@@ -81,6 +83,25 @@ def flow_until_event(field: VectorFieldOracle, start: Array,
         field.func, start, event, float(target), cfg.step, cfg.max_time,
         cfg.event_tol, project)
     return Trajectory(times, states, t_event)
+
+
+def flow_rows_until_event(field: VectorFieldOracle, starts: Array,
+                          event: Callable[[Array], Array], target: float,
+                          cfg: IntegratorConfig,
+                          project: Projection = None) -> tuple[Array, Array]:
+    """Integrate an (m, d) batch of starts in lockstep, each row until its
+    event crosses the target; the field, event and projection take batches.
+
+    Returns ``(t_event, ends)``.  Row i's crossing is refined exactly as in
+    a lone :func:`flow_until_event` from ``starts[i]``; ``t_event[i]`` is NaN
+    when it did not cross within cfg.max_time, and ``ends[i]`` is then its
+    state at max_time.
+    """
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2:
+        raise ValueError(f"a row batch must have shape (m, d), got {starts.shape}")
+    return _kernels.rk4_until_event(field.func, starts, event, float(target), cfg.step,
+                                    cfg.max_time, cfg.event_tol, project)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import flows, surgery
 from .flows import IntegratorConfig, Trajectory
+from .forms import VectorFieldOracle
 from .profiles import HandleProfile
 from .sphere import SpherePoint, geodesic_flow
 from .surgery import ModelPoint, SurgeryConfig
@@ -83,19 +85,51 @@ class MonodromyResult:
 # transports
 # ---------------------------------------------------------------------------
 
+def _block_sizes(starts: Sequence[ModelPoint]) -> tuple[int, int]:
+    nxy, nzw = starts[0].nxy, starts[0].nzw
+    if any(s.nxy != nxy or s.nzw != nzw for s in starts):
+        raise ValueError("the starts of one batch must share their block sizes")
+    return nxy, nzw
+
+
+def _flow_to_page(fld: VectorFieldOracle, states: list[Array], nxy: int, nzw: int,
+                  target: float, cfg: IntegratorConfig, missed: str) -> Array:
+    """The points where each state's flow reaches the page value target, as
+    rows: one state flows alone, several flow as one row batch."""
+    page = surgery.page_value(nxy, nzw)
+    if len(states) == 1:
+        traj = flows.flow_until_event(fld, states[0], page, target, cfg)
+        if traj.t_event is None:
+            raise ValueError(missed)
+        return traj.end[None]
+    t_event, ends = flows.flow_rows_until_event(fld, np.array(states), page, target, cfg)
+    if np.isnan(t_event).any():
+        raise ValueError(missed)
+    return ends
+
+
 def pre_surgery_monodromy(start: ModelPoint, epsilon: float,
                           cfg: IntegratorConfig) -> ModelPoint:
     """Reeb transport from page -eps to page +eps (trivial on decompositions)."""
-    if abs(start.theta() + epsilon) > 1e-9:
-        raise ValueError("start must sit on the -eps page")
-    if not start.on_s_minus1():
-        raise ValueError("start must lie on the |w|^2 = 1 hypersurface")
-    fld = surgery.reeb_field(start.nxy, start.nzw)
-    page = surgery.page_value(start.nxy, start.nzw)
-    traj = flows.flow_until_event(fld, start.as_array(), page, +epsilon, cfg)
-    if traj.t_event is None:
-        raise ValueError("page event not reached within the time bound")
-    return ModelPoint.from_array(traj.end, start.nxy, start.nzw)
+    return pre_surgery_monodromy_batch([start], epsilon, cfg)[0]
+
+
+def pre_surgery_monodromy_batch(starts: Sequence[ModelPoint], epsilon: float,
+                                cfg: IntegratorConfig) -> list[ModelPoint]:
+    """pre_surgery_monodromy of each start, the Reeb flows run as one row
+    batch; the starts share their block sizes."""
+    if not starts:
+        return []
+    for start in starts:
+        if abs(start.theta() + epsilon) > 1e-9:
+            raise ValueError("start must sit on the -eps page")
+        if not start.on_s_minus1():
+            raise ValueError("start must lie on the |w|^2 = 1 hypersurface")
+    nxy, nzw = _block_sizes(starts)
+    ends = _flow_to_page(surgery.reeb_field(nxy, nzw), [s.as_array() for s in starts],
+                         nxy, nzw, +epsilon, cfg,
+                         "page event not reached within the time bound")
+    return [ModelPoint.from_array(end, nxy, nzw) for end in ends]
 
 
 def post_surgery_closed_form(start: ModelPoint, epsilon: float) -> ModelPoint:
@@ -118,47 +152,62 @@ def post_surgery_pipeline(start: ModelPoint, config: SurgeryConfig,
     The distance to the closed form is recorded in the residuals, along with
     per-stage diagnostics.
     """
+    return post_surgery_pipeline_batch([start], config, [profile], cfg)[0]
+
+
+def post_surgery_pipeline_batch(starts: Sequence[ModelPoint], config: SurgeryConfig,
+                                profiles: Sequence[HandleProfile],
+                                cfg: IntegratorConfig) -> list[MonodromyResult]:
+    """post_surgery_pipeline of each start under its own handle profile, with
+    the stage-2 page flows run as one row batch (a lone flow for one start).
+
+    The starts share their block sizes; each result equals the one-start
+    pipeline's bit for bit.
+    """
+    if len(starts) != len(profiles):
+        raise ValueError("give one handle profile per start")
+    if not starts:
+        return []
     eps = config.epsilon
-    dec_in = PageDecomposition.of(start, -eps)
-    if float(np.linalg.norm(start.z)) == 0.0:
-        raise ValueError("the z = 0 locus is removed by the surgery")
+    nxy, nzw = _block_sizes(starts)
+    decs, on_s1 = [], []
+    for start, profile in zip(starts, profiles):
+        decs.append(PageDecomposition.of(start, -eps))
+        if float(np.linalg.norm(start.z)) == 0.0:
+            raise ValueError("the z = 0 locus is removed by the surgery")
+        # stage 1: transfer to the surgered hypersurface
+        if config.a == math.inf:
+            on_s1.append(surgery.limit_transfer_to_s1(start, profile))
+        else:
+            on_s1.append(surgery.transfer_to_s1_finite_a(start, config.a, profile))
 
-    # stage 1: transfer to the surgered hypersurface
-    if config.a == math.inf:
-        on_s1 = surgery.limit_transfer_to_s1(start, profile)
-    else:
-        on_s1 = surgery.transfer_to_s1_finite_a(start, config.a, profile)
-    res_stage1 = abs(surgery.f_eval(on_s1, profile))
+    # stage 2: Hamiltonian page flow until the +eps page; each state carries
+    # its row's smoothing width as a last coordinate
+    dim = 2 * nxy + 2 * nzw
+    fld = VectorFieldOracle(dim + 1, surgery.handle_hamiltonian_rhs(nxy, nzw))
+    ends = _flow_to_page(fld, [np.append(pt.as_array(), p.delta)
+                               for pt, p in zip(on_s1, profiles)],
+                         nxy, nzw, +eps, cfg, "page event not reached during the page flow")
 
-    # stage 2: Hamiltonian page flow until the +eps page
-    fld = surgery.handle_hamiltonian_field(start.nxy, start.nzw, profile)
-    page = surgery.page_value(start.nxy, start.nzw)
-    traj = flows.flow_until_event(fld, on_s1.as_array(), page, +eps, cfg)
-    if traj.t_event is None:
-        raise ValueError("page event not reached during the page flow")
-    at_page = ModelPoint.from_array(traj.end, start.nxy, start.nzw)
-    res_stage2_theta = abs(at_page.theta() - eps)
-    res_stage2_level = abs(surgery.f_eval(at_page, profile)
-                           - surgery.f_eval(on_s1, profile))
-
-    # stage 3: transfer back to |w|^2 = 1
-    back = surgery.transfer_to_s_minus1(at_page)
-
-    closed = post_surgery_closed_form(start, eps)
-    dist = float(np.max(np.abs(back.as_array() - closed.as_array())))
-    dec_out = PageDecomposition.of(closed, +eps)
-    angle = recognized_angle(dec_in, eps)
-
-    residuals = {
-        "stage1_level": res_stage1,
-        "stage2_theta": res_stage2_theta,
-        "stage2_level_drift": res_stage2_level,
-        "stage3_wnorm": abs(float(np.linalg.norm(back.w)) - 1.0),
-        "closed_vs_pipeline": dist,
-    }
-    return MonodromyResult(input=dec_in, output=dec_out, pipeline_point=back,
-                           closed_form_point=closed, twist_angle=angle,
-                           residuals=residuals)
+    results = []
+    for start, profile, dec_in, s1, end in zip(starts, profiles, decs, on_s1, ends):
+        at_page = ModelPoint.from_array(end[:dim], nxy, nzw)
+        level_s1 = surgery.f_eval(s1, profile)
+        # stage 3: transfer back to |w|^2 = 1
+        back = surgery.transfer_to_s_minus1(at_page)
+        closed = post_surgery_closed_form(start, eps)
+        residuals = {
+            "stage1_level": abs(level_s1),
+            "stage2_theta": abs(at_page.theta() - eps),
+            "stage2_level_drift": abs(surgery.f_eval(at_page, profile) - level_s1),
+            "stage3_wnorm": abs(float(np.linalg.norm(back.w)) - 1.0),
+            "closed_vs_pipeline": float(np.max(np.abs(back.as_array() - closed.as_array()))),
+        }
+        results.append(MonodromyResult(input=dec_in, output=PageDecomposition.of(closed, +eps),
+                                       pipeline_point=back, closed_form_point=closed,
+                                       twist_angle=recognized_angle(dec_in, eps),
+                                       residuals=residuals))
+    return results
 
 
 def page_speed_residual(traj: Trajectory, nxy: int, nzw: int, epsilon: float) -> float:
@@ -300,17 +349,20 @@ def delta_deviation_scan(rng: np.random.Generator, deltas: list[float],
     The transport is rotation-equivariant and the Euclidean norm is
     rotation-invariant, so the random frame of a start drops out and only the
     window fraction of |z|^2 matters; it is scanned on an even grid for a
-    reproducible maximum.
+    reproducible maximum.  The starts of every delta run as one batch.
     """
-    out = {}
     fracs = np.linspace(0.02, 0.98, count)
+    starts, profiles = [], []
     for delta in deltas:
         profile = HandleProfile(delta)
-        conf = replace(config, delta=delta)
-        worst = 0.0
         for frac in fracs:
-            start = rounded_window_start(rng, nzw, config.epsilon, delta, float(frac))
-            res = post_surgery_pipeline(start, conf, profile, cfg)
+            starts.append(rounded_window_start(rng, nzw, config.epsilon, delta, float(frac)))
+            profiles.append(profile)
+    results = post_surgery_pipeline_batch(starts, config, profiles, cfg)
+    out = {}
+    for i, delta in enumerate(deltas):
+        worst = 0.0
+        for res in results[i * count:(i + 1) * count]:
             worst = max(worst, float(np.linalg.norm(
                 res.pipeline_point.as_array() - res.closed_form_point.as_array())))
         out[delta] = worst

@@ -3,9 +3,10 @@
 Every profile blends exact pieces (flat, linear, exponential) with quintic
 polynomials so the result is C^2 across the joints.  The model fields,
 events and batch scans call the plain scalar functions below with the
-smoothing width or support radius as an argument; the dataclasses hold those
-parameters.  Transversality and contact positivity are *checked* numerically
-by the test suites, never assumed.
+smoothing width or support radius as an argument (the handle derivatives also
+have column forms for row batches); the dataclasses hold those parameters.
+Transversality and contact positivity are *checked* numerically by the test
+suites, never assumed.
 """
 
 from __future__ import annotations
@@ -13,20 +14,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+
+def _smoothstep_poly(t):
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+
+def _smoothstep_d_poly(t):
+    u = t * (1.0 - t)
+    return 30.0 * u * u
+
 
 def smoothstep(t):
     if t <= 0.0:
         return 0.0
     if t >= 1.0:
         return 1.0
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    return _smoothstep_poly(t)
 
 
 def smoothstep_d(t):
     if t <= 0.0 or t >= 1.0:
         return 0.0
-    u = t * (1.0 - t)
-    return 30.0 * u * u
+    return _smoothstep_d_poly(t)
 
 
 def handle_f(s, delta):
@@ -38,13 +49,32 @@ def handle_f(s, delta):
     return 1.0 + (s + delta - 1.0) * smoothstep(t)
 
 
+# The blend branches of handle_f_d and handle_g_d take Python floats or NumPy
+# columns alike.  The caller picks the branch and caps the window coordinate t
+# at 1, where the smoothstep polynomials meet the flat pieces exactly, so a
+# column form equals its scalar form bit for bit.
+
+def _f_d_blend(s, t, delta):
+    return _smoothstep_poly(t) + (s + delta - 1.0) * _smoothstep_d_poly(t) * (2.0 / delta)
+
+
+def _g_d_blend(s, t, delta):
+    return (1.0 - _smoothstep_poly(t)) + _smoothstep_d_poly(t) * (1.0 + delta - s) / delta
+
+
 def handle_f_d(s, delta):
     if s <= 1.0 - delta:
         return 0.0
     if s >= 1.0 - 0.5 * delta:
         return 1.0
-    t = (s - (1.0 - delta)) / (0.5 * delta)
-    return smoothstep(t) + (s + delta - 1.0) * smoothstep_d(t) * (2.0 / delta)
+    return _f_d_blend(s, min((s - (1.0 - delta)) / (0.5 * delta), 1.0), delta)
+
+
+def handle_f_d_column(s, delta):
+    """handle_f_d on a column s; delta is a float or a column."""
+    t = np.minimum((s - (1.0 - delta)) / (0.5 * delta), 1.0)
+    return np.where(s <= 1.0 - delta, 0.0,
+                    np.where(s >= 1.0 - 0.5 * delta, 1.0, _f_d_blend(s, t, delta)))
 
 
 def handle_g(s, delta):
@@ -62,8 +92,13 @@ def handle_g_d(s, delta):
         return 1.0
     if s >= 1.0 + delta:
         return 0.0
-    t = (s - 1.0) / delta
-    return (1.0 - smoothstep(t)) + smoothstep_d(t) * (1.0 + delta - s) / delta
+    return _g_d_blend(s, min((s - 1.0) / delta, 1.0), delta)
+
+
+def handle_g_d_column(s, delta):
+    """handle_g_d on a column s; delta is a float or a column."""
+    t = np.minimum((s - 1.0) / delta, 1.0)
+    return np.where(s <= 1.0, 1.0, np.where(s >= 1.0 + delta, 0.0, _g_d_blend(s, t, delta)))
 
 
 # initial-slope weight of the angle profile: small enough that twist

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .forms import KFormOracle, SmoothMap, VectorFieldOracle, one_form
-from .profiles import HandleProfile, handle_f, handle_f_d, handle_g, handle_g_d
+from .profiles import (HandleProfile, handle_f, handle_f_d, handle_f_d_column, handle_g,
+                       handle_g_d, handle_g_d_column)
 from .sphere import SpherePoint, _orthonormal_complement
 
 Array = np.ndarray
@@ -130,20 +131,26 @@ def liouville_X(pt: ModelPoint) -> ModelPoint:
 # ---------------------------------------------------------------------------
 # model fields, events and projections on the flat block state
 # ---------------------------------------------------------------------------
-# Sums of squares and products run in index order over Python floats, with
-# ``**`` for squares, so every flow of a model field repeats the same bits.
+# A (d,) state is read as a list of Python floats and an (m, d) row batch as
+# a list of NumPy columns; one expression serves both, with sums and dot
+# products in index order and squares written as products, so a row of a
+# batch repeats the bits of its lone flow.
 
-def _sum_sq(values: list) -> float:
+def _operands(u: Array) -> list:
+    return u.tolist() if u.ndim == 1 else list(u.T)
+
+
+def _sum_sq(values: list):
     total = 0.0
     for v in values:
-        total += v ** 2
+        total = total + v * v
     return total
 
 
-def _rho2_w2(v: list, nxy: int, nzw: int) -> tuple[float, float]:
-    """|x|^2 + |y|^2 + |z|^2 and |w|^2 of a flat state given as a list."""
+def _rho2_w2(v: list, nxy: int, nzw: int):
+    """|x|^2 + |y|^2 + |z|^2 and |w|^2 of a flat state given as operands."""
     b = 2 * nxy + nzw
-    return _sum_sq(v[:b]), _sum_sq(v[b:])
+    return _sum_sq(v[:b]), _sum_sq(v[b:b + nzw])
 
 
 def liouville_field(nxy: int, nzw: int) -> VectorFieldOracle:
@@ -218,12 +225,13 @@ def reeb_s_minus1(pt: ModelPoint) -> ModelPoint:
 
 
 def reeb_field(nxy: int, nzw: int) -> VectorFieldOracle:
+    """The Reeb field on a (d,) state or an (m, d) row batch."""
     dim = 2 * nxy + 2 * nzw
     b = 2 * nxy
 
     def func(u):
-        du = np.zeros(u.size)
-        du[b:b + nzw] = u[b + nzw:]
+        du = np.zeros(u.shape)
+        du[..., b:b + nzw] = u[..., b + nzw:]
         return du
 
     return VectorFieldOracle(dim, func)
@@ -235,14 +243,15 @@ def theta_page(pt: ModelPoint) -> float:
 
 
 def page_value(nxy: int, nzw: int):
-    """The page function z . w of a flat state."""
+    """The page function z . w of a flat state: a float for a (d,) state, a
+    column for an (m, d) row batch."""
     b = 2 * nxy
 
     def value(u):
-        v = u.tolist()
+        v = _operands(u)
         total = 0.0
-        for z, w in zip(v[b:b + nzw], v[b + nzw:]):
-            total += z * w
+        for z, w in zip(v[b:b + nzw], v[b + nzw:b + 2 * nzw]):
+            total = total + z * w
         return total
 
     return value
@@ -440,20 +449,39 @@ def hamiltonian_field_xf(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
 
 
 def handle_hamiltonian_field(nxy: int, nzw: int, profile: HandleProfile) -> VectorFieldOracle:
-    dim = 2 * nxy + 2 * nzw
+    return VectorFieldOracle(2 * nxy + 2 * nzw,
+                             handle_hamiltonian_rhs(nxy, nzw, profile.delta))
+
+
+def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
+    """The page flow field, 2 f'(|w|^2) w in the z slot and 2 g'(rho^2) z in
+    the w slot, on a (d,) state or an (m, d) row batch.
+
+    With ``delta`` None the state carries one more coordinate, its row's
+    smoothing width, which the flow leaves fixed: rows under different handle
+    profiles then flow as one batch.
+    """
     b = 2 * nxy
-    delta = profile.delta
+    dim = b + 2 * nzw
     zero_xy = [0.0] * b
+    tail = [] if delta is not None else [0.0]
 
     def func(u):
-        v = u.tolist()
+        rows = u.ndim == 2
+        v = _operands(u)
+        width = v[dim] if delta is None else delta
         rho2, w2 = _rho2_w2(v, nxy, nzw)
-        cf = 2.0 * handle_f_d(w2, delta)
-        cg = 2.0 * handle_g_d(rho2, delta)
-        return np.array(zero_xy + [cf * c for c in v[b + nzw:]]
-                        + [cg * c for c in v[b:b + nzw]])
+        f_d, g_d = (handle_f_d_column, handle_g_d_column) if rows else (handle_f_d, handle_g_d)
+        cf = 2.0 * f_d(w2, width)
+        cg = 2.0 * g_d(rho2, width)
+        terms = [cf * c for c in v[b + nzw:dim]] + [cg * c for c in v[b:b + nzw]]
+        if not rows:
+            return np.array(zero_xy + terms + tail)
+        du = np.zeros(u.shape)
+        du[:, b:dim] = np.transpose(terms)
+        return du
 
-    return VectorFieldOracle(dim, func)
+    return func
 
 
 def level_value(nxy: int, nzw: int, delta: float):

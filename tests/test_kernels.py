@@ -15,7 +15,8 @@ from contactlab import active_backend, flows, sphere, surgery
 from contactlab.flows import IntegratorConfig
 from contactlab.forms import VectorFieldOracle
 from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
-                                 handle_g, handle_g_d, twist_g1)
+                                 handle_f_d_column, handle_g, handle_g_d, handle_g_d_column,
+                                 twist_g1)
 
 rng = np.random.default_rng(33)
 DELTA = 0.05
@@ -25,10 +26,10 @@ def _loop_norms(u, nxy, nzw):
     base = 2 * nxy
     w2 = 0.0
     for i in range(nzw):
-        w2 += u[base + nzw + i] ** 2
+        w2 += u[base + nzw + i] * u[base + nzw + i]
     rho2 = 0.0
     for i in range(base + nzw):
-        rho2 += u[i] ** 2
+        rho2 += u[i] * u[i]
     return rho2, w2
 
 
@@ -71,6 +72,39 @@ def test_model_fields_match_scalar_loops(kind):
             assert np.array_equal(fld.func(u), _loop_field(kind, u, nxy, nzw, param))
 
 
+def test_model_field_and_page_rows_match_lone_states():
+    # a row batch runs the same arithmetic, on columns, as each lone state
+    for nxy, nzw in [(0, 2), (1, 2), (0, 4)]:
+        batch = rng.standard_normal((40, 2 * nxy + 2 * nzw)) * rng.uniform(0.2, 1.5, (40, 1))
+        page = surgery.page_value(nxy, nzw)
+        assert np.array_equal(page(batch), [page(u) for u in batch])
+        for kind in ("reeb", "handle"):
+            func = FIELDS[kind](nxy, nzw).func
+            assert np.array_equal(func(batch), [func(u) for u in batch])
+        # with the smoothing width carried as a last state coordinate
+        widths = rng.choice([0.02, 0.05, 0.2], size=(40, 1))
+        carried = surgery.handle_hamiltonian_rhs(nxy, nzw)
+        out = carried(np.hstack([batch, widths]))
+        assert not out[:, -1].any()
+        for u, width, row in zip(batch, widths[:, 0], out):
+            fixed = surgery.handle_hamiltonian_rhs(nxy, nzw, float(width))
+            assert np.array_equal(row[:-1], fixed(u))
+            assert np.array_equal(row, carried(np.append(u, width)))
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])
+def test_handle_derivative_columns_match_scalar_forms(delta):
+    breaks = np.array([1.0 - delta, 1.0 - 0.5 * delta, 1.0, 1.0 + delta])
+    s = np.concatenate([breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 2.0),
+                        rng.uniform(1.0 - 1.5 * delta, 1.0 + 1.5 * delta, 150),
+                        rng.uniform(0.0, 2.0, 150)])
+    for column, scalar in ((handle_f_d_column, handle_f_d), (handle_g_d_column, handle_g_d)):
+        ref = np.array([scalar(float(v), delta) for v in s])
+        assert np.array_equal(column(s, delta), ref)
+        # a column of smoothing widths gives each row its own scalar result
+        assert np.array_equal(column(s, np.full(s.size, delta)), ref)
+
+
 def test_model_events_match_scalar_loops():
     nxy, nzw = 1, 3
     base = 2 * nxy
@@ -94,10 +128,10 @@ def test_margins_match_scalar_loop():
     for row in range(len(pts)):
         xy2 = z2 = w2 = 0.0
         for i in range(base):
-            xy2 += pts[row, i] ** 2
+            xy2 += pts[row, i] * pts[row, i]
         for i in range(nzw):
-            z2 += pts[row, base + i] ** 2
-            w2 += pts[row, base + nzw + i] ** 2
+            z2 += pts[row, base + i] * pts[row, base + i]
+            w2 += pts[row, base + nzw + i] * pts[row, base + nzw + i]
         ref[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(xy2 + z2, 0.1) \
             + w2 * handle_f_d(w2, 0.1)
     got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(0.1))
@@ -205,6 +239,8 @@ def test_bad_fields_raise_from_every_flow(rhs, match):
         flows.flow_until_event(fld, start, never, 0.0, cfg)
     with pytest.raises(ValueError, match=match):
         k.rk4_final(rhs, np.zeros((3, 2)), 1.5, 0.1)
+    with pytest.raises(ValueError, match=match):
+        flows.flow_rows_until_event(fld, np.zeros((3, 2)), lambda u: np.ones(len(u)), 0.0, cfg)
 
 
 def test_batch_field_returning_one_row_raises():
@@ -220,3 +256,50 @@ def test_event_time_is_bisected_inside_the_last_step():
     assert math.isclose(t_ev, 0.2345, abs_tol=1e-12)
     assert times[-1] == t_ev and len(times) == 4
     assert abs(states[-1, 0] - 0.2345) <= 1e-12
+
+
+def _x_event(u):
+    return u[..., 0]  # a float for a lone state, a column for a batch
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_batched_event_rows_equal_one_row_runs(direction):
+    step, max_time = 0.05, 3.0
+    starts = np.vstack([[0.3, 0.0],    # on the event at t = 0
+                        [0.0, 0.0],    # an equilibrium: never crosses
+                        [0.1, 0.0],    # oscillates below the target: never crosses
+                        rng.uniform(-1.0, 1.0, (9, 2))])
+    t_batch, ends = k.rk4_until_event(_pendulum, starts, _x_event, 0.3, step, max_time,
+                                      1e-12, direction=direction)
+    crossing_steps = set()
+    for start, t_row, end in zip(starts, t_batch, ends):
+        t_one, times, states = k.rk4_until_event(_pendulum, start, _x_event, 0.3, step,
+                                                 max_time, 1e-12, direction=direction)
+        assert np.array_equal(end, states[-1])
+        if t_one is None:
+            assert math.isnan(t_row)
+            assert times[-1] == pytest.approx(max_time)
+        else:
+            assert t_row == t_one
+            crossing_steps.add(math.floor(t_one / step))
+    assert t_batch[0] == 0.0 and np.isnan(t_batch[1]) and np.isnan(t_batch[2])
+    assert len(crossing_steps) >= 4  # rows froze on different steps
+
+
+def test_batched_event_rows_with_a_projection_equal_one_row_runs():
+    # the projection rescales each row; a batch projects row by row
+    def project(u):
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        return u
+
+    def rotate(u):
+        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
+
+    starts = rng.uniform(0.2, 1.0, (6, 2))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    t_batch, ends = k.rk4_until_event(rotate, starts, _x_event, -0.5, 0.01, 5.0, 1e-12,
+                                      project)
+    for start, t_row, end in zip(starts, t_batch, ends):
+        t_one, _, states = k.rk4_until_event(rotate, start, _x_event, -0.5, 0.01, 5.0,
+                                             1e-12, project)
+        assert t_row == t_one and np.array_equal(end, states[-1])

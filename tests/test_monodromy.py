@@ -226,3 +226,47 @@ def test_page_speed_residual_on_worked_point():
     traj = flows.flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2),
                                   EPS, FLOW)
     assert mono.page_speed_residual(traj, 0, 2, EPS) < 1e-8
+
+
+def _same_result(a, b):
+    return (np.array_equal(a.pipeline_point.as_array(), b.pipeline_point.as_array())
+            and np.array_equal(a.closed_form_point.as_array(), b.closed_form_point.as_array())
+            and np.array_equal(a.input.z(), b.input.z())
+            and np.array_equal(a.output.z(), b.output.z())
+            and a.twist_angle == b.twist_angle and a.residuals == b.residuals)
+
+
+@pytest.mark.parametrize("nzw", [2, 3, 4])
+def test_batched_pipeline_rows_equal_one_start_pipelines(nzw):
+    local = np.random.default_rng(100 + nzw)
+    starts = [mono.admissible_start(local, nzw, EPS, PROFILE.delta) for _ in range(12)]
+    profiles = [PROFILE] * len(starts)
+    # smoothing-window starts, each under its own width, share the batch
+    for delta in (0.02, 0.01, 0.005):
+        for frac in (0.02, 0.5, 0.98):
+            starts.append(mono.rounded_window_start(local, nzw, EPS, delta, frac))
+            profiles.append(HandleProfile(delta))
+    batch = mono.post_surgery_pipeline_batch(starts, CONFIG, profiles, FLOW)
+    for start, profile, res in zip(starts, profiles, batch):
+        assert _same_result(res, mono.post_surgery_pipeline(start, CONFIG, profile, FLOW))
+
+
+def test_batched_reeb_transport_equals_one_start_transports():
+    local = np.random.default_rng(7)
+    starts = [mono.admissible_start(local, 3, EPS, 0.05) for _ in range(9)]
+    batch = mono.pre_surgery_monodromy_batch(starts, EPS, FLOW)
+    for start, out in zip(starts, batch):
+        assert np.array_equal(out.as_array(),
+                              mono.pre_surgery_monodromy(start, EPS, FLOW).as_array())
+
+
+def test_batches_refuse_mixed_block_sizes_and_missing_profiles():
+    local = np.random.default_rng(8)
+    starts = [mono.admissible_start(local, 2, EPS, 0.05),
+              mono.admissible_start(local, 3, EPS, 0.05)]
+    with pytest.raises(ValueError, match="block sizes"):
+        mono.pre_surgery_monodromy_batch(starts, EPS, FLOW)
+    with pytest.raises(ValueError, match="block sizes"):
+        mono.post_surgery_pipeline_batch(starts, CONFIG, [PROFILE] * 2, FLOW)
+    with pytest.raises(ValueError, match="one handle profile per start"):
+        mono.post_surgery_pipeline_batch(starts[:1], CONFIG, [PROFILE] * 2, FLOW)

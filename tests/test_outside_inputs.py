@@ -168,3 +168,18 @@ def test_cli_exits_2_naming_an_unreadable_config(tmp_path, capsys, kind, reason)
     assert cli.main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and reason in err
+
+
+@pytest.mark.parametrize("where, reason", [("file", "File exists"),
+                                           ("under a file", "Not a directory")])
+def test_cli_exits_2_naming_an_unusable_output_directory(tmp_path, capsys, where, reason):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory")
+    out = blocker if where == "file" else blocker / "reports"
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"suite": "moves", "n_chains": 5, "search_depth": 2}))
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(out) in captured.err and reason in captured.err
+    assert "suite moves" not in captured.out  # refused before the suite ran
+    assert blocker.read_text() == "not a directory"
