@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 
 def active_backend() -> str:
-    """The numeric backend in use: flows run on one NumPy/Python integrator."""
+    """Always "numpy": one NumPy/Python integrator runs every flow.  Nothing here
+    reads it; perfbench/worker.py ``environment()`` stamps it."""
     return "numpy"
 
 

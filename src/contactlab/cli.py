@@ -129,10 +129,16 @@ def main(argv: list[str] | None = None) -> int:
 
     if cfg.out_dir:
         report_path = out_dir / f"report-{cfg.suite}.json"
-        report_path.write_text(report.to_json())
-        print(f"report written to {report_path}")
-        for path in _emit_default_plots(cfg, out_dir):
-            print(f"plot data written to {path}")
+        try:
+            report_path.write_text(report.to_json())
+            print(f"report written to {report_path}")
+            for path in _emit_default_plots(cfg, out_dir):
+                print(f"plot data written to {path}")
+        except OSError as exc:
+            # a failed open names its file; a failed write may not
+            print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
 
     return 0 if report.passed else 1
 

@@ -67,7 +67,6 @@ class SmoothMap:
     codomain_dim: int
     func: Callable[[Array], Array]
     jac: Optional[Callable[[Array], Array]] = None
-    h_fd: float = DEFAULT_FD_STEP
 
     def __call__(self, x: Array) -> Array:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -75,7 +74,7 @@ class SmoothMap:
     def jacobian(self, x: Array) -> Array:
         if self.jac is not None:
             return np.asarray(self.jac(np.asarray(x, dtype=float)), dtype=float)
-        return fd_jacobian(self.func, x, self.h_fd)
+        return fd_jacobian(self.func, x)
 
 
 def identity_map(dim: int) -> SmoothMap:
@@ -90,8 +89,7 @@ def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     if outer.jac is not None and inner.jac is not None:
         jac = lambda x: outer.jacobian(inner(x)) @ inner.jacobian(x)
     return SmoothMap(inner.domain_dim, outer.codomain_dim,
-                     lambda x: outer(inner(x)), jac=jac,
-                     h_fd=min(outer.h_fd, inner.h_fd))
+                     lambda x: outer(inner(x)), jac=jac)
 
 
 @dataclass
@@ -271,26 +269,17 @@ def standard_complex_structure(dim: int) -> Array:
 
 @dataclass
 class ScalarField:
-    """A scalar function with an analytic or finite-difference gradient oracle."""
+    """A scalar function with its analytic gradient oracle."""
 
     dim: int
     func: Callable[[Array], float]
-    grad: Optional[Callable[[Array], Array]] = None
-    h_fd: float = DEFAULT_FD_STEP
+    grad: Callable[[Array], Array]
 
     def __call__(self, x: Array) -> float:
         return float(self.func(np.asarray(x, dtype=float)))
 
     def gradient(self, x: Array) -> Array:
-        if self.grad is not None:
-            return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.size)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = 1.0
-            out[i] = fd_directional(self.func, x, e, self.h_fd)
-        return out
+        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
 
 
 def psh_gram_matrix(f: ScalarField, pt: Array, vectors: Sequence[Array],

@@ -71,7 +71,8 @@ class ExactSymplecticDomain:
             raise ValueError("sample_box must be (dim, 2) bounds")
 
     def dlambda_matrix(self, x: Array) -> Array:
-        """d(lambda) at x by central differences of lambda (step 1e-5)."""
+        """d(lambda) at x by central differences of lambda (step 1e-5): the tests'
+        reference for ``dlambda_const`` and a span perfbench/layers.py traces."""
         basis = np.eye(self.dim)
         mat = np.zeros((self.dim, self.dim))
         for i in range(self.dim):
@@ -86,7 +87,8 @@ class ExactSymplecticDomain:
 
 
 def standard_disk_domain(half_width: float = 1.0) -> ExactSymplecticDomain:
-    """R^2 with the rotational primitive (x dy - y dx)/2 of dx^dy."""
+    """R^2 with the rotational primitive (x dy - y dx)/2 of dx^dy.  Every caller
+    uses half-width 1.0; the argument stays because perfbench/worker.py passes it."""
     lam = one_form(2, lambda u: 0.5 * np.array([-u[1], u[0]]),
                    lambda u: 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]]))
     box = np.array([[-half_width, half_width], [-half_width, half_width]])
@@ -458,8 +460,7 @@ def giroux_correction(domain: ExactSymplecticDomain,
         return last["end"]
 
     psi_hat = SmoothMap(domain.dim, domain.dim,
-                        lambda x: psi.mapping(flow_end(x)[:-1].copy()),
-                        h_fd=psi.mapping.h_fd)
+                        lambda x: psi.mapping(flow_end(x)[:-1].copy()))
 
     h_base = float(flow_end(base_point)[-1])
 
@@ -581,8 +582,6 @@ class LegendrianRealization:
     lam_tilde: KFormOracle
     contact_form: KFormOracle
     g: Callable[[Array, Array], float]
-    rho: Callable[[float], float]
-    base_q: Array
 
 
 # the cut-off rho(|p|) is 1 for |p| <= RHO_IN and 0 for |p| >= RHO_OUT
@@ -698,8 +697,7 @@ def legendrian_realization(n: int, lam: KFormOracle, nodes: int = 48,
         return float(v[0]) + lam_tilde_eval(u[1:], np.asarray(v, dtype=float)[1:])
 
     contact = KFormOracle(1, dim + 1, contact_eval)
-    return LegendrianRealization(lam_tilde=lam_tilde, contact_form=contact,
-                                 g=g, rho=rho, base_q=base_q)
+    return LegendrianRealization(lam_tilde=lam_tilde, contact_form=contact, g=g)
 
 
 # ---------------------------------------------------------------------------

@@ -220,34 +220,27 @@ class DehnTwistProfile:
         return twist_g1_d(s, self.p0, self.k)
 
 
-@dataclass(frozen=True)
 class BindingProfile:
     """Coefficients of the collar form h1(r)*(boundary 1-form) + h2(r)*dphi.
 
     h1 is positive, non-increasing and equals exp(1/2 - r) from the matching
     radius on; h2 rises like r^2 near the axis and is constant 1 from the
     matching radius on.  h1 = exp(1/2 - q(r)) with a monotone C^2 exponent q
-    that flattens to a constant below blend_lo, so h1' = -q' h1 <= 0 holds by
+    that flattens to a constant below BLEND_LO, so h1' = -q' h1 <= 0 holds by
     construction; contact positivity h1*h2' - h1'*h2 > 0 is still verified
     numerically downstream.
     """
 
-    blend_lo: float = 0.3
-    matching_radius: float = 0.6
-
-    def __post_init__(self):
-        if not 0.5 < self.matching_radius < 1.0:
-            raise ValueError("matching radius must lie in (1/2, 1)")
-        if not 0.0 < self.blend_lo < self.matching_radius:
-            raise ValueError("blend window must sit inside (0, matching_radius)")
+    BLEND_LO = 0.3
+    MATCHING_RADIUS = 0.6  # in (1/2, 1), so the collar ends inside the unit disk
 
     def _t(self, r: float) -> float:
-        return (r - self.blend_lo) / (self.matching_radius - self.blend_lo)
+        return (r - self.BLEND_LO) / (self.MATCHING_RADIUS - self.BLEND_LO)
 
     def _q(self, r: float) -> float:
-        rm = self.matching_radius
-        width = rm - self.blend_lo
-        if r <= self.blend_lo:
+        rm = self.MATCHING_RADIUS
+        width = rm - self.BLEND_LO
+        if r <= self.BLEND_LO:
             return rm - 0.5 * width
         if r >= rm:
             return r
@@ -255,9 +248,9 @@ class BindingProfile:
                                rm, width, 0.0)
 
     def _q_d(self, r: float) -> float:
-        rm = self.matching_radius
-        width = rm - self.blend_lo
-        if r <= self.blend_lo:
+        rm = self.MATCHING_RADIUS
+        width = rm - self.BLEND_LO
+        if r <= self.BLEND_LO:
             return 0.0
         if r >= rm:
             return 1.0
@@ -271,27 +264,27 @@ class BindingProfile:
         return -self._q_d(r) * self.h1(r)
 
     def h2(self, r: float) -> float:
-        if r <= self.blend_lo:
+        if r <= self.BLEND_LO:
             return r * r
-        if r >= self.matching_radius:
+        if r >= self.MATCHING_RADIUS:
             return 1.0
-        width = self.matching_radius - self.blend_lo
-        lo = self.blend_lo
+        width = self.MATCHING_RADIUS - self.BLEND_LO
+        lo = self.BLEND_LO
         return hermite_quintic(self._t(r), lo * lo, 2.0 * lo * width, 2.0 * width * width,
                                1.0, 0.0, 0.0)
 
     def h2_d(self, r: float) -> float:
-        if r <= self.blend_lo:
+        if r <= self.BLEND_LO:
             return 2.0 * r
-        if r >= self.matching_radius:
+        if r >= self.MATCHING_RADIUS:
             return 0.0
-        width = self.matching_radius - self.blend_lo
-        lo = self.blend_lo
+        width = self.MATCHING_RADIUS - self.BLEND_LO
+        lo = self.BLEND_LO
         return hermite_quintic_d(self._t(r), lo * lo, 2.0 * lo * width, 2.0 * width * width,
                                  1.0, 0.0, 0.0) / width
 
     def h2_over_r2(self, r: float) -> float:
         """h2(r)/r^2, finite across r = 0; needed for the Cartesian disk chart."""
-        if abs(r) <= self.blend_lo:
+        if abs(r) <= self.BLEND_LO:
             return 1.0
         return self.h2(abs(r)) / (r * r)

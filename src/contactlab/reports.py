@@ -2,8 +2,8 @@
 
 A report is a JSON document with stable key order and deterministic float
 formatting: identical configuration and seed produce byte-identical files.
-The environment stamp carries package versions only (no wall-clock data), so
-it never breaks reproducibility on a fixed machine.
+The environment stamp carries versions only (no wall-clock data), so it
+never breaks reproducibility on a fixed machine.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-
-from . import active_backend
 
 
 @dataclass
@@ -61,19 +59,13 @@ def _plain(value: Any) -> Any:
 
 
 def environment_stamp() -> dict:
-    import numpy
-    stamp = {
+    """Package versions and ``schema_version``, the version of the report layout."""
+    return {
         "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "platform": platform.platform(),
-        "kernel_backend": active_backend(),
+        "schema_version": 2,
     }
-    try:
-        import numba
-        stamp["numba"] = numba.__version__
-    except ImportError:  # pragma: no cover
-        stamp["numba"] = None
-    return stamp
 
 
 @dataclass

@@ -79,30 +79,28 @@ def canonical_one_form(dim_total: int) -> KFormOracle:
     return one_form(dim_total, coeffs, coeffs_jac)
 
 
+def _rotate(q: Array, p: Array, norm: float, t: float) -> tuple[Array, Array]:
+    """sigma_t(q, p) for |p| = norm > 0."""
+    c, s = math.cos(t), math.sin(t)
+    return c * q + (s / norm) * p, -norm * s * q + c * p
+
+
 def geodesic_flow(pt: SpherePoint, t: float) -> SpherePoint:
     """Normalized geodesic flow for time t; requires p != 0, preserves |p|."""
     norm = np.linalg.norm(pt.p)
     if norm == 0.0:
         raise ValueError("normalization undefined at p = 0")
-    c, s = math.cos(t), math.sin(t)
-    q_new = c * pt.q + (s / norm) * pt.p
-    p_new = -norm * s * pt.q + c * pt.p
-    return SpherePoint(q_new, p_new)
+    return SpherePoint(*_rotate(pt.q, pt.p, norm, t))
 
 
 def dehn_twist(pt: SpherePoint, profile: DehnTwistProfile) -> SpherePoint:
     """Generalized right-handed Dehn twist: sigma_{g1(|p|)}, and (-1)^k q at p = 0."""
-    norm = np.linalg.norm(pt.p)
-    if norm == 0.0:
-        sign = -1.0 if profile.k % 2 else 1.0
-        return SpherePoint(sign * pt.q, pt.p)
-    if norm >= profile.p0:
-        return pt
-    return geodesic_flow(pt, profile.g1(norm))
+    return SpherePoint.from_array(dehn_twist_map(profile, pt.n).func(pt.as_array()))
 
 
 def dehn_twist_batch(points_q: Array, points_p: Array, profile: DehnTwistProfile):
-    """Twist each (q, p) row pair; rows with |p| = 0 map to ((-1)^k q, 0)."""
+    """Twist each (q, p) row pair; rows with |p| = 0 map to ((-1)^k q, 0).  The
+    package never calls it: it is perfbench/worker.py's reference for dehn_twist."""
     q = np.asarray(points_q, dtype=float)
     p = np.asarray(points_p, dtype=float)
     m, d = q.shape
@@ -145,9 +143,7 @@ def dehn_twist_map(profile: DehnTwistProfile, n: int) -> SmoothMap:
             return np.concatenate([sign * q, p])
         if norm >= profile.p0:
             return u.copy()
-        t = profile.g1(norm)
-        c, s = math.cos(t), math.sin(t)
-        return np.concatenate([c * q + (s / norm) * p, -norm * s * q + c * p])
+        return np.concatenate(_rotate(q, p, norm, profile.g1(norm)))
 
     return SmoothMap(2 * d, 2 * d, func)
 

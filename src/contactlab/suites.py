@@ -544,20 +544,19 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            ["handle_membership"], 0.0)
     def membership():
         profile = HandleProfile(0.05)
-        config = SurgeryConfig(epsilon=cfg.epsilon, delta=0.05)
         rng = check_rng(cfg.seed, "membership")
         worst = 0.0
         origin = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
-        if surgery.handle_membership(origin, config, profile) is not False:
+        if surgery.handle_membership(origin, profile) is not False:
             worst = 1.0
         far = ModelPoint(np.zeros(1), np.zeros(1), np.array([3.0, 0.0]), np.zeros(2))
-        if surgery.handle_membership(far, config, profile) is not False:
+        if surgery.handle_membership(far, profile) is not False:
             worst = 1.0
         hits = 0
         pts = surgery.sample_s1_points(rng, 10, 1, 2, profile, rho2_max=1.8)
         for row in pts:
             pt = ModelPoint.from_array(row, 1, 2)
-            if surgery.handle_membership(pt, config, profile) is True:
+            if surgery.handle_membership(pt, profile) is True:
                 hits += 1
         if hits < 8:
             worst = 1.0
@@ -594,7 +593,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
 def suite_monodromy(cfg: ScenarioConfig, check) -> None:
     eps = cfg.epsilon
     profile = HandleProfile(0.05)
-    config = SurgeryConfig(epsilon=eps, delta=0.05)
+    config = SurgeryConfig(epsilon=eps)
     flow_cfg = IntegratorConfig(step=cfg.flow_step, max_time=2.0, event_tol=1e-12)
 
     @check("pre-surgery-trivial",
@@ -651,7 +650,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["post_surgery_closed_form", "recognize_dehn_twist"], 1e-6)
     def worked_point():
         start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), 0.1)
-        conf = SurgeryConfig(epsilon=0.1, delta=0.05)
+        conf = SurgeryConfig(epsilon=0.1)
         res = mono.post_surgery_pipeline(start, conf, HandleProfile(0.05), flow_cfg)
         w_out = res.closed_form_point.w
         frozen = np.array([0.923077, 0.384615])
@@ -763,7 +762,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
     def window_fit():
         rng = check_rng(cfg.seed, "window")
         weps = cfg.window_epsilon
-        wconf = SurgeryConfig(epsilon=weps, delta=0.05)
+        wconf = SurgeryConfig(epsilon=weps)
         fits = {}
         worst = 0.0
         for nzw in (2, 3):
@@ -1176,14 +1175,14 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         for _ in range(60):
             u = np.array([rng.uniform(0, 2 * math.pi),
-                          rng.uniform(profile.matching_radius, 0.9999),
+                          rng.uniform(profile.MATCHING_RADIUS, 0.9999),
                           rng.uniform(0, 2 * math.pi)])
             for v in np.eye(3):
                 worst = max(worst, abs(forms.pullback_eval(glue, collar, u, [v])
                                        - beta(u, v)))
         # binding-side frozen values: the phi coefficient saturates at 1,
         # and at the axis the boundary form is scaled by h1(0)
-        u = np.array([0.7, profile.matching_radius + 0.1, 0.2])
+        u = np.array([0.7, profile.MATCHING_RADIUS + 0.1, 0.2])
         worst = max(worst, abs(beta(u, np.array([0.0, 0.0, 1.0])) - 1.0))
         u0 = np.array([0.7, 0.0, 0.2])
         worst = max(worst, abs(beta(u0, np.array([1.0, 0.0, 0.0])) - profile.h1(0.0)))
@@ -1281,9 +1280,9 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         worst = max(worst, float(h1d.max()))  # non-increasing
         worst = max(worst, float((-h2d).max()))  # non-decreasing
         # exponential matching beyond the matching radius
-        for r in (profile.matching_radius, 0.8, 0.95):
+        for r in (profile.MATCHING_RADIUS, 0.8, 0.95):
             worst = max(worst, abs(profile.h1(r) - math.exp(0.5 - r)))
-        for r in (profile.matching_radius, 0.9):
+        for r in (profile.MATCHING_RADIUS, 0.9):
             worst = max(worst, abs(profile.h2(r) - 1.0))
         for r in (0.05, 0.2):
             worst = max(worst, abs(profile.h2(r) - r * r))

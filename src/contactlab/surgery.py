@@ -83,21 +83,18 @@ class ModelPoint:
 
 @dataclass(frozen=True)
 class SurgeryConfig:
-    """Parameters of a surgery run: page half-angle, Liouville speed, scaling."""
+    """Page half-angle and Liouville speed of a surgery run.  Nothing here reads
+    ``delta``; perfbench/worker.py ``check_page_transport`` passes it."""
 
     epsilon: float = 0.1
     a: float = math.inf  # math.inf dispatches to the closed-form limit transfer
-    C: float = 1.0
     delta: float = 0.05
-    glue_radius: float = 1.5
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.25:
             raise ValueError("page half-angle must lie in (0, 1/4)")
         if not (self.a == math.inf or self.a > 0.0):
             raise ValueError("Liouville parameter a must be positive or infinite")
-        if self.C <= 0.0:
-            raise ValueError("neighborhood scaling C must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +621,11 @@ def transfer_to_s_minus1(pt: ModelPoint) -> ModelPoint:
 # handle membership by flow oracle
 # ---------------------------------------------------------------------------
 
-def handle_membership(pt: ModelPoint, config: SurgeryConfig,
-                      profile: HandleProfile) -> Optional[bool]:
+def handle_membership(pt: ModelPoint, profile: HandleProfile) -> Optional[bool]:
     """Membership in the handle region, decided by flowing along the Liouville field.
 
     True when the backward flow meets the gluing collar on |w|^2 = 1 (within
-    the configured radius) and the forward flow meets the surgered
+    radius 1.5 of the core) and the forward flow meets the surgered
     hypersurface; False when either is provably unreachable; None when the
     flow oracle is inconclusive within the time bound.
     """
@@ -653,7 +649,7 @@ def handle_membership(pt: ModelPoint, config: SurgeryConfig,
         if t_hit is not None:
             hit = ModelPoint.from_array(states[-1], nxy, nzw)
             rho2 = float(hit.x @ hit.x + hit.y @ hit.y + hit.z @ hit.z)
-            reach_glue = rho2 <= config.glue_radius ** 2
+            reach_glue = rho2 <= 1.5 ** 2  # the gluing collar's radius
         else:
             return None
 

@@ -101,9 +101,9 @@ def test_criterion_04_monodromy_core():
     worst_wnorm = 0.0
     for nzw in (2, 3, 4):
         rng = np.random.default_rng([400, nzw])
-        for _ in range(200):
-            start = mono.admissible_start(rng, nzw, 0.1, profile.delta)
-            res = mono.post_surgery_pipeline(start, config, profile, flow_cfg)
+        starts = [mono.admissible_start(rng, nzw, 0.1, profile.delta) for _ in range(200)]
+        for res in mono.post_surgery_pipeline_batch(starts, config, [profile] * 200,
+                                                    flow_cfg):
             worst_pipeline = max(worst_pipeline, res.residuals["closed_vs_pipeline"])
             worst_wnorm = max(worst_wnorm, abs(
                 float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
@@ -218,7 +218,7 @@ def test_criterion_08_open_book_assembly():
     overlap = 0.0
     for _ in range(50):
         u = np.array([rng.uniform(0, 6.28),
-                      rng.uniform(profile.matching_radius, 0.999),
+                      rng.uniform(profile.MATCHING_RADIUS, 0.999),
                       rng.uniform(0, 6.28)])
         for v in np.eye(3):
             overlap = max(overlap, abs(

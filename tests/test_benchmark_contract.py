@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import contactlab
-from contactlab import monodromy, moves, openbook as ob, sphere, suites
+from contactlab import monodromy, moves, openbook as ob, profiles, sphere, suites, surgery
 from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig
 from contactlab.reports import CheckRecord
@@ -81,6 +81,13 @@ def test_worker_call_shapes_bind():
         (sphere.dehn_twist_batch, (x, x, x), {}),
         (moves.conjugate, (x, x, x), {}),
         (moves.equivalent_up_to_moves, (x, x), {}),
+        (surgery.SurgeryConfig, (), {"epsilon": x, "delta": x}),
+        (surgery.ModelPoint, (x, x, x, x), {}),
+        (profiles.HandleProfile, (x,), {}),
+        (profiles.DehnTwistProfile, (1.0, 1), {}),
+        (IntegratorConfig, (), {"step": x, "max_time": x, "event_tol": x}),
+        (sphere.SpherePoint, (x, x), {}),
+        (sphere.dehn_twist, (x, x), {}),
     ]
     for func, args, kwargs in shapes:
         inspect.signature(func).bind(*args, **kwargs)

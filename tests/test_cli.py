@@ -90,6 +90,15 @@ def test_cli_runs_suite_and_writes_report(tmp_path, capsys):
     assert np.max(np.abs(theta - (-0.1 + 2.0 * t))) < 1e-8
 
 
+@pytest.mark.parametrize("blocked", ["report-binding.json", "page_flow.csv"])
+def test_cli_exits_2_naming_an_output_file_it_cannot_write(tmp_path, capsys, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert cli.main(["--suite", "binding", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / blocked}: Is a directory" in err
+
+
 def test_exit_code_nonzero_on_failure(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -119,6 +128,12 @@ def test_config_roundtrip_and_validation():
         config_from_dict({"tolerances": {"strictness": -1.0}})
 
 
+def test_report_environment_holds_versions_and_schema(all_suite_report):
+    env = json.loads(all_suite_report.to_json())["environment"]
+    assert set(env) == {"numpy", "platform", "python", "schema_version"}
+    assert env["schema_version"] == 2
+
+
 def test_check_rng_stable():
     a = check_rng(7, "alpha").standard_normal(4)
     b = check_rng(7, "alpha").standard_normal(4)
@@ -140,17 +155,15 @@ def test_all_suite_passes_at_reduced_scale(all_suite_report):
     assert not failed, f"failed checks: {failed}"
 
 
-def test_numpy_backend_subprocess_runs_moves_suite():
+def test_fresh_interpreter_runs_moves_suite():
     # A fresh interpreter with a minimal env, so nothing leaks in from the
     # parent; the child imports the same contactlab as this process (a
     # checkout or an install).
     package_root = str(Path(contactlab.__file__).resolve().parents[1])
     code = subprocess.run(
         [sys.executable, "-c",
-         "from contactlab import active_backend;"
          "from contactlab.config import config_from_dict;"
          "from contactlab.suites import run_suite;"
-         "assert active_backend() == 'numpy';"
          "rep = run_suite(config_from_dict({'suite': 'moves', 'n_chains': 20,"
          "'n_nonconnected': 5}));"
          "assert rep.passed"],

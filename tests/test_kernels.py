@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from contactlab import _kernels as k
-from contactlab import active_backend, flows, sphere, surgery
+from contactlab import flows, sphere, surgery
 from contactlab.flows import IntegratorConfig
 from contactlab.forms import VectorFieldOracle
 from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
@@ -168,10 +168,6 @@ def test_projection_kernels():
     v = np.array([0.9, 0.1, 0.1, 0.95])
     out = surgery.level_projection(0, 2, 0.1)(v.copy())
     assert abs(surgery.level_value(0, 2, 0.1)(out)) < 1e-12
-
-
-def test_backend_selection_reports_valid_name():
-    assert active_backend() == "numpy"
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_binding_form_matches_glued_form_on_overlap():
     glue = ob.glue_map(1)
     for _ in range(30):
         u = np.array([rng.uniform(0, 6.28),
-                      rng.uniform(profile.matching_radius, 0.999),
+                      rng.uniform(profile.MATCHING_RADIUS, 0.999),
                       rng.uniform(0, 6.28)])
         for v in np.eye(3):
             assert abs(pullback_eval(glue, collar, u, [v]) - beta(u, v)) < 1e-14

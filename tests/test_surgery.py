@@ -192,15 +192,14 @@ def test_inverse_transfer_normalizes_w():
 
 
 def test_membership_desk_cases():
-    config = SurgeryConfig(epsilon=0.1, delta=0.05)
     origin = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
-    assert handle_membership(origin, config, PROFILE) is False
+    assert handle_membership(origin, PROFILE) is False
     far = ModelPoint(np.zeros(1), np.zeros(1), np.array([3.0, 0.0]), np.zeros(2))
-    assert handle_membership(far, config, PROFILE) is False
+    assert handle_membership(far, PROFILE) is False
     inflated = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.array([1.5, 0.0]))
-    assert handle_membership(inflated, config, PROFILE) is False
+    assert handle_membership(inflated, PROFILE) is False
     pts = surgery.sample_s1_points(rng, 6, 1, 2, PROFILE, rho2_max=1.8)
-    hits = sum(handle_membership(ModelPoint.from_array(row, 1, 2), config, PROFILE) is True
+    hits = sum(handle_membership(ModelPoint.from_array(row, 1, 2), PROFILE) is True
                for row in pts)
     assert hits >= 5
 
@@ -218,8 +217,6 @@ def test_surgery_config_validation():
         SurgeryConfig(epsilon=0.3)
     with pytest.raises(ValueError):
         SurgeryConfig(a=-1.0)
-    with pytest.raises(ValueError):
-        SurgeryConfig(C=0.0)
     cfg = SurgeryConfig(a=math.inf)
     assert cfg.a == math.inf
 
