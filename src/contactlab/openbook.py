@@ -243,18 +243,19 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
     the plane; d(lambda)-preserving by construction (up to integrator error).
 
     The Jacobian rides along as the variational flow, so both the map and its
-    derivative come from one integration.  A single point flows in Python
-    floats, where NumPy's per-call cost on one-row arrays would dominate; a
-    batch flows in NumPy columns.  Both run :func:`bump_variational_terms`,
-    so a row's bits do not depend on the route.
+    derivative come from one integration.  A single point flows on
+    :func:`_kernels.rk4_final_floats`, its field returning the float terms
+    as they are, since NumPy's per-call cost on a one-row array would
+    dominate; a batch flows in NumPy columns on :func:`_kernels.rk4_final`.
+    Both run :func:`bump_variational_terms` and the same RK4 arithmetic, so a
+    row's bits do not depend on the route.
     """
     r02 = support_radius ** 2
 
     def float_field(u):
-        x, y, j00, j01, j10, j11 = u.tolist()
+        x, y, j00, j01, j10, j11 = u
         base = max(1.0 - (x * x + y * y) / r02, 0.0)
-        return np.array(bump_variational_terms(amplitude, r02, base, x, y,
-                                               j00, j01, j10, j11))
+        return bump_variational_terms(amplitude, r02, base, x, y, j00, j01, j10, j11)
 
     def column_field(u):
         x, y = u[:, 0], u[:, 1]
@@ -269,8 +270,8 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
         # the variational flow carries the trajectory: its x-columns are the map
         if len(pts) == 1:
             (x, y), = pts.tolist()
-            out = _kernels.rk4_final(float_field, [x, y, 1.0, 0.0, 0.0, 1.0],
-                                     1.0, step)[None, :]
+            end = _kernels.rk4_final_floats(float_field, [x, y, 1.0, 0.0, 0.0, 1.0], 1.0, step)
+            out = np.array([end])
         else:
             state = np.zeros((len(pts), 6))
             state[:, :2] = pts
@@ -398,6 +399,21 @@ class GirouxResult:
     base_point: Array
 
 
+def _last_call_memo(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """fn of one float array, remembering its last call: an argument with the
+    bytes of the previous one gets the previous value back without a call."""
+    last = {"key": None, "value": None}
+
+    def memo(x):
+        key = x.tobytes()
+        if key != last["key"]:
+            last["value"] = fn(x)
+            last["key"] = key
+        return last["value"]
+
+    return memo
+
+
 def giroux_correction(domain: ExactSymplecticDomain,
                       psi: SymplectomorphismCandidate,
                       flow_cfg: IntegratorConfig,
@@ -412,6 +428,13 @@ def giroux_correction(domain: ExactSymplecticDomain,
     differentiates to -(psi_hat^* lambda - lambda) when the correction
     succeeds; the identity is a *checked* output, not an assumption.  Inputs
     with |d(psi^* lambda - lambda)| > 1e-6 at a sample are rejected.
+
+    One flow per point serves both h and psi_hat: the end of the last flow is
+    kept, keyed by the start's bytes.  The flow's field keeps its last state
+    and value the same way, so a flow from a zero of Y (the base point, a
+    point off the support of psi, any point for the identity), which never
+    moves, evaluates Y once instead of at every RK4 stage.  Both memos return
+    values computed from identical input bytes, so no result changes.
     """
     base_point = domain.sample_box.mean(axis=1)
     lam = domain.lam
@@ -448,16 +471,12 @@ def giroux_correction(domain: ExactSymplecticDomain,
         y = y_func(x)
         return np.append(y, lam(x, y))
 
-    aug_field = VectorFieldOracle(domain.dim + 1, augmented)
-    last = {"key": None, "end": None}  # memo of the last start point
+    aug_field = VectorFieldOracle(domain.dim + 1, _last_call_memo(augmented))
+    flow_from = _last_call_memo(
+        lambda x: flows.flow_fixed_time(aug_field, np.append(x, 0.0), 1.0, flow_cfg))
 
     def flow_end(x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key != last["key"]:
-            last["end"] = flows.flow_fixed_time(aug_field, np.append(x, 0.0), 1.0, flow_cfg)
-            last["key"] = key
-        return last["end"]
+        return flow_from(np.asarray(x, dtype=float))
 
     psi_hat = SmoothMap(domain.dim, domain.dim,
                         lambda x: psi.mapping(flow_end(x)[:-1].copy()))

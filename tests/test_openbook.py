@@ -273,6 +273,22 @@ def test_default_func_jac_pairs_func_and_jac():
     assert np.array_equal(jac, candidate.batched.jac(pts))
 
 
+def _separate_integrations(domain, candidate, result, x, cfg):
+    """h(x) and psi_hat(x) from their own flows, through an unmemoized
+    augmented field and through the bare Y field."""
+    def augmented(state):
+        y = result.y_field(state[:-1])
+        return np.append(y, domain.lam(state[:-1], y))
+
+    aug = VectorFieldOracle(3, augmented)
+
+    def h_raw(p):
+        return float(flow_fixed_time(aug, np.append(p, 0.0), 1.0, cfg)[-1])
+
+    return (-(h_raw(x) - h_raw(result.base_point)),
+            candidate.mapping(flow_fixed_time(result.y_field, x, 1.0, cfg)))
+
+
 @pytest.mark.parametrize("make", [lambda: ob.radial_twist_map(0.8, 0.8),
                                   lambda: ob.hamiltonian_bump_map(0.15, 0.8, step=0.05)])
 def test_shared_flow_matches_separate_integrations(make):
@@ -281,18 +297,7 @@ def test_shared_flow_matches_separate_integrations(make):
     coarse = IntegratorConfig(step=0.25, max_time=2.0)
     result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
     x = np.array([0.3, -0.2])
-
-    def augmented(state):
-        y = result.y_field(state[:-1])
-        return np.append(y, domain.lam(state[:-1], y))
-
-    aug = VectorFieldOracle(3, augmented)
-
-    def h_raw(p):
-        return float(flow_fixed_time(aug, np.append(p, 0.0), 1.0, coarse)[-1])
-
-    h_sep = -(h_raw(x) - h_raw(result.base_point))
-    psi_hat_sep = candidate.mapping(flow_fixed_time(result.y_field, x, 1.0, coarse))
+    h_sep, psi_hat_sep = _separate_integrations(domain, candidate, result, x, coarse)
     assert result.h(x) == h_sep
     assert np.array_equal(result.psi_hat(x), psi_hat_sep)
     assert abs(h_sep) > 1e-3  # the flow does move this point
@@ -304,31 +309,66 @@ def test_h_then_psi_hat_integrates_the_flow_once(monkeypatch):
     coarse = IntegratorConfig(step=0.25, max_time=2.0)
     result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
     assert result.cond_max == np.linalg.cond(domain.dlambda_const)
-    counts = {"func_jac": 0, "rk4": 0}
+    counts = {"func_jac": 0, "rk4_final": 0, "rk4_final_floats": 0}
     func_jac = candidate.batched.func_jac
-    rk4 = _kernels.rk4_final
 
     def counted_func_jac(pts):
         counts["func_jac"] += 1
         return func_jac(pts)
 
-    def counted_rk4(*args):
-        counts["rk4"] += 1
-        return rk4(*args)
+    def counted(name):
+        kernel = getattr(_kernels, name)
+
+        def run(*args):
+            counts[name] += 1
+            return kernel(*args)
+
+        return run
 
     def no_fd(*args, **kwargs):
         raise AssertionError("d(lambda) is constant on this domain")
 
     candidate.batched.func_jac = counted_func_jac
-    monkeypatch.setattr(_kernels, "rk4_final", counted_rk4)
+    for name in ("rk4_final", "rk4_final_floats"):
+        monkeypatch.setattr(_kernels, name, counted(name))
     monkeypatch.setattr(ob.ExactSymplecticDomain, "dlambda_matrix", no_fd)
     x = np.array([0.3, -0.2])
     result.h(x)
     result.psi_hat(x)
     y_evals = 4 * round(1.0 / coarse.step)
-    # one Y evaluation per func_jac call, one bump integration each, plus
-    # the Y-flow itself and the bump map applied once to its end point for psi_hat
-    assert counts == {"func_jac": y_evals, "rk4": y_evals + 2}
+    # one Y evaluation per func_jac call, one one-row bump integration each,
+    # plus the Y-flow itself and the bump map applied once to its end point
+    # for psi_hat: 18 integrations in all
+    assert counts == {"func_jac": y_evals, "rk4_final": 1, "rk4_final_floats": y_evals + 1}
+
+
+@pytest.mark.parametrize("make,x", [
+    (lambda: ob.identity_candidate(2), [0.3, -0.2]),
+    (lambda: ob.hamiltonian_bump_map(0.15, 0.8, step=0.05), [0.9, 0.1]),  # off the support
+])
+def test_flow_from_a_zero_of_y_evaluates_its_field_once(make, x):
+    domain = ob.standard_disk_domain()
+    candidate = make()
+    coarse = IntegratorConfig(step=0.25, max_time=2.0)
+    result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
+    x = np.array(x)
+    calls = []
+    func_jac = candidate.batched.func_jac
+
+    def counted_func_jac(pts):
+        calls.append(None)
+        return func_jac(pts)
+
+    candidate.batched.func_jac = counted_func_jac
+    h = result.h(x)
+    assert len(calls) == 1
+    psi_hat = result.psi_hat(x)
+    assert len(calls) == 1  # psi_hat reuses the flow of h
+    candidate.batched.func_jac = func_jac
+    h_sep, psi_hat_sep = _separate_integrations(domain, candidate, result, x, coarse)
+    assert h == h_sep
+    assert np.array_equal(psi_hat, psi_hat_sep)
+    assert np.array_equal(psi_hat, x)
 
 
 def test_legendrian_realization_requires_higher_dimension():
