@@ -267,31 +267,17 @@ def standard_complex_structure(dim: int) -> Array:
     return j
 
 
-@dataclass
-class ScalarField:
-    """A scalar function with its analytic gradient oracle."""
-
-    dim: int
-    func: Callable[[Array], float]
-    grad: Callable[[Array], Array]
-
-    def __call__(self, x: Array) -> float:
-        return float(self.func(np.asarray(x, dtype=float)))
-
-    def gradient(self, x: Array) -> Array:
-        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
-
-
-def psh_gram_matrix(f: ScalarField, pt: Array, vectors: Sequence[Array],
+def psh_gram_matrix(grad_f: Callable[[Array], Array], pt: Array, vectors: Sequence[Array],
                     h_fd: float = DEFAULT_FD_STEP) -> Array:
-    """Gram matrix of the candidate metric -d(df o J)(U, J V) on the given vectors.
+    """Gram matrix of the candidate metric -d(df o J)(U, J V) on the given
+    vectors, for the potential f with analytic gradient ``grad_f``.
 
     Positive definiteness of the result is the strict plurisubharmonicity test;
     the caller inspects the leading minors or eigenvalues.
     """
     pt = np.asarray(pt, dtype=float)
     j_std = standard_complex_structure(pt.size)
-    eta = KFormOracle(1, pt.size, lambda x, v: float(np.dot(f.gradient(x), j_std @ v)))
+    eta = KFormOracle(1, pt.size, lambda x, v: float(np.dot(grad_f(x), j_std @ v)))
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     m = len(vectors)
     gram = np.empty((m, m))

@@ -373,6 +373,8 @@ def fit_log_slope(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of log y against log x."""
     if len(set(xs)) < 2:
         raise ValueError(f"a slope needs at least two distinct x values, got {list(xs)}")
+    if not all(math.isfinite(y) and y > 0.0 for y in ys):
+        raise ValueError(f"a log slope needs positive finite y values, got {list(ys)}")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     lx = lx - lx.mean()

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels, flows
 from .flows import IntegratorConfig
-from .forms import (KFormOracle, ScalarField, SmoothMap, VectorFieldOracle,
+from .forms import (KFormOracle, SmoothMap, VectorFieldOracle,
                     exterior_derivative, one_form, reeb_coefficients)
 # not called here; kept as a module attribute because perfbench/layers.py
 # rebinds openbook.pullback_eval to time it
@@ -723,10 +723,11 @@ def legendrian_realization(n: int, lam: KFormOracle, nodes: int = 48,
 # adaptedness: Reeb transversality to the pages
 # ---------------------------------------------------------------------------
 
-def reeb_transversality_check(alpha: KFormOracle, theta: ScalarField,
+def reeb_transversality_check(alpha: KFormOracle, grad_theta: Callable[[Array], Array],
                               samples: Sequence[tuple[Array, Sequence[Array]]],
                               h_fd: float = 1e-5) -> float:
-    """min over samples of the Reeb derivative of the page function.
+    """min over samples of the Reeb derivative of the page function theta,
+    given by its gradient ``grad_theta``.
 
     Each sample is (point, tangent frame); the Reeb field is solved from
     alpha(R) = 1, i_R d(alpha) = 0 in the frame.  Positivity of the returned
@@ -736,6 +737,6 @@ def reeb_transversality_check(alpha: KFormOracle, theta: ScalarField,
     for pt, frame in samples:
         coeff = reeb_coefficients(alpha, pt, frame, h_fd)
         r_vec = sum(c * np.asarray(v, dtype=float) for c, v in zip(coeff, frame))
-        grad = theta.gradient(pt)
+        grad = grad_theta(pt)
         worst = min(worst, float(grad @ r_vec))
     return worst

@@ -28,7 +28,9 @@ from .surgery import ModelPoint, SurgeryConfig
 Array = np.ndarray
 
 # every operation whose defining formula comes from the source model must be
-# exercised at least once by the "all" suite
+# exercised at least once by the "all" suite.  The labels name formulas, not
+# functions: "phi_c" is implemented by surgery.phi_c_map and "liouville_X_a"
+# by surgery.liouville_a_field.
 QUOTED_OPS = [
     "pullback_eval", "liouville_residual", "contact_volume", "psh_gram_matrix",
     "canonical_form_eval", "geodesic_flow", "dehn_twist",
@@ -491,24 +493,20 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     def psh():
         worst = 0.0
         # f = |u|^2/4 on the plane: the candidate metric is the identity
-        f_psh = forms.ScalarField(2, lambda u: 0.25 * float(u @ u),
-                                  grad=lambda u: 0.5 * u)
-        gram = forms.psh_gram_matrix(f_psh, np.array([0.3, -0.2]), list(np.eye(2)), cfg.h_fd)
+        gram = forms.psh_gram_matrix(lambda u: 0.5 * u, np.array([0.3, -0.2]),
+                                     list(np.eye(2)), cfg.h_fd)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(2)))))
-        # constant: zero matrix, not positive definite
-        f_const = forms.ScalarField(2, lambda u: 1.5, grad=lambda u: np.zeros(2))
-        gram = forms.psh_gram_matrix(f_const, np.array([0.1, 0.4]), list(np.eye(2)), cfg.h_fd)
+        # constant f = 1.5: zero matrix, not positive definite
+        gram = forms.psh_gram_matrix(lambda u: np.zeros(2), np.array([0.1, 0.4]),
+                                     list(np.eye(2)), cfg.h_fd)
         worst = max(worst, float(np.max(np.abs(gram))))
-        # harmonic saddle: zero matrix as well (fails positivity)
-        f_saddle = forms.ScalarField(2, lambda u: float(u[0] ** 2 - u[1] ** 2),
-                                     grad=lambda u: np.array([2.0 * u[0], -2.0 * u[1]]))
-        gram = forms.psh_gram_matrix(f_saddle, np.array([0.2, 0.3]), list(np.eye(2)), cfg.h_fd)
+        # harmonic saddle f = u0^2 - u1^2: zero matrix as well (fails positivity)
+        gram = forms.psh_gram_matrix(lambda u: np.array([2.0 * u[0], -2.0 * u[1]]),
+                                     np.array([0.2, 0.3]), list(np.eye(2)), cfg.h_fd)
         worst = max(worst, float(np.max(np.abs(gram))))
-        # genuinely indefinite on two complex lines
-        f_ind = forms.ScalarField(
-            4, lambda u: 0.25 * (u[0] ** 2 + u[1] ** 2) - 0.25 * (u[2] ** 2 + u[3] ** 2),
-            grad=lambda u: 0.5 * np.array([u[0], u[1], -u[2], -u[3]]))
-        gram = forms.psh_gram_matrix(f_ind, 0.1 * np.ones(4), list(np.eye(4)), cfg.h_fd)
+        # f = (u0^2 + u1^2)/4 - (u2^2 + u3^2)/4: genuinely indefinite on two complex lines
+        gram = forms.psh_gram_matrix(lambda u: 0.5 * np.array([u[0], u[1], -u[2], -u[3]]),
+                                     0.1 * np.ones(4), list(np.eye(4)), cfg.h_fd)
         eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         if not (eig.min() < -0.5 and eig.max() > 0.5):
             worst = max(worst, 1.0)
@@ -1297,37 +1295,33 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
            ["reeb_transversality_check"], 1e-6)
     def transversality():
         worst = 0.0
-        # model open book: R = circle direction, page derivative 1
+        # model open book, page function u[2]: R = circle direction, page derivative 1
         domain = ob.standard_disk_domain(1.0)
         alpha = ob.mapping_torus_form(domain.lam)
-        theta = forms.ScalarField(3, lambda u: float(u[2]),
-                                  grad=lambda u: np.array([0.0, 0.0, 1.0]))
         rng = check_rng(cfg.seed, "adapted")
         samples = []
         for _ in range(10):
             x = np.append(domain.sample(rng, 1)[0], rng.uniform(0, 2 * math.pi))
             samples.append((x, list(np.eye(3))))
-        val = ob.reeb_transversality_check(alpha, theta, samples, cfg.h_fd)
+        val = ob.reeb_transversality_check(alpha, lambda u: np.array([0.0, 0.0, 1.0]),
+                                           samples, cfg.h_fd)
         worst = max(worst, abs(val - 1.0))
-        # constructed failure: the Reeb field is tangent to the pages of y
+        # constructed failure: the Reeb field is tangent to the pages of y = u[1]
         alpha_bad = forms.one_form(3, lambda u: np.array([0.0, u[0], 1.0]),
                                    lambda u: np.array([[0.0, 0.0, 0.0],
                                                        [1.0, 0.0, 0.0],
                                                        [0.0, 0.0, 0.0]]))
-        theta_bad = forms.ScalarField(3, lambda u: float(u[1]),
-                                      grad=lambda u: np.array([0.0, 1.0, 0.0]))
-        val_bad = ob.reeb_transversality_check(alpha_bad, theta_bad, samples, cfg.h_fd)
+        val_bad = ob.reeb_transversality_check(
+            alpha_bad, lambda u: np.array([0.0, 1.0, 0.0]), samples, cfg.h_fd)
         worst = max(worst, abs(val_bad))
-        # the surgery model page function against its Reeb field
+        # the surgery model page function z . w against its Reeb field
         alpha_model = surgery.alpha_model_form(0, 2)
-        theta_model = forms.ScalarField(
-            4, lambda u: float(u[:2] @ u[2:]),
-            grad=lambda u: np.concatenate([u[2:], u[:2]]))
         samples_m = []
         for _ in range(10):
             pt = surgery.random_s_minus1_point(rng, 0, 2)
             samples_m.append((pt.as_array(), surgery.s_minus1_tangent_frame(pt)))
-        val_m = ob.reeb_transversality_check(alpha_model, theta_model, samples_m, cfg.h_fd)
+        val_m = ob.reeb_transversality_check(
+            alpha_model, lambda u: np.concatenate([u[2:], u[:2]]), samples_m, cfg.h_fd)
         worst = max(worst, abs(val_m - 1.0))
         return worst, 30, {"model": val_m, "bad": val_bad}
 

@@ -6,6 +6,11 @@ induced contact form alpha = (x dy - y dx)/2 + 2z dw + w dz and models a
 neighborhood of an isotropic sphere before surgery; S_1, the zero set of
 F = -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2), models the result of the surgery.
 
+Each model quantity (F, its gradient, the page field X_F, the Reeb field and
+the Liouville field) is written once, on the flat state that flows, events
+and projections use; the ``ModelPoint`` functions the pointwise checks call
+evaluate that flat form and wrap the result.
+
 Flat ambient layout is the block vector [x | y | z | w]; the sphere-bundle
 chart for the neighborhood straightening map is [z_scalar | q | p | x | y].
 """
@@ -57,14 +62,6 @@ class ModelPoint:
     def nzw(self) -> int:
         return self.z.size
 
-    @property
-    def n(self) -> int:
-        return self.nxy + self.nzw
-
-    @property
-    def k(self) -> int:
-        return self.nzw - 1
-
     def as_array(self) -> Array:
         return np.concatenate([self.x, self.y, self.z, self.w])
 
@@ -78,7 +75,8 @@ class ModelPoint:
         return float(self.z @ self.w)
 
     def on_s_minus1(self) -> bool:
-        return abs(self.w @ self.w - 1.0) < S_TOL
+        _, w2 = _rho2_w2(self.as_array().tolist(), self.nxy, self.nzw)
+        return abs(w2 - 1.0) < S_TOL
 
 
 @dataclass(frozen=True)
@@ -121,10 +119,6 @@ def omega0_form(nxy: int, nzw: int) -> KFormOracle:
     return form
 
 
-def liouville_X(pt: ModelPoint) -> ModelPoint:
-    return ModelPoint(0.5 * pt.x, 0.5 * pt.y, 2.0 * pt.z, -pt.w)
-
-
 # ---------------------------------------------------------------------------
 # model fields, events and projections on the flat block state
 # ---------------------------------------------------------------------------
@@ -150,6 +144,11 @@ def _rho2_w2(v: list, nxy: int, nzw: int):
     return _sum_sq(v[:b]), _sum_sq(v[b:b + nzw])
 
 
+def _at_point(field, pt: ModelPoint) -> ModelPoint:
+    """A flat-state field evaluated at a model point, split back into blocks."""
+    return ModelPoint.from_array(field(pt.as_array()), pt.nxy, pt.nzw)
+
+
 def liouville_field(nxy: int, nzw: int) -> VectorFieldOracle:
     dim = 2 * nxy + 2 * nzw
     scale = np.concatenate([np.full(2 * nxy, 0.5), np.full(nzw, 2.0), np.full(nzw, -1.0)])
@@ -160,9 +159,9 @@ def liouville_field(nxy: int, nzw: int) -> VectorFieldOracle:
     return VectorFieldOracle(dim, func)
 
 
-def liouville_X_a(pt: ModelPoint, a: float) -> ModelPoint:
-    return ModelPoint(np.zeros_like(pt.x), np.zeros_like(pt.y),
-                      (1.0 + a) * pt.z, -a * pt.w)
+def liouville_X(pt: ModelPoint) -> ModelPoint:
+    """The Liouville field (x/2, y/2, 2z, -w) at a model point."""
+    return _at_point(liouville_field(pt.nxy, pt.nzw).func, pt)
 
 
 def liouville_a_field(nxy: int, nzw: int, a: float) -> VectorFieldOracle:
@@ -215,14 +214,9 @@ def alpha_model_form(nxy: int, nzw: int) -> KFormOracle:
     return one_form(dim, coeffs, coeffs_jac)
 
 
-def reeb_s_minus1(pt: ModelPoint) -> ModelPoint:
-    """The Reeb field of alpha on S_{-1}: the w vector placed in the z slot."""
-    return ModelPoint(np.zeros_like(pt.x), np.zeros_like(pt.y),
-                      pt.w.copy(), np.zeros_like(pt.w))
-
-
 def reeb_field(nxy: int, nzw: int) -> VectorFieldOracle:
-    """The Reeb field on a (d,) state or an (m, d) row batch."""
+    """The Reeb field of alpha on S_{-1}, the w vector placed in the z slot,
+    on a (d,) state or an (m, d) row batch."""
     dim = 2 * nxy + 2 * nzw
     b = 2 * nxy
 
@@ -232,6 +226,11 @@ def reeb_field(nxy: int, nzw: int) -> VectorFieldOracle:
         return du
 
     return VectorFieldOracle(dim, func)
+
+
+def reeb_s_minus1(pt: ModelPoint) -> ModelPoint:
+    """The Reeb field at a point of S_{-1}."""
+    return _at_point(reeb_field(pt.nxy, pt.nzw).func, pt)
 
 
 def theta_page(pt: ModelPoint) -> float:
@@ -371,15 +370,9 @@ def alpha_chart_form(nzw: int, nxy: int) -> KFormOracle:
     return one_form(dim, coeffs, coeffs_jac)
 
 
-def phi_c(z: float, sp: SpherePoint, x: Array, y: Array, C: float):
-    """Conformal rescaling (z, q, p, x, y) -> (Cz, q, Cp, sqrt(C) x, sqrt(C) y)."""
-    if C <= 0.0:
-        raise ValueError("scaling constant must be positive")
-    root = math.sqrt(C)
-    return C * z, SpherePoint(sp.q.copy(), C * sp.p), root * np.asarray(x), root * np.asarray(y)
-
-
 def phi_c_map(nzw: int, nxy: int, C: float) -> SmoothMap:
+    """Conformal rescaling (z, q, p, x, y) -> (Cz, q, Cp, sqrt(C) x, sqrt(C) y)
+    on the sphere-bundle chart."""
     if C <= 0.0:
         raise ValueError("scaling constant must be positive")
     dim = 1 + 2 * nzw + 2 * nxy
@@ -394,20 +387,29 @@ def phi_c_map(nzw: int, nxy: int, C: float) -> SmoothMap:
 # the surgered hypersurface
 # ---------------------------------------------------------------------------
 
+def _handle_value(rho2: float, w2: float, delta: float) -> float:
+    """The handle function -f(|w|^2) + g(rho^2); S_1 is its zero set."""
+    return -handle_f(w2, delta) + handle_g(rho2, delta)
+
+
+def _handle_gradient(u: Array, rho2: float, w2: float, nzw: int, delta: float) -> Array:
+    """The gradient 2 g'(rho^2) (x, y, z) and -2 f'(|w|^2) w of a flat state."""
+    b = u.size - nzw
+    grad = np.empty(u.size)
+    grad[:b] = (2.0 * handle_g_d(rho2, delta)) * u[:b]
+    grad[b:] = (-2.0 * handle_f_d(w2, delta)) * u[b:]
+    return grad
+
+
 def f_eval(pt: ModelPoint, profile: HandleProfile) -> float:
-    """The handle function -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2); S_1 is its zero set."""
-    w2 = float(pt.w @ pt.w)
-    rho2 = float(pt.x @ pt.x + pt.y @ pt.y + pt.z @ pt.z)
-    return -profile.f(w2) + profile.g(rho2)
+    """The handle function F at a model point."""
+    return level_value(pt.nxy, pt.nzw, profile.delta)(pt.as_array())
 
 
 def grad_f(pt: ModelPoint, profile: HandleProfile) -> Array:
-    w2 = float(pt.w @ pt.w)
-    rho2 = float(pt.x @ pt.x + pt.y @ pt.y + pt.z @ pt.z)
-    gp = profile.g_d(rho2)
-    fp = profile.f_d(w2)
-    return np.concatenate([2.0 * gp * pt.x, 2.0 * gp * pt.y,
-                           2.0 * gp * pt.z, -2.0 * fp * pt.w])
+    u = pt.as_array()
+    rho2, w2 = _rho2_w2(u.tolist(), pt.nxy, pt.nzw)
+    return _handle_gradient(u, rho2, w2, pt.nzw, profile.delta)
 
 
 def transversality_margin(pt: ModelPoint, profile: HandleProfile) -> float:
@@ -438,11 +440,8 @@ def _margin(v: list, nxy: int, nzw: int, delta: float) -> float:
 
 
 def hamiltonian_field_xf(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
-    """2 g' z in the w slot plus 2 f' w in the z slot; satisfies i_X omega0 = -dF."""
-    w2 = float(pt.w @ pt.w)
-    rho2 = float(pt.x @ pt.x + pt.y @ pt.y + pt.z @ pt.z)
-    return ModelPoint(np.zeros_like(pt.x), np.zeros_like(pt.y),
-                      2.0 * profile.f_d(w2) * pt.w, 2.0 * profile.g_d(rho2) * pt.z)
+    """The page field X_F at a model point; satisfies i_X omega0 = -dF."""
+    return _at_point(handle_hamiltonian_rhs(pt.nxy, pt.nzw, profile.delta), pt)
 
 
 def handle_hamiltonian_field(nxy: int, nzw: int, profile: HandleProfile) -> VectorFieldOracle:
@@ -484,25 +483,20 @@ def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
 def level_value(nxy: int, nzw: int, delta: float):
     """The handle function -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2) of a flat state."""
     def value(u):
-        rho2, w2 = _rho2_w2(u.tolist(), nxy, nzw)
-        return -handle_f(w2, delta) + handle_g(rho2, delta)
+        return _handle_value(*_rho2_w2(u.tolist(), nxy, nzw), delta)
 
     return value
 
 
 def level_projection(nxy: int, nzw: int, delta: float):
     """Newton steps, in place, onto the zero level of the handle function."""
-    b = 2 * nxy + nzw
-
     def project(u):
         for _ in range(8):
             rho2, w2 = _rho2_w2(u.tolist(), nxy, nzw)
-            fval = -handle_f(w2, delta) + handle_g(rho2, delta)
+            fval = _handle_value(rho2, w2, delta)
             if abs(fval) < 1e-13:
                 break
-            grad = np.empty(u.size)
-            grad[:b] = (2.0 * handle_g_d(rho2, delta)) * u[:b]
-            grad[b:] = (-2.0 * handle_f_d(w2, delta)) * u[b:]
+            grad = _handle_gradient(u, rho2, w2, nzw, delta)
             gnorm2 = _sum_sq(grad.tolist())
             if gnorm2 == 0.0:
                 break
@@ -632,39 +626,36 @@ def handle_membership(pt: ModelPoint, profile: HandleProfile) -> Optional[bool]:
     step, max_time, event_tol = 1e-3, 12.0, 1e-10  # the flow oracle's RK4
     u0 = pt.as_array()
     nxy, nzw = pt.nxy, pt.nzw
-    field_speed = np.linalg.norm(liouville_X(pt).as_array())
-    if field_speed < 1e-14:
+    liouville = liouville_field(nxy, nzw).func
+    if np.linalg.norm(liouville(u0)) < 1e-14:
         return False
 
-    w_norm = float(np.linalg.norm(pt.w))
-    if w_norm == 0.0:
+    rho2_0, w2_0 = _rho2_w2(u0.tolist(), nxy, nzw)
+    if w2_0 == 0.0:
         return False  # |w| stays 0 along the flow, never reaches the collar
-    liouville = liouville_field(nxy, nzw).func
-    if w_norm > 1.0 + 1e-12:
+    if math.sqrt(w2_0) > 1.0 + 1e-12:
         reach_glue = False  # backward flow inflates |w| further
     else:
         t_hit, _, states = _kernels.rk4_until_event(
             liouville, u0, wnorm2_value(nxy, nzw), 1.0, step, max_time, event_tol,
             direction=-1.0)
         if t_hit is not None:
-            hit = ModelPoint.from_array(states[-1], nxy, nzw)
-            rho2 = float(hit.x @ hit.x + hit.y @ hit.y + hit.z @ hit.z)
+            rho2, _ = _rho2_w2(states[-1].tolist(), nxy, nzw)
             reach_glue = rho2 <= 1.5 ** 2  # the gluing collar's radius
         else:
             return None
 
-    f0 = f_eval(pt, profile)
-    rho0 = float(np.linalg.norm(np.concatenate([pt.x, pt.y, pt.z])))
-    if f0 < 0.0 and rho0 < 1e-14:
+    level = level_value(nxy, nzw, profile.delta)
+    f0 = level(u0)
+    if f0 < 0.0 and math.sqrt(rho2_0) < 1e-14:
         reach_s1 = False  # on the w axis the level value caps out below zero
     else:
         t_hit, _, states = _kernels.rk4_until_event(
-            liouville, u0, level_value(nxy, nzw, profile.delta), 0.0, step, max_time,
-            event_tol)
+            liouville, u0, level, 0.0, step, max_time, event_tol)
         if t_hit is not None:
             reach_s1 = True
         else:
-            f_end = f_eval(ModelPoint.from_array(states[-1], nxy, nzw), profile)
+            f_end = level(states[-1])
             if f0 > 0.0 and f_end >= f0:
                 reach_s1 = False  # level value only grows along the forward flow
             else:

@@ -158,7 +158,7 @@ def test_all_suite_passes_at_reduced_scale(all_suite_report):
 def test_fresh_interpreter_runs_moves_suite():
     # A fresh interpreter with a minimal env, so nothing leaks in from the
     # parent; the child imports the same contactlab as this process (a
-    # checkout or an install).
+    # checkout or an install) and writes no bytecode into it.
     package_root = str(Path(contactlab.__file__).resolve().parents[1])
     code = subprocess.run(
         [sys.executable, "-c",
@@ -167,6 +167,7 @@ def test_fresh_interpreter_runs_moves_suite():
          "rep = run_suite(config_from_dict({'suite': 'moves', 'n_chains': 20,"
          "'n_nonconnected': 5}));"
          "assert rep.passed"],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
+             "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True)
     assert code.returncode == 0, code.stderr

@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from contactlab import forms
-from contactlab.forms import (KFormOracle, ScalarField, SmoothMap,
+from contactlab.forms import (KFormOracle, SmoothMap,
                               constant_two_form, exterior_derivative,
                               fd_jacobian, identity_map, compose_maps,
                               liouville_residual, one_form, psh_gram_matrix,
@@ -185,9 +185,7 @@ def test_psh_gram_matches_symbolic_oracle():
     ]
     for expr, grad in cases:
         oracle = _sympy_psh_gram(expr, x, y, at)
-        f = ScalarField(2, lambda u, e=expr: float(
-            sp.lambdify((x, y), e)(u[0], u[1])), grad=grad)
-        gram = psh_gram_matrix(f, np.array(at), list(np.eye(2)))
+        gram = psh_gram_matrix(grad, np.array(at), list(np.eye(2)))
         assert np.max(np.abs(gram - oracle)) < 1e-6
     # frozen oracle values
     assert np.allclose(_sympy_psh_gram((x ** 2 + y ** 2) / 4, x, y, at), np.eye(2))
@@ -195,11 +193,10 @@ def test_psh_gram_matches_symbolic_oracle():
 
 
 def test_psh_positive_definite_only_for_subharmonic():
-    f = ScalarField(2, lambda u: 0.25 * float(u @ u), grad=lambda u: 0.5 * u)
-    gram = psh_gram_matrix(f, np.array([0.1, 0.2]), list(np.eye(2)))
+    # f = |u|^2/4, then the constant f = 3
+    gram = psh_gram_matrix(lambda u: 0.5 * u, np.array([0.1, 0.2]), list(np.eye(2)))
     assert np.all(np.linalg.eigvalsh(0.5 * (gram + gram.T)) > 0.5)
-    f_const = ScalarField(2, lambda u: 3.0, grad=lambda u: np.zeros(2))
-    gram = psh_gram_matrix(f_const, np.array([0.1, 0.2]), list(np.eye(2)))
+    gram = psh_gram_matrix(lambda u: np.zeros(2), np.array([0.1, 0.2]), list(np.eye(2)))
     assert np.max(np.abs(gram)) < 1e-8
 
 

@@ -184,6 +184,35 @@ def test_log_slope_needs_two_distinct_abscissae():
             mono.fit_log_slope(xs, [1.0] * len(xs))
 
 
+def test_log_slope_rejects_non_positive_or_non_finite_ordinates():
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            mono.fit_log_slope([0.02, 0.04, 0.08], [1e-3, bad, 4e-3])
+
+
+def test_zero_deviation_fails_the_window_check(monkeypatch):
+    # a zero deviation has no logarithm: the check must record the error, not
+    # pass on a NaN slope that max(0.0, nan) hides
+    from contactlab import reports, suites
+    from contactlab.config import config_from_dict
+
+    def one_check(name, *args):
+        if name == "smoothing-window-bound":
+            return reports.run_check(name, *args)
+        anchor, ops, tolerance, _ = args
+        return reports.CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
+                                   tolerance=tolerance, passed=True, ops=ops)
+
+    monkeypatch.setattr(suites, "run_check", one_check)
+    monkeypatch.setattr(mono, "delta_deviation_scan",
+                        lambda rng, deltas, *rest: {d: (0.0 if i == 0 else d)
+                                                    for i, d in enumerate(deltas)})
+    report = suites.run_suite(config_from_dict({"suite": "monodromy"}))
+    record = next(c for c in report.checks if c.name == "smoothing-window-bound")
+    assert not record.passed
+    assert record.details["error"].startswith("ValueError: a log slope needs")
+
+
 def test_word_identity_and_single_letter():
     base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
                                             np.array([0.0, 0.4])))

@@ -7,7 +7,7 @@ import pytest
 
 from contactlab import _kernels, forms, openbook as ob, sphere
 from contactlab.flows import IntegratorConfig, flow_fixed_time
-from contactlab.forms import ScalarField, VectorFieldOracle, pullback_eval
+from contactlab.forms import VectorFieldOracle, pullback_eval
 from contactlab.profiles import BindingProfile
 
 rng = np.random.default_rng(41)
@@ -423,18 +423,19 @@ def test_legendrian_correction_is_exact_in_the_cutoff_band():
 def test_reeb_transversality_three_cases():
     domain = ob.standard_disk_domain()
     alpha = ob.mapping_torus_form(domain.lam)
-    theta = ScalarField(3, lambda u: float(u[2]),
-                        grad=lambda u: np.array([0.0, 0.0, 1.0]))
     samples = [(np.array([0.2, -0.3, 1.0]), list(np.eye(3)))]
-    assert ob.reeb_transversality_check(alpha, theta, samples) == pytest.approx(1.0, abs=1e-8)
+    # the gradient of the page function u[2]
+    val = ob.reeb_transversality_check(alpha, lambda u: np.array([0.0, 0.0, 1.0]), samples)
+    assert val == pytest.approx(1.0, abs=1e-8)
 
     alpha_bad = forms.one_form(3, lambda u: np.array([0.0, u[0], 1.0]),
                                lambda u: np.array([[0.0, 0.0, 0.0],
                                                    [1.0, 0.0, 0.0],
                                                    [0.0, 0.0, 0.0]]))
-    theta_bad = ScalarField(3, lambda u: float(u[1]),
-                            grad=lambda u: np.array([0.0, 1.0, 0.0]))
-    assert abs(ob.reeb_transversality_check(alpha_bad, theta_bad, samples)) < 1e-9
+    # the gradient of the page function u[1]
+    val_bad = ob.reeb_transversality_check(alpha_bad, lambda u: np.array([0.0, 1.0, 0.0]),
+                                           samples)
+    assert abs(val_bad) < 1e-9
 
 
 def test_legendrian_realization_detects_path_dependence():

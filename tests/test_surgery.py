@@ -12,7 +12,7 @@ from contactlab.sphere import SpherePoint
 from contactlab.surgery import (ModelPoint, SurgeryConfig, f_eval,
                                 handle_membership, hamiltonian_field_xf,
                                 limit_transfer_to_s1, liouville_X, psi_w,
-                                psi_w_inverse, phi_c, reeb_s_minus1,
+                                psi_w_inverse, phi_c_map, reeb_s_minus1,
                                 theta_page, transfer_to_s1_finite_a,
                                 transfer_to_s_minus1, transversality_margin)
 
@@ -31,7 +31,6 @@ def test_model_point_block_validation():
     with pytest.raises(ValueError):
         ModelPoint(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
     pt = ModelPoint(np.zeros(1), np.zeros(1), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert pt.n == 3 and pt.k == 1
     back = ModelPoint.from_array(pt.as_array(), 1, 2)
     assert np.array_equal(back.as_array(), pt.as_array())
 
@@ -74,15 +73,16 @@ def test_straightening_roundtrip(seed):
 
 
 def test_rescaling_values():
-    sp = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.3]))
-    z, sp2, x, y = phi_c(0.1, sp, np.array([1.0]), np.array([2.0]), 4.0)
+    u = surgery.chart_pack(0.1, np.array([1.0, 0.0]), np.array([0.0, 0.3]),
+                           np.array([1.0]), np.array([2.0]))
+    z, q, p, x, y = surgery.chart_unpack(phi_c_map(2, 1, 4.0).func(u), 2, 1)
     assert z == pytest.approx(0.4)
-    assert np.allclose(sp2.p, [0.0, 1.2])
+    assert np.allclose(q, [1.0, 0.0]) and np.allclose(p, [0.0, 1.2])
     assert np.allclose(x, [2.0]) and np.allclose(y, [4.0])
-    z1, sp1, x1, y1 = phi_c(0.1, sp, np.array([1.0]), np.array([2.0]), 1.0)
+    z1, _, _, x1, _ = surgery.chart_unpack(phi_c_map(2, 1, 1.0).func(u), 2, 1)
     assert z1 == pytest.approx(0.1) and np.allclose(x1, [1.0])
     with pytest.raises(ValueError):
-        phi_c(0.1, sp, np.zeros(1), np.zeros(1), -2.0)
+        phi_c_map(2, 1, -2.0)
 
 
 def test_handle_function_frozen_values():
@@ -132,6 +132,48 @@ def test_reeb_field_values():
     assert abs(surgery.alpha_s_minus1_eval(pt, r.as_array()) - 1.0) < 1e-14
     pt2 = legendrian_point([0.0, 0.0], [0.0, 1.0])
     assert np.allclose(reeb_s_minus1(pt2).z, [0.0, 1.0])
+
+
+def _random_flat_states(local, count=150):
+    for nxy in (0, 1, 2):
+        for nzw in (2, 3):
+            for _ in range(count):
+                yield nxy, nzw, local.standard_normal(2 * nxy + 2 * nzw) * 0.6
+
+
+def test_point_functions_evaluate_the_flat_fields_bitwise():
+    # each model quantity has one formula: the ModelPoint functions the checks
+    # call return the very bits that flows and events use
+    profile = HandleProfile(0.1)
+    for nxy, nzw, u in _random_flat_states(np.random.default_rng(1)):
+        pt = ModelPoint.from_array(u, nxy, nzw)
+        xf = surgery.handle_hamiltonian_rhs(nxy, nzw, profile.delta)(u)
+        assert np.array_equal(hamiltonian_field_xf(pt, profile).as_array(), xf)
+        assert f_eval(pt, profile) == surgery.level_value(nxy, nzw, profile.delta)(u)
+        assert np.array_equal(reeb_s_minus1(pt).as_array(), surgery.reeb_field(nxy, nzw).func(u))
+        assert np.array_equal(liouville_X(pt).as_array(),
+                              surgery.liouville_field(nxy, nzw).func(u))
+
+
+def test_grad_f_is_the_gradient_level_projection_steps_with(monkeypatch):
+    steps = []
+    gradient = surgery._handle_gradient
+
+    def recorded(u, *args):
+        grad = gradient(u, *args)
+        steps.append((u.copy(), grad))
+        return grad
+
+    monkeypatch.setattr(surgery, "_handle_gradient", recorded)
+    profile = HandleProfile(0.1)
+    for nxy, nzw, u in _random_flat_states(np.random.default_rng(2)):
+        steps.clear()
+        surgery.level_projection(nxy, nzw, profile.delta)(u)
+        newton = list(steps)  # grad_f below records too
+        assert newton  # a random point is off the level set
+        for at, grad in newton:
+            assert np.array_equal(surgery.grad_f(ModelPoint.from_array(at, nxy, nzw), profile),
+                                  grad)
 
 
 def test_limit_transfer_frozen_example():
