@@ -1,7 +1,8 @@
 """Deterministic fixed-step RK4 flows with event detection and projection.
 
 Every flow runs through the one integrator in :mod:`contactlab._kernels`,
-which takes the field, event and projection as plain callables: an event
+which takes the field, event and projection as plain callables: a field
+``rhs(u) -> du`` such as :func:`surgery.reeb_field`, an event
 ``event(u) -> float`` such as :func:`surgery.page_value`, and a projection
 ``project(u) -> u`` such as :func:`surgery.unit_w_projection`, which keeps a
 flow on its constraint set and is applied after every step.
@@ -18,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .forms import VectorFieldOracle
 
 Array = np.ndarray
 
@@ -55,22 +55,23 @@ class Trajectory:
         return self.points[-1]
 
 
+Field = Callable[[Array], Array]
 Projection = Optional[Callable[[Array], Array]]
 
 
-def flow_fixed_time(field: VectorFieldOracle, start: Array, t: float,
+def flow_fixed_time(rhs: Field, start: Array, t: float,
                     cfg: IntegratorConfig, project: Projection = None) -> Array:
     """Classical RK4 for signed time t with post-step constraint projection."""
-    return _kernels.rk4_final(field.func, start, float(t), cfg.step, project)
+    return _kernels.rk4_final(rhs, start, float(t), cfg.step, project)
 
 
-def flow_record(field: VectorFieldOracle, start: Array, t: float,
+def flow_record(rhs: Field, start: Array, t: float,
                 cfg: IntegratorConfig, project: Projection = None) -> Trajectory:
-    times, states = _kernels.rk4_record(field.func, start, float(t), cfg.step, project)
+    times, states = _kernels.rk4_record(rhs, start, float(t), cfg.step, project)
     return Trajectory(times, states)
 
 
-def flow_until_event(field: VectorFieldOracle, start: Array,
+def flow_until_event(rhs: Field, start: Array,
                      event: Callable[[Array], float], target: float,
                      cfg: IntegratorConfig, project: Projection = None) -> Trajectory:
     """Integrate until ``event(u)`` crosses the target (bisection-refined).
@@ -80,12 +81,12 @@ def flow_until_event(field: VectorFieldOracle, start: Array,
     ``t_event`` is None and callers must check it.
     """
     t_event, times, states = _kernels.rk4_until_event(
-        field.func, start, event, float(target), cfg.step, cfg.max_time,
+        rhs, start, event, float(target), cfg.step, cfg.max_time,
         cfg.event_tol, project)
     return Trajectory(times, states, t_event)
 
 
-def flow_rows_until_event(field: VectorFieldOracle, starts: Array,
+def flow_rows_until_event(rhs: Field, starts: Array,
                           event: Callable[[Array], Array], target: float,
                           cfg: IntegratorConfig,
                           project: Projection = None) -> tuple[Array, Array]:
@@ -100,7 +101,7 @@ def flow_rows_until_event(field: VectorFieldOracle, starts: Array,
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2:
         raise ValueError(f"a row batch must have shape (m, d), got {starts.shape}")
-    return _kernels.rk4_until_event(field.func, starts, event, float(target), cfg.step,
+    return _kernels.rk4_until_event(rhs, starts, event, float(target), cfg.step,
                                     cfg.max_time, cfg.event_tol, project)
 
 

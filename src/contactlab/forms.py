@@ -1,10 +1,10 @@
 """Pointwise exterior calculus on oracle-defined objects.
 
-Maps, k-forms and vector fields are stored as evaluation callables plus
-optional analytic derivative oracles; central finite differences are the
-fallback.  Everything lives in a
-single ambient chart: points are 1-d float arrays, tangent vectors are
-arrays of the same length.
+Maps and k-forms are stored as evaluation callables plus optional analytic
+derivative oracles; central finite differences are the fallback.  A vector
+field is a plain callable ``field(x) -> v``, the form the flows integrate.
+Everything lives in a single ambient chart: points are 1-d float arrays,
+tangent vectors are arrays of the same length.
 
 Conventions:
   * wedge products follow the shuffle (determinant) convention, so
@@ -77,21 +77,6 @@ class SmoothMap:
         return fd_jacobian(self.func, x)
 
 
-def identity_map(dim: int) -> SmoothMap:
-    return SmoothMap(dim, dim, lambda x: x, jac=lambda x: np.eye(dim))
-
-
-def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """outer after inner, with chain-rule Jacobian when both are analytic."""
-    if inner.codomain_dim != outer.domain_dim:
-        raise ValueError("composition dimension mismatch")
-    jac = None
-    if outer.jac is not None and inner.jac is not None:
-        jac = lambda x: outer.jacobian(inner(x)) @ inner.jacobian(x)
-    return SmoothMap(inner.domain_dim, outer.codomain_dim,
-                     lambda x: outer(inner(x)), jac=jac)
-
-
 @dataclass
 class KFormOracle:
     """A degree-k form given by evaluation on a point and k tangent vectors.
@@ -111,23 +96,6 @@ class KFormOracle:
         return float(self.func(np.asarray(x, dtype=float), *vectors))
 
 
-@dataclass
-class VectorFieldOracle:
-    """A vector field.  Calls check the output; flows integrate ``func``
-    directly."""
-
-    dim: int
-    func: Callable[[Array], Array]
-
-    def __call__(self, x: Array) -> Array:
-        out = np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.dim,):
-            raise ValueError("vector field output has wrong shape")
-        if not np.all(np.isfinite(out)):
-            raise ValueError("vector field output is not finite")
-        return out
-
-
 def one_form(dim: int, coeffs: Callable[[Array], Array],
              coeffs_jac: Optional[Callable[[Array], Array]] = None) -> KFormOracle:
     """The 1-form sum_i a_i(x) dx_i;  an analytic coefficient Jacobian supplies
@@ -142,20 +110,6 @@ def one_form(dim: int, coeffs: Callable[[Array], Array],
             return float(np.dot(j @ u, v) - np.dot(j @ v, u))
 
     return KFormOracle(1, dim, ev, d_oracle=d_oracle)
-
-
-def two_form(dim: int, matrix: Callable[[Array], Array]) -> KFormOracle:
-    """The 2-form with antisymmetric coefficient matrix A(x): (u, v) -> u^T A v."""
-    return KFormOracle(2, dim, lambda x, u, v: float(u @ matrix(x) @ v))
-
-
-def constant_two_form(matrix: Array) -> KFormOracle:
-    mat = np.asarray(matrix, dtype=float)
-    if not np.allclose(mat, -mat.T, atol=1e-14):
-        raise ValueError("constant 2-form matrix must be antisymmetric")
-    form = two_form(mat.shape[0], lambda x: mat)
-    form.d_oracle = lambda x, u, v, w: 0.0
-    return form
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +143,7 @@ def pullback_eval(mapping: SmoothMap, form: KFormOracle, pt: Array,
     return form(image, *pushed)
 
 
-def pullback_form(mapping: SmoothMap, form: KFormOracle) -> KFormOracle:
-    return KFormOracle(form.degree, mapping.domain_dim,
-                       lambda x, *vs: pullback_eval(mapping, form, x, vs))
-
-
-def liouville_residual(field: VectorFieldOracle, omega: KFormOracle, pt: Array,
+def liouville_residual(field: Callable[[Array], Array], omega: KFormOracle, pt: Array,
                        frame: Sequence[Array], h_fd: float = DEFAULT_FD_STEP) -> float:
     """max over frame pairs of |d(i_X omega)(v_i, v_j) - omega(v_i, v_j)|.
 

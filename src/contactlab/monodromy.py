@@ -23,7 +23,6 @@ import numpy as np
 
 from . import flows, surgery
 from .flows import IntegratorConfig, Trajectory
-from .forms import VectorFieldOracle
 from .profiles import HandleProfile
 from .sphere import SpherePoint, geodesic_flow
 from .surgery import ModelPoint, SurgeryConfig
@@ -92,17 +91,17 @@ def _block_sizes(starts: Sequence[ModelPoint]) -> tuple[int, int]:
     return nxy, nzw
 
 
-def _flow_to_page(fld: VectorFieldOracle, states: list[Array], nxy: int, nzw: int,
+def _flow_to_page(rhs, states: list[Array], nxy: int, nzw: int,
                   target: float, cfg: IntegratorConfig, missed: str) -> Array:
     """The points where each state's flow reaches the page value target, as
     rows: one state flows alone, several flow as one row batch."""
     page = surgery.page_value(nxy, nzw)
     if len(states) == 1:
-        traj = flows.flow_until_event(fld, states[0], page, target, cfg)
+        traj = flows.flow_until_event(rhs, states[0], page, target, cfg)
         if traj.t_event is None:
             raise ValueError(missed)
         return traj.end[None]
-    t_event, ends = flows.flow_rows_until_event(fld, np.array(states), page, target, cfg)
+    t_event, ends = flows.flow_rows_until_event(rhs, np.array(states), page, target, cfg)
     if np.isnan(t_event).any():
         raise ValueError(missed)
     return ends
@@ -173,21 +172,15 @@ def post_surgery_pipeline_batch(starts: Sequence[ModelPoint], config: SurgeryCon
     decs, on_s1 = [], []
     for start, profile in zip(starts, profiles):
         decs.append(PageDecomposition.of(start, -eps))
-        if float(np.linalg.norm(start.z)) == 0.0:
-            raise ValueError("the z = 0 locus is removed by the surgery")
         # stage 1: transfer to the surgered hypersurface
-        if config.a == math.inf:
-            on_s1.append(surgery.limit_transfer_to_s1(start, profile))
-        else:
-            on_s1.append(surgery.transfer_to_s1_finite_a(start, config.a, profile))
+        on_s1.append(surgery.transfer_to_s1_finite_a(start, config.a, profile))
 
     # stage 2: Hamiltonian page flow until the +eps page; each state carries
     # its row's smoothing width as a last coordinate
     dim = 2 * nxy + 2 * nzw
-    fld = VectorFieldOracle(dim + 1, surgery.handle_hamiltonian_rhs(nxy, nzw))
-    ends = _flow_to_page(fld, [np.append(pt.as_array(), p.delta)
-                               for pt, p in zip(on_s1, profiles)],
-                         nxy, nzw, +eps, cfg, "page event not reached during the page flow")
+    states = [np.append(pt.as_array(), p.delta) for pt, p in zip(on_s1, profiles)]
+    ends = _flow_to_page(surgery.handle_hamiltonian_rhs(nxy, nzw), states, nxy, nzw, +eps, cfg,
+                         "page event not reached during the page flow")
 
     results = []
     for start, profile, dec_in, s1, end in zip(starts, profiles, decs, on_s1, ends):

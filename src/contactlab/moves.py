@@ -56,6 +56,12 @@ class AbstractPage:
     disks: tuple[DiskBoundary, ...] = ()
 
     def __post_init__(self):
+        if self.half_dim < 1:
+            raise ValueError(f"page dimension must be positive, got {self.half_dim}")
+        for h in self.handles:
+            if not 0 <= h.index <= self.half_dim:
+                raise ValueError(f"handle {h.label} index {h.index} lies outside "
+                                 f"[0, {self.half_dim}]")
         object.__setattr__(self, "handles",
                            tuple(sorted(self.handles, key=lambda h: h.label)))
         object.__setattr__(self, "spheres",
@@ -257,11 +263,16 @@ def from_text(text: str) -> OpenBookDesc:
     spheres: list[LagrangianSphere] = []
     disks: list[DiskBoundary] = []
     word: tuple[Letter, ...] = ()
+    seen = set()
     for raw in text.strip().splitlines():
         parts = raw.split()
         if not parts:
             continue
         kind = parts[0]
+        if kind in ("page", "word"):
+            if kind in seen:
+                raise ValueError(f"repeated {kind} line: {raw}")
+            seen.add(kind)
         if kind in _LINE_SHAPES:
             counts, keywords = _LINE_SHAPES[kind]
             if len(parts) not in counts or any(

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import _kernels, flows
 from .flows import IntegratorConfig
-from .forms import (KFormOracle, SmoothMap, VectorFieldOracle,
-                    exterior_derivative, one_form, reeb_coefficients)
+from .forms import KFormOracle, SmoothMap, exterior_derivative, one_form, reeb_coefficients
 # not called here; kept as a module attribute because perfbench/layers.py
 # rebinds openbook.pullback_eval to time it
 from .forms import pullback_eval  # noqa: F401
@@ -393,7 +392,7 @@ def binding_form_cartesian(profile: BindingProfile, lam_boundary: KFormOracle) -
 class GirouxResult:
     psi_hat: SmoothMap
     h: Callable[[Array], float]
-    y_field: VectorFieldOracle
+    y_field: Callable[[Array], Array]
     mu_closedness: float
     cond_max: float
     base_point: Array
@@ -458,20 +457,18 @@ def giroux_correction(domain: ExactSymplecticDomain,
         raise ValueError(f"psi^* lambda - lambda is not closed (residual {worst_dmu:.2e}); "
                          "the input does not preserve d(lambda)")
 
-    def y_func(x):
+    def y_field(x):
         return np.linalg.solve(domain.dlambda_const.T, -mu_vec(x))
-
-    y_field = VectorFieldOracle(domain.dim, y_func)
 
     # one flow serves both outputs: the Y-flow augmented with the quadrature
     # variable sdot = lambda(Y), whose end state holds the time-1 image (for
     # psi_hat) and the primitive's raw value (for h)
     def augmented(state):
         x = state[:-1]
-        y = y_func(x)
+        y = y_field(x)
         return np.append(y, lam(x, y))
 
-    aug_field = VectorFieldOracle(domain.dim + 1, _last_call_memo(augmented))
+    aug_field = _last_call_memo(augmented)
     flow_from = _last_call_memo(
         lambda x: flows.flow_fixed_time(aug_field, np.append(x, 0.0), 1.0, flow_cfg))
 

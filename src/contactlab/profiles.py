@@ -170,14 +170,8 @@ class HandleProfile:
     def f(self, s: float) -> float:
         return handle_f(s, self.delta)
 
-    def f_d(self, s: float) -> float:
-        return handle_f_d(s, self.delta)
-
     def g(self, s: float) -> float:
         return handle_g(s, self.delta)
-
-    def g_d(self, s: float) -> float:
-        return handle_g_d(s, self.delta)
 
     def g_inverse(self, v: float) -> float:
         """Invert g on [0, 1+delta): bisection on the monotone blend window,

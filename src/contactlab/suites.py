@@ -686,7 +686,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         for _ in range(20):
             start = mono.admissible_start(rng, 2, eps, profile.delta)
             on_s1 = surgery.limit_transfer_to_s1(start, profile)
-            fld = surgery.handle_hamiltonian_field(0, 2, profile)
+            fld = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)
             traj = flows.flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2),
                                           +eps, flow_cfg)
             worst = max(worst, mono.page_speed_residual(traj, 0, 2, eps))
@@ -815,7 +815,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
                 worst = max(worst, abs(alpha(row, surgery.reeb_s_minus1(pt).as_array()) - 1.0))
         # Hamiltonian page flow preserves the level value
         profile_l = HandleProfile(0.1)
-        fld_h = surgery.handle_hamiltonian_field(0, 2, profile_l)
+        fld_h = surgery.handle_hamiltonian_rhs(0, 2, profile_l.delta)
         on_level = surgery.level_projection(0, 2, profile_l.delta)
         pts = surgery.sample_s1_points(check_rng(cfg.seed, "fi2"), 5, 0, 2, profile_l)
         for row in pts:

@@ -7,9 +7,11 @@ neighborhood of an isotropic sphere before surgery; S_1, the zero set of
 F = -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2), models the result of the surgery.
 
 Each model quantity (F, its gradient, the page field X_F, the Reeb field and
-the Liouville field) is written once, on the flat state that flows, events
-and projections use; the ``ModelPoint`` functions the pointwise checks call
-evaluate that flat form and wrap the result.
+the Liouville field) is written once, as a plain callable on the flat state
+that flows, events and projections use; the ``ModelPoint`` functions the
+pointwise checks call evaluate that flat form and wrap the result.  The
+infinite- and finite-speed Liouville transfers onto S_1 share one
+bracket-and-bisect search for the zero of F along a flat-state path.
 
 Flat ambient layout is the block vector [x | y | z | w]; the sphere-bundle
 chart for the neighborhood straightening map is [z_scalar | q | p | x | y].
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .forms import KFormOracle, SmoothMap, VectorFieldOracle, one_form
+from .forms import KFormOracle, SmoothMap, one_form
 from .profiles import (HandleProfile, handle_f, handle_f_d, handle_f_d_column, handle_g,
                        handle_g_d, handle_g_d_column)
 from .sphere import SpherePoint, _orthonormal_complement
@@ -149,23 +151,23 @@ def _at_point(field, pt: ModelPoint) -> ModelPoint:
     return ModelPoint.from_array(field(pt.as_array()), pt.nxy, pt.nzw)
 
 
-def liouville_field(nxy: int, nzw: int) -> VectorFieldOracle:
-    dim = 2 * nxy + 2 * nzw
+def liouville_field(nxy: int, nzw: int):
+    """The Liouville field (x/2, y/2, 2z, -w) of a flat state."""
     scale = np.concatenate([np.full(2 * nxy, 0.5), np.full(nzw, 2.0), np.full(nzw, -1.0)])
 
     def func(u):
         return scale * u
 
-    return VectorFieldOracle(dim, func)
+    return func
 
 
 def liouville_X(pt: ModelPoint) -> ModelPoint:
     """The Liouville field (x/2, y/2, 2z, -w) at a model point."""
-    return _at_point(liouville_field(pt.nxy, pt.nzw).func, pt)
+    return _at_point(liouville_field(pt.nxy, pt.nzw), pt)
 
 
-def liouville_a_field(nxy: int, nzw: int, a: float) -> VectorFieldOracle:
-    dim = 2 * nxy + 2 * nzw
+def liouville_a_field(nxy: int, nzw: int, a: float):
+    """The speed-a Liouville field ((1+a) z, -a w) of a flat state."""
     b = 2 * nxy
     a = float(a)
 
@@ -175,7 +177,7 @@ def liouville_a_field(nxy: int, nzw: int, a: float) -> VectorFieldOracle:
         du[b + nzw:] = -a * u[b + nzw:]
         return du
 
-    return VectorFieldOracle(dim, func)
+    return func
 
 
 def alpha_s_minus1_eval(pt: ModelPoint, v: Array) -> float:
@@ -214,10 +216,9 @@ def alpha_model_form(nxy: int, nzw: int) -> KFormOracle:
     return one_form(dim, coeffs, coeffs_jac)
 
 
-def reeb_field(nxy: int, nzw: int) -> VectorFieldOracle:
+def reeb_field(nxy: int, nzw: int):
     """The Reeb field of alpha on S_{-1}, the w vector placed in the z slot,
     on a (d,) state or an (m, d) row batch."""
-    dim = 2 * nxy + 2 * nzw
     b = 2 * nxy
 
     def func(u):
@@ -225,12 +226,12 @@ def reeb_field(nxy: int, nzw: int) -> VectorFieldOracle:
         du[..., b:b + nzw] = u[..., b + nzw:]
         return du
 
-    return VectorFieldOracle(dim, func)
+    return func
 
 
 def reeb_s_minus1(pt: ModelPoint) -> ModelPoint:
     """The Reeb field at a point of S_{-1}."""
-    return _at_point(reeb_field(pt.nxy, pt.nzw).func, pt)
+    return _at_point(reeb_field(pt.nxy, pt.nzw), pt)
 
 
 def theta_page(pt: ModelPoint) -> float:
@@ -433,20 +434,14 @@ def transversality_margins(points: Array, nxy: int, nzw: int,
 
 def _margin(v: list, nxy: int, nzw: int, delta: float) -> float:
     b = 2 * nxy
-    xy2 = _sum_sq(v[:b])
-    z2 = _sum_sq(v[b:b + nzw])
-    w2 = _sum_sq(v[b + nzw:])
-    return (0.5 * xy2 + 2.0 * z2) * handle_g_d(xy2 + z2, delta) + w2 * handle_f_d(w2, delta)
+    rho2, w2 = _rho2_w2(v, nxy, nzw)
+    return (0.5 * _sum_sq(v[:b]) + 2.0 * _sum_sq(v[b:b + nzw])) * handle_g_d(rho2, delta) \
+        + w2 * handle_f_d(w2, delta)
 
 
 def hamiltonian_field_xf(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
     """The page field X_F at a model point; satisfies i_X omega0 = -dF."""
     return _at_point(handle_hamiltonian_rhs(pt.nxy, pt.nzw, profile.delta), pt)
-
-
-def handle_hamiltonian_field(nxy: int, nzw: int, profile: HandleProfile) -> VectorFieldOracle:
-    return VectorFieldOracle(2 * nxy + 2 * nzw,
-                             handle_hamiltonian_rhs(nxy, nzw, profile.delta))
 
 
 def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
@@ -510,17 +505,35 @@ def level_projection(nxy: int, nzw: int, delta: float):
 # Liouville transfer between the hypersurfaces
 # ---------------------------------------------------------------------------
 
-def _bisect_root(fn, lo: float, hi: float) -> float:
-    """Bisection for a sign change of fn on [lo, hi]: stops once |fn| <= 1e-10,
-    the bracket reaches rounding size, or after 200 halvings."""
-    f_lo = fn(lo)
-    f_hi = fn(hi)
+def _level_crossing(fn, starts: list, widen, tries: int) -> float:
+    """A zero of fn along a transfer path's parameter.
+
+    The first start with |fn| <= 1e-12 is the answer.  Otherwise the
+    parameter moves from the first start by ``widen(s, rising)``, with
+    ``rising`` true when fn is negative there, until fn changes sign within
+    ``tries`` moves; bisection of that bracket stops once |fn| <= 1e-10, the
+    bracket reaches rounding size, or after 200 halvings.
+    """
+    values = []
+    for s in starts:
+        f = fn(s)
+        if abs(f) <= 1e-12:
+            return s
+        values.append(f)
+    s0, f0 = starts[0], values[0]
+    s1 = s0
+    for _ in range(tries):
+        s1 = widen(s1, f0 < 0.0)
+        f1 = fn(s1)
+        if f1 * f0 <= 0.0:
+            break
+    else:
+        raise ValueError("no level crossing along the transfer path")
+    (lo, f_lo), (hi, f_hi) = sorted([(s0, f0), (s1, f1)])
     if abs(f_lo) <= 1e-10:
         return lo
     if abs(f_hi) <= 1e-10:
         return hi
-    if f_lo * f_hi > 0.0:
-        raise ValueError("root not bracketed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = fn(mid)
@@ -533,6 +546,22 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _transfer(pt: ModelPoint, path, starts: list, widen, tries: int,
+              profile: HandleProfile) -> ModelPoint:
+    """The point where the flat-state path(s) meets S_1, found by
+    :func:`_level_crossing` on the handle function."""
+    level = level_value(pt.nxy, pt.nzw, profile.delta)
+    s = _level_crossing(lambda s: level(path(s)), starts, widen, tries)
+    return ModelPoint.from_array(path(s), pt.nxy, pt.nzw)
+
+
+def _z_norm(pt: ModelPoint) -> float:
+    nz = float(np.linalg.norm(pt.z))
+    if nz == 0.0:
+        raise ValueError("no image: the z = 0 locus is removed by the surgery")
+    return nz
+
+
 def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
     """Infinite-speed Liouville transfer: slide along (u z, w / u) until the
     handle function vanishes.
@@ -540,34 +569,11 @@ def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
     On inward flat-piece inputs this is the closed map (z / |z|, |z| w); the
     page value z.w is preserved exactly along the whole path.
     """
-    nz = float(np.linalg.norm(pt.z))
-    if nz == 0.0:
-        raise ValueError("no image: the z = 0 locus is removed by the surgery")
-
-    def path(u):
-        return ModelPoint(pt.x, pt.y, u * pt.z, pt.w / u)
-
-    def fval(u):
-        return f_eval(path(u), profile)
-
-    if abs(fval(1.0)) <= 1e-12:
-        return path(1.0)
-    # flat shortcut: u = 1/|z| lands exactly on the inward flat piece
-    if pt.nxy == 0:
-        u_flat = 1.0 / nz
-        if abs(fval(u_flat)) <= 1e-12:
-            return path(u_flat)
-    lo, hi = 1.0, 1.0
-    f0 = fval(1.0)
-    step = 2.0 if f0 < 0.0 else 0.5
-    for _ in range(200):
-        hi *= step
-        if fval(hi) * f0 <= 0.0:
-            break
-    else:
-        raise ValueError("no level crossing along the transfer path")
-    u_star = _bisect_root(fval, min(lo, hi), max(lo, hi))
-    return path(u_star)
+    nz = _z_norm(pt)
+    # u = 1/|z| lands exactly on the inward flat piece
+    starts = [1.0] if pt.nxy else [1.0, 1.0 / nz]
+    return _transfer(pt, lambda u: np.concatenate([pt.x, pt.y, u * pt.z, pt.w / u]),
+                     starts, lambda u, rising: u * (2.0 if rising else 0.5), 200, profile)
 
 
 def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) -> ModelPoint:
@@ -577,30 +583,16 @@ def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) ->
         return limit_transfer_to_s1(pt, profile)
     if a <= 0.0:
         raise ValueError("Liouville parameter a must be positive")
-    nz = float(np.linalg.norm(pt.z))
-    if nz == 0.0:
-        raise ValueError("no image: the z = 0 locus is removed by the surgery")
+    _z_norm(pt)
 
     def path(t):
-        return ModelPoint(pt.x, pt.y, math.exp((1.0 + a) * t) * pt.z,
-                          math.exp(-a * t) * pt.w)
+        return np.concatenate([pt.x, pt.y, math.exp((1.0 + a) * t) * pt.z,
+                               math.exp(-a * t) * pt.w])
 
-    def fval(t):
-        return f_eval(path(t), profile)
+    def widen(t, rising):
+        return t + (1.0 if rising else -1.0) * 0.1 / (1.0 + a)
 
-    f0 = fval(0.0)
-    if abs(f0) <= 1e-12:
-        return path(0.0)
-    t_hi = 0.0
-    dt = (1.0 if f0 < 0.0 else -1.0) * 0.1 / (1.0 + a)
-    for _ in range(400):
-        t_hi += dt
-        if fval(t_hi) * f0 <= 0.0:
-            break
-    else:
-        raise ValueError("no level crossing along the finite-speed transfer")
-    t_star = _bisect_root(fval, min(0.0, t_hi), max(0.0, t_hi))
-    return path(t_star)
+    return _transfer(pt, path, [0.0], widen, 400, profile)
 
 
 def transfer_to_s_minus1(pt: ModelPoint) -> ModelPoint:
@@ -626,7 +618,7 @@ def handle_membership(pt: ModelPoint, profile: HandleProfile) -> Optional[bool]:
     step, max_time, event_tol = 1e-3, 12.0, 1e-10  # the flow oracle's RK4
     u0 = pt.as_array()
     nxy, nzw = pt.nxy, pt.nzw
-    liouville = liouville_field(nxy, nzw).func
+    liouville = liouville_field(nxy, nzw)
     if np.linalg.norm(liouville(u0)) < 1e-14:
         return False
 

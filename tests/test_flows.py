@@ -9,7 +9,6 @@ import pytest
 from contactlab import flows, surgery
 from contactlab.flows import (IntegratorConfig, flow_fixed_time,
                               flow_record, flow_until_event, trajectory_to_csv)
-from contactlab.forms import VectorFieldOracle
 from contactlab.profiles import HandleProfile
 from contactlab.surgery import ModelPoint
 
@@ -72,7 +71,7 @@ def test_event_detection_at_page_value():
     start = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
                        np.array([1.0, 0.0]))
     on_s1 = surgery.limit_transfer_to_s1(start, prof)
-    fld = surgery.handle_hamiltonian_field(0, 2, prof)
+    fld = surgery.handle_hamiltonian_rhs(0, 2, prof.delta)
     traj = flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2), 0.1, CFG)
     assert traj.t_event is not None
     # page speed two on the flat piece: the stop time is eps
@@ -121,9 +120,8 @@ def test_non_finite_state_raises():
         with np.errstate(over="ignore"):
             return np.array([u[0] ** 3, u[1] ** 3], dtype=float)
 
-    bad = VectorFieldOracle(2, cubic)
     with pytest.raises(ValueError, match="finite"):
-        flow_fixed_time(bad, np.array([5.0, 5.0]), 10.0,
+        flow_fixed_time(cubic, np.array([5.0, 5.0]), 10.0,
                         IntegratorConfig(step=0.5, max_time=20.0))
 
 

@@ -13,7 +13,6 @@ import pytest
 from contactlab import _kernels as k
 from contactlab import flows, sphere, surgery
 from contactlab.flows import IntegratorConfig
-from contactlab.forms import VectorFieldOracle
 from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
                                  handle_f_d_column, handle_g, handle_g_d, handle_g_d_column,
                                  twist_g1)
@@ -58,7 +57,7 @@ FIELDS = {
     "liouville": lambda nxy, nzw: surgery.liouville_field(nxy, nzw),
     "liouville_a": lambda nxy, nzw: surgery.liouville_a_field(nxy, nzw, 7.0),
     "reeb": lambda nxy, nzw: surgery.reeb_field(nxy, nzw),
-    "handle": lambda nxy, nzw: surgery.handle_hamiltonian_field(nxy, nzw, HandleProfile(DELTA)),
+    "handle": lambda nxy, nzw: surgery.handle_hamiltonian_rhs(nxy, nzw, DELTA),
 }
 
 
@@ -69,7 +68,7 @@ def test_model_fields_match_scalar_loops(kind):
         fld = FIELDS[kind](nxy, nzw)
         for _ in range(20):
             u = rng.standard_normal(2 * nxy + 2 * nzw) * rng.uniform(0.2, 1.5)
-            assert np.array_equal(fld.func(u), _loop_field(kind, u, nxy, nzw, param))
+            assert np.array_equal(fld(u), _loop_field(kind, u, nxy, nzw, param))
 
 
 def test_model_field_and_page_rows_match_lone_states():
@@ -79,7 +78,7 @@ def test_model_field_and_page_rows_match_lone_states():
         page = surgery.page_value(nxy, nzw)
         assert np.array_equal(page(batch), [page(u) for u in batch])
         for kind in ("reeb", "handle"):
-            func = FIELDS[kind](nxy, nzw).func
+            func = FIELDS[kind](nxy, nzw)
             assert np.array_equal(func(batch), [func(u) for u in batch])
         # with the smoothing width carried as a last state coordinate
         widths = rng.choice([0.02, 0.05, 0.2], size=(40, 1))
@@ -132,7 +131,9 @@ def test_margins_match_scalar_loop():
         for i in range(nzw):
             z2 += pts[row, base + i] * pts[row, base + i]
             w2 += pts[row, base + nzw + i] * pts[row, base + nzw + i]
-        ref[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(xy2 + z2, 0.1) \
+        # g' at the rho^2 of the level function and the page flow
+        rho2, _ = _loop_norms(pts[row], nxy, nzw)
+        ref[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(rho2, 0.1) \
             + w2 * handle_f_d(w2, 0.1)
     got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(0.1))
     assert np.array_equal(got, ref)
@@ -143,7 +144,7 @@ def test_scalar_kernels_match_profile_dataclasses():
     tw = DehnTwistProfile(1.3, 2)
     for s in np.linspace(0.0, 2.0, 300):
         assert abs(hp.f(s) - handle_f(s, 0.07)) < 1e-15
-        assert abs(hp.g_d(s) - handle_g_d(s, 0.07)) < 1e-13
+        assert abs(hp.g(s) - handle_g(s, 0.07)) < 1e-13
         assert abs(tw.g1(s) - twist_g1(s, 1.3, 2)) < 1e-13
 
 
@@ -256,22 +257,22 @@ def _nan_past_half(u):
 
 @pytest.mark.parametrize("rhs,match", [(_bad_shape, "shape"), (_nan_past_half, "finite")])
 def test_bad_fields_raise_from_every_flow(rhs, match):
-    fld = VectorFieldOracle(2, rhs)
     cfg = IntegratorConfig(step=0.1, max_time=2.0)
+
     def never(u):
         return 1.0
 
     start = np.zeros(2)
     with pytest.raises(ValueError, match=match):
-        flows.flow_fixed_time(fld, start, 1.5, cfg)
+        flows.flow_fixed_time(rhs, start, 1.5, cfg)
     with pytest.raises(ValueError, match=match):
-        flows.flow_record(fld, start, 1.5, cfg)
+        flows.flow_record(rhs, start, 1.5, cfg)
     with pytest.raises(ValueError, match=match):
-        flows.flow_until_event(fld, start, never, 0.0, cfg)
+        flows.flow_until_event(rhs, start, never, 0.0, cfg)
     with pytest.raises(ValueError, match=match):
         k.rk4_final(rhs, np.zeros((3, 2)), 1.5, 0.1)
     with pytest.raises(ValueError, match=match):
-        flows.flow_rows_until_event(fld, np.zeros((3, 2)), lambda u: np.ones(len(u)), 0.0, cfg)
+        flows.flow_rows_until_event(rhs, np.zeros((3, 2)), lambda u: np.ones(len(u)), 0.0, cfg)
 
 
 def test_batch_field_returning_one_row_raises():

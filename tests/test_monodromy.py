@@ -251,7 +251,7 @@ def test_word_rejects_bad_power():
 def test_page_speed_residual_on_worked_point():
     from contactlab import flows
     on_s1 = surgery.limit_transfer_to_s1(worked_start(), PROFILE)
-    fld = surgery.handle_hamiltonian_field(0, 2, PROFILE)
+    fld = surgery.handle_hamiltonian_rhs(0, 2, PROFILE.delta)
     traj = flows.flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2),
                                   EPS, FLOW)
     assert mono.page_speed_residual(traj, 0, 2, EPS) < 1e-8

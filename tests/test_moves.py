@@ -1,5 +1,7 @@
 """Abstract open book descriptors and the sound move calculus."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,32 @@ def test_serialization_roundtrip_and_golden():
         "disk d2 tag t2\n"
         "word A^+1 B^+1 S(d1)^+1\n")
     assert text == expected
+
+
+@pytest.mark.parametrize("text, named", [
+    ("page 3\npage 4", "repeated page line: page 4"),
+    ("page 3\nhandle h0 index 1 framing std\nsphere A supports h0\nword A^+1\nword A^-1",
+     "repeated word line: word A^-1"),
+    ("page 0", "got 0"),
+    ("page -2", "got -2"),
+    ("page 3\nhandle h0 index 9 framing std", "index 9"),
+    ("page 3\nhandle h0 index -1 framing std", "index -1"),
+])
+def test_from_text_rejects_descriptors_that_cannot_work(text, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        mv.from_text(text)
+
+
+@pytest.mark.parametrize("half_dim, index, named", [
+    (0, 0, "got 0"), (-1, 0, "got -1"), (3, 4, "index 4"), (2, -1, "index -1")])
+def test_page_rejects_bad_dimension_or_handle_index(half_dim, index, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        mv.AbstractPage(half_dim, (mv.Handle("h", index, "std"),))
+
+
+def test_subcritical_attach_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="index -1"):
+        mv.subcritical_attach(sample_desc(), "h", -1)
 
 
 def test_from_text_rejects_malformed_lines():

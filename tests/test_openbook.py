@@ -7,7 +7,7 @@ import pytest
 
 from contactlab import _kernels, forms, openbook as ob, sphere
 from contactlab.flows import IntegratorConfig, flow_fixed_time
-from contactlab.forms import VectorFieldOracle, pullback_eval
+from contactlab.forms import pullback_eval
 from contactlab.profiles import BindingProfile
 
 rng = np.random.default_rng(41)
@@ -280,10 +280,8 @@ def _separate_integrations(domain, candidate, result, x, cfg):
         y = result.y_field(state[:-1])
         return np.append(y, domain.lam(state[:-1], y))
 
-    aug = VectorFieldOracle(3, augmented)
-
     def h_raw(p):
-        return float(flow_fixed_time(aug, np.append(p, 0.0), 1.0, cfg)[-1])
+        return float(flow_fixed_time(augmented, np.append(p, 0.0), 1.0, cfg)[-1])
 
     return (-(h_raw(x) - h_raw(result.base_point)),
             candidate.mapping(flow_fixed_time(result.y_field, x, 1.0, cfg)))

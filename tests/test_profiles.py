@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactlab.profiles import (BindingProfile, DehnTwistProfile, HandleProfile,
-                                 hermite_quintic, hermite_quintic_d)
+                                 handle_f_d, handle_g_d, hermite_quintic, hermite_quintic_d)
 
 
 def test_hermite_endpoint_conditions():
@@ -49,8 +49,8 @@ def test_handle_profile_monotone_with_consistent_derivatives(delta):
     for s in np.linspace(0.9, 1.15, 60):
         fd = (p.f(s + h) - p.f(s - h)) / (2 * h)
         gd = (p.g(s + h) - p.g(s - h)) / (2 * h)
-        assert abs(fd - p.f_d(s)) < 1e-6
-        assert abs(gd - p.g_d(s)) < 1e-6
+        assert abs(fd - handle_f_d(s, delta)) < 1e-6
+        assert abs(gd - handle_g_d(s, delta)) < 1e-6
 
 
 def test_handle_profile_rejects_bad_delta():

@@ -150,9 +150,8 @@ def test_point_functions_evaluate_the_flat_fields_bitwise():
         xf = surgery.handle_hamiltonian_rhs(nxy, nzw, profile.delta)(u)
         assert np.array_equal(hamiltonian_field_xf(pt, profile).as_array(), xf)
         assert f_eval(pt, profile) == surgery.level_value(nxy, nzw, profile.delta)(u)
-        assert np.array_equal(reeb_s_minus1(pt).as_array(), surgery.reeb_field(nxy, nzw).func(u))
-        assert np.array_equal(liouville_X(pt).as_array(),
-                              surgery.liouville_field(nxy, nzw).func(u))
+        assert np.array_equal(reeb_s_minus1(pt).as_array(), surgery.reeb_field(nxy, nzw)(u))
+        assert np.array_equal(liouville_X(pt).as_array(), surgery.liouville_field(nxy, nzw)(u))
 
 
 def test_grad_f_is_the_gradient_level_projection_steps_with(monkeypatch):
@@ -174,6 +173,127 @@ def test_grad_f_is_the_gradient_level_projection_steps_with(monkeypatch):
         for at, grad in newton:
             assert np.array_equal(surgery.grad_f(ModelPoint.from_array(at, nxy, nzw), profile),
                                   grad)
+
+
+def test_margin_takes_g_prime_at_the_level_functions_rho2(monkeypatch):
+    args = []
+    g_d = surgery.handle_g_d
+
+    def recorded(s, delta):
+        args.append(s)
+        return g_d(s, delta)
+
+    monkeypatch.setattr(surgery, "handle_g_d", recorded)
+    local = np.random.default_rng(3)
+    for nxy in (1, 2):
+        for nzw in (2, 3):
+            pts = local.standard_normal((100, 2 * nxy + 2 * nzw))
+            args.clear()
+            surgery.transversality_margins(pts, nxy, nzw, PROFILE)
+            assert len(args) == len(pts)
+            for row, rho2 in zip(pts, args):
+                assert rho2 == surgery._rho2_w2(row.tolist(), nxy, nzw)[0]
+
+
+def _bisect_reference(fn, lo, hi):
+    f_lo, f_hi = fn(lo), fn(hi)
+    if abs(f_lo) <= 1e-10:
+        return lo
+    if abs(f_hi) <= 1e-10:
+        return hi
+    assert f_lo * f_hi <= 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if abs(f_mid) <= 1e-10 or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
+            return mid
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _transfer_reference(pt, a, profile):
+    """The transfers as first written: ModelPoint paths under f_eval, a
+    bracket search, then a bisection that evaluates both ends again."""
+    if a == math.inf:
+        def path(u):
+            return ModelPoint(pt.x, pt.y, u * pt.z, pt.w / u)
+
+        def fval(u):
+            return f_eval(path(u), profile)
+
+        if abs(fval(1.0)) <= 1e-12:
+            return path(1.0)
+        if pt.nxy == 0:
+            u_flat = 1.0 / float(np.linalg.norm(pt.z))
+            if abs(fval(u_flat)) <= 1e-12:
+                return path(u_flat)
+        f0 = fval(1.0)
+        hi = 1.0
+        step = 2.0 if f0 < 0.0 else 0.5
+        for _ in range(200):
+            hi *= step
+            if fval(hi) * f0 <= 0.0:
+                break
+        return path(_bisect_reference(fval, min(1.0, hi), max(1.0, hi)))
+
+    def path(t):
+        return ModelPoint(pt.x, pt.y, math.exp((1.0 + a) * t) * pt.z,
+                          math.exp(-a * t) * pt.w)
+
+    def fval(t):
+        return f_eval(path(t), profile)
+
+    f0 = fval(0.0)
+    if abs(f0) <= 1e-12:
+        return path(0.0)
+    t_hi = 0.0
+    dt = (1.0 if f0 < 0.0 else -1.0) * 0.1 / (1.0 + a)
+    for _ in range(400):
+        t_hi += dt
+        if fval(t_hi) * f0 <= 0.0:
+            break
+    return path(_bisect_reference(fval, min(0.0, t_hi), max(0.0, t_hi)))
+
+
+def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
+    built = []
+    validate = ModelPoint.__post_init__
+
+    def counted(self):
+        built.append(None)
+        validate(self)
+
+    local = np.random.default_rng(5)
+    signs = set()
+    for nxy in (0, 1):
+        for nzw in (2, 3):
+            starts = [surgery.random_s_minus1_point(local, nxy, nzw) for _ in range(6)]
+            # |w| below 1 raises F above zero; rows of the S_1 sampler start on it
+            for _ in range(6):
+                w = local.standard_normal(nzw)
+                w *= local.uniform(0.2, 0.9) / np.linalg.norm(w)
+                starts.append(ModelPoint(local.standard_normal(nxy), local.standard_normal(nxy),
+                                         local.standard_normal(nzw), w))
+            rows = surgery.sample_s1_points(local, 4, nxy, nzw, PROFILE)
+            starts += [ModelPoint.from_array(row, nxy, nzw) for row in rows]
+            for start in starts:
+                f0 = f_eval(start, PROFILE)
+                signs.add(0 if abs(f0) <= 1e-12 else int(math.copysign(1.0, f0)))
+                for a in (50.0, 1000.0, math.inf):
+                    ref = _transfer_reference(start, a, PROFILE)
+                    monkeypatch.setattr(ModelPoint, "__post_init__", counted)
+                    built.clear()
+                    out = transfer_to_s1_finite_a(start, a, PROFILE)
+                    monkeypatch.setattr(ModelPoint, "__post_init__", validate)
+                    assert len(built) == 1  # the result, and no path point
+                    assert np.array_equal(out.as_array(), ref.as_array())
+                    if a == math.inf:
+                        assert np.array_equal(limit_transfer_to_s1(start, PROFILE).as_array(),
+                                              ref.as_array())
+    assert signs == {-1, 0, 1}
 
 
 def test_limit_transfer_frozen_example():
