@@ -66,7 +66,7 @@ def _emit_default_plots(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     on_s1 = surgery.limit_transfer_to_s1(start, prof)
     fld = surgery.handle_hamiltonian_rhs(0, 2, prof.delta)
     icfg = IntegratorConfig(step=cfg.flow_step, max_time=1.0, event_tol=1e-12)
-    traj = flows.flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2),
+    traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2),
                                   cfg.epsilon, icfg)
     path = out_dir / "page_flow.csv"
     emit_plot_data(traj, path)

@@ -110,6 +110,10 @@ class ScenarioConfig:
             unknown = set(self.tolerances) - known
             if unknown:
                 problems.append(f"tolerances: unknown keys {sorted(unknown)}")
+            low, high = (self.tolerances.get(f"window_exponent_{end}") for end in ("low", "high"))
+            if None not in (low, high) and not low < high:
+                problems.append(f"tolerances.window_exponent_low: must be below "
+                                f"window_exponent_high, got {low} and {high}")
         if problems:
             raise ConfigError(problems)
 
@@ -147,6 +151,9 @@ _RULES = [
     (("window_deltas",), lambda v: len(set(v)) >= 2 and min(v) > 0,
      "the log-log slope fit needs at least two distinct positive values"),
     (("deltas", "a_values"), lambda v: v and min(v) > 0, "needs positive values"),
+    # the convergence check compares the errors in list order
+    (("a_values",), lambda v: all(a < b for a, b in zip(v, v[1:])),
+     "must be strictly increasing"),
     (("deltas", "window_deltas"), lambda v: all(0.0 < d < 0.25 for d in v),
      "smoothing widths must lie in (0, 1/4)"),
     (("sphere_dims",), lambda v: v and min(v) >= 1, "needs sphere dimensions >= 1"),

@@ -13,6 +13,7 @@ lockstep; its callables take the batch, and its event gives one value per row.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,12 +31,10 @@ class IntegratorConfig:
     event_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.max_time <= 0.0:
-            raise ValueError("step and max_time must be positive")
-        if self.step >= self.max_time:
+        if not all(0.0 < v < math.inf for v in (self.step, self.max_time, self.event_tol)):
+            raise ValueError("step, max_time and event tolerance must be positive and finite")
+        if not self.step < self.max_time:
             raise ValueError("step must be smaller than max_time")
-        if self.event_tol <= 0.0:
-            raise ValueError("event tolerance must be positive")
 
 
 @dataclass

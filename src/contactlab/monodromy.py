@@ -8,15 +8,16 @@ transfer back) and the closed form
 
     (z, w)  |->  (z, w + 2 eps z / |z|^2),
 
-and the two answers are compared, never silently merged.  The closed form is
-then recognized as the normalized-geodesic-flow twist through the rational
-circle parametrization.
+and the two answers are compared, never silently merged.  The pipeline's
+stages pass flat rows and a result keeps only the start, both answers and
+their distance.  The closed form is then recognized as the
+normalized-geodesic-flow twist through the rational circle parametrization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +46,9 @@ class PageDecomposition:
         r = np.asarray(self.r, dtype=float)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "r", r)
-        if abs(w @ w - 1.0) >= DECOMP_TOL:
+        if not abs(w @ w - 1.0) < DECOMP_TOL:
             raise ValueError("w must be a unit vector")
-        if abs(w @ r) >= DECOMP_TOL:
+        if not abs(w @ r) < DECOMP_TOL:
             raise ValueError("r must be orthogonal to w")
 
     def z(self) -> Array:
@@ -55,7 +56,7 @@ class PageDecomposition:
 
     @staticmethod
     def of(pt: ModelPoint, side: float) -> "PageDecomposition":
-        if abs(pt.theta() - side) >= 1e-7:
+        if not abs(pt.theta() - side) < 1e-7:
             raise ValueError(f"point sits on page {pt.theta():.3e}, not {side:.3e}")
         nw = float(np.linalg.norm(pt.w))
         w = pt.w / nw
@@ -72,12 +73,10 @@ def build_start(w: Array, r: Array, epsilon: float) -> ModelPoint:
 
 @dataclass
 class MonodromyResult:
-    input: PageDecomposition
-    output: PageDecomposition
+    start: ModelPoint
     pipeline_point: ModelPoint
     closed_form_point: ModelPoint
-    twist_angle: float
-    residuals: dict = field(default_factory=dict)
+    closed_vs_pipeline: float  # max coordinate distance of the two answers
 
 
 # ---------------------------------------------------------------------------
@@ -91,32 +90,27 @@ def _block_sizes(starts: Sequence[ModelPoint]) -> tuple[int, int]:
     return nxy, nzw
 
 
-def _flow_to_page(rhs, states: list[Array], nxy: int, nzw: int,
+def _flow_to_page(rhs, states: Array, nxy: int, nzw: int,
                   target: float, cfg: IntegratorConfig, missed: str) -> Array:
-    """The points where each state's flow reaches the page value target, as
-    rows: one state flows alone, several flow as one row batch."""
+    """The points where each row's flow reaches the page value target, as
+    rows: one row flows alone, several flow as one row batch."""
     page = surgery.page_value(nxy, nzw)
     if len(states) == 1:
         traj = flows.flow_until_event(rhs, states[0], page, target, cfg)
         if traj.t_event is None:
             raise ValueError(missed)
         return traj.end[None]
-    t_event, ends = flows.flow_rows_until_event(rhs, np.array(states), page, target, cfg)
+    t_event, ends = flows.flow_rows_until_event(rhs, states, page, target, cfg)
     if np.isnan(t_event).any():
         raise ValueError(missed)
     return ends
 
 
-def pre_surgery_monodromy(start: ModelPoint, epsilon: float,
-                          cfg: IntegratorConfig) -> ModelPoint:
-    """Reeb transport from page -eps to page +eps (trivial on decompositions)."""
-    return pre_surgery_monodromy_batch([start], epsilon, cfg)[0]
-
-
-def pre_surgery_monodromy_batch(starts: Sequence[ModelPoint], epsilon: float,
-                                cfg: IntegratorConfig) -> list[ModelPoint]:
-    """pre_surgery_monodromy of each start, the Reeb flows run as one row
-    batch; the starts share their block sizes."""
+def pre_surgery_monodromy(starts: Sequence[ModelPoint], epsilon: float,
+                          cfg: IntegratorConfig) -> list[ModelPoint]:
+    """Reeb transport of each start from page -eps to page +eps (trivial on
+    decompositions), the flows run as one row batch; the starts share their
+    block sizes."""
     if not starts:
         return []
     for start in starts:
@@ -125,7 +119,7 @@ def pre_surgery_monodromy_batch(starts: Sequence[ModelPoint], epsilon: float,
         if not start.on_s_minus1():
             raise ValueError("start must lie on the |w|^2 = 1 hypersurface")
     nxy, nzw = _block_sizes(starts)
-    ends = _flow_to_page(surgery.reeb_field(nxy, nzw), [s.as_array() for s in starts],
+    ends = _flow_to_page(surgery.reeb_field(nxy, nzw), np.array([s.as_array() for s in starts]),
                          nxy, nzw, +epsilon, cfg,
                          "page event not reached within the time bound")
     return [ModelPoint.from_array(end, nxy, nzw) for end in ends]
@@ -148,8 +142,8 @@ def post_surgery_pipeline(start: ModelPoint, config: SurgeryConfig,
     """Three-stage transport: Liouville transfer out, page flow, transfer back.
 
     Stage 2 stops on the page observable reaching +eps, not on elapsed time.
-    The distance to the closed form is recorded in the residuals, along with
-    per-stage diagnostics.
+    The result carries the closed form beside the pipeline's answer and the
+    distance between them.
     """
     return post_surgery_pipeline_batch([start], config, [profile], cfg)[0]
 
@@ -169,38 +163,20 @@ def post_surgery_pipeline_batch(starts: Sequence[ModelPoint], config: SurgeryCon
         return []
     eps = config.epsilon
     nxy, nzw = _block_sizes(starts)
-    decs, on_s1 = [], []
-    for start, profile in zip(starts, profiles):
-        decs.append(PageDecomposition.of(start, -eps))
-        # stage 1: transfer to the surgered hypersurface
-        on_s1.append(surgery.transfer_to_s1_finite_a(start, config.a, profile))
-
-    # stage 2: Hamiltonian page flow until the +eps page; each state carries
-    # its row's smoothing width as a last coordinate
-    dim = 2 * nxy + 2 * nzw
-    states = [np.append(pt.as_array(), p.delta) for pt, p in zip(on_s1, profiles)]
+    closed = [post_surgery_closed_form(start, eps) for start in starts]
+    # stage 1: transfer to the surgered hypersurface; each row carries its
+    # smoothing width as a last coordinate, which the page flow leaves fixed
+    on_s1 = [surgery.transfer_to_s1_finite_a(start, config.a, profile)
+             for start, profile in zip(starts, profiles)]
+    states = np.column_stack([on_s1, [p.delta for p in profiles]])
+    # stage 2: Hamiltonian page flow until the +eps page
     ends = _flow_to_page(surgery.handle_hamiltonian_rhs(nxy, nzw), states, nxy, nzw, +eps, cfg,
                          "page event not reached during the page flow")
-
-    results = []
-    for start, profile, dec_in, s1, end in zip(starts, profiles, decs, on_s1, ends):
-        at_page = ModelPoint.from_array(end[:dim], nxy, nzw)
-        level_s1 = surgery.f_eval(s1, profile)
-        # stage 3: transfer back to |w|^2 = 1
-        back = surgery.transfer_to_s_minus1(at_page)
-        closed = post_surgery_closed_form(start, eps)
-        residuals = {
-            "stage1_level": abs(level_s1),
-            "stage2_theta": abs(at_page.theta() - eps),
-            "stage2_level_drift": abs(surgery.f_eval(at_page, profile) - level_s1),
-            "stage3_wnorm": abs(float(np.linalg.norm(back.w)) - 1.0),
-            "closed_vs_pipeline": float(np.max(np.abs(back.as_array() - closed.as_array()))),
-        }
-        results.append(MonodromyResult(input=dec_in, output=PageDecomposition.of(closed, +eps),
-                                       pipeline_point=back, closed_form_point=closed,
-                                       twist_angle=recognized_angle(dec_in, eps),
-                                       residuals=residuals))
-    return results
+    # stage 3: transfer back to |w|^2 = 1
+    backs = [surgery.transfer_to_s_minus1(end[:-1], nxy, nzw) for end in ends]
+    return [MonodromyResult(start, ModelPoint.from_array(back, nxy, nzw), closed_pt,
+                            float(np.max(np.abs(back - closed_pt.as_array()))))
+            for start, back, closed_pt in zip(starts, backs, closed)]
 
 
 def page_speed_residual(traj: Trajectory, nxy: int, nzw: int, epsilon: float) -> float:
@@ -221,12 +197,6 @@ def _circle_angle(r_norm: float, epsilon: float) -> float:
     return 2.0 * math.atan2(r_norm, epsilon)
 
 
-def recognized_angle(dec: PageDecomposition, epsilon: float) -> float:
-    """The circle angle g with cos g = (eps^2 - r^2)/(r^2 + eps^2); equals
-    2*atan(|r|/eps) by the rational parametrization."""
-    return _circle_angle(float(np.linalg.norm(dec.r)), epsilon)
-
-
 @dataclass
 class RecognizedTwist:
     cos_g: float
@@ -245,7 +215,9 @@ def recognize_dehn_twist(result: MonodromyResult, epsilon: float) -> RecognizedT
 
     with cos g = (eps^2 - r^2)/(r^2 + eps^2) and sin g = 2 eps |r|/(r^2+eps^2),
     i.e. as the normalized geodesic flow through pi - g."""
-    w_in, r_in = result.input.w, result.input.r
+    dec_in = PageDecomposition.of(result.start, -epsilon)
+    dec_out = PageDecomposition.of(result.closed_form_point, +epsilon)
+    w_in, r_in = dec_in.w, dec_in.r
     r2 = float(r_in @ r_in)
     r_norm = math.sqrt(r2)
     if r_norm == 0.0:
@@ -255,8 +227,8 @@ def recognize_dehn_twist(result: MonodromyResult, epsilon: float) -> RecognizedT
     sin_g = 2.0 * epsilon * r_norm / denom
     w_pred = -cos_g * w_in + (sin_g / r_norm) * r_in
     r_pred = -sin_g * r_norm * w_in - cos_g * r_in
-    resid = max(float(np.max(np.abs(w_pred - result.output.w))),
-                float(np.max(np.abs(r_pred - result.output.r))))
+    resid = max(float(np.max(np.abs(w_pred - dec_out.w))),
+                float(np.max(np.abs(r_pred - dec_out.r))))
     g = math.atan2(sin_g, cos_g) % (2.0 * math.pi)
     return RecognizedTwist(cos_g=cos_g, sin_g=sin_g, g=g, g_tilde=math.pi - g,
                            matrix_residual=resid,

@@ -68,19 +68,36 @@ class AbstractPage:
                            tuple(sorted(self.spheres, key=lambda s: s.label)))
         object.__setattr__(self, "disks",
                            tuple(sorted(self.disks, key=lambda d: d.label)))
-        for group, name in ((self.handles, "handle"), (self.spheres, "sphere"),
-                            (self.disks, "disk")):
-            labels = [item.label for item in group]
-            if len(labels) != len(set(labels)):
-                raise ValueError(f"duplicate {name} labels: {labels}")
         handle_labels = {h.label for h in self.handles}
+        sphere_labels = {s.label for s in self.spheres}
+        disk_labels = {d.label for d in self.disks}
+        for group, labels, name in ((self.handles, handle_labels, "handle"),
+                                    (self.spheres, sphere_labels, "sphere"),
+                                    (self.disks, disk_labels, "disk")):
+            if len(labels) != len(group):
+                raise ValueError(f"duplicate {name} labels: {[x.label for x in group]}")
+        # stabilizing along a page disk d adds h(d) and S(d), and destabilizing returns
+        # a recorded d to the page: no handle or sphere but d's own may carry those labels
+        owners = {d: ("", "") for d in disk_labels}
         for s in self.spheres:
             missing = set(s.supports) - handle_labels
             if missing:
                 raise ValueError(f"sphere {s.label} references unknown handles {missing}")
-            if s.from_disk is not None and len(s.supports) != 1:
-                raise ValueError(f"stabilization sphere {s.label} must ride exactly "
-                                 f"one handle, got {s.supports}")
+            if s.from_disk is not None:
+                if len(s.supports) != 1:
+                    raise ValueError(f"stabilization sphere {s.label} must ride exactly "
+                                     f"one handle, got {s.supports}")
+                if s.from_disk.label in owners:
+                    raise ValueError(f"stabilization sphere {s.label} records disk "
+                                     f"{s.from_disk.label}, which is a page disk or "
+                                     f"another sphere's disk")
+                owners[s.from_disk.label] = (s.supports[0], s.label)
+        for d, (h_owner, s_owner) in owners.items():
+            h_label, s_label = _stab_handle_label(d), _stab_sphere_label(d)
+            if (h_label != h_owner and h_label in handle_labels) or \
+                    (s_label != s_owner and s_label in sphere_labels):
+                raise ValueError(f"labels {h_label} and {s_label} are reserved for "
+                                 f"stabilizing along disk {d}")
 
     def sphere(self, label: str) -> LagrangianSphere:
         for s in self.spheres:

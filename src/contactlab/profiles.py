@@ -202,7 +202,7 @@ class DehnTwistProfile:
     k: int = 1
 
     def __post_init__(self):
-        if self.p0 <= 0.0:
+        if not self.p0 > 0.0:
             raise ValueError("support radius p0 must be positive")
         if self.k < 1:
             raise ValueError("twist multiplicity k must be a positive integer")

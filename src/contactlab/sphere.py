@@ -38,9 +38,9 @@ class SpherePoint:
         object.__setattr__(self, "p", p)
         if q.shape != p.shape or q.ndim != 1:
             raise ValueError("q and p must be 1-d arrays of equal length")
-        if abs(q @ q - 1.0) >= CONSTRAINT_TOL:
+        if not abs(q @ q - 1.0) < CONSTRAINT_TOL:
             raise ValueError(f"|q.q - 1| = {abs(q @ q - 1.0):.2e} violates the unit constraint")
-        if abs(q @ p) >= CONSTRAINT_TOL:
+        if not abs(q @ p) < CONSTRAINT_TOL:
             raise ValueError(f"|q.p| = {abs(q @ p):.2e} violates orthogonality")
 
     @property

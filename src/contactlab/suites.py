@@ -605,7 +605,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             by_block.setdefault(nzw, []).append(mono.admissible_start(rng, nzw, eps, 0.05))
         worst = 0.0
         for starts in by_block.values():
-            for start, out in zip(starts, mono.pre_surgery_monodromy_batch(starts, eps, flow_cfg)):
+            for start, out in zip(starts, mono.pre_surgery_monodromy(starts, eps, flow_cfg)):
                 dec_in = mono.PageDecomposition.of(start, -eps)
                 dec_out = mono.PageDecomposition.of(out, +eps)
                 worst = max(worst, float(np.max(np.abs(dec_out.w - dec_in.w))),
@@ -629,7 +629,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
                       for _ in range(cfg.n_monodromy)]
             for res in mono.post_surgery_pipeline_batch(starts, config, [profile] * len(starts),
                                                         flow_cfg):
-                worst = max(worst, res.residuals["closed_vs_pipeline"])
+                worst = max(worst, res.closed_vs_pipeline)
                 worst_wnorm = max(worst_wnorm, abs(
                     float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
                 tw = mono.recognize_dehn_twist(res, eps)
@@ -687,7 +687,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             start = mono.admissible_start(rng, 2, eps, profile.delta)
             on_s1 = surgery.limit_transfer_to_s1(start, profile)
             fld = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)
-            traj = flows.flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2),
+            traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2),
                                           +eps, flow_cfg)
             worst = max(worst, mono.page_speed_residual(traj, 0, 2, eps))
         return worst, 20, {}
@@ -701,14 +701,14 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         for _ in range(100):
             start = mono.admissible_start(rng, 3, eps, profile.delta)
             out = surgery.limit_transfer_to_s1(start, profile)
-            worst = max(worst, abs(out.theta() - start.theta()))
+            worst = max(worst, abs(float(out[:3] @ out[3:]) - start.theta()))
         # frozen arithmetic image of z = (-0.1, 0.5), w = (1, 0)
         pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
                         np.array([1.0, 0.0]))
         out = surgery.limit_transfer_to_s1(pt, profile)
         frozen_defect = max(
-            float(np.max(np.abs(out.z - np.array([-0.196116, 0.980581])))),
-            float(np.max(np.abs(out.w - np.array([0.509902, 0.0])))))
+            float(np.max(np.abs(out[:2] - np.array([-0.196116, 0.980581])))),
+            float(np.max(np.abs(out[2:] - np.array([0.509902, 0.0])))))
         # the frozen image is quoted to six decimals
         worst = max(worst, max(0.0, frozen_defect - 1e-6))
         return worst, 101, {}
@@ -730,7 +730,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             if traj.t_event is None:
                 worst = max(worst, 1.0)
                 continue
-            worst = max(worst, float(np.max(np.abs(traj.end - closed.as_array()))))
+            worst = max(worst, float(np.max(np.abs(traj.end - closed))))
         # already on the surgered hypersurface: zero transfer time
         pts = surgery.sample_s1_points(check_rng(cfg.seed, "ft2"), 3, 0, 2, profile)
         for row in pts:
@@ -738,7 +738,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             if float(np.linalg.norm(pt.z)) == 0.0:
                 continue
             out = surgery.transfer_to_s1_finite_a(pt, 50.0, profile)
-            worst = max(worst, float(np.max(np.abs(out.as_array() - row))))
+            worst = max(worst, float(np.max(np.abs(out - row))))
         return worst, 13, {}
 
     @check("finite-speed-convergence",

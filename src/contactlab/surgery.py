@@ -10,8 +10,8 @@ Each model quantity (F, its gradient, the page field X_F, the Reeb field and
 the Liouville field) is written once, as a plain callable on the flat state
 that flows, events and projections use; the ``ModelPoint`` functions the
 pointwise checks call evaluate that flat form and wrap the result.  The
-infinite- and finite-speed Liouville transfers onto S_1 share one
-bracket-and-bisect search for the zero of F along a flat-state path.
+Liouville transfers between S_{-1} and S_1 return flat states; the two onto
+S_1 share one bracket-and-bisect search for the zero of F along a path.
 
 Flat ambient layout is the block vector [x | y | z | w]; the sphere-bundle
 chart for the neighborhood straightening map is [z_scalar | q | p | x | y].
@@ -374,7 +374,7 @@ def alpha_chart_form(nzw: int, nxy: int) -> KFormOracle:
 def phi_c_map(nzw: int, nxy: int, C: float) -> SmoothMap:
     """Conformal rescaling (z, q, p, x, y) -> (Cz, q, Cp, sqrt(C) x, sqrt(C) y)
     on the sphere-bundle chart."""
-    if C <= 0.0:
+    if not C > 0.0:
         raise ValueError("scaling constant must be positive")
     dim = 1 + 2 * nzw + 2 * nxy
     scale = np.ones(dim)
@@ -547,12 +547,11 @@ def _level_crossing(fn, starts: list, widen, tries: int) -> float:
 
 
 def _transfer(pt: ModelPoint, path, starts: list, widen, tries: int,
-              profile: HandleProfile) -> ModelPoint:
-    """The point where the flat-state path(s) meets S_1, found by
+              profile: HandleProfile) -> Array:
+    """The flat state where the flat-state path(s) meets S_1, found by
     :func:`_level_crossing` on the handle function."""
     level = level_value(pt.nxy, pt.nzw, profile.delta)
-    s = _level_crossing(lambda s: level(path(s)), starts, widen, tries)
-    return ModelPoint.from_array(path(s), pt.nxy, pt.nzw)
+    return path(_level_crossing(lambda s: level(path(s)), starts, widen, tries))
 
 
 def _z_norm(pt: ModelPoint) -> float:
@@ -562,9 +561,9 @@ def _z_norm(pt: ModelPoint) -> float:
     return nz
 
 
-def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
+def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> Array:
     """Infinite-speed Liouville transfer: slide along (u z, w / u) until the
-    handle function vanishes.
+    handle function vanishes; returns the flat state.
 
     On inward flat-piece inputs this is the closed map (z / |z|, |z| w); the
     page value z.w is preserved exactly along the whole path.
@@ -576,9 +575,9 @@ def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
                      starts, lambda u, rising: u * (2.0 if rising else 0.5), 200, profile)
 
 
-def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) -> ModelPoint:
+def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) -> Array:
     """Finite-speed transfer along ((1+a) z, -a w): closed-form flow plus a
-    level-set bisection in the flow time."""
+    level-set bisection in the flow time; returns the flat state."""
     if a == math.inf:
         return limit_transfer_to_s1(pt, profile)
     if a <= 0.0:
@@ -595,12 +594,14 @@ def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) ->
     return _transfer(pt, path, [0.0], widen, 400, profile)
 
 
-def transfer_to_s_minus1(pt: ModelPoint) -> ModelPoint:
-    """Inverse transfer onto |w|^2 = 1: (|w| z, w / |w|), preserving z.w."""
-    nw = float(np.linalg.norm(pt.w))
+def transfer_to_s_minus1(u: Array, nxy: int, nzw: int) -> Array:
+    """Inverse transfer of a flat state onto |w|^2 = 1: (|w| z, w / |w|), keeping z.w."""
+    b = 2 * nxy
+    w = u[b + nzw:]
+    nw = float(np.linalg.norm(w))
     if nw == 0.0:
         raise ValueError("cannot rescale onto |w| = 1 from w = 0")
-    return ModelPoint(pt.x, pt.y, nw * pt.z, pt.w / nw)
+    return np.concatenate([u[:b], nw * u[b:b + nzw], w / nw])
 
 
 # ---------------------------------------------------------------------------

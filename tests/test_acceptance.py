@@ -104,7 +104,7 @@ def test_criterion_04_monodromy_core():
         starts = [mono.admissible_start(rng, nzw, 0.1, profile.delta) for _ in range(200)]
         for res in mono.post_surgery_pipeline_batch(starts, config, [profile] * 200,
                                                     flow_cfg):
-            worst_pipeline = max(worst_pipeline, res.residuals["closed_vs_pipeline"])
+            worst_pipeline = max(worst_pipeline, res.closed_vs_pipeline)
             worst_wnorm = max(worst_wnorm, abs(
                 float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
             tw = mono.recognize_dehn_twist(res, 0.1)
@@ -125,7 +125,7 @@ def test_criterion_05_pre_surgery_triviality():
         nzw = int(rng.integers(2, 5))
         start = mono.admissible_start(rng, nzw, 0.1, 0.05)
         dec_in = mono.PageDecomposition.of(start, -0.1)
-        out = mono.pre_surgery_monodromy(start, 0.1, flow_cfg)
+        (out,) = mono.pre_surgery_monodromy([start], 0.1, flow_cfg)
         dec_out = mono.PageDecomposition.of(out, +0.1)
         worst = max(worst, float(np.max(np.abs(dec_out.w - dec_in.w))),
                     float(np.max(np.abs(dec_out.r - dec_in.r))))

@@ -122,3 +122,16 @@ def test_traced_results_take_wrapped_functions():
     res.h(x)
     res.psi_hat(x)
     assert calls == [h, psi_hat_func]
+
+
+def test_page_transport_reads_the_pipeline_point_blocks():
+    # the worker reads .z and .w of post_surgery_pipeline(...).pipeline_point
+    eps = 0.1
+    z, w = np.array([-eps, 0.5]), np.array([1.0, 0.0])
+    start = surgery.ModelPoint(np.zeros(0), np.zeros(0), z, w)
+    out = monodromy.post_surgery_pipeline(
+        start, surgery.SurgeryConfig(epsilon=eps, delta=0.05), profiles.HandleProfile(0.05),
+        IntegratorConfig(step=1e-3, max_time=2.0, event_tol=1e-12)).pipeline_point
+    assert out.z.shape == out.w.shape == (2,)
+    assert np.max(np.abs(out.w - (w + 2.0 * eps * z / (z @ z)))) < 1e-6
+    assert abs(float(out.z @ out.w) - eps) < 1e-6

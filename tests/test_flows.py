@@ -72,7 +72,7 @@ def test_event_detection_at_page_value():
                        np.array([1.0, 0.0]))
     on_s1 = surgery.limit_transfer_to_s1(start, prof)
     fld = surgery.handle_hamiltonian_rhs(0, 2, prof.delta)
-    traj = flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2), 0.1, CFG)
+    traj = flow_until_event(fld, on_s1, surgery.page_value(0, 2), 0.1, CFG)
     assert traj.t_event is not None
     # page speed two on the flat piece: the stop time is eps
     assert abs(traj.t_event - 0.1) < 1e-10

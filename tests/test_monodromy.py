@@ -38,7 +38,7 @@ def test_page_decomposition_roundtrip():
 
 
 def test_pre_surgery_monodromy_is_trivial():
-    out = mono.pre_surgery_monodromy(worked_start(), EPS, FLOW)
+    (out,) = mono.pre_surgery_monodromy([worked_start()], EPS, FLOW)
     dec = mono.PageDecomposition.of(out, +EPS)
     assert np.max(np.abs(dec.w - [1.0, 0.0])) < 1e-12
     assert np.max(np.abs(dec.r - [0.0, 0.5])) < 1e-12
@@ -47,7 +47,7 @@ def test_pre_surgery_monodromy_is_trivial():
 
 def test_pre_surgery_zero_fiber_runs_along_the_sphere():
     start = mono.build_start(np.array([0.0, 1.0]), np.zeros(2), EPS)
-    out = mono.pre_surgery_monodromy(start, EPS, FLOW)
+    (out,) = mono.pre_surgery_monodromy([start], EPS, FLOW)
     assert np.max(np.abs(out.z - EPS * np.array([0.0, 1.0]))) < 1e-12
 
 
@@ -79,9 +79,13 @@ def test_closed_form_rejects_surgered_locus():
 
 def test_pipeline_matches_closed_form_on_worked_point():
     res = mono.post_surgery_pipeline(worked_start(), CONFIG, PROFILE, FLOW)
-    assert res.residuals["closed_vs_pipeline"] < 1e-6
-    assert res.residuals["stage1_level"] < 1e-10
-    assert res.residuals["stage3_wnorm"] < 1e-12
+    assert res.closed_vs_pipeline < 1e-6
+    # stage 1 lands on the surgered hypersurface, stage 3 back on |w| = 1
+    on_s1 = surgery.transfer_to_s1_finite_a(worked_start(), CONFIG.a, PROFILE)
+    assert abs(surgery.level_value(0, 2, PROFILE.delta)(on_s1)) < 1e-10
+    back = surgery.transfer_to_s_minus1(on_s1, 0, 2)
+    assert abs(float(np.linalg.norm(back[2:])) - 1.0) < 1e-12
+    assert abs(float(np.linalg.norm(res.pipeline_point.w)) - 1.0) < 1e-12
 
 
 def test_pipeline_finite_speed_convergence():
@@ -115,10 +119,7 @@ def test_recognition_quarter_circle_at_r_equals_eps():
 def test_recognition_needs_fiber_part():
     start = mono.build_start(np.array([1.0, 0.0]), np.zeros(2), EPS)
     closed = mono.post_surgery_closed_form(start, EPS)
-    res = mono.MonodromyResult(
-        input=mono.PageDecomposition.of(start, -EPS),
-        output=mono.PageDecomposition.of(closed, +EPS),
-        pipeline_point=closed, closed_form_point=closed, twist_angle=0.0)
+    res = mono.MonodromyResult(start, closed, closed, 0.0)
     with pytest.raises(ValueError, match="r != 0"):
         mono.recognize_dehn_twist(res, EPS)
 
@@ -133,10 +134,11 @@ def test_far_fiber_transport_is_nearly_identity():
 def test_recognized_angle_closed_form():
     # cos g = (eps^2 - r^2)/(r^2 + eps^2) means g = 2 atan(|r|/eps)
     for r_norm in (0.05, 0.3, 1.0):
-        dec = mono.PageDecomposition(np.array([1.0, 0.0]),
-                                     np.array([0.0, r_norm]), -EPS)
-        g = mono.recognized_angle(dec, EPS)
+        start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, r_norm]), EPS)
+        closed = mono.post_surgery_closed_form(start, EPS)
+        g = mono.recognize_dehn_twist(mono.MonodromyResult(start, closed, closed, 0.0), EPS).g
         assert abs(math.cos(g) - (EPS ** 2 - r_norm ** 2) / (EPS ** 2 + r_norm ** 2)) < 1e-12
+        assert g == pytest.approx(2.0 * math.atan(r_norm / EPS), abs=1e-12)
 
 
 def test_pipeline_dimensions_spot():
@@ -145,7 +147,7 @@ def test_pipeline_dimensions_spot():
         for _ in range(10):
             start = mono.admissible_start(rng, nzw, EPS, PROFILE.delta)
             res = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW)
-            worst = max(worst, res.residuals["closed_vs_pipeline"])
+            worst = max(worst, res.closed_vs_pipeline)
         assert worst < 1e-6
 
 
@@ -252,17 +254,16 @@ def test_page_speed_residual_on_worked_point():
     from contactlab import flows
     on_s1 = surgery.limit_transfer_to_s1(worked_start(), PROFILE)
     fld = surgery.handle_hamiltonian_rhs(0, 2, PROFILE.delta)
-    traj = flows.flow_until_event(fld, on_s1.as_array(), surgery.page_value(0, 2),
+    traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2),
                                   EPS, FLOW)
     assert mono.page_speed_residual(traj, 0, 2, EPS) < 1e-8
 
 
 def _same_result(a, b):
-    return (np.array_equal(a.pipeline_point.as_array(), b.pipeline_point.as_array())
+    return (np.array_equal(a.start.as_array(), b.start.as_array())
+            and np.array_equal(a.pipeline_point.as_array(), b.pipeline_point.as_array())
             and np.array_equal(a.closed_form_point.as_array(), b.closed_form_point.as_array())
-            and np.array_equal(a.input.z(), b.input.z())
-            and np.array_equal(a.output.z(), b.output.z())
-            and a.twist_angle == b.twist_angle and a.residuals == b.residuals)
+            and a.closed_vs_pipeline == b.closed_vs_pipeline)
 
 
 @pytest.mark.parametrize("nzw", [2, 3, 4])
@@ -283,10 +284,10 @@ def test_batched_pipeline_rows_equal_one_start_pipelines(nzw):
 def test_batched_reeb_transport_equals_one_start_transports():
     local = np.random.default_rng(7)
     starts = [mono.admissible_start(local, 3, EPS, 0.05) for _ in range(9)]
-    batch = mono.pre_surgery_monodromy_batch(starts, EPS, FLOW)
+    batch = mono.pre_surgery_monodromy(starts, EPS, FLOW)
     for start, out in zip(starts, batch):
         assert np.array_equal(out.as_array(),
-                              mono.pre_surgery_monodromy(start, EPS, FLOW).as_array())
+                              mono.pre_surgery_monodromy([start], EPS, FLOW)[0].as_array())
 
 
 def test_batches_refuse_mixed_block_sizes_and_missing_profiles():
@@ -294,8 +295,25 @@ def test_batches_refuse_mixed_block_sizes_and_missing_profiles():
     starts = [mono.admissible_start(local, 2, EPS, 0.05),
               mono.admissible_start(local, 3, EPS, 0.05)]
     with pytest.raises(ValueError, match="block sizes"):
-        mono.pre_surgery_monodromy_batch(starts, EPS, FLOW)
+        mono.pre_surgery_monodromy(starts, EPS, FLOW)
     with pytest.raises(ValueError, match="block sizes"):
         mono.post_surgery_pipeline_batch(starts, CONFIG, [PROFILE] * 2, FLOW)
     with pytest.raises(ValueError, match="one handle profile per start"):
         mono.post_surgery_pipeline_batch(starts[:1], CONFIG, [PROFILE] * 2, FLOW)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
+    # the pipeline point and the closed form; the stages pass flat rows
+    local = np.random.default_rng(9)
+    starts = [mono.admissible_start(local, 3, EPS, PROFILE.delta) for _ in range(m)]
+    built = []
+    validate = ModelPoint.__post_init__
+
+    def counted(self):
+        built.append(None)
+        validate(self)
+
+    monkeypatch.setattr(ModelPoint, "__post_init__", counted)
+    mono.post_surgery_pipeline_batch(starts, CONFIG, [PROFILE] * m, FLOW)
+    assert len(built) == 2 * m

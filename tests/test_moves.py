@@ -131,6 +131,22 @@ def test_serialization_roundtrip_and_golden():
     ("page -2", "got -2"),
     ("page 3\nhandle h0 index 9 framing std", "index 9"),
     ("page 3\nhandle h0 index -1 framing std", "index -1"),
+    # stabilizing along d1 would add a second h(d1) and S(d1)
+    ("page 3\nhandle h(d1) index 3 framing t1+core\n"
+     "sphere S(d1) supports h(d1) disk d1 tag t1\ndisk d1 tag t1\nword S(d1)^+1",
+     "records disk d1, which is a page disk"),
+    ("page 3\nhandle h(d1) index 1 framing std\ndisk d1 tag t1",
+     "labels h(d1) and S(d1) are reserved for stabilizing along disk d1"),
+    ("page 3\nhandle h0 index 1 framing std\nsphere S(d0) supports h0\ndisk d0 tag t0",
+     "labels h(d0) and S(d0) are reserved for stabilizing along disk d0"),
+    # destabilizing would put a second disk d1 on the page
+    ("page 3\nhandle h(d1) index 3 framing t1+core\nhandle h(e) index 3 framing t1+core\n"
+     "sphere S(d1) supports h(d1) disk d1 tag t1\nsphere S(e) supports h(e) disk d1 tag t1",
+     "records disk d1, which is a page disk or another sphere's disk"),
+    # destabilizing S(d1) would put d1 back beside a handle h(d1) it does not ride
+    ("page 3\nhandle h(d1) index 1 framing std\nhandle k index 3 framing t1+core\n"
+     "sphere S(d1) supports k disk d1 tag t1\nword S(d1)^+1",
+     "labels h(d1) and S(d1) are reserved for stabilizing along disk d1"),
 ])
 def test_from_text_rejects_descriptors_that_cannot_work(text, named):
     with pytest.raises(ValueError, match=re.escape(named)):

@@ -2,13 +2,20 @@
 either parse or fail with a named ValueError, never with a stray exception."""
 
 import json
+import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab import cli, moves as mv
+from contactlab import cli, moves as mv, surgery
 from contactlab.config import ConfigError, ScenarioConfig, config_from_dict
+from contactlab.flows import IntegratorConfig
+from contactlab.monodromy import PageDecomposition
+from contactlab.profiles import DehnTwistProfile
+from contactlab.sphere import SpherePoint
+from contactlab.surgery import ModelPoint
 
 FIELDS = [f.name for f in fields(ScenarioConfig)]
 TOLERANCE_KEYS = list(ScenarioConfig().tolerances)
@@ -67,11 +74,37 @@ def test_any_json_object_gives_a_config_or_config_error(data):
     ({"deltas": [0.3]}, "deltas"),
     ({"window_deltas": [0.3, 0.2]}, "window_deltas"),
     ({"suite": "moves", "search_depth": -1}, "search_depth"),
+    ({"a_values": [10000.0, 1000.0, 100.0, 10.0]}, "a_values: must be strictly increasing"),
+    ({"a_values": [100.0, 100.0]}, "a_values: must be strictly increasing"),
+    ({"tolerances": {"window_exponent_low": 1.3, "window_exponent_high": 0.7}},
+     "tolerances.window_exponent_low: must be below window_exponent_high"),
+    ({"tolerances": {"window_exponent_low": 1.0, "window_exponent_high": 1.0}},
+     "tolerances.window_exponent_low: must be below window_exponent_high"),
 ])
 def test_bad_config_values_are_named(data, field):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(data)
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: PageDecomposition(np.array([math.nan, 0.0]), np.zeros(2), -0.1), "unit vector"),
+    (lambda: PageDecomposition(np.array([1.0, 0.0]), np.array([0.0, math.nan]), -0.1),
+     "orthogonal"),
+    (lambda: PageDecomposition.of(ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
+                                             np.array([1.0, 0.0])), math.nan), "sits on page"),
+    (lambda: SpherePoint(np.array([math.nan, 0.0]), np.zeros(2)), "unit constraint"),
+    (lambda: SpherePoint(np.array([1.0, 0.0]), np.array([0.0, math.inf])), "orthogonality"),
+    (lambda: DehnTwistProfile(math.nan, 1), "p0 must be positive"),
+    (lambda: surgery.phi_c_map(2, 0, math.nan), "scaling constant must be positive"),
+    (lambda: IntegratorConfig(step=math.nan), "positive and finite"),
+    (lambda: IntegratorConfig(max_time=math.inf), "positive and finite"),
+    (lambda: IntegratorConfig(event_tol=math.nan), "positive and finite"),
+])
+def test_validators_refuse_nan_and_inf(build, named):
+    # a NaN fails every comparison, so each check states what must hold
+    with pytest.raises(ValueError, match=named):
+        build()
 
 
 @pytest.mark.parametrize("data", [5, None, "abc", [1]])
@@ -125,6 +158,7 @@ def test_any_text_gives_a_round_tripping_descriptor_or_value_error(text):
     except ValueError:
         return
     assert mv.from_text(mv.to_text(desc)) == desc
+    mv.neighbors(desc)  # every move applies to a page that parses
 
 
 @pytest.mark.parametrize("text", [

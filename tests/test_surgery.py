@@ -288,10 +288,10 @@ def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
                     built.clear()
                     out = transfer_to_s1_finite_a(start, a, PROFILE)
                     monkeypatch.setattr(ModelPoint, "__post_init__", validate)
-                    assert len(built) == 1  # the result, and no path point
-                    assert np.array_equal(out.as_array(), ref.as_array())
+                    assert not built  # flat states throughout, the result too
+                    assert np.array_equal(out, ref.as_array())
                     if a == math.inf:
-                        assert np.array_equal(limit_transfer_to_s1(start, PROFILE).as_array(),
+                        assert np.array_equal(limit_transfer_to_s1(start, PROFILE),
                                               ref.as_array())
     assert signs == {-1, 0, 1}
 
@@ -299,9 +299,9 @@ def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
 def test_limit_transfer_frozen_example():
     pt = legendrian_point([-0.1, 0.5], [1.0, 0.0])
     out = limit_transfer_to_s1(pt, PROFILE)
-    assert np.allclose(out.z, [-0.19611613513818404, 0.9805806756909202])
-    assert np.allclose(out.w, [0.5099019513592785, 0.0])
-    assert abs(f_eval(out, PROFILE)) < 1e-10
+    assert np.allclose(out[:2], [-0.19611613513818404, 0.9805806756909202])
+    assert np.allclose(out[2:], [0.5099019513592785, 0.0])
+    assert abs(surgery.level_value(0, 2, PROFILE.delta)(out)) < 1e-10
 
 
 @given(st.integers(0, 10 ** 6))
@@ -315,7 +315,7 @@ def test_limit_transfer_preserves_page_value(seed):
         z = np.array([0.3, 0.1])
     pt = legendrian_point(z, w)
     out = limit_transfer_to_s1(pt, PROFILE)
-    assert abs(theta_page(out) - theta_page(pt)) < 1e-12
+    assert abs(float(out[:2] @ out[2:]) - theta_page(pt)) < 1e-12
 
 
 def test_limit_transfer_identity_on_level_set():
@@ -323,7 +323,7 @@ def test_limit_transfer_identity_on_level_set():
     pt = legendrian_point([1.2, 0.0], [1.0, 0.0])
     assert abs(f_eval(pt, PROFILE)) < 1e-14
     out = limit_transfer_to_s1(pt, PROFILE)
-    assert np.allclose(out.as_array(), pt.as_array())
+    assert np.allclose(out, pt.as_array())
 
 
 def test_limit_transfer_rejects_removed_locus():
@@ -333,24 +333,40 @@ def test_limit_transfer_rejects_removed_locus():
 
 def test_finite_transfer_converges_to_limit():
     pt = legendrian_point([-0.1, 0.5], [1.0, 0.0])
-    lim = limit_transfer_to_s1(pt, PROFILE).as_array()
+    lim = limit_transfer_to_s1(pt, PROFILE)
     errs = []
     for a in (10.0, 100.0, 1000.0):
-        out = transfer_to_s1_finite_a(pt, a, PROFILE).as_array()
+        out = transfer_to_s1_finite_a(pt, a, PROFILE)
         errs.append(np.max(np.abs(out - lim)))
     assert errs[0] > errs[1] > errs[2]
     # order 1/a: tenfold speed shrinks the error about tenfold
     assert 5.0 < errs[0] / errs[1] < 20.0
-    assert np.max(np.abs(transfer_to_s1_finite_a(pt, 1000.0, PROFILE).as_array()
-                         - lim)) < 2e-3
+    assert np.max(np.abs(transfer_to_s1_finite_a(pt, 1000.0, PROFILE) - lim)) < 2e-3
 
 
 def test_inverse_transfer_normalizes_w():
     pt = legendrian_point([-0.19611613513818404, 0.9805806756909202],
                           [0.5099019513592785, 0.0])
-    back = transfer_to_s_minus1(pt)
-    assert abs(np.linalg.norm(back.w) - 1.0) < 1e-14
-    assert abs(theta_page(back) - theta_page(pt)) < 1e-14
+    back = transfer_to_s_minus1(pt.as_array(), 0, 2)
+    assert abs(np.linalg.norm(back[2:]) - 1.0) < 1e-14
+    assert abs(float(back[:2] @ back[2:]) - theta_page(pt)) < 1e-14
+
+
+def test_inverse_transfer_repeats_the_model_point_formula_bitwise():
+    local = np.random.default_rng(12)
+    for nxy in (0, 1, 2):
+        for nzw in (2, 3, 4):
+            for _ in range(20):
+                pt = ModelPoint(local.standard_normal(nxy), local.standard_normal(nxy),
+                                local.standard_normal(nzw),
+                                local.uniform(0.1, 2.0) * local.standard_normal(nzw))
+                # the inverse transfer as first written, on model points
+                nw = float(np.linalg.norm(pt.w))
+                ref = ModelPoint(pt.x, pt.y, nw * pt.z, pt.w / nw)
+                back = transfer_to_s_minus1(pt.as_array(), nxy, nzw)
+                assert np.array_equal(back, ref.as_array())
+    with pytest.raises(ValueError, match="w = 0"):
+        transfer_to_s_minus1(np.array([0.3, 0.1, 0.0, 0.0]), 0, 2)
 
 
 def test_membership_desk_cases():
