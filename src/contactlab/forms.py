@@ -216,17 +216,17 @@ def standard_complex_structure(dim: int) -> Array:
     return j
 
 
-def psh_gram_matrix(grad_f: Callable[[Array], Array], pt: Array, vectors: Sequence[Array],
+def psh_gram_matrix(gradient: Callable[[Array], Array], pt: Array, vectors: Sequence[Array],
                     h_fd: float = DEFAULT_FD_STEP) -> Array:
     """Gram matrix of the candidate metric -d(df o J)(U, J V) on the given
-    vectors, for the potential f with analytic gradient ``grad_f``.
+    vectors, for the potential f with analytic gradient ``gradient``.
 
     Positive definiteness of the result is the strict plurisubharmonicity test;
     the caller inspects the leading minors or eigenvalues.
     """
     pt = np.asarray(pt, dtype=float)
     j_std = standard_complex_structure(pt.size)
-    eta = KFormOracle(1, pt.size, lambda x, v: float(np.dot(grad_f(x), j_std @ v)))
+    eta = KFormOracle(1, pt.size, lambda x, v: float(np.dot(gradient(x), j_std @ v)))
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     m = len(vectors)
     gram = np.empty((m, m))

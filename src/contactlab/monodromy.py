@@ -114,7 +114,7 @@ def pre_surgery_monodromy(starts: Sequence[ModelPoint], epsilon: float,
     if not starts:
         return []
     for start in starts:
-        if abs(start.theta() + epsilon) > 1e-9:
+        if not abs(start.theta() + epsilon) <= 1e-9:
             raise ValueError("start must sit on the -eps page")
         if not start.on_s_minus1():
             raise ValueError("start must lie on the |w|^2 = 1 hypersurface")
@@ -127,7 +127,7 @@ def pre_surgery_monodromy(starts: Sequence[ModelPoint], epsilon: float,
 
 def post_surgery_closed_form(start: ModelPoint, epsilon: float) -> ModelPoint:
     """(z, w + 2 eps z / |z|^2); lands back on |w|^2 = 1 because z.w = -eps."""
-    if abs(start.theta() + epsilon) > 1e-9:
+    if not abs(start.theta() + epsilon) <= 1e-9:
         raise ValueError("start must sit on the -eps page")
     z2 = float(start.z @ start.z)
     if z2 == 0.0:

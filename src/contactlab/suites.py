@@ -29,8 +29,13 @@ Array = np.ndarray
 
 # every operation whose defining formula comes from the source model must be
 # exercised at least once by the "all" suite.  The labels name formulas, not
-# functions: "phi_c" is implemented by surgery.phi_c_map and "liouville_X_a"
-# by surgery.liouville_a_field.
+# functions; the surgery model's are flat-state callables: "f_eval" is
+# surgery.level_value, "hamiltonian_field_xf" surgery.handle_hamiltonian_rhs,
+# "reeb_s_minus1" surgery.reeb_field, "liouville_X" surgery.liouville_field,
+# "liouville_X_a" surgery.liouville_a_field, "theta_page" surgery.page_value,
+# "omega0_eval" surgery.omega0_form, "alpha_s_minus1_eval"
+# surgery.alpha_model_form, "transversality_margin"
+# surgery.transversality_margins and "phi_c" surgery.phi_c_map.
 QUOTED_OPS = [
     "pullback_eval", "liouville_residual", "contact_volume", "psh_gram_matrix",
     "canonical_form_eval", "geodesic_flow", "dehn_twist",
@@ -323,14 +328,20 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     def isotropic():
         rng = check_rng(cfg.seed, "isotropic")
         worst = 0.0
+        alpha = surgery.alpha_model_form(1, 3)
+        wnorm2 = surgery.wnorm2_value(1, 3)
         for _ in range(50):
             w = rng.standard_normal(3)
             w /= np.linalg.norm(w)
-            pt = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(3), w)
-            for u in sphere._orthonormal_complement(w):
+            u = np.concatenate([np.zeros(5), w])  # x | y | z(3) | w(3)
+            if not abs(wnorm2(u) - 1.0) < surgery.S_TOL:
+                raise ValueError("point is not on the |w|^2 = 1 hypersurface")
+            for t in sphere._orthonormal_complement(w):
+                if not abs(w @ t) <= surgery.S_TOL:
+                    raise ValueError("vector is not tangent to the hypersurface")
                 v = np.zeros(8)
-                v[5:8] = u  # w-block of the flat layout (nxy=1, nzw=3)
-                worst = max(worst, abs(surgery.alpha_s_minus1_eval(pt, v)))
+                v[5:8] = t  # w-block of the flat layout (nxy=1, nzw=3)
+                worst = max(worst, abs(alpha(u, v)))
         return worst, 50, {}
 
     @check("liouville-expansion",
@@ -386,15 +397,10 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             mins[str(delta)] = float(margins.min())
             worst_floor = max(worst_floor, cfg.tol("positivity_floor") - float(margins.min()))
             total += cfg.n_surface_scan
-        # frozen flat-piece values of the margin
-        profile = HandleProfile(0.1)
-        outer = ModelPoint(np.zeros(0), np.zeros(0),
-                           np.array([math.sqrt(1.5), 0.0]), np.array([1.0, 0.0]))
-        inner = ModelPoint(np.zeros(0), np.zeros(0),
-                           np.array([1.0, 0.0]), np.array([0.8, 0.0]))
-        v1 = abs(surgery.transversality_margin(outer, profile) - 1.0)
-        v2 = abs(surgery.transversality_margin(inner, profile) - 2.0)
-        worst = max(worst_floor, v1, v2)
+        # frozen flat-piece values of the margin, rows (z | w) outer and inner
+        frozen = np.array([[math.sqrt(1.5), 0.0, 1.0, 0.0], [1.0, 0.0, 0.8, 0.0]])
+        outer, inner = surgery.transversality_margins(frozen, 0, 2, HandleProfile(0.1))
+        worst = max(worst_floor, abs(outer - 1.0), abs(inner - 2.0))
         return worst, total + 2, {"min_margin": mins}
 
     @check("handle-function-values",
@@ -402,15 +408,10 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            "flat pieces, at the origin and far out the w axis",
            ["f_eval"], 1e-12)
     def f_values():
-        profile = HandleProfile(0.1)
-        worst = 0.0
-        pt = ModelPoint(np.zeros(0), np.zeros(0),
-                        np.array([math.sqrt(1.5), 0.0]), np.array([1.0, 0.0]))
-        worst = max(worst, abs(surgery.f_eval(pt, profile)))
-        origin = ModelPoint(np.zeros(0), np.zeros(0), np.zeros(2), np.zeros(2))
-        worst = max(worst, abs(surgery.f_eval(origin, profile) + 1.0))
-        outside = ModelPoint(np.zeros(0), np.zeros(0), np.zeros(2), np.array([2.0, 0.0]))
-        worst = max(worst, abs(surgery.f_eval(outside, profile) + (4.0 + 0.1)))
+        level = surgery.level_value(0, 2, 0.1)  # flat layout z(2) | w(2)
+        worst = abs(level(np.array([math.sqrt(1.5), 0.0, 1.0, 0.0])))
+        worst = max(worst, abs(level(np.zeros(4)) + 1.0))
+        worst = max(worst, abs(level(np.array([0.0, 0.0, 2.0, 0.0])) + (4.0 + 0.1)))
         return worst, 3, {}
 
     @check("page-hamiltonian-sign",
@@ -419,21 +420,21 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            ["hamiltonian_field_xf", "omega0_eval"], cfg.tol("liouville"))
     def hamiltonian_sign():
         rng = check_rng(cfg.seed, "xf-sign")
-        profile = HandleProfile(0.05)
+        xf_field = surgery.handle_hamiltonian_rhs(0, 2, 0.05)  # flat layout z(2) | w(2)
+        gradient = surgery.level_gradient(0, 2, 0.05)
+        omega = surgery.omega0_form(0, 2)
         worst = 0.0
         for _ in range(100):
-            pt = ModelPoint(np.zeros(0), np.zeros(0),
-                            rng.standard_normal(2) * 0.9, rng.standard_normal(2) * 0.9)
-            xf = surgery.hamiltonian_field_xf(pt, profile).as_array()
-            grad = surgery.grad_f(pt, profile)
+            u = np.concatenate([rng.standard_normal(2) * 0.9, rng.standard_normal(2) * 0.9])
+            xf = xf_field(u)
+            grad = gradient(u)
             for v in np.eye(4):
-                lhs = surgery.omega0_eval(pt, xf, v)
-                worst = max(worst, abs(lhs + grad @ v))
+                worst = max(worst, abs(omega(u, xf, v) + grad @ v))
         # flat piece |z| = 1: the field is 2 z in the w slot
-        pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([1.0, 0.0]), np.array([0.3, 0.1]))
-        xf = surgery.hamiltonian_field_xf(pt, profile)
-        worst = max(worst, float(np.max(np.abs(xf.w - 2.0 * pt.z))),
-                    float(np.max(np.abs(xf.z))))
+        u = np.array([1.0, 0.0, 0.3, 0.1])
+        xf = xf_field(u)
+        worst = max(worst, float(np.max(np.abs(xf[2:] - 2.0 * u[:2]))),
+                    float(np.max(np.abs(xf[:2]))))
         return worst, 101, {"convention": "i_X omega = -dF"}
 
     @check("reeb-field-on-model",
@@ -444,32 +445,33 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         rng = check_rng(cfg.seed, "reeb-props")
         worst = 0.0
         alpha = surgery.alpha_model_form(0, 2)
+        reeb = surgery.reeb_field(0, 2)  # flat layout z(2) | w(2)
         for _ in range(20):
             pt = surgery.random_s_minus1_point(rng, 0, 2)
-            r_vec = surgery.reeb_s_minus1(pt).as_array()
-            worst = max(worst, abs(alpha(pt.as_array(), r_vec) - 1.0))
+            u = pt.as_array()
+            r_vec = reeb(u)
+            worst = max(worst, abs(alpha(u, r_vec) - 1.0))
             for v in surgery.s_minus1_tangent_frame(pt):
-                dval = forms.exterior_derivative(alpha, pt.as_array(), [r_vec, v], cfg.h_fd)
+                dval = forms.exterior_derivative(alpha, u, [r_vec, v], cfg.h_fd)
                 worst = max(worst, abs(dval))
-        pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([0.2, -0.4]), np.array([1.0, 0.0]))
-        r_vec = surgery.reeb_s_minus1(pt)
-        worst = max(worst, float(np.max(np.abs(r_vec.z - pt.w))),
-                    float(np.max(np.abs(r_vec.w))))
+        u = np.array([0.2, -0.4, 1.0, 0.0])
+        r_vec = reeb(u)
+        worst = max(worst, float(np.max(np.abs(r_vec[:2] - u[2:]))),
+                    float(np.max(np.abs(r_vec[2:]))))
         return worst, 21, {}
 
     @check("page-function-values",
            "the page function z.w advances at unit rate along the Reeb field",
            ["theta_page", "flow_fixed_time"], 1e-10)
     def theta_values():
-        worst = 0.0
-        pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([1.0, 0.0]))
-        worst = max(worst, abs(surgery.theta_page(pt) + 0.1))
-        pt0 = ModelPoint(np.zeros(0), np.zeros(0), np.zeros(2), np.array([1.0, 0.0]))
-        worst = max(worst, abs(surgery.theta_page(pt0)))
+        page = surgery.page_value(0, 2)  # flat layout z(2) | w(2)
+        u = np.array([-0.1, 0.5, 1.0, 0.0])
+        worst = abs(page(u) + 0.1)
+        worst = max(worst, abs(page(np.array([0.0, 0.0, 1.0, 0.0]))))
         # after Reeb time s the page value moves to -eps + s
         fld = surgery.reeb_field(0, 2)
         cfg_i = IntegratorConfig(step=cfg.flow_step, max_time=1.0)
-        out = flows.flow_fixed_time(fld, pt.as_array(), 0.3, cfg_i)
+        out = flows.flow_fixed_time(fld, u, 0.3, cfg_i)
         worst = max(worst, abs(float(out[:2] @ out[2:]) - (-0.1 + 0.3)))
         return worst, 3, {}
 
@@ -477,13 +479,14 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            "dx^dy + dz^dw on paired, repeated and mixed block vectors",
            ["omega0_eval"], 1e-14)
     def omega_values():
-        pt = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
+        omega = surgery.omega0_form(1, 2)
+        u = np.zeros(6)
         e = np.eye(6)  # layout x | y | z(2) | w(2)
-        worst = abs(surgery.omega0_eval(pt, e[0], e[1]) - 1.0)   # (e_x1, e_y1)
-        worst = max(worst, abs(surgery.omega0_eval(pt, e[0], e[0])))
+        worst = abs(omega(u, e[0], e[1]) - 1.0)   # (e_x1, e_y1)
+        worst = max(worst, abs(omega(u, e[0], e[0])))
         v1 = e[2] + e[4]   # e_z1 + e_w1
         v2 = e[2] - e[4]
-        worst = max(worst, abs(surgery.omega0_eval(pt, v1, v2) + 2.0))
+        worst = max(worst, abs(omega(u, v1, v2) + 2.0))
         return worst, 3, {}
 
     @check("plurisubharmonic-metric",
@@ -519,6 +522,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     def contact_volume_sminus1():
         rng = check_rng(cfg.seed, "volume-sminus1")
         alpha = surgery.alpha_model_form(1, 2)
+        liouville = surgery.liouville_field(1, 2)
         # positive ambient orientation pairs the coordinates (x1,y1,...,z1,w1,...)
         pair_order = [0, 1, 2, 4, 3, 5]  # block layout x|y|z(2)|w(2) reordered
         worst = -math.inf
@@ -528,7 +532,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             frame = surgery.s_minus1_tangent_frame(pt)
             # flip one frame vector so that (Liouville direction, frame) is a
             # positive ambient basis: the volume's sign is then intrinsic
-            full = np.column_stack([surgery.liouville_X(pt).as_array()] + list(frame))
+            full = np.column_stack([liouville(pt.as_array())] + list(frame))
             if np.linalg.det(full[pair_order, :]) < 0:
                 frame[-1] = -frame[-1]
             vol = forms.contact_volume(alpha, pt.as_array(), frame, cfg.h_fd)
@@ -810,18 +814,18 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             start = surgery.random_s_minus1_point(rng, 0, 2)
             traj = flows.flow_record(fld, start.as_array(), 1.0, cfg_i, unit_w)
             for row in traj.points[:: max(1, len(traj.points) // 20)]:
-                pt = ModelPoint.from_array(row, 0, 2)
-                worst = max(worst, abs(float(pt.w @ pt.w) - 1.0))
-                worst = max(worst, abs(alpha(row, surgery.reeb_s_minus1(pt).as_array()) - 1.0))
+                w = row[2:]
+                worst = max(worst, abs(float(w @ w) - 1.0))
+                worst = max(worst, abs(alpha(row, fld(row)) - 1.0))
         # Hamiltonian page flow preserves the level value
         profile_l = HandleProfile(0.1)
         fld_h = surgery.handle_hamiltonian_rhs(0, 2, profile_l.delta)
         on_level = surgery.level_projection(0, 2, profile_l.delta)
+        level = surgery.level_value(0, 2, profile_l.delta)
         pts = surgery.sample_s1_points(check_rng(cfg.seed, "fi2"), 5, 0, 2, profile_l)
         for row in pts:
             out = flows.flow_fixed_time(fld_h, row, 0.25, cfg_i, on_level)
-            worst = max(worst, abs(surgery.f_eval(ModelPoint.from_array(out, 0, 2),
-                                                  profile_l)))
+            worst = max(worst, abs(level(out)))
         return worst, 10, {}
 
     @check("twist-word-composition",

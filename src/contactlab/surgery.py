@@ -6,10 +6,11 @@ induced contact form alpha = (x dy - y dx)/2 + 2z dw + w dz and models a
 neighborhood of an isotropic sphere before surgery; S_1, the zero set of
 F = -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2), models the result of the surgery.
 
-Each model quantity (F, its gradient, the page field X_F, the Reeb field and
-the Liouville field) is written once, as a plain callable on the flat state
-that flows, events and projections use; the ``ModelPoint`` functions the
-pointwise checks call evaluate that flat form and wrap the result.  The
+Each model quantity (F, its gradient, the page field X_F, the Reeb field,
+the Liouville field, the page function and the forms) is written once, as a
+plain callable on the flat state; flows, events, projections and the
+pointwise checks all call that one form.  ``ModelPoint`` is the boundary
+type of random points, transfer starts and the straightening map.  The
 Liouville transfers between S_{-1} and S_1 return flat states; the two onto
 S_1 share one bracket-and-bisect search for the zero of F along a path.
 
@@ -101,12 +102,6 @@ class SurgeryConfig:
 # forms and fields
 # ---------------------------------------------------------------------------
 
-def omega0_eval(pt: ModelPoint, v1: Array, v2: Array) -> float:
-    """dx^dy + dz^dw on two ambient vectors in block layout."""
-    nxy, nzw = pt.nxy, pt.nzw
-    return _omega0_flat(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float), nxy, nzw)
-
-
 def _omega0_flat(v1: Array, v2: Array, nxy: int, nzw: int) -> float:
     b = 2 * nxy
     val = v1[:nxy] @ v2[nxy:b] - v1[nxy:b] @ v2[:nxy]
@@ -115,6 +110,7 @@ def _omega0_flat(v1: Array, v2: Array, nxy: int, nzw: int) -> float:
 
 
 def omega0_form(nxy: int, nzw: int) -> KFormOracle:
+    """dx^dy + dz^dw on two ambient vectors in block layout."""
     dim = 2 * nxy + 2 * nzw
     form = KFormOracle(2, dim, lambda x, u, v: _omega0_flat(u, v, nxy, nzw))
     form.d_oracle = lambda x, u, v, w: 0.0
@@ -146,11 +142,6 @@ def _rho2_w2(v: list, nxy: int, nzw: int):
     return _sum_sq(v[:b]), _sum_sq(v[b:b + nzw])
 
 
-def _at_point(field, pt: ModelPoint) -> ModelPoint:
-    """A flat-state field evaluated at a model point, split back into blocks."""
-    return ModelPoint.from_array(field(pt.as_array()), pt.nxy, pt.nzw)
-
-
 def liouville_field(nxy: int, nzw: int):
     """The Liouville field (x/2, y/2, 2z, -w) of a flat state."""
     scale = np.concatenate([np.full(2 * nxy, 0.5), np.full(nzw, 2.0), np.full(nzw, -1.0)])
@@ -159,11 +150,6 @@ def liouville_field(nxy: int, nzw: int):
         return scale * u
 
     return func
-
-
-def liouville_X(pt: ModelPoint) -> ModelPoint:
-    """The Liouville field (x/2, y/2, 2z, -w) at a model point."""
-    return _at_point(liouville_field(pt.nxy, pt.nzw), pt)
 
 
 def liouville_a_field(nxy: int, nzw: int, a: float):
@@ -178,16 +164,6 @@ def liouville_a_field(nxy: int, nzw: int, a: float):
         return du
 
     return func
-
-
-def alpha_s_minus1_eval(pt: ModelPoint, v: Array) -> float:
-    """(x dy - y dx)/2 + 2 z dw + w dz on a tangent vector of S_{-1}."""
-    if not pt.on_s_minus1():
-        raise ValueError("point is not on the |w|^2 = 1 hypersurface")
-    v_w = np.asarray(v, dtype=float)[2 * pt.nxy + pt.nzw:]
-    if abs(pt.w @ v_w) > S_TOL:
-        raise ValueError("vector is not tangent to the hypersurface")
-    return alpha_model_form(pt.nxy, pt.nzw)(pt.as_array(), np.asarray(v, dtype=float))
 
 
 def alpha_model_form(nxy: int, nzw: int) -> KFormOracle:
@@ -227,16 +203,6 @@ def reeb_field(nxy: int, nzw: int):
         return du
 
     return func
-
-
-def reeb_s_minus1(pt: ModelPoint) -> ModelPoint:
-    """The Reeb field at a point of S_{-1}."""
-    return _at_point(reeb_field(pt.nxy, pt.nzw), pt)
-
-
-def theta_page(pt: ModelPoint) -> float:
-    """The page function z . w."""
-    return pt.theta()
 
 
 def page_value(nxy: int, nzw: int):
@@ -402,29 +368,14 @@ def _handle_gradient(u: Array, rho2: float, w2: float, nzw: int, delta: float) -
     return grad
 
 
-def f_eval(pt: ModelPoint, profile: HandleProfile) -> float:
-    """The handle function F at a model point."""
-    return level_value(pt.nxy, pt.nzw, profile.delta)(pt.as_array())
-
-
-def grad_f(pt: ModelPoint, profile: HandleProfile) -> Array:
-    u = pt.as_array()
-    rho2, w2 = _rho2_w2(u.tolist(), pt.nxy, pt.nzw)
-    return _handle_gradient(u, rho2, w2, pt.nzw, profile.delta)
-
-
-def transversality_margin(pt: ModelPoint, profile: HandleProfile) -> float:
-    """(|x|^2/2 + |y|^2/2 + 2|z|^2) g' + |w|^2 f', positive on all of S_1.
+def transversality_margins(points: Array, nxy: int, nzw: int,
+                           profile: HandleProfile) -> Array:
+    """(|x|^2/2 + |y|^2/2 + 2|z|^2) g' + |w|^2 f' of each row, positive on all of S_1.
 
     The Liouville directional derivative of the handle function is exactly
     twice this margin; both vanish together, so positivity of either one is
     the transversality statement.
     """
-    return _margin(pt.as_array().tolist(), pt.nxy, pt.nzw, profile.delta)
-
-
-def transversality_margins(points: Array, nxy: int, nzw: int,
-                           profile: HandleProfile) -> Array:
     pts = np.asarray(points, dtype=float)
     out = np.empty(len(pts))
     for i, row in enumerate(pts):
@@ -439,14 +390,9 @@ def _margin(v: list, nxy: int, nzw: int, delta: float) -> float:
         + w2 * handle_f_d(w2, delta)
 
 
-def hamiltonian_field_xf(pt: ModelPoint, profile: HandleProfile) -> ModelPoint:
-    """The page field X_F at a model point; satisfies i_X omega0 = -dF."""
-    return _at_point(handle_hamiltonian_rhs(pt.nxy, pt.nzw, profile.delta), pt)
-
-
 def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
-    """The page flow field, 2 f'(|w|^2) w in the z slot and 2 g'(rho^2) z in
-    the w slot, on a (d,) state or an (m, d) row batch.
+    """The page flow field X_F, 2 f'(|w|^2) w in the z slot and 2 g'(rho^2) z
+    in the w slot, on a (d,) state or an (m, d) row batch; i_X omega0 = -dF.
 
     With ``delta`` None the state carries one more coordinate, its row's
     smoothing width, which the flow leaves fixed: rows under different handle
@@ -481,6 +427,14 @@ def level_value(nxy: int, nzw: int, delta: float):
         return _handle_value(*_rho2_w2(u.tolist(), nxy, nzw), delta)
 
     return value
+
+
+def level_gradient(nxy: int, nzw: int, delta: float):
+    """The gradient of the handle function of a flat state."""
+    def gradient(u):
+        return _handle_gradient(u, *_rho2_w2(u.tolist(), nxy, nzw), nzw, delta)
+
+    return gradient
 
 
 def level_projection(nxy: int, nzw: int, delta: float):
@@ -580,7 +534,7 @@ def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) ->
     level-set bisection in the flow time; returns the flat state."""
     if a == math.inf:
         return limit_transfer_to_s1(pt, profile)
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("Liouville parameter a must be positive")
     _z_norm(pt)
 

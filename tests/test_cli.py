@@ -4,12 +4,10 @@ import csv
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import contactlab
 from contactlab import cli
 from contactlab.config import ConfigError, config_from_dict, load_config
 from contactlab.reports import check_rng
@@ -155,11 +153,7 @@ def test_all_suite_passes_at_reduced_scale(all_suite_report):
     assert not failed, f"failed checks: {failed}"
 
 
-def test_fresh_interpreter_runs_moves_suite():
-    # A fresh interpreter with a minimal env, so nothing leaks in from the
-    # parent; the child imports the same contactlab as this process (a
-    # checkout or an install) and writes no bytecode into it.
-    package_root = str(Path(contactlab.__file__).resolve().parents[1])
+def test_fresh_interpreter_runs_moves_suite(fresh_interpreter_env):
     code = subprocess.run(
         [sys.executable, "-c",
          "from contactlab.config import config_from_dict;"
@@ -167,7 +161,6 @@ def test_fresh_interpreter_runs_moves_suite():
          "rep = run_suite(config_from_dict({'suite': 'moves', 'n_chains': 20,"
          "'n_nonconnected': 5}));"
          "assert rep.passed"],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
-             "PYTHONDONTWRITEBYTECODE": "1"},
+        env=fresh_interpreter_env,
         capture_output=True, text=True)
     assert code.returncode == 0, code.stderr

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from contactlab import cli, moves as mv, surgery
 from contactlab.config import ConfigError, ScenarioConfig, config_from_dict
 from contactlab.flows import IntegratorConfig
-from contactlab.monodromy import PageDecomposition
-from contactlab.profiles import DehnTwistProfile
+from contactlab.monodromy import (PageDecomposition, post_surgery_closed_form,
+                                  pre_surgery_monodromy)
+from contactlab.profiles import DehnTwistProfile, HandleProfile
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint
 
@@ -87,19 +88,27 @@ def test_bad_config_values_are_named(data, field):
     assert field in str(exc.value)
 
 
+# a start on the -0.1 page of S_{-1}
+ON_PAGE = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([1.0, 0.0]))
+
+
 @pytest.mark.parametrize("build, named", [
     (lambda: PageDecomposition(np.array([math.nan, 0.0]), np.zeros(2), -0.1), "unit vector"),
     (lambda: PageDecomposition(np.array([1.0, 0.0]), np.array([0.0, math.nan]), -0.1),
      "orthogonal"),
-    (lambda: PageDecomposition.of(ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
-                                             np.array([1.0, 0.0])), math.nan), "sits on page"),
-    (lambda: SpherePoint(np.array([math.nan, 0.0]), np.zeros(2)), "unit constraint"),
-    (lambda: SpherePoint(np.array([1.0, 0.0]), np.array([0.0, math.inf])), "orthogonality"),
+    (lambda: PageDecomposition.of(ON_PAGE, math.nan), "sits on page"),
+    (lambda: SpherePoint(np.array([math.nan, 0.0]), np.zeros(2)), "q and p must be finite"),
+    (lambda: SpherePoint(np.array([1.0, 0.0]), np.array([0.0, math.inf])),
+     "q and p must be finite"),
     (lambda: DehnTwistProfile(math.nan, 1), "p0 must be positive"),
     (lambda: surgery.phi_c_map(2, 0, math.nan), "scaling constant must be positive"),
     (lambda: IntegratorConfig(step=math.nan), "positive and finite"),
     (lambda: IntegratorConfig(max_time=math.inf), "positive and finite"),
     (lambda: IntegratorConfig(event_tol=math.nan), "positive and finite"),
+    (lambda: pre_surgery_monodromy([ON_PAGE], math.nan, IntegratorConfig()), "-eps page"),
+    (lambda: post_surgery_closed_form(ON_PAGE, math.nan), "-eps page"),
+    (lambda: surgery.transfer_to_s1_finite_a(ON_PAGE, math.nan, HandleProfile(0.05)),
+     "a must be positive"),
 ])
 def test_validators_refuse_nan_and_inf(build, named):
     # a NaN fails every comparison, so each check states what must hold

@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from contactlab import forms, surgery
 from contactlab.profiles import HandleProfile
 from contactlab.sphere import SpherePoint
-from contactlab.surgery import (ModelPoint, SurgeryConfig, f_eval,
-                                handle_membership, hamiltonian_field_xf,
-                                limit_transfer_to_s1, liouville_X, psi_w,
-                                psi_w_inverse, phi_c_map, reeb_s_minus1,
-                                theta_page, transfer_to_s1_finite_a,
-                                transfer_to_s_minus1, transversality_margin)
+from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
+                                limit_transfer_to_s1, psi_w, psi_w_inverse, phi_c_map,
+                                transfer_to_s1_finite_a, transfer_to_s_minus1,
+                                transversality_margins)
 
 rng = np.random.default_rng(9)
 PROFILE = HandleProfile(0.05)
@@ -38,7 +36,7 @@ def test_model_point_block_validation():
 def test_liouville_field_formula():
     pt = ModelPoint(np.array([1.0]), np.array([0.0]),
                     np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-    out = liouville_X(pt)
+    out = ModelPoint.from_array(surgery.liouville_field(1, 2)(pt.as_array()), 1, 2)
     assert np.allclose(out.x, [0.5]) and np.allclose(out.y, [0.0])
     assert np.allclose(out.z, [0.0, 0.0]) and np.allclose(out.w, [-1.0, 0.0])
 
@@ -58,7 +56,8 @@ def test_straightening_zero_section_is_isotropic_sphere():
     assert abs(np.linalg.norm(out.w) - 1.0) < 1e-14
     # tangent directions of the sphere pair to zero under the contact form
     v = np.array([0.0, 0.0, 1.0, 0.0])  # w-direction orthogonal to w = (0, 1)
-    assert abs(surgery.alpha_s_minus1_eval(out, v)) < 1e-14
+    assert out.on_s_minus1() and abs(out.w @ v[2:]) < surgery.S_TOL
+    assert abs(surgery.alpha_model_form(0, 2)(out.as_array(), v)) < 1e-14
 
 
 @given(st.integers(0, 10 ** 6))
@@ -88,19 +87,22 @@ def test_rescaling_values():
 def test_handle_function_frozen_values():
     profile = HandleProfile(0.1)
     on_s1 = legendrian_point([math.sqrt(1.5), 0.0], [1.0, 0.0])
-    assert f_eval(on_s1, profile) == pytest.approx(0.0, abs=1e-14)
+    level = surgery.level_value(0, 2, profile.delta)
+    assert level(on_s1.as_array()) == pytest.approx(0.0, abs=1e-14)
     origin = legendrian_point([0.0, 0.0], [0.0, 0.0])
-    assert f_eval(origin, profile) == pytest.approx(-1.0)
+    assert level(origin.as_array()) == pytest.approx(-1.0)
     outside = legendrian_point([0.0, 0.0], [2.0, 0.0])
-    assert f_eval(outside, profile) == pytest.approx(-(4.0 + 0.1))
+    assert level(outside.as_array()) == pytest.approx(-(4.0 + 0.1))
 
 
 def test_transversality_margin_frozen_values():
     profile = HandleProfile(0.1)
     outer = legendrian_point([math.sqrt(1.5), 0.0], [1.0, 0.0])
-    assert transversality_margin(outer, profile) == pytest.approx(1.0)
     inner = legendrian_point([1.0, 0.0], [0.8, 0.0])
-    assert transversality_margin(inner, profile) == pytest.approx(2.0)
+    margins = transversality_margins(np.array([outer.as_array(), inner.as_array()]),
+                                     0, 2, profile)
+    assert margins[0] == pytest.approx(1.0)
+    assert margins[1] == pytest.approx(2.0)
 
 
 def test_margin_is_half_the_liouville_derivative():
@@ -109,29 +111,32 @@ def test_margin_is_half_the_liouville_derivative():
     for _ in range(25):
         pt = ModelPoint(rng.standard_normal(1), rng.standard_normal(1),
                         rng.standard_normal(2), rng.standard_normal(2))
-        margin = transversality_margin(pt, profile)
-        grad = surgery.grad_f(pt, profile)
-        x_vec = liouville_X(pt).as_array()
+        u = pt.as_array()
+        grad = surgery.level_gradient(1, 2, profile.delta)(u)
+        x_vec = surgery.liouville_field(1, 2)(u)
+        margin = transversality_margins(u[None], 1, 2, profile)[0]
         assert abs(float(grad @ x_vec) - 2.0 * margin) < 1e-10
 
 
 def test_hamiltonian_field_contracts_to_minus_df():
     profile = HandleProfile(0.1)
     for _ in range(25):
-        pt = legendrian_point(rng.standard_normal(2), rng.standard_normal(2))
-        xf = hamiltonian_field_xf(pt, profile).as_array()
-        grad = surgery.grad_f(pt, profile)
+        u = legendrian_point(rng.standard_normal(2), rng.standard_normal(2)).as_array()
+        xf = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)(u)
+        grad = surgery.level_gradient(0, 2, profile.delta)(u)
         for v in np.eye(4):
-            assert abs(surgery.omega0_eval(pt, xf, v) + grad @ v) < 1e-12
+            assert abs(surgery.omega0_form(0, 2)(u, xf, v) + grad @ v) < 1e-12
 
 
 def test_reeb_field_values():
+    reeb = surgery.reeb_field(0, 2)
     pt = legendrian_point([0.2, -0.1], [1.0, 0.0])
-    r = reeb_s_minus1(pt)
-    assert np.allclose(r.z, [1.0, 0.0]) and np.allclose(r.w, 0.0)
-    assert abs(surgery.alpha_s_minus1_eval(pt, r.as_array()) - 1.0) < 1e-14
+    r = reeb(pt.as_array())
+    assert np.allclose(r[:2], [1.0, 0.0]) and np.allclose(r[2:], 0.0)
+    assert pt.on_s_minus1() and abs(pt.w @ r[2:]) < surgery.S_TOL
+    assert abs(surgery.alpha_model_form(0, 2)(pt.as_array(), r) - 1.0) < 1e-14
     pt2 = legendrian_point([0.0, 0.0], [0.0, 1.0])
-    assert np.allclose(reeb_s_minus1(pt2).z, [0.0, 1.0])
+    assert np.allclose(reeb(pt2.as_array())[:2], [0.0, 1.0])
 
 
 def _random_flat_states(local, count=150):
@@ -141,20 +146,7 @@ def _random_flat_states(local, count=150):
                 yield nxy, nzw, local.standard_normal(2 * nxy + 2 * nzw) * 0.6
 
 
-def test_point_functions_evaluate_the_flat_fields_bitwise():
-    # each model quantity has one formula: the ModelPoint functions the checks
-    # call return the very bits that flows and events use
-    profile = HandleProfile(0.1)
-    for nxy, nzw, u in _random_flat_states(np.random.default_rng(1)):
-        pt = ModelPoint.from_array(u, nxy, nzw)
-        xf = surgery.handle_hamiltonian_rhs(nxy, nzw, profile.delta)(u)
-        assert np.array_equal(hamiltonian_field_xf(pt, profile).as_array(), xf)
-        assert f_eval(pt, profile) == surgery.level_value(nxy, nzw, profile.delta)(u)
-        assert np.array_equal(reeb_s_minus1(pt).as_array(), surgery.reeb_field(nxy, nzw)(u))
-        assert np.array_equal(liouville_X(pt).as_array(), surgery.liouville_field(nxy, nzw)(u))
-
-
-def test_grad_f_is_the_gradient_level_projection_steps_with(monkeypatch):
+def test_level_gradient_is_the_gradient_level_projection_steps_with(monkeypatch):
     steps = []
     gradient = surgery._handle_gradient
 
@@ -168,11 +160,11 @@ def test_grad_f_is_the_gradient_level_projection_steps_with(monkeypatch):
     for nxy, nzw, u in _random_flat_states(np.random.default_rng(2)):
         steps.clear()
         surgery.level_projection(nxy, nzw, profile.delta)(u)
-        newton = list(steps)  # grad_f below records too
+        newton = list(steps)  # level_gradient below records too
         assert newton  # a random point is off the level set
+        level_gradient = surgery.level_gradient(nxy, nzw, profile.delta)
         for at, grad in newton:
-            assert np.array_equal(surgery.grad_f(ModelPoint.from_array(at, nxy, nzw), profile),
-                                  grad)
+            assert np.array_equal(level_gradient(at), grad)
 
 
 def test_margin_takes_g_prime_at_the_level_functions_rho2(monkeypatch):
@@ -215,14 +207,16 @@ def _bisect_reference(fn, lo, hi):
 
 
 def _transfer_reference(pt, a, profile):
-    """The transfers as first written: ModelPoint paths under f_eval, a
-    bracket search, then a bisection that evaluates both ends again."""
+    """The transfers as first written: ModelPoint paths under the handle
+    function, a bracket search, then a bisection that evaluates both ends again."""
+    level = surgery.level_value(pt.nxy, pt.nzw, profile.delta)
+
     if a == math.inf:
         def path(u):
             return ModelPoint(pt.x, pt.y, u * pt.z, pt.w / u)
 
         def fval(u):
-            return f_eval(path(u), profile)
+            return level(path(u).as_array())
 
         if abs(fval(1.0)) <= 1e-12:
             return path(1.0)
@@ -244,7 +238,7 @@ def _transfer_reference(pt, a, profile):
                           math.exp(-a * t) * pt.w)
 
     def fval(t):
-        return f_eval(path(t), profile)
+        return level(path(t).as_array())
 
     f0 = fval(0.0)
     if abs(f0) <= 1e-12:
@@ -280,7 +274,7 @@ def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
             rows = surgery.sample_s1_points(local, 4, nxy, nzw, PROFILE)
             starts += [ModelPoint.from_array(row, nxy, nzw) for row in rows]
             for start in starts:
-                f0 = f_eval(start, PROFILE)
+                f0 = surgery.level_value(nxy, nzw, PROFILE.delta)(start.as_array())
                 signs.add(0 if abs(f0) <= 1e-12 else int(math.copysign(1.0, f0)))
                 for a in (50.0, 1000.0, math.inf):
                     ref = _transfer_reference(start, a, PROFILE)
@@ -315,13 +309,13 @@ def test_limit_transfer_preserves_page_value(seed):
         z = np.array([0.3, 0.1])
     pt = legendrian_point(z, w)
     out = limit_transfer_to_s1(pt, PROFILE)
-    assert abs(float(out[:2] @ out[2:]) - theta_page(pt)) < 1e-12
+    assert abs(float(out[:2] @ out[2:]) - surgery.page_value(0, 2)(pt.as_array())) < 1e-12
 
 
 def test_limit_transfer_identity_on_level_set():
     # |z| = 1 with |w| = 1 and rho^2 >= 1 + delta is already on the far flat piece
     pt = legendrian_point([1.2, 0.0], [1.0, 0.0])
-    assert abs(f_eval(pt, PROFILE)) < 1e-14
+    assert abs(surgery.level_value(0, 2, PROFILE.delta)(pt.as_array())) < 1e-14
     out = limit_transfer_to_s1(pt, PROFILE)
     assert np.allclose(out, pt.as_array())
 
@@ -349,7 +343,7 @@ def test_inverse_transfer_normalizes_w():
                           [0.5099019513592785, 0.0])
     back = transfer_to_s_minus1(pt.as_array(), 0, 2)
     assert abs(np.linalg.norm(back[2:]) - 1.0) < 1e-14
-    assert abs(float(back[:2] @ back[2:]) - theta_page(pt)) < 1e-14
+    assert abs(float(back[:2] @ back[2:]) - surgery.page_value(0, 2)(pt.as_array())) < 1e-14
 
 
 def test_inverse_transfer_repeats_the_model_point_formula_bitwise():
@@ -386,8 +380,9 @@ def test_s1_sampler_lands_on_level_set():
     for delta in (0.05, 0.1):
         profile = HandleProfile(delta)
         pts = surgery.sample_s1_points(rng, 200, 1, 2, profile)
+        level = surgery.level_value(1, 2, profile.delta)
         for row in pts:
-            assert abs(f_eval(ModelPoint.from_array(row, 1, 2), profile)) < 1e-10
+            assert abs(level(row)) < 1e-10
 
 
 def test_surgery_config_validation():
