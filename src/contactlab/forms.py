@@ -42,14 +42,17 @@ def fd_directional(func: Callable[[Array], float], x: Array, v: Array,
 
 def fd_jacobian(func: Callable[[Array], Array], x: Array,
                 h: float = DEFAULT_FD_STEP) -> Array:
-    """Jacobian by central differences, one column per coordinate direction."""
+    """Jacobian by central differences, one column per coordinate direction.
+
+    A (d,) point gives the (out, d) Jacobian.  An (m, d) row batch, for a
+    ``func`` that maps (m, d) rows to (m, out) rows, gives the C-contiguous
+    (m, out, d) Jacobians of its rows, each equal to its lone Jacobian when
+    ``func`` treats rows so.
+    """
     x = np.asarray(x, dtype=float)
-    fx = np.asarray(func(x), dtype=float)
-    jac = np.empty((fx.size, x.size))
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = 1.0
-        jac[:, j] = (np.asarray(func(x + h * e)) - np.asarray(func(x - h * e))) / (2.0 * h)
+    eye = np.eye(x.shape[-1])
+    jac = np.stack([(np.asarray(func(x + h * e)) - np.asarray(func(x - h * e))) / (2.0 * h)
+                    for e in eye], axis=-1)
     if not np.all(np.isfinite(jac)):
         raise ValueError("Jacobian evaluation produced non-finite entries")
     return jac
@@ -82,13 +85,15 @@ class KFormOracle:
     """A degree-k form given by evaluation on a point and k tangent vectors.
 
     ``d_oracle``, when present, evaluates the exterior derivative analytically
-    with the signature (pt, v_1, ..., v_{k+1}).
+    with the signature (pt, v_1, ..., v_{k+1}).  A 1-form built by
+    :func:`one_form` keeps its coefficient function as ``coeffs``.
     """
 
     degree: int
     dim: int
     func: Callable[..., float]
     d_oracle: Optional[Callable[..., float]] = None
+    coeffs: Optional[Callable[[Array], Array]] = None
 
     def __call__(self, x: Array, *vectors: Array) -> float:
         if len(vectors) != self.degree:
@@ -109,7 +114,7 @@ def one_form(dim: int, coeffs: Callable[[Array], Array],
             j = coeffs_jac(x)
             return float(np.dot(j @ u, v) - np.dot(j @ v, u))
 
-    return KFormOracle(1, dim, ev, d_oracle=d_oracle)
+    return KFormOracle(1, dim, ev, d_oracle=d_oracle, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every profile blends exact pieces (flat, linear, exponential) with quintic
 polynomials so the result is C^2 across the joints.  The model fields,
 events and batch scans call the plain scalar functions below with the
-smoothing width or support radius as an argument (the handle derivatives also
-have column forms for row batches); the dataclasses hold those parameters.
+smoothing width or support radius as an argument (the handle functions and
+their derivatives also have column forms for row batches); the dataclasses
+hold those parameters.
 Transversality and contact positivity are *checked* numerically by the test
 suites, never assumed.
 """
@@ -40,19 +41,34 @@ def smoothstep_d(t):
     return _smoothstep_d_poly(t)
 
 
+# The blend branches of the handle functions and their derivatives take
+# Python floats or NumPy columns alike.  The caller picks the branch and caps
+# the window coordinate t at 1, where the smoothstep polynomials meet the flat
+# pieces exactly, so a column form equals its scalar form bit for bit.
+
+def _f_blend(s, t, delta):
+    return 1.0 + (s + delta - 1.0) * _smoothstep_poly(t)
+
+
+def _g_blend(s, t, delta):
+    sm = _smoothstep_poly(t)
+    return (1.0 - sm) * s + sm * (1.0 + delta)
+
+
 def handle_f(s, delta):
     if s <= 1.0 - delta:
         return 1.0
     if s >= 1.0 - 0.5 * delta:
         return s + delta
-    t = (s - (1.0 - delta)) / (0.5 * delta)
-    return 1.0 + (s + delta - 1.0) * smoothstep(t)
+    return _f_blend(s, min((s - (1.0 - delta)) / (0.5 * delta), 1.0), delta)
 
 
-# The blend branches of handle_f_d and handle_g_d take Python floats or NumPy
-# columns alike.  The caller picks the branch and caps the window coordinate t
-# at 1, where the smoothstep polynomials meet the flat pieces exactly, so a
-# column form equals its scalar form bit for bit.
+def handle_f_column(s, delta):
+    """handle_f on a column s."""
+    t = np.minimum((s - (1.0 - delta)) / (0.5 * delta), 1.0)
+    return np.where(s <= 1.0 - delta, 1.0,
+                    np.where(s >= 1.0 - 0.5 * delta, s + delta, _f_blend(s, t, delta)))
+
 
 def _f_d_blend(s, t, delta):
     return _smoothstep_poly(t) + (s + delta - 1.0) * _smoothstep_d_poly(t) * (2.0 / delta)
@@ -82,9 +98,13 @@ def handle_g(s, delta):
         return s
     if s >= 1.0 + delta:
         return 1.0 + delta
-    t = (s - 1.0) / delta
-    sm = smoothstep(t)
-    return (1.0 - sm) * s + sm * (1.0 + delta)
+    return _g_blend(s, min((s - 1.0) / delta, 1.0), delta)
+
+
+def handle_g_column(s, delta):
+    """handle_g on a column s."""
+    t = np.minimum((s - 1.0) / delta, 1.0)
+    return np.where(s <= 1.0, s, np.where(s >= 1.0 + delta, 1.0 + delta, _g_blend(s, t, delta)))
 
 
 def handle_g_d(s, delta):

@@ -81,9 +81,9 @@ def canonical_one_form(dim_total: int) -> KFormOracle:
     return one_form(dim_total, coeffs, coeffs_jac)
 
 
-def _rotate(q: Array, p: Array, norm: float, t: float) -> tuple[Array, Array]:
-    """sigma_t(q, p) for |p| = norm > 0."""
-    c, s = math.cos(t), math.sin(t)
+def _rotate(q: Array, p: Array, norm, c, s) -> tuple[Array, Array]:
+    """sigma_t(q, p) for |p| = norm > 0, c = cos t and s = sin t; for (m, d)
+    rows q and p, norm, c and s are (m, 1) columns."""
     return c * q + (s / norm) * p, -norm * s * q + c * p
 
 
@@ -92,7 +92,7 @@ def geodesic_flow(pt: SpherePoint, t: float) -> SpherePoint:
     norm = np.linalg.norm(pt.p)
     if norm == 0.0:
         raise ValueError("normalization undefined at p = 0")
-    return SpherePoint(*_rotate(pt.q, pt.p, norm, t))
+    return SpherePoint(*_rotate(pt.q, pt.p, norm, math.cos(t), math.sin(t)))
 
 
 def dehn_twist(pt: SpherePoint, profile: DehnTwistProfile) -> SpherePoint:
@@ -133,19 +133,28 @@ def dehn_twist_map(profile: DehnTwistProfile, n: int) -> SmoothMap:
 
     The matrix formula is applied verbatim off the constraint set; along
     constraint-tangent directions its derivative agrees with the intrinsic
-    tangent map, which is what the pullback checks differentiate.
+    tangent map, which is what the pullback checks differentiate.  ``func``
+    takes a (2(n+1),) point or an (m, 2(n+1)) row batch; the angle g1(|p|)
+    and its cosine and sine are taken per row in floats, so a row of a batch
+    repeats the bits of its lone image.
     """
     d = n + 1
+    sign = -1.0 if profile.k % 2 else 1.0
 
     def func(u):
-        q, p = u[:d], u[d:]
-        norm = np.linalg.norm(p)
-        if norm == 0.0:
-            sign = -1.0 if profile.k % 2 else 1.0
-            return np.concatenate([sign * q, p])
-        if norm >= profile.p0:
-            return u.copy()
-        return np.concatenate(_rotate(q, p, norm, profile.g1(norm)))
+        rows = np.array(u, dtype=float, ndmin=2)
+        q, p = rows[:, :d], rows[:, d:]
+        norm = np.sqrt(np.vecdot(p, p))
+        # |p| = 0 maps to (sign q, 0); |p| >= p0 is left as it is
+        at_zero = norm == 0.0
+        rows[at_zero, :d] *= sign
+        turn = np.flatnonzero(~(at_zero | (norm >= profile.p0)))
+        if turn.size:
+            angles = [profile.g1(r) for r in norm[turn].tolist()]
+            cos = np.array([[math.cos(t)] for t in angles])
+            sin = np.array([[math.sin(t)] for t in angles])
+            rows[turn, :d], rows[turn, d:] = _rotate(q[turn], p[turn], norm[turn, None], cos, sin)
+        return rows.reshape(np.shape(u))
 
     return SmoothMap(2 * d, 2 * d, func)
 

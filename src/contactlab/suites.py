@@ -70,9 +70,10 @@ def suite_names() -> list[str]:
     return [*SUITES, "all"]
 
 
-def _dlam_can(u: Array, v: Array) -> float:
-    d = u.size // 2
-    return float(u[d:] @ v[:d] - v[d:] @ u[:d])
+def _dlam_can(u: Array, v: Array) -> Array:
+    """d(p dq)(u, v) of each row pair of two (m, 2d) batches."""
+    d = u.shape[-1] // 2
+    return np.vecdot(u[..., d:], v[..., :d]) - np.vecdot(v[..., d:], u[..., :d])
 
 
 # ===========================================================================
@@ -81,19 +82,26 @@ def _dlam_can(u: Array, v: Array) -> float:
 
 def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
                             profile: DehnTwistProfile, h_fd: float) -> float:
-    """max defect of the twist preserving d(p dq) on constraint-tangent frames."""
-    twist = sphere.dehn_twist_map(profile, n)
-    worst = 0.0
-    for _ in range(count):
+    """max defect of the twist preserving d(p dq) on constraint-tangent frames.
+
+    The points are drawn one at a time; their Jacobians are taken as one row
+    batch, and each frame vector is pushed forward once.
+    """
+    if not count:
+        return 0.0
+    dim = 2 * n + 2
+    points, frames = np.empty((count, dim)), np.empty((count, 2 * n, dim))
+    for i in range(count):
         pt = sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0)
-        u = pt.as_array()
-        jac = forms.fd_jacobian(twist.func, u, h_fd)
-        frame = sphere.tangent_frame(pt)
-        for i in range(len(frame)):
-            for j in range(i + 1, len(frame)):
-                lhs = _dlam_can(jac @ frame[i], jac @ frame[j])
-                rhs = _dlam_can(frame[i], frame[j])
-                worst = max(worst, abs(lhs - rhs))
+        points[i], frames[i] = pt.as_array(), sphere.tangent_frame(pt)
+    jac = forms.fd_jacobian(sphere.dehn_twist_map(profile, n).func, points, h_fd)
+    pushed = (jac[:, None] @ frames[..., None])[..., 0]
+    worst = 0.0
+    for i in range(frames.shape[1]):
+        for j in range(i + 1, frames.shape[1]):
+            lhs = _dlam_can(pushed[:, i], pushed[:, j])
+            rhs = _dlam_can(frames[:, i], frames[:, j])
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -244,29 +252,35 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
 # ===========================================================================
 
 def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) -> float:
+    """max defect of psi_w pulling the model form back to the chart form, on
+    the chart's z, sphere-bundle and (x, y) directions.
+
+    The points are drawn one at a time; the map's images and Jacobians, the
+    forms' coefficients and the pushed vectors are then taken as row batches.
+    """
+    if not count:
+        return 0.0
     nzw, nxy = k + 1, n - k - 1
     mapping = surgery.psi_w_map(nzw, nxy)
     target = surgery.alpha_model_form(nxy, nzw)
     source = surgery.alpha_chart_form(nzw, nxy)
     dim_in = 1 + 2 * nzw + 2 * nxy
-    eye = np.eye(dim_in)
-    worst = 0.0
-    for _ in range(count):
+    n_frame = 2 * nzw - 2
+    # per point: e_z, the sphere-bundle frame in the (q, p) slots, then e_x and e_y
+    u, vecs = np.empty((count, dim_in)), np.zeros((count, dim_in - 2, dim_in))
+    vecs[:, 0, 0] = 1.0
+    vecs[:, 1 + n_frame:, 1 + 2 * nzw:] = np.eye(2 * nxy)
+    for i in range(count):
         sp = sphere.random_sphere_point(rng, nzw - 1, 0.05, 1.5)
         z = float(rng.uniform(-1.0, 1.0))
         x = rng.standard_normal(nxy)
         y = rng.standard_normal(nxy)
-        u = surgery.chart_pack(z, sp.q, sp.p, x, y)
-        vecs = [eye[0]]
-        for v in sphere.tangent_frame(sp):
-            vv = np.zeros(dim_in)
-            vv[1:1 + 2 * nzw] = v
-            vecs.append(vv)
-        vecs.extend(eye[1 + 2 * nzw + i] for i in range(2 * nxy))
-        for v in vecs:
-            lhs = forms.pullback_eval(mapping, target, u, [v])
-            worst = max(worst, abs(lhs - source(u, v)))
-    return worst
+        u[i] = surgery.chart_pack(z, sp.q, sp.p, x, y)
+        vecs[i, 1:1 + n_frame, 1:1 + 2 * nzw] = sphere.tangent_frame(sp)
+    pushed = (mapping.jac(u)[:, None] @ vecs[..., None])[..., 0]
+    lhs = np.vecdot(target.coeffs(mapping.func(u))[:, None], pushed)
+    rhs = np.vecdot(source.coeffs(u)[:, None], vecs)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 @suite("weinstein-strictness")
@@ -547,21 +561,13 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     def membership():
         profile = HandleProfile(0.05)
         rng = check_rng(cfg.seed, "membership")
-        worst = 0.0
         origin = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
-        if surgery.handle_membership(origin, profile) is not False:
-            worst = 1.0
         far = ModelPoint(np.zeros(1), np.zeros(1), np.array([3.0, 0.0]), np.zeros(2))
-        if surgery.handle_membership(far, profile) is not False:
-            worst = 1.0
-        hits = 0
         pts = surgery.sample_s1_points(rng, 10, 1, 2, profile, rho2_max=1.8)
-        for row in pts:
-            pt = ModelPoint.from_array(row, 1, 2)
-            if surgery.handle_membership(pt, profile) is True:
-                hits += 1
-        if hits < 8:
-            worst = 1.0
+        verdicts = surgery.handle_memberships(
+            np.vstack([origin.as_array(), far.as_array(), pts]), 1, 2, profile)
+        hits = sum(v is True for v in verdicts[2:])
+        worst = 0.0 if all(v is False for v in verdicts[:2]) and hits >= 8 else 1.0
         return worst, 12, {"surface_hits": hits}
 
     @check("finite-difference-order",

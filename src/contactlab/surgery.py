@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _kernels
 from .forms import KFormOracle, SmoothMap, one_form
-from .profiles import (HandleProfile, handle_f, handle_f_d, handle_f_d_column, handle_g,
-                       handle_g_d, handle_g_d_column)
+from .profiles import (HandleProfile, handle_f, handle_f_column, handle_f_d, handle_f_d_column,
+                       handle_g, handle_g_column, handle_g_d, handle_g_d_column)
 from .sphere import SpherePoint, _orthonormal_complement
 
 Array = np.ndarray
@@ -167,16 +167,17 @@ def liouville_a_field(nxy: int, nzw: int, a: float):
 
 
 def alpha_model_form(nxy: int, nzw: int) -> KFormOracle:
-    """The ambient 1-form (x dy - y dx)/2 + 2 z dw + w dz with analytic derivative."""
+    """The ambient 1-form (x dy - y dx)/2 + 2 z dw + w dz with analytic derivative;
+    its coefficients take a (d,) state or an (m, d) row batch."""
     dim = 2 * nxy + 2 * nzw
     b = 2 * nxy
 
     def coeffs(u):
-        c = np.empty(dim)
-        c[:nxy] = -0.5 * u[nxy:b]
-        c[nxy:b] = 0.5 * u[:nxy]
-        c[b:b + nzw] = u[b + nzw:]
-        c[b + nzw:] = 2.0 * u[b:b + nzw]
+        c = np.empty(u.shape)
+        c[..., :nxy] = -0.5 * u[..., nxy:b]
+        c[..., nxy:b] = 0.5 * u[..., :nxy]
+        c[..., b:b + nzw] = u[..., b + nzw:]
+        c[..., b + nzw:] = 2.0 * u[..., b:b + nzw]
         return c
 
     def coeffs_jac(u):
@@ -221,9 +222,10 @@ def page_value(nxy: int, nzw: int):
 
 
 def wnorm2_value(nxy: int, nzw: int):
-    """|w|^2 of a flat state."""
+    """|w|^2 of a flat state: a float for a (d,) state, a column for an (m, d)
+    row batch."""
     b = 2 * nxy + nzw
-    return lambda u: _sum_sq(u.tolist()[b:])
+    return lambda u: _sum_sq(_operands(u)[b:])
 
 
 def unit_w_projection(nxy: int, nzw: int):
@@ -259,16 +261,6 @@ def chart_pack(z: float, q: Array, p: Array, x: Array, y: Array) -> Array:
     return np.concatenate([[float(z)], q, p, x, y])
 
 
-def chart_unpack(u: Array, nzw: int, nxy: int):
-    u = np.asarray(u, dtype=float)
-    z = float(u[0])
-    q = u[1:1 + nzw]
-    p = u[1 + nzw:1 + 2 * nzw]
-    x = u[1 + 2 * nzw:1 + 2 * nzw + nxy]
-    y = u[1 + 2 * nzw + nxy:]
-    return z, q, p, x, y
-
-
 def psi_w(z: float, sp: SpherePoint, x: Array, y: Array) -> ModelPoint:
     """Straightening map (z, q, p, x, y) -> (x, y; z q + p, q) onto S_{-1}."""
     return ModelPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
@@ -285,44 +277,50 @@ def psi_w_inverse(pt: ModelPoint) -> tuple[float, SpherePoint, Array, Array]:
 
 
 def psi_w_map(nzw: int, nxy: int) -> SmoothMap:
-    """psi_w on the flat chart [z | q | p | x | y] with analytic Jacobian."""
+    """psi_w on the flat chart [z | q | p | x | y] with analytic Jacobian.
+
+    ``func`` and ``jac`` take a (d,) chart point, giving a (d_out,) image and a
+    (d_out, d) Jacobian, or an (m, d) row batch, giving (m, d_out) images and
+    C-contiguous (m, d_out, d) Jacobians.
+    """
     dim_in = 1 + 2 * nzw + 2 * nxy
     dim_out = 2 * nxy + 2 * nzw
 
     def func(u):
-        z, q, p, x, y = chart_unpack(u, nzw, nxy)
-        return np.concatenate([x, y, z * q + p, q])
+        z = u[..., :1]
+        q = u[..., 1:1 + nzw]
+        p = u[..., 1 + nzw:1 + 2 * nzw]
+        return np.concatenate([u[..., 1 + 2 * nzw:], z * q + p, q], axis=-1)
 
     def jac(u):
-        z = u[0]
-        q = u[1:1 + nzw]
-        j = np.zeros((dim_out, dim_in))
+        j = np.zeros(u.shape[:-1] + (dim_out, dim_in))
         for i in range(nxy):
-            j[i, 1 + 2 * nzw + i] = 1.0                  # x block
-            j[nxy + i, 1 + 2 * nzw + nxy + i] = 1.0      # y block
+            j[..., i, 1 + 2 * nzw + i] = 1.0              # x block
+            j[..., nxy + i, 1 + 2 * nzw + nxy + i] = 1.0  # y block
         b = 2 * nxy
         for i in range(nzw):
-            j[b + i, 0] = q[i]                           # d(zq+p)/dz
-            j[b + i, 1 + i] = z                          # d(zq+p)/dq
-            j[b + i, 1 + nzw + i] = 1.0                  # d(zq+p)/dp
-            j[b + nzw + i, 1 + i] = 1.0                  # dw/dq
+            j[..., b + i, 0] = u[..., 1 + i]              # d(zq+p)/dz = q
+            j[..., b + i, 1 + i] = u[..., 0]              # d(zq+p)/dq = z
+            j[..., b + i, 1 + nzw + i] = 1.0              # d(zq+p)/dp
+            j[..., b + nzw + i, 1 + i] = 1.0              # dw/dq
         return j
 
     return SmoothMap(dim_in, dim_out, func, jac=jac)
 
 
 def alpha_chart_form(nzw: int, nxy: int) -> KFormOracle:
-    """dz + p dq + (x dy - y dx)/2 on the sphere-bundle chart, analytic derivative."""
+    """dz + p dq + (x dy - y dx)/2 on the sphere-bundle chart, analytic
+    derivative; its coefficients take a (d,) point or an (m, d) row batch."""
     dim = 1 + 2 * nzw + 2 * nxy
 
     def coeffs(u):
-        c = np.zeros(dim)
-        c[0] = 1.0
-        c[1:1 + nzw] = u[1 + nzw:1 + 2 * nzw]            # p dq
-        xs = u[1 + 2 * nzw:1 + 2 * nzw + nxy]
-        ys = u[1 + 2 * nzw + nxy:]
-        c[1 + 2 * nzw:1 + 2 * nzw + nxy] = -0.5 * ys
-        c[1 + 2 * nzw + nxy:] = 0.5 * xs
+        c = np.zeros(u.shape)
+        c[..., 0] = 1.0
+        c[..., 1:1 + nzw] = u[..., 1 + nzw:1 + 2 * nzw]  # p dq
+        xs = u[..., 1 + 2 * nzw:1 + 2 * nzw + nxy]
+        ys = u[..., 1 + 2 * nzw + nxy:]
+        c[..., 1 + 2 * nzw:1 + 2 * nzw + nxy] = -0.5 * ys
+        c[..., 1 + 2 * nzw + nxy:] = 0.5 * xs
         return c
 
     def coeffs_jac(u):
@@ -354,8 +352,11 @@ def phi_c_map(nzw: int, nxy: int, C: float) -> SmoothMap:
 # the surgered hypersurface
 # ---------------------------------------------------------------------------
 
-def _handle_value(rho2: float, w2: float, delta: float) -> float:
-    """The handle function -f(|w|^2) + g(rho^2); S_1 is its zero set."""
+def _handle_value(rho2, w2, delta: float):
+    """The handle function -f(|w|^2) + g(rho^2), on floats or on columns; S_1
+    is its zero set."""
+    if isinstance(w2, np.ndarray):
+        return -handle_f_column(w2, delta) + handle_g_column(rho2, delta)
     return -handle_f(w2, delta) + handle_g(rho2, delta)
 
 
@@ -376,18 +377,17 @@ def transversality_margins(points: Array, nxy: int, nzw: int,
     twice this margin; both vanish together, so positivity of either one is
     the transversality statement.
     """
-    pts = np.asarray(points, dtype=float)
-    out = np.empty(len(pts))
-    for i, row in enumerate(pts):
-        out[i] = _margin(row.tolist(), nxy, nzw, profile.delta)
-    return out
+    return _margin(_operands(np.asarray(points, dtype=float)), nxy, nzw, profile.delta)
 
 
-def _margin(v: list, nxy: int, nzw: int, delta: float) -> float:
+def _margin(v: list, nxy: int, nzw: int, delta: float):
+    """The margin of a flat state's operands: floats, or the columns of rows."""
     b = 2 * nxy
     rho2, w2 = _rho2_w2(v, nxy, nzw)
-    return (0.5 * _sum_sq(v[:b]) + 2.0 * _sum_sq(v[b:b + nzw])) * handle_g_d(rho2, delta) \
-        + w2 * handle_f_d(w2, delta)
+    f_d, g_d = ((handle_f_d_column, handle_g_d_column) if isinstance(w2, np.ndarray)
+                else (handle_f_d, handle_g_d))
+    return (0.5 * _sum_sq(v[:b]) + 2.0 * _sum_sq(v[b:b + nzw])) * g_d(rho2, delta) \
+        + w2 * f_d(w2, delta)
 
 
 def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
@@ -422,9 +422,10 @@ def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
 
 
 def level_value(nxy: int, nzw: int, delta: float):
-    """The handle function -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2) of a flat state."""
+    """The handle function -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2) of a flat
+    state: a float for a (d,) state, a column for an (m, d) row batch."""
     def value(u):
-        return _handle_value(*_rho2_w2(u.tolist(), nxy, nzw), delta)
+        return _handle_value(*_rho2_w2(_operands(u), nxy, nzw), delta)
 
     return value
 
@@ -563,52 +564,60 @@ def transfer_to_s_minus1(u: Array, nxy: int, nzw: int) -> Array:
 # ---------------------------------------------------------------------------
 
 def handle_membership(pt: ModelPoint, profile: HandleProfile) -> Optional[bool]:
-    """Membership in the handle region, decided by flowing along the Liouville field.
+    """Membership of one point in the handle region: the one-row case of
+    :func:`handle_memberships`."""
+    return handle_memberships(pt.as_array()[None], pt.nxy, pt.nzw, profile)[0]
 
-    True when the backward flow meets the gluing collar on |w|^2 = 1 (within
-    radius 1.5 of the core) and the forward flow meets the surgered
+
+def handle_memberships(points: Array, nxy: int, nzw: int,
+                       profile: HandleProfile) -> list[Optional[bool]]:
+    """Membership in the handle region of each row of an (m, d) batch, decided
+    by flowing along the Liouville field.
+
+    A row is True when its backward flow meets the gluing collar on |w|^2 = 1
+    (within radius 1.5 of the core) and its forward flow meets the surgered
     hypersurface; False when either is provably unreachable; None when the
-    flow oracle is inconclusive within the time bound.
+    flow oracle is inconclusive within the time bound.  The rows that flow
+    backward march as one batch, and then the rows that flow forward.
     """
     step, max_time, event_tol = 1e-3, 12.0, 1e-10  # the flow oracle's RK4
-    u0 = pt.as_array()
-    nxy, nzw = pt.nxy, pt.nzw
+    u0 = np.array(points, dtype=float)
     liouville = liouville_field(nxy, nzw)
-    if np.linalg.norm(liouville(u0)) < 1e-14:
-        return False
+    drift = liouville(u0)
+    rho2_0, w2_0 = _rho2_w2(_operands(u0), nxy, nzw)
+    # at rest, or |w| = 0, which stays 0 along the flow and never reaches the collar
+    ruled_out = (np.sqrt(np.vecdot(drift, drift)) < 1e-14) | (w2_0 == 0.0)
+    inconclusive = np.zeros(len(u0), dtype=bool)
 
-    rho2_0, w2_0 = _rho2_w2(u0.tolist(), nxy, nzw)
-    if w2_0 == 0.0:
-        return False  # |w| stays 0 along the flow, never reaches the collar
-    if math.sqrt(w2_0) > 1.0 + 1e-12:
-        reach_glue = False  # backward flow inflates |w| further
-    else:
-        t_hit, _, states = _kernels.rk4_until_event(
-            liouville, u0, wnorm2_value(nxy, nzw), 1.0, step, max_time, event_tol,
+    # backward flow to |w|^2 = 1, except where |w| > 1 and it only inflates |w|
+    reach_glue = np.zeros(len(u0), dtype=bool)
+    rows = np.flatnonzero(~ruled_out & ~(np.sqrt(w2_0) > 1.0 + 1e-12))
+    if rows.size:
+        t_hit, ends = _kernels.rk4_until_event(
+            liouville, u0[rows], wnorm2_value(nxy, nzw), 1.0, step, max_time, event_tol,
             direction=-1.0)
-        if t_hit is not None:
-            rho2, _ = _rho2_w2(states[-1].tolist(), nxy, nzw)
-            reach_glue = rho2 <= 1.5 ** 2  # the gluing collar's radius
-        else:
-            return None
+        crossed = ~np.isnan(t_hit)
+        rho2, _ = _rho2_w2(_operands(ends), nxy, nzw)
+        reach_glue[rows] = crossed & (rho2 <= 1.5 ** 2)  # the gluing collar's radius
+        inconclusive[rows[~crossed]] = True
 
+    # forward flow to S_1, except on the w axis, where the level value caps out below zero
     level = level_value(nxy, nzw, profile.delta)
     f0 = level(u0)
-    if f0 < 0.0 and math.sqrt(rho2_0) < 1e-14:
-        reach_s1 = False  # on the w axis the level value caps out below zero
-    else:
-        t_hit, _, states = _kernels.rk4_until_event(
-            liouville, u0, level, 0.0, step, max_time, event_tol)
-        if t_hit is not None:
-            reach_s1 = True
-        else:
-            f_end = level(states[-1])
-            if f0 > 0.0 and f_end >= f0:
-                reach_s1 = False  # level value only grows along the forward flow
-            else:
-                return None
+    reach_s1 = np.zeros(len(u0), dtype=bool)
+    on_axis = (f0 < 0.0) & (np.sqrt(rho2_0) < 1e-14)
+    rows = np.flatnonzero(~ruled_out & ~inconclusive & ~on_axis)
+    if rows.size:
+        t_hit, ends = _kernels.rk4_until_event(
+            liouville, u0[rows], level, 0.0, step, max_time, event_tol)
+        crossed = ~np.isnan(t_hit)
+        reach_s1[rows] = crossed
+        # the level value only grows along the forward flow
+        receding = (f0[rows] > 0.0) & (level(ends) >= f0[rows])
+        inconclusive[rows[~crossed & ~receding]] = True
 
-    return bool(reach_glue and reach_s1)
+    return [None if open_ else bool(glue and s1)
+            for open_, glue, s1 in zip(inconclusive, reach_glue, reach_s1)]
 
 
 # ---------------------------------------------------------------------------
@@ -631,26 +640,26 @@ def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
 
     Mixes the inward piece (|w|^2 drawn in [0, 1], radial coordinate solved
     from the profile) with the outward flat piece (|w|^2 = 1, radial
-    coordinate free), then Newton-projects onto the exact level set.
+    coordinate free), then Newton-projects each row onto the exact level set.
+    Each point's draws are taken in turn; the rows are assembled as arrays.
     """
-    dim = 2 * nxy + 2 * nzw
-    out = np.empty((count, dim))
     delta = profile.delta
-    project = level_projection(nxy, nzw, delta)
+    w2, rho2 = np.empty(count), np.empty(count)
+    w_dir, r_dir = np.empty((count, nzw)), np.empty((count, 2 * nxy + nzw))
     for i in range(count):
         if rng.random() < 0.7:
             s = rng.random()  # |w|^2 in [0, 1]
-            rho2 = profile.g_inverse(profile.f(s))
+            rho2[i] = profile.g_inverse(profile.f(s))
         else:
             s = 1.0
-            rho2 = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
-        w_dir = rng.standard_normal(nzw)
-        w_dir /= np.linalg.norm(w_dir)
-        r_dir = rng.standard_normal(2 * nxy + nzw)
-        r_dir /= np.linalg.norm(r_dir)
-        u = np.empty(dim)
-        u[:2 * nxy] = math.sqrt(rho2) * r_dir[:2 * nxy]
-        u[2 * nxy:2 * nxy + nzw] = math.sqrt(rho2) * r_dir[2 * nxy:]
-        u[2 * nxy + nzw:] = math.sqrt(s) * w_dir
-        out[i] = project(u)
+            rho2[i] = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
+        w2[i] = s
+        w_dir[i] = rng.standard_normal(nzw)
+        r_dir[i] = rng.standard_normal(2 * nxy + nzw)
+    w_dir /= np.sqrt(np.vecdot(w_dir, w_dir))[:, None]
+    r_dir /= np.sqrt(np.vecdot(r_dir, r_dir))[:, None]
+    out = np.hstack([np.sqrt(rho2)[:, None] * r_dir, np.sqrt(w2)[:, None] * w_dir])
+    project = level_projection(nxy, nzw, delta)
+    for row in out:
+        project(row)
     return out

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from contactlab import _kernels as k
-from contactlab import flows, sphere, surgery
+from contactlab import flows, forms, sphere, surgery
 from contactlab.flows import IntegratorConfig
-from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
-                                 handle_f_d_column, handle_g, handle_g_d, handle_g_d_column,
-                                 twist_g1)
+from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_column,
+                                 handle_f_d, handle_f_d_column, handle_g, handle_g_column,
+                                 handle_g_d, handle_g_d_column, smoothstep, twist_g1)
 
 rng = np.random.default_rng(33)
 DELTA = 0.05
@@ -91,12 +91,47 @@ def test_model_field_and_page_rows_match_lone_states():
             assert np.array_equal(row, carried(np.append(u, width)))
 
 
+def _window_samples(delta):
+    """The profile joints, their float neighbours, and draws around and beyond
+    both blend windows."""
+    breaks = np.array([1.0 - delta, 1.0 - 0.5 * delta, 1.0, 1.0 + delta])
+    return np.concatenate([breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 2.0),
+                           rng.uniform(1.0 - 1.5 * delta, 1.0 + 1.5 * delta, 150),
+                           rng.uniform(0.0, 2.0, 150)])
+
+
+def _smoothstep_handle_f(s, delta):
+    """handle_f as first written, through the clamped smoothstep."""
+    if s <= 1.0 - delta:
+        return 1.0
+    if s >= 1.0 - 0.5 * delta:
+        return s + delta
+    return 1.0 + (s + delta - 1.0) * smoothstep((s - (1.0 - delta)) / (0.5 * delta))
+
+
+def _smoothstep_handle_g(s, delta):
+    """handle_g as first written, through the clamped smoothstep."""
+    if s <= 1.0:
+        return s
+    if s >= 1.0 + delta:
+        return 1.0 + delta
+    sm = smoothstep((s - 1.0) / delta)
+    return (1.0 - sm) * s + sm * (1.0 + delta)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])
+def test_handle_function_columns_match_scalar_forms(delta):
+    s = _window_samples(delta)
+    for column, scalar, first in ((handle_f_column, handle_f, _smoothstep_handle_f),
+                                  (handle_g_column, handle_g, _smoothstep_handle_g)):
+        ref = np.array([first(float(v), delta) for v in s])
+        assert np.array_equal([scalar(float(v), delta) for v in s], ref)
+        assert np.array_equal(column(s, delta), ref)
+
+
 @pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])
 def test_handle_derivative_columns_match_scalar_forms(delta):
-    breaks = np.array([1.0 - delta, 1.0 - 0.5 * delta, 1.0, 1.0 + delta])
-    s = np.concatenate([breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 2.0),
-                        rng.uniform(1.0 - 1.5 * delta, 1.0 + 1.5 * delta, 150),
-                        rng.uniform(0.0, 2.0, 150)])
+    s = _window_samples(delta)
     for column, scalar in ((handle_f_d_column, handle_f_d), (handle_g_d_column, handle_g_d)):
         ref = np.array([scalar(float(v), delta) for v in s])
         assert np.array_equal(column(s, delta), ref)
@@ -137,6 +172,102 @@ def test_margins_match_scalar_loop():
             + w2 * handle_f_d(w2, 0.1)
     got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(0.1))
     assert np.array_equal(got, ref)
+
+
+def _rows_across_the_windows(nxy, nzw):
+    """Random rows, and rows of S_1 whose |w|^2 and rho^2 fall in the blend windows."""
+    scaled = rng.standard_normal((40, 2 * nxy + 2 * nzw)) * rng.uniform(0.2, 1.5, (40, 1))
+    return np.vstack([scaled, surgery.sample_s1_points(rng, 40, nxy, nzw, HandleProfile(DELTA))])
+
+
+def test_level_and_wnorm2_rows_match_lone_states():
+    for nxy, nzw in [(0, 2), (1, 2), (1, 3)]:
+        batch = _rows_across_the_windows(nxy, nzw)
+        for value in (surgery.level_value(nxy, nzw, DELTA), surgery.wnorm2_value(nxy, nzw)):
+            assert np.array_equal(value(batch), [value(u) for u in batch])
+
+
+def test_margin_rows_match_lone_margins():
+    for nxy, nzw in [(0, 2), (1, 2), (1, 3)]:
+        batch = _rows_across_the_windows(nxy, nzw)
+        got = surgery.transversality_margins(batch, nxy, nzw, HandleProfile(DELTA))
+        assert np.array_equal(got, [surgery._margin(u.tolist(), nxy, nzw, DELTA) for u in batch])
+
+
+def _twist_reference(u, profile, d):
+    """The twist of one point as first written: np.linalg.norm and branches."""
+    q, p = u[:d], u[d:]
+    norm = np.linalg.norm(p)
+    if norm == 0.0:
+        return np.concatenate([(-1.0 if profile.k % 2 else 1.0) * q, p])
+    if norm >= profile.p0:
+        return u.copy()
+    t = profile.g1(norm)
+    c, s = math.cos(t), math.sin(t)
+    return np.concatenate([c * q + (s / norm) * p, -norm * s * q + c * p])
+
+
+def _twist_rows(n, profile):
+    """Points with p = 0, with 0 < |p| < p0 and with |p| >= p0."""
+    d = n + 1
+    rows = np.array([sphere.random_sphere_point(rng, n, 0.0, 2.0 * profile.p0).as_array()
+                     for _ in range(40)])
+    rows[:3, d:] = 0.0
+    norms = np.linalg.norm(rows[:, d:], axis=1)
+    assert (norms == 0.0).any() and (norms >= profile.p0).any()
+    assert ((norms > 0.0) & (norms < profile.p0)).any()
+    return rows
+
+
+@pytest.mark.parametrize("n, profile", [(1, DehnTwistProfile(1.0, 1)),
+                                        (2, DehnTwistProfile(1.3, 2)),
+                                        (3, DehnTwistProfile(0.7, 3))])
+def test_twist_map_rows_match_lone_images(n, profile):
+    rows = _twist_rows(n, profile)
+    before = rows.copy()
+    twist = sphere.dehn_twist_map(profile, n).func
+    out = twist(rows)
+    assert np.array_equal(rows, before)  # the batch is not written to
+    lone = [twist(u) for u in rows]
+    assert np.array_equal(out, lone)
+    assert np.array_equal(lone, [_twist_reference(u, profile, n + 1) for u in rows])
+
+
+@pytest.mark.parametrize("nzw, nxy", [(2, 0), (2, 1), (3, 0)])
+def test_straightening_rows_match_lone_points(nzw, nxy):
+    rows = rng.standard_normal((30, 1 + 2 * nzw + 2 * nxy))
+    mapping = surgery.psi_w_map(nzw, nxy)
+    images = mapping.func(rows)
+    assert np.array_equal(images, [mapping.func(u) for u in rows])
+    jac = mapping.jac(rows)
+    assert jac.flags.c_contiguous
+    assert np.array_equal(jac, [mapping.jac(u) for u in rows])
+    for coeffs, at in ((surgery.alpha_model_form(nxy, nzw).coeffs, images),
+                       (surgery.alpha_chart_form(nzw, nxy).coeffs, rows)):
+        assert np.array_equal(coeffs(at), [coeffs(u) for u in at])
+
+
+def test_fd_jacobian_rows_match_lone_jacobians():
+    for func, rows in ((sphere.dehn_twist_map(DehnTwistProfile(1.0, 1), 2).func,
+                        _twist_rows(2, DehnTwistProfile(1.0, 1))),
+                       (surgery.psi_w_map(2, 1).func, rng.standard_normal((30, 7)))):
+        jac = forms.fd_jacobian(func, rows, 1e-5)
+        assert jac.shape == (len(rows), func(rows[0]).size, rows.shape[1])
+        assert jac.flags.c_contiguous
+        assert np.array_equal(jac, [forms.fd_jacobian(func, u, 1e-5) for u in rows])
+
+
+def test_fd_jacobian_refuses_a_row_that_turns_non_finite():
+    def func(u):
+        return np.where(u > 1.0, np.inf, u)
+
+    rows = rng.uniform(-0.5, 0.5, (5, 3))
+    assert np.isfinite(forms.fd_jacobian(func, rows)).all()
+    rows[3, 1] = 1.0  # the forward difference along e_1 leaves the finite range
+    with pytest.raises(ValueError, match="non-finite"):
+        forms.fd_jacobian(func, rows)
+    with pytest.raises(ValueError, match="non-finite"):
+        forms.fd_jacobian(func, rows[3])
 
 
 def test_scalar_kernels_match_profile_dataclasses():

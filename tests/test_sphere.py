@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contactlab import sphere
+from contactlab.forms import fd_jacobian
 from contactlab.profiles import DehnTwistProfile
 from contactlab.sphere import (SpherePoint, canonical_form_eval, dehn_twist,
                                dehn_twist_batch, geodesic_flow, tangent_frame)
@@ -135,3 +136,36 @@ def test_twist_symplectomorphism_spot_check():
     res = twist_pullback_residual(np.random.default_rng(2), 2, 40,
                                   DehnTwistProfile(1.0, 1), 1e-5)
     assert res < 1e-6
+
+
+def _dlam_reference(u, v):
+    d = u.size // 2
+    return float(u[d:] @ v[:d] - v[d:] @ u[:d])
+
+
+def _twist_residual_reference(rng, n, count, profile, h_fd):
+    """twist_pullback_residual as first written: one lone Jacobian per point,
+    and both frame vectors pushed again for every pair."""
+    twist = sphere.dehn_twist_map(profile, n)
+    worst = 0.0
+    for _ in range(count):
+        pt = sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0)
+        u = pt.as_array()
+        jac = fd_jacobian(twist.func, u, h_fd)
+        frame = tangent_frame(pt)
+        for i in range(len(frame)):
+            for j in range(i + 1, len(frame)):
+                lhs = _dlam_reference(jac @ frame[i], jac @ frame[j])
+                rhs = _dlam_reference(frame[i], frame[j])
+                worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twist_residual_repeats_the_pointwise_reference_bitwise(n):
+    from contactlab.suites import twist_pullback_residual
+    for seed, profile in ((0, DehnTwistProfile(1.0, 1)), (5, DehnTwistProfile(1.3, 2))):
+        ref_rng, rng_ = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = _twist_residual_reference(ref_rng, n, 40, profile, 1e-5)
+        assert twist_pullback_residual(rng_, n, 40, profile, 1e-5) == ref
+        assert rng_.random() == ref_rng.random()  # the same draws, in the same order

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab import forms, surgery
+from contactlab import _kernels, forms, sphere, surgery
 from contactlab.profiles import HandleProfile
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
@@ -74,12 +74,9 @@ def test_straightening_roundtrip(seed):
 def test_rescaling_values():
     u = surgery.chart_pack(0.1, np.array([1.0, 0.0]), np.array([0.0, 0.3]),
                            np.array([1.0]), np.array([2.0]))
-    z, q, p, x, y = surgery.chart_unpack(phi_c_map(2, 1, 4.0).func(u), 2, 1)
-    assert z == pytest.approx(0.4)
-    assert np.allclose(q, [1.0, 0.0]) and np.allclose(p, [0.0, 1.2])
-    assert np.allclose(x, [2.0]) and np.allclose(y, [4.0])
-    z1, _, _, x1, _ = surgery.chart_unpack(phi_c_map(2, 1, 1.0).func(u), 2, 1)
-    assert z1 == pytest.approx(0.1) and np.allclose(x1, [1.0])
+    # the chart layout [z | q | p | x | y] with (nzw, nxy) = (2, 1)
+    assert np.allclose(phi_c_map(2, 1, 4.0).func(u), [0.4, 1.0, 0.0, 0.0, 1.2, 2.0, 4.0])
+    assert np.allclose(phi_c_map(2, 1, 1.0).func(u), u)
     with pytest.raises(ValueError):
         phi_c_map(2, 1, -2.0)
 
@@ -169,21 +166,22 @@ def test_level_gradient_is_the_gradient_level_projection_steps_with(monkeypatch)
 
 def test_margin_takes_g_prime_at_the_level_functions_rho2(monkeypatch):
     args = []
-    g_d = surgery.handle_g_d
+    g_d = surgery.handle_g_d_column
 
     def recorded(s, delta):
         args.append(s)
         return g_d(s, delta)
 
-    monkeypatch.setattr(surgery, "handle_g_d", recorded)
+    monkeypatch.setattr(surgery, "handle_g_d_column", recorded)
     local = np.random.default_rng(3)
     for nxy in (1, 2):
         for nzw in (2, 3):
             pts = local.standard_normal((100, 2 * nxy + 2 * nzw))
             args.clear()
             surgery.transversality_margins(pts, nxy, nzw, PROFILE)
-            assert len(args) == len(pts)
-            for row, rho2 in zip(pts, args):
+            [column] = args  # one g' evaluation, on the column of all rows
+            assert len(column) == len(pts)
+            for row, rho2 in zip(pts, column):
                 assert rho2 == surgery._rho2_w2(row.tolist(), nxy, nzw)[0]
 
 
@@ -376,6 +374,96 @@ def test_membership_desk_cases():
     assert hits >= 5
 
 
+def _membership_reference(pt, profile):
+    """handle_membership as first written: lone flows from one point."""
+    step, max_time, event_tol = 1e-3, 12.0, 1e-10
+    u0 = pt.as_array()
+    nxy, nzw = pt.nxy, pt.nzw
+    liouville = surgery.liouville_field(nxy, nzw)
+    if np.linalg.norm(liouville(u0)) < 1e-14:
+        return False
+    rho2_0, w2_0 = surgery._rho2_w2(u0.tolist(), nxy, nzw)
+    if w2_0 == 0.0:
+        return False
+    if math.sqrt(w2_0) > 1.0 + 1e-12:
+        reach_glue = False
+    else:
+        t_hit, _, states = _kernels.rk4_until_event(
+            liouville, u0, surgery.wnorm2_value(nxy, nzw), 1.0, step, max_time, event_tol,
+            direction=-1.0)
+        if t_hit is None:
+            return None
+        reach_glue = surgery._rho2_w2(states[-1].tolist(), nxy, nzw)[0] <= 1.5 ** 2
+    level = surgery.level_value(nxy, nzw, profile.delta)
+    f0 = level(u0)
+    if f0 < 0.0 and math.sqrt(rho2_0) < 1e-14:
+        reach_s1 = False
+    else:
+        t_hit, _, states = _kernels.rk4_until_event(
+            liouville, u0, level, 0.0, step, max_time, event_tol)
+        if t_hit is not None:
+            reach_s1 = True
+        elif f0 > 0.0 and level(states[-1]) >= f0:
+            reach_s1 = False
+        else:
+            return None
+    return bool(reach_glue and reach_s1)
+
+
+def test_batched_membership_repeats_the_lone_flows():
+    local = np.random.default_rng(4)
+    rows = [
+        np.zeros(6),                                  # the origin: at rest
+        [0.0, 0.0, 3.0, 0.0, 0.0, 0.0],               # w = 0
+        [0.0, 0.0, 0.0, 0.0, 1.5, 0.0],               # |w| > 1, on the w axis
+        [0.0, 0.0, 0.0, 0.0, 0.5, 0.0],               # |w| < 1, on the w axis
+        [1e-10, 0.0, 0.0, 0.0, 0.5, 0.0],             # forward flow inconclusive
+        [0.3, 0.0, 0.2, 0.0, 1e-8, 0.0],              # backward flow inconclusive
+        [1.2, 0.3, 0.5, 0.1, 0.4, 0.2],               # F > 0: the level value recedes
+    ]
+    rows += [surgery.random_s_minus1_point(local, 1, 2).as_array() for _ in range(4)]
+    rows = np.vstack(rows + [surgery.sample_s1_points(local, 8, 1, 2, PROFILE, rho2_max=1.8)])
+    ref = [_membership_reference(ModelPoint.from_array(u, 1, 2), PROFILE) for u in rows]
+    assert {True, False, None} <= set(ref)
+    assert surgery.handle_memberships(rows, 1, 2, PROFILE) == ref
+
+
+def _sampler_reference(rng, count, nxy, nzw, profile, rho2_max=4.0):
+    """sample_s1_points as first written: one row assembled and projected at a time."""
+    dim = 2 * nxy + 2 * nzw
+    out = np.empty((count, dim))
+    delta = profile.delta
+    project = surgery.level_projection(nxy, nzw, delta)
+    for i in range(count):
+        if rng.random() < 0.7:
+            s = rng.random()
+            rho2 = profile.g_inverse(profile.f(s))
+        else:
+            s = 1.0
+            rho2 = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
+        w_dir = rng.standard_normal(nzw)
+        w_dir /= np.linalg.norm(w_dir)
+        r_dir = rng.standard_normal(2 * nxy + nzw)
+        r_dir /= np.linalg.norm(r_dir)
+        u = np.empty(dim)
+        u[:2 * nxy] = math.sqrt(rho2) * r_dir[:2 * nxy]
+        u[2 * nxy:2 * nxy + nzw] = math.sqrt(rho2) * r_dir[2 * nxy:]
+        u[2 * nxy + nzw:] = math.sqrt(s) * w_dir
+        out[i] = project(u)
+    return out
+
+
+@pytest.mark.parametrize("nxy, nzw", [(0, 2), (1, 2), (1, 3), (2, 4)])
+def test_s1_sampler_repeats_the_pointwise_reference_bitwise(nxy, nzw):
+    for seed, delta, rho2_max in ((0, 0.05, 4.0), (1, 0.1, 1.8), (5, 0.2, 4.0)):
+        ref_rng, rng_ = np.random.default_rng(seed), np.random.default_rng(seed)
+        profile = HandleProfile(delta)
+        ref = _sampler_reference(ref_rng, 60, nxy, nzw, profile, rho2_max)
+        assert np.array_equal(surgery.sample_s1_points(rng_, 60, nxy, nzw, profile, rho2_max),
+                              ref)
+        assert rng_.random() == ref_rng.random()
+
+
 def test_s1_sampler_lands_on_level_set():
     for delta in (0.05, 0.1):
         profile = HandleProfile(delta)
@@ -397,3 +485,40 @@ def test_surgery_config_validation():
 def test_strictness_spot_check():
     from contactlab.suites import strictness_residual
     assert strictness_residual(np.random.default_rng(1), 3, 2, 30) < 1e-8
+
+
+def _strictness_reference(rng, n, k, count):
+    """strictness_residual as first written: a lone pullback per point and vector."""
+    nzw, nxy = k + 1, n - k - 1
+    mapping = surgery.psi_w_map(nzw, nxy)
+    target = surgery.alpha_model_form(nxy, nzw)
+    source = surgery.alpha_chart_form(nzw, nxy)
+    dim_in = 1 + 2 * nzw + 2 * nxy
+    eye = np.eye(dim_in)
+    worst = 0.0
+    for _ in range(count):
+        sp = sphere.random_sphere_point(rng, nzw - 1, 0.05, 1.5)
+        z = float(rng.uniform(-1.0, 1.0))
+        x = rng.standard_normal(nxy)
+        y = rng.standard_normal(nxy)
+        u = surgery.chart_pack(z, sp.q, sp.p, x, y)
+        vecs = [eye[0]]
+        for v in sphere.tangent_frame(sp):
+            vv = np.zeros(dim_in)
+            vv[1:1 + 2 * nzw] = v
+            vecs.append(vv)
+        vecs.extend(eye[1 + 2 * nzw + i] for i in range(2 * nxy))
+        for v in vecs:
+            lhs = forms.pullback_eval(mapping, target, u, [v])
+            worst = max(worst, abs(lhs - source(u, v)))
+    return worst
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2)])
+def test_strictness_repeats_the_pointwise_reference_bitwise(n, k):
+    from contactlab.suites import strictness_residual
+    for seed in (0, 5):
+        ref_rng, rng_ = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = _strictness_reference(ref_rng, n, k, 40)
+        assert strictness_residual(rng_, n, k, 40) == ref
+        assert rng_.random() == ref_rng.random()
