@@ -85,28 +85,36 @@ class KFormOracle:
     """A degree-k form given by evaluation on a point and k tangent vectors.
 
     ``d_oracle``, when present, evaluates the exterior derivative analytically
-    with the signature (pt, v_1, ..., v_{k+1}).  A 1-form built by
-    :func:`one_form` keeps its coefficient function as ``coeffs``.
+    with the signature (pt, v_1, ..., v_{k+1}).  A form whose ``func`` takes
+    rows, as :func:`one_form` builds them, also takes an (m, d) row batch.
     """
 
     degree: int
     dim: int
     func: Callable[..., float]
     d_oracle: Optional[Callable[..., float]] = None
-    coeffs: Optional[Callable[[Array], Array]] = None
 
-    def __call__(self, x: Array, *vectors: Array) -> float:
+    def __call__(self, x: Array, *vectors: Array):
         if len(vectors) != self.degree:
             raise ValueError(f"degree-{self.degree} form applied to {len(vectors)} vectors")
-        return float(self.func(np.asarray(x, dtype=float), *vectors))
+        x = np.asarray(x, dtype=float)
+        value = self.func(x, *vectors)
+        return float(value) if x.ndim == 1 else value
 
 
 def one_form(dim: int, coeffs: Callable[[Array], Array],
              coeffs_jac: Optional[Callable[[Array], Array]] = None) -> KFormOracle:
     """The 1-form sum_i a_i(x) dx_i;  an analytic coefficient Jacobian supplies
-    the exact exterior derivative d(a_i dx_i)(u, v) = (Ja u).v - (Ja v).u."""
+    the exact exterior derivative d(a_i dx_i)(u, v) = (Ja u).v - (Ja v).u.
+
+    When ``coeffs`` takes an (m, d) row batch, so does the form: a vector of
+    shape (m, d), or a stack (..., m, d), gives the values of shape (..., m),
+    each equal to its lone value.
+    """
     def ev(x, v):
-        return float(np.dot(coeffs(x), v))
+        if x.ndim == 1:
+            return float(np.dot(coeffs(x), v))
+        return np.vecdot(coeffs(x), v)
 
     d_oracle = None
     if coeffs_jac is not None:
@@ -114,7 +122,7 @@ def one_form(dim: int, coeffs: Callable[[Array], Array],
             j = coeffs_jac(x)
             return float(np.dot(j @ u, v) - np.dot(j @ v, u))
 
-    return KFormOracle(1, dim, ev, d_oracle=d_oracle, coeffs=coeffs)
+    return KFormOracle(1, dim, ev, d_oracle=d_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +147,21 @@ def exterior_derivative(form: KFormOracle, pt: Array, vectors: Sequence[Array],
 
 def pullback_eval(mapping: SmoothMap, form: KFormOracle, pt: Array,
                   vectors: Sequence[Array]) -> float:
-    """(mapping^* form)(pt)(v_1 ... v_k) = form(mapping(pt))(J v_1, ..., J v_k)."""
-    if mapping.domain_dim != len(np.asarray(pt, dtype=float)):
+    """(mapping^* form)(pt)(v_1 ... v_k) = form(mapping(pt))(J v_1, ..., J v_k).
+
+    An (m, d) row batch ``pt``, for a map and a form that take rows, takes
+    vectors of shape (m, d), or stacks (..., m, d), and gives the values of
+    shape (..., m), each equal to its lone value.
+    """
+    pt = np.asarray(pt, dtype=float)
+    if mapping.domain_dim != pt.shape[-1]:
         raise ValueError("point dimension does not match map domain")
     jac = mapping.jacobian(pt)
     image = mapping(pt)
-    pushed = [jac @ np.asarray(v, dtype=float) for v in vectors]
+    if pt.ndim == 1:
+        pushed = [jac @ np.asarray(v, dtype=float) for v in vectors]
+    else:
+        pushed = [(jac @ np.asarray(v, dtype=float)[..., None])[..., 0] for v in vectors]
     return form(image, *pushed)
 
 

@@ -255,8 +255,8 @@ def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) ->
     """max defect of psi_w pulling the model form back to the chart form, on
     the chart's z, sphere-bundle and (x, y) directions.
 
-    The points are drawn one at a time; the map's images and Jacobians, the
-    forms' coefficients and the pushed vectors are then taken as row batches.
+    The points are drawn one at a time; the pullback is then taken on the
+    row batch, with one stack of rows per direction.
     """
     if not count:
         return 0.0
@@ -267,20 +267,18 @@ def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) ->
     dim_in = 1 + 2 * nzw + 2 * nxy
     n_frame = 2 * nzw - 2
     # per point: e_z, the sphere-bundle frame in the (q, p) slots, then e_x and e_y
-    u, vecs = np.empty((count, dim_in)), np.zeros((count, dim_in - 2, dim_in))
-    vecs[:, 0, 0] = 1.0
-    vecs[:, 1 + n_frame:, 1 + 2 * nzw:] = np.eye(2 * nxy)
+    u, vecs = np.empty((count, dim_in)), np.zeros((dim_in - 2, count, dim_in))
+    vecs[0, :, 0] = 1.0
+    vecs[1 + n_frame:, :, 1 + 2 * nzw:] = np.eye(2 * nxy)[:, None]
     for i in range(count):
         sp = sphere.random_sphere_point(rng, nzw - 1, 0.05, 1.5)
         z = float(rng.uniform(-1.0, 1.0))
         x = rng.standard_normal(nxy)
         y = rng.standard_normal(nxy)
         u[i] = surgery.chart_pack(z, sp.q, sp.p, x, y)
-        vecs[i, 1:1 + n_frame, 1:1 + 2 * nzw] = sphere.tangent_frame(sp)
-    pushed = (mapping.jac(u)[:, None] @ vecs[..., None])[..., 0]
-    lhs = np.vecdot(target.coeffs(mapping.func(u))[:, None], pushed)
-    rhs = np.vecdot(source.coeffs(u)[:, None], vecs)
-    return float(np.max(np.abs(lhs - rhs)))
+        vecs[1:1 + n_frame, i, 1:1 + 2 * nzw] = sphere.tangent_frame(sp)
+    lhs = forms.pullback_eval(mapping, target, u, [vecs])
+    return float(np.max(np.abs(lhs - source(u, vecs))))
 
 
 @suite("weinstein-strictness")

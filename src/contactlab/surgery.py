@@ -377,17 +377,11 @@ def transversality_margins(points: Array, nxy: int, nzw: int,
     twice this margin; both vanish together, so positivity of either one is
     the transversality statement.
     """
-    return _margin(_operands(np.asarray(points, dtype=float)), nxy, nzw, profile.delta)
-
-
-def _margin(v: list, nxy: int, nzw: int, delta: float):
-    """The margin of a flat state's operands: floats, or the columns of rows."""
-    b = 2 * nxy
+    v = _operands(np.asarray(points, dtype=float))
+    b, delta = 2 * nxy, profile.delta
     rho2, w2 = _rho2_w2(v, nxy, nzw)
-    f_d, g_d = ((handle_f_d_column, handle_g_d_column) if isinstance(w2, np.ndarray)
-                else (handle_f_d, handle_g_d))
-    return (0.5 * _sum_sq(v[:b]) + 2.0 * _sum_sq(v[b:b + nzw])) * g_d(rho2, delta) \
-        + w2 * f_d(w2, delta)
+    return (0.5 * _sum_sq(v[:b]) + 2.0 * _sum_sq(v[b:b + nzw])) \
+        * handle_g_d_column(rho2, delta) + w2 * handle_f_d_column(w2, delta)
 
 
 def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):

@@ -154,10 +154,16 @@ def test_model_events_match_scalar_loops():
             -handle_f(w2, DELTA) + handle_g(rho2, DELTA)
 
 
-def test_margins_match_scalar_loop():
-    nxy, nzw = 1, 2
+def _rows_across_the_windows(nxy, nzw):
+    """Random rows, and rows of S_1 whose |w|^2 and rho^2 fall in the blend windows."""
+    scaled = rng.standard_normal((40, 2 * nxy + 2 * nzw)) * rng.uniform(0.2, 1.5, (40, 1))
+    return np.vstack([scaled, surgery.sample_s1_points(rng, 40, nxy, nzw, HandleProfile(DELTA))])
+
+
+@pytest.mark.parametrize("nxy, nzw", [(0, 2), (1, 2), (1, 3)])
+def test_margins_match_scalar_loop(nxy, nzw):
     base = 2 * nxy
-    pts = rng.standard_normal((50, 6))
+    pts = _rows_across_the_windows(nxy, nzw)
     ref = np.empty(len(pts))
     for row in range(len(pts)):
         xy2 = z2 = w2 = 0.0
@@ -168,16 +174,10 @@ def test_margins_match_scalar_loop():
             w2 += pts[row, base + nzw + i] * pts[row, base + nzw + i]
         # g' at the rho^2 of the level function and the page flow
         rho2, _ = _loop_norms(pts[row], nxy, nzw)
-        ref[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(rho2, 0.1) \
-            + w2 * handle_f_d(w2, 0.1)
-    got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(0.1))
+        ref[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(rho2, DELTA) \
+            + w2 * handle_f_d(w2, DELTA)
+    got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(DELTA))
     assert np.array_equal(got, ref)
-
-
-def _rows_across_the_windows(nxy, nzw):
-    """Random rows, and rows of S_1 whose |w|^2 and rho^2 fall in the blend windows."""
-    scaled = rng.standard_normal((40, 2 * nxy + 2 * nzw)) * rng.uniform(0.2, 1.5, (40, 1))
-    return np.vstack([scaled, surgery.sample_s1_points(rng, 40, nxy, nzw, HandleProfile(DELTA))])
 
 
 def test_level_and_wnorm2_rows_match_lone_states():
@@ -185,13 +185,6 @@ def test_level_and_wnorm2_rows_match_lone_states():
         batch = _rows_across_the_windows(nxy, nzw)
         for value in (surgery.level_value(nxy, nzw, DELTA), surgery.wnorm2_value(nxy, nzw)):
             assert np.array_equal(value(batch), [value(u) for u in batch])
-
-
-def test_margin_rows_match_lone_margins():
-    for nxy, nzw in [(0, 2), (1, 2), (1, 3)]:
-        batch = _rows_across_the_windows(nxy, nzw)
-        got = surgery.transversality_margins(batch, nxy, nzw, HandleProfile(DELTA))
-        assert np.array_equal(got, [surgery._margin(u.tolist(), nxy, nzw, DELTA) for u in batch])
 
 
 def _twist_reference(u, profile, d):
@@ -242,9 +235,14 @@ def test_straightening_rows_match_lone_points(nzw, nxy):
     jac = mapping.jac(rows)
     assert jac.flags.c_contiguous
     assert np.array_equal(jac, [mapping.jac(u) for u in rows])
-    for coeffs, at in ((surgery.alpha_model_form(nxy, nzw).coeffs, images),
-                       (surgery.alpha_chart_form(nzw, nxy).coeffs, rows)):
-        assert np.array_equal(coeffs(at), [coeffs(u) for u in at])
+    # three stacks of directions, one vector per row in each
+    vecs = rng.standard_normal((3,) + rows.shape)
+    target, source = surgery.alpha_model_form(nxy, nzw), surgery.alpha_chart_form(nzw, nxy)
+    assert np.array_equal(forms.pullback_eval(mapping, target, rows, [vecs]),
+                          [[forms.pullback_eval(mapping, target, u, [v]) for u, v in zip(rows, vs)]
+                           for vs in vecs])
+    assert np.array_equal(source(rows, vecs), [[source(u, v) for u, v in zip(rows, vs)]
+                                               for vs in vecs])
 
 
 def test_fd_jacobian_rows_match_lone_jacobians():
