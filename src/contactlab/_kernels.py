@@ -4,11 +4,13 @@ A flow is given by plain callables: a right-hand side ``rhs(u) -> du`` whose
 output has the state's shape, an optional projection ``project(u) -> u``
 applied after each step (it may work in place on the stepped state), and, for
 :func:`rk4_until_event`, an event ``event(u) -> float``.  States are ``(d,)``
-vectors or ``(m, d)`` row batches, which :func:`rk4_final` and
-:func:`rk4_until_event` advance in lockstep.  :func:`rk4_final_floats` is
-the one-start fixed-time flow over a list of Python floats, for a field that
-computes in floats: it repeats :func:`rk4_final`'s arithmetic bit for bit
-without NumPy's per-call cost on a short vector.  A right-hand side of the
+vectors or ``(m, d)`` row batches, which :func:`rk4_final`, :func:`rk4_record`
+and :func:`rk4_until_event` advance in lockstep.  The one event loop serves
+a lone start as its one-row batch, and records the trajectory of every row
+of a batch on request.  :func:`rk4_final_floats` is the one-start
+fixed-time flow over a list of Python floats, for a field that computes in
+floats: it repeats :func:`rk4_final`'s arithmetic bit for bit without
+NumPy's per-call cost on a short vector.  A right-hand side of the
 wrong output shape or length, or a state that turns non-finite, raises
 ``ValueError``.
 """
@@ -111,7 +113,7 @@ def rk4_record(rhs, u0, t, step, project=None):
 
 
 def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
-                    project=None, direction=1.0):
+                    project=None, direction=1.0, record=False):
     """March until ``event(u) - target`` changes sign or comes within
     event_tol, then bisect the crossing inside the last step.
 
@@ -126,32 +128,29 @@ def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
     trajectory; t_event is None when no crossing occurred within max_time,
     and otherwise the last row of states is the refined event point.  A
     batch returns ``(t_event, ends)``: t_event is NaN for a row that did not
-    cross, and its end is then its state at max_time.
+    cross, and its end is then its state at max_time.  With ``record`` a
+    batch also returns each row's ``(times, states)``, which equal those of a
+    lone run of that row.
     """
     u0 = np.array(u0, dtype=float)
     if u0.ndim != 1:
         return _until_event(rhs, u0, event, target, step, max_time, event_tol,
-                            project, direction, None)
-    # one start is the m = 1 batch, with the field and event called on the row
-    times, states = [0.0], [u0]
-    t_event, ends = _until_event(
+                            project, direction, record)
+    # one start is the recorded m = 1 batch, with the field and event called on the row
+    t_event, _, ((times, states),) = _until_event(
         lambda u: rhs(u[0])[None], u0[None], lambda u: np.array([event(u[0])]),
         target, step, max_time, event_tol,
         None if project is None else lambda u: project(u[0])[None],
-        direction, (times, states))
+        direction, True)
     t_event = float(t_event[0])
-    if math.isnan(t_event):
-        return None, np.array(times), np.array(states)
-    if t_event > 0.0:
-        times.append(t_event)
-        states.append(ends[0])
-    return t_event, np.array(times), np.array(states)
+    return (None if math.isnan(t_event) else t_event), times, states
 
 
 def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
                  direction, record):
-    """The lockstep event loop on an (m, d) batch; for one row, ``record``
-    may hold (times, states) lists that every marching step appends to."""
+    """The lockstep event loop on an (m, d) batch; with ``record`` it keeps
+    the marching rows of every step and returns each row's trajectory too."""
+    starts = u
     t_event = np.full(len(u), np.nan)
     ends = u.copy()
     v = event(u) - target
@@ -164,6 +163,7 @@ def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
     # per crossing step: the rows that froze, their sides, pre-step and
     # stepped states, the step and the time before it
     frozen = []
+    marched = []  # with record: (time, rows, states) after each step
     t_now = 0.0
     for h in _schedule(max_time, step):
         if not rows.size:
@@ -178,9 +178,8 @@ def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
             rows, side, u_next = rows[keep], side[keep], u_next[keep]
         t_now += h
         u = u_next
-        if record is not None and rows.size:
-            record[0].append(t_now)
-            record[1].append(u[0])
+        if record and rows.size:
+            marched.append((t_now, rows, u))
     ends[rows] = u
     if frozen:
         hit_rows, side, u_pre, u_hit, h_hit, t_pre = (np.concatenate(part)
@@ -188,7 +187,32 @@ def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
         t_hit, ends[hit_rows] = _bisect_crossings(rhs, event, target, event_tol, project,
                                                   direction, side, u_pre, u_hit, h_hit)
         t_event[hit_rows] = t_pre + t_hit
-    return t_event, ends
+    if not record:
+        return t_event, ends
+    return t_event, ends, _trajectories(starts, t_event, ends, marched)
+
+
+def _trajectories(starts, t_event, ends, marched):
+    """Each row's (times, states): its start, its state after every step it
+    marched past, and its refined event point when t_event > 0.
+
+    A row leaves the marching rows once and never returns, so it holds the
+    first steps of ``marched``, as many as it marched past.
+    """
+    m, d = starts.shape
+    n_steps = np.zeros(m, dtype=int)
+    path = np.empty((len(marched), m, d))
+    for k, (_, rows, u) in enumerate(marched):
+        path[k, rows] = u
+        n_steps[rows] += 1
+    times = np.array([0.0] + [t for t, _, _ in marched])
+    out = []
+    for i, n in enumerate(n_steps):
+        t_i, s_i = times[:n + 1], np.concatenate([starts[i:i + 1], path[:n, i]])
+        if t_event[i] > 0.0:  # False for NaN, a row that never crossed
+            t_i, s_i = np.append(t_i, t_event[i]), np.concatenate([s_i, ends[i:i + 1]])
+        out.append((t_i, s_i))
+    return out
 
 
 def _bisect_crossings(rhs, event, target, event_tol, project, direction,

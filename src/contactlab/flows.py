@@ -8,6 +8,9 @@ which takes the field, event and projection as plain callables: a field
 flow on its constraint set and is applied after every step.
 :func:`flow_rows_until_event` flows an ``(m, d)`` batch of starts in
 lockstep; its callables take the batch, and its event gives one value per row.
+:func:`trajectories_until_event` runs the same batch and keeps each row's
+sampled trajectory, and :func:`flow_record` records an ``(m, d)`` batch as it
+records one start.  Every row of a batch repeats its lone flow bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def flow_fixed_time(rhs: Field, start: Array, t: float,
 
 def flow_record(rhs: Field, start: Array, t: float,
                 cfg: IntegratorConfig, project: Projection = None) -> Trajectory:
+    """The sampled trajectory over signed time t; an (m, d) batch of starts
+    gives points of shape (steps + 1, m, d)."""
     times, states = _kernels.rk4_record(rhs, start, float(t), cfg.step, project)
     return Trajectory(times, states)
 
@@ -85,6 +90,13 @@ def flow_until_event(rhs: Field, start: Array,
     return Trajectory(times, states, t_event)
 
 
+def _row_batch(starts: Array) -> Array:
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2:
+        raise ValueError(f"a row batch must have shape (m, d), got {starts.shape}")
+    return starts
+
+
 def flow_rows_until_event(rhs: Field, starts: Array,
                           event: Callable[[Array], Array], target: float,
                           cfg: IntegratorConfig,
@@ -97,11 +109,22 @@ def flow_rows_until_event(rhs: Field, starts: Array,
     when it did not cross within cfg.max_time, and ``ends[i]`` is then its
     state at max_time.
     """
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 2:
-        raise ValueError(f"a row batch must have shape (m, d), got {starts.shape}")
-    return _kernels.rk4_until_event(rhs, starts, event, float(target), cfg.step,
+    return _kernels.rk4_until_event(rhs, _row_batch(starts), event, float(target), cfg.step,
                                     cfg.max_time, cfg.event_tol, project)
+
+
+def trajectories_until_event(rhs: Field, starts: Array,
+                             event: Callable[[Array], Array], target: float,
+                             cfg: IntegratorConfig,
+                             project: Projection = None) -> list[Trajectory]:
+    """:func:`flow_rows_until_event`, keeping each row's sampled trajectory:
+    row i's Trajectory equals a lone :func:`flow_until_event` from
+    ``starts[i]`` bit for bit, times, points and t_event."""
+    t_event, _, paths = _kernels.rk4_until_event(
+        rhs, _row_batch(starts), event, float(target), cfg.step, cfg.max_time,
+        cfg.event_tol, project, record=True)
+    return [Trajectory(times, states, None if math.isnan(t) else float(t))
+            for t, (times, states) in zip(t_event, paths)]
 
 
 # ---------------------------------------------------------------------------

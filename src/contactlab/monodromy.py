@@ -12,12 +12,18 @@ and the two answers are compared, never silently merged.  The pipeline's
 stages pass flat rows and a result keeps only the start, both answers and
 their distance.  The closed form is then recognized as the
 normalized-geodesic-flow twist through the rational circle parametrization.
+
+The transports run a batch of starts as one lockstep batch of rows, and
+starts of different block sizes share it: each row is zero-padded to the
+widest blocks and flows under the widest block's field and event, which
+gives every row the bits of its lone flow.  The scans draw all their starts
+first, in their one-at-a-time order, and flow them as one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,11 +89,32 @@ class MonodromyResult:
 # transports
 # ---------------------------------------------------------------------------
 
-def _block_sizes(starts: Sequence[ModelPoint]) -> tuple[int, int]:
-    nxy, nzw = starts[0].nxy, starts[0].nzw
-    if any(s.nxy != nxy or s.nzw != nzw for s in starts):
-        raise ValueError("the starts of one batch must share their block sizes")
-    return nxy, nzw
+def _padding(starts: Sequence[ModelPoint]) -> tuple[int, int, list[Array]]:
+    """The widest (x, y) and (z, w) block sizes of a batch and, per start, the
+    columns of the zero-padded flat layout [x 0 | y 0 | z 0 | w 0] that hold
+    its own coordinates.
+
+    A padded row flows under the widest block's field and event bit for bit
+    as its own row under its own: their sums run in index order, so the
+    padding only adds exact zero products, and RK4 keeps the zeros zero.
+    """
+    wide_xy = max(s.nxy for s in starts)
+    wide_zw = max(s.nzw for s in starts)
+    offsets = (0, wide_xy, 2 * wide_xy, 2 * wide_xy + wide_zw)
+    columns = {}
+    for s in starts:
+        if (s.nxy, s.nzw) not in columns:
+            sizes = (s.nxy, s.nxy, s.nzw, s.nzw)
+            columns[s.nxy, s.nzw] = np.concatenate(
+                [off + np.arange(n) for off, n in zip(offsets, sizes)])
+    return wide_xy, wide_zw, [columns[s.nxy, s.nzw] for s in starts]
+
+
+def _padded_rows(states: Sequence[Array], cols: list[Array], width: int) -> Array:
+    rows = np.zeros((len(states), width))
+    for row, c, u in zip(rows, cols, states):
+        row[c] = u
+    return rows
 
 
 def _flow_to_page(rhs, states: Array, nxy: int, nzw: int,
@@ -109,8 +136,8 @@ def _flow_to_page(rhs, states: Array, nxy: int, nzw: int,
 def pre_surgery_monodromy(starts: Sequence[ModelPoint], epsilon: float,
                           cfg: IntegratorConfig) -> list[ModelPoint]:
     """Reeb transport of each start from page -eps to page +eps (trivial on
-    decompositions), the flows run as one row batch; the starts share their
-    block sizes."""
+    decompositions), the flows run as one row batch; starts of different
+    block sizes share it, zero-padded to the widest."""
     if not starts:
         return []
     for start in starts:
@@ -118,11 +145,12 @@ def pre_surgery_monodromy(starts: Sequence[ModelPoint], epsilon: float,
             raise ValueError("start must sit on the -eps page")
         if not start.on_s_minus1():
             raise ValueError("start must lie on the |w|^2 = 1 hypersurface")
-    nxy, nzw = _block_sizes(starts)
-    ends = _flow_to_page(surgery.reeb_field(nxy, nzw), np.array([s.as_array() for s in starts]),
-                         nxy, nzw, +epsilon, cfg,
+    nxy, nzw, cols = _padding(starts)
+    states = _padded_rows([s.as_array() for s in starts], cols, 2 * nxy + 2 * nzw)
+    ends = _flow_to_page(surgery.reeb_field(nxy, nzw), states, nxy, nzw, +epsilon, cfg,
                          "page event not reached within the time bound")
-    return [ModelPoint.from_array(end, nxy, nzw) for end in ends]
+    return [ModelPoint.from_array(end[c], s.nxy, s.nzw)
+            for s, c, end in zip(starts, cols, ends)]
 
 
 def post_surgery_closed_form(start: ModelPoint, epsilon: float) -> ModelPoint:
@@ -154,29 +182,41 @@ def post_surgery_pipeline_batch(starts: Sequence[ModelPoint], config: SurgeryCon
     """post_surgery_pipeline of each start under its own handle profile, with
     the stage-2 page flows run as one row batch (a lone flow for one start).
 
-    The starts share their block sizes; each result equals the one-start
-    pipeline's bit for bit.
+    Starts of different block sizes share the batch, zero-padded to the
+    widest.  Each result equals the one-start pipeline's bit for bit.
     """
     if len(starts) != len(profiles):
         raise ValueError("give one handle profile per start")
+    return _pipeline(starts, [config.a] * len(starts), profiles, config.epsilon, cfg)
+
+
+def _pipeline(starts: Sequence[ModelPoint], speeds: Sequence[float],
+              profiles: Sequence[HandleProfile], eps: float,
+              cfg: IntegratorConfig) -> list[MonodromyResult]:
+    """The three stages for a batch of starts, each with its own Liouville
+    speed and handle profile."""
     if not starts:
         return []
-    eps = config.epsilon
-    nxy, nzw = _block_sizes(starts)
     closed = [post_surgery_closed_form(start, eps) for start in starts]
-    # stage 1: transfer to the surgered hypersurface; each row carries its
-    # smoothing width as a last coordinate, which the page flow leaves fixed
-    on_s1 = [surgery.transfer_to_s1_finite_a(start, config.a, profile)
-             for start, profile in zip(starts, profiles)]
-    states = np.column_stack([on_s1, [p.delta for p in profiles]])
+    # stage 1: transfer to the surgered hypersurface; each padded row carries
+    # its smoothing width as a last coordinate, which the page flow leaves fixed
+    nxy, nzw, cols = _padding(starts)
+    dim = 2 * nxy + 2 * nzw
+    states = _padded_rows([surgery.transfer_to_s1_finite_a(start, a, profile)
+                           for start, a, profile in zip(starts, speeds, profiles)],
+                          cols, dim + 1)
+    states[:, dim] = [p.delta for p in profiles]
     # stage 2: Hamiltonian page flow until the +eps page
     ends = _flow_to_page(surgery.handle_hamiltonian_rhs(nxy, nzw), states, nxy, nzw, +eps, cfg,
                          "page event not reached during the page flow")
-    # stage 3: transfer back to |w|^2 = 1
-    backs = [surgery.transfer_to_s_minus1(end[:-1], nxy, nzw) for end in ends]
-    return [MonodromyResult(start, ModelPoint.from_array(back, nxy, nzw), closed_pt,
-                            float(np.max(np.abs(back - closed_pt.as_array()))))
-            for start, back, closed_pt in zip(starts, backs, closed)]
+    # stage 3: transfer back to |w|^2 = 1, each row in its own block sizes
+    results = []
+    for start, c, end, closed_pt in zip(starts, cols, ends, closed):
+        back = surgery.transfer_to_s_minus1(end[c], start.nxy, start.nzw)
+        results.append(MonodromyResult(
+            start, ModelPoint.from_array(back, start.nxy, start.nzw), closed_pt,
+            float(np.max(np.abs(back - closed_pt.as_array())))))
+    return results
 
 
 def page_speed_residual(traj: Trajectory, nxy: int, nzw: int, epsilon: float) -> float:
@@ -306,31 +346,36 @@ def rounded_window_start(rng: np.random.Generator, nzw: int, epsilon: float,
 
 
 def delta_deviation_scan(rng: np.random.Generator, deltas: list[float],
-                         count: int, nzw: int, config: SurgeryConfig,
-                         cfg: IntegratorConfig) -> dict[float, float]:
+                         count: int, blocks: Sequence[int], config: SurgeryConfig,
+                         cfg: IntegratorConfig) -> dict[int, dict[float, float]]:
     """max Euclidean pipeline-vs-closed-form deviation over rounded-window
-    starts, per delta.
+    starts, per z/w block size and delta.
 
     The transport is rotation-equivariant and the Euclidean norm is
     rotation-invariant, so the random frame of a start drops out and only the
     window fraction of |z|^2 matters; it is scanned on an even grid for a
-    reproducible maximum.  The starts of every delta run as one batch.
+    reproducible maximum.  The starts are drawn block by block, then delta by
+    delta, and all of them run as one batch.
     """
     fracs = np.linspace(0.02, 0.98, count)
     starts, profiles = [], []
-    for delta in deltas:
-        profile = HandleProfile(delta)
-        for frac in fracs:
-            starts.append(rounded_window_start(rng, nzw, config.epsilon, delta, float(frac)))
-            profiles.append(profile)
-    results = post_surgery_pipeline_batch(starts, config, profiles, cfg)
+    for nzw in blocks:
+        for delta in deltas:
+            profile = HandleProfile(delta)
+            for frac in fracs:
+                starts.append(rounded_window_start(rng, nzw, config.epsilon, delta, float(frac)))
+                profiles.append(profile)
+    results = iter(post_surgery_pipeline_batch(starts, config, profiles, cfg))
     out = {}
-    for i, delta in enumerate(deltas):
-        worst = 0.0
-        for res in results[i * count:(i + 1) * count]:
-            worst = max(worst, float(np.linalg.norm(
-                res.pipeline_point.as_array() - res.closed_form_point.as_array())))
-        out[delta] = worst
+    for nzw in blocks:
+        out[nzw] = {}
+        for delta in deltas:
+            worst = 0.0
+            for _ in range(count):
+                res = next(results)
+                worst = max(worst, float(np.linalg.norm(
+                    res.pipeline_point.as_array() - res.closed_form_point.as_array())))
+            out[nzw][delta] = worst
     return out
 
 
@@ -349,11 +394,11 @@ def fit_log_slope(xs: list[float], ys: list[float]) -> float:
 def a_convergence_scan(start: ModelPoint, a_values: list[float],
                        config: SurgeryConfig, profile: HandleProfile,
                        cfg: IntegratorConfig) -> dict[float, float]:
-    """Pipeline error against the infinite-speed answer, per finite a."""
-    conf_inf = replace(config, a=math.inf)
-    ref = post_surgery_pipeline(start, conf_inf, profile, cfg).pipeline_point.as_array()
-    out = {}
-    for a in a_values:
-        res = post_surgery_pipeline(start, replace(config, a=float(a)), profile, cfg)
-        out[float(a)] = float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
-    return out
+    """Pipeline error against the infinite-speed answer, per finite a; the
+    pipelines of the limit and of every a run as one batch."""
+    speeds = [math.inf] + [float(a) for a in a_values]
+    ref, *finite = _pipeline([start] * len(speeds), speeds, [profile] * len(speeds),
+                             config.epsilon, cfg)
+    ref = ref.pipeline_point.as_array()
+    return {a: float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
+            for a, res in zip(speeds[1:], finite)}

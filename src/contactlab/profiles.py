@@ -193,21 +193,32 @@ class HandleProfile:
     def g(self, s: float) -> float:
         return handle_g(s, self.delta)
 
-    def g_inverse(self, v: float) -> float:
-        """Invert g on [0, 1+delta): bisection on the monotone blend window,
-        to a bracket of width 1e-14."""
-        if v <= 1.0:
-            return v
-        if v >= 1.0 + self.delta:
-            raise ValueError(f"g saturates at {1.0 + self.delta}; {v} not attained")
-        lo, hi = 1.0, 1.0 + self.delta
-        while hi - lo > 1e-14:
+    def g_inverse(self, v):
+        """Invert g on [0, 1+delta), for a float or a column v: bisection on
+        the monotone blend window, each value to a bracket of width 1e-14.
+
+        A column is bisected with a mask, each value with the stopping rule
+        and arithmetic of a lone float.  Non-finite values and values g does
+        not attain raise ValueError.
+        """
+        v = np.asarray(v, dtype=float)
+        top = 1.0 + self.delta
+        if not np.isfinite(v).all():
+            raise ValueError(f"g_inverse needs finite values, got {v[~np.isfinite(v)][0]}")
+        if (v >= top).any():
+            raise ValueError(f"g saturates at {top}; {v[v >= top][0]} not attained")
+        lo, hi = np.ones(v.shape), np.full(v.shape, top)
+        open_ = v > 1.0
+        while True:
+            open_ &= hi - lo > 1e-14
+            if not open_.any():
+                break
             mid = 0.5 * (lo + hi)
-            if self.g(mid) < v:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = handle_g_column(mid, self.delta) < v
+            lo = np.where(open_ & below, mid, lo)
+            hi = np.where(open_ & ~below, mid, hi)
+        out = np.where(v > 1.0, 0.5 * (lo + hi), v)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -607,17 +607,14 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["pre_surgery_monodromy", "flow_until_event"], cfg.tol("pre_surgery"))
     def pre_surgery():
         rng = check_rng(cfg.seed, "pre-surgery")
-        by_block = {}
-        for _ in range(50):
-            nzw = int(rng.choice(cfg.page_blocks))
-            by_block.setdefault(nzw, []).append(mono.admissible_start(rng, nzw, eps, 0.05))
+        starts = [mono.admissible_start(rng, int(rng.choice(cfg.page_blocks)), eps, 0.05)
+                  for _ in range(50)]
         worst = 0.0
-        for starts in by_block.values():
-            for start, out in zip(starts, mono.pre_surgery_monodromy(starts, eps, flow_cfg)):
-                dec_in = mono.PageDecomposition.of(start, -eps)
-                dec_out = mono.PageDecomposition.of(out, +eps)
-                worst = max(worst, float(np.max(np.abs(dec_out.w - dec_in.w))),
-                            float(np.max(np.abs(dec_out.r - dec_in.r))))
+        for start, out in zip(starts, mono.pre_surgery_monodromy(starts, eps, flow_cfg)):
+            dec_in = mono.PageDecomposition.of(start, -eps)
+            dec_out = mono.PageDecomposition.of(out, +eps)
+            worst = max(worst, float(np.max(np.abs(dec_out.w - dec_in.w))),
+                        float(np.max(np.abs(dec_out.r - dec_in.r))))
         return worst, 50, {}
 
     @check("pipeline-vs-closed-form",
@@ -630,25 +627,24 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         worst_matrix = 0.0
         worst_wnorm = 0.0
-        total = 0
+        starts = []
         for nzw in cfg.page_blocks:
             rng = check_rng(cfg.seed, f"pipeline-{nzw}")
-            starts = [mono.admissible_start(rng, nzw, eps, profile.delta)
-                      for _ in range(cfg.n_monodromy)]
-            for res in mono.post_surgery_pipeline_batch(starts, config, [profile] * len(starts),
-                                                        flow_cfg):
-                worst = max(worst, res.closed_vs_pipeline)
-                worst_wnorm = max(worst_wnorm, abs(
-                    float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
-                tw = mono.recognize_dehn_twist(res, eps)
-                worst_matrix = max(worst_matrix, tw.matrix_residual, tw.circle_defect)
-            total += cfg.n_monodromy
+            starts += [mono.admissible_start(rng, nzw, eps, profile.delta)
+                       for _ in range(cfg.n_monodromy)]
+        for res in mono.post_surgery_pipeline_batch(starts, config, [profile] * len(starts),
+                                                    flow_cfg):
+            worst = max(worst, res.closed_vs_pipeline)
+            worst_wnorm = max(worst_wnorm, abs(
+                float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
+            tw = mono.recognize_dehn_twist(res, eps)
+            worst_matrix = max(worst_matrix, tw.matrix_residual, tw.circle_defect)
         details = {"matrix_residual": worst_matrix, "wnorm_defect": worst_wnorm}
         if worst_matrix > cfg.tol("twist_matrix"):
             worst = max(worst, 1.0)
         if worst_wnorm > 1e-12:
             worst = max(worst, 1.0)
-        return worst, total, details
+        return worst, len(starts), details
 
     @check("worked-page-point",
            "the page point with w = (1,0), r = (0,1/2), eps = 1/10 lands on "
@@ -690,13 +686,13 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["flow_until_event", "theta_page"], cfg.tol("page_speed"))
     def page_speed():
         rng = check_rng(cfg.seed, "page-speed")
+        on_s1 = [surgery.limit_transfer_to_s1(mono.admissible_start(rng, 2, eps, profile.delta),
+                                              profile)
+                 for _ in range(20)]
+        fld = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)
         worst = 0.0
-        for _ in range(20):
-            start = mono.admissible_start(rng, 2, eps, profile.delta)
-            on_s1 = surgery.limit_transfer_to_s1(start, profile)
-            fld = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)
-            traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2),
-                                          +eps, flow_cfg)
+        for traj in flows.trajectories_until_event(fld, on_s1, surgery.page_value(0, 2),
+                                                   +eps, flow_cfg):
             worst = max(worst, mono.page_speed_residual(traj, 0, 2, eps))
         return worst, 20, {}
 
@@ -727,18 +723,19 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["transfer_to_s1_finite_a", "flow_until_event"], 1e-8)
     def finite_transfer():
         rng = check_rng(cfg.seed, "finite-transfer")
+        starts = [mono.admissible_start(rng, 2, eps, profile.delta) for _ in range(10)]
+        closed = [surgery.transfer_to_s1_finite_a(s, 1000.0, profile) for s in starts]
+        fld = surgery.liouville_a_field(0, 2, 1000.0)
+        level = surgery.level_value(0, 2, profile.delta)
+        cfg_i = IntegratorConfig(step=1e-5, max_time=0.5, event_tol=1e-13)
+        t_event, ends = flows.flow_rows_until_event(fld, [s.as_array() for s in starts],
+                                                    level, 0.0, cfg_i)
         worst = 0.0
-        for _ in range(10):
-            start = mono.admissible_start(rng, 2, eps, profile.delta)
-            closed = surgery.transfer_to_s1_finite_a(start, 1000.0, profile)
-            fld = surgery.liouville_a_field(0, 2, 1000.0)
-            level = surgery.level_value(0, 2, profile.delta)
-            cfg_i = IntegratorConfig(step=1e-5, max_time=0.5, event_tol=1e-13)
-            traj = flows.flow_until_event(fld, start.as_array(), level, 0.0, cfg_i)
-            if traj.t_event is None:
+        for t, end, closed_end in zip(t_event, ends, closed):
+            if math.isnan(t):
                 worst = max(worst, 1.0)
                 continue
-            worst = max(worst, float(np.max(np.abs(traj.end - closed))))
+            worst = max(worst, float(np.max(np.abs(end - closed_end))))
         # already on the surgered hypersurface: zero transfer time
         pts = surgery.sample_s1_points(check_rng(cfg.seed, "ft2"), 3, 0, 2, profile)
         for row in pts:
@@ -771,9 +768,9 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         wconf = SurgeryConfig(epsilon=weps)
         fits = {}
         worst = 0.0
-        for nzw in (2, 3):
-            devs = mono.delta_deviation_scan(rng, list(cfg.window_deltas),
-                                             cfg.n_window, nzw, wconf, flow_cfg)
+        scan = mono.delta_deviation_scan(rng, list(cfg.window_deltas), cfg.n_window, (2, 3),
+                                         wconf, flow_cfg)
+        for nzw, devs in scan.items():
             slope = mono.fit_log_slope(list(devs), list(devs.values()))
             cs = {str(d): devs[d] / d for d in devs}
             fits[str(nzw)] = {"slope": slope, "fitted_C": cs,
@@ -814,10 +811,11 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         fld = surgery.reeb_field(0, 2)
         cfg_i = IntegratorConfig(step=cfg.flow_step, max_time=2.0)
         unit_w = surgery.unit_w_projection(0, 2)
-        for _ in range(5):
-            start = surgery.random_s_minus1_point(rng, 0, 2)
-            traj = flows.flow_record(fld, start.as_array(), 1.0, cfg_i, unit_w)
-            for row in traj.points[:: max(1, len(traj.points) // 20)]:
+        starts = [surgery.random_s_minus1_point(rng, 0, 2).as_array() for _ in range(5)]
+        traj = flows.flow_record(fld, np.array(starts), 1.0, cfg_i, unit_w)
+        sampled = traj.points[:: max(1, len(traj.points) // 20)]
+        for i in range(len(starts)):
+            for row in sampled[:, i]:
                 w = row[2:]
                 worst = max(worst, abs(float(w @ w) - 1.0))
                 worst = max(worst, abs(alpha(row, fld(row)) - 1.0))

@@ -153,14 +153,15 @@ def liouville_field(nxy: int, nzw: int):
 
 
 def liouville_a_field(nxy: int, nzw: int, a: float):
-    """The speed-a Liouville field ((1+a) z, -a w) of a flat state."""
+    """The speed-a Liouville field ((1+a) z, -a w) of a flat state, on a (d,)
+    state or an (m, d) row batch."""
     b = 2 * nxy
     a = float(a)
 
     def func(u):
-        du = np.zeros(u.size)
-        du[b:b + nzw] = (1.0 + a) * u[b:b + nzw]
-        du[b + nzw:] = -a * u[b + nzw:]
+        du = np.zeros(u.shape)
+        du[..., b:b + nzw] = (1.0 + a) * u[..., b:b + nzw]
+        du[..., b + nzw:] = -a * u[..., b + nzw:]
         return du
 
     return func
@@ -229,13 +230,13 @@ def wnorm2_value(nxy: int, nzw: int):
 
 
 def unit_w_projection(nxy: int, nzw: int):
-    """Rescale the w block of a flat state, in place, to unit length."""
+    """Rescale the w block of a flat state, in place, to unit length; on a
+    (d,) state or each row of an (m, d) batch, a zero w left as it is."""
     b = 2 * nxy + nzw
 
     def project(u):
-        norm = math.sqrt(_sum_sq(u.tolist()[b:]))
-        if norm > 0.0:
-            u[b:] /= norm
+        norm = np.sqrt(_sum_sq(_operands(u)[b:]))
+        u[..., b:] /= np.where(norm > 0.0, norm, 1.0)[..., None]  # x / 1.0 is x
         return u
 
     return project
@@ -433,8 +434,34 @@ def level_gradient(nxy: int, nzw: int, delta: float):
 
 
 def level_projection(nxy: int, nzw: int, delta: float):
-    """Newton steps, in place, onto the zero level of the handle function."""
+    """Newton steps, in place, onto the zero level of the handle function.
+
+    A (d,) state steps in floats, for the lone projected flows; an (m, d)
+    batch steps its rows on columns, each row with the lone stopping rules
+    (|value| < 1e-13, a zero gradient, 8 steps) and the lone arithmetic.
+    """
+    b = 2 * nxy + nzw
+
+    def project_rows(u):
+        rows = np.arange(len(u))  # the rows still stepping
+        for _ in range(8):
+            sub = u[rows]
+            rho2, w2 = _rho2_w2(_operands(sub), nxy, nzw)
+            fval = _handle_value(rho2, w2, delta)
+            grad = np.empty(sub.shape)
+            grad[:, :b] = (2.0 * handle_g_d_column(rho2, delta))[:, None] * sub[:, :b]
+            grad[:, b:] = (-2.0 * handle_f_d_column(w2, delta))[:, None] * sub[:, b:]
+            gnorm2 = _sum_sq(list(grad.T))
+            step = ~(np.abs(fval) < 1e-13) & ~(gnorm2 == 0.0)
+            if not step.any():
+                break
+            rows, sub, grad = rows[step], sub[step], grad[step]
+            u[rows] = sub - (fval[step] / gnorm2[step])[:, None] * grad
+        return u
+
     def project(u):
+        if u.ndim == 2:
+            return project_rows(u)
         for _ in range(8):
             rho2, w2 = _rho2_w2(u.tolist(), nxy, nzw)
             fval = _handle_value(rho2, w2, delta)
@@ -634,26 +661,25 @@ def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
 
     Mixes the inward piece (|w|^2 drawn in [0, 1], radial coordinate solved
     from the profile) with the outward flat piece (|w|^2 = 1, radial
-    coordinate free), then Newton-projects each row onto the exact level set.
-    Each point's draws are taken in turn; the rows are assembled as arrays.
+    coordinate free), then Newton-projects the rows onto the exact level set.
+    Each point's draws are taken in turn; the inward radii, the rows and
+    their projection are computed on columns.
     """
     delta = profile.delta
     w2, rho2 = np.empty(count), np.empty(count)
+    inward = np.zeros(count, dtype=bool)
     w_dir, r_dir = np.empty((count, nzw)), np.empty((count, 2 * nxy + nzw))
     for i in range(count):
         if rng.random() < 0.7:
-            s = rng.random()  # |w|^2 in [0, 1]
-            rho2[i] = profile.g_inverse(profile.f(s))
+            inward[i] = True
+            w2[i] = rng.random()  # |w|^2 in [0, 1]
         else:
-            s = 1.0
+            w2[i] = 1.0
             rho2[i] = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
-        w2[i] = s
         w_dir[i] = rng.standard_normal(nzw)
         r_dir[i] = rng.standard_normal(2 * nxy + nzw)
+    rho2[inward] = profile.g_inverse(handle_f_column(w2[inward], delta))
     w_dir /= np.sqrt(np.vecdot(w_dir, w_dir))[:, None]
     r_dir /= np.sqrt(np.vecdot(r_dir, r_dir))[:, None]
     out = np.hstack([np.sqrt(rho2)[:, None] * r_dir, np.sqrt(w2)[:, None] * w_dir])
-    project = level_projection(nxy, nzw, delta)
-    for row in out:
-        project(row)
-    return out
+    return level_projection(nxy, nzw, delta)(out)

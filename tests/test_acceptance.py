@@ -141,8 +141,8 @@ def test_criterion_06_correction_bounds():
     deltas = [0.02, 0.01, 0.005]
     slopes = {}
     proportional = True
-    for nzw in (2, 3):
-        devs = mono.delta_deviation_scan(rng, deltas, 13, nzw, wconf, flow_cfg)
+    for nzw, devs in mono.delta_deviation_scan(rng, deltas, 13, (2, 3), wconf,
+                                               flow_cfg).items():
         slope = mono.fit_log_slope(list(devs), list(devs.values()))
         slopes[nzw] = (slope, {d: devs[d] / d for d in devs})
         if not 0.7 <= slope <= 1.3:

@@ -13,6 +13,7 @@ import pytest
 from contactlab import _kernels as k
 from contactlab import flows, forms, sphere, surgery
 from contactlab.flows import IntegratorConfig
+from contactlab.surgery import ModelPoint
 from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_column,
                                  handle_f_d, handle_f_d_column, handle_g, handle_g_column,
                                  handle_g_d, handle_g_d_column, smoothstep, twist_g1)
@@ -464,3 +465,105 @@ def test_batched_event_rows_with_a_projection_equal_one_row_runs():
         t_one, _, states = k.rk4_until_event(rotate, start, _x_event, -0.5, 0.01, 5.0,
                                              1e-12, project)
         assert t_row == t_one and np.array_equal(end, states[-1])
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0])
+def test_recorded_event_rows_equal_one_row_trajectories(direction):
+    # a row on the event at t = 0, rows that never cross, and rows that cross
+    # on different steps; each row keeps its lone times, states and t_event
+    starts = np.vstack([[0.3, 0.0], [0.0, 0.0], [0.1, 0.0],
+                        rng.uniform(-1.0, 1.0, (9, 2))])
+    t_batch, ends, paths = k.rk4_until_event(_pendulum, starts, _x_event, 0.3, 0.05, 3.0,
+                                             1e-12, direction=direction, record=True)
+    for start, t_row, end, (times, states) in zip(starts, t_batch, ends, paths):
+        t_one, times_one, states_one = k.rk4_until_event(
+            _pendulum, start, _x_event, 0.3, 0.05, 3.0, 1e-12, direction=direction)
+        assert np.array_equal(times, times_one) and np.array_equal(states, states_one)
+        assert np.array_equal(end, states_one[-1])
+        assert (t_one is None and math.isnan(t_row)) or t_row == t_one
+    assert len(paths[0][0]) == 1 and len(paths[1][0]) == 61  # at rest, and all 60 steps
+
+
+def test_batch_trajectories_equal_lone_page_flows():
+    # the page flow from S_1 to page +eps, with a start already on that page
+    # and one whose page value never reaches it within the time bound
+    profile = HandleProfile(DELTA)
+    fld = surgery.handle_hamiltonian_rhs(0, 2, DELTA)
+    page = surgery.page_value(0, 2)
+    cfg = IntegratorConfig(step=1e-3, max_time=0.15, event_tol=1e-12)
+    starts = []
+    for r_norm in (0.1, 0.3, 0.6, 0.8):
+        start = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, r_norm]),
+                           np.array([1.0, 0.0]))
+        starts.append(surgery.limit_transfer_to_s1(start, profile))
+    starts += [np.array([0.1, 0.5, 1.0, 0.0]), np.array([-0.5, 0.0, 1.0, 0.0])]
+    trajs = flows.trajectories_until_event(fld, starts, page, 0.1, cfg)
+    for start, traj in zip(starts, trajs):
+        lone = flows.flow_until_event(fld, start, page, 0.1, cfg)
+        assert np.array_equal(traj.times, lone.times)
+        assert np.array_equal(traj.points, lone.points)
+        assert traj.t_event == lone.t_event
+    assert trajs[4].t_event == 0.0 and trajs[5].t_event is None
+
+
+def test_liouville_a_field_and_unit_w_projection_rows_equal_lone_states():
+    for nxy, nzw in [(0, 2), (1, 2), (0, 4)]:
+        batch = rng.standard_normal((30, 2 * nxy + 2 * nzw)) * rng.uniform(0.2, 1.5, (30, 1))
+        batch[0, 2 * nxy + nzw:] = 0.0  # w = 0 is left as it is
+        field = surgery.liouville_a_field(nxy, nzw, 1000.0)
+        assert np.array_equal(field(batch), [field(u) for u in batch])
+        project = surgery.unit_w_projection(nxy, nzw)
+        lone = [project(u.copy()) for u in batch]
+        rows = batch.copy()
+        assert project(rows) is rows  # in place, as on a lone state
+        assert np.array_equal(rows, lone)
+
+
+def test_batched_reeb_record_equals_lone_records():
+    fld = surgery.reeb_field(0, 2)
+    unit_w = surgery.unit_w_projection(0, 2)
+    cfg = IntegratorConfig(step=1e-3, max_time=2.0)
+    starts = np.array([surgery.random_s_minus1_point(rng, 0, 2).as_array() for _ in range(5)])
+    traj = flows.flow_record(fld, starts, 0.3, cfg, unit_w)
+    for i, start in enumerate(starts):
+        lone = flows.flow_record(fld, start, 0.3, cfg, unit_w)
+        assert np.array_equal(traj.times, lone.times)
+        assert np.array_equal(traj.points[:, i], lone.points)
+
+
+def _newton_reference(u, nxy, nzw, delta):
+    """level_projection of one state as first written, in floats."""
+    b = 2 * nxy + nzw
+    for _ in range(8):
+        rho2, w2 = _loop_norms(u, nxy, nzw)
+        fval = -handle_f(w2, delta) + handle_g(rho2, delta)
+        if abs(fval) < 1e-13:
+            break
+        grad = np.empty(u.size)
+        grad[:b] = (2.0 * handle_g_d(rho2, delta)) * u[:b]
+        grad[b:] = (-2.0 * handle_f_d(w2, delta)) * u[b:]
+        gnorm2 = 0.0
+        for g in grad:
+            gnorm2 += g * g
+        if gnorm2 == 0.0:
+            break
+        u -= (fval / gnorm2) * grad
+    return u
+
+
+@pytest.mark.parametrize("nxy, nzw", [(0, 2), (1, 2), (1, 3)])
+def test_level_projection_rows_equal_lone_newton_steps(nxy, nzw):
+    # rows already on the level, rows that need several steps, and the origin,
+    # where the gradient vanishes
+    profile = HandleProfile(DELTA)
+    d = 2 * nxy + 2 * nzw
+    rows = np.vstack([surgery.sample_s1_points(rng, 10, nxy, nzw, profile),
+                      rng.standard_normal((30, d)) * rng.uniform(0.3, 1.5, (30, 1)),
+                      np.zeros(d)])
+    project = surgery.level_projection(nxy, nzw, DELTA)
+    lone = [project(u.copy()) for u in rows]
+    ref = [_newton_reference(u.copy(), nxy, nzw, DELTA) for u in rows]
+    out = rows.copy()
+    assert project(out) is out
+    assert np.array_equal(out, lone) and np.array_equal(out, ref)
+    assert np.array_equal(out[-1], np.zeros(d))

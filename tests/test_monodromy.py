@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab import monodromy as mono, surgery
+from contactlab import flows, monodromy as mono, surgery
 from contactlab.config import ScenarioConfig
 from contactlab.flows import IntegratorConfig
 from contactlab.profiles import HandleProfile
@@ -153,7 +153,7 @@ def test_pipeline_dimensions_spot():
 
 def test_window_scan_reports_linear_slope():
     wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
-    devs = mono.delta_deviation_scan(rng, [0.02, 0.01, 0.005], 10, 2, wconf, FLOW)
+    devs = mono.delta_deviation_scan(rng, [0.02, 0.01, 0.005], 10, (2,), wconf, FLOW)[2]
     slope = mono.fit_log_slope(list(devs), list(devs.values()))
     assert 0.7 <= slope <= 1.3
 
@@ -161,8 +161,8 @@ def test_window_scan_reports_linear_slope():
 def test_window_deviation_does_not_depend_on_the_frame():
     wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
     for nzw in (2, 3):
-        devs = [mono.delta_deviation_scan(np.random.default_rng(seed), [0.01], 1, nzw,
-                                          wconf, FLOW)[0.01]
+        devs = [mono.delta_deviation_scan(np.random.default_rng(seed), [0.01], 1, (nzw,),
+                                          wconf, FLOW)[nzw][0.01]
                 for seed in (1, 2)]
         assert abs(devs[0] - devs[1]) <= 1e-12
 
@@ -172,9 +172,8 @@ def test_window_slopes_hold_at_default_settings(seed):
     cfg = ScenarioConfig(seed=seed)
     rng = check_rng(seed, "window")
     wconf = SurgeryConfig(epsilon=cfg.window_epsilon, delta=0.05)
-    for nzw in (2, 3):
-        devs = mono.delta_deviation_scan(rng, list(cfg.window_deltas), cfg.n_window, nzw,
-                                         wconf, FLOW)
+    for devs in mono.delta_deviation_scan(rng, list(cfg.window_deltas), cfg.n_window, (2, 3),
+                                          wconf, FLOW).values():
         slope = mono.fit_log_slope(list(devs), list(devs.values()))
         assert cfg.tol("window_exponent_low") <= slope <= cfg.tol("window_exponent_high")
 
@@ -207,8 +206,9 @@ def test_zero_deviation_fails_the_window_check(monkeypatch):
 
     monkeypatch.setattr(suites, "run_check", one_check)
     monkeypatch.setattr(mono, "delta_deviation_scan",
-                        lambda rng, deltas, *rest: {d: (0.0 if i == 0 else d)
-                                                    for i, d in enumerate(deltas)})
+                        lambda rng, deltas, count, blocks, *rest: {
+                            nzw: {d: (0.0 if i == 0 else d) for i, d in enumerate(deltas)}
+                            for nzw in blocks})
     report = suites.run_suite(config_from_dict({"suite": "monodromy"}))
     record = next(c for c in report.checks if c.name == "smoothing-window-bound")
     assert not record.passed
@@ -290,14 +290,86 @@ def test_batched_reeb_transport_equals_one_start_transports():
                               mono.pre_surgery_monodromy([start], EPS, FLOW)[0].as_array())
 
 
-def test_batches_refuse_mixed_block_sizes_and_missing_profiles():
+def test_mixed_block_batches_equal_per_block_batches_and_lone_pipelines():
+    # starts of three z/w sizes, drawn in turn, share one zero-padded batch
+    local = np.random.default_rng(12)
+    starts, profiles = [], []
+    for i in range(18):
+        nzw = (2, 4, 3)[i % 3]
+        if i % 2:
+            starts.append(mono.admissible_start(local, nzw, EPS, PROFILE.delta))
+            profiles.append(PROFILE)
+        else:
+            delta = (0.02, 0.01, 0.005)[i % 3]
+            starts.append(mono.rounded_window_start(local, nzw, EPS, delta, local.random()))
+            profiles.append(HandleProfile(delta))
+    mixed = mono.post_surgery_pipeline_batch(starts, CONFIG, profiles, FLOW)
+    for nzw in (2, 3, 4):
+        block = [i for i, s in enumerate(starts) if s.nzw == nzw]
+        per_block = mono.post_surgery_pipeline_batch(
+            [starts[i] for i in block], CONFIG, [profiles[i] for i in block], FLOW)
+        for i, res in zip(block, per_block):
+            assert _same_result(mixed[i], res)
+            assert _same_result(mixed[i], mono.post_surgery_pipeline(starts[i], CONFIG,
+                                                                     profiles[i], FLOW))
+    outs = mono.pre_surgery_monodromy(starts, EPS, FLOW)
+    for start, out in zip(starts, outs):
+        (lone,) = mono.pre_surgery_monodromy([start], EPS, FLOW)
+        assert (out.nxy, out.nzw) == (start.nxy, start.nzw)
+        assert np.array_equal(out.as_array(), lone.as_array())
+
+
+def test_padded_page_flow_rows_keep_their_event_times():
+    # the stage-2 flow of rows padded to the widest block, under that block's
+    # field and event, against each block's own batch: t_event and end states
+    local = np.random.default_rng(13)
+    starts = [mono.admissible_start(local, nzw, EPS, PROFILE.delta)
+              for nzw in (2, 3, 4, 2, 3, 4, 2)]
+    on_s1 = [surgery.limit_transfer_to_s1(s, PROFILE) for s in starts]
+    nxy, nzw, cols = mono._padding(starts)
+    padded = mono._padded_rows(on_s1, cols, 2 * nxy + 2 * nzw)
+    t_wide, ends_wide = flows.flow_rows_until_event(
+        surgery.handle_hamiltonian_rhs(nxy, nzw, PROFILE.delta), padded,
+        surgery.page_value(nxy, nzw), EPS, FLOW)
+    assert not ends_wide[0, [2, 3, 6, 7]].any()  # the padding stays exactly zero
+    for n in (2, 3, 4):
+        block = [i for i, s in enumerate(starts) if s.nzw == n]
+        t_own, ends_own = flows.flow_rows_until_event(
+            surgery.handle_hamiltonian_rhs(0, n, PROFILE.delta),
+            np.array([on_s1[i] for i in block]), surgery.page_value(0, n), EPS, FLOW)
+        assert np.array_equal(t_wide[block], t_own)
+        assert np.array_equal(np.array([ends_wide[i, cols[i]] for i in block]), ends_own)
+
+
+def test_a_convergence_scan_equals_lone_pipelines():
+    # the scan as first written: one pipeline per speed
+    from dataclasses import replace
+    a_values = [10.0, 100.0, 1000.0, 10000.0]
+    for start in (worked_start(), mono.admissible_start(rng, 3, EPS, PROFILE.delta)):
+        ref = mono.post_surgery_pipeline(start, replace(CONFIG, a=math.inf), PROFILE,
+                                         FLOW).pipeline_point.as_array()
+        expected = {}
+        for a in a_values:
+            res = mono.post_surgery_pipeline(start, replace(CONFIG, a=a), PROFILE, FLOW)
+            expected[a] = float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
+        errs = mono.a_convergence_scan(start, a_values, CONFIG, PROFILE, FLOW)
+        assert list(errs.items()) == list(expected.items())
+
+
+def test_window_scan_of_two_blocks_equals_one_block_scans():
+    wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
+    both = mono.delta_deviation_scan(np.random.default_rng(3), [0.02, 0.01], 4, (2, 3),
+                                     wconf, FLOW)
+    local = np.random.default_rng(3)
+    for nzw in (2, 3):
+        assert both[nzw] == mono.delta_deviation_scan(local, [0.02, 0.01], 4, (nzw,),
+                                                      wconf, FLOW)[nzw]
+
+
+def test_pipeline_batch_refuses_missing_profiles():
     local = np.random.default_rng(8)
     starts = [mono.admissible_start(local, 2, EPS, 0.05),
               mono.admissible_start(local, 3, EPS, 0.05)]
-    with pytest.raises(ValueError, match="block sizes"):
-        mono.pre_surgery_monodromy(starts, EPS, FLOW)
-    with pytest.raises(ValueError, match="block sizes"):
-        mono.post_surgery_pipeline_batch(starts, CONFIG, [PROFILE] * 2, FLOW)
     with pytest.raises(ValueError, match="one handle profile per start"):
         mono.post_surgery_pipeline_batch(starts[:1], CONFIG, [PROFILE] * 2, FLOW)
 
@@ -317,3 +389,44 @@ def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
     monkeypatch.setattr(ModelPoint, "__post_init__", counted)
     mono.post_surgery_pipeline_batch(starts, CONFIG, [PROFILE] * m, FLOW)
     assert len(built) == 2 * m
+
+
+def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
+    # counts, not times: every batched check makes one batched kernel call, and
+    # only the two single-start checks flow a lone start
+    from collections import Counter
+
+    from contactlab import _kernels, suites
+    from contactlab.config import config_from_dict
+
+    from conftest import REDUCED_ALL
+
+    calls = Counter()
+    running = []
+    run_check = suites.run_check
+
+    def named(name, *args):
+        running.append(name)
+        return run_check(name, *args)
+
+    def counted(kernel):
+        original = getattr(_kernels, kernel)
+
+        def wrapper(rhs, u0, *args, **kwargs):
+            calls[running[-1], kernel, "lone" if np.ndim(u0) == 1 else "batch"] += 1
+            return original(rhs, u0, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(suites, "run_check", named)
+    for kernel in ("rk4_until_event", "rk4_record"):
+        monkeypatch.setattr(_kernels, kernel, counted(kernel))
+    report = suites.run_suite(config_from_dict(dict(REDUCED_ALL, suite="monodromy")))
+    assert report.passed
+    batched = ["pre-surgery-trivial", "pipeline-vs-closed-form", "page-speed-law",
+               "finite-speed-transfer", "finite-speed-convergence", "smoothing-window-bound"]
+    expected = Counter({(name, "rk4_until_event", "batch"): 1 for name in batched})
+    expected["flow-invariants", "rk4_record", "batch"] = 1
+    for name in ("worked-page-point", "twist-angle-extremes"):
+        expected[name, "rk4_until_event", "lone"] = 1
+    assert calls == expected

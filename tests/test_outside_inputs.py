@@ -109,6 +109,9 @@ ON_PAGE = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([
     (lambda: post_surgery_closed_form(ON_PAGE, math.nan), "-eps page"),
     (lambda: surgery.transfer_to_s1_finite_a(ON_PAGE, math.nan, HandleProfile(0.05)),
      "a must be positive"),
+    (lambda: HandleProfile(0.05).g_inverse(math.nan), "finite values"),
+    (lambda: HandleProfile(0.05).g_inverse(-math.inf), "finite values"),
+    (lambda: HandleProfile(0.05).g_inverse(np.array([0.5, 1.02, math.nan])), "finite values"),
 ])
 def test_validators_refuse_nan_and_inf(build, named):
     # a NaN fails every comparison, so each check states what must hold

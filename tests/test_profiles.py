@@ -67,6 +67,38 @@ def test_g_inverse_roundtrip(s):
     assert abs(p.g_inverse(p.g(s)) - s) < 1e-10
 
 
+def g_inverse_reference(profile, v):
+    """HandleProfile.g_inverse of one float as first written."""
+    if v <= 1.0:
+        return v
+    if v >= 1.0 + profile.delta:
+        raise ValueError("not attained")
+    lo, hi = 1.0, 1.0 + profile.delta
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if profile.g(mid) < v:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.1, 0.2])
+def test_g_inverse_column_and_float_equal_the_scalar_bisection(delta):
+    p = HandleProfile(delta)
+    rng = np.random.default_rng(17)
+    top = 1.0 + delta
+    v = np.concatenate([rng.uniform(0.0, top, 400), rng.uniform(1.0, top, 400),
+                        [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(top, 0.0)]])
+    ref = np.array([g_inverse_reference(p, float(x)) for x in v])
+    assert np.array_equal(p.g_inverse(v), ref)
+    lone = [p.g_inverse(float(x)) for x in v]
+    assert all(type(x) is float for x in lone) and np.array_equal(lone, ref)
+    assert p.g_inverse(np.empty(0)).shape == (0,)
+    with pytest.raises(ValueError, match="not attained"):
+        p.g_inverse(np.array([0.5, top]))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_twist_profile_constraints(k):
     tw = DehnTwistProfile(1.0, k)

@@ -14,6 +14,8 @@ from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
                                 transfer_to_s1_finite_a, transfer_to_s_minus1,
                                 transversality_margins)
 
+from test_profiles import g_inverse_reference
+
 rng = np.random.default_rng(9)
 PROFILE = HandleProfile(0.05)
 
@@ -429,7 +431,8 @@ def test_batched_membership_repeats_the_lone_flows():
 
 
 def _sampler_reference(rng, count, nxy, nzw, profile, rho2_max=4.0):
-    """sample_s1_points as first written: one row assembled and projected at a time."""
+    """sample_s1_points as first written: one row assembled and projected at a
+    time, the projection in floats."""
     dim = 2 * nxy + 2 * nzw
     out = np.empty((count, dim))
     delta = profile.delta
@@ -437,7 +440,7 @@ def _sampler_reference(rng, count, nxy, nzw, profile, rho2_max=4.0):
     for i in range(count):
         if rng.random() < 0.7:
             s = rng.random()
-            rho2 = profile.g_inverse(profile.f(s))
+            rho2 = g_inverse_reference(profile, profile.f(s))
         else:
             s = 1.0
             rho2 = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
