@@ -433,30 +433,43 @@ def level_gradient(nxy: int, nzw: int, delta: float):
     return gradient
 
 
+# rows per Newton batch: the column temporaries of a 10,000-row scan would
+# otherwise raise the process's peak memory by about a megabyte
+_NEWTON_ROWS = 1024
+
+
 def level_projection(nxy: int, nzw: int, delta: float):
     """Newton steps, in place, onto the zero level of the handle function.
 
     A (d,) state steps in floats, for the lone projected flows; an (m, d)
-    batch steps its rows on columns, each row with the lone stopping rules
-    (|value| < 1e-13, a zero gradient, 8 steps) and the lone arithmetic.
+    batch steps its rows on columns, a block of rows at a time, each row with
+    the lone stopping rules (|value| < 1e-13, a zero gradient, 8 steps) and
+    the lone arithmetic.
     """
     b = 2 * nxy + nzw
 
     def project_rows(u):
-        rows = np.arange(len(u))  # the rows still stepping
+        for lo in range(0, len(u), _NEWTON_ROWS):
+            project_chunk(u[lo:lo + _NEWTON_ROWS])  # a view, projected in place
+        return u
+
+    def project_chunk(u):
+        rows, sub = np.arange(len(u)), u.copy()  # the rows still stepping
         for _ in range(8):
-            sub = u[rows]
             rho2, w2 = _rho2_w2(_operands(sub), nxy, nzw)
             fval = _handle_value(rho2, w2, delta)
-            grad = np.empty(sub.shape)
-            grad[:, :b] = (2.0 * handle_g_d_column(rho2, delta))[:, None] * sub[:, :b]
-            grad[:, b:] = (-2.0 * handle_f_d_column(w2, delta))[:, None] * sub[:, b:]
+            grad = sub.copy()  # products in place: no (m, d) temporaries
+            grad[:, :b] *= (2.0 * handle_g_d_column(rho2, delta))[:, None]
+            grad[:, b:] *= (-2.0 * handle_f_d_column(w2, delta))[:, None]
             gnorm2 = _sum_sq(list(grad.T))
             step = ~(np.abs(fval) < 1e-13) & ~(gnorm2 == 0.0)
-            if not step.any():
-                break
-            rows, sub, grad = rows[step], sub[step], grad[step]
-            u[rows] = sub - (fval[step] / gnorm2[step])[:, None] * grad
+            if not step.all():
+                rows, sub, grad, fval, gnorm2 = (a[step] for a in (rows, sub, grad, fval, gnorm2))
+                if not rows.size:
+                    break
+            grad *= (fval / gnorm2)[:, None]
+            sub -= grad
+            u[rows] = sub
         return u
 
     def project(u):

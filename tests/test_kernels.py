@@ -555,15 +555,15 @@ def _newton_reference(u, nxy, nzw, delta):
 def test_level_projection_rows_equal_lone_newton_steps(nxy, nzw):
     # rows already on the level, rows that need several steps, and the origin,
     # where the gradient vanishes
+    # (the batch spans more than one block of Newton rows)
     profile = HandleProfile(DELTA)
     d = 2 * nxy + 2 * nzw
-    rows = np.vstack([surgery.sample_s1_points(rng, 10, nxy, nzw, profile),
-                      rng.standard_normal((30, d)) * rng.uniform(0.3, 1.5, (30, 1)),
-                      np.zeros(d)])
+    rows = np.vstack([np.zeros(d), surgery.sample_s1_points(rng, 10, nxy, nzw, profile),
+                      rng.standard_normal((1100, d)) * rng.uniform(0.3, 1.5, (1100, 1))])
     project = surgery.level_projection(nxy, nzw, DELTA)
     lone = [project(u.copy()) for u in rows]
-    ref = [_newton_reference(u.copy(), nxy, nzw, DELTA) for u in rows]
+    ref = [_newton_reference(u.copy(), nxy, nzw, DELTA) for u in rows[:50]]
     out = rows.copy()
     assert project(out) is out
-    assert np.array_equal(out, lone) and np.array_equal(out, ref)
-    assert np.array_equal(out[-1], np.zeros(d))
+    assert np.array_equal(out, lone) and np.array_equal(out[:50], ref)
+    assert np.array_equal(out[0], np.zeros(d))
