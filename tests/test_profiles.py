@@ -92,8 +92,8 @@ def test_g_inverse_column_and_float_equal_the_scalar_bisection(delta):
                         [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(top, 0.0)]])
     ref = np.array([g_inverse_reference(p, float(x)) for x in v])
     assert np.array_equal(p.g_inverse(v), ref)
-    lone = [p.g_inverse(float(x)) for x in v]
-    assert all(type(x) is float for x in lone) and np.array_equal(lone, ref)
+    lone = [p.g_inverse(float(x)) for x in v[::10]]
+    assert all(type(x) is float for x in lone) and np.array_equal(lone, ref[::10])
     assert p.g_inverse(np.empty(0)).shape == (0,)
     with pytest.raises(ValueError, match="not attained"):
         p.g_inverse(np.array([0.5, top]))
