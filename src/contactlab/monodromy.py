@@ -101,13 +101,10 @@ def _padding(starts: Sequence[ModelPoint]) -> tuple[int, int, list[Array]]:
     wide_xy = max(s.nxy for s in starts)
     wide_zw = max(s.nzw for s in starts)
     offsets = (0, wide_xy, 2 * wide_xy, 2 * wide_xy + wide_zw)
-    columns = {}
-    for s in starts:
-        if (s.nxy, s.nzw) not in columns:
-            sizes = (s.nxy, s.nxy, s.nzw, s.nzw)
-            columns[s.nxy, s.nzw] = np.concatenate(
-                [off + np.arange(n) for off, n in zip(offsets, sizes)])
-    return wide_xy, wide_zw, [columns[s.nxy, s.nzw] for s in starts]
+    return wide_xy, wide_zw, [
+        np.concatenate([off + np.arange(n)
+                        for off, n in zip(offsets, (s.nxy, s.nxy, s.nzw, s.nzw))])
+        for s in starts]
 
 
 def _padded_rows(states: Sequence[Array], cols: list[Array], width: int) -> Array:

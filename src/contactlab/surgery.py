@@ -449,11 +449,6 @@ def level_projection(nxy: int, nzw: int, delta: float):
     b = 2 * nxy + nzw
 
     def project_rows(u):
-        for lo in range(0, len(u), _NEWTON_ROWS):
-            project_chunk(u[lo:lo + _NEWTON_ROWS])  # a view, projected in place
-        return u
-
-    def project_chunk(u):
         rows, sub = np.arange(len(u)), u.copy()  # the rows still stepping
         for _ in range(8):
             rho2, w2 = _rho2_w2(_operands(sub), nxy, nzw)
@@ -470,11 +465,12 @@ def level_projection(nxy: int, nzw: int, delta: float):
             grad *= (fval / gnorm2)[:, None]
             sub -= grad
             u[rows] = sub
-        return u
 
     def project(u):
         if u.ndim == 2:
-            return project_rows(u)
+            for lo in range(0, len(u), _NEWTON_ROWS):
+                project_rows(u[lo:lo + _NEWTON_ROWS])  # a view, projected in place
+            return u
         for _ in range(8):
             rho2, w2 = _rho2_w2(u.tolist(), nxy, nzw)
             fval = _handle_value(rho2, w2, delta)
