@@ -2,7 +2,8 @@
 
 A flat JSON-friendly record; unknown or ill-typed fields fail validation
 with the offending names listed.  Identical config plus seed implies
-byte-identical reports.
+byte-identical reports.  A check's tolerance is no setting: it is declared
+at the check, in :mod:`contactlab.suites`.
 """
 
 from __future__ import annotations
@@ -12,26 +13,6 @@ import math
 import types
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
-
-
-def _default_tolerances() -> dict:
-    return {
-        "twist_symplecto": 1e-6,
-        "strictness": 1e-8,
-        "conformality": 1e-10,
-        "liouville": 1e-6,
-        "positivity_floor": 1e-8,
-        "pipeline_vs_closed": 1e-6,
-        "twist_matrix": 1e-9,
-        "pre_surgery": 1e-10,
-        "page_speed": 1e-8,
-        "giroux_residual": 1e-5,
-        "giroux_path": 1e-5,
-        "glue_overlap": 1e-8,
-        "transfer_theta": 1e-12,
-        "window_exponent_low": 0.7,
-        "window_exponent_high": 1.3,
-    }
 
 
 @dataclass
@@ -74,8 +55,6 @@ class ScenarioConfig:
     quad_nodes: int = 32
     search_depth: int = 6
 
-    tolerances: dict[str, float] = field(default_factory=_default_tolerances)
-
     def __post_init__(self):
         problems = []
         typed = set()
@@ -83,11 +62,6 @@ class ScenarioConfig:
             value, hint = getattr(self, f.name), _TYPE_HINTS[f.name]
             if _conforms(value, hint):
                 typed.add(f.name)
-            elif get_origin(hint) is dict and isinstance(value, dict):
-                key_type, item = get_args(hint)
-                problems.extend(f"{f.name}.{key}: expected {item.__name__}, got {v!r}"
-                                for key, v in value.items()
-                                if not (_conforms(key, key_type) and _conforms(v, item)))
             else:
                 problems.append(f"{f.name}: expected {f.type}, got {value!r}")
         if "suite" in typed:
@@ -99,26 +73,8 @@ class ScenarioConfig:
             for name in names:
                 if name in typed and not holds(getattr(self, name)):
                     problems.append(f"{name}: {rule}, got {getattr(self, name)!r}")
-        if "tolerances" in typed:
-            known = set(_default_tolerances())
-            for key, value in self.tolerances.items():
-                if not value > 0:
-                    problems.append(f"tolerances.{key}: must be positive, got {value}")
-            missing = known - set(self.tolerances)
-            if missing:
-                problems.append(f"tolerances: missing keys {sorted(missing)}")
-            unknown = set(self.tolerances) - known
-            if unknown:
-                problems.append(f"tolerances: unknown keys {sorted(unknown)}")
-            low, high = (self.tolerances.get(f"window_exponent_{end}") for end in ("low", "high"))
-            if None not in (low, high) and not low < high:
-                problems.append(f"tolerances.window_exponent_low: must be below "
-                                f"window_exponent_high, got {low} and {high}")
         if problems:
             raise ConfigError(problems)
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances[key])
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -170,10 +126,6 @@ def _conforms(value, annotation) -> bool:
     if origin is list:
         (item,) = get_args(annotation)
         return isinstance(value, list) and all(_conforms(v, item) for v in value)
-    if origin is dict:
-        key, item = get_args(annotation)
-        return isinstance(value, dict) and all(
-            _conforms(k, key) and _conforms(v, item) for k, v in value.items())
     if origin is types.UnionType:
         return any(_conforms(value, arg) for arg in get_args(annotation))
     if annotation is type(None):
@@ -193,11 +145,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if unknown:
         # keys of mixed types do not compare, so they sort by their text
         raise ConfigError([f"unknown fields: {sorted(unknown, key=str)}"])
-    data = dict(data)
-    if isinstance(data.get("tolerances", {}), dict):
-        merged_tol = _default_tolerances()
-        merged_tol.update(data.get("tolerances", {}))
-        data["tolerances"] = merged_tol
     return ScenarioConfig(**data)
 
 

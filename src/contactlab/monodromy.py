@@ -184,7 +184,7 @@ def post_surgery_pipeline_batch(starts: Sequence[ModelPoint], config: SurgeryCon
     """
     if len(starts) != len(profiles):
         raise ValueError("give one handle profile per start")
-    return _pipeline(starts, [config.a] * len(starts), profiles, config.epsilon, cfg)
+    return _pipeline(starts, [math.inf] * len(starts), profiles, config.epsilon, cfg)
 
 
 def _pipeline(starts: Sequence[ModelPoint], speeds: Sequence[float],

@@ -8,7 +8,10 @@ order in which the "all" suite runs them.  ``run_suite`` calls a body as
 :func:`contactlab.reports.run_check` and keeps the resulting
 :class:`contactlab.reports.CheckRecord`.  Anchors quote the identity being
 verified; `ops` lists the public operations a check exercises (the "all"
-suite must cover every operation in QUOTED_OPS).
+suite must cover every operation in QUOTED_OPS).  A check's tolerance and
+any bound inside its body are written at the check, as literals or as a
+module constant beside the checks that share it; no scenario setting
+changes them.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ def suite_names() -> list[str]:
     return [*SUITES, "all"]
 
 
+# the least contact volume or transversality margin a positivity check accepts;
+# its residual is this floor minus the smallest value seen
+POSITIVITY_FLOOR = 1e-8
+
+
 def _dlam_can(u: Array, v: Array) -> Array:
     """d(p dq)(u, v) of each row pair of two (m, 2d) batches."""
     d = u.shape[-1] // 2
@@ -111,7 +119,7 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
 
     @check("twist-symplectomorphism",
            "pullback of d(p dq) through the twist equals d(p dq) on the bundle tangent spaces",
-           ["dehn_twist"], cfg.tol("twist_symplecto"))
+           ["dehn_twist"], 1e-6)
     def symplecto():
         worst = 0.0
         total = 0
@@ -281,12 +289,16 @@ def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) ->
     return float(np.max(np.abs(lhs - source(u, vecs))))
 
 
+# tolerance of liouville-expansion, liouville-speed-family and page-hamiltonian-sign
+LIOUVILLE_TOL = 1e-6
+
+
 @suite("weinstein-strictness")
 def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     @check("straightening-strictness",
            "the sphere-bundle chart pulls (x dy - y dx)/2 + 2z dw + w dz back to "
            "dz + p dq + (x dy - y dx)/2",
-           ["psi_w", "pullback_eval"], cfg.tol("strictness"))
+           ["psi_w", "pullback_eval"], 1e-8)
     def strictness():
         worst = 0.0
         total = 0
@@ -316,7 +328,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
 
     @check("rescaling-conformality",
            "(z,q,p,x,y) -> (Cz,q,Cp,sqrt(C)x,sqrt(C)y) scales the contact form by C",
-           ["phi_c", "pullback_eval"], cfg.tol("conformality"))
+           ["phi_c", "pullback_eval"], 1e-10)
     def conformality():
         rng = check_rng(cfg.seed, "conformality")
         worst = 0.0
@@ -358,7 +370,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
 
     @check("liouville-expansion",
            "the field (x/2, y/2, 2z, -w) satisfies L_X omega = omega for dx^dy + dz^dw",
-           ["liouville_X", "liouville_residual"], cfg.tol("liouville"))
+           ["liouville_X", "liouville_residual"], LIOUVILLE_TOL)
     def liouville_main():
         rng = check_rng(cfg.seed, "liouville-main")
         worst = 0.0
@@ -374,7 +386,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
 
     @check("liouville-speed-family",
            "((1+a) z, -a w) is Liouville for dz^dw at every speed a",
-           ["liouville_X_a", "liouville_residual"], cfg.tol("liouville"))
+           ["liouville_X_a", "liouville_residual"], LIOUVILLE_TOL)
     def liouville_a():
         rng = check_rng(cfg.seed, "liouville-a")
         worst = 0.0
@@ -407,7 +419,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             pts = surgery.sample_s1_points(rng, cfg.n_surface_scan, 1, 2, profile)
             margins = surgery.transversality_margins(pts, 1, 2, profile)
             mins[str(delta)] = float(margins.min())
-            worst_floor = max(worst_floor, cfg.tol("positivity_floor") - float(margins.min()))
+            worst_floor = max(worst_floor, POSITIVITY_FLOOR - float(margins.min()))
             total += cfg.n_surface_scan
         # frozen flat-piece values of the margin, rows (z | w) outer and inner
         frozen = np.array([[math.sqrt(1.5), 0.0, 1.0, 0.0], [1.0, 0.0, 0.8, 0.0]])
@@ -429,7 +441,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     @check("page-hamiltonian-sign",
            "2 g' z d_w + 2 f' w d_z contracts the symplectic form to minus the "
            "differential of the handle function",
-           ["hamiltonian_field_xf", "omega0_eval"], cfg.tol("liouville"))
+           ["hamiltonian_field_xf", "omega0_eval"], LIOUVILLE_TOL)
     def hamiltonian_sign():
         rng = check_rng(cfg.seed, "xf-sign")
         xf_field = surgery.handle_hamiltonian_rhs(0, 2, 0.05)  # flat layout z(2) | w(2)
@@ -549,7 +561,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
                 frame[-1] = -frame[-1]
             vol = forms.contact_volume(alpha, pt.as_array(), frame, cfg.h_fd)
             vol_min = min(vol_min, vol)
-            worst = max(worst, cfg.tol("positivity_floor") - vol)
+            worst = max(worst, POSITIVITY_FLOOR - vol)
         return max(worst, 0.0), 30, {"min_volume": vol_min}
 
     @check("handle-membership-oracle",
@@ -595,6 +607,12 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
 # monodromy suite
 # ===========================================================================
 
+# pipeline-vs-closed-form's bound on the recognized twist's matrix residual,
+# and the log-log slopes that smoothing-window-bound accepts as linear
+TWIST_MATRIX_BOUND = 1e-9
+WINDOW_EXPONENT_LOW, WINDOW_EXPONENT_HIGH = 0.7, 1.3
+
+
 @suite("monodromy")
 def suite_monodromy(cfg: ScenarioConfig, check) -> None:
     eps = cfg.epsilon
@@ -604,7 +622,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 
     @check("pre-surgery-trivial",
            "Reeb transport over page-time 2*eps keeps the (w, r) page decomposition fixed",
-           ["pre_surgery_monodromy", "flow_until_event"], cfg.tol("pre_surgery"))
+           ["pre_surgery_monodromy", "flow_until_event"], 1e-10)
     def pre_surgery():
         rng = check_rng(cfg.seed, "pre-surgery")
         starts = [mono.admissible_start(rng, int(rng.choice(cfg.page_blocks)), eps, 0.05)
@@ -621,8 +639,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            "limit transfer + page flow + inverse transfer reproduces "
            "(z, w + 2 eps z/|z|^2), which the block circle matrix decomposes",
            ["post_surgery_pipeline", "post_surgery_closed_form", "recognize_dehn_twist",
-            "limit_transfer_to_s1", "flow_until_event"],
-           cfg.tol("pipeline_vs_closed"))
+            "limit_transfer_to_s1", "flow_until_event"], 1e-6)
     def pipeline():
         worst = 0.0
         worst_matrix = 0.0
@@ -640,7 +657,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             tw = mono.recognize_dehn_twist(res, eps)
             worst_matrix = max(worst_matrix, tw.matrix_residual, tw.circle_defect)
         details = {"matrix_residual": worst_matrix, "wnorm_defect": worst_wnorm}
-        if worst_matrix > cfg.tol("twist_matrix"):
+        if worst_matrix > TWIST_MATRIX_BOUND:
             worst = max(worst, 1.0)
         if worst_wnorm > 1e-12:
             worst = max(worst, 1.0)
@@ -683,7 +700,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 
     @check("page-speed-law",
            "along the flat-piece page flow the page value grows as -eps + 2s",
-           ["flow_until_event", "theta_page"], cfg.tol("page_speed"))
+           ["flow_until_event", "theta_page"], 1e-8)
     def page_speed():
         rng = check_rng(cfg.seed, "page-speed")
         on_s1 = [surgery.limit_transfer_to_s1(mono.admissible_start(rng, 2, eps, profile.delta),
@@ -698,7 +715,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 
     @check("transfer-preserves-page",
            "the infinite-speed transfer (z/|z|, |z| w) keeps z.w fixed exactly",
-           ["limit_transfer_to_s1", "theta_page"], cfg.tol("transfer_theta"))
+           ["limit_transfer_to_s1", "theta_page"], 1e-12)
     def transfer_theta():
         rng = check_rng(cfg.seed, "transfer-theta")
         worst = 0.0
@@ -775,7 +792,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             cs = {str(d): devs[d] / d for d in devs}
             fits[str(nzw)] = {"slope": slope, "fitted_C": cs,
                               "deviations": {str(d): devs[d] for d in devs}}
-            if not cfg.tol("window_exponent_low") <= slope <= cfg.tol("window_exponent_high"):
+            if not WINDOW_EXPONENT_LOW <= slope <= WINDOW_EXPONENT_HIGH:
                 worst = max(worst, abs(slope - 1.0))
         return worst, 2 * cfg.n_window * len(cfg.window_deltas), fits
 
@@ -922,6 +939,10 @@ def _giroux_case_residuals(cfg: ScenarioConfig, domain, candidate, name: str,
     return result, worst, agree, dl_resid
 
 
+# tolerance of the three exactness-correction residual checks
+GIROUX_RESIDUAL_TOL = 1e-5
+
+
 @suite("giroux")
 def suite_giroux(cfg: ScenarioConfig, check) -> None:
     domain = ob.standard_disk_domain(1.0)
@@ -944,7 +965,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     @check("exactness-correction-twist",
            "after the correcting flow, the pullback of the primitive differs "
            "from it by an exact form: |psi_hat^* lambda - lambda + dh| small",
-           ["giroux_correction"], cfg.tol("giroux_residual"))
+           ["giroux_correction"], GIROUX_RESIDUAL_TOL)
     def twist_case():
         candidate = ob.radial_twist_map(0.8, 0.8)
         result, worst, agree, dl = _giroux_case_residuals(
@@ -957,7 +978,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     @check("exactness-correction-shear",
            "a map already satisfying the exactness identity has its known "
            "primitive recovered by line integration, up to an additive constant",
-           ["giroux_correction"], cfg.tol("giroux_residual"))
+           ["giroux_correction"], GIROUX_RESIDUAL_TOL)
     def shear_case():
         candidate, h0 = ob.strip_shear_map(0.5, 0.8)
         _, worst, _, dl = _giroux_case_residuals(
@@ -983,7 +1004,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     @check("exactness-correction-integrated-flow",
            "the correction also succeeds on a map built by integrating a "
            "compactly supported Hamiltonian field",
-           ["giroux_correction"], cfg.tol("giroux_residual"))
+           ["giroux_correction"], GIROUX_RESIDUAL_TOL)
     def numeric_flow_case():
         candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.01)
         result, worst, _, dl = _giroux_case_residuals(
@@ -994,7 +1015,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     @check("primitive-path-independence",
            "the line-integral primitive agrees across independent paths and with "
            "the flow-quadrature primitive",
-           ["giroux_correction"], cfg.tol("giroux_path"))
+           ["giroux_correction"], 1e-5)
     def path_independence():
         candidate = ob.radial_twist_map(0.8, 0.8)
         rng = check_rng(cfg.seed, "giroux-path")
@@ -1135,7 +1156,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
             x = np.append(domain.sample(rng, 1)[0], rng.uniform(0, 2 * math.pi))
             vol = forms.contact_volume(alpha, x, frame, cfg.h_fd)
             vol_min = min(vol_min, vol)
-            worst = max(worst, cfg.tol("positivity_floor") - vol)
+            worst = max(worst, POSITIVITY_FLOOR - vol)
         # frozen values: the circle direction pairs to 1, page vectors with
         # lambda(v) = 0 pair to 0
         x = np.array([0.3, 0.0, 1.0])
@@ -1146,7 +1167,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
     @check("glue-map-pullback",
            "(x, r, phi) -> (1/2 - r, x, phi) pulls exp(s) boundary-form + dphi "
            "back to exp(1/2 - r) boundary-form + dphi",
-           ["glue_map", "pullback_eval"], cfg.tol("glue_overlap"))
+           ["glue_map", "pullback_eval"], 1e-8)
     def glue_pullback():
         rng = check_rng(cfg.seed, "glue")
         lam_b = _circle_boundary_form()
@@ -1208,7 +1229,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 u = np.array([theta, r, 0.7])
                 vol = forms.contact_volume(beta, u, frame, cfg.h_fd)
                 pred = profile.h1(r) * profile.h2_d(r) - profile.h1_d(r) * profile.h2(r)
-                worst = max(worst, cfg.tol("positivity_floor") - vol,
+                worst = max(worst, POSITIVITY_FLOOR - vol,
                             abs(vol - pred) - 1e-7)
                 vol_min = min(vol_min, vol)
                 count += 1
@@ -1240,7 +1261,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 u = np.concatenate([q, [r, 1.3]])
                 vol = forms.contact_volume(beta, u, frame, cfg.h_fd)
                 vol_min = min(vol_min, vol)
-                worst = max(worst, cfg.tol("positivity_floor") - vol)
+                worst = max(worst, POSITIVITY_FLOOR - vol)
                 count += 1
         return max(worst, 0.0), count, {"min_volume": vol_min}
 
@@ -1291,7 +1312,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         for r in (0.05, 0.2):
             worst = max(worst, abs(profile.h2(r) - r * r))
         pos = h1 * h2d - h1d * h2
-        worst = max(worst, cfg.tol("positivity_floor") - float(pos.min()))
+        worst = max(worst, POSITIVITY_FLOOR - float(pos.min()))
         return max(worst, 0.0), len(rs), {"min_positivity": float(pos.min())}
 
     @check("reeb-page-transversality",

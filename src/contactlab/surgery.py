@@ -47,11 +47,15 @@ class ModelPoint:
     w: Array
 
     def __post_init__(self):
-        for name in ("x", "y", "z", "w"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        blocks = [np.asarray(getattr(self, name), dtype=float) for name in "xyzw"]
+        for name, arr in zip("xyzw", blocks):
             object.__setattr__(self, name, arr)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ValueError(f"block {name} must be a finite 1-d array")
+        # one pass over all the floats; the offending block is named only on failure
+        if not (all(arr.ndim == 1 for arr in blocks)
+                and all(map(math.isfinite, np.concatenate(blocks).tolist()))):
+            bad = next(name for name, arr in zip("xyzw", blocks)
+                       if arr.ndim != 1 or not np.all(np.isfinite(arr)))
+            raise ValueError(f"block {bad} must be a finite 1-d array")
         if self.x.size != self.y.size or self.z.size != self.w.size:
             raise ValueError("paired blocks must have equal lengths")
         if self.z.size < 1:
@@ -84,18 +88,16 @@ class ModelPoint:
 
 @dataclass(frozen=True)
 class SurgeryConfig:
-    """Page half-angle and Liouville speed of a surgery run.  Nothing here reads
-    ``delta``; perfbench/worker.py ``check_page_transport`` passes it."""
+    """Page half-angle of a surgery run, whose transfers run at infinite
+    Liouville speed.  Nothing here reads ``delta``; perfbench/worker.py
+    ``check_page_transport`` passes it."""
 
     epsilon: float = 0.1
-    a: float = math.inf  # math.inf dispatches to the closed-form limit transfer
     delta: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.25:
             raise ValueError("page half-angle must lie in (0, 1/4)")
-        if not (self.a == math.inf or self.a > 0.0):
-            raise ValueError("Liouville parameter a must be positive or infinite")
 
 
 # ---------------------------------------------------------------------------

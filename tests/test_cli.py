@@ -99,11 +99,6 @@ def test_cli_exits_2_naming_an_output_file_it_cannot_write(tmp_path, capsys, blo
 
 def test_exit_code_nonzero_on_failure(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "suite": "moves", "n_chains": 20, "n_nonconnected": 5,
-        "tolerances": {"glue_overlap": 1e-300}}))
-    # break a moves-suite-independent tolerance: moves still passes
-    assert cli.main(["--config", str(cfg_path)]) == 0
     cfg_path.write_text(json.dumps({"suite": "moves", "n_chains": 20,
                                     "n_nonconnected": 5, "search_depth": 0}))
     # zero search depth makes chain recognition fail
@@ -119,11 +114,9 @@ def test_emit_plot_data_rejects_unknown_payload(tmp_path):
 
 def test_config_roundtrip_and_validation():
     cfg = small_config()
-    assert cfg.tol("strictness") == 1e-8
+    assert config_from_dict(cfg.as_dict()) == cfg
     with pytest.raises(ConfigError):
         config_from_dict({"suite": "nope"})
-    with pytest.raises(ConfigError):
-        config_from_dict({"tolerances": {"strictness": -1.0}})
 
 
 def test_report_environment_holds_versions_and_schema(all_suite_report):

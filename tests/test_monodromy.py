@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab import flows, monodromy as mono, surgery
+from contactlab import flows, monodromy as mono, suites, surgery
 from contactlab.config import ScenarioConfig
 from contactlab.flows import IntegratorConfig
 from contactlab.profiles import HandleProfile
@@ -81,7 +81,7 @@ def test_pipeline_matches_closed_form_on_worked_point():
     res = mono.post_surgery_pipeline(worked_start(), CONFIG, PROFILE, FLOW)
     assert res.closed_vs_pipeline < 1e-6
     # stage 1 lands on the surgered hypersurface, stage 3 back on |w| = 1
-    on_s1 = surgery.transfer_to_s1_finite_a(worked_start(), CONFIG.a, PROFILE)
+    on_s1 = surgery.transfer_to_s1_finite_a(worked_start(), math.inf, PROFILE)
     assert abs(surgery.level_value(0, 2, PROFILE.delta)(on_s1)) < 1e-10
     back = surgery.transfer_to_s_minus1(on_s1, 0, 2)
     assert abs(float(np.linalg.norm(back[2:])) - 1.0) < 1e-12
@@ -175,7 +175,7 @@ def test_window_slopes_hold_at_default_settings(seed):
     for devs in mono.delta_deviation_scan(rng, list(cfg.window_deltas), cfg.n_window, (2, 3),
                                           wconf, FLOW).values():
         slope = mono.fit_log_slope(list(devs), list(devs.values()))
-        assert cfg.tol("window_exponent_low") <= slope <= cfg.tol("window_exponent_high")
+        assert suites.WINDOW_EXPONENT_LOW <= slope <= suites.WINDOW_EXPONENT_HIGH
 
 
 def test_log_slope_needs_two_distinct_abscissae():
@@ -194,7 +194,7 @@ def test_log_slope_rejects_non_positive_or_non_finite_ordinates():
 def test_zero_deviation_fails_the_window_check(monkeypatch):
     # a zero deviation has no logarithm: the check must record the error, not
     # pass on a NaN slope that max(0.0, nan) hides
-    from contactlab import reports, suites
+    from contactlab import reports
     from contactlab.config import config_from_dict
 
     def one_check(name, *args):
@@ -343,14 +343,12 @@ def test_padded_page_flow_rows_keep_their_event_times():
 
 def test_a_convergence_scan_equals_lone_pipelines():
     # the scan as first written: one pipeline per speed
-    from dataclasses import replace
     a_values = [10.0, 100.0, 1000.0, 10000.0]
     for start in (worked_start(), mono.admissible_start(rng, 3, EPS, PROFILE.delta)):
-        ref = mono.post_surgery_pipeline(start, replace(CONFIG, a=math.inf), PROFILE,
-                                         FLOW).pipeline_point.as_array()
+        ref = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW).pipeline_point.as_array()
         expected = {}
         for a in a_values:
-            res = mono.post_surgery_pipeline(start, replace(CONFIG, a=a), PROFILE, FLOW)
+            (res,) = mono._pipeline([start], [a], [PROFILE], EPS, FLOW)
             expected[a] = float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
         errs = mono.a_convergence_scan(start, a_values, CONFIG, PROFILE, FLOW)
         assert list(errs.items()) == list(expected.items())
@@ -396,7 +394,7 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
     # only the two single-start checks flow a lone start
     from collections import Counter
 
-    from contactlab import _kernels, suites
+    from contactlab import _kernels
     from contactlab.config import config_from_dict
 
     from conftest import REDUCED_ALL

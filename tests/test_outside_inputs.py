@@ -19,15 +19,13 @@ from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint
 
 FIELDS = [f.name for f in fields(ScenarioConfig)]
-TOLERANCE_KEYS = list(ScenarioConfig().tolerances)
 
 json_scalars = st.none() | st.booleans() | st.integers(-10**6, 10**6) \
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8)
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(TOLERANCE_KEYS) | st.text(max_size=6), inner,
-                      max_size=3),
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8)
 json_configs = st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=6),
                                json_values, max_size=5)
@@ -41,9 +39,19 @@ def test_any_json_object_gives_a_config_or_config_error(data):
     except ConfigError as exc:
         assert exc.problems
         return
-    for key, value in data.items():
-        if key != "tolerances":
-            assert getattr(cfg, key) == value
+    assert all(getattr(cfg, key) == value for key, value in data.items())
+
+
+def test_scenario_fields_are_pinned():
+    # a new scenario setting must edit this list
+    assert FIELDS == [
+        "suite", "seed", "out_dir",
+        "epsilon", "window_epsilon", "p0", "twist_k", "scale_C",
+        "deltas", "window_deltas", "a_values",
+        "sphere_dims", "model_dims", "page_blocks",
+        "n_twist", "n_strict", "n_liouville", "n_surface_scan", "n_monodromy",
+        "n_giroux", "n_giroux_numeric", "n_chains", "n_nonconnected", "n_window",
+        "h_fd", "flow_step", "giroux_flow_step", "quad_nodes", "search_depth"]
 
 
 @pytest.mark.parametrize("data, field", [
@@ -56,8 +64,10 @@ def test_any_json_object_gives_a_config_or_config_error(data):
     ({"giroux_flow_step": 0.0}, "giroux_flow_step"),
     ({"h_fd": 0}, "h_fd"),
     ({"quad_nodes": 0}, "quad_nodes"),
-    ({"tolerances": {"bogus": 1.0}}, "bogus"),
-    ({"tolerances": {"strictness": "1e-8"}}, "tolerances.strictness"),
+    # check tolerances are declared in the suites, not set by a scenario:
+    # a table is refused, even an empty one
+    ({"tolerances": {"bogus": 1.0}}, "unknown fields: ['tolerances']"),
+    ({"tolerances": {}}, "unknown fields: ['tolerances']"),
     ({"window_deltas": [0.01]}, "window_deltas"),
     ({"window_deltas": [0.01, 0.01]}, "window_deltas"),
     ({"deltas": [0.05, "0.1"]}, "deltas"),
@@ -77,10 +87,6 @@ def test_any_json_object_gives_a_config_or_config_error(data):
     ({"suite": "moves", "search_depth": -1}, "search_depth"),
     ({"a_values": [10000.0, 1000.0, 100.0, 10.0]}, "a_values: must be strictly increasing"),
     ({"a_values": [100.0, 100.0]}, "a_values: must be strictly increasing"),
-    ({"tolerances": {"window_exponent_low": 1.3, "window_exponent_high": 0.7}},
-     "tolerances.window_exponent_low: must be below window_exponent_high"),
-    ({"tolerances": {"window_exponent_low": 1.0, "window_exponent_high": 1.0}},
-     "tolerances.window_exponent_low: must be below window_exponent_high"),
 ])
 def test_bad_config_values_are_named(data, field):
     with pytest.raises(ConfigError) as exc:
