@@ -7,12 +7,8 @@ applied after each step (it may work in place on the stepped state), and, for
 vectors or ``(m, d)`` row batches, which :func:`rk4_final`, :func:`rk4_record`
 and :func:`rk4_until_event` advance in lockstep.  The one event loop serves
 a lone start as its one-row batch, and records the trajectory of every row
-of a batch on request.  :func:`rk4_final_floats` is the one-start
-fixed-time flow over a list of Python floats, for a field that computes in
-floats: it repeats :func:`rk4_final`'s arithmetic bit for bit without
-NumPy's per-call cost on a short vector.  A right-hand side of the
-wrong output shape or length, or a state that turns non-finite, raises
-``ValueError``.
+of a batch on request.  A right-hand side of the wrong output shape, or a
+state that turns non-finite, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -65,35 +61,6 @@ def rk4_final(rhs, u0, t, step, project=None):
     sgn = 1.0 if t >= 0.0 else -1.0
     for h in _schedule(t, step):
         u = _advance(rhs, u, sgn * h, project)
-    return u
-
-
-def rk4_final_floats(rhs, u0, t, step):
-    """rk4_final for one start held as a list of Python floats.
-
-    ``rhs`` takes and returns a sequence of floats.  Each component gets the
-    array route's arithmetic, operation for operation, so the end state equals
-    :func:`rk4_final` on the ``(d,)`` start bit for bit, without NumPy's
-    per-call cost on a short vector.
-    """
-    u = [float(a) for a in u0]
-    d = len(u)
-    sgn = 1.0 if t >= 0.0 else -1.0
-    for h in _schedule(t, step):
-        h = sgn * h
-        half = 0.5 * h
-        k1 = rhs(u)
-        if len(k1) != d:
-            raise ValueError(f"right-hand side returned {len(k1)} components "
-                             f"for a state of shape ({d},)")
-        k2 = rhs([a + half * b for a, b in zip(u, k1, strict=True)])
-        k3 = rhs([a + half * b for a, b in zip(u, k2, strict=True)])
-        k4 = rhs([a + h * b for a, b in zip(u, k3, strict=True)])
-        sixth = h / 6.0
-        u = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(u, k1, k2, k3, k4, strict=True)]
-        if not all(map(math.isfinite, u)):
-            raise ValueError("flow state became non-finite")
     return u
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels, flows
+from . import _kernels
 from .flows import IntegratorConfig
 from .forms import KFormOracle, SmoothMap, exterior_derivative, one_form, reeb_coefficients
 # not called here; kept as a module attribute because perfbench/layers.py
@@ -114,11 +114,6 @@ class SymplectomorphismCandidate:
         self.mapping = SmoothMap(dim, dim, lambda u: func(u[None, :])[0],
                                  jac=lambda u: jac(u[None, :])[0])
 
-    def image_and_jacobian(self, x: Array) -> tuple[Array, Array]:
-        """psi(x) and its Jacobian at one point, from one batched call."""
-        img, jac = self.batched.func_jac(np.asarray(x, dtype=float)[None, :])
-        return img[0], jac[0]
-
 
 def identity_candidate(dim: int) -> SymplectomorphismCandidate:
     """The identity map, which needs no correction; its support box is the
@@ -210,15 +205,14 @@ def strip_shear_map(amplitude: float, half_width: float):
     return SymplectomorphismCandidate(BatchedMapOps(func_batch, jac_batch), box), h0
 
 
-def bump_variational_terms(amplitude, r02, base, x, y, j00, j01, j10, j11):
+def bump_variational_terms(amplitude, r02, x, y, j00, j01, j10, j11):
     """The variational field of the bump H = A (1 - |u|^2/r0^2)_+^4 as the six
-    terms (X_H, d/dt J) for the state (x, y, J00, J01, J10, J11).
+    terms (X_H, d/dt J) for the state columns (x, y, J00, J01, J10, J11).
 
-    Operands are Python floats or NumPy columns alike; ``base`` is the clipped
-    (1 - |u|^2/r0^2)_+, which the caller computes because only the clip
-    differs between the two.  Powers are written as products: NumPy's
-    vectorised ``pow`` and libm's disagree in the last bit on some inputs.
+    Operands are NumPy columns.  Powers are written as products, the
+    arithmetic of the matrix-form reference that tier-1 pins the map against.
     """
+    base = np.maximum(1.0 - (x * x + y * y) / r02, 0.0)
     base2 = base * base
     base3 = base2 * base
     # X_H = J_std grad H with grad H = coeff * u
@@ -242,41 +236,22 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
     the plane; d(lambda)-preserving by construction (up to integrator error).
 
     The Jacobian rides along as the variational flow, so both the map and its
-    derivative come from one integration.  A single point flows on
-    :func:`_kernels.rk4_final_floats`, its field returning the float terms
-    as they are, since NumPy's per-call cost on a one-row array would
-    dominate; a batch flows in NumPy columns on :func:`_kernels.rk4_final`.
-    Both run :func:`bump_variational_terms` and the same RK4 arithmetic, so a
-    row's bits do not depend on the route.
+    derivative come from one integration of :func:`bump_variational_terms`
+    in NumPy columns on :func:`_kernels.rk4_final`; a single point is the
+    one-row batch.
     """
     r02 = support_radius ** 2
 
-    def float_field(u):
-        x, y, j00, j01, j10, j11 = u
-        base = max(1.0 - (x * x + y * y) / r02, 0.0)
-        return bump_variational_terms(amplitude, r02, base, x, y, j00, j01, j10, j11)
-
     def column_field(u):
-        x, y = u[:, 0], u[:, 1]
-        base = np.maximum(1.0 - (x * x + y * y) / r02, 0.0)
-        out = np.empty_like(u)
-        for k, term in enumerate(bump_variational_terms(amplitude, r02, base, x, y, u[:, 2],
-                                                        u[:, 3], u[:, 4], u[:, 5])):
-            out[:, k] = term
-        return out
+        return np.column_stack(bump_variational_terms(amplitude, r02, *u.T))
 
     def func_jac_batch(pts):
         # the variational flow carries the trajectory: its x-columns are the map
-        if len(pts) == 1:
-            (x, y), = pts.tolist()
-            end = _kernels.rk4_final_floats(float_field, [x, y, 1.0, 0.0, 0.0, 1.0], 1.0, step)
-            out = np.array([end])
-        else:
-            state = np.zeros((len(pts), 6))
-            state[:, :2] = pts
-            state[:, 2] = 1.0
-            state[:, 5] = 1.0
-            out = _kernels.rk4_final(column_field, state, 1.0, step)
+        state = np.zeros((len(pts), 6))
+        state[:, :2] = pts
+        state[:, 2] = 1.0
+        state[:, 5] = 1.0
+        out = _kernels.rk4_final(column_field, state, 1.0, step)
         return out[:, :2], out[:, 2:].reshape(len(pts), 2, 2)
 
     box = np.array([[-support_radius, support_radius]] * 2)
@@ -392,25 +367,15 @@ def binding_form_cartesian(profile: BindingProfile, lam_boundary: KFormOracle) -
 class GirouxResult:
     psi_hat: SmoothMap
     h: Callable[[Array], float]
-    y_field: Callable[[Array], Array]
     mu_closedness: float
     cond_max: float
-    base_point: Array
 
 
-def _last_call_memo(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
-    """fn of one float array, remembering its last call: an argument with the
-    bytes of the previous one gets the previous value back without a call."""
-    last = {"key": None, "value": None}
-
-    def memo(x):
-        key = x.tobytes()
-        if key != last["key"]:
-            last["value"] = fn(x)
-            last["key"] = key
-        return last["value"]
-
-    return memo
+def _pullback_defect_rows(domain: ExactSymplecticDomain, psi: SymplectomorphismCandidate,
+                          pts: Array) -> Array:
+    """Coefficient rows of mu = psi^* lambda - lambda over an (m, d) batch."""
+    img, jac = psi.batched.func_jac(pts)
+    return np.einsum("mi,mik->mk", domain.lam_batch(img), jac) - domain.lam_batch(pts)
 
 
 def giroux_correction(domain: ExactSymplecticDomain,
@@ -426,82 +391,48 @@ def giroux_correction(domain: ExactSymplecticDomain,
     (normalized to vanish at the centre of the sample box), which
     differentiates to -(psi_hat^* lambda - lambda) when the correction
     succeeds; the identity is a *checked* output, not an assumption.  Inputs
-    with |d(psi^* lambda - lambda)| > 1e-6 at a sample are rejected.
+    with |d(psi^* lambda - lambda)| > 1e-6 at a sample are rejected; d mu is
+    taken by central differences of step 1e-4 from one batch of 2 d rows per
+    sample.
 
-    One flow per point serves both h and psi_hat: the end of the last flow is
-    kept, keyed by the start's bytes.  The flow's field keeps its last state
-    and value the same way, so a flow from a zero of Y (the base point, a
-    point off the support of psi, any point for the identity), which never
-    moves, evaluates Y once instead of at every RK4 stage.  Both memos return
-    values computed from identical input bytes, so no result changes.
+    ``h(x)`` and ``psi_hat(x)`` are one-row calls of
+    :func:`giroux_flow_batch`, so each equals its row of a batch bit for bit.
     """
-    base_point = domain.sample_box.mean(axis=1)
-    lam = domain.lam
-
-    def mu_vec(x):
-        image, jac = psi.image_and_jacobian(x)
-        basis = np.eye(domain.dim)
-        return np.array([lam(image, jac @ e) - lam(x, e) for e in basis])
-
-    mu_form = one_form(domain.dim, mu_vec)
-
-    # precondition: mu must be closed
-    worst_dmu = 0.0
-    basis = np.eye(domain.dim)
-    for x in domain.sample(rng, closedness_samples):
-        for i in range(domain.dim):
-            for j in range(i + 1, domain.dim):
-                worst_dmu = max(worst_dmu, abs(exterior_derivative(
-                    mu_form, x, [basis[i], basis[j]], 1e-4)))
+    d = domain.dim
+    samples = domain.sample(rng, closedness_samples)
+    fd = 1e-4
+    offsets = fd * np.eye(d)
+    stencil = np.concatenate([samples[:, None, :] + offsets, samples[:, None, :] - offsets],
+                             axis=1)
+    mu = _pullback_defect_rows(domain, psi, stencil.reshape(-1, d)).reshape(-1, 2, d, d)
+    # grad[n, i, j]: the derivative of mu_j along e_i at sample n
+    grad = (mu[:, 0] - mu[:, 1]) / (2.0 * fd)
+    if not np.isfinite(grad).all():
+        raise ValueError("directional derivative is not finite; "
+                         "function not differentiable here or step too small")
+    i, j = np.triu_indices(d, 1)
+    dmu = grad[:, i, j] - grad[:, j, i]
+    worst_dmu = float(np.max(np.abs(dmu), initial=0.0))
     if worst_dmu > 1e-6:
         raise ValueError(f"psi^* lambda - lambda is not closed (residual {worst_dmu:.2e}); "
                          "the input does not preserve d(lambda)")
 
-    def y_field(x):
-        return np.linalg.solve(domain.dlambda_const.T, -mu_vec(x))
+    def flow_row(x):
+        return giroux_flow_batch(domain, psi, x, flow_cfg)
 
-    # one flow serves both outputs: the Y-flow augmented with the quadrature
-    # variable sdot = lambda(Y), whose end state holds the time-1 image (for
-    # psi_hat) and the primitive's raw value (for h)
-    def augmented(state):
-        x = state[:-1]
-        y = y_field(x)
-        return np.append(y, lam(x, y))
-
-    aug_field = _last_call_memo(augmented)
-    flow_from = _last_call_memo(
-        lambda x: flows.flow_fixed_time(aug_field, np.append(x, 0.0), 1.0, flow_cfg))
-
-    def flow_end(x):
-        return flow_from(np.asarray(x, dtype=float))
-
-    psi_hat = SmoothMap(domain.dim, domain.dim,
-                        lambda x: psi.mapping(flow_end(x)[:-1].copy()))
-
-    h_base = float(flow_end(base_point)[-1])
-
-    def h(x):
-        return -(float(flow_end(x)[-1]) - h_base)
-
-    return GirouxResult(psi_hat=psi_hat, h=h, y_field=y_field,
+    return GirouxResult(psi_hat=SmoothMap(d, d, lambda x: flow_row(x).psi_hat[0]),
+                        h=lambda x: float(flow_row(x).h[0]),
                         mu_closedness=worst_dmu,
-                        cond_max=float(np.linalg.cond(domain.dlambda_const)),
-                        base_point=base_point)
+                        cond_max=float(np.linalg.cond(domain.dlambda_const)))
 
 
 def make_batched_y(domain: ExactSymplecticDomain,
                    psi: SymplectomorphismCandidate) -> Callable[[Array], Array]:
-    """Vectorized correcting field: rows Y with i_Y d(lambda) = -(psi^*lambda - lambda).
-
-    Agreement with the pointwise solve is a tested property.
-    """
+    """Vectorized correcting field: rows Y with i_Y d(lambda) = -(psi^*lambda - lambda)."""
     solve_mat = np.linalg.inv(domain.dlambda_const.T)
 
     def y_batch(pts):
-        img, jac = psi.batched.func_jac(pts)
-        mu = np.einsum("mi,mik->mk", domain.lam_batch(img), jac) \
-            - domain.lam_batch(pts)
-        return -(mu @ solve_mat.T)
+        return -(_pullback_defect_rows(domain, psi, pts) @ solve_mat.T)
 
     return y_batch
 
@@ -520,7 +451,7 @@ def giroux_flow_batch(domain: ExactSymplecticDomain,
                       flow_cfg: IntegratorConfig) -> GirouxBatchEval:
     """One vectorized integration of the correcting flow with its quadrature
     variable, for every requested point at once; h vanishes at the centre of
-    the sample box, as in :func:`giroux_correction`."""
+    the sample box."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     base_point = domain.sample_box.mean(axis=1)
     y_batch = make_batched_y(domain, psi)

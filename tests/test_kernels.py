@@ -341,41 +341,6 @@ def test_batch_rows_equal_single_row_flows():
         assert np.array_equal(row, k.rk4_final(_pendulum, start, -0.73, 0.05))
 
 
-def _pendulum_floats(u):
-    x, y = u
-    return [y, -x - 0.3 * x * x * x]
-
-
-@pytest.mark.parametrize("t", [1.0, -0.73, 0.0, 0.37])
-def test_float_route_equals_array_route_bitwise(t):
-    # 0.37 is not a whole number of steps of 0.05, so the last step is short
-    for start in rng.uniform(-1.0, 1.0, (7, 2)):
-        out = k.rk4_final_floats(_pendulum_floats, start.tolist(), t, 0.05)
-        assert all(type(c) is float for c in out)
-        assert np.array_equal(np.array(out), k.rk4_final(_pendulum, start, t, 0.05))
-
-
-@pytest.mark.parametrize("rhs", [
-    lambda u: [1.0] * (len(u) + 1),
-    lambda u: [1.0] * (len(u) - 1),
-    # right on the first stage, one short on the next
-    lambda u: [0.0, 1.0] if u[1] == 0.0 else [1.0],
-])
-def test_float_route_rejects_a_wrong_component_count(rhs):
-    with pytest.raises(ValueError):
-        k.rk4_final_floats(rhs, [0.0, 0.0], 1.0, 0.1)
-
-
-def test_float_route_rejects_a_non_finite_state():
-    def nan_past_half(u):
-        return [1.0 if u[0] < 0.5 else math.nan] * len(u)
-
-    with pytest.raises(ValueError, match="^flow state became non-finite$"):
-        k.rk4_final_floats(nan_past_half, [0.0, 0.0], 1.5, 0.1)
-    with pytest.raises(ValueError, match="^flow state became non-finite$"):
-        k.rk4_final(_nan_past_half, np.zeros(2), 1.5, 0.1)
-
-
 def _bad_shape(u):
     return np.zeros(u.shape[-1] + 1)
 

@@ -92,9 +92,8 @@ def test_cartesian_binding_form_even_across_axis():
 def test_correcting_field_solves_contraction_equation():
     domain = ob.standard_disk_domain()
     candidate = ob.radial_twist_map(0.6, 0.8)
-    result = ob.giroux_correction(domain, candidate, FLOW, rng=rng)
-    for x in domain.sample(rng, 10):
-        y_vec = result.y_field(x)
+    pts = domain.sample(rng, 10)
+    for x, y_vec in zip(pts, ob.make_batched_y(domain, candidate)(pts)):
         b = domain.dlambda_matrix(x)
         jac = candidate.mapping.jacobian(x)
         for j, e in enumerate(np.eye(2)):
@@ -134,26 +133,67 @@ def test_giroux_residual_small_sample():
     assert worst < 1e-5
 
 
-def test_batched_flow_agrees_with_pointwise():
+def test_batched_flow_agrees_with_pointwise(monkeypatch):
+    # h(x) and psi_hat(x) are one-row calls of the batch: equal to its rows bitwise
+    def no_fd(*args, **kwargs):
+        raise AssertionError("d(lambda) is constant on this domain")
+
+    monkeypatch.setattr(ob.ExactSymplecticDomain, "dlambda_matrix", no_fd)
     domain = ob.standard_disk_domain()
-    candidate = ob.radial_twist_map(0.8, 0.8)
-    result = ob.giroux_correction(domain, candidate, FLOW, rng=rng)
-    pts = domain.sample(rng, 5)
-    ev = ob.giroux_flow_batch(domain, candidate, pts, FLOW)
-    for i, x in enumerate(pts):
-        assert abs(result.h(x) - ev.h[i]) < 1e-9
-        assert np.max(np.abs(result.psi_hat(x) - ev.psi_hat[i])) < 1e-9
+    coarse = IntegratorConfig(step=0.25, max_time=2.0)
+    for candidate, cfg in ((ob.radial_twist_map(0.8, 0.8), FLOW),
+                           (ob.hamiltonian_bump_map(0.15, 0.8, step=0.05), coarse)):
+        result = ob.giroux_correction(domain, candidate, cfg, rng=rng)
+        assert result.cond_max == np.linalg.cond(domain.dlambda_const)
+        # inside the support, off it, and the base point itself
+        pts = np.vstack([domain.sample(rng, 5), [[0.9, 0.1], [0.0, 0.0]]])
+        ev = ob.giroux_flow_batch(domain, candidate, pts, cfg)
+        for i, x in enumerate(pts):
+            assert result.h(x) == ev.h[i]
+            assert np.array_equal(result.psi_hat(x), ev.psi_hat[i])
+        assert np.array_equal(ev.psi_hat[-2], pts[-2])  # Y vanishes off the support
+        assert ev.h[-1] == 0.0
 
 
-def test_batched_y_agrees_with_solve():
+def _pointwise_mu_closedness(domain, candidate, samples):
+    """max |d mu(e_0, e_1)| by exterior_derivative of the one-point form
+    mu = psi^* lambda - lambda, central differences of step 1e-4."""
+    def mu_vec(x):
+        image, jac = candidate.mapping(x), candidate.mapping.jacobian(x)
+        return np.array([domain.lam(image, jac @ e) - domain.lam(x, e) for e in np.eye(2)])
+
+    mu = forms.one_form(2, mu_vec)
+    return max(abs(forms.exterior_derivative(mu, x, list(np.eye(2)), 1e-4)) for x in samples)
+
+
+@pytest.mark.parametrize("make", [lambda: ob.radial_twist_map(0.8, 0.8),
+                                  lambda: ob.strip_shear_map(0.5, 0.8)[0],
+                                  lambda: ob.hamiltonian_bump_map(0.15, 0.8, step=0.05)])
+def test_batched_mu_closedness_matches_pointwise_exterior_derivative(make):
     domain = ob.standard_disk_domain()
-    candidate = ob.radial_twist_map(0.8, 0.8)
-    y_batch = ob.make_batched_y(domain, candidate)
-    result = ob.giroux_correction(domain, candidate, FLOW, rng=rng)
-    pts = domain.sample(rng, 6)
-    rows = y_batch(pts)
-    for i, x in enumerate(pts):
-        assert np.max(np.abs(rows[i] - result.y_field(x))) < 1e-10
+    candidate = make()
+    result = ob.giroux_correction(domain, candidate, FLOW, rng=np.random.default_rng(3),
+                                  closedness_samples=8)
+    ref = _pointwise_mu_closedness(domain, candidate,
+                                   domain.sample(np.random.default_rng(3), 8))
+    assert abs(result.mu_closedness - ref) < 1e-12
+
+
+def test_giroux_refuses_a_non_finite_defect():
+    domain = ob.standard_disk_domain()
+    undefined = ob.BatchedMapOps(lambda pts: np.full_like(pts, np.nan),
+                                 lambda pts: np.tile(np.eye(2), (len(pts), 1, 1)))
+    candidate = ob.SymplectomorphismCandidate(undefined, np.array([[-1.0, 1.0]] * 2))
+    with pytest.raises(ValueError, match="not finite"):
+        ob.giroux_correction(domain, candidate, FLOW, rng=rng)
+
+
+def test_disk_domain_lam_batch_rows_equal_lam():
+    domain = ob.standard_disk_domain()
+    pts = np.vstack([domain.sample(rng, 20), [[0.0, 0.0], [-1.0, 1.0]]])
+    rows = domain.lam_batch(pts)
+    for x, row in zip(pts, rows):
+        assert np.array_equal(row, [domain.lam(x, e) for e in np.eye(2)])
 
 
 def test_shear_candidate_primitive():
@@ -228,28 +268,6 @@ def test_bump_func_jac_is_one_integration_of_both():
     assert np.array_equal(jac, ref[:, 2:].reshape(-1, 2, 2))
 
 
-def test_bump_field_float_and_column_forms_agree_bitwise():
-    amplitude, r02 = 0.15, 0.8 ** 2
-    local = np.random.default_rng(17)
-    # 100 points each inside the support, outside it and on its boundary circle
-    radii = np.concatenate([local.uniform(0.0, 0.8, 100), local.uniform(0.8, 1.5, 100),
-                            np.full(100, 0.8)])
-    angles = local.uniform(0.0, 2.0 * math.pi, 300)
-    states = np.column_stack([radii * np.cos(angles), radii * np.sin(angles),
-                              local.standard_normal((300, 4))])
-    x, y = states[:, 0], states[:, 1]
-    base = np.maximum(1.0 - (x * x + y * y) / r02, 0.0)
-    columns = np.column_stack(ob.bump_variational_terms(
-        amplitude, r02, base, x, y, *states[:, 2:].T))
-    assert np.count_nonzero(base == 0.0) > 100 and np.count_nonzero(base > 0.0) > 100
-    for row, expected in zip(states.tolist(), columns):
-        xf, yf, *jac = row
-        base_f = max(1.0 - (xf * xf + yf * yf) / r02, 0.0)
-        terms = ob.bump_variational_terms(amplitude, r02, base_f, xf, yf, *jac)
-        assert all(type(t) is float for t in terms)
-        assert np.array_equal(np.array(terms), expected)
-
-
 def test_bump_single_row_flow_matches_its_row_of_a_batch():
     candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.01)
     local = np.random.default_rng(23)
@@ -273,18 +291,24 @@ def test_default_func_jac_pairs_func_and_jac():
     assert np.array_equal(jac, candidate.batched.jac(pts))
 
 
-def _separate_integrations(domain, candidate, result, x, cfg):
-    """h(x) and psi_hat(x) from their own flows, through an unmemoized
-    augmented field and through the bare Y field."""
+def _separate_integrations(domain, candidate, x, cfg):
+    """h(x) and psi_hat(x) from their own one-point flows of the batched Y
+    field: the augmented flow for h, with the one-point lambda, and the bare
+    Y-flow for psi_hat."""
+    y_batch = ob.make_batched_y(domain, candidate)
+
+    def y_field(p):
+        return y_batch(p[None, :])[0]
+
     def augmented(state):
-        y = result.y_field(state[:-1])
+        y = y_field(state[:-1])
         return np.append(y, domain.lam(state[:-1], y))
 
     def h_raw(p):
         return float(flow_fixed_time(augmented, np.append(p, 0.0), 1.0, cfg)[-1])
 
-    return (-(h_raw(x) - h_raw(result.base_point)),
-            candidate.mapping(flow_fixed_time(result.y_field, x, 1.0, cfg)))
+    return (-(h_raw(x) - h_raw(domain.sample_box.mean(axis=1))),
+            candidate.mapping(flow_fixed_time(y_field, x, 1.0, cfg)))
 
 
 @pytest.mark.parametrize("make", [lambda: ob.radial_twist_map(0.8, 0.8),
@@ -295,78 +319,11 @@ def test_shared_flow_matches_separate_integrations(make):
     coarse = IntegratorConfig(step=0.25, max_time=2.0)
     result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
     x = np.array([0.3, -0.2])
-    h_sep, psi_hat_sep = _separate_integrations(domain, candidate, result, x, coarse)
-    assert result.h(x) == h_sep
+    h_sep, psi_hat_sep = _separate_integrations(domain, candidate, x, coarse)
+    # one ulp or so: the batch takes lambda(Y) by einsum, the reference by np.dot
+    assert result.h(x) == pytest.approx(h_sep, rel=1e-15, abs=0.0)
     assert np.array_equal(result.psi_hat(x), psi_hat_sep)
     assert abs(h_sep) > 1e-3  # the flow does move this point
-
-
-def test_h_then_psi_hat_integrates_the_flow_once(monkeypatch):
-    domain = ob.standard_disk_domain()
-    candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.05)
-    coarse = IntegratorConfig(step=0.25, max_time=2.0)
-    result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
-    assert result.cond_max == np.linalg.cond(domain.dlambda_const)
-    counts = {"func_jac": 0, "rk4_final": 0, "rk4_final_floats": 0}
-    func_jac = candidate.batched.func_jac
-
-    def counted_func_jac(pts):
-        counts["func_jac"] += 1
-        return func_jac(pts)
-
-    def counted(name):
-        kernel = getattr(_kernels, name)
-
-        def run(*args):
-            counts[name] += 1
-            return kernel(*args)
-
-        return run
-
-    def no_fd(*args, **kwargs):
-        raise AssertionError("d(lambda) is constant on this domain")
-
-    candidate.batched.func_jac = counted_func_jac
-    for name in ("rk4_final", "rk4_final_floats"):
-        monkeypatch.setattr(_kernels, name, counted(name))
-    monkeypatch.setattr(ob.ExactSymplecticDomain, "dlambda_matrix", no_fd)
-    x = np.array([0.3, -0.2])
-    result.h(x)
-    result.psi_hat(x)
-    y_evals = 4 * round(1.0 / coarse.step)
-    # one Y evaluation per func_jac call, one one-row bump integration each,
-    # plus the Y-flow itself and the bump map applied once to its end point
-    # for psi_hat: 18 integrations in all
-    assert counts == {"func_jac": y_evals, "rk4_final": 1, "rk4_final_floats": y_evals + 1}
-
-
-@pytest.mark.parametrize("make,x", [
-    (lambda: ob.identity_candidate(2), [0.3, -0.2]),
-    (lambda: ob.hamiltonian_bump_map(0.15, 0.8, step=0.05), [0.9, 0.1]),  # off the support
-])
-def test_flow_from_a_zero_of_y_evaluates_its_field_once(make, x):
-    domain = ob.standard_disk_domain()
-    candidate = make()
-    coarse = IntegratorConfig(step=0.25, max_time=2.0)
-    result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
-    x = np.array(x)
-    calls = []
-    func_jac = candidate.batched.func_jac
-
-    def counted_func_jac(pts):
-        calls.append(None)
-        return func_jac(pts)
-
-    candidate.batched.func_jac = counted_func_jac
-    h = result.h(x)
-    assert len(calls) == 1
-    psi_hat = result.psi_hat(x)
-    assert len(calls) == 1  # psi_hat reuses the flow of h
-    candidate.batched.func_jac = func_jac
-    h_sep, psi_hat_sep = _separate_integrations(domain, candidate, result, x, coarse)
-    assert h == h_sep
-    assert np.array_equal(psi_hat, psi_hat_sep)
-    assert np.array_equal(psi_hat, x)
 
 
 def test_legendrian_realization_requires_higher_dimension():
