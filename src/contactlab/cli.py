@@ -23,6 +23,7 @@ from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .flows import IntegratorConfig, Trajectory
 from .profiles import HandleProfile
 from .suites import run_suite, suite_names
+from .surgery import SurgeryConfig
 
 
 def emit_plot_data(obj, path) -> None:
@@ -47,7 +48,7 @@ def emit_plot_data(obj, path) -> None:
     raise TypeError(f"cannot emit plot data for {type(obj).__name__}")
 
 
-def _emit_default_plots(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _emit_default_plots(out_dir: Path) -> list[Path]:
     """Profile scans plus the page flow of the worked start, for plotting."""
     written = []
     profile = HandleProfile(0.1)
@@ -61,13 +62,13 @@ def _emit_default_plots(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     emit_plot_data(scan, path)
     written.append(path)
 
-    start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), cfg.epsilon)
+    eps = SurgeryConfig().epsilon
+    start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), eps)
     prof = HandleProfile(0.05)
     on_s1 = surgery.limit_transfer_to_s1(start, prof)
     fld = surgery.handle_hamiltonian_rhs(0, 2, prof.delta)
-    icfg = IntegratorConfig(step=cfg.flow_step, max_time=1.0, event_tol=1e-12)
-    traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2),
-                                  cfg.epsilon, icfg)
+    icfg = IntegratorConfig(max_time=1.0, event_tol=1e-12)
+    traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2), eps, icfg)
     path = out_dir / "page_flow.csv"
     emit_plot_data(traj, path)
     written.append(path)
@@ -132,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             report_path.write_text(report.to_json())
             print(f"report written to {report_path}")
-            for path in _emit_default_plots(cfg, out_dir):
+            for path in _emit_default_plots(out_dir):
                 print(f"plot data written to {path}")
         except OSError as exc:
             # a failed open names its file; a failed write may not

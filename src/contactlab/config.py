@@ -2,16 +2,16 @@
 
 A flat JSON-friendly record; unknown or ill-typed fields fail validation
 with the offending names listed.  Identical config plus seed implies
-byte-identical reports.  A check's tolerance is no setting: it is declared
-at the check, in :mod:`contactlab.suites`.
+byte-identical reports.  A scenario picks the suite, the seed and the
+sample counts; a check's tolerance, geometry and numerics are no settings:
+they are declared at the check, in :mod:`contactlab.suites`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import types
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 
@@ -20,21 +20,6 @@ class ScenarioConfig:
     suite: str = "all"
     seed: int = 0
     out_dir: str | None = None
-
-    # geometry parameters
-    epsilon: float = 0.1
-    window_epsilon: float = 0.24  # page half-angle for the smoothing-window scan
-    p0: float = 1.0
-    twist_k: int = 1
-    scale_C: float = 4.0
-    deltas: list[float] = field(default_factory=lambda: [0.05, 0.1])
-    window_deltas: list[float] = field(default_factory=lambda: [0.02, 0.01, 0.005])
-    a_values: list[float] = field(default_factory=lambda: [10.0, 100.0, 1000.0, 10000.0])
-
-    # dimensions
-    sphere_dims: list[int] = field(default_factory=lambda: [1, 2, 3])
-    model_dims: list[list[int]] = field(default_factory=lambda: [[2, 1], [3, 1], [3, 2]])
-    page_blocks: list[int] = field(default_factory=lambda: [2, 3, 4])  # z,w block sizes
 
     # sample counts
     n_twist: int = 500
@@ -47,12 +32,7 @@ class ScenarioConfig:
     n_chains: int = 1000
     n_nonconnected: int = 100
     n_window: int = 24
-
-    # numerics
-    h_fd: float = 1e-5
-    flow_step: float = 1e-3
-    giroux_flow_step: float = 0.02
-    quad_nodes: int = 32
+    # depth bound of the move search in move-chain-recognition
     search_depth: int = 6
 
     def __post_init__(self):
@@ -92,48 +72,20 @@ _SAMPLE_COUNTS = tuple(f.name for f in fields(ScenarioConfig) if f.name.startswi
 # (fields, predicate, what the predicate requires); applied to fields whose
 # values already match their annotation
 _RULES = [
-    (("epsilon", "window_epsilon"), lambda v: 0.0 < v < 0.25,
-     "page half-angle must lie in (0, 1/4)"),
-    (("p0", "scale_C", "h_fd", "flow_step", "giroux_flow_step"), lambda v: v > 0,
-     "must be positive"),
-    # each step must be shorter than the shortest span it drives
-    (("flow_step",), lambda v: v < 1.0, "must be below 1, the shortest flow time bound"),
-    (("giroux_flow_step",), lambda v: v < 2.0, "must be below 2, the flow time bound"),
-    (("twist_k",), lambda v: v >= 1, "must be a positive integer"),
-    (("seed",), lambda v: v >= 0, "must be non-negative"),
-    (("quad_nodes",), lambda v: v >= 1, "needs at least one node"),
-    (("search_depth",), lambda v: v >= 0, "must be non-negative"),
+    (("seed", "search_depth"), lambda v: v >= 0, "must be non-negative"),
     (_SAMPLE_COUNTS, lambda v: v >= 1, "sample count must be >= 1"),
-    (("window_deltas",), lambda v: len(set(v)) >= 2 and min(v) > 0,
-     "the log-log slope fit needs at least two distinct positive values"),
-    (("deltas", "a_values"), lambda v: v and min(v) > 0, "needs positive values"),
-    # the convergence check compares the errors in list order
-    (("a_values",), lambda v: all(a < b for a, b in zip(v, v[1:])),
-     "must be strictly increasing"),
-    (("deltas", "window_deltas"), lambda v: all(0.0 < d < 0.25 for d in v),
-     "smoothing widths must lie in (0, 1/4)"),
-    (("sphere_dims",), lambda v: v and min(v) >= 1, "needs sphere dimensions >= 1"),
-    (("page_blocks",), lambda v: v and min(v) >= 2, "needs block sizes >= 2"),
-    (("model_dims",), lambda v: v and all(len(d) == 2 and 1 <= d[1] < d[0] for d in v),
-     "needs [n, k] pairs with 1 <= k < n"),
 ]
 
 
 def _conforms(value, annotation) -> bool:
-    """Whether a JSON-decoded value fits a field annotation.  bool never
-    counts as a number; an int counts as a float."""
-    origin = get_origin(annotation)
-    if origin is list:
-        (item,) = get_args(annotation)
-        return isinstance(value, list) and all(_conforms(v, item) for v in value)
-    if origin is types.UnionType:
+    """Whether a JSON-decoded value fits a field annotation; bool never
+    counts as an int."""
+    if get_origin(annotation) is types.UnionType:
         return any(_conforms(value, arg) for arg in get_args(annotation))
     if annotation is type(None):
         return value is None
     if isinstance(value, bool):
         return False
-    if annotation is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     return isinstance(value, annotation)
 
 

@@ -22,6 +22,7 @@ sphere once), which is exactly what destabilization restores.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Optional, Union
 
@@ -263,19 +264,22 @@ _LINE_SHAPES = {
 }
 
 
+# the integers that to_text writes; int() would also take "1_0" and
+# non-ASCII digits such as "３"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_token(token: str, raw: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {token!r} in line: {raw}") from None
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"expected an integer, got {token!r} in line: {raw}")
+    return int(token)
 
 
 def from_text(text: str) -> OpenBookDesc:
     """Parse the descriptor text format; a malformed line raises ValueError
-    naming it."""
+    naming it, and so does text without a page line."""
     if not text.strip():
         raise ValueError("empty descriptor text")
-    half_dim = 2
     handles: list[Handle] = []
     spheres: list[LagrangianSphere] = []
     disks: list[DiskBoundary] = []
@@ -313,6 +317,8 @@ def from_text(text: str) -> OpenBookDesc:
             word = tuple(letters)
         else:
             raise ValueError(f"unknown descriptor line: {raw}")
+    if "page" not in seen:
+        raise ValueError("descriptor text has no page line: page <half_dim>")
     page = AbstractPage(half_dim, tuple(handles), tuple(spheres), tuple(disks))
     return OpenBookDesc(page, word)
 

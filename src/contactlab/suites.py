@@ -8,10 +8,11 @@ order in which the "all" suite runs them.  ``run_suite`` calls a body as
 :func:`contactlab.reports.run_check` and keeps the resulting
 :class:`contactlab.reports.CheckRecord`.  Anchors quote the identity being
 verified; `ops` lists the public operations a check exercises (the "all"
-suite must cover every operation in QUOTED_OPS).  A check's tolerance and
-any bound inside its body are written at the check, as literals or as a
-module constant beside the checks that share it; no scenario setting
-changes them.
+suite must cover every operation in QUOTED_OPS).  A check's tolerance, any
+bound inside its body, and the geometry and numerics it runs at are written
+at the check: as the callee's default where one exists, as a literal, or as
+a module constant beside the checks that share it.  A scenario sets only the
+suite, the seed, the sample counts and the move-search depth.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _dlam_can(u: Array, v: Array) -> Array:
 # ===========================================================================
 
 def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
-                            profile: DehnTwistProfile, h_fd: float) -> float:
+                            profile: DehnTwistProfile) -> float:
     """max defect of the twist preserving d(p dq) on constraint-tangent frames.
 
     The points are drawn one at a time; their Jacobians are taken as one row
@@ -102,7 +103,7 @@ def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
     for i in range(count):
         pt = sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0)
         points[i], frames[i] = pt.as_array(), sphere.tangent_frame(pt)
-    jac = forms.fd_jacobian(sphere.dehn_twist_map(profile, n).func, points, h_fd)
+    jac = forms.fd_jacobian(sphere.dehn_twist_map(profile, n).func, points)
     pushed = (jac[:, None] @ frames[..., None])[..., 0]
     worst = 0.0
     for i in range(frames.shape[1]):
@@ -115,7 +116,7 @@ def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
 
 @suite("dehn-twist")
 def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
-    profile = DehnTwistProfile(cfg.p0, cfg.twist_k)
+    profile = DehnTwistProfile()
 
     @check("twist-symplectomorphism",
            "pullback of d(p dq) through the twist equals d(p dq) on the bundle tangent spaces",
@@ -123,12 +124,11 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
     def symplecto():
         worst = 0.0
         total = 0
-        for n in cfg.sphere_dims:
+        for n in (1, 2, 3):
             rng = check_rng(cfg.seed, f"twist-symplecto-{n}")
-            worst = max(worst, twist_pullback_residual(
-                rng, n, cfg.n_twist, profile, cfg.h_fd))
+            worst = max(worst, twist_pullback_residual(rng, n, cfg.n_twist, profile))
             total += cfg.n_twist
-        return worst, total, {"dims": list(cfg.sphere_dims)}
+        return worst, total, {"dims": [1, 2, 3]}
 
     @check("twist-compact-support",
            "the twist is the pointwise identity once |p| reaches the support radius",
@@ -147,13 +147,12 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
            ["dehn_twist"], 0.0)
     def zero_section():
         rng = check_rng(cfg.seed, "twist-zero-section")
-        k1 = DehnTwistProfile(cfg.p0, 1)
         worst = 0.0
         for _ in range(50):
             q = rng.standard_normal(3)
             q /= np.linalg.norm(q)
             pt = sphere.SpherePoint(q, np.zeros(3))
-            out = sphere.dehn_twist(pt, k1)
+            out = sphere.dehn_twist(pt, profile)
             worst = max(worst, float(np.max(np.abs(out.q + q))),
                         float(np.max(np.abs(out.p))))
         return worst, 50, {}
@@ -223,12 +222,11 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
            ["dehn_twist", "geodesic_flow"], 1e-12)
     def k_fold():
         rng = check_rng(cfg.seed, "twist-kfold")
-        single = DehnTwistProfile(cfg.p0, 1)
-        double = DehnTwistProfile(cfg.p0, 2)
+        double = DehnTwistProfile(k=2)
         worst = 0.0
         for _ in range(100):
-            pt = sphere.random_sphere_point(rng, 2, 1e-3, 2.0 * cfg.p0)
-            twice = sphere.dehn_twist(sphere.dehn_twist(pt, single), single)
+            pt = sphere.random_sphere_point(rng, 2, 1e-3, 2.0 * profile.p0)
+            twice = sphere.dehn_twist(sphere.dehn_twist(pt, profile), profile)
             once = sphere.dehn_twist(pt, double)
             worst = max(worst, float(np.max(np.abs(twice.as_array() - once.as_array()))))
         # zero section: the double twist fixes q exactly
@@ -244,12 +242,12 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
     def profile_shape():
         worst = 0.0
         for k in (1, 2, 3):
-            p = DehnTwistProfile(cfg.p0, k)
+            p = DehnTwistProfile(k=k)
             worst = max(worst, abs(p.g1(0.0) - k * math.pi))
-            worst = max(worst, abs(p.g1(cfg.p0)), abs(p.g1(2.0 * cfg.p0)))
+            worst = max(worst, abs(p.g1(p.p0)), abs(p.g1(2.0 * p.p0)))
             if p.g1_d(0.0) >= 0.0:
                 worst = max(worst, 1.0)
-            ss = np.linspace(0.0, cfg.p0, 400)
+            ss = np.linspace(0.0, p.p0, 400)
             vals = np.array([p.g1(s) for s in ss])
             worst = max(worst, float(np.max(np.maximum(np.diff(vals), 0.0))))
         return worst, 3, {}
@@ -302,11 +300,12 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     def strictness():
         worst = 0.0
         total = 0
-        for n, k in cfg.model_dims:
+        dims = ((2, 1), (3, 1), (3, 2))
+        for n, k in dims:
             rng = check_rng(cfg.seed, f"strict-{n}-{k}")
             worst = max(worst, strictness_residual(rng, n, k, cfg.n_strict))
             total += cfg.n_strict
-        return worst, total, {"dims": [list(d) for d in cfg.model_dims]}
+        return worst, total, {"dims": [list(d) for d in dims]}
 
     @check("straightening-roundtrip",
            "decomposing z into (z.w) w + fiber part inverts the chart exactly",
@@ -335,7 +334,8 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         source = surgery.alpha_chart_form(2, 1)
         dim_in = 1 + 4 + 2
         eye = np.eye(dim_in)
-        for c_val in (1.0, 4.0, cfg.scale_C):
+        # C = 4 twice: its second pass takes its own draws, which the record's bytes keep
+        for c_val in (1.0, 4.0, 4.0):
             mapping = surgery.phi_c_map(2, 1, c_val)
             for _ in range(30):
                 sp = sphere.random_sphere_point(rng, 1, 0.05, 1.0)
@@ -344,7 +344,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
                 for v in eye:
                     lhs = forms.pullback_eval(mapping, source, u, [v])
                     worst = max(worst, abs(lhs - c_val * source(u, v)))
-        return worst, 90, {"C": [1.0, 4.0, cfg.scale_C]}
+        return worst, 90, {"C": [1.0, 4.0, 4.0]}
 
     @check("isotropic-sphere",
            "the contact form vanishes on the tangent spaces of {x=y=0, z=0, |w|=1}",
@@ -380,8 +380,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         for _ in range(cfg.n_liouville):
             pt = ModelPoint(rng.standard_normal(1), rng.standard_normal(1),
                             rng.standard_normal(2), rng.standard_normal(2))
-            worst = max(worst, forms.liouville_residual(fld, om, pt.as_array(),
-                                                        frame, cfg.h_fd))
+            worst = max(worst, forms.liouville_residual(fld, om, pt.as_array(), frame))
         return worst, cfg.n_liouville, {}
 
     @check("liouville-speed-family",
@@ -397,8 +396,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             for _ in range(30):
                 pt = ModelPoint(np.zeros(0), np.zeros(0),
                                 rng.standard_normal(2), rng.standard_normal(2))
-                worst = max(worst, forms.liouville_residual(fld, om, pt.as_array(),
-                                                            frame, cfg.h_fd))
+                worst = max(worst, forms.liouville_residual(fld, om, pt.as_array(), frame))
         fld = surgery.liouville_a_field(0, 2, 1.0)
         vec = fld(ModelPoint(np.zeros(0), np.zeros(0), np.array([1.0, 0.0]),
                              np.array([0.0, 1.0])).as_array())
@@ -413,7 +411,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         worst_floor = -math.inf
         total = 0
         mins = {}
-        for delta in cfg.deltas:
+        for delta in (0.05, 0.1):
             profile = HandleProfile(delta)
             rng = check_rng(cfg.seed, f"scan-{delta}")
             pts = surgery.sample_s1_points(rng, cfg.n_surface_scan, 1, 2, profile)
@@ -476,7 +474,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             r_vec = reeb(u)
             worst = max(worst, abs(alpha(u, r_vec) - 1.0))
             for v in surgery.s_minus1_tangent_frame(pt):
-                dval = forms.exterior_derivative(alpha, u, [r_vec, v], cfg.h_fd)
+                dval = forms.exterior_derivative(alpha, u, [r_vec, v])
                 worst = max(worst, abs(dval))
         u = np.array([0.2, -0.4, 1.0, 0.0])
         r_vec = reeb(u)
@@ -494,7 +492,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         worst = max(worst, abs(page(np.array([0.0, 0.0, 1.0, 0.0]))))
         # after Reeb time s the page value moves to -eps + s
         fld = surgery.reeb_field(0, 2)
-        cfg_i = IntegratorConfig(step=cfg.flow_step, max_time=1.0)
+        cfg_i = IntegratorConfig(max_time=1.0)
         out = flows.flow_fixed_time(fld, u, 0.3, cfg_i)
         worst = max(worst, abs(float(out[:2] @ out[2:]) - (-0.1 + 0.3)))
         return worst, 3, {}
@@ -520,20 +518,18 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     def psh():
         worst = 0.0
         # f = |u|^2/4 on the plane: the candidate metric is the identity
-        gram = forms.psh_gram_matrix(lambda u: 0.5 * u, np.array([0.3, -0.2]),
-                                     list(np.eye(2)), cfg.h_fd)
+        gram = forms.psh_gram_matrix(lambda u: 0.5 * u, np.array([0.3, -0.2]), list(np.eye(2)))
         worst = max(worst, float(np.max(np.abs(gram - np.eye(2)))))
         # constant f = 1.5: zero matrix, not positive definite
-        gram = forms.psh_gram_matrix(lambda u: np.zeros(2), np.array([0.1, 0.4]),
-                                     list(np.eye(2)), cfg.h_fd)
+        gram = forms.psh_gram_matrix(lambda u: np.zeros(2), np.array([0.1, 0.4]), list(np.eye(2)))
         worst = max(worst, float(np.max(np.abs(gram))))
         # harmonic saddle f = u0^2 - u1^2: zero matrix as well (fails positivity)
         gram = forms.psh_gram_matrix(lambda u: np.array([2.0 * u[0], -2.0 * u[1]]),
-                                     np.array([0.2, 0.3]), list(np.eye(2)), cfg.h_fd)
+                                     np.array([0.2, 0.3]), list(np.eye(2)))
         worst = max(worst, float(np.max(np.abs(gram))))
         # f = (u0^2 + u1^2)/4 - (u2^2 + u3^2)/4: genuinely indefinite on two complex lines
         gram = forms.psh_gram_matrix(lambda u: 0.5 * np.array([u[0], u[1], -u[2], -u[3]]),
-                                     0.1 * np.ones(4), list(np.eye(4)), cfg.h_fd)
+                                     0.1 * np.ones(4), list(np.eye(4)))
         eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         if not (eig.min() < -0.5 and eig.max() > 0.5):
             worst = max(worst, 1.0)
@@ -559,7 +555,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             full = np.column_stack([liouville(pt.as_array())] + list(frame))
             if np.linalg.det(full[pair_order, :]) < 0:
                 frame[-1] = -frame[-1]
-            vol = forms.contact_volume(alpha, pt.as_array(), frame, cfg.h_fd)
+            vol = forms.contact_volume(alpha, pt.as_array(), frame)
             vol_min = min(vol_min, vol)
             worst = max(worst, POSITIVITY_FLOOR - vol)
         return max(worst, 0.0), 30, {"min_volume": vol_min}
@@ -611,21 +607,24 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
 # and the log-log slopes that smoothing-window-bound accepts as linear
 TWIST_MATRIX_BOUND = 1e-9
 WINDOW_EXPONENT_LOW, WINDOW_EXPONENT_HIGH = 0.7, 1.3
+# z,w block sizes of the pages that pre-surgery-trivial and
+# pipeline-vs-closed-form draw their starts on
+PAGE_BLOCKS = (2, 3, 4)
 
 
 @suite("monodromy")
 def suite_monodromy(cfg: ScenarioConfig, check) -> None:
-    eps = cfg.epsilon
+    config = SurgeryConfig()
+    eps = config.epsilon
     profile = HandleProfile(0.05)
-    config = SurgeryConfig(epsilon=eps)
-    flow_cfg = IntegratorConfig(step=cfg.flow_step, max_time=2.0, event_tol=1e-12)
+    flow_cfg = IntegratorConfig(max_time=2.0, event_tol=1e-12)
 
     @check("pre-surgery-trivial",
            "Reeb transport over page-time 2*eps keeps the (w, r) page decomposition fixed",
            ["pre_surgery_monodromy", "flow_until_event"], 1e-10)
     def pre_surgery():
         rng = check_rng(cfg.seed, "pre-surgery")
-        starts = [mono.admissible_start(rng, int(rng.choice(cfg.page_blocks)), eps, 0.05)
+        starts = [mono.admissible_start(rng, int(rng.choice(PAGE_BLOCKS)), eps, 0.05)
                   for _ in range(50)]
         worst = 0.0
         for start, out in zip(starts, mono.pre_surgery_monodromy(starts, eps, flow_cfg)):
@@ -645,7 +644,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst_matrix = 0.0
         worst_wnorm = 0.0
         starts = []
-        for nzw in cfg.page_blocks:
+        for nzw in PAGE_BLOCKS:
             rng = check_rng(cfg.seed, f"pipeline-{nzw}")
             starts += [mono.admissible_start(rng, nzw, eps, profile.delta)
                        for _ in range(cfg.n_monodromy)]
@@ -665,17 +664,16 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 
     @check("worked-page-point",
            "the page point with w = (1,0), r = (0,1/2), eps = 1/10 lands on "
-           "w = (0.923077, 0.384615) with matching circle functions",
+           "w = (12/13, 5/13) with matching circle functions",
            ["post_surgery_closed_form", "recognize_dehn_twist"], 1e-6)
     def worked_point():
         start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), 0.1)
         conf = SurgeryConfig(epsilon=0.1)
         res = mono.post_surgery_pipeline(start, conf, HandleProfile(0.05), flow_cfg)
         w_out = res.closed_form_point.w
-        frozen = np.array([0.923077, 0.384615])
-        worst = float(np.max(np.abs(w_out - frozen)))
+        worst = float(np.max(np.abs(w_out - np.array([12.0 / 13.0, 5.0 / 13.0]))))
         tw = mono.recognize_dehn_twist(res, 0.1)
-        worst = max(worst, abs(-tw.cos_g - 0.923077))
+        worst = max(worst, abs(-tw.cos_g - 12.0 / 13.0))
         return worst, 1, {"w_out": [float(v) for v in w_out],
                           "minus_cos_g": -tw.cos_g, "sin_g": tw.sin_g}
 
@@ -723,15 +721,13 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             start = mono.admissible_start(rng, 3, eps, profile.delta)
             out = surgery.limit_transfer_to_s1(start, profile)
             worst = max(worst, abs(float(out[:3] @ out[3:]) - start.theta()))
-        # frozen arithmetic image of z = (-0.1, 0.5), w = (1, 0)
+        # the closed-form image (z/|z|, |z| w) of z = (-0.1, 0.5), w = (1, 0)
         pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
                         np.array([1.0, 0.0]))
         out = surgery.limit_transfer_to_s1(pt, profile)
-        frozen_defect = max(
-            float(np.max(np.abs(out[:2] - np.array([-0.196116, 0.980581])))),
-            float(np.max(np.abs(out[2:] - np.array([0.509902, 0.0])))))
-        # the frozen image is quoted to six decimals
-        worst = max(worst, max(0.0, frozen_defect - 1e-6))
+        z_norm = math.sqrt(0.26)
+        closed = np.array([-0.1 / z_norm, 0.5 / z_norm, z_norm, 0.0])
+        worst = max(worst, float(np.max(np.abs(out - closed))))
         return worst, 101, {}
 
     @check("finite-speed-transfer",
@@ -769,11 +765,12 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
     def a_convergence():
         rng = check_rng(cfg.seed, "a-conv")
         start = mono.admissible_start(rng, 2, eps, profile.delta)
-        errs = mono.a_convergence_scan(start, list(cfg.a_values), config, profile, flow_cfg)
-        ordered = [errs[float(a)] for a in cfg.a_values]
+        a_values = (10.0, 100.0, 1000.0, 10000.0)
+        errs = mono.a_convergence_scan(start, list(a_values), config, profile, flow_cfg)
+        ordered = [errs[a] for a in a_values]
         monotone = all(ordered[i + 1] < ordered[i] for i in range(len(ordered) - 1))
         worst = 0.0 if monotone else 1.0
-        return worst, len(cfg.a_values), {"errors": {str(a): errs[float(a)] for a in cfg.a_values}}
+        return worst, len(a_values), {"errors": {str(a): errs[a] for a in a_values}}
 
     @check("smoothing-window-bound",
            "pipeline-vs-closed-form deviation for starts inside the smoothing "
@@ -781,12 +778,11 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["post_surgery_pipeline", "limit_transfer_to_s1"], 0.0)
     def window_fit():
         rng = check_rng(cfg.seed, "window")
-        weps = cfg.window_epsilon
-        wconf = SurgeryConfig(epsilon=weps)
+        deltas = (0.02, 0.01, 0.005)
         fits = {}
         worst = 0.0
-        scan = mono.delta_deviation_scan(rng, list(cfg.window_deltas), cfg.n_window, (2, 3),
-                                         wconf, flow_cfg)
+        scan = mono.delta_deviation_scan(rng, list(deltas), cfg.n_window, (2, 3),
+                                         SurgeryConfig(epsilon=0.24), flow_cfg)
         for nzw, devs in scan.items():
             slope = mono.fit_log_slope(list(devs), list(devs.values()))
             cs = {str(d): devs[d] / d for d in devs}
@@ -794,7 +790,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
                               "deviations": {str(d): devs[d] for d in devs}}
             if not WINDOW_EXPONENT_LOW <= slope <= WINDOW_EXPONENT_HIGH:
                 worst = max(worst, abs(slope - 1.0))
-        return worst, 2 * cfg.n_window * len(cfg.window_deltas), fits
+        return worst, 2 * cfg.n_window * len(deltas), fits
 
     @check("integrator-order",
            "halving the step cuts the endpoint error of the classical scheme by >= 8",
@@ -826,7 +822,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         # Reeb flow keeps alpha(R) = 1 and |w|^2 = 1 over time 1
         alpha = surgery.alpha_model_form(0, 2)
         fld = surgery.reeb_field(0, 2)
-        cfg_i = IntegratorConfig(step=cfg.flow_step, max_time=2.0)
+        cfg_i = IntegratorConfig(max_time=2.0)
         unit_w = surgery.unit_w_projection(0, 2)
         starts = [surgery.random_s_minus1_point(rng, 0, 2).as_array() for _ in range(5)]
         traj = flows.flow_record(fld, np.array(starts), 1.0, cfg_i, unit_w)
@@ -888,6 +884,12 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 # giroux suite
 # ===========================================================================
 
+# the correcting flow's integrator, and the Gauss-Legendre nodes per segment
+# of the line-integral primitives, in the giroux suite
+GIROUX_FLOW = IntegratorConfig(step=0.02, max_time=2.0)
+QUAD_NODES = 32
+
+
 def _giroux_batched_eval(domain, candidate, samples: Array, flow_cfg: IntegratorConfig):
     """h, dh, psi_hat and its Jacobian over the samples from one vectorized
     integration of the correcting flow (center plus FD neighbors)."""
@@ -917,11 +919,10 @@ def _giroux_case_residuals(cfg: ScenarioConfig, domain, candidate, name: str,
     """The checked correction, the residual of the exactness identity over a
     batched sample set, and the d(lambda) residual of the corrected map."""
     rng = check_rng(cfg.seed, name)
-    flow_cfg = IntegratorConfig(step=cfg.giroux_flow_step, max_time=2.0)
-    result = ob.giroux_correction(domain, candidate, flow_cfg, rng=rng,
+    result = ob.giroux_correction(domain, candidate, GIROUX_FLOW, rng=rng,
                                   closedness_samples=8)
     samples = domain.sample(rng, n_samples)
-    ev = _giroux_batched_eval(domain, candidate, samples, flow_cfg)
+    ev = _giroux_batched_eval(domain, candidate, samples, GIROUX_FLOW)
     worst = float(np.max(np.abs(ev["nu"] + ev["dh"])))
     # d(lambda) is preserved by the corrected map
     b_mat = domain.dlambda_const
@@ -937,7 +938,6 @@ GIROUX_RESIDUAL_TOL = 1e-5
 @suite("giroux")
 def suite_giroux(cfg: ScenarioConfig, check) -> None:
     domain = ob.standard_disk_domain(1.0)
-    flow_cfg = IntegratorConfig(step=cfg.giroux_flow_step, max_time=2.0)
 
     @check("exactness-correction-identity",
            "the identity needs no correction: zero field, constant primitive",
@@ -946,9 +946,9 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         candidate = ob.identity_candidate(2)
         rng = check_rng(cfg.seed, "giroux-id")
         # the closedness precondition draws its samples before these
-        ob.giroux_correction(domain, candidate, flow_cfg, rng=rng)
+        ob.giroux_correction(domain, candidate, GIROUX_FLOW, rng=rng)
         samples = domain.sample(rng, 40)
-        ev = ob.giroux_flow_batch(domain, candidate, samples, flow_cfg)
+        ev = ob.giroux_flow_batch(domain, candidate, samples, GIROUX_FLOW)
         worst = max(float(np.max(np.abs(ev.psi_hat - samples))), float(np.max(np.abs(ev.h))))
         return worst, 40, {}
 
@@ -983,7 +983,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         base = np.zeros(2)
         offsets = []
         for x in domain.sample(rng, 12):
-            h_line = ob.line_integral_primitive(nu_psi, base, x, nodes=cfg.quad_nodes)
+            h_line = ob.line_integral_primitive(nu_psi, base, x, nodes=QUAD_NODES)
             offsets.append(h_line - h0(x))
         spread = float(np.max(offsets) - np.min(offsets))
         worst = max(worst, spread)
@@ -1015,9 +1015,9 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
             # radial path and an axis-aligned dog-leg through (x0, base1)
             corner = np.array([x[0], base[1]])
             paths = ([(base, x)], [(base, corner), (corner, x)])
-            quads = [ob.path_quadrature(segs, cfg.quad_nodes) for segs in paths]
+            quads = [ob.path_quadrature(segs, QUAD_NODES) for segs in paths]
             all_nodes = np.vstack([q[0] for q in quads] + [x[None, :]])
-            ev = _giroux_batched_eval(domain, candidate, all_nodes, flow_cfg)
+            ev = _giroux_batched_eval(domain, candidate, all_nodes, GIROUX_FLOW)
             rows, h_vals = ev["nu"], ev["h"]
             integrals = []
             offset = 0
@@ -1036,7 +1036,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     def support_case():
         candidate = ob.radial_twist_map(0.8, 0.8)
         boundary = np.array([[0.95, 0.9], [-0.95, 0.9], [0.95, -0.9], [0.9, 0.95]])
-        ev = ob.giroux_flow_batch(domain, candidate, boundary, flow_cfg)
+        ev = ob.giroux_flow_batch(domain, candidate, boundary, GIROUX_FLOW)
         worst = 0.0
         for x, img in zip(boundary, ev.psi_hat):
             worst = max(worst, float(np.max(np.abs(img - candidate.mapping(x)))))
@@ -1068,7 +1068,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
             return lam_can(x, v) + float(grad_xi(x) @ np.asarray(v, dtype=float))
 
         lam = forms.KFormOracle(1, dim, lam_eval)
-        real = ob.legendrian_realization(n, lam, nodes=cfg.quad_nodes, path_check=2)
+        real = ob.legendrian_realization(n, lam, nodes=QUAD_NODES, path_check=2)
         worst = 0.0
         # the potential is recovered up to a constant
         offsets = []
@@ -1143,7 +1143,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         frame = list(np.eye(3))
         for _ in range(100):
             x = np.append(domain.sample(rng, 1)[0], rng.uniform(0, 2 * math.pi))
-            vol = forms.contact_volume(alpha, x, frame, cfg.h_fd)
+            vol = forms.contact_volume(alpha, x, frame)
             vol_min = min(vol_min, vol)
             worst = max(worst, POSITIVITY_FLOOR - vol)
         # frozen values: the circle direction pairs to 1, page vectors with
@@ -1216,7 +1216,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         for r in np.linspace(0.01, 0.95, 48):
             for theta in (0.0, 2.1):
                 u = np.array([theta, r, 0.7])
-                vol = forms.contact_volume(beta, u, frame, cfg.h_fd)
+                vol = forms.contact_volume(beta, u, frame)
                 pred = profile.h1(r) * profile.h2_d(r) - profile.h1_d(r) * profile.h2(r)
                 worst = max(worst, POSITIVITY_FLOOR - vol,
                             abs(vol - pred) - 1e-7)
@@ -1241,14 +1241,14 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 q /= np.linalg.norm(q)
                 tangent = sphere._orthonormal_complement(q)
                 # orient the 3-frame so the boundary form is positive
-                lam_vol = forms.contact_volume(lam_b, q, tangent, cfg.h_fd)
+                lam_vol = forms.contact_volume(lam_b, q, tangent)
                 if lam_vol < 0:
                     tangent[2] = -tangent[2]
                 frame = [np.concatenate([t, [0.0, 0.0]]) for t in tangent]
                 frame.append(np.eye(6)[4])
                 frame.append(np.eye(6)[5])
                 u = np.concatenate([q, [r, 1.3]])
-                vol = forms.contact_volume(beta, u, frame, cfg.h_fd)
+                vol = forms.contact_volume(beta, u, frame)
                 vol_min = min(vol_min, vol)
                 worst = max(worst, POSITIVITY_FLOOR - vol)
                 count += 1
@@ -1319,8 +1319,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         for _ in range(10):
             x = np.append(domain.sample(rng, 1)[0], rng.uniform(0, 2 * math.pi))
             samples.append((x, list(np.eye(3))))
-        val = ob.reeb_transversality_check(alpha, lambda u: np.array([0.0, 0.0, 1.0]),
-                                           samples, cfg.h_fd)
+        val = ob.reeb_transversality_check(alpha, lambda u: np.array([0.0, 0.0, 1.0]), samples)
         worst = max(worst, abs(val - 1.0))
         # constructed failure: the Reeb field is tangent to the pages of y = u[1]
         alpha_bad = forms.one_form(3, lambda u: np.array([0.0, u[0], 1.0]),
@@ -1328,7 +1327,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                                                        [1.0, 0.0, 0.0],
                                                        [0.0, 0.0, 0.0]]))
         val_bad = ob.reeb_transversality_check(
-            alpha_bad, lambda u: np.array([0.0, 1.0, 0.0]), samples, cfg.h_fd)
+            alpha_bad, lambda u: np.array([0.0, 1.0, 0.0]), samples)
         worst = max(worst, abs(val_bad))
         # the surgery model page function z . w against its Reeb field
         alpha_model = surgery.alpha_model_form(0, 2)
@@ -1337,7 +1336,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
             pt = surgery.random_s_minus1_point(rng, 0, 2)
             samples_m.append((pt.as_array(), surgery.s_minus1_tangent_frame(pt)))
         val_m = ob.reeb_transversality_check(
-            alpha_model, lambda u: np.concatenate([u[2:], u[:2]]), samples_m, cfg.h_fd)
+            alpha_model, lambda u: np.concatenate([u[2:], u[:2]]), samples_m)
         worst = max(worst, abs(val_m - 1.0))
         return worst, 30, {"model": val_m, "bad": val_bad}
 

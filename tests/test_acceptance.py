@@ -33,7 +33,7 @@ def test_criterion_01_dehn_twist_symplectomorphism():
     worst = 0.0
     for n in (1, 2, 3):
         rng = np.random.default_rng([100, n])
-        worst = max(worst, twist_pullback_residual(rng, n, 500, profile, 1e-5))
+        worst = max(worst, twist_pullback_residual(rng, n, 500, profile))
     # pointwise identity beyond the support radius, exactly
     rng = np.random.default_rng(101)
     support_defect = 0.0

@@ -38,7 +38,7 @@ def test_unknown_suite_rejected(capsys):
 
 def test_malformed_config_lists_offending_fields(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"suite": "moves", "epsilon": 0.7,
+    path.write_text(json.dumps({"suite": "moves", "seed": -1,
                                 "n_twist": 0, "mystery": 1}))
     assert cli.main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
@@ -46,11 +46,11 @@ def test_malformed_config_lists_offending_fields(tmp_path, capsys):
 
     path._str = None  # noqa - silence linters about reuse
     path2 = tmp_path / "bad2.json"
-    path2.write_text(json.dumps({"epsilon": 0.7, "n_twist": 0}))
+    path2.write_text(json.dumps({"seed": -1, "n_twist": 0}))
     with pytest.raises(ConfigError) as exc:
         load_config(str(path2))
     msgs = "\n".join(exc.value.problems)
-    assert "epsilon" in msgs and "n_twist" in msgs
+    assert "seed" in msgs and "n_twist" in msgs
 
     path3 = tmp_path / "bad3.json"
     path3.write_text("{not json")

@@ -1,18 +1,22 @@
-"""Dead-code guard: every top-level function and method of the package is
-named by some other line of its code, or is on the allow-list with a reason.
+"""Dead-code guards: every top-level function and method of the package is
+named by some other line of its code, or is on the allow-list with a reason;
+and every scenario setting is read by the code it configures.
 
 A name counts when it appears as a code token; strings, comments and
 docstrings do not name anything.  Dunder methods are called by Python itself
 and are skipped.  A function that loses its last caller fails here until it
-is deleted or allow-listed.
+is deleted or allow-listed.  A ``ScenarioConfig`` field counts as read when
+some module other than ``config.py`` reads it as ``cfg.<field>``.
 """
 
 import ast
 import io
 import tokenize
+from dataclasses import fields
 from pathlib import Path
 
 import contactlab
+from contactlab.config import ScenarioConfig
 
 PACKAGE = Path(contactlab.__file__).resolve().parent
 
@@ -40,12 +44,18 @@ def _definitions(module, tree):
                     yield f"{module}.{node.name}.{sub.name}", sub.name, sub.lineno
 
 
+def _code_tokens(text):
+    """The name and operator tokens of a module, without strings and comments."""
+    return [tok for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type in (tokenize.NAME, tokenize.OP)]
+
+
 def unnamed_definitions():
     defs, uses = [], {}
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         defs.extend((path, *d) for d in _definitions(path.stem, ast.parse(text)))
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        for tok in _code_tokens(text):
             if tok.type == tokenize.NAME:
                 uses.setdefault(tok.string, set()).add((path, tok.start[0]))
     return sorted(qual for path, qual, name, line in defs
@@ -55,3 +65,17 @@ def unnamed_definitions():
 
 def test_every_function_is_named_or_allow_listed():
     assert unnamed_definitions() == sorted(ALLOWED)
+
+
+def unread_scenario_fields():
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "config.py":
+            toks = _code_tokens(path.read_text())
+            read.update(name.string for cfg, dot, name in zip(toks, toks[1:], toks[2:])
+                        if (cfg.string, dot.string, name.type) == ("cfg", ".", tokenize.NAME))
+    return [f.name for f in fields(ScenarioConfig) if f.name not in read]
+
+
+def test_every_scenario_field_is_read():
+    assert unread_scenario_fields() == []

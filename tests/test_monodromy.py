@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab import flows, monodromy as mono, suites, surgery
-from contactlab.config import ScenarioConfig
+from contactlab import flows, monodromy as mono, reports, suites, surgery
+from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig
 from contactlab.profiles import HandleProfile
-from contactlab.reports import check_rng
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint, SurgeryConfig
 
@@ -167,15 +166,27 @@ def test_window_deviation_does_not_depend_on_the_frame():
         assert abs(devs[0] - devs[1]) <= 1e-12
 
 
+def _run_window_check(monkeypatch, seed: int = 0):
+    """The monodromy suite's smoothing-window-bound record, with every other
+    check of the suite skipped."""
+    def one_check(name, *args):
+        if name == "smoothing-window-bound":
+            return reports.run_check(name, *args)
+        anchor, ops, tolerance, _ = args
+        return reports.CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
+                                   tolerance=tolerance, passed=True, ops=ops)
+
+    monkeypatch.setattr(suites, "run_check", one_check)
+    report = suites.run_suite(config_from_dict({"suite": "monodromy", "seed": seed}))
+    return next(c for c in report.checks if c.name == "smoothing-window-bound")
+
+
 @pytest.mark.parametrize("seed", [103, 115])
-def test_window_slopes_hold_at_default_settings(seed):
-    cfg = ScenarioConfig(seed=seed)
-    rng = check_rng(seed, "window")
-    wconf = SurgeryConfig(epsilon=cfg.window_epsilon, delta=0.05)
-    for devs in mono.delta_deviation_scan(rng, list(cfg.window_deltas), cfg.n_window, (2, 3),
-                                          wconf, FLOW).values():
-        slope = mono.fit_log_slope(list(devs), list(devs.values()))
-        assert suites.WINDOW_EXPONENT_LOW <= slope <= suites.WINDOW_EXPONENT_HIGH
+def test_window_slopes_hold_at_default_settings(seed, monkeypatch):
+    record = _run_window_check(monkeypatch, seed)
+    assert record.passed
+    for fit in record.details.values():
+        assert suites.WINDOW_EXPONENT_LOW <= fit["slope"] <= suites.WINDOW_EXPONENT_HIGH
 
 
 def test_log_slope_needs_two_distinct_abscissae():
@@ -194,23 +205,11 @@ def test_log_slope_rejects_non_positive_or_non_finite_ordinates():
 def test_zero_deviation_fails_the_window_check(monkeypatch):
     # a zero deviation has no logarithm: the check must record the error, not
     # pass on a NaN slope that max(0.0, nan) hides
-    from contactlab import reports
-    from contactlab.config import config_from_dict
-
-    def one_check(name, *args):
-        if name == "smoothing-window-bound":
-            return reports.run_check(name, *args)
-        anchor, ops, tolerance, _ = args
-        return reports.CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
-                                   tolerance=tolerance, passed=True, ops=ops)
-
-    monkeypatch.setattr(suites, "run_check", one_check)
     monkeypatch.setattr(mono, "delta_deviation_scan",
                         lambda rng, deltas, count, blocks, *rest: {
                             nzw: {d: (0.0 if i == 0 else d) for i, d in enumerate(deltas)}
                             for nzw in blocks})
-    report = suites.run_suite(config_from_dict({"suite": "monodromy"}))
-    record = next(c for c in report.checks if c.name == "smoothing-window-bound")
+    record = _run_window_check(monkeypatch)
     assert not record.passed
     assert record.details["error"].startswith("ValueError: a log slope needs")
 

@@ -19,6 +19,14 @@ from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint
 
 FIELDS = [f.name for f in fields(ScenarioConfig)]
+# the geometry and numerics that a scenario once set, with the values the
+# checks now declare themselves
+REMOVED_SETTINGS = {
+    "epsilon": 0.1, "window_epsilon": 0.24, "p0": 1.0, "twist_k": 1, "scale_C": 4.0,
+    "deltas": [0.05, 0.1], "window_deltas": [0.02, 0.01, 0.005],
+    "a_values": [10.0, 100.0, 1000.0, 10000.0], "sphere_dims": [1, 2, 3],
+    "model_dims": [[2, 1], [3, 1], [3, 2]], "page_blocks": [2, 3, 4],
+    "h_fd": 1e-5, "flow_step": 1e-3, "giroux_flow_step": 0.02, "quad_nodes": 32}
 
 json_scalars = st.none() | st.booleans() | st.integers(-10**6, 10**6) \
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8)
@@ -46,14 +54,26 @@ def test_scenario_fields_are_pinned():
     # a new scenario setting must edit this list
     assert FIELDS == [
         "suite", "seed", "out_dir",
-        "epsilon", "window_epsilon", "p0", "twist_k", "scale_C",
-        "deltas", "window_deltas", "a_values",
-        "sphere_dims", "model_dims", "page_blocks",
         "n_twist", "n_strict", "n_liouville", "n_surface_scan", "n_monodromy",
         "n_giroux", "n_giroux_numeric", "n_chains", "n_nonconnected", "n_window",
-        "h_fd", "flow_step", "giroux_flow_step", "quad_nodes", "search_depth"]
+        "search_depth"]
 
 
+@pytest.mark.parametrize("key", REMOVED_SETTINGS)
+def test_removed_settings_are_refused_as_unknown_fields(key, tmp_path, capsys):
+    data = {"suite": "moves", key: REMOVED_SETTINGS[key]}
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert exc.value.problems == [f"unknown fields: ['{key}']"]
+    path = tmp_path / "removed.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["--config", str(path)]) == 2
+    assert f"unknown fields: ['{key}']" in capsys.readouterr().err
+
+
+# a row whose key is no longer a setting (epsilon, twist_k, flow_step, ...)
+# keeps its old bad value: the key is still refused by name, now as an
+# unknown field
 @pytest.mark.parametrize("data, field", [
     ({"epsilon": "0.1"}, "epsilon"),
     ({"n_chains": "5"}, "n_chains"),
@@ -85,8 +105,10 @@ def test_scenario_fields_are_pinned():
     ({"deltas": [0.3]}, "deltas"),
     ({"window_deltas": [0.3, 0.2]}, "window_deltas"),
     ({"suite": "moves", "search_depth": -1}, "search_depth"),
-    ({"a_values": [10000.0, 1000.0, 100.0, 10.0]}, "a_values: must be strictly increasing"),
-    ({"a_values": [100.0, 100.0]}, "a_values: must be strictly increasing"),
+    ({"suite": "moves", "seed": -3}, "seed: must be non-negative"),
+    ({"n_window": 0}, "n_window: sample count must be >= 1"),
+    ({"seed": True}, "seed"),
+    ({"out_dir": 5}, "out_dir"),
 ])
 def test_bad_config_values_are_named(data, field):
     with pytest.raises(ConfigError) as exc:
@@ -137,7 +159,7 @@ def test_config_root_must_be_an_object(data):
     {"suite": "all", "seed": 11, "n_twist": 25, "n_strict": 25, "n_liouville": 15,
      "n_surface_scan": 400, "n_monodromy": 12, "n_giroux": 12, "n_giroux_numeric": 2,
      "n_chains": 60, "n_nonconnected": 12, "n_window": 5},
-    {"p0": 1, "out_dir": None, "window_deltas": [0.02, 0.01]},
+    {"seed": 3, "out_dir": None, "search_depth": 0},
 ])
 def test_good_configs_parse(data):
     cfg = config_from_dict(data)
@@ -190,6 +212,11 @@ def test_any_text_gives_a_round_tripping_descriptor_or_value_error(text):
     "page 2\nhandle h0 index 1 framing std\nsphere S0 supports h0\nword S0^+x",
     "page 2\nhandle h0 index 1 framing std extra",
     "page 2\nhandle h0 index 1 framing std\nsphere S0 supports h0 disk d0",
+    # integers are ASCII digits with an optional sign, as to_text writes them
+    "page 2\nhandle h0 index 1_0 framing std",
+    "page \uff13",
+    "page 2\nhandle h0 index \u0661 framing std",
+    "page 2\nhandle h0 index 1 framing std\nsphere S0 supports h0\nword S0^+\u0661",
     "",
     "  \n\t\n",
 ])
@@ -200,12 +227,22 @@ def test_malformed_text_raises_value_error_naming_the_line(text):
     assert (bad_lines[-1] in str(exc.value)) if bad_lines else "empty" in str(exc.value)
 
 
+@pytest.mark.parametrize("text", [
+    "word",
+    "handle h0 index 1 framing std",
+    "handle h0 index 1 framing std\nsphere S0 supports h0\nword S0^+1",
+])
+def test_text_without_a_page_line_is_refused(text):
+    with pytest.raises(ValueError, match="no page line"):
+        mv.from_text(text)
+
+
 def test_cli_exits_2_naming_mistyped_fields(tmp_path, capsys):
     path = tmp_path / "typed.json"
-    path.write_text(json.dumps({"suite": "moves", "epsilon": "0.1", "seed": -1}))
+    path.write_text(json.dumps({"suite": "moves", "n_chains": "5", "seed": -1}))
     assert cli.main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "epsilon" in err and "seed" in err
+    assert "n_chains" in err and "seed" in err
 
 
 @pytest.mark.parametrize("kind, reason", [("missing", "No such file"),

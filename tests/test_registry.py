@@ -1,7 +1,10 @@
 """The check registry: each check is declared once, each suite name is spelled
 once, and the config, the CLI and the runner all read the same registry."""
 
+import json
+
 import pytest
+from conftest import REDUCED_ALL
 
 from contactlab import cli, suites
 from contactlab.config import ConfigError, config_from_dict
@@ -40,6 +43,19 @@ def test_all_is_the_union_of_the_single_suites(calls):
 def test_the_reduced_run_makes_every_registered_check(all_suite_report, calls):
     suites.run_suite(config_from_dict({"suite": "all"}))
     assert sorted(c.name for c in all_suite_report.checks) == sorted(call[0] for call in calls)
+
+
+def test_each_suite_alone_repeats_its_records_from_the_all_run(all_suite_report):
+    # check_rng keys each check by (seed, name), so a record must not depend
+    # on which suites ran before it
+    def record_bytes(report):
+        return {c.name: json.dumps(c.as_dict(), indent=2, sort_keys=True) for c in report.checks}
+
+    alone = {}
+    for name in suites.SUITES:
+        cfg = config_from_dict(dict(REDUCED_ALL, suite=name))
+        alone.update(record_bytes(suites.run_suite(cfg)))
+    assert alone == record_bytes(all_suite_report)
 
 
 def test_config_cli_and_runner_read_the_registry(monkeypatch, capsys, calls):
