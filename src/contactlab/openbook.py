@@ -207,22 +207,25 @@ def strip_shear_map(amplitude: float, half_width: float):
 
 def bump_variational_terms(amplitude, r02, x, y, j00, j01, j10, j11):
     """The variational field of the bump H = A (1 - |u|^2/r0^2)_+^4 as the six
-    terms (X_H, d/dt J) for the state columns (x, y, J00, J01, J10, J11).
+    terms (X_H, d/dt J) for the state components (x, y, J00, J01, J10, J11).
 
-    Operands are NumPy columns.  Powers are written as products, the
-    arithmetic of the matrix-form reference that tier-1 pins the map against.
+    Operands are the component rows of a ``(6, m)`` state.  Powers are written
+    as products, the arithmetic of the matrix-form reference that tier-1 pins
+    the map against; only the scalar prefactors that this arithmetic takes
+    first are computed once.
     """
-    base = np.maximum(1.0 - (x * x + y * y) / r02, 0.0)
+    xx, yy = x * x, y * y
+    base = np.maximum(1.0 - (xx + yy) / r02, 0.0)
     base2 = base * base
     base3 = base2 * base
     # X_H = J_std grad H with grad H = coeff * u
-    coeff = -8.0 * amplitude / r02 * base3
+    coeff = (-8.0 * amplitude / r02) * base3
     # Hess H = 2 A q'(s) I + 4 A q''(s) u u^T with q(s) = (1 - s/r0^2)^4
-    diag = 2.0 * amplitude * (-4.0 * base3 / r02)
-    outer = 4.0 * amplitude * (12.0 * base2 / (r02 * r02))
-    h00 = diag + outer * (x * x)
+    diag = (2.0 * amplitude) * (-4.0 * base3 / r02)
+    outer = (4.0 * amplitude) * (12.0 * base2 / (r02 * r02))
+    h00 = diag + outer * xx
     h01 = outer * (x * y)
-    h11 = diag + outer * (y * y)
+    h11 = diag + outer * yy
     # J_std = [[0, 1], [-1, 0]] turns Hess H into rows (h01, h11), (-h00, -h01)
     nh00 = -h00
     return (coeff * y, -coeff * x,
@@ -237,22 +240,23 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
 
     The Jacobian rides along as the variational flow, so both the map and its
     derivative come from one integration of :func:`bump_variational_terms`
-    in NumPy columns on :func:`_kernels.rk4_final`; a single point is the
-    one-row batch.
+    on :func:`_kernels.rk4_final`, over a ``(6, m)`` state whose contiguous
+    rows are the components of all m points; a single point is the
+    one-point batch.
     """
     r02 = support_radius ** 2
 
-    def column_field(u):
-        return np.column_stack(bump_variational_terms(amplitude, r02, *u.T))
+    def row_field(u):
+        return np.array(bump_variational_terms(amplitude, r02, *u))
 
     def func_jac_batch(pts):
-        # the variational flow carries the trajectory: its x-columns are the map
-        state = np.zeros((len(pts), 6))
-        state[:, :2] = pts
-        state[:, 2] = 1.0
-        state[:, 5] = 1.0
-        out = _kernels.rk4_final(column_field, state, 1.0, step)
-        return out[:, :2], out[:, 2:].reshape(len(pts), 2, 2)
+        # the variational flow carries the trajectory: its first two rows are the map
+        state = np.zeros((6, len(pts)))
+        state[:2] = pts.T
+        state[2] = 1.0
+        state[5] = 1.0
+        out = _kernels.rk4_final(row_field, state, 1.0, step)
+        return out[:2].T, out[2:].T.reshape(len(pts), 2, 2)
 
     box = np.array([[-support_radius, support_radius]] * 2)
     return SymplectomorphismCandidate(

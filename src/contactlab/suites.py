@@ -334,8 +334,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         source = surgery.alpha_chart_form(2, 1)
         dim_in = 1 + 4 + 2
         eye = np.eye(dim_in)
-        # C = 4 twice: its second pass takes its own draws, which the record's bytes keep
-        for c_val in (1.0, 4.0, 4.0):
+        for c_val in (1.0, 4.0, 9.0):
             mapping = surgery.phi_c_map(2, 1, c_val)
             for _ in range(30):
                 sp = sphere.random_sphere_point(rng, 1, 0.05, 1.0)
@@ -344,7 +343,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
                 for v in eye:
                     lhs = forms.pullback_eval(mapping, source, u, [v])
                     worst = max(worst, abs(lhs - c_val * source(u, v)))
-        return worst, 90, {"C": [1.0, 4.0, 4.0]}
+        return worst, 90, {"C": [1.0, 4.0, 9.0]}
 
     @check("isotropic-sphere",
            "the contact form vanishes on the tangent spaces of {x=y=0, z=0, |w|=1}",
@@ -935,9 +934,17 @@ def _giroux_case_residuals(cfg: ScenarioConfig, domain, candidate, name: str,
 GIROUX_RESIDUAL_TOL = 1e-5
 
 
+# the Hamiltonian bump of the integrated-flow check and of the two checks on
+# its map.  They run the map at step 0.02, twice its default: the
+# integrated-flow check's Y-flow evaluates it 201 times, and the correction's
+# residual does not depend on the step
+BUMP_AMPLITUDE, BUMP_RADIUS = 0.15, 0.8
+
+
 @suite("giroux")
 def suite_giroux(cfg: ScenarioConfig, check) -> None:
     domain = ob.standard_disk_domain(1.0)
+    bump = ob.hamiltonian_bump_map(BUMP_AMPLITUDE, BUMP_RADIUS, step=0.02)
 
     @check("exactness-correction-identity",
            "the identity needs no correction: zero field, constant primitive",
@@ -995,11 +1002,40 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
            "compactly supported Hamiltonian field",
            ["giroux_correction"], GIROUX_RESIDUAL_TOL)
     def numeric_flow_case():
-        candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.01)
         result, worst, dl = _giroux_case_residuals(
-            cfg, domain, candidate, "giroux-bump", cfg.n_giroux_numeric)
+            cfg, domain, bump, "giroux-bump", cfg.n_giroux_numeric)
         return worst, cfg.n_giroux_numeric, {"mu_closedness": result.mu_closedness,
                                              "dlambda_residual": dl}
+
+    @check("bump-map-exact-rotation",
+           "the time-1 flow of H = A (1 - |u|^2/r0^2)_+^4 turns each circle about "
+           "the origin by c(|u|^2) = -8A/r0^2 (1 - |u|^2/r0^2)_+^3",
+           ["flow_fixed_time"], 1e-8)
+    def bump_rotation():
+        rng = check_rng(cfg.seed, "bump-rotation")
+        pts = rng.uniform(-BUMP_RADIUS, BUMP_RADIUS, (12, 2))
+        base = np.maximum(1.0 - (pts * pts).sum(axis=1) / BUMP_RADIUS ** 2, 0.0)
+        c = -8.0 * BUMP_AMPLITUDE / BUMP_RADIUS ** 2 * base ** 3
+        cos, sin = np.cos(c), np.sin(c)
+        exact = np.stack([cos * pts[:, 0] + sin * pts[:, 1],
+                          -sin * pts[:, 0] + cos * pts[:, 1]], axis=1)
+        return float(np.max(np.abs(bump.batched.func(pts) - exact))), len(pts), {}
+
+    @check("bump-map-carried-jacobian",
+           "the Jacobian carried by the bump map's variational flow is the "
+           "derivative of the map: it matches central differences of the map",
+           ["flow_fixed_time"], 1e-8)
+    def bump_jacobian():
+        rng = check_rng(cfg.seed, "bump-jacobian")
+        pts = rng.uniform(-BUMP_RADIUS, BUMP_RADIUS, (12, 2))
+        fd = 1e-5
+        # the points, then their +e0, -e0, +e1, -e1 neighbours, as one flow
+        shifts = fd * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        img, jac = bump.batched.func_jac(np.vstack([pts, *(pts + e for e in shifts)]))
+        img = img.reshape(5, len(pts), 2)
+        central = np.stack([(img[1] - img[2]) / (2.0 * fd),
+                            (img[3] - img[4]) / (2.0 * fd)], axis=2)
+        return float(np.max(np.abs(jac[:len(pts)] - central))), len(pts), {}
 
     @check("primitive-path-independence",
            "the line-integral primitive agrees across independent paths and with "

@@ -93,6 +93,14 @@ def test_worker_call_shapes_bind():
         inspect.signature(func).bind(*args, **kwargs)
 
 
+def test_bump_map_default_step_is_the_one_the_worker_bounds():
+    # the worker bounds the default-step bump map by 1e-8 against its exact
+    # rotation and in its Jacobian determinant, two orders above the 1.4e-10
+    # and 5.4e-11 that step 0.01 reads; the suite's own bump checks run at 0.02
+    step = inspect.signature(ob.hamiltonian_bump_map).parameters["step"]
+    assert step.default == 0.01
+
+
 def test_traced_results_take_wrapped_functions():
     calls = []
 

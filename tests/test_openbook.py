@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from contactlab import _kernels, forms, openbook as ob, sphere
+from contactlab import _kernels, forms, openbook as ob, sphere, suites
+from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig, flow_fixed_time
 from contactlab.forms import pullback_eval
 from contactlab.profiles import BindingProfile
@@ -268,8 +269,9 @@ def test_bump_func_jac_is_one_integration_of_both():
     assert np.array_equal(jac, ref[:, 2:].reshape(-1, 2, 2))
 
 
-def test_bump_single_row_flow_matches_its_row_of_a_batch():
-    candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.01)
+@pytest.mark.parametrize("step", [0.01, 0.02])
+def test_bump_single_row_flow_matches_its_row_of_a_batch(step):
+    candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=step)
     local = np.random.default_rng(23)
     radii = np.concatenate([local.uniform(0.0, 0.8, 21), local.uniform(0.8, 1.2, 6),
                             np.full(4, 0.8)])
@@ -281,6 +283,29 @@ def test_bump_single_row_flow_matches_its_row_of_a_batch():
         assert img_i.shape == (1, 2) and jac_i.shape == (1, 2, 2)
         assert np.array_equal(img_i[0], img[i])
         assert np.array_equal(jac_i[0], jac[i])
+
+
+@pytest.mark.parametrize("scale, caught", [(0.0, False), (1e-7, True)])
+def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch, scale, caught):
+    # X_H * (1 + scale) with the Hessian left as it is: the integrated-flow
+    # check reads 1.8e-7 against 1e-5 at scale 1e-6, so only these two see it
+    bodies = {}
+
+    def keep_body(name, anchor, ops, tolerance, body):
+        bodies[name] = (tolerance, body)
+
+    monkeypatch.setattr(suites, "run_check", keep_body)
+    suites.run_suite(config_from_dict({"suite": "giroux"}))
+    terms = ob.bump_variational_terms
+
+    def scaled(*args):
+        x_h0, x_h1, *dj = terms(*args)
+        return (x_h0 * (1.0 + scale), x_h1 * (1.0 + scale), *dj)
+
+    monkeypatch.setattr(ob, "bump_variational_terms", scaled)
+    for name in ("bump-map-exact-rotation", "bump-map-carried-jacobian"):
+        tolerance, body = bodies[name]
+        assert (body()[0] > tolerance) == caught
 
 
 def test_default_func_jac_pairs_func_and_jac():

@@ -34,7 +34,7 @@ def test_all_is_the_union_of_the_single_suites(calls):
     calls.clear()
     names = [c.name for c in suites.run_suite(config_from_dict({"suite": "all"})).checks]
     assert names == singles
-    assert len(set(names)) == len(names) == 56
+    assert len(set(names)) == len(names) == 58
     # a rebound run_check sees every check once, name first
     assert [call[0] for call in calls] == names
     assert all(callable(body) for *_, body in calls)
@@ -82,6 +82,7 @@ def test_config_cli_and_runner_read_the_registry(monkeypatch, capsys, calls):
 TOLERANCES = {
     "binding-profile-shape": 0.0, "binding-smooth-across-axis": 1e-6,
     "binding-volume-circle": 0.0, "binding-volume-three-sphere": 0.0,
+    "bump-map-carried-jacobian": 1e-8, "bump-map-exact-rotation": 1e-8,
     "canonical-form-values": 1e-12, "collar-binding-overlap": 1e-14,
     "correction-fixes-support": 1e-8, "descriptor-golden-text": 0.0,
     "exactness-correction-identity": 1e-9, "exactness-correction-integrated-flow": 1e-5,
