@@ -31,10 +31,15 @@ DEFAULT_FD_STEP = 1e-5
 # ---------------------------------------------------------------------------
 
 def fd_directional(func: Callable[[Array], float], x: Array, v: Array,
-                   h: float = DEFAULT_FD_STEP) -> float:
-    """Central-difference directional derivative."""
+                   h: float = DEFAULT_FD_STEP):
+    """Central-difference directional derivative.
+
+    For an (m, d) row batch ``x``, a ``func`` that maps rows to (m,) values and
+    a direction of shape (d,) or (m, d), gives the (m,) derivatives, each
+    equal to its lone value when ``func`` treats rows so.
+    """
     d = (func(x + h * v) - func(x - h * v)) / (2.0 * h)
-    if not np.isfinite(d):
+    if not np.all(np.isfinite(d)):
         raise ValueError("directional derivative is not finite; "
                          "function not differentiable here or step too small")
     return d
@@ -130,8 +135,13 @@ def one_form(dim: int, coeffs: Callable[[Array], Array],
 # ---------------------------------------------------------------------------
 
 def exterior_derivative(form: KFormOracle, pt: Array, vectors: Sequence[Array],
-                        h_fd: float = DEFAULT_FD_STEP) -> float:
-    """(d form)(pt)(v_0 ... v_k) with constant extensions of the arguments."""
+                        h_fd: float = DEFAULT_FD_STEP):
+    """(d form)(pt)(v_0 ... v_k) with constant extensions of the arguments.
+
+    Without a ``d_oracle``, a form that takes rows also takes an (m, d) row
+    batch ``pt``, with vectors of shape (d,) or (m, d), and gives the (m,)
+    values, each equal to its lone value.
+    """
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if len(vectors) != form.degree + 1:
         raise ValueError("exterior derivative needs degree+1 vectors")
@@ -166,19 +176,23 @@ def pullback_eval(mapping: SmoothMap, form: KFormOracle, pt: Array,
 
 
 def liouville_residual(field: Callable[[Array], Array], omega: KFormOracle, pt: Array,
-                       frame: Sequence[Array], h_fd: float = DEFAULT_FD_STEP) -> float:
+                       frame: Sequence[Array], h_fd: float = DEFAULT_FD_STEP):
     """max over frame pairs of |d(i_X omega)(v_i, v_j) - omega(v_i, v_j)|.
 
     By Cartan's formula (omega closed) this is the defect of L_X omega = omega.
+    An (m, d) row batch ``pt``, for a field and a form that take rows, gives
+    the (m,) residuals, each equal to its lone value; the frame vectors have
+    shape (d,) or (m, d).
     """
+    pt = np.asarray(pt, dtype=float)
     contraction = KFormOracle(1, omega.dim, lambda x, v: omega(x, field(x), v))
     worst = 0.0
     frame = [np.asarray(v, dtype=float) for v in frame]
     for i in range(len(frame)):
         for j in range(i + 1, len(frame)):
             d_val = exterior_derivative(contraction, pt, [frame[i], frame[j]], h_fd)
-            worst = max(worst, abs(d_val - omega(pt, frame[i], frame[j])))
-    return worst
+            worst = np.maximum(worst, np.abs(d_val - omega(pt, frame[i], frame[j])))
+    return float(worst) if pt.ndim == 1 else worst
 
 
 def _pfaffian(mat: Array) -> float:

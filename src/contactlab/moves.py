@@ -29,11 +29,24 @@ from typing import Iterable, Literal, Optional, Union
 Letter = tuple[str, int]
 
 
+def _check_token(kind: str, value: str, comma: bool = False) -> None:
+    """Refuse a label or tag that to_text cannot write back: the text splits
+    lines on whitespace and a sphere's supports on commas, and stabilizing
+    along disk d adds the handle h(d)."""
+    if value.split() != [value] or (comma and "," in value):
+        rule = "without whitespace or commas" if comma else "without whitespace"
+        raise ValueError(f"{kind} {value!r} must be non-empty and {rule}")
+
+
 @dataclass(frozen=True)
 class Handle:
     label: str
     index: int
     framing: str
+
+    def __post_init__(self):
+        _check_token("handle label", self.label, comma=True)
+        _check_token(f"framing of handle {self.label}", self.framing)
 
 
 @dataclass(frozen=True)
@@ -41,12 +54,23 @@ class DiskBoundary:
     label: str
     tag: str
 
+    def __post_init__(self):
+        _check_token("disk label", self.label, comma=True)
+        _check_token(f"tag of disk {self.label}", self.tag)
+
 
 @dataclass(frozen=True)
 class LagrangianSphere:
     label: str
     supports: tuple[str, ...]
     from_disk: Optional[DiskBoundary] = None  # set iff created by stabilization
+
+    def __post_init__(self):
+        _check_token("sphere label", self.label)
+        if not self.supports:
+            raise ValueError(f"sphere {self.label} must ride at least one handle")
+        for h in self.supports:
+            _check_token(f"support of sphere {self.label}", h, comma=True)
 
 
 @dataclass(frozen=True)
@@ -99,6 +123,20 @@ class AbstractPage:
                     (s_label != s_owner and s_label in sphere_labels):
                 raise ValueError(f"labels {h_label} and {s_label} are reserved for "
                                  f"stabilizing along disk {d}")
+
+    def __hash__(self):
+        # the search hashes every page it meets, often more than once; the
+        # fields are immutable, so the hash is taken once per page
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.half_dim, self.handles, self.spheres, self.disks))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # string hashes differ between interpreters: a pickle carries no hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def sphere(self, label: str) -> LagrangianSphere:
         for s in self.spheres:
@@ -349,15 +387,15 @@ def equivalent_up_to_moves(d1: OpenBookDesc, d2: OpenBookDesc, depth: int = 6,
     Returns True when a move chain of length <= depth connects the
     descriptors, and "unknown" when the bound (or the node budget) is
     exhausted -- never False, since the move calculus is not known to be
-    complete."""
-    k1, k2 = to_text(d1), to_text(d2)
-    if k1 == k2:
+    complete.  States are keyed by their descriptor values, so two
+    descriptors meet only when they are equal (each page hashes once)."""
+    if d1 == d2:
         return True
     # every move is invertible, so meet-in-the-middle search is sound
-    front = {k1: d1}
-    back = {k2: d2}
-    seen_front = {k1}
-    seen_back = {k2}
+    front = [d1]
+    back = [d2]
+    seen_front = {d1}
+    seen_back = {d2}
     steps_front = (depth + 1) // 2
     steps_back = depth // 2
     nodes = 0
@@ -370,15 +408,14 @@ def equivalent_up_to_moves(d1: OpenBookDesc, d2: OpenBookDesc, depth: int = 6,
             frontier = front if side == "front" else back
             seen = seen_front if side == "front" else seen_back
             other_seen = seen_back if side == "front" else seen_front
-            new: dict[str, OpenBookDesc] = {}
-            for desc in frontier.values():
+            new: list[OpenBookDesc] = []
+            for desc in frontier:
                 for nb in neighbors(desc):
-                    key = to_text(nb)
-                    if key in other_seen:
+                    if nb in other_seen:
                         return True
-                    if key not in seen:
-                        seen.add(key)
-                        new[key] = nb
+                    if nb not in seen:
+                        seen.add(nb)
+                        new.append(nb)
                         nodes += 1
                         if nodes > max_nodes:
                             return "unknown"

@@ -160,35 +160,61 @@ def dehn_twist_map(profile: DehnTwistProfile, n: int) -> SmoothMap:
 
 
 def tangent_frame(pt: SpherePoint) -> list[Array]:
-    """A 2n-vector basis of the constraint tangent space at (q, p).
+    """A 2n-vector basis of the constraint tangent space at (q, p): the
+    one-row call of :func:`tangent_frames`."""
+    return list(tangent_frames(pt.q[None], pt.p[None])[0])
+
+
+def tangent_frames(q: Array, p: Array) -> Array:
+    """The (m, 2n, 2(n+1)) tangent frames of (m, n+1) rows q, p on the bundle.
 
     Horizontal lifts (u, -(p.u) q) and vertical vectors (0, u) over an
     orthonormal basis u of the hyperplane q-perp.
     """
-    d = pt.q.size
-    basis = _orthonormal_complement(pt.q)
-    frame = []
-    for u in basis:
-        frame.append(np.concatenate([u, -(pt.p @ u) * pt.q]))
-    for u in basis:
-        frame.append(np.concatenate([np.zeros(d), u]))
-    return frame
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    d = q.shape[1]
+    basis = _orthonormal_complements(q)
+    frames = np.zeros((q.shape[0], 2 * (d - 1), 2 * d))
+    frames[:, :d - 1, :d] = basis
+    frames[:, :d - 1, d:] = -np.vecdot(p[:, None], basis)[..., None] * q[:, None]
+    frames[:, d - 1:, d:] = basis
+    return frames
 
 
 def _orthonormal_complement(q: Array) -> list[Array]:
-    d = q.size
-    mat = np.eye(d) - np.outer(q, q)
-    # orthonormalize the projected coordinate directions
-    vecs = []
+    """An orthonormal basis of q-perp for a unit vector q: the one-row call of
+    :func:`_orthonormal_complements`."""
+    return list(_orthonormal_complements(q[None])[0])
+
+
+def _orthonormal_complements(q: Array) -> Array:
+    """(m, d-1, d) orthonormal bases of q-perp for (m, d) unit rows q.
+
+    Gram-Schmidt on the projected coordinate directions, in column order: a
+    row skips a column whose projected remainder has norm <= 1e-8 and stops
+    at d - 1 vectors.  Each row repeats the bits of the loop over its lone
+    columns, since every dot product sees the operand layout the loop gives
+    it (a strided column of the projector, a norm of a contiguous copy).
+    """
+    m, d = q.shape
+    mat = np.eye(d) - q[:, :, None] * q[:, None, :]
+    vecs = np.zeros((m, d - 1, d))
+    count = np.zeros(m, dtype=int)
+    rows = np.arange(m)
     for col in range(d):
-        v = mat[:, col]
-        for u in vecs:
-            v = v - (v @ u) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            vecs.append(v / norm)
-        if len(vecs) == d - 1:
-            break
+        v = mat[:, :, col]
+        for k in range(min(col, d - 1)):
+            has = count > k
+            if not has.any():
+                break
+            proj = v - np.vecdot(v, vecs[:, k])[:, None] * vecs[:, k]
+            v = np.where(has[:, None], proj, v)
+        contiguous = np.ascontiguousarray(v)
+        norm = np.sqrt(np.vecdot(contiguous, contiguous))
+        take = (norm > 1e-8) & (count < d - 1)
+        vecs[rows[take], count[take]] = v[take] / norm[take, None]
+        count += take
     return vecs
 
 

@@ -93,16 +93,14 @@ def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
                             profile: DehnTwistProfile) -> float:
     """max defect of the twist preserving d(p dq) on constraint-tangent frames.
 
-    The points are drawn one at a time; their Jacobians are taken as one row
-    batch, and each frame vector is pushed forward once.
+    The points are drawn one at a time; their frames and Jacobians are taken
+    as row batches, and each frame vector is pushed forward once.
     """
     if not count:
         return 0.0
-    dim = 2 * n + 2
-    points, frames = np.empty((count, dim)), np.empty((count, 2 * n, dim))
-    for i in range(count):
-        pt = sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0)
-        points[i], frames[i] = pt.as_array(), sphere.tangent_frame(pt)
+    points = np.array([sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0).as_array()
+                       for _ in range(count)])
+    frames = sphere.tangent_frames(points[:, :n + 1], points[:, n + 1:])
     jac = forms.fd_jacobian(sphere.dehn_twist_map(profile, n).func, points)
     pushed = (jac[:, None] @ frames[..., None])[..., 0]
     worst = 0.0
@@ -261,8 +259,8 @@ def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) ->
     """max defect of psi_w pulling the model form back to the chart form, on
     the chart's z, sphere-bundle and (x, y) directions.
 
-    The points are drawn one at a time; the pullback is then taken on the
-    row batch, with one stack of rows per direction.
+    The points are drawn one at a time; their frames and the pullback are
+    then taken on the row batch, with one stack of rows per direction.
     """
     if not count:
         return 0.0
@@ -282,7 +280,8 @@ def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) ->
         x = rng.standard_normal(nxy)
         y = rng.standard_normal(nxy)
         u[i] = surgery.chart_pack(z, sp.q, sp.p, x, y)
-        vecs[1:1 + n_frame, i, 1:1 + 2 * nzw] = sphere.tangent_frame(sp)
+    frames = sphere.tangent_frames(u[:, 1:1 + nzw], u[:, 1 + nzw:1 + 2 * nzw])
+    vecs[1:1 + n_frame, :, 1:1 + 2 * nzw] = frames.transpose(1, 0, 2)
     lhs = forms.pullback_eval(mapping, target, u, [vecs])
     return float(np.max(np.abs(lhs - source(u, vecs))))
 
@@ -336,13 +335,16 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         eye = np.eye(dim_in)
         for c_val in (1.0, 4.0, 9.0):
             mapping = surgery.phi_c_map(2, 1, c_val)
+            rows = []
             for _ in range(30):
                 sp = sphere.random_sphere_point(rng, 1, 0.05, 1.0)
-                u = surgery.chart_pack(float(rng.uniform(-1, 1)), sp.q, sp.p,
-                                       rng.standard_normal(1), rng.standard_normal(1))
-                for v in eye:
-                    lhs = forms.pullback_eval(mapping, source, u, [v])
-                    worst = max(worst, abs(lhs - c_val * source(u, v)))
+                rows.append(surgery.chart_pack(float(rng.uniform(-1, 1)), sp.q, sp.p,
+                                               rng.standard_normal(1), rng.standard_normal(1)))
+            u = np.array(rows)
+            # the 7 basis vectors of every row, as one (7, 30, 7) stack
+            vecs = np.broadcast_to(eye[:, None], (dim_in, len(rows), dim_in))
+            lhs = forms.pullback_eval(mapping, source, u, [vecs])
+            worst = max(worst, float(np.max(np.abs(lhs - c_val * source(u, vecs)))))
         return worst, 90, {"C": [1.0, 4.0, 9.0]}
 
     @check("isotropic-sphere",
@@ -372,14 +374,13 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            ["liouville_X", "liouville_residual"], LIOUVILLE_TOL)
     def liouville_main():
         rng = check_rng(cfg.seed, "liouville-main")
-        worst = 0.0
         fld = surgery.liouville_field(1, 2)
         om = surgery.omega0_form(1, 2)
         frame = list(np.eye(6))
-        for _ in range(cfg.n_liouville):
-            pt = ModelPoint(rng.standard_normal(1), rng.standard_normal(1),
-                            rng.standard_normal(2), rng.standard_normal(2))
-            worst = max(worst, forms.liouville_residual(fld, om, pt.as_array(), frame))
+        pts = np.array([ModelPoint(rng.standard_normal(1), rng.standard_normal(1),
+                                   rng.standard_normal(2), rng.standard_normal(2)).as_array()
+                        for _ in range(cfg.n_liouville)])
+        worst = float(np.max(forms.liouville_residual(fld, om, pts, frame)))
         return worst, cfg.n_liouville, {}
 
     @check("liouville-speed-family",
@@ -392,10 +393,9 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         frame = list(np.eye(4))
         for a in (0.0, 1.0, 10.0):
             fld = surgery.liouville_a_field(0, 2, a)
-            for _ in range(30):
-                pt = ModelPoint(np.zeros(0), np.zeros(0),
-                                rng.standard_normal(2), rng.standard_normal(2))
-                worst = max(worst, forms.liouville_residual(fld, om, pt.as_array(), frame))
+            pts = np.array([ModelPoint(np.zeros(0), np.zeros(0), rng.standard_normal(2),
+                                       rng.standard_normal(2)).as_array() for _ in range(30)])
+            worst = max(worst, float(np.max(forms.liouville_residual(fld, om, pts, frame))))
         fld = surgery.liouville_a_field(0, 2, 1.0)
         vec = fld(ModelPoint(np.zeros(0), np.zeros(0), np.array([1.0, 0.0]),
                              np.array([0.0, 1.0])).as_array())
@@ -1390,7 +1390,7 @@ def _sample_page(rng) -> mv.OpenBookDesc:
                   for i in range(int(rng.integers(1, 3))))
     page = mv.AbstractPage(3, handles, spheres, disks)
     word = tuple((spheres[int(rng.integers(0, len(spheres)))].label,
-                  int(rng.choice([-1, 1])))
+                  (-1, 1)[int(rng.integers(0, 2))])
                  for _ in range(int(rng.integers(0, 4))))
     return mv.OpenBookDesc(page, mv.reduce_word(word))
 
@@ -1414,7 +1414,7 @@ def _random_chain(rng, desc: mv.OpenBookDesc, length: int) -> mv.OpenBookDesc:
             cur = mv.cyclic_rotate_back(cur)
         elif op == "conj":
             sph = cur.page.spheres[int(rng.integers(0, len(cur.page.spheres)))]
-            cur = mv.conjugate(cur, sph.label, int(rng.choice([-1, 1])))
+            cur = mv.conjugate(cur, sph.label, (-1, 1)[int(rng.integers(0, 2))])
         elif op == "stab":
             disk = cur.page.disks[int(rng.integers(0, len(cur.page.disks)))]
             cur = mv.stabilize(cur, disk.label)

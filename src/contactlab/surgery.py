@@ -104,15 +104,19 @@ class SurgeryConfig:
 # forms and fields
 # ---------------------------------------------------------------------------
 
-def _omega0_flat(v1: Array, v2: Array, nxy: int, nzw: int) -> float:
+def _omega0_flat(v1: Array, v2: Array, nxy: int, nzw: int):
+    """dx^dy + dz^dw on two (d,) vectors, or on each row pair of (m, d) rows."""
     b = 2 * nxy
-    val = v1[:nxy] @ v2[nxy:b] - v1[nxy:b] @ v2[:nxy]
-    val += v1[b:b + nzw] @ v2[b + nzw:] - v1[b + nzw:] @ v2[b:b + nzw]
-    return float(val)
+    val = (np.vecdot(v1[..., :nxy], v2[..., nxy:b])
+           - np.vecdot(v1[..., nxy:b], v2[..., :nxy]))
+    val += (np.vecdot(v1[..., b:b + nzw], v2[..., b + nzw:])
+            - np.vecdot(v1[..., b + nzw:], v2[..., b:b + nzw]))
+    return val
 
 
 def omega0_form(nxy: int, nzw: int) -> KFormOracle:
-    """dx^dy + dz^dw on two ambient vectors in block layout."""
+    """dx^dy + dz^dw on two ambient vectors in block layout; on (m, d) vectors
+    it gives the (m,) values of their row pairs."""
     dim = 2 * nxy + 2 * nzw
     form = KFormOracle(2, dim, lambda x, u, v: _omega0_flat(u, v, nxy, nzw))
     form.d_oracle = lambda x, u, v, w: 0.0

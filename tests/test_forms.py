@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from contactlab import surgery
-from contactlab.forms import (KFormOracle, SmoothMap, exterior_derivative,
+from contactlab.forms import (KFormOracle, SmoothMap, exterior_derivative, fd_directional,
                               fd_jacobian, liouville_residual, one_form, psh_gram_matrix,
                               pullback_eval, contact_volume, reeb_coefficients)
 
@@ -231,3 +231,32 @@ def test_exterior_derivative_alternates_in_its_arguments():
     a, b = rng.standard_normal(6), rng.standard_normal(6)
     assert abs(exterior_derivative(alpha, y, [a, b])
                + exterior_derivative(alpha, y, [b, a])) < 1e-10
+
+
+def _liouville_cases():
+    """The fields and forms of liouville-expansion and liouville-speed-family."""
+    yield surgery.liouville_field(1, 2), surgery.omega0_form(1, 2), 6
+    for a in (0.0, 1.0, 10.0):
+        yield surgery.liouville_a_field(0, 2, a), surgery.omega0_form(0, 2), 4
+
+
+def test_liouville_rows_repeat_their_lone_residuals_bitwise():
+    rows_rng = np.random.default_rng(24)
+    for fld, om, dim in _liouville_cases():
+        pts = rows_rng.standard_normal((40, dim))
+        for frame in (list(np.eye(dim)), list(rows_rng.standard_normal((dim, dim)))):
+            out = liouville_residual(fld, om, pts, frame)
+            assert out.shape == (40,)
+            lone = [liouville_residual(fld, om, u, frame) for u in pts]
+            assert all(isinstance(r, float) for r in lone)
+            assert np.array_equal(out, lone)
+
+
+def test_directional_derivative_refuses_a_row_that_turns_non_finite():
+    def func(x):
+        return np.where(x[:, 0] > 1.0, np.inf, x[:, 0])
+
+    rows = np.array([[0.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(fd_directional(func, rows[:1], np.eye(2)[0]), [1.0])
+    with pytest.raises(ValueError, match="not finite"):
+        fd_directional(func, rows, np.eye(2)[0])

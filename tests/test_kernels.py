@@ -246,6 +246,19 @@ def test_straightening_rows_match_lone_points(nzw, nxy):
                                                for vs in vecs])
 
 
+@pytest.mark.parametrize("c_val", [1.0, 4.0, 9.0])
+def test_conformality_rows_match_lone_points(c_val):
+    # rescaling-conformality's pullback: 30 chart rows, each against the 7 basis vectors
+    rows = rng.standard_normal((30, 7))
+    mapping, source = surgery.phi_c_map(2, 1, c_val), surgery.alpha_chart_form(2, 1)
+    eye = np.eye(7)
+    vecs = np.broadcast_to(eye[:, None], (7, 30, 7))
+    assert np.array_equal(forms.pullback_eval(mapping, source, rows, [vecs]),
+                          [[forms.pullback_eval(mapping, source, u, [v]) for u in rows]
+                           for v in eye])
+    assert np.array_equal(source(rows, vecs), [[source(u, v) for u in rows] for v in eye])
+
+
 def test_fd_jacobian_rows_match_lone_jacobians():
     for func, rows in ((sphere.dehn_twist_map(DehnTwistProfile(1.0, 1), 2).func,
                         _twist_rows(2, DehnTwistProfile(1.0, 1))),

@@ -1,5 +1,7 @@
 """Abstract open book descriptors and the sound move calculus."""
 
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -258,3 +260,135 @@ def test_equivalence_chain_recognition():
     for _ in range(50):
         target = _random_chain(rng, d, int(rng.integers(1, 7)))
         assert mv.equivalent_up_to_moves(d, target, depth=6) is True
+
+
+@pytest.mark.parametrize("build, label", [
+    (lambda: mv.Handle("", 1, "std"), ""),
+    (lambda: mv.Handle("h 0", 1, "std"), "h 0"),
+    (lambda: mv.Handle("h0,h1", 1, "std"), "h0,h1"),
+    (lambda: mv.Handle("h0", 1, "std x"), "std x"),
+    (lambda: mv.Handle("h0", 1, ""), ""),
+    (lambda: mv.DiskBoundary("d\t1", "t1"), "d\t1"),
+    (lambda: mv.DiskBoundary("d1,d2", "t1"), "d1,d2"),
+    (lambda: mv.DiskBoundary("d1", "t 1"), "t 1"),
+    (lambda: mv.LagrangianSphere("S\n", ("h0",)), "S\n"),
+    (lambda: mv.LagrangianSphere("S", ("h0,h1",)), "h0,h1"),
+    (lambda: mv.LagrangianSphere("S", ("",)), ""),
+    (lambda: mv.subcritical_attach(sample_desc(), "hx", 1, "std x"), "std x+D2"),
+])
+def test_labels_that_text_cannot_write_back_are_refused(build, label):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert repr(label) in str(exc.value)
+
+
+def test_a_sphere_without_supports_is_refused():
+    with pytest.raises(ValueError, match="sphere S must ride at least one handle"):
+        mv.LagrangianSphere("S", ())
+
+
+def _unchecked(cls, *values):
+    """An instance built around its own label checks, as at a parent that had none."""
+    obj = object.__new__(cls)
+    for f, value in zip(dataclasses.fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
+
+
+def test_descriptors_with_equal_text_but_unequal_values_are_not_identified():
+    # with a handle labeled "h0,h1", a sphere on ("h0,h1",) and a sphere on
+    # ("h0", "h1") write the same text; the label is refused now, and the
+    # search compares values, so the pair is no longer declared equivalent
+    with pytest.raises(ValueError, match=re.escape("'h0,h1'")):
+        mv.Handle("h0,h1", 1, "std")
+    handles = (mv.Handle("h0", 1, "std"), mv.Handle("h1", 1, "std"),
+               _unchecked(mv.Handle, "h0,h1", 1, "std"))
+    one, two = (mv.OpenBookDesc(mv.AbstractPage(3, handles, (
+        _unchecked(mv.LagrangianSphere, "S", supports, None),), (mv.DiskBoundary("d1", "t1"),)),
+        (("S", 1),)) for supports in (("h0,h1",), ("h0", "h1")))
+    assert one != two and mv.to_text(one) == mv.to_text(two)
+    assert mv.equivalent_up_to_moves(one, two, depth=4) == "unknown"
+
+
+def _text_keyed_search(d1, d2, depth, max_nodes=50000):
+    """The bidirectional search keyed by descriptor text, as first written."""
+    k1, k2 = mv.to_text(d1), mv.to_text(d2)
+    if k1 == k2:
+        return True
+    front, back = {k1: d1}, {k2: d2}
+    seen_front, seen_back = {k1}, {k2}
+    steps_front, steps_back = (depth + 1) // 2, depth // 2
+    nodes = 0
+    for level in range(max(steps_front, steps_back)):
+        for side in ("front", "back"):
+            if level >= (steps_front if side == "front" else steps_back):
+                continue
+            frontier = front if side == "front" else back
+            seen = seen_front if side == "front" else seen_back
+            other_seen = seen_back if side == "front" else seen_front
+            new = {}
+            for desc in frontier.values():
+                for nb in mv.neighbors(desc):
+                    key = mv.to_text(nb)
+                    if key in other_seen:
+                        return True
+                    if key not in seen:
+                        seen.add(key)
+                        new[key] = nb
+                        nodes += 1
+                        if nodes > max_nodes:
+                            return "unknown"
+            if side == "front":
+                front = new
+            else:
+                back = new
+    return "unknown"
+
+
+def _chain_and_nonconnected_pairs(seed=0, n_chains=200, n_pages=100):
+    """The pairs of move-chain-recognition and no-false-equivalence, with depths."""
+    from contactlab.suites import _random_chain, _sample_page
+    rng = np.random.default_rng([seed, 202])
+    _sample_page(rng)
+    pairs = []
+    for _ in range(n_chains):
+        desc = _sample_page(rng)
+        pairs.append((desc, _random_chain(rng, desc, int(rng.integers(1, 7))), 6))
+    rng = np.random.default_rng([seed, 303])
+    for i in range(n_pages):
+        desc = _sample_page(rng)
+        page2 = mv.AbstractPage(desc.page.half_dim,
+                                desc.page.handles + (mv.Handle(f"hx{i}", 1, "std+D2"),),
+                                desc.page.spheres, desc.page.disks)
+        pairs.append((desc, mv.OpenBookDesc(page2, desc.word), 4))
+    return pairs
+
+
+def test_value_keyed_search_repeats_the_text_keyed_verdicts():
+    pairs = _chain_and_nonconnected_pairs()
+    verdicts = [mv.equivalent_up_to_moves(a, b, depth=depth) for a, b, depth in pairs]
+    assert verdicts == [_text_keyed_search(a, b, depth) for a, b, depth in pairs]
+    assert verdicts.count(True) == 200 and verdicts.count("unknown") == 100
+    # a small node budget stops both searches at the same node
+    budget = [mv.equivalent_up_to_moves(a, b, depth=depth, max_nodes=40) for a, b, depth in pairs]
+    assert budget == [_text_keyed_search(a, b, depth, 40) for a, b, depth in pairs]
+    assert "unknown" in budget[:200]
+
+
+def test_search_never_writes_descriptor_text(monkeypatch):
+    pairs = _chain_and_nonconnected_pairs(n_chains=50, n_pages=20)
+
+    def refuse(desc):
+        raise AssertionError("the search wrote descriptor text")
+
+    monkeypatch.setattr(mv, "to_text", refuse)
+    verdicts = [mv.equivalent_up_to_moves(a, b, depth=depth) for a, b, depth in pairs]
+    assert verdicts == [True] * 50 + ["unknown"] * 20
+
+
+def test_a_page_hashes_its_fields_once_and_pickles_without_the_hash():
+    page = sample_desc().page
+    assert hash(page) == hash((page.half_dim, page.handles, page.spheres, page.disks))
+    assert page.__dict__["_hash"] == hash(page)
+    copy = pickle.loads(pickle.dumps(page))
+    assert copy == page and "_hash" not in copy.__dict__

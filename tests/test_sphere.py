@@ -168,3 +168,66 @@ def test_twist_residual_repeats_the_pointwise_reference_bitwise(n):
         ref = _twist_residual_reference(ref_rng, n, 40, profile, 1e-5)
         assert twist_pullback_residual(rng_, n, 40, profile) == ref
         assert rng_.random() == ref_rng.random()  # the same draws, in the same order
+
+
+def _frame_reference(q, p):
+    """tangent_frame as first written: Gram-Schmidt over the lone columns."""
+    d = q.size
+    mat = np.eye(d) - np.outer(q, q)
+    basis = []
+    for col in range(d):
+        v = mat[:, col]
+        for u in basis:
+            v = v - (v @ u) * u
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            basis.append(v / norm)
+        if len(basis) == d - 1:
+            break
+    return ([np.concatenate([u, -(p @ u) * q]) for u in basis]
+            + [np.concatenate([np.zeros(d), u]) for u in basis])
+
+
+def _frame_rows(n, count):
+    """(count, 2(n+1)) bundle points, with axis-aligned and coordinate-plane q among them."""
+    frame_rng = np.random.default_rng(n)
+    d = n + 1
+    qs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
+    qs += [np.array([1.0, 1.0] + [0.0] * (d - 2)) / math.sqrt(2.0),
+           np.array([0.0] * (d - 2) + [0.6, -0.8])]
+    rows = [np.concatenate([q, 0.7 * np.roll(q, 1) - 0.7 * (q @ np.roll(q, 1)) * q]) for q in qs]
+    rows += [sphere.random_sphere_point(frame_rng, n, 0.0, 2.0).as_array()
+             for _ in range(count - len(rows))]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_batch_repeats_the_lone_gram_schmidt_bitwise(n):
+    rows = _frame_rows(n, 400)
+    d = n + 1
+    # strided views of the row batch, as the residual checks pass them
+    frames = sphere.tangent_frames(rows[:, :d], rows[:, d:])
+    assert frames.shape == (len(rows), 2 * n, 2 * d)
+    for u, frame in zip(rows, frames):
+        ref = _frame_reference(u[:d].copy(), u[d:].copy())
+        assert np.array_equal(frame, ref)
+        assert np.array_equal(tangent_frame(SpherePoint(u[:d], u[d:])), ref)
+
+
+def test_frame_callers_take_one_batch_per_dimension(monkeypatch):
+    from contactlab import suites
+    calls = []
+    batch = sphere.tangent_frames
+
+    def counted(q, p):
+        calls.append(len(q))
+        return batch(q, p)
+
+    monkeypatch.setattr(sphere, "tangent_frames", counted)
+    for n in (1, 2, 3):
+        suites.twist_pullback_residual(np.random.default_rng(n), n, 30, DehnTwistProfile())
+    assert calls == [30, 30, 30]
+    calls.clear()
+    for n, k in ((2, 1), (3, 1), (3, 2)):
+        suites.strictness_residual(np.random.default_rng(n), n, k, 25)
+    assert calls == [25, 25, 25]
