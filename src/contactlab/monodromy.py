@@ -195,14 +195,22 @@ def _pipeline(starts: Sequence[ModelPoint], speeds: Sequence[float],
     if not starts:
         return []
     closed = [post_surgery_closed_form(start, eps) for start in starts]
-    # stage 1: transfer to the surgered hypersurface; each padded row carries
-    # its smoothing width as a last coordinate, which the page flow leaves fixed
+    # stage 1: transfer to the surgered hypersurface, one row batch per block
+    # sizes and limit or finite speed; each padded row carries its smoothing
+    # width as a last coordinate, which the page flow leaves fixed
     nxy, nzw, cols = _padding(starts)
     dim = 2 * nxy + 2 * nzw
-    states = _padded_rows([surgery.transfer_to_s1_finite_a(start, a, profile)
-                           for start, a, profile in zip(starts, speeds, profiles)],
-                          cols, dim + 1)
+    states = np.zeros((len(starts), dim + 1))
     states[:, dim] = [p.delta for p in profiles]
+    groups = {}
+    for i, (start, a) in enumerate(zip(starts, speeds)):
+        groups.setdefault((start.nxy, start.nzw, a == math.inf), []).append(i)
+    for (gxy, gzw, limit), rows in groups.items():
+        points = np.array([starts[i].as_array() for i in rows])
+        deltas = states[rows, dim]
+        states[np.ix_(rows, cols[rows[0]])] = (
+            surgery.limit_transfers_to_s1(points, gxy, gzw, deltas) if limit else
+            surgery.finite_transfers_to_s1(points, gxy, gzw, [speeds[i] for i in rows], deltas))
     # stage 2: Hamiltonian page flow until the +eps page
     ends = _flow_to_page(surgery.handle_hamiltonian_rhs(nxy, nzw), states, nxy, nzw, +eps, cfg,
                          "page event not reached during the page flow")

@@ -2,9 +2,9 @@
 
 Every profile blends exact pieces (flat, linear, exponential) with quintic
 polynomials so the result is C^2 across the joints.  The model fields,
-events and batch scans call the plain scalar functions below with the
-smoothing width or support radius as an argument (the handle functions and
-their derivatives also have column forms for row batches); the dataclasses
+events and batch scans call the plain functions below with the smoothing
+width or support radius as an argument; the handle functions and their
+derivatives take a float or a column of row values alike.  The dataclasses
 hold those parameters.
 Transversality and contact positivity are *checked* numerically by the test
 suites, never assumed.
@@ -41,84 +41,49 @@ def smoothstep_d(t):
     return _smoothstep_d_poly(t)
 
 
-# The blend branches of the handle functions and their derivatives take
-# Python floats or NumPy columns alike.  The caller picks the branch and caps
-# the window coordinate t at 1, where the smoothstep polynomials meet the flat
-# pieces exactly, so a column form equals its scalar form bit for bit.
+def _pieces(s, lo, hi, width, low, high, blend):
+    """low where s <= lo, high where s >= hi, and between them blend(t) at the
+    window coordinate t = (s - lo) / width capped at 1, where the smoothstep
+    polynomials meet the flat pieces exactly.
 
-def _f_blend(s, t, delta):
-    return 1.0 + (s + delta - 1.0) * _smoothstep_poly(t)
+    One form for a Python float s, which computes only its own piece with
+    ``if`` and ``min`` and gives a float, and for a NumPy column s or lo,
+    which computes every piece with ``np.where`` and ``np.minimum``.
+    """
+    below = s <= lo
+    if isinstance(below, np.ndarray):
+        return np.where(below, low, np.where(s >= hi, high,
+                                             blend(np.minimum((s - lo) / width, 1.0))))
+    return low if below else high if s >= hi else blend(min((s - lo) / width, 1.0))
 
 
-def _g_blend(s, t, delta):
-    sm = _smoothstep_poly(t)
-    return (1.0 - sm) * s + sm * (1.0 + delta)
-
+# The handle functions and their derivatives, each over a float or a column
+# s with delta a float or a column.
 
 def handle_f(s, delta):
-    if s <= 1.0 - delta:
-        return 1.0
-    if s >= 1.0 - 0.5 * delta:
-        return s + delta
-    return _f_blend(s, min((s - (1.0 - delta)) / (0.5 * delta), 1.0), delta)
-
-
-def handle_f_column(s, delta):
-    """handle_f on a column s."""
-    t = np.minimum((s - (1.0 - delta)) / (0.5 * delta), 1.0)
-    return np.where(s <= 1.0 - delta, 1.0,
-                    np.where(s >= 1.0 - 0.5 * delta, s + delta, _f_blend(s, t, delta)))
-
-
-def _f_d_blend(s, t, delta):
-    return _smoothstep_poly(t) + (s + delta - 1.0) * _smoothstep_d_poly(t) * (2.0 / delta)
-
-
-def _g_d_blend(s, t, delta):
-    return (1.0 - _smoothstep_poly(t)) + _smoothstep_d_poly(t) * (1.0 + delta - s) / delta
+    return _pieces(s, 1.0 - delta, 1.0 - 0.5 * delta, 0.5 * delta, 1.0, s + delta,
+                   lambda t: 1.0 + (s + delta - 1.0) * _smoothstep_poly(t))
 
 
 def handle_f_d(s, delta):
-    if s <= 1.0 - delta:
-        return 0.0
-    if s >= 1.0 - 0.5 * delta:
-        return 1.0
-    return _f_d_blend(s, min((s - (1.0 - delta)) / (0.5 * delta), 1.0), delta)
+    return _pieces(s, 1.0 - delta, 1.0 - 0.5 * delta, 0.5 * delta, 0.0, 1.0,
+                   lambda t: _smoothstep_poly(t)
+                   + (s + delta - 1.0) * _smoothstep_d_poly(t) * (2.0 / delta))
 
 
-def handle_f_d_column(s, delta):
-    """handle_f_d on a column s; delta is a float or a column."""
-    t = np.minimum((s - (1.0 - delta)) / (0.5 * delta), 1.0)
-    return np.where(s <= 1.0 - delta, 0.0,
-                    np.where(s >= 1.0 - 0.5 * delta, 1.0, _f_d_blend(s, t, delta)))
+def _g_blend(s, sm, delta):
+    return (1.0 - sm) * s + sm * (1.0 + delta)
 
 
 def handle_g(s, delta):
-    if s <= 1.0:
-        return s
-    if s >= 1.0 + delta:
-        return 1.0 + delta
-    return _g_blend(s, min((s - 1.0) / delta, 1.0), delta)
-
-
-def handle_g_column(s, delta):
-    """handle_g on a column s."""
-    t = np.minimum((s - 1.0) / delta, 1.0)
-    return np.where(s <= 1.0, s, np.where(s >= 1.0 + delta, 1.0 + delta, _g_blend(s, t, delta)))
+    return _pieces(s, 1.0, 1.0 + delta, delta, s, 1.0 + delta,
+                   lambda t: _g_blend(s, _smoothstep_poly(t), delta))
 
 
 def handle_g_d(s, delta):
-    if s <= 1.0:
-        return 1.0
-    if s >= 1.0 + delta:
-        return 0.0
-    return _g_d_blend(s, min((s - 1.0) / delta, 1.0), delta)
-
-
-def handle_g_d_column(s, delta):
-    """handle_g_d on a column s; delta is a float or a column."""
-    t = np.minimum((s - 1.0) / delta, 1.0)
-    return np.where(s <= 1.0, 1.0, np.where(s >= 1.0 + delta, 0.0, _g_d_blend(s, t, delta)))
+    return _pieces(s, 1.0, 1.0 + delta, delta, 1.0, 0.0,
+                   lambda t: (1.0 - _smoothstep_poly(t))
+                   + _smoothstep_d_poly(t) * (1.0 + delta - s) / delta)
 
 
 # initial-slope weight of the angle profile: small enough that twist
@@ -214,7 +179,7 @@ class HandleProfile:
             if not open_.any():
                 break
             mid = 0.5 * (lo + hi)
-            below = handle_g_column(mid, self.delta) < v
+            below = handle_g(mid, self.delta) < v
             lo = np.where(open_ & below, mid, lo)
             hi = np.where(open_ & ~below, mid, hi)
         out = np.where(v > 1.0, 0.5 * (lo + hi), v)

@@ -700,9 +700,8 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["flow_until_event", "theta_page"], 1e-8)
     def page_speed():
         rng = check_rng(cfg.seed, "page-speed")
-        on_s1 = [surgery.limit_transfer_to_s1(mono.admissible_start(rng, 2, eps, profile.delta),
-                                              profile)
-                 for _ in range(20)]
+        starts = [mono.admissible_start(rng, 2, eps, profile.delta).as_array() for _ in range(20)]
+        on_s1 = surgery.limit_transfers_to_s1(starts, 0, 2, profile.delta)
         fld = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)
         worst = 0.0
         for traj in flows.trajectories_until_event(fld, on_s1, surgery.page_value(0, 2),
@@ -715,18 +714,18 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["limit_transfer_to_s1", "theta_page"], 1e-12)
     def transfer_theta():
         rng = check_rng(cfg.seed, "transfer-theta")
+        starts = [mono.admissible_start(rng, 3, eps, profile.delta) for _ in range(100)]
+        # last, the point z = (-0.1, 0.5, 0), w = (1, 0, 0), whose closed-form
+        # image is (z/|z|, |z| w)
+        example = np.array([-0.1, 0.5, 0.0, 1.0, 0.0, 0.0])
+        outs = surgery.limit_transfers_to_s1([s.as_array() for s in starts] + [example], 0, 3,
+                                             profile.delta)
         worst = 0.0
-        for _ in range(100):
-            start = mono.admissible_start(rng, 3, eps, profile.delta)
-            out = surgery.limit_transfer_to_s1(start, profile)
+        for start, out in zip(starts, outs):
             worst = max(worst, abs(float(out[:3] @ out[3:]) - start.theta()))
-        # the closed-form image (z/|z|, |z| w) of z = (-0.1, 0.5), w = (1, 0)
-        pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
-                        np.array([1.0, 0.0]))
-        out = surgery.limit_transfer_to_s1(pt, profile)
         z_norm = math.sqrt(0.26)
-        closed = np.array([-0.1 / z_norm, 0.5 / z_norm, z_norm, 0.0])
-        worst = max(worst, float(np.max(np.abs(out - closed))))
+        closed = np.array([-0.1 / z_norm, 0.5 / z_norm, 0.0, z_norm, 0.0, 0.0])
+        worst = max(worst, float(np.max(np.abs(outs[-1] - closed))))
         return worst, 101, {}
 
     @check("finite-speed-transfer",
@@ -735,26 +734,25 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["transfer_to_s1_finite_a", "flow_until_event"], 1e-8)
     def finite_transfer():
         rng = check_rng(cfg.seed, "finite-transfer")
-        starts = [mono.admissible_start(rng, 2, eps, profile.delta) for _ in range(10)]
-        closed = [surgery.transfer_to_s1_finite_a(s, 1000.0, profile) for s in starts]
+        starts = [mono.admissible_start(rng, 2, eps, profile.delta).as_array() for _ in range(10)]
+        # and rows already on the surgered hypersurface, at speed 50: zero transfer time
+        on_level = [row for row in surgery.sample_s1_points(check_rng(cfg.seed, "ft2"), 3, 0, 2,
+                                                            profile)
+                    if float(np.linalg.norm(row[:2])) != 0.0]
+        outs = surgery.finite_transfers_to_s1(starts + on_level, 0, 2,
+                                              [1000.0] * 10 + [50.0] * len(on_level),
+                                              profile.delta)
         fld = surgery.liouville_a_field(0, 2, 1000.0)
         level = surgery.level_value(0, 2, profile.delta)
         cfg_i = IntegratorConfig(step=1e-5, max_time=0.5, event_tol=1e-13)
-        t_event, ends = flows.flow_rows_until_event(fld, [s.as_array() for s in starts],
-                                                    level, 0.0, cfg_i)
+        t_event, ends = flows.flow_rows_until_event(fld, starts, level, 0.0, cfg_i)
         worst = 0.0
-        for t, end, closed_end in zip(t_event, ends, closed):
+        for t, end, closed_end in zip(t_event, ends, outs):
             if math.isnan(t):
                 worst = max(worst, 1.0)
                 continue
             worst = max(worst, float(np.max(np.abs(end - closed_end))))
-        # already on the surgered hypersurface: zero transfer time
-        pts = surgery.sample_s1_points(check_rng(cfg.seed, "ft2"), 3, 0, 2, profile)
-        for row in pts:
-            pt = ModelPoint.from_array(row, 0, 2)
-            if float(np.linalg.norm(pt.z)) == 0.0:
-                continue
-            out = surgery.transfer_to_s1_finite_a(pt, 50.0, profile)
+        for row, out in zip(on_level, outs[10:]):
             worst = max(worst, float(np.max(np.abs(out - row))))
         return worst, 13, {}
 

@@ -12,7 +12,9 @@ plain callable on the flat state; flows, events, projections and the
 pointwise checks all call that one form.  ``ModelPoint`` is the boundary
 type of random points, transfer starts and the straightening map.  The
 Liouville transfers between S_{-1} and S_1 return flat states; the two onto
-S_1 share one bracket-and-bisect search for the zero of F along a path.
+S_1 take (m, d) rows and share one masked lockstep bracket-and-bisect search
+for the zero of F along each row's path, a lone transfer being the one-row
+call.
 
 Flat ambient layout is the block vector [x | y | z | w]; the sphere-bundle
 chart for the neighborhood straightening map is [z_scalar | q | p | x | y].
@@ -28,8 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .forms import KFormOracle, SmoothMap, one_form
-from .profiles import (HandleProfile, handle_f, handle_f_column, handle_f_d, handle_f_d_column,
-                       handle_g, handle_g_column, handle_g_d, handle_g_d_column)
+from .profiles import HandleProfile, handle_f, handle_f_d, handle_g, handle_g_d
 from .sphere import SpherePoint, _orthonormal_complement
 
 Array = np.ndarray
@@ -362,8 +363,6 @@ def phi_c_map(nzw: int, nxy: int, C: float) -> SmoothMap:
 def _handle_value(rho2, w2, delta: float):
     """The handle function -f(|w|^2) + g(rho^2), on floats or on columns; S_1
     is its zero set."""
-    if isinstance(w2, np.ndarray):
-        return -handle_f_column(w2, delta) + handle_g_column(rho2, delta)
     return -handle_f(w2, delta) + handle_g(rho2, delta)
 
 
@@ -388,7 +387,7 @@ def transversality_margins(points: Array, nxy: int, nzw: int,
     b, delta = 2 * nxy, profile.delta
     rho2, w2 = _rho2_w2(v, nxy, nzw)
     return (0.5 * _sum_sq(v[:b]) + 2.0 * _sum_sq(v[b:b + nzw])) \
-        * handle_g_d_column(rho2, delta) + w2 * handle_f_d_column(w2, delta)
+        * handle_g_d(rho2, delta) + w2 * handle_f_d(w2, delta)
 
 
 def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
@@ -405,15 +404,13 @@ def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
     tail = [] if delta is not None else [0.0]
 
     def func(u):
-        rows = u.ndim == 2
         v = _operands(u)
         width = v[dim] if delta is None else delta
         rho2, w2 = _rho2_w2(v, nxy, nzw)
-        f_d, g_d = (handle_f_d_column, handle_g_d_column) if rows else (handle_f_d, handle_g_d)
-        cf = 2.0 * f_d(w2, width)
-        cg = 2.0 * g_d(rho2, width)
+        cf = 2.0 * handle_f_d(w2, width)
+        cg = 2.0 * handle_g_d(rho2, width)
         terms = [cf * c for c in v[b + nzw:dim]] + [cg * c for c in v[b:b + nzw]]
-        if not rows:
+        if u.ndim == 1:
             return np.array(zero_xy + terms + tail)
         du = np.zeros(u.shape)
         du[:, b:dim] = np.transpose(terms)
@@ -450,7 +447,9 @@ def level_projection(nxy: int, nzw: int, delta: float):
     A (d,) state steps in floats, for the lone projected flows; an (m, d)
     batch steps its rows on columns, a block of rows at a time, each row with
     the lone stopping rules (|value| < 1e-13, a zero gradient, 8 steps) and
-    the lone arithmetic.
+    the lone arithmetic.  Both call the one form of each handle function; the
+    float steps stay for the five lone flows of flow-invariants, which take
+    about half as long in floats as in one batch.
     """
     b = 2 * nxy + nzw
 
@@ -460,8 +459,8 @@ def level_projection(nxy: int, nzw: int, delta: float):
             rho2, w2 = _rho2_w2(_operands(sub), nxy, nzw)
             fval = _handle_value(rho2, w2, delta)
             grad = sub.copy()  # products in place: no (m, d) temporaries
-            grad[:, :b] *= (2.0 * handle_g_d_column(rho2, delta))[:, None]
-            grad[:, b:] *= (-2.0 * handle_f_d_column(w2, delta))[:, None]
+            grad[:, :b] *= (2.0 * handle_g_d(rho2, delta))[:, None]
+            grad[:, b:] *= (-2.0 * handle_f_d(w2, delta))[:, None]
             gnorm2 = _sum_sq(list(grad.T))
             step = ~(np.abs(fval) < 1e-13) & ~(gnorm2 == 0.0)
             if not step.all():
@@ -496,93 +495,122 @@ def level_projection(nxy: int, nzw: int, delta: float):
 # Liouville transfer between the hypersurfaces
 # ---------------------------------------------------------------------------
 
-def _level_crossing(fn, starts: list, widen, tries: int) -> float:
-    """A zero of fn along a transfer path's parameter.
+def _level_crossings(fn, starts: list, widen, tries: int) -> Array:
+    """A zero of fn along each row's transfer path parameter, the rows in
+    lockstep, each with the rules of a lone search; ``fn(s, rows)`` and
+    ``widen(s, rising, rows)`` take the parameters s of the row indices rows.
 
-    The first start with |fn| <= 1e-12 is the answer.  Otherwise the
-    parameter moves from the first start by ``widen(s, rising)``, with
-    ``rising`` true when fn is negative there, until fn changes sign within
-    ``tries`` moves; bisection of that bracket stops once |fn| <= 1e-10, the
-    bracket reaches rounding size, or after 200 halvings.
+    The first of a row's ``starts`` (one column per start) with |fn| <= 1e-12
+    is its answer.  Otherwise its parameter moves from the first start by
+    ``widen``, with ``rising`` true where fn is negative there, until fn
+    changes sign within ``tries`` moves, or ValueError is raised; bisection
+    of that bracket stops once |fn| <= 1e-10, the bracket reaches rounding
+    size, or after 200 halvings.
     """
-    values = []
-    for s in starts:
-        f = fn(s)
-        if abs(f) <= 1e-12:
-            return s
-        values.append(f)
-    s0, f0 = starts[0], values[0]
-    s1 = s0
+    out, f0 = starts[0].copy(), fn(starts[0], np.arange(len(starts[0])))
+    rows = np.flatnonzero(~(np.abs(f0) <= 1e-12))
+    for s in starts[1:]:
+        hit = np.abs(fn(s[rows], rows)) <= 1e-12
+        out[rows[hit]] = s[rows[hit]]
+        rows = rows[~hit]
+    s0, f0 = out[rows], f0[rows]
+    s1, f1, seeking = s0.copy(), f0.copy(), np.arange(rows.size)  # positions in rows
     for _ in range(tries):
-        s1 = widen(s1, f0 < 0.0)
-        f1 = fn(s1)
-        if f1 * f0 <= 0.0:
+        if not seeking.size:
             break
-    else:
+        s1[seeking] = widen(s1[seeking], f0[seeking] < 0.0, rows[seeking])
+        f1[seeking] = fn(s1[seeking], rows[seeking])
+        seeking = seeking[~(f1[seeking] * f0[seeking] <= 0.0)]
+    if seeking.size:
         raise ValueError("no level crossing along the transfer path")
-    (lo, f_lo), (hi, f_hi) = sorted([(s0, f0), (s1, f1)])
-    if abs(f_lo) <= 1e-10:
-        return lo
-    if abs(f_hi) <= 1e-10:
-        return hi
+    swap = (s1 < s0) | ((s1 == s0) & (f1 < f0))  # sorted([(s0, f0), (s1, f1)])
+    lo, hi, f_lo, f_hi = np.where(swap, [s1, s0, f1, f0], [s0, s1, f0, f1])
+    out[rows] = np.where(np.abs(f_lo) <= 1e-10, lo, hi)
+    open_ = (np.abs(f_lo) > 1e-10) & (np.abs(f_hi) > 1e-10)
+    rows, (lo, hi, f_lo) = rows[open_], np.array([lo, hi, f_lo])[:, open_]
     for _ in range(200):
+        if not rows.size:
+            break
         mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if abs(f_mid) <= 1e-10 or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
-            return mid
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        f_mid = fn(mid, rows)
+        done = (np.abs(f_mid) <= 1e-10) | ((hi - lo) < 1e-16 * np.maximum(1.0, np.abs(mid)))
+        out[rows[done]] = mid[done]
+        left = f_lo * f_mid <= 0.0
+        lo, hi, f_lo = np.where(left, [lo, mid, f_lo], [mid, hi, f_mid])[:, ~done]
+        rows = rows[~done]
+    out[rows] = 0.5 * (lo + hi)
+    return out
 
 
-def _transfer(pt: ModelPoint, path, starts: list, widen, tries: int,
-              profile: HandleProfile) -> Array:
-    """The flat state where the flat-state path(s) meets S_1, found by
-    :func:`_level_crossing` on the handle function."""
-    level = level_value(pt.nxy, pt.nzw, profile.delta)
-    return path(_level_crossing(lambda s: level(path(s)), starts, widen, tries))
-
-
-def _z_norm(pt: ModelPoint) -> float:
-    nz = float(np.linalg.norm(pt.z))
-    if nz == 0.0:
+def _transfers(points: Array, nxy: int, nzw: int, delta, path, starts, widen,
+               tries: int) -> Array:
+    """The flat states where each row's ``path(s, rows)`` meets S_1 under its
+    smoothing width, by :func:`_level_crossings` from the start columns
+    ``starts(|z| of each row)``."""
+    z_norms = np.array([np.linalg.norm(z) for z in points[:, 2 * nxy:2 * nxy + nzw]])
+    if (z_norms == 0.0).any():
         raise ValueError("no image: the z = 0 locus is removed by the surgery")
-    return nz
+    delta = np.broadcast_to(delta, len(points))
+
+    def level(s, rows):
+        return _handle_value(*_rho2_w2(_operands(path(s, rows)), nxy, nzw), delta[rows])
+
+    return path(_level_crossings(level, starts(z_norms), widen, tries), np.arange(len(points)))
 
 
-def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> Array:
-    """Infinite-speed Liouville transfer: slide along (u z, w / u) until the
-    handle function vanishes; returns the flat state.
+def limit_transfers_to_s1(points: Array, nxy: int, nzw: int, delta) -> Array:
+    """Infinite-speed Liouville transfer of each (m, d) row: slide along
+    (u z, w / u) until the handle function, under a smoothing width given
+    once or per row, vanishes; returns the rows on S_1, each with the bits
+    of its lone transfer.
 
     On inward flat-piece inputs this is the closed map (z / |z|, |z| w); the
     page value z.w is preserved exactly along the whole path.
     """
-    nz = _z_norm(pt)
+    points, b = np.asarray(points, dtype=float), 2 * nxy
+
+    def path(u, rows):
+        return np.hstack([points[rows, :b], u[:, None] * points[rows, b:b + nzw],
+                          points[rows, b + nzw:] / u[:, None]])
+
     # u = 1/|z| lands exactly on the inward flat piece
-    starts = [1.0] if pt.nxy else [1.0, 1.0 / nz]
-    return _transfer(pt, lambda u: np.concatenate([pt.x, pt.y, u * pt.z, pt.w / u]),
-                     starts, lambda u, rising: u * (2.0 if rising else 0.5), 200, profile)
+    return _transfers(points, nxy, nzw, delta, path,
+                      lambda nz: [np.ones(nz.size), np.ones(nz.size) if nxy else 1.0 / nz],
+                      lambda u, rising, rows: u * np.where(rising, 2.0, 0.5), 200)
+
+
+def finite_transfers_to_s1(points: Array, nxy: int, nzw: int, a, delta) -> Array:
+    """Finite-speed transfer of each (m, d) row along ((1+a) z, -a w), with a
+    and the smoothing width given once or per row: closed-form flow plus a
+    level-set bisection in the flow time; returns the rows on S_1."""
+    points, b = np.asarray(points, dtype=float), 2 * nxy
+    a = np.broadcast_to(np.asarray(a, dtype=float), len(points))
+    if not (a > 0.0).all():
+        raise ValueError("Liouville parameter a must be positive")
+
+    def path(t, rows):  # math.exp of each row, as its lone transfer takes it
+        grow = np.array([math.exp(v) for v in ((1.0 + a[rows]) * t).tolist()])
+        shrink = np.array([math.exp(v) for v in (-a[rows] * t).tolist()])
+        return np.hstack([points[rows, :b], grow[:, None] * points[rows, b:b + nzw],
+                          shrink[:, None] * points[rows, b + nzw:]])
+
+    def widen(t, rising, rows):
+        return t + np.where(rising, 1.0, -1.0) * 0.1 / (1.0 + a[rows])
+
+    return _transfers(points, nxy, nzw, delta, path, lambda nz: [np.zeros(nz.size)], widen, 400)
+
+
+def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> Array:
+    """The one-row call of :func:`limit_transfers_to_s1`; returns the flat state."""
+    return limit_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, profile.delta)[0]
 
 
 def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) -> Array:
-    """Finite-speed transfer along ((1+a) z, -a w): closed-form flow plus a
-    level-set bisection in the flow time; returns the flat state."""
+    """The one-row call of :func:`finite_transfers_to_s1`, and of the limit
+    transfer at a = inf; returns the flat state."""
     if a == math.inf:
         return limit_transfer_to_s1(pt, profile)
-    if not a > 0.0:
-        raise ValueError("Liouville parameter a must be positive")
-    _z_norm(pt)
-
-    def path(t):
-        return np.concatenate([pt.x, pt.y, math.exp((1.0 + a) * t) * pt.z,
-                               math.exp(-a * t) * pt.w])
-
-    def widen(t, rising):
-        return t + (1.0 if rising else -1.0) * 0.1 / (1.0 + a)
-
-    return _transfer(pt, path, [0.0], widen, 400, profile)
+    return finite_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, a, profile.delta)[0]
 
 
 def transfer_to_s_minus1(u: Array, nxy: int, nzw: int) -> Array:
@@ -693,7 +721,7 @@ def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
             rho2[i] = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
         w_dir[i] = rng.standard_normal(nzw)
         r_dir[i] = rng.standard_normal(2 * nxy + nzw)
-    rho2[inward] = profile.g_inverse(handle_f_column(w2[inward], delta))
+    rho2[inward] = profile.g_inverse(handle_f(w2[inward], delta))
     w_dir /= np.sqrt(np.vecdot(w_dir, w_dir))[:, None]
     r_dir /= np.sqrt(np.vecdot(r_dir, r_dir))[:, None]
     out = np.hstack([np.sqrt(rho2)[:, None] * r_dir, np.sqrt(w2)[:, None] * w_dir])

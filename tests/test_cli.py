@@ -13,6 +13,8 @@ from contactlab.config import ConfigError, config_from_dict, load_config
 from contactlab.reports import check_rng
 from contactlab.suites import QUOTED_OPS
 
+from test_kernels import _scalar_handle_f, _scalar_handle_g
+
 
 def small_config(**overrides):
     base = dict(
@@ -86,6 +88,17 @@ def test_cli_runs_suite_and_writes_report(tmp_path, capsys):
     pts = np.array([[float(v) for v in r[1:]] for r in flow_rows[1:]])
     theta = np.einsum("mi,mi->m", pts[:, :2], pts[:, 2:])
     assert np.max(np.abs(theta - (-0.1 + 2.0 * t))) < 1e-8
+
+
+def test_handle_profile_csv_repeats_the_scalar_handle_functions(tmp_path):
+    # each value is written as the repr of a float, so equal text is equal bits
+    handle_profile, _ = cli._emit_default_plots(tmp_path)
+    with open(handle_profile) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 201
+    for s, f, g in rows:
+        assert f == repr(_scalar_handle_f(float(s), 0.1))
+        assert g == repr(_scalar_handle_g(float(s), 0.1))
 
 
 @pytest.mark.parametrize("blocked", ["report-binding.json", "page_flow.csv"])

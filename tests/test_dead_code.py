@@ -28,6 +28,8 @@ ALLOWED = {
     "sphere.dehn_twist_batch": "perfbench/worker.py uses it as a reference",
     "surgery.handle_membership":
         "the one-point membership the tests call; perfbench/layers.py traces it",
+    "surgery.transfer_to_s1_finite_a":
+        "the one-point finite-speed transfer the tests call, with a = inf as the limit",
     **{f"suites.suite_{name}": "registered by @suite and called through SUITES"
        for name in ("binding", "dehn_twist", "giroux", "monodromy", "moves", "weinstein")},
 }

@@ -14,12 +14,60 @@ from contactlab import _kernels as k
 from contactlab import flows, forms, sphere, surgery
 from contactlab.flows import IntegratorConfig
 from contactlab.surgery import ModelPoint
-from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_column,
-                                 handle_f_d, handle_f_d_column, handle_g, handle_g_column,
-                                 handle_g_d, handle_g_d_column, smoothstep, twist_g1)
+from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
+                                 handle_g, handle_g_d, smoothstep, twist_g1)
 
 rng = np.random.default_rng(33)
 DELTA = 0.05
+
+
+# The handle functions as scalar twins, one branch per piece: the references
+# that the one form over floats and columns must equal bit for bit.
+
+def _scalar_handle_f(s, delta):
+    if s <= 1.0 - delta:
+        return 1.0
+    if s >= 1.0 - 0.5 * delta:
+        return s + delta
+    t = min((s - (1.0 - delta)) / (0.5 * delta), 1.0)
+    return 1.0 + (s + delta - 1.0) * (t * t * t * (10.0 + t * (-15.0 + 6.0 * t)))
+
+
+def _scalar_handle_f_d(s, delta):
+    if s <= 1.0 - delta:
+        return 0.0
+    if s >= 1.0 - 0.5 * delta:
+        return 1.0
+    t = min((s - (1.0 - delta)) / (0.5 * delta), 1.0)
+    u = t * (1.0 - t)
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t)) \
+        + (s + delta - 1.0) * (30.0 * u * u) * (2.0 / delta)
+
+
+def _scalar_handle_g(s, delta):
+    if s <= 1.0:
+        return s
+    if s >= 1.0 + delta:
+        return 1.0 + delta
+    t = min((s - 1.0) / delta, 1.0)
+    sm = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    return (1.0 - sm) * s + sm * (1.0 + delta)
+
+
+def _scalar_handle_g_d(s, delta):
+    if s <= 1.0:
+        return 1.0
+    if s >= 1.0 + delta:
+        return 0.0
+    t = min((s - 1.0) / delta, 1.0)
+    u = t * (1.0 - t)
+    return (1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))) \
+        + (30.0 * u * u) * (1.0 + delta - s) / delta
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def _loop_norms(u, nxy, nzw):
@@ -46,8 +94,8 @@ def _loop_field(kind, u, nxy, nzw, param):
             du[z] = u[w]
         else:
             rho2, w2 = _loop_norms(u, nxy, nzw)
-            du[z] = 2.0 * handle_f_d(w2, param) * u[w]
-            du[w] = 2.0 * handle_g_d(rho2, param) * u[z]
+            du[z] = 2.0 * _scalar_handle_f_d(w2, param) * u[w]
+            du[w] = 2.0 * _scalar_handle_g_d(rho2, param) * u[z]
     if kind == "liouville":
         for i in range(base):
             du[i] = 0.5 * u[i]
@@ -120,24 +168,33 @@ def _smoothstep_handle_g(s, delta):
     return (1.0 - sm) * s + sm * (1.0 + delta)
 
 
+def _assert_one_form_matches(one_form, scalar, delta):
+    """A float gives a float, and floats and columns, under a float or a
+    column of smoothing widths, all give the scalar twin's bits."""
+    s = _window_samples(delta)
+    ref = [scalar(float(v), delta) for v in s]
+    floats = [one_form(float(v), delta) for v in s]
+    assert all(type(v) is float for v in floats)
+    assert _same_bits(floats, ref)
+    assert _same_bits(one_form(s, delta), ref)
+    # a column of smoothing widths gives each row its own scalar result
+    assert _same_bits(one_form(s, np.full(s.size, delta)), ref)
+
+
 @pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])
 def test_handle_function_columns_match_scalar_forms(delta):
     s = _window_samples(delta)
-    for column, scalar, first in ((handle_f_column, handle_f, _smoothstep_handle_f),
-                                  (handle_g_column, handle_g, _smoothstep_handle_g)):
-        ref = np.array([first(float(v), delta) for v in s])
-        assert np.array_equal([scalar(float(v), delta) for v in s], ref)
-        assert np.array_equal(column(s, delta), ref)
+    for one_form, scalar, first in ((handle_f, _scalar_handle_f, _smoothstep_handle_f),
+                                    (handle_g, _scalar_handle_g, _smoothstep_handle_g)):
+        assert _same_bits([scalar(float(v), delta) for v in s],
+                          [first(float(v), delta) for v in s])
+        _assert_one_form_matches(one_form, scalar, delta)
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])
 def test_handle_derivative_columns_match_scalar_forms(delta):
-    s = _window_samples(delta)
-    for column, scalar in ((handle_f_d_column, handle_f_d), (handle_g_d_column, handle_g_d)):
-        ref = np.array([scalar(float(v), delta) for v in s])
-        assert np.array_equal(column(s, delta), ref)
-        # a column of smoothing widths gives each row its own scalar result
-        assert np.array_equal(column(s, np.full(s.size, delta)), ref)
+    _assert_one_form_matches(handle_f_d, _scalar_handle_f_d, delta)
+    _assert_one_form_matches(handle_g_d, _scalar_handle_g_d, delta)
 
 
 def test_model_events_match_scalar_loops():
@@ -152,7 +209,7 @@ def test_model_events_match_scalar_loops():
         assert surgery.page_value(nxy, nzw)(u) == page
         assert surgery.wnorm2_value(nxy, nzw)(u) == w2
         assert surgery.level_value(nxy, nzw, DELTA)(u) == \
-            -handle_f(w2, DELTA) + handle_g(rho2, DELTA)
+            -_scalar_handle_f(w2, DELTA) + _scalar_handle_g(rho2, DELTA)
 
 
 def _rows_across_the_windows(nxy, nzw):
@@ -175,8 +232,8 @@ def test_margins_match_scalar_loop(nxy, nzw):
             w2 += pts[row, base + nzw + i] * pts[row, base + nzw + i]
         # g' at the rho^2 of the level function and the page flow
         rho2, _ = _loop_norms(pts[row], nxy, nzw)
-        ref[row] = (0.5 * xy2 + 2.0 * z2) * handle_g_d(rho2, DELTA) \
-            + w2 * handle_f_d(w2, DELTA)
+        ref[row] = (0.5 * xy2 + 2.0 * z2) * _scalar_handle_g_d(rho2, DELTA) \
+            + w2 * _scalar_handle_f_d(w2, DELTA)
     got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(DELTA))
     assert np.array_equal(got, ref)
 
@@ -514,12 +571,12 @@ def _newton_reference(u, nxy, nzw, delta):
     b = 2 * nxy + nzw
     for _ in range(8):
         rho2, w2 = _loop_norms(u, nxy, nzw)
-        fval = -handle_f(w2, delta) + handle_g(rho2, delta)
+        fval = -_scalar_handle_f(w2, delta) + _scalar_handle_g(rho2, delta)
         if abs(fval) < 1e-13:
             break
         grad = np.empty(u.size)
-        grad[:b] = (2.0 * handle_g_d(rho2, delta)) * u[:b]
-        grad[b:] = (-2.0 * handle_f_d(w2, delta)) * u[b:]
+        grad[:b] = (2.0 * _scalar_handle_g_d(rho2, delta)) * u[:b]
+        grad[b:] = (-2.0 * _scalar_handle_f_d(w2, delta)) * u[b:]
         gnorm2 = 0.0
         for g in grad:
             gnorm2 += g * g

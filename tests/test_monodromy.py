@@ -390,7 +390,8 @@ def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
 
 def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
     # counts, not times: every batched check makes one batched kernel call, and
-    # only the two single-start checks flow a lone start
+    # only the two single-start checks flow a lone start; every transfer
+    # search runs on row batches, one per check or per pipeline block group
     from collections import Counter
 
     from contactlab import _kernels
@@ -415,11 +416,27 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
 
         return wrapper
 
+    searched = {}
+    level_crossings = surgery._level_crossings
+
+    def searched_rows(fn, starts, *args):
+        searched.setdefault(running[-1], []).append(len(starts[0]))
+        return level_crossings(fn, starts, *args)
+
     monkeypatch.setattr(suites, "run_check", named)
     for kernel in ("rk4_until_event", "rk4_record"):
         monkeypatch.setattr(_kernels, kernel, counted(kernel))
+    monkeypatch.setattr(surgery, "_level_crossings", searched_rows)
     report = suites.run_suite(config_from_dict(dict(REDUCED_ALL, suite="monodromy")))
     assert report.passed
+    n, window = REDUCED_ALL["n_monodromy"], 3 * REDUCED_ALL["n_window"]
+    assert searched == {
+        "pipeline-vs-closed-form": [n, n, n],  # one search per z/w block size
+        "worked-page-point": [1], "twist-angle-extremes": [1],
+        "page-speed-law": [20], "transfer-preserves-page": [101],
+        "finite-speed-transfer": [13],
+        "finite-speed-convergence": [1, 4],  # the limit reference, then every finite a
+        "smoothing-window-bound": [window, window]}
     batched = ["pre-surgery-trivial", "pipeline-vs-closed-form", "page-speed-law",
                "finite-speed-transfer", "finite-speed-convergence", "smoothing-window-bound"]
     expected = Counter({(name, "rk4_until_event", "batch"): 1 for name in batched})

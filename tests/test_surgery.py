@@ -14,6 +14,7 @@ from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
                                 transfer_to_s1_finite_a, transfer_to_s_minus1,
                                 transversality_margins)
 
+from test_kernels import _scalar_handle_f, _scalar_handle_g
 from test_profiles import g_inverse_reference
 
 rng = np.random.default_rng(9)
@@ -178,13 +179,13 @@ def test_level_gradient_is_the_gradient_level_projection_steps_with(monkeypatch)
 
 def test_margin_takes_g_prime_at_the_level_functions_rho2(monkeypatch):
     args = []
-    g_d = surgery.handle_g_d_column
+    g_d = surgery.handle_g_d
 
     def recorded(s, delta):
         args.append(s)
         return g_d(s, delta)
 
-    monkeypatch.setattr(surgery, "handle_g_d_column", recorded)
+    monkeypatch.setattr(surgery, "handle_g_d", recorded)
     local = np.random.default_rng(3)
     for nxy in (1, 2):
         for nzw in (2, 3):
@@ -298,6 +299,150 @@ def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
                         assert np.array_equal(limit_transfer_to_s1(start, PROFILE),
                                               ref.as_array())
     assert signs == {-1, 0, 1}
+
+
+def _lone_level_crossing(fn, starts, widen, tries):
+    """The per-point search the row transfers replaced, as first written."""
+    values = []
+    for s in starts:
+        f = fn(s)
+        if abs(f) <= 1e-12:
+            return s
+        values.append(f)
+    s0, f0 = starts[0], values[0]
+    s1 = s0
+    for _ in range(tries):
+        s1 = widen(s1, f0 < 0.0)
+        f1 = fn(s1)
+        if f1 * f0 <= 0.0:
+            break
+    else:
+        raise ValueError("no level crossing along the transfer path")
+    (lo, f_lo), (hi, f_hi) = sorted([(s0, f0), (s1, f1)])
+    if abs(f_lo) <= 1e-10:
+        return lo
+    if abs(f_hi) <= 1e-10:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = fn(mid)
+        if abs(f_mid) <= 1e-10 or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
+            return mid
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _lone_transfer(pt, a, delta):
+    """One transfer as the per-point search first ran it, under the scalar
+    handle functions: the limit transfer at a = inf, else the finite one."""
+    def level(u):
+        b = u.size - pt.nzw
+        rho2 = w2 = 0.0
+        for v in u[:b].tolist():
+            rho2 = rho2 + v * v
+        for v in u[b:].tolist():
+            w2 = w2 + v * v
+        return -_scalar_handle_f(w2, delta) + _scalar_handle_g(rho2, delta)
+
+    if a == math.inf:
+        def path(u):
+            return np.concatenate([pt.x, pt.y, u * pt.z, pt.w / u])
+
+        def widen(u, rising):
+            return u * (2.0 if rising else 0.5)
+    else:
+        if not a > 0.0:
+            raise ValueError("Liouville parameter a must be positive")
+
+        def path(t):
+            return np.concatenate([pt.x, pt.y, math.exp((1.0 + a) * t) * pt.z,
+                                   math.exp(-a * t) * pt.w])
+
+        def widen(t, rising):
+            return t + (1.0 if rising else -1.0) * 0.1 / (1.0 + a)
+    nz = float(np.linalg.norm(pt.z))
+    if nz == 0.0:
+        raise ValueError("no image: the z = 0 locus is removed by the surgery")
+    if a != math.inf:
+        starts, tries = [0.0], 400
+    else:
+        starts, tries = ([1.0] if pt.nxy else [1.0, 1.0 / nz]), 200
+    return path(_lone_level_crossing(lambda s: level(path(s)), starts, widen, tries))
+
+
+def _transfer_rows(local, nxy, nzw, deltas):
+    """Rows on both sides of S_1, rows of it, and rows whose blocks sit in
+    the smoothing windows of f and g, one per smoothing width."""
+    rows = []
+    for i, delta in enumerate(deltas):
+        kind = i % 4
+        if kind == 0:  # |w| = 1: the handle function is negative, the search widens up
+            rows.append(surgery.random_s_minus1_point(local, nxy, nzw).as_array())
+            continue
+        if kind == 3:
+            rows.append(surgery.sample_s1_points(local, 1, nxy, nzw, HandleProfile(delta))[0])
+            continue
+        w = local.standard_normal(nzw)
+        z = local.standard_normal(nzw)
+        if kind == 1:  # |w| < 1 and |z| > 1: positive, the search widens down
+            w *= local.uniform(0.2, 0.9) / np.linalg.norm(w)
+            z *= local.uniform(1.2, 2.0) / np.linalg.norm(z)
+        else:  # |w|^2 in f's window and |z|^2 in g's
+            w *= math.sqrt(1.0 - delta * local.uniform(0.0, 1.0)) / np.linalg.norm(w)
+            z *= math.sqrt(1.0 + delta * local.uniform(0.0, 1.0)) / np.linalg.norm(z)
+        rows.append(np.concatenate([np.zeros(2 * nxy), z, w]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("nxy, nzw", [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+def test_row_transfers_repeat_the_lone_search_bitwise(nxy, nzw):
+    local = np.random.default_rng(41 + 10 * nxy + nzw)
+    deltas = local.uniform(0.005, 0.2, 24)
+    rows = _transfer_rows(local, nxy, nzw, deltas)
+    speeds = local.choice([10.0, 100.0, 1e3, 1e4], len(rows))
+    pts = [ModelPoint.from_array(row, nxy, nzw) for row in rows]
+    signs = {0 if abs(f) <= 1e-12 else int(math.copysign(1.0, f))
+             for f in (surgery.level_value(nxy, nzw, d)(row) for row, d in zip(rows, deltas))}
+    assert signs == {-1, 0, 1}
+    limit = surgery.limit_transfers_to_s1(rows, nxy, nzw, deltas)
+    finite = surgery.finite_transfers_to_s1(rows, nxy, nzw, speeds, deltas)
+    for pt, a, delta, lim, fin in zip(pts, speeds, deltas, limit, finite):
+        assert lim.tobytes() == _lone_transfer(pt, math.inf, delta).tobytes()
+        assert fin.tobytes() == _lone_transfer(pt, a, delta).tobytes()
+        # the lone calls are the one-row batches
+        profile = HandleProfile(delta)
+        assert limit_transfer_to_s1(pt, profile).tobytes() == lim.tobytes()
+        assert transfer_to_s1_finite_a(pt, a, profile).tobytes() == fin.tobytes()
+    # one smoothing width and one speed for all rows
+    lim = surgery.limit_transfers_to_s1(rows, nxy, nzw, 0.05)
+    fin = surgery.finite_transfers_to_s1(rows, nxy, nzw, 100.0, 0.05)
+    for pt, row_lim, row_fin in zip(pts, lim, fin):
+        assert row_lim.tobytes() == _lone_transfer(pt, math.inf, 0.05).tobytes()
+        assert row_fin.tobytes() == _lone_transfer(pt, 100.0, 0.05).tobytes()
+
+
+def test_row_transfers_refuse_each_bad_row_as_the_lone_search():
+    good = np.array([[0.0, 0.0, -0.1, 0.5, 1.0, 0.0]] * 2)
+    no_z = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    # w = 0 and |x| = 2: the handle function stays at delta along both paths
+    no_crossing = np.array([2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    for bad, a, message in [(no_z, 100.0, "removed"), (good[0], 0.0, "must be positive"),
+                            (good[0], -1.0, "must be positive"),
+                            (good[0], math.nan, "must be positive"),
+                            (no_crossing, 100.0, "no level crossing")]:
+        rows = np.vstack([good, bad])
+        with pytest.raises(ValueError, match=message):
+            _lone_transfer(ModelPoint.from_array(bad, 1, 2), a, 0.05)
+        with pytest.raises(ValueError, match=message):
+            surgery.finite_transfers_to_s1(rows, 1, 2, [100.0, 100.0, a], 0.05)
+        if a == 100.0:
+            with pytest.raises(ValueError, match=message):
+                _lone_transfer(ModelPoint.from_array(bad, 1, 2), math.inf, 0.05)
+            with pytest.raises(ValueError, match=message):
+                surgery.limit_transfers_to_s1(rows, 1, 2, [0.05, 0.1, 0.05])
 
 
 def test_limit_transfer_frozen_example():
