@@ -1,9 +1,10 @@
 """The fixed-step RK4 integrator behind every flow in the package.
 
 A flow is given by plain callables: a right-hand side ``rhs(u) -> du`` whose
-output has the state's shape, an optional projection ``project(u) -> u``
-applied after each step (it may work in place on the stepped state), and, for
-:func:`rk4_until_event`, an event ``event(u) -> float``.  States are ``(d,)``
+output has the state's shape, for the fixed-time flows an optional projection
+``project(u) -> u`` applied after each step (it may work in place on the
+stepped state), and, for :func:`rk4_until_event`, which projects nothing, an
+event ``event(u) -> float``.  States are ``(d,)``
 vectors or ``(m, d)`` row batches, which :func:`rk4_final`, :func:`rk4_record`
 and :func:`rk4_until_event` advance in lockstep.  The one event loop serves
 a lone start as its one-row batch, and records the trajectory of every row
@@ -80,7 +81,7 @@ def rk4_record(rhs, u0, t, step, project=None):
 
 
 def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
-                    project=None, direction=1.0, record=False):
+                    direction=1.0, record=False):
     """March until ``event(u) - target`` changes sign or comes within
     event_tol, then bisect the crossing inside the last step.
 
@@ -102,19 +103,16 @@ def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
     u0 = np.array(u0, dtype=float)
     if u0.ndim != 1:
         return _until_event(rhs, u0, event, target, step, max_time, event_tol,
-                            project, direction, record)
+                            direction, record)
     # one start is the recorded m = 1 batch, with the field and event called on the row
     t_event, _, ((times, states),) = _until_event(
         lambda u: rhs(u[0])[None], u0[None], lambda u: np.array([event(u[0])]),
-        target, step, max_time, event_tol,
-        None if project is None else lambda u: project(u[0])[None],
-        direction, True)
+        target, step, max_time, event_tol, direction, True)
     t_event = float(t_event[0])
     return (None if math.isnan(t_event) else t_event), times, states
 
 
-def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
-                 direction, record):
+def _until_event(rhs, u, event, target, step, max_time, event_tol, direction, record):
     """The lockstep event loop on an (m, d) batch; with ``record`` it keeps
     the marching rows of every step and returns each row's trajectory too."""
     starts = u
@@ -135,7 +133,7 @@ def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
     for h in _schedule(max_time, step):
         if not rows.size:
             break
-        u_next = _advance(rhs, u, direction * h, project)
+        u_next = _advance(rhs, u, direction * h, None)
         hit = side * (event(u_next) - target) <= event_tol
         n_hit = np.count_nonzero(hit)  # cheaper than hit.any() on small arrays
         if n_hit:
@@ -151,8 +149,8 @@ def _until_event(rhs, u, event, target, step, max_time, event_tol, project,
     if frozen:
         hit_rows, side, u_pre, u_hit, h_hit, t_pre = (np.concatenate(part)
                                                      for part in zip(*frozen))
-        t_hit, ends[hit_rows] = _bisect_crossings(rhs, event, target, event_tol, project,
-                                                  direction, side, u_pre, u_hit, h_hit)
+        t_hit, ends[hit_rows] = _bisect_crossings(rhs, event, target, event_tol, direction,
+                                                  side, u_pre, u_hit, h_hit)
         t_event[hit_rows] = t_pre + t_hit
     if not record:
         return t_event, ends
@@ -182,8 +180,7 @@ def _trajectories(starts, t_event, ends, marched):
     return out
 
 
-def _bisect_crossings(rhs, event, target, event_tol, project, direction,
-                      side, u_pre, u_hit, h):
+def _bisect_crossings(rhs, event, target, event_tol, direction, side, u_pre, u_hit, h):
     """Refine each frozen row's crossing inside (0, h] by bisection on its
     substep size; returns the substeps and states of the refined points.
 
@@ -204,7 +201,7 @@ def _bisect_crossings(rhs, event, target, event_tol, project, direction,
         if not rows.size:
             break
         mid = 0.5 * (lo + hi)
-        u_mid = _advance(rhs, u_pre, direction * mid[:, None], project)
+        u_mid = _advance(rhs, u_pre, direction * mid[:, None], None)
         x = side * (event(u_mid) - target)
         take = x <= event_tol  # crossed, or within event_tol
         t_hit = np.where(take, mid, t_hit)

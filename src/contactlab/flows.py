@@ -5,7 +5,8 @@ which takes the field, event and projection as plain callables: a field
 ``rhs(u) -> du`` such as :func:`surgery.reeb_field`, an event
 ``event(u) -> float`` such as :func:`surgery.page_value`, and a projection
 ``project(u) -> u`` such as :func:`surgery.unit_w_projection`, which keeps a
-flow on its constraint set and is applied after every step.
+flow on its constraint set and is applied after every step of a fixed-time
+flow; the event flows take none.
 :func:`flow_rows_until_event` flows an ``(m, d)`` batch of starts in
 lockstep; its callables take the batch, and its event gives one value per row.
 :func:`trajectories_until_event` runs the same batch and keeps each row's
@@ -77,7 +78,7 @@ def flow_record(rhs: Field, start: Array, t: float,
 
 def flow_until_event(rhs: Field, start: Array,
                      event: Callable[[Array], float], target: float,
-                     cfg: IntegratorConfig, project: Projection = None) -> Trajectory:
+                     cfg: IntegratorConfig) -> Trajectory:
     """Integrate until ``event(u)`` crosses the target (bisection-refined).
 
     When a crossing occurs within cfg.max_time, ``trajectory.t_event`` is its
@@ -85,8 +86,7 @@ def flow_until_event(rhs: Field, start: Array,
     ``t_event`` is None and callers must check it.
     """
     t_event, times, states = _kernels.rk4_until_event(
-        rhs, start, event, float(target), cfg.step, cfg.max_time,
-        cfg.event_tol, project)
+        rhs, start, event, float(target), cfg.step, cfg.max_time, cfg.event_tol)
     return Trajectory(times, states, t_event)
 
 
@@ -99,10 +99,9 @@ def _row_batch(starts: Array) -> Array:
 
 def flow_rows_until_event(rhs: Field, starts: Array,
                           event: Callable[[Array], Array], target: float,
-                          cfg: IntegratorConfig,
-                          project: Projection = None) -> tuple[Array, Array]:
+                          cfg: IntegratorConfig) -> tuple[Array, Array]:
     """Integrate an (m, d) batch of starts in lockstep, each row until its
-    event crosses the target; the field, event and projection take batches.
+    event crosses the target; the field and event take batches.
 
     Returns ``(t_event, ends)``.  Row i's crossing is refined exactly as in
     a lone :func:`flow_until_event` from ``starts[i]``; ``t_event[i]`` is NaN
@@ -110,19 +109,18 @@ def flow_rows_until_event(rhs: Field, starts: Array,
     state at max_time.
     """
     return _kernels.rk4_until_event(rhs, _row_batch(starts), event, float(target), cfg.step,
-                                    cfg.max_time, cfg.event_tol, project)
+                                    cfg.max_time, cfg.event_tol)
 
 
 def trajectories_until_event(rhs: Field, starts: Array,
                              event: Callable[[Array], Array], target: float,
-                             cfg: IntegratorConfig,
-                             project: Projection = None) -> list[Trajectory]:
+                             cfg: IntegratorConfig) -> list[Trajectory]:
     """:func:`flow_rows_until_event`, keeping each row's sampled trajectory:
     row i's Trajectory equals a lone :func:`flow_until_event` from
     ``starts[i]`` bit for bit, times, points and t_event."""
     t_event, _, paths = _kernels.rk4_until_event(
         rhs, _row_batch(starts), event, float(target), cfg.step, cfg.max_time,
-        cfg.event_tol, project, record=True)
+        cfg.event_tol, record=True)
     return [Trajectory(times, states, None if math.isnan(t) else float(t))
             for t, (times, states) in zip(t_event, paths)]
 

@@ -1,7 +1,8 @@
 """Pointwise exterior calculus on oracle-defined objects.
 
 Maps and k-forms are stored as evaluation callables plus optional analytic
-derivative oracles; central finite differences are the fallback.  A vector
+derivative oracles; central finite differences are the fallback.
+:class:`SmoothMap` is the one map type, over points or row batches.  A vector
 field is a plain callable ``field(x) -> v``, the form the flows integrate.
 Everything lives in a single ambient chart: points are 1-d float arrays,
 tangent vectors are arrays of the same length.
@@ -69,12 +70,22 @@ def fd_jacobian(func: Callable[[Array], Array], x: Array,
 
 @dataclass
 class SmoothMap:
-    """A map between ambient charts with an analytic or finite-difference Jacobian."""
+    """A map between ambient charts with an analytic or finite-difference Jacobian.
+
+    ``func_jac`` gives the image and the Jacobian at once: carried by a map
+    whose Jacobian rides along with its flow, else ``(func(x), jacobian(x))``
+    with both looked up at call time.
+    """
 
     domain_dim: int
     codomain_dim: int
     func: Callable[[Array], Array]
     jac: Optional[Callable[[Array], Array]] = None
+    func_jac: Optional[Callable[[Array], tuple[Array, Array]]] = None
+
+    def __post_init__(self):
+        if self.func_jac is None:
+            self.func_jac = lambda x: (self.func(x), self.jacobian(x))
 
     def __call__(self, x: Array) -> Array:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -176,7 +187,7 @@ def pullback_eval(mapping: SmoothMap, form: KFormOracle, pt: Array,
 
 
 def liouville_residual(field: Callable[[Array], Array], omega: KFormOracle, pt: Array,
-                       frame: Sequence[Array], h_fd: float = DEFAULT_FD_STEP):
+                       frame: Sequence[Array]):
     """max over frame pairs of |d(i_X omega)(v_i, v_j) - omega(v_i, v_j)|.
 
     By Cartan's formula (omega closed) this is the defect of L_X omega = omega.
@@ -190,7 +201,7 @@ def liouville_residual(field: Callable[[Array], Array], omega: KFormOracle, pt: 
     frame = [np.asarray(v, dtype=float) for v in frame]
     for i in range(len(frame)):
         for j in range(i + 1, len(frame)):
-            d_val = exterior_derivative(contraction, pt, [frame[i], frame[j]], h_fd)
+            d_val = exterior_derivative(contraction, pt, [frame[i], frame[j]])
             worst = np.maximum(worst, np.abs(d_val - omega(pt, frame[i], frame[j])))
     return float(worst) if pt.ndim == 1 else worst
 
@@ -212,8 +223,7 @@ def _pfaffian(mat: Array) -> float:
     return total
 
 
-def contact_volume(alpha: KFormOracle, pt: Array, frame: Sequence[Array],
-                   h_fd: float = DEFAULT_FD_STEP) -> float:
+def contact_volume(alpha: KFormOracle, pt: Array, frame: Sequence[Array]) -> float:
     """(alpha ^ (d alpha)^n)(frame) for a (2n+1)-vector frame.
 
     Sign follows the order of the frame.  Uses (d alpha)^n = n! Pf(B) with
@@ -231,7 +241,7 @@ def contact_volume(alpha: KFormOracle, pt: Array, frame: Sequence[Array],
     b = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            b[i, j] = exterior_derivative(alpha, pt, [frame[i], frame[j]], h_fd)
+            b[i, j] = exterior_derivative(alpha, pt, [frame[i], frame[j]])
             b[j, i] = -b[i, j]
     factorial_n = float(math.factorial(n))
     total = 0.0
@@ -252,8 +262,8 @@ def standard_complex_structure(dim: int) -> Array:
     return j
 
 
-def psh_gram_matrix(gradient: Callable[[Array], Array], pt: Array, vectors: Sequence[Array],
-                    h_fd: float = DEFAULT_FD_STEP) -> Array:
+def psh_gram_matrix(gradient: Callable[[Array], Array], pt: Array,
+                    vectors: Sequence[Array]) -> Array:
     """Gram matrix of the candidate metric -d(df o J)(U, J V) on the given
     vectors, for the potential f with analytic gradient ``gradient``.
 
@@ -268,12 +278,11 @@ def psh_gram_matrix(gradient: Callable[[Array], Array], pt: Array, vectors: Sequ
     gram = np.empty((m, m))
     for a in range(m):
         for b in range(m):
-            gram[a, b] = -exterior_derivative(eta, pt, [vectors[a], j_std @ vectors[b]], h_fd)
+            gram[a, b] = -exterior_derivative(eta, pt, [vectors[a], j_std @ vectors[b]])
     return gram
 
 
-def reeb_coefficients(alpha: KFormOracle, pt: Array, frame: Sequence[Array],
-                      h_fd: float = DEFAULT_FD_STEP) -> Array:
+def reeb_coefficients(alpha: KFormOracle, pt: Array, frame: Sequence[Array]) -> Array:
     """Coefficients of the Reeb field in the frame basis: alpha(R) = 1, i_R dalpha = 0.
 
     Solved as a stacked linear system per point; raises when the frame does
@@ -285,7 +294,7 @@ def reeb_coefficients(alpha: KFormOracle, pt: Array, frame: Sequence[Array],
     rhs = np.zeros(m + 1)
     for j in range(m):
         for i in range(m):
-            rows[j, i] = exterior_derivative(alpha, pt, [frame[i], frame[j]], h_fd)
+            rows[j, i] = exterior_derivative(alpha, pt, [frame[i], frame[j]])
     for i in range(m):
         rows[m, i] = alpha(pt, frame[i])
     rhs[m] = 1.0

@@ -6,6 +6,9 @@ Product charts are flat: a mapping torus point is (sigma-coords..., phi), a
 collar point is (s, boundary-coords..., phi), a binding point is
 (boundary-coords..., r, phi) in polar or (boundary-coords..., u, v) in
 Cartesian disk coordinates.
+
+A candidate monodromy is a :class:`forms.SmoothMap` over rows of points; a
+domain declares lambda once, and its form and d lambda derive from that.
 """
 
 from __future__ import annotations
@@ -33,52 +36,34 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BatchedMapOps:
-    """Vectorized twins of a map: func (m,d)->(m,d), jac (m,d)->(m,d,d).
-
-    ``func_jac`` returns both at once; a map whose Jacobian rides along with
-    its own computation supplies it so callers needing both pay once.
-    """
-
-    func: Callable[[Array], Array]
-    jac: Callable[[Array], Array]
-    func_jac: Optional[Callable[[Array], tuple[Array, Array]]] = None
-
-    def __post_init__(self):
-        if self.func_jac is None:
-            self.func_jac = lambda pts: (self.func(pts), self.jac(pts))
-
-
-@dataclass
 class ExactSymplecticDomain:
     """A star-shaped coordinate patch with an exact symplectic primitive.
 
-    ``lam_batch`` gives the coefficient rows of lambda for a batch of points
-    and ``dlambda_const`` the constant coefficient matrix of d lambda; the
-    exactness correction solves for its field with that matrix.
+    lambda is declared once, by its coefficients ``lam_coeffs`` at a point or
+    over (m, d) rows and their constant Jacobian ``lam_jac`` J.  The form
+    ``lam`` and the matrix ``dlambda_const = J^T - J`` of d lambda, with which
+    the exactness correction solves for its field, derive from them.
     """
 
     dim: int
-    lam: KFormOracle
     sample_box: Array  # (dim, 2) bounds
-    lam_batch: Callable[[Array], Array]
-    dlambda_const: Array
+    lam_coeffs: Callable[[Array], Array]
+    lam_jac: Array
+    lam: KFormOracle = field(init=False)
+    dlambda_const: Array = field(init=False)
 
     def __post_init__(self):
         self.sample_box = np.asarray(self.sample_box, dtype=float)
         if self.sample_box.shape != (self.dim, 2):
             raise ValueError("sample_box must be (dim, 2) bounds")
+        self.lam = one_form(self.dim, self.lam_coeffs, lambda u: self.lam_jac)
+        self.dlambda_const = self.lam_jac.T - self.lam_jac
 
     def dlambda_matrix(self, x: Array) -> Array:
-        """d(lambda) at x by central differences of lambda (step 1e-5): the tests'
-        reference for ``dlambda_const`` and a span perfbench/layers.py traces."""
+        """d(lambda) at x, entry by entry, by the exterior derivative of ``lam``:
+        the tests' reference for ``dlambda_const`` and a span perfbench/layers.py traces."""
         basis = np.eye(self.dim)
-        mat = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                mat[i, j] = exterior_derivative(self.lam, x, [basis[i], basis[j]], 1e-5)
-                mat[j, i] = -mat[i, j]
-        return mat
+        return np.array([[exterior_derivative(self.lam, x, [u, v]) for v in basis] for u in basis])
 
     def sample(self, rng: np.random.Generator, count: int) -> Array:
         lo, hi = self.sample_box[:, 0], self.sample_box[:, 1]
@@ -88,29 +73,26 @@ class ExactSymplecticDomain:
 def standard_disk_domain(half_width: float = 1.0) -> ExactSymplecticDomain:
     """R^2 with the rotational primitive (x dy - y dx)/2 of dx^dy.  Every caller
     uses half-width 1.0; the argument stays because perfbench/worker.py passes it."""
-    lam = one_form(2, lambda u: 0.5 * np.array([-u[1], u[0]]),
-                   lambda u: 0.5 * np.array([[0.0, -1.0], [1.0, 0.0]]))
     box = np.array([[-half_width, half_width], [-half_width, half_width]])
     return ExactSymplecticDomain(
-        2, lam, box,
-        lam_batch=lambda pts: 0.5 * np.stack([-pts[:, 1], pts[:, 0]], axis=1),
-        dlambda_const=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        2, box, lambda u: 0.5 * np.stack([-u[..., 1], u[..., 0]], axis=-1),
+        0.5 * np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 @dataclass
 class SymplectomorphismCandidate:
     """A map expected to preserve d(lambda), equal to the identity outside its
-    (dim, 2) support box.  ``mapping`` is its one-point form, built from the
-    batched ops as they are when the candidate is made."""
+    (dim, 2) support box.  ``batched`` takes (m, d) rows to (m, d) images and
+    (m, d, d) Jacobians; ``mapping`` is its one-point form, built from the
+    batched callables as they are when the candidate is made."""
 
-    batched: BatchedMapOps
+    batched: SmoothMap
     support_box: Array
     mapping: SmoothMap = field(init=False)
 
     def __post_init__(self):
         self.support_box = np.asarray(self.support_box, dtype=float)
-        func, jac = self.batched.func, self.batched.jac
-        dim = len(self.support_box)
+        func, jac, dim = self.batched.func, self.batched.jac, self.batched.domain_dim
         self.mapping = SmoothMap(dim, dim, lambda u: func(u[None, :])[0],
                                  jac=lambda u: jac(u[None, :])[0])
 
@@ -119,8 +101,8 @@ def identity_candidate(dim: int) -> SymplectomorphismCandidate:
     """The identity map, which needs no correction; its support box is the
     origin alone."""
     return SymplectomorphismCandidate(
-        BatchedMapOps(lambda pts: pts.copy(),
-                      lambda pts: np.tile(np.eye(dim), (len(pts), 1, 1))),
+        SmoothMap(dim, dim, lambda pts: pts.copy(),
+                  jac=lambda pts: np.tile(np.eye(dim), (len(pts), 1, 1))),
         np.zeros((dim, 2)))
 
 
@@ -163,7 +145,7 @@ def radial_twist_map(amplitude: float, support_radius: float) -> Symplectomorphi
             np.einsum("mi,mj->mij", rotated, pts)
 
     box = np.array([[-support_radius, support_radius]] * 2)
-    return SymplectomorphismCandidate(BatchedMapOps(func_batch, jac_batch), box)
+    return SymplectomorphismCandidate(SmoothMap(2, 2, func_batch, jac=jac_batch), box)
 
 
 def strip_shear_map(amplitude: float, half_width: float):
@@ -202,7 +184,7 @@ def strip_shear_map(amplitude: float, half_width: float):
         return -(float(c_int(u[0])) - 0.5 * u[0] * float(c_np(u[0])))
 
     box = np.array([[-half_width, half_width], [-50.0, 50.0]])
-    return SymplectomorphismCandidate(BatchedMapOps(func_batch, jac_batch), box), h0
+    return SymplectomorphismCandidate(SmoothMap(2, 2, func_batch, jac=jac_batch), box), h0
 
 
 def bump_variational_terms(amplitude, r02, x, y, j00, j01, j10, j11):
@@ -260,8 +242,8 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
 
     box = np.array([[-support_radius, support_radius]] * 2)
     return SymplectomorphismCandidate(
-        BatchedMapOps(lambda pts: func_jac_batch(pts)[0],
-                      lambda pts: func_jac_batch(pts)[1], func_jac_batch), box)
+        SmoothMap(2, 2, lambda pts: func_jac_batch(pts)[0],
+                  jac=lambda pts: func_jac_batch(pts)[1], func_jac=func_jac_batch), box)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +361,7 @@ def _pullback_defect_rows(domain: ExactSymplecticDomain, psi: SymplectomorphismC
                           pts: Array) -> Array:
     """Coefficient rows of mu = psi^* lambda - lambda over an (m, d) batch."""
     img, jac = psi.batched.func_jac(pts)
-    return np.einsum("mi,mik->mk", domain.lam_batch(img), jac) - domain.lam_batch(pts)
+    return np.einsum("mi,mik->mk", domain.lam_coeffs(img), jac) - domain.lam_coeffs(pts)
 
 
 def giroux_correction(domain: ExactSymplecticDomain,
@@ -421,13 +403,10 @@ def giroux_correction(domain: ExactSymplecticDomain,
         raise ValueError(f"psi^* lambda - lambda is not closed (residual {worst_dmu:.2e}); "
                          "the input does not preserve d(lambda)")
 
-    def flow_row(x):
-        return giroux_flow_batch(domain, psi, x, flow_cfg)
-
-    return GirouxResult(psi_hat=SmoothMap(d, d, lambda x: flow_row(x).psi_hat[0]),
-                        h=lambda x: float(flow_row(x).h[0]),
-                        mu_closedness=worst_dmu,
-                        cond_max=float(np.linalg.cond(domain.dlambda_const)))
+    return GirouxResult(
+        psi_hat=SmoothMap(d, d, lambda x: giroux_flow_batch(domain, psi, x, flow_cfg).psi_hat[0]),
+        h=lambda x: float(giroux_flow_batch(domain, psi, x, flow_cfg).h[0]),
+        mu_closedness=worst_dmu, cond_max=float(np.linalg.cond(domain.dlambda_const)))
 
 
 def make_batched_y(domain: ExactSymplecticDomain,
@@ -466,7 +445,7 @@ def giroux_flow_batch(domain: ExactSymplecticDomain,
     def field(u):
         x = u[:, :d]
         y = y_batch(x)
-        s_dot = np.einsum("mi,mi->m", domain.lam_batch(x), y)
+        s_dot = np.einsum("mi,mi->m", domain.lam_coeffs(x), y)
         return np.concatenate([y, s_dot[:, None]], axis=1)
 
     out = _kernels.rk4_final(field, aug, 1.0, flow_cfg.step)
@@ -537,20 +516,21 @@ class LegendrianRealization:
 
 # the cut-off rho(|p|) is 1 for |p| <= RHO_IN and 0 for |p| >= RHO_OUT
 RHO_IN, RHO_OUT = 0.3, 0.8
+# Gauss-Legendre nodes per path leg; path-check detours (also their rng seed)
+REALIZATION_NODES, PATH_CHECK_DETOURS = 32, 2
 
 
-def legendrian_realization(n: int, lam: KFormOracle, nodes: int = 48,
-                           path_check: int = 0) -> LegendrianRealization:
+def legendrian_realization(n: int, lam: KFormOracle) -> LegendrianRealization:
     """Correct a primitive on a sphere-bundle neighborhood so the zero section
     becomes Legendrian for dt + corrected form.
 
     Requires n > 1 so that every closed 1-form on the sphere is exact and the
     potential g of (lam - p dq) is recoverable by line integration.  Paths run
     from the base point e_0 along a great circle on the zero section and then
-    straight up the fiber; with ``path_check`` > 0 the potential is
-    re-integrated through detour waypoints at that many points and a mismatch
-    (a closedness failure of lam - p dq) raises instead of silently returning
-    a path-dependent g.
+    straight up the fiber.  The potential is re-integrated through detour
+    waypoints at ``PATH_CHECK_DETOURS`` points, and a mismatch (a closedness
+    failure of lam - p dq) raises instead of silently returning a
+    path-dependent g.
     """
     if n <= 1:
         raise ValueError("realization needs sphere dimension n > 1 "
@@ -563,7 +543,7 @@ def legendrian_realization(n: int, lam: KFormOracle, nodes: int = 48,
     def mu(x, v):
         return lam(x, v) - lam_can(x, v)
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(REALIZATION_NODES)
 
     def _zero_section_leg(q_from: Array, q_to: Array) -> float:
         total = 0.0
@@ -591,33 +571,32 @@ def legendrian_realization(n: int, lam: KFormOracle, nodes: int = 48,
             total += 0.5 * wi * mu(x, v)
         return total
 
-    if path_check > 0:
-        mu_form = KFormOracle(1, dim, mu)
-        check_rng_local = np.random.default_rng(path_check)
-        for _ in range(path_check):
-            q = check_rng_local.standard_normal(d)
-            q /= np.linalg.norm(q)
-            p = check_rng_local.standard_normal(d) * 0.2
-            p -= (p @ q) * q
-            # detour on the zero section: sees base-direction defects
-            waypoint = check_rng_local.standard_normal(d)
-            waypoint /= np.linalg.norm(waypoint)
-            gap = abs(g(q, p) - g(q, p, waypoint=waypoint))
-            if gap > 1e-6:
-                raise ValueError(
-                    f"path-dependence detected (potential differs by {gap:.2e} "
-                    "across detours); lam - p dq is not closed on the neighborhood")
-            # the differential of lam - p dq on bundle tangent pairs: sees
-            # mixed base/fiber defects that zero-section detours cannot
-            frame = tangent_frame(SpherePoint(q, p))
-            x = np.concatenate([q, p])
-            for i in range(len(frame)):
-                for j in range(i + 1, len(frame)):
-                    dmu = exterior_derivative(mu_form, x, [frame[i], frame[j]], 1e-5)
-                    if abs(dmu) > 1e-5:
-                        raise ValueError(
-                            f"path-dependence detected (d(lam - p dq) = {dmu:.2e} "
-                            "on a tangent pair); the potential is ill-defined")
+    mu_form = KFormOracle(1, dim, mu)
+    check_rng_local = np.random.default_rng(PATH_CHECK_DETOURS)
+    for _ in range(PATH_CHECK_DETOURS):
+        q = check_rng_local.standard_normal(d)
+        q /= np.linalg.norm(q)
+        p = check_rng_local.standard_normal(d) * 0.2
+        p -= (p @ q) * q
+        # detour on the zero section: sees base-direction defects
+        waypoint = check_rng_local.standard_normal(d)
+        waypoint /= np.linalg.norm(waypoint)
+        gap = abs(g(q, p) - g(q, p, waypoint=waypoint))
+        if gap > 1e-6:
+            raise ValueError(
+                f"path-dependence detected (potential differs by {gap:.2e} "
+                "across detours); lam - p dq is not closed on the neighborhood")
+        # the differential of lam - p dq on bundle tangent pairs: sees
+        # mixed base/fiber defects that zero-section detours cannot
+        frame = tangent_frame(SpherePoint(q, p))
+        x = np.concatenate([q, p])
+        for i in range(len(frame)):
+            for j in range(i + 1, len(frame)):
+                dmu = exterior_derivative(mu_form, x, [frame[i], frame[j]], 1e-5)
+                if abs(dmu) > 1e-5:
+                    raise ValueError(
+                        f"path-dependence detected (d(lam - p dq) = {dmu:.2e} "
+                        "on a tangent pair); the potential is ill-defined")
 
     def rho(r: float) -> float:
         if r <= RHO_IN:
@@ -656,8 +635,7 @@ def legendrian_realization(n: int, lam: KFormOracle, nodes: int = 48,
 # ---------------------------------------------------------------------------
 
 def reeb_transversality_check(alpha: KFormOracle, grad_theta: Callable[[Array], Array],
-                              samples: Sequence[tuple[Array, Sequence[Array]]],
-                              h_fd: float = 1e-5) -> float:
+                              samples: Sequence[tuple[Array, Sequence[Array]]]) -> float:
     """min over samples of the Reeb derivative of the page function theta,
     given by its gradient ``grad_theta``.
 
@@ -667,7 +645,7 @@ def reeb_transversality_check(alpha: KFormOracle, grad_theta: Callable[[Array], 
     """
     worst = math.inf
     for pt, frame in samples:
-        coeff = reeb_coefficients(alpha, pt, frame, h_fd)
+        coeff = reeb_coefficients(alpha, pt, frame)
         r_vec = sum(c * np.asarray(v, dtype=float) for c, v in zip(coeff, frame))
         grad = grad_theta(pt)
         worst = min(worst, float(grad @ r_vec))

@@ -198,10 +198,12 @@ class DehnTwistProfile:
     k: int = 1
 
     def __post_init__(self):
-        if not self.p0 > 0.0:
-            raise ValueError("support radius p0 must be positive")
-        if self.k < 1:
-            raise ValueError("twist multiplicity k must be a positive integer")
+        # an infinite p0 twists by k*pi everywhere, with no compact support
+        if not 0.0 < self.p0 < math.inf:
+            raise ValueError(f"support radius p0 must be positive and finite, got {self.p0!r}")
+        # a fractional k moves the zero section by k % 2 while g1(0) = k*pi
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"twist multiplicity k must be a positive integer, got {self.k!r}")
 
     def g1(self, s: float) -> float:
         return twist_g1(s, self.p0, self.k)

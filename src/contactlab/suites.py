@@ -906,8 +906,8 @@ def _giroux_batched_eval(domain, candidate, samples: Array, flow_cfg: Integrator
                    for i in range(d)], axis=1)
     jac = np.stack([(ph[1 + 2 * i] - ph[2 + 2 * i]) / (2.0 * fd)
                     for i in range(d)], axis=2)
-    nu = np.einsum("mi,mik->mk", domain.lam_batch(ph[0]), jac) \
-        - domain.lam_batch(samples)
+    nu = np.einsum("mi,mik->mk", domain.lam_coeffs(ph[0]), jac) \
+        - domain.lam_coeffs(samples)
     return {"h": h[0], "dh": dh, "psi_hat": ph[0], "jac": jac, "nu": nu}
 
 
@@ -1102,7 +1102,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
             return lam_can(x, v) + float(grad_xi(x) @ np.asarray(v, dtype=float))
 
         lam = forms.KFormOracle(1, dim, lam_eval)
-        real = ob.legendrian_realization(n, lam, nodes=QUAD_NODES, path_check=2)
+        real = ob.legendrian_realization(n, lam)
         worst = 0.0
         # the potential is recovered up to a constant
         offsets = []

@@ -605,14 +605,6 @@ def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> Array:
     return limit_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, profile.delta)[0]
 
 
-def transfer_to_s1_finite_a(pt: ModelPoint, a: float, profile: HandleProfile) -> Array:
-    """The one-row call of :func:`finite_transfers_to_s1`, and of the limit
-    transfer at a = inf; returns the flat state."""
-    if a == math.inf:
-        return limit_transfer_to_s1(pt, profile)
-    return finite_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, a, profile.delta)[0]
-
-
 def transfer_to_s_minus1(u: Array, nxy: int, nzw: int) -> Array:
     """Inverse transfer of a flat state onto |w|^2 = 1: (|w| z, w / |w|), keeping z.w."""
     b = 2 * nxy

@@ -78,7 +78,7 @@ def test_criterion_03_liouville_and_transversality():
     for _ in range(100):
         pt = rng.standard_normal(6)
         worst_liouville = max(worst_liouville,
-                              forms.liouville_residual(fld, om, pt, frame, 1e-5))
+                              forms.liouville_residual(fld, om, pt, frame))
     min_margin = math.inf
     for delta in (0.05, 0.1):
         profile = HandleProfile(delta)

@@ -1,12 +1,17 @@
 """Dead-code guards: every top-level function and method of the package is
 named by some other line of its code, or is on the allow-list with a reason;
-and every scenario setting is read by the code it configures.
+every defaulted parameter is passed by some call, or is on its allow-list
+with a reason; and every scenario setting is read by the code it configures.
 
 A name counts when it appears as a code token; strings, comments and
 docstrings do not name anything.  Dunder methods are called by Python itself
 and are skipped.  A function that loses its last caller fails here until it
-is deleted or allow-listed.  A ``ScenarioConfig`` field counts as read when
-some module other than ``config.py`` reads it as ``cfg.<field>``.
+is deleted or allow-listed.  A defaulted parameter of a package function,
+nested functions included, counts as passed when a call in the package or in
+``perfbench/worker.py`` to a function of its name passes it by keyword, by
+position, or through ``*args``/``**kwargs``.  A ``ScenarioConfig`` field
+counts as read when some module other than ``config.py`` reads it as
+``cfg.<field>``.
 """
 
 import ast
@@ -19,17 +24,16 @@ import contactlab
 from contactlab.config import ScenarioConfig
 
 PACKAGE = Path(contactlab.__file__).resolve().parent
+WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 # callers outside the package, or registration by decorator
 ALLOWED = {
     "__init__.active_backend": "perfbench/worker.py stamps it into its environment record",
     "openbook.ExactSymplecticDomain.dlambda_matrix":
-        "the tests' finite-difference reference for dlambda_const, and a perfbench span",
+        "the tests' reference for dlambda_const, and a perfbench span",
     "sphere.dehn_twist_batch": "perfbench/worker.py uses it as a reference",
     "surgery.handle_membership":
         "the one-point membership the tests call; perfbench/layers.py traces it",
-    "surgery.transfer_to_s1_finite_a":
-        "the one-point finite-speed transfer the tests call, with a = inf as the limit",
     **{f"suites.suite_{name}": "registered by @suite and called through SUITES"
        for name in ("binding", "dehn_twist", "giroux", "monodromy", "moves", "weinstein")},
 }
@@ -67,6 +71,63 @@ def unnamed_definitions():
 
 def test_every_function_is_named_or_allow_listed():
     assert unnamed_definitions() == sorted(ALLOWED)
+
+
+# defaulted parameters that only callers outside the package and the worker set
+UNPASSED_ALLOWED = {
+    "moves.equivalent_up_to_moves.max_nodes": "the tests lower the search budget",
+    "cli.main.argv": "the tests' entry point; the console script passes none",
+}
+
+
+def _defaulted_parameters(node, prefix):
+    """(qualified name, function name, parameter, position or None) of every
+    defaulted parameter of the functions under node; a position counts the
+    arguments of a call, so a method's self or cls is not counted."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                yield f"{prefix}{child.name}.{arg.arg}", child.name, arg.arg, index - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}{child.name}.{arg.arg}", child.name, arg.arg, None
+            yield from _defaulted_parameters(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defaulted_parameters(child, prefix)
+
+
+def _passes(call, param, index):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unpassed_defaults():
+    """The defaulted parameters that no call in the package or the worker passes."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    calls = {}
+    for path in [*modules, WORKER]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(qual for path in modules
+                  for qual, name, param, index in
+                  _defaulted_parameters(ast.parse(path.read_text()), f"{path.stem}.")
+                  if not any(_passes(c, param, index) for c in calls.get(name, [])))
+
+
+def test_every_default_is_passed_or_allow_listed():
+    assert unpassed_defaults() == sorted(UNPASSED_ALLOWED)
 
 
 def unread_scenario_fields():

@@ -96,25 +96,6 @@ def test_projection_unit_w_keeps_constraint():
         assert abs(row[2:] @ row[2:] - 1.0) < 1e-12
 
 
-def test_event_flow_projects_after_every_step():
-    fld = surgery.reeb_field(0, 2)
-    unit_w = surgery.unit_w_projection(0, 2)
-    calls = []
-
-    def counted(u):
-        calls.append(1)
-        return unit_w(u)
-
-    # page -0.1 with w slightly off the unit circle
-    start = np.array([0.34, -0.38, 0.6, 0.8 + 1e-6])
-    traj = flow_until_event(fld, start, surgery.page_value(0, 2), 0.1, CFG,
-                            project=counted)
-    assert traj.t_event is not None
-    assert len(calls) >= len(traj.times) - 1
-    for row in traj.points[1:]:
-        assert abs(row[2:] @ row[2:] - 1.0) < 1e-12
-
-
 def test_non_finite_state_raises():
     def cubic(u):
         with np.errstate(over="ignore"):

@@ -88,6 +88,24 @@ def test_pullback_through_identity():
     assert abs(pullback_eval(identity, lam, x, [v]) - lam(x, v)) < 1e-14
 
 
+def test_smooth_map_func_jac_defaults_to_its_callables_at_call_time():
+    square = SmoothMap(2, 2, lambda u: u * u, jac=lambda u: np.diag(2.0 * u))
+    x = np.array([0.3, -0.7])
+    img, jac = square.func_jac(x)
+    assert np.array_equal(img, x * x) and np.array_equal(jac, np.diag(2.0 * x))
+    # rebound callables are the ones it calls
+    square.func = lambda u: -u
+    square.jac = lambda u: -np.eye(2)
+    img, jac = square.func_jac(x)
+    assert np.array_equal(img, -x) and np.array_equal(jac, -np.eye(2))
+    # without an analytic Jacobian, the finite-difference one
+    fd_only = SmoothMap(2, 2, lambda u: u * u)
+    assert np.array_equal(fd_only.func_jac(x)[1], fd_only.jacobian(x))
+    # a carried func_jac is called as it is
+    carried = SmoothMap(2, 2, square.func, func_jac=lambda u: ("image", "jacobian"))
+    assert carried.func_jac(x) == ("image", "jacobian")
+
+
 def test_pullback_functoriality():
     # (g o f)^* equals f^* g^* with analytic Jacobians
     f = SmoothMap(2, 2, lambda u: np.array([u[0] + u[1] ** 2, math.sin(u[0])]),
@@ -202,7 +220,7 @@ def test_reeb_solver_on_product_form():
     # alpha = lambda_disk + dphi: the Reeb field is the circle direction
     alpha = KFormOracle(1, 3, lambda u, v: float(
         0.5 * (-u[1] * v[0] + u[0] * v[1]) + v[2]))
-    coeff = reeb_coefficients(alpha, np.array([0.2, 0.1, 0.5]), list(np.eye(3)), 1e-5)
+    coeff = reeb_coefficients(alpha, np.array([0.2, 0.1, 0.5]), list(np.eye(3)))
     assert np.max(np.abs(coeff - np.array([0.0, 0.0, 1.0]))) < 1e-6
 
 

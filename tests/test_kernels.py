@@ -483,25 +483,6 @@ def test_batched_event_rows_equal_one_row_runs(direction):
     assert len(crossing_steps) >= 4  # rows froze on different steps
 
 
-def test_batched_event_rows_with_a_projection_equal_one_row_runs():
-    # the projection rescales each row; a batch projects row by row
-    def project(u):
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        return u
-
-    def rotate(u):
-        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
-
-    starts = rng.uniform(0.2, 1.0, (6, 2))
-    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    t_batch, ends = k.rk4_until_event(rotate, starts, _x_event, -0.5, 0.01, 5.0, 1e-12,
-                                      project)
-    for start, t_row, end in zip(starts, t_batch, ends):
-        t_one, _, states = k.rk4_until_event(rotate, start, _x_event, -0.5, 0.01, 5.0,
-                                             1e-12, project)
-        assert t_row == t_one and np.array_equal(end, states[-1])
-
-
 @pytest.mark.parametrize("direction", [1.0, -1.0])
 def test_recorded_event_rows_equal_one_row_trajectories(direction):
     # a row on the event at t = 0, rows that never cross, and rows that cross

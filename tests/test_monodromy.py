@@ -80,7 +80,7 @@ def test_pipeline_matches_closed_form_on_worked_point():
     res = mono.post_surgery_pipeline(worked_start(), CONFIG, PROFILE, FLOW)
     assert res.closed_vs_pipeline < 1e-6
     # stage 1 lands on the surgered hypersurface, stage 3 back on |w| = 1
-    on_s1 = surgery.transfer_to_s1_finite_a(worked_start(), math.inf, PROFILE)
+    on_s1 = surgery.limit_transfer_to_s1(worked_start(), PROFILE)
     assert abs(surgery.level_value(0, 2, PROFILE.delta)(on_s1)) < 1e-10
     back = surgery.transfer_to_s_minus1(on_s1, 0, 2)
     assert abs(float(np.linalg.norm(back[2:])) - 1.0) < 1e-12

@@ -113,8 +113,8 @@ def test_giroux_identity_map():
 
 def test_giroux_rejects_non_symplectic_input():
     domain = ob.standard_disk_domain()
-    squeeze = ob.BatchedMapOps(lambda pts: pts * np.array([2.0, 1.0]),
-                               lambda pts: np.tile(np.diag([2.0, 1.0]), (len(pts), 1, 1)))
+    squeeze = forms.SmoothMap(2, 2, lambda pts: pts * np.array([2.0, 1.0]),
+                              jac=lambda pts: np.tile(np.diag([2.0, 1.0]), (len(pts), 1, 1)))
     candidate = ob.SymplectomorphismCandidate(squeeze, np.array([[-2.0, 2.0]] * 2))
     with pytest.raises(ValueError, match="not closed|preserve"):
         ob.giroux_correction(domain, candidate, FLOW, rng=rng)
@@ -182,19 +182,23 @@ def test_batched_mu_closedness_matches_pointwise_exterior_derivative(make):
 
 def test_giroux_refuses_a_non_finite_defect():
     domain = ob.standard_disk_domain()
-    undefined = ob.BatchedMapOps(lambda pts: np.full_like(pts, np.nan),
-                                 lambda pts: np.tile(np.eye(2), (len(pts), 1, 1)))
+    undefined = forms.SmoothMap(2, 2, lambda pts: np.full_like(pts, np.nan),
+                                jac=lambda pts: np.tile(np.eye(2), (len(pts), 1, 1)))
     candidate = ob.SymplectomorphismCandidate(undefined, np.array([[-1.0, 1.0]] * 2))
     with pytest.raises(ValueError, match="not finite"):
         ob.giroux_correction(domain, candidate, FLOW, rng=rng)
 
 
-def test_disk_domain_lam_batch_rows_equal_lam():
+def test_disk_domain_lam_coeff_rows_equal_lam_and_its_differential():
+    # lambda is declared once; the form and d lambda derive from its coefficients
     domain = ob.standard_disk_domain()
     pts = np.vstack([domain.sample(rng, 20), [[0.0, 0.0], [-1.0, 1.0]]])
-    rows = domain.lam_batch(pts)
+    rows = domain.lam_coeffs(pts)
     for x, row in zip(pts, rows):
         assert np.array_equal(row, [domain.lam(x, e) for e in np.eye(2)])
+        assert np.array_equal(domain.lam_coeffs(x), row)
+        assert np.max(np.abs(domain.dlambda_matrix(x) - domain.dlambda_const)) < 1e-9
+    assert np.array_equal(domain.dlambda_const, [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_shear_candidate_primitive():
@@ -384,7 +388,7 @@ def test_legendrian_correction_is_exact_in_the_cutoff_band():
         return lam_can(x, v) + float(grad_xi @ np.asarray(v, dtype=float))
 
     lam = forms.KFormOracle(1, 2 * d, lam_eval)
-    real = ob.legendrian_realization(n, lam, nodes=32)
+    real = ob.legendrian_realization(n, lam)
     local = np.random.default_rng(5)
     worst = 0.0
     for _ in range(6):
@@ -429,7 +433,7 @@ def test_legendrian_realization_detects_path_dependence():
 
     bad = forms.KFormOracle(1, 2 * d, bad_eval)
     with pytest.raises(ValueError, match="path-dependence"):
-        ob.legendrian_realization(n, bad, path_check=4)
+        ob.legendrian_realization(n, bad)
     # the honest canonical form sails through the same validation
     lam = sphere.canonical_one_form(2 * d)
-    ob.legendrian_realization(n, lam, path_check=3)
+    ob.legendrian_realization(n, lam)

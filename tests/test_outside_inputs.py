@@ -129,13 +129,17 @@ ON_PAGE = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([
     (lambda: SpherePoint(np.array([1.0, 0.0]), np.array([0.0, math.inf])),
      "q and p must be finite"),
     (lambda: DehnTwistProfile(math.nan, 1), "p0 must be positive"),
+    (lambda: DehnTwistProfile(math.inf, 1), "p0 must be positive and finite, got inf"),
+    (lambda: DehnTwistProfile(1.0, 1.5), "k must be a positive integer, got 1.5"),
+    (lambda: DehnTwistProfile(1.0, True), "k must be a positive integer, got True"),
+    (lambda: DehnTwistProfile(1.0, 0), "k must be a positive integer, got 0"),
     (lambda: surgery.phi_c_map(2, 0, math.nan), "scaling constant must be positive"),
     (lambda: IntegratorConfig(step=math.nan), "positive and finite"),
     (lambda: IntegratorConfig(max_time=math.inf), "positive and finite"),
     (lambda: IntegratorConfig(event_tol=math.nan), "positive and finite"),
     (lambda: pre_surgery_monodromy([ON_PAGE], math.nan, IntegratorConfig()), "-eps page"),
     (lambda: post_surgery_closed_form(ON_PAGE, math.nan), "-eps page"),
-    (lambda: surgery.transfer_to_s1_finite_a(ON_PAGE, math.nan, HandleProfile(0.05)),
+    (lambda: surgery.finite_transfers_to_s1(ON_PAGE.as_array()[None], 0, 2, math.nan, 0.05),
      "a must be positive"),
     (lambda: HandleProfile(0.05).g_inverse(math.nan), "finite values"),
     (lambda: HandleProfile(0.05).g_inverse(-math.inf), "finite values"),

@@ -11,8 +11,7 @@ from contactlab.profiles import HandleProfile
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
                                 limit_transfer_to_s1, psi_w, psi_w_inverse, phi_c_map,
-                                transfer_to_s1_finite_a, transfer_to_s_minus1,
-                                transversality_margins)
+                                transfer_to_s_minus1, transversality_margins)
 
 from test_kernels import _scalar_handle_f, _scalar_handle_g
 from test_profiles import g_inverse_reference
@@ -291,13 +290,14 @@ def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
                     ref = _transfer_reference(start, a, PROFILE)
                     monkeypatch.setattr(ModelPoint, "__post_init__", counted)
                     built.clear()
-                    out = transfer_to_s1_finite_a(start, a, PROFILE)
+                    if a == math.inf:
+                        out = limit_transfer_to_s1(start, PROFILE)
+                    else:
+                        out = surgery.finite_transfers_to_s1(start.as_array()[None], nxy, nzw,
+                                                             a, PROFILE.delta)[0]
                     monkeypatch.setattr(ModelPoint, "__post_init__", validate)
                     assert not built  # flat states throughout, the result too
                     assert np.array_equal(out, ref.as_array())
-                    if a == math.inf:
-                        assert np.array_equal(limit_transfer_to_s1(start, PROFILE),
-                                              ref.as_array())
     assert signs == {-1, 0, 1}
 
 
@@ -413,9 +413,9 @@ def test_row_transfers_repeat_the_lone_search_bitwise(nxy, nzw):
         assert lim.tobytes() == _lone_transfer(pt, math.inf, delta).tobytes()
         assert fin.tobytes() == _lone_transfer(pt, a, delta).tobytes()
         # the lone calls are the one-row batches
-        profile = HandleProfile(delta)
-        assert limit_transfer_to_s1(pt, profile).tobytes() == lim.tobytes()
-        assert transfer_to_s1_finite_a(pt, a, profile).tobytes() == fin.tobytes()
+        assert limit_transfer_to_s1(pt, HandleProfile(delta)).tobytes() == lim.tobytes()
+        lone = surgery.finite_transfers_to_s1(pt.as_array()[None], nxy, nzw, a, delta)[0]
+        assert lone.tobytes() == fin.tobytes()
     # one smoothing width and one speed for all rows
     lim = surgery.limit_transfers_to_s1(rows, nxy, nzw, 0.05)
     fin = surgery.finite_transfers_to_s1(rows, nxy, nzw, 100.0, 0.05)
@@ -485,12 +485,12 @@ def test_finite_transfer_converges_to_limit():
     lim = limit_transfer_to_s1(pt, PROFILE)
     errs = []
     for a in (10.0, 100.0, 1000.0):
-        out = transfer_to_s1_finite_a(pt, a, PROFILE)
+        out = surgery.finite_transfers_to_s1(pt.as_array()[None], 0, 2, a, PROFILE.delta)[0]
         errs.append(np.max(np.abs(out - lim)))
     assert errs[0] > errs[1] > errs[2]
     # order 1/a: tenfold speed shrinks the error about tenfold
     assert 5.0 < errs[0] / errs[1] < 20.0
-    assert np.max(np.abs(transfer_to_s1_finite_a(pt, 1000.0, PROFILE) - lim)) < 2e-3
+    assert errs[2] < 2e-3
 
 
 def test_inverse_transfer_normalizes_w():
