@@ -78,7 +78,6 @@ class SmoothMap:
     """
 
     domain_dim: int
-    codomain_dim: int
     func: Callable[[Array], Array]
     jac: Optional[Callable[[Array], Array]] = None
     func_jac: Optional[Callable[[Array], tuple[Array, Array]]] = None

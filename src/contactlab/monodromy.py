@@ -247,7 +247,6 @@ class RecognizedTwist:
     cos_g: float
     sin_g: float
     g: float
-    g_tilde: float
     matrix_residual: float
     circle_defect: float
 
@@ -275,8 +274,7 @@ def recognize_dehn_twist(result: MonodromyResult, epsilon: float) -> RecognizedT
     resid = max(float(np.max(np.abs(w_pred - dec_out.w))),
                 float(np.max(np.abs(r_pred - dec_out.r))))
     g = math.atan2(sin_g, cos_g) % (2.0 * math.pi)
-    return RecognizedTwist(cos_g=cos_g, sin_g=sin_g, g=g, g_tilde=math.pi - g,
-                           matrix_residual=resid,
+    return RecognizedTwist(cos_g=cos_g, sin_g=sin_g, g=g, matrix_residual=resid,
                            circle_defect=abs(cos_g ** 2 + sin_g ** 2 - 1.0))
 
 

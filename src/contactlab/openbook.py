@@ -7,14 +7,16 @@ collar point is (s, boundary-coords..., phi), a binding point is
 (boundary-coords..., r, phi) in polar or (boundary-coords..., u, v) in
 Cartesian disk coordinates.
 
-A candidate monodromy is a :class:`forms.SmoothMap` over rows of points; a
+A candidate monodromy is its row map, a :class:`forms.SmoothMap` over (m, d)
+rows of points: a single point is the one-row batch, and a line integral of
+its pullback defect is a sum over one row batch of quadrature nodes.  A
 domain declares lambda once, and its form and d lambda derive from that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,24 +42,25 @@ class ExactSymplecticDomain:
     """A star-shaped coordinate patch with an exact symplectic primitive.
 
     lambda is declared once, by its coefficients ``lam_coeffs`` at a point or
-    over (m, d) rows and their constant Jacobian ``lam_jac`` J.  The form
-    ``lam`` and the matrix ``dlambda_const = J^T - J`` of d lambda, with which
-    the exactness correction solves for its field, derive from them.
+    over (m, d) rows and their constant Jacobian ``lam_jac`` J, an init-only
+    argument.  The form ``lam`` and the matrix ``dlambda_const = J^T - J`` of
+    d lambda, with which the exactness correction solves for its field,
+    derive from them.
     """
 
     dim: int
     sample_box: Array  # (dim, 2) bounds
     lam_coeffs: Callable[[Array], Array]
-    lam_jac: Array
+    lam_jac: InitVar[Array]
     lam: KFormOracle = field(init=False)
     dlambda_const: Array = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, lam_jac):
         self.sample_box = np.asarray(self.sample_box, dtype=float)
         if self.sample_box.shape != (self.dim, 2):
             raise ValueError("sample_box must be (dim, 2) bounds")
-        self.lam = one_form(self.dim, self.lam_coeffs, lambda u: self.lam_jac)
-        self.dlambda_const = self.lam_jac.T - self.lam_jac
+        self.lam = one_form(self.dim, self.lam_coeffs, lambda u: lam_jac)
+        self.dlambda_const = lam_jac.T - lam_jac
 
     def dlambda_matrix(self, x: Array) -> Array:
         """d(lambda) at x, entry by entry, by the exterior derivative of ``lam``:
@@ -81,29 +84,19 @@ def standard_disk_domain(half_width: float = 1.0) -> ExactSymplecticDomain:
 
 @dataclass
 class SymplectomorphismCandidate:
-    """A map expected to preserve d(lambda), equal to the identity outside its
-    (dim, 2) support box.  ``batched`` takes (m, d) rows to (m, d) images and
-    (m, d, d) Jacobians; ``mapping`` is its one-point form, built from the
-    batched callables as they are when the candidate is made."""
+    """A map expected to preserve d(lambda), equal to the identity outside a
+    bounded support.  It is its row map: ``batched`` takes (m, d) rows to
+    (m, d) images and (m, d, d) Jacobians, and a single point is the one-row
+    batch."""
 
     batched: SmoothMap
-    support_box: Array
-    mapping: SmoothMap = field(init=False)
-
-    def __post_init__(self):
-        self.support_box = np.asarray(self.support_box, dtype=float)
-        func, jac, dim = self.batched.func, self.batched.jac, self.batched.domain_dim
-        self.mapping = SmoothMap(dim, dim, lambda u: func(u[None, :])[0],
-                                 jac=lambda u: jac(u[None, :])[0])
 
 
 def identity_candidate(dim: int) -> SymplectomorphismCandidate:
-    """The identity map, which needs no correction; its support box is the
-    origin alone."""
+    """The identity map, which needs no correction."""
     return SymplectomorphismCandidate(
-        SmoothMap(dim, dim, lambda pts: pts.copy(),
-                  jac=lambda pts: np.tile(np.eye(dim), (len(pts), 1, 1))),
-        np.zeros((dim, 2)))
+        SmoothMap(dim, lambda pts: pts.copy(),
+                  jac=lambda pts: np.tile(np.eye(dim), (len(pts), 1, 1))))
 
 
 def radial_twist_map(amplitude: float, support_radius: float) -> SymplectomorphismCandidate:
@@ -144,8 +137,7 @@ def radial_twist_map(amplitude: float, support_radius: float) -> Symplectomorphi
         return rot + 2.0 * angle_d_np(s)[:, None, None] * \
             np.einsum("mi,mj->mij", rotated, pts)
 
-    box = np.array([[-support_radius, support_radius]] * 2)
-    return SymplectomorphismCandidate(SmoothMap(2, 2, func_batch, jac=jac_batch), box)
+    return SymplectomorphismCandidate(SmoothMap(2, func_batch, jac=jac_batch))
 
 
 def strip_shear_map(amplitude: float, half_width: float):
@@ -183,8 +175,7 @@ def strip_shear_map(amplitude: float, half_width: float):
         # psi^* lambda - lambda = ((c - x c')/2) dx = -d h0
         return -(float(c_int(u[0])) - 0.5 * u[0] * float(c_np(u[0])))
 
-    box = np.array([[-half_width, half_width], [-50.0, 50.0]])
-    return SymplectomorphismCandidate(SmoothMap(2, 2, func_batch, jac=jac_batch), box), h0
+    return SymplectomorphismCandidate(SmoothMap(2, func_batch, jac=jac_batch)), h0
 
 
 def bump_variational_terms(amplitude, r02, x, y, j00, j01, j10, j11):
@@ -224,7 +215,7 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
     derivative come from one integration of :func:`bump_variational_terms`
     on :func:`_kernels.rk4_final`, over a ``(6, m)`` state whose contiguous
     rows are the components of all m points; a single point is the
-    one-point batch.
+    one-row batch.
     """
     r02 = support_radius ** 2
 
@@ -240,10 +231,9 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
         out = _kernels.rk4_final(row_field, state, 1.0, step)
         return out[:2].T, out[2:].T.reshape(len(pts), 2, 2)
 
-    box = np.array([[-support_radius, support_radius]] * 2)
     return SymplectomorphismCandidate(
-        SmoothMap(2, 2, lambda pts: func_jac_batch(pts)[0],
-                  jac=lambda pts: func_jac_batch(pts)[1], func_jac=func_jac_batch), box)
+        SmoothMap(2, lambda pts: func_jac_batch(pts)[0],
+                  jac=lambda pts: func_jac_batch(pts)[1], func_jac=func_jac_batch))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +273,7 @@ def glue_map(boundary_dim: int) -> SmoothMap:
         j[d + 1, d + 1] = 1.0
         return j
 
-    return SmoothMap(d + 2, d + 2, func, jac=jac)
+    return SmoothMap(d + 2, func, jac=jac)
 
 
 def collar_form(lam_boundary: KFormOracle) -> KFormOracle:
@@ -404,7 +394,7 @@ def giroux_correction(domain: ExactSymplecticDomain,
                          "the input does not preserve d(lambda)")
 
     return GirouxResult(
-        psi_hat=SmoothMap(d, d, lambda x: giroux_flow_batch(domain, psi, x, flow_cfg).psi_hat[0]),
+        psi_hat=SmoothMap(d, lambda x: giroux_flow_batch(domain, psi, x, flow_cfg).psi_hat[0]),
         h=lambda x: float(giroux_flow_batch(domain, psi, x, flow_cfg).h[0]),
         mu_closedness=worst_dmu, cond_max=float(np.linalg.cond(domain.dlambda_const)))
 
@@ -477,18 +467,6 @@ def path_quadrature(segments: Sequence[tuple[Array, Array]], nodes: int):
                 weights.append(0.5 * wq / panels)
                 dirs.append(direction)
     return np.array(pts), np.array(weights), np.array(dirs)
-
-
-def line_integral_primitive(nu: Callable[[Array, Array], float], base: Array,
-                            x: Array, nodes: int) -> float:
-    """-(integral of the 1-form nu) along the straight segment base -> x, by
-    composite Gauss-Legendre quadrature."""
-    nodes_pts, weights, dirs = path_quadrature(
-        [(np.asarray(base, dtype=float), np.asarray(x, dtype=float))], nodes)
-    total = 0.0
-    for p, w, d in zip(nodes_pts, weights, dirs):
-        total += w * nu(p, d)
-    return -total
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +570,7 @@ def legendrian_realization(n: int, lam: KFormOracle) -> LegendrianRealization:
         x = np.concatenate([q, p])
         for i in range(len(frame)):
             for j in range(i + 1, len(frame)):
-                dmu = exterior_derivative(mu_form, x, [frame[i], frame[j]], 1e-5)
+                dmu = exterior_derivative(mu_form, x, [frame[i], frame[j]])
                 if abs(dmu) > 1e-5:
                     raise ValueError(
                         f"path-dependence detected (d(lam - p dq) = {dmu:.2e} "

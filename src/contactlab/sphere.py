@@ -156,7 +156,7 @@ def dehn_twist_map(profile: DehnTwistProfile, n: int) -> SmoothMap:
             rows[turn, :d], rows[turn, d:] = _rotate(q[turn], p[turn], norm[turn, None], cos, sin)
         return rows.reshape(np.shape(u))
 
-    return SmoothMap(2 * d, 2 * d, func)
+    return SmoothMap(2 * d, func)
 
 
 def tangent_frame(pt: SpherePoint) -> list[Array]:

@@ -313,7 +313,7 @@ def psi_w_map(nzw: int, nxy: int) -> SmoothMap:
             j[..., b + nzw + i, 1 + i] = 1.0              # dw/dq
         return j
 
-    return SmoothMap(dim_in, dim_out, func, jac=jac)
+    return SmoothMap(dim_in, func, jac=jac)
 
 
 def alpha_chart_form(nzw: int, nxy: int) -> KFormOracle:
@@ -353,7 +353,7 @@ def phi_c_map(nzw: int, nxy: int, C: float) -> SmoothMap:
     scale[0] = C
     scale[1 + nzw:1 + 2 * nzw] = C
     scale[1 + 2 * nzw:] = math.sqrt(C)
-    return SmoothMap(dim, dim, lambda u: scale * u, jac=lambda u: np.diag(scale))
+    return SmoothMap(dim, lambda u: scale * u, jac=lambda u: np.diag(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,12 @@ def test_pullback_through_identity():
     lam = rotational_form()
     x = rng.standard_normal(2)
     v = rng.standard_normal(2)
-    identity = SmoothMap(2, 2, lambda u: u, jac=lambda u: np.eye(2))
+    identity = SmoothMap(2, lambda u: u, jac=lambda u: np.eye(2))
     assert abs(pullback_eval(identity, lam, x, [v]) - lam(x, v)) < 1e-14
 
 
 def test_smooth_map_func_jac_defaults_to_its_callables_at_call_time():
-    square = SmoothMap(2, 2, lambda u: u * u, jac=lambda u: np.diag(2.0 * u))
+    square = SmoothMap(2, lambda u: u * u, jac=lambda u: np.diag(2.0 * u))
     x = np.array([0.3, -0.7])
     img, jac = square.func_jac(x)
     assert np.array_equal(img, x * x) and np.array_equal(jac, np.diag(2.0 * x))
@@ -99,21 +99,21 @@ def test_smooth_map_func_jac_defaults_to_its_callables_at_call_time():
     img, jac = square.func_jac(x)
     assert np.array_equal(img, -x) and np.array_equal(jac, -np.eye(2))
     # without an analytic Jacobian, the finite-difference one
-    fd_only = SmoothMap(2, 2, lambda u: u * u)
+    fd_only = SmoothMap(2, lambda u: u * u)
     assert np.array_equal(fd_only.func_jac(x)[1], fd_only.jacobian(x))
     # a carried func_jac is called as it is
-    carried = SmoothMap(2, 2, square.func, func_jac=lambda u: ("image", "jacobian"))
+    carried = SmoothMap(2, square.func, func_jac=lambda u: ("image", "jacobian"))
     assert carried.func_jac(x) == ("image", "jacobian")
 
 
 def test_pullback_functoriality():
     # (g o f)^* equals f^* g^* with analytic Jacobians
-    f = SmoothMap(2, 2, lambda u: np.array([u[0] + u[1] ** 2, math.sin(u[0])]),
+    f = SmoothMap(2, lambda u: np.array([u[0] + u[1] ** 2, math.sin(u[0])]),
                   jac=lambda u: np.array([[1.0, 2.0 * u[1]],
                                           [math.cos(u[0]), 0.0]]))
-    g = SmoothMap(2, 2, lambda u: np.array([u[0] * u[1], u[0] - u[1]]),
+    g = SmoothMap(2, lambda u: np.array([u[0] * u[1], u[0] - u[1]]),
                   jac=lambda u: np.array([[u[1], u[0]], [1.0, -1.0]]))
-    comp = SmoothMap(2, 2, lambda u: g(f(u)), jac=lambda u: g.jacobian(f(u)) @ f.jacobian(u))
+    comp = SmoothMap(2, lambda u: g(f(u)), jac=lambda u: g.jacobian(f(u)) @ f.jacobian(u))
     lam = rotational_form()
     g_pulled = KFormOracle(1, 2, lambda y, w: pullback_eval(g, lam, y, [w]))
     for _ in range(25):

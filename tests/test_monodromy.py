@@ -104,7 +104,6 @@ def test_recognition_reproduces_block_matrix():
     # frozen circle functions for r^2 = 1/4, eps = 1/10
     assert -tw.cos_g == pytest.approx(0.24 / 0.26)
     assert tw.sin_g == pytest.approx(2 * EPS * 0.5 / 0.26)
-    assert tw.g_tilde == pytest.approx(math.pi - tw.g)
 
 
 def test_recognition_quarter_circle_at_r_equals_eps():

@@ -10,9 +10,15 @@ from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig, flow_fixed_time
 from contactlab.forms import pullback_eval
 from contactlab.profiles import BindingProfile
+from contactlab.reports import check_rng
 
 rng = np.random.default_rng(41)
 FLOW = IntegratorConfig(step=0.02, max_time=2.0)
+
+
+def one_row(smooth_map, x):
+    """The image and Jacobian of a row map at one point: its one-row batch."""
+    return smooth_map(x[None, :])[0], smooth_map.jacobian(x[None, :])[0]
 
 
 def circle_form():
@@ -96,9 +102,9 @@ def test_correcting_field_solves_contraction_equation():
     pts = domain.sample(rng, 10)
     for x, y_vec in zip(pts, ob.make_batched_y(domain, candidate)(pts)):
         b = domain.dlambda_matrix(x)
-        jac = candidate.mapping.jacobian(x)
+        image, jac = one_row(candidate.batched, x)
         for j, e in enumerate(np.eye(2)):
-            mu_j = domain.lam(candidate.mapping(x), jac @ e) - domain.lam(x, e)
+            mu_j = domain.lam(image, jac @ e) - domain.lam(x, e)
             assert abs(float(y_vec @ b[:, j]) + mu_j) < 1e-9
 
 
@@ -113,9 +119,9 @@ def test_giroux_identity_map():
 
 def test_giroux_rejects_non_symplectic_input():
     domain = ob.standard_disk_domain()
-    squeeze = forms.SmoothMap(2, 2, lambda pts: pts * np.array([2.0, 1.0]),
+    squeeze = forms.SmoothMap(2, lambda pts: pts * np.array([2.0, 1.0]),
                               jac=lambda pts: np.tile(np.diag([2.0, 1.0]), (len(pts), 1, 1)))
-    candidate = ob.SymplectomorphismCandidate(squeeze, np.array([[-2.0, 2.0]] * 2))
+    candidate = ob.SymplectomorphismCandidate(squeeze)
     with pytest.raises(ValueError, match="not closed|preserve"):
         ob.giroux_correction(domain, candidate, FLOW, rng=rng)
 
@@ -160,7 +166,7 @@ def _pointwise_mu_closedness(domain, candidate, samples):
     """max |d mu(e_0, e_1)| by exterior_derivative of the one-point form
     mu = psi^* lambda - lambda, central differences of step 1e-4."""
     def mu_vec(x):
-        image, jac = candidate.mapping(x), candidate.mapping.jacobian(x)
+        image, jac = one_row(candidate.batched, x)
         return np.array([domain.lam(image, jac @ e) - domain.lam(x, e) for e in np.eye(2)])
 
     mu = forms.one_form(2, mu_vec)
@@ -182,9 +188,9 @@ def test_batched_mu_closedness_matches_pointwise_exterior_derivative(make):
 
 def test_giroux_refuses_a_non_finite_defect():
     domain = ob.standard_disk_domain()
-    undefined = forms.SmoothMap(2, 2, lambda pts: np.full_like(pts, np.nan),
+    undefined = forms.SmoothMap(2, lambda pts: np.full_like(pts, np.nan),
                                 jac=lambda pts: np.tile(np.eye(2), (len(pts), 1, 1)))
-    candidate = ob.SymplectomorphismCandidate(undefined, np.array([[-1.0, 1.0]] * 2))
+    candidate = ob.SymplectomorphismCandidate(undefined)
     with pytest.raises(ValueError, match="not finite"):
         ob.giroux_correction(domain, candidate, FLOW, rng=rng)
 
@@ -201,13 +207,50 @@ def test_disk_domain_lam_coeff_rows_equal_lam_and_its_differential():
     assert np.array_equal(domain.dlambda_const, [[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _pointwise_line_primitive(nu, base, x, nodes):
+    """-(integral of the 1-form nu) along the straight segment base -> x, one
+    quadrature node at a time: the reference for the row quadrature."""
+    nodes_pts, weights, dirs = ob.path_quadrature(
+        [(np.asarray(base, dtype=float), np.asarray(x, dtype=float))], nodes)
+    total = 0.0
+    for p, w, d in zip(nodes_pts, weights, dirs):
+        total += w * nu(p, d)
+    return -total
+
+
+@pytest.mark.parametrize("seed", [0, 5, 103])
+def test_shear_row_primitives_equal_pointwise_line_integrals(seed):
+    # the shear check's primitives: nu on one row batch of all its nodes
+    domain = ob.standard_disk_domain()
+    candidate, _ = ob.strip_shear_map(0.5, 0.8)
+    targets = domain.sample(check_rng(seed, "giroux-shear-h0"), 12)
+
+    def nu_psi(x, v):
+        image, jac = one_row(candidate.batched, x)
+        return domain.lam(image, jac @ v) - domain.lam(x, v)
+
+    ref = np.array([_pointwise_line_primitive(nu_psi, np.zeros(2), x, suites.QUAD_NODES)
+                    for x in targets])
+    rows = suites._line_primitives(domain, candidate, targets)
+    assert rows.tobytes() == ref.tobytes()
+
+
+def test_support_check_rows_equal_one_row_calls():
+    # the boundary points of the correction-fixes-support check, in one row call
+    candidate = ob.radial_twist_map(0.8, 0.8)
+    boundary = np.array([[0.95, 0.9], [-0.95, 0.9], [0.95, -0.9], [0.9, 0.95]])
+    rows = candidate.batched(boundary)
+    for x, row in zip(boundary, rows):
+        assert row.tobytes() == candidate.batched(x[None, :])[0].tobytes()
+
+
 def test_shear_candidate_primitive():
     candidate, h0 = ob.strip_shear_map(0.5, 0.8)
     domain = ob.standard_disk_domain()
 
     def nu(x, v):
-        jac = candidate.mapping.jacobian(x)
-        return domain.lam(candidate.mapping(x), jac @ v) - domain.lam(x, v)
+        image, jac = one_row(candidate.batched, x)
+        return domain.lam(image, jac @ v) - domain.lam(x, v)
 
     # nu = -d h0: check by finite differences of the explicit primitive
     for _ in range(15):
@@ -220,17 +263,17 @@ def test_shear_candidate_primitive():
 def test_candidate_identity_outside_support():
     candidate = ob.radial_twist_map(0.7, 0.6)
     samples = np.array([[0.9, 0.2], [-0.8, 0.7], [0.61, 0.61]])
-    box = candidate.support_box
+    box = np.array([[-0.6, 0.6]] * 2)  # the square about the support disk
     assert not np.any(np.all((samples >= box[:, 0]) & (samples <= box[:, 1]), axis=1))
     for x in samples:
-        assert np.array_equal(candidate.mapping(x), x)
+        assert np.array_equal(candidate.batched(x[None, :])[0], x)
 
 
 def test_hamiltonian_bump_is_symplectic():
     candidate = ob.hamiltonian_bump_map(0.15, 0.8, step=0.01)
     for _ in range(5):
         x = rng.uniform(-0.75, 0.75, 2)
-        jac = candidate.mapping.jacobian(x)
+        jac = candidate.batched.jacobian(x[None, :])[0]
         assert abs(np.linalg.det(jac) - 1.0) < 1e-9
 
 
@@ -336,7 +379,7 @@ def _separate_integrations(domain, candidate, x, cfg):
         return float(flow_fixed_time(augmented, np.append(p, 0.0), 1.0, cfg)[-1])
 
     return (-(h_raw(x) - h_raw(domain.sample_box.mean(axis=1))),
-            candidate.mapping(flow_fixed_time(y_field, x, 1.0, cfg)))
+            candidate.batched(flow_fixed_time(y_field, x, 1.0, cfg)[None, :])[0])
 
 
 @pytest.mark.parametrize("make", [lambda: ob.radial_twist_map(0.8, 0.8),
