@@ -112,17 +112,18 @@ def radial_twist_map(amplitude: float, support_radius: float) -> Symplectomorphi
     def angle_d_np(s):
         return -5.0 * amplitude * np.clip(1.0 - s / r02, 0.0, None) ** 4 / r02
 
-    def func_batch(pts):
+    def turn(pts):
+        # |u|^2 and the cosine and sine of its angle, which the image and the
+        # Jacobian share; the carried pair computes them once
         s = np.einsum("mi,mi->m", pts, pts)
         t = angle_np(s)
-        c, sn = np.cos(t), np.sin(t)
+        return s, np.cos(t), np.sin(t)
+
+    def image(pts, c, sn):
         return np.stack([c * pts[:, 0] - sn * pts[:, 1],
                          sn * pts[:, 0] + c * pts[:, 1]], axis=1)
 
-    def jac_batch(pts):
-        s = np.einsum("mi,mi->m", pts, pts)
-        t = angle_np(s)
-        c, sn = np.cos(t), np.sin(t)
+    def jacobian(pts, s, c, sn):
         rot = np.empty((len(pts), 2, 2))
         rot[:, 0, 0] = c
         rot[:, 0, 1] = -sn
@@ -137,7 +138,13 @@ def radial_twist_map(amplitude: float, support_radius: float) -> Symplectomorphi
         return rot + 2.0 * angle_d_np(s)[:, None, None] * \
             np.einsum("mi,mj->mij", rotated, pts)
 
-    return SymplectomorphismCandidate(SmoothMap(2, func_batch, jac=jac_batch))
+    def func_jac_batch(pts):
+        s, c, sn = turn(pts)
+        return image(pts, c, sn), jacobian(pts, s, c, sn)
+
+    return SymplectomorphismCandidate(
+        SmoothMap(2, lambda pts: image(pts, *turn(pts)[1:]),
+                  jac=lambda pts: jacobian(pts, *turn(pts)), func_jac=func_jac_batch))
 
 
 def strip_shear_map(amplitude: float, half_width: float):

@@ -912,14 +912,14 @@ def _giroux_batched_eval(domain, candidate, samples: Array, flow_cfg: Integrator
 
 
 def _giroux_case_residuals(cfg: ScenarioConfig, domain, candidate, name: str,
-                           n_samples: int):
+                           n_samples: int, flow_cfg: IntegratorConfig):
     """The checked correction, the residual of the exactness identity over a
     batched sample set, and the d(lambda) residual of the corrected map."""
     rng = check_rng(cfg.seed, name)
-    result = ob.giroux_correction(domain, candidate, GIROUX_FLOW, rng=rng,
+    result = ob.giroux_correction(domain, candidate, flow_cfg, rng=rng,
                                   closedness_samples=8)
     samples = domain.sample(rng, n_samples)
-    ev = _giroux_batched_eval(domain, candidate, samples, GIROUX_FLOW)
+    ev = _giroux_batched_eval(domain, candidate, samples, flow_cfg)
     worst = float(np.max(np.abs(ev["nu"] + ev["dh"])))
     # d(lambda) is preserved by the corrected map
     b_mat = domain.dlambda_const
@@ -950,16 +950,23 @@ GIROUX_RESIDUAL_TOL = 1e-5
 
 
 # the Hamiltonian bump of the integrated-flow check and of the two checks on
-# its map.  They run the map at step 0.02, twice its default: the
-# integrated-flow check's Y-flow evaluates it 201 times, and the correction's
-# residual does not depend on the step
+# its map.  The two map checks hold the map at step 0.02 to 1e-8: they catch
+# a defect in the bump field.  The integrated-flow check runs its Y-flow and
+# its own bump map at step 0.05: the Y-flow evaluates the map 4/step + 1
+# times and each map makes 4/step field calls, 81 x 80 where step 0.02 makes
+# 201 x 200.  RK4's O(h^4) error raises its residual about 2.5^4-fold, to
+# 5.7e-8 at seed 0 and at most 1.2e-7 over seeds 0-39, still 87 times below
+# GIROUX_RESIDUAL_TOL
 BUMP_AMPLITUDE, BUMP_RADIUS = 0.15, 0.8
+# the integrated-flow check's Y-flow; its bump map takes the same step
+BUMP_FLOW = IntegratorConfig(step=0.05, max_time=2.0)
 
 
 @suite("giroux")
 def suite_giroux(cfg: ScenarioConfig, check) -> None:
     domain = ob.standard_disk_domain()
     bump = ob.hamiltonian_bump_map(BUMP_AMPLITUDE, BUMP_RADIUS, step=0.02)
+    coarse_bump = ob.hamiltonian_bump_map(BUMP_AMPLITUDE, BUMP_RADIUS, step=BUMP_FLOW.step)
 
     @check("exactness-correction-identity",
            "the identity needs no correction: zero field, constant primitive",
@@ -981,7 +988,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     def twist_case():
         candidate = ob.radial_twist_map(0.8, 0.8)
         result, worst, dl = _giroux_case_residuals(
-            cfg, domain, candidate, "giroux-twist", cfg.n_giroux)
+            cfg, domain, candidate, "giroux-twist", cfg.n_giroux, GIROUX_FLOW)
         return worst, cfg.n_giroux, {"mu_closedness": result.mu_closedness,
                                      "cond_max": result.cond_max,
                                      "dlambda_residual": dl}
@@ -993,7 +1000,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     def shear_case():
         candidate, h0 = ob.strip_shear_map(0.5, 0.8)
         _, worst, dl = _giroux_case_residuals(
-            cfg, domain, candidate, "giroux-shear", cfg.n_giroux)
+            cfg, domain, candidate, "giroux-shear", cfg.n_giroux, GIROUX_FLOW)
         # the map already satisfies psi^* lambda = lambda - d h0: the
         # line-integral primitive of its defect recovers h0 up to a constant
         rng = check_rng(cfg.seed, "giroux-shear-h0")
@@ -1011,7 +1018,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
            ["giroux_correction"], GIROUX_RESIDUAL_TOL)
     def numeric_flow_case():
         result, worst, dl = _giroux_case_residuals(
-            cfg, domain, bump, "giroux-bump", cfg.n_giroux_numeric)
+            cfg, domain, coarse_bump, "giroux-bump", cfg.n_giroux_numeric, BUMP_FLOW)
         return worst, cfg.n_giroux_numeric, {"mu_closedness": result.mu_closedness,
                                              "dlambda_residual": dl}
 

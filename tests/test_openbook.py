@@ -332,9 +332,9 @@ def test_bump_single_row_flow_matches_its_row_of_a_batch(step):
         assert np.array_equal(jac_i[0], jac[i])
 
 
-def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch):
-    # X_H * (1 + 1e-7) with the Hessian left as it is: the integrated-flow
-    # check reads 1.8e-7 against 1e-5 even at 1e-6, so only these two see it
+def _giroux_bodies(monkeypatch):
+    """The tolerance and body of each giroux check at the default config,
+    seed 0, kept unrun."""
     bodies = {}
 
     def keep_body(name, anchor, ops, tolerance, body):
@@ -342,6 +342,14 @@ def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch):
 
     monkeypatch.setattr(suites, "run_check", keep_body)
     suites.run_suite(config_from_dict({"suite": "giroux"}))
+    return bodies
+
+
+def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch):
+    # X_H * (1 + 1e-7) with the Hessian left as it is: the integrated-flow
+    # check, at step 0.05, reads 7.4e-8 against 1e-5, and 2.3e-7 even at
+    # 1e-6, so only these two see it
+    bodies = _giroux_bodies(monkeypatch)
     terms = ob.bump_variational_terms
 
     def scaled(*args):
@@ -354,12 +362,59 @@ def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch):
         assert body()[0] > tolerance
 
 
+def test_integrated_flow_check_fails_a_scaled_correcting_field(monkeypatch):
+    # Y * (1 + 1e-4) reads 2.21e-5 against 1e-5 at step 0.05, as at step 0.02
+    bodies = _giroux_bodies(monkeypatch)
+    make_batched_y = ob.make_batched_y
+
+    def scaled(domain, psi):
+        y_batch = make_batched_y(domain, psi)
+        return lambda pts: y_batch(pts) * (1.0 + 1e-4)
+
+    monkeypatch.setattr(ob, "make_batched_y", scaled)
+    tolerance, body = bodies["exactness-correction-integrated-flow"]
+    assert body()[0] > tolerance
+
+
+def test_bump_checks_count_their_field_calls(monkeypatch):
+    # counts, not times: the integrated-flow check flows Y at step 0.05 over
+    # a bump map at step 0.05, 81 maps x 80 field calls plus 80 for the
+    # closedness stencil; the two map checks make one step-0.02 map each
+    bodies = _giroux_bodies(monkeypatch)
+    terms = ob.bump_variational_terms
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return terms(*args)
+
+    monkeypatch.setattr(ob, "bump_variational_terms", counted)
+    for name, expected in (("exactness-correction-integrated-flow", 81 * 80 + 80),
+                           ("bump-map-exact-rotation", 200),
+                           ("bump-map-carried-jacobian", 200)):
+        calls.clear()
+        bodies[name][1]()
+        assert len(calls) == expected, name
+
+
 def test_default_func_jac_pairs_func_and_jac():
-    candidate = ob.radial_twist_map(0.8, 0.8)
+    candidate, _ = ob.strip_shear_map(0.5, 0.8)
     pts = rng.uniform(-1.0, 1.0, (5, 2))
     img, jac = candidate.batched.func_jac(pts)
     assert np.array_equal(img, candidate.batched.func(pts))
     assert np.array_equal(jac, candidate.batched.jac(pts))
+
+
+def test_twist_carried_func_jac_equals_func_and_jac_bitwise():
+    candidate = ob.radial_twist_map(0.8, 0.8)
+    local = np.random.default_rng(7)
+    # inside the support, outside it, and on its boundary circle
+    pts = np.vstack([local.uniform(-0.75, 0.75, (40, 2)), local.uniform(0.85, 1.2, (6, 2)),
+                     [[0.8, 0.0], [0.0, -0.8]]])
+    img, jac = candidate.batched.func_jac(pts)
+    assert img.tobytes() == candidate.batched.func(pts).tobytes()
+    assert jac.tobytes() == candidate.batched.jac(pts).tobytes()
+    assert np.array_equal(img[40:], pts[40:])
 
 
 def _separate_integrations(domain, candidate, x, cfg):
