@@ -4,12 +4,12 @@ A flow is given by plain callables: a right-hand side ``rhs(u) -> du`` whose
 output has the state's shape, for the fixed-time flows an optional projection
 ``project(u) -> u`` applied after each step (it may work in place on the
 stepped state), and, for :func:`rk4_until_event`, which projects nothing, an
-event ``event(u) -> float``.  States are ``(d,)``
-vectors or ``(m, d)`` row batches, which :func:`rk4_final`, :func:`rk4_record`
-and :func:`rk4_until_event` advance in lockstep.  The one event loop serves
-a lone start as its one-row batch, and records the trajectory of every row
-of a batch on request.  A right-hand side of the wrong output shape, or a
-state that turns non-finite, raises ``ValueError``.
+event ``event(u) -> (m,)``.  :func:`rk4_final` and :func:`rk4_record` take
+``(d,)`` vectors or ``(m, d)`` row batches, which they advance in lockstep;
+:func:`rk4_until_event` takes only ``(m, d)`` batches, so a lone start is
+its one-row batch, and it records the trajectory of every row on request.
+A right-hand side of the wrong output shape, a state that turns non-finite,
+or an event start that is not a row batch raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -82,39 +82,22 @@ def rk4_record(rhs, u0, t, step, project=None):
 
 def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
                     direction=1.0, record=False):
-    """March until ``event(u) - target`` changes sign or comes within
-    event_tol, then bisect the crossing inside the last step.
+    """March an ``(m, d)`` batch of starts in lockstep until each row's
+    ``event(u) - target`` changes sign or comes within event_tol, then
+    bisect every crossing inside its last step.
 
-    ``u0`` is a ``(d,)`` start, or an ``(m, d)`` batch whose rows march in
-    lockstep; ``event`` maps a state of either shape to a float or an
-    ``(m,)`` column.  Each row freezes at its own crossing, and one
-    vectorised bisection then refines every frozen row, row for row the same
-    arithmetic as a lone run of that row.  ``direction`` is +1.0 (forward) or
-    -1.0 (backward); times are the elapsed |t|.
-
-    A ``(d,)`` start returns ``(t_event, times, states)``, the whole sampled
-    trajectory; t_event is None when no crossing occurred within max_time,
-    and otherwise the last row of states is the refined event point.  A
-    batch returns ``(t_event, ends)``: t_event is NaN for a row that did not
-    cross, and its end is then its state at max_time.  With ``record`` a
-    batch also returns each row's ``(times, states)``, which equal those of a
-    lone run of that row.
+    ``event`` maps the batch to an ``(m,)`` column.  Each row freezes at its
+    own crossing, and one vectorised bisection then refines every frozen row,
+    row for row the same arithmetic as a one-row batch of that row.
+    ``direction`` is +1.0 (forward) or -1.0 (backward); times are the elapsed
+    |t|.  Returns ``(t_event, ends)``: t_event is NaN for a row that did not
+    cross, and its end is then its state at max_time.  With ``record`` it
+    also returns each row's ``(times, states)``, its start, its state after
+    every step it marched past and its refined event point.
     """
-    u0 = np.array(u0, dtype=float)
-    if u0.ndim != 1:
-        return _until_event(rhs, u0, event, target, step, max_time, event_tol,
-                            direction, record)
-    # one start is the recorded m = 1 batch, with the field and event called on the row
-    t_event, _, ((times, states),) = _until_event(
-        lambda u: rhs(u[0])[None], u0[None], lambda u: np.array([event(u[0])]),
-        target, step, max_time, event_tol, direction, True)
-    t_event = float(t_event[0])
-    return (None if math.isnan(t_event) else t_event), times, states
-
-
-def _until_event(rhs, u, event, target, step, max_time, event_tol, direction, record):
-    """The lockstep event loop on an (m, d) batch; with ``record`` it keeps
-    the marching rows of every step and returns each row's trajectory too."""
+    u = np.array(u0, dtype=float)
+    if u.ndim != 2:
+        raise ValueError(f"a row batch must have shape (m, d), got {u.shape}")
     starts = u
     t_event = np.full(len(u), np.nan)
     ends = u.copy()

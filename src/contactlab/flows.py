@@ -6,12 +6,15 @@ which takes the field, event and projection as plain callables: a field
 ``event(u) -> float`` such as :func:`surgery.page_value`, and a projection
 ``project(u) -> u`` such as :func:`surgery.unit_w_projection`, which keeps a
 flow on its constraint set and is applied after every step of a fixed-time
-flow; the event flows take none.
+flow; the event flows take none.  The fixed-time flows take a bare RK4
+step; :class:`IntegratorConfig` holds the event flows' step, time bound and
+event tolerance.
 :func:`flow_rows_until_event` flows an ``(m, d)`` batch of starts in
 lockstep; its callables take the batch, and its event gives one value per row.
 :func:`trajectories_until_event` runs the same batch and keeps each row's
-sampled trajectory, and :func:`flow_record` records an ``(m, d)`` batch as it
-records one start.  Every row of a batch repeats its lone flow bit for bit.
+sampled trajectory, and :func:`flow_until_event` is its one-row call.
+:func:`flow_record` records an ``(m, d)`` batch as it records one start.
+Every row of a batch repeats its lone flow bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """The event flows' RK4 step, time bound and event tolerance."""
+
     step: float = 1e-3
     max_time: float = 10.0
     event_tol: float = 1e-10
@@ -63,38 +68,35 @@ Projection = Optional[Callable[[Array], Array]]
 
 
 def flow_fixed_time(rhs: Field, start: Array, t: float,
-                    cfg: IntegratorConfig, project: Projection = None) -> Array:
+                    step: float, project: Projection = None) -> Array:
     """Classical RK4 for signed time t with post-step constraint projection."""
-    return _kernels.rk4_final(rhs, start, float(t), cfg.step, project)
+    return _kernels.rk4_final(rhs, start, float(t), step, project)
 
 
 def flow_record(rhs: Field, start: Array, t: float,
-                cfg: IntegratorConfig, project: Projection = None) -> Trajectory:
+                step: float, project: Projection = None) -> Trajectory:
     """The sampled trajectory over signed time t; an (m, d) batch of starts
     gives points of shape (steps + 1, m, d)."""
-    times, states = _kernels.rk4_record(rhs, start, float(t), cfg.step, project)
+    times, states = _kernels.rk4_record(rhs, start, float(t), step, project)
     return Trajectory(times, states)
 
 
 def flow_until_event(rhs: Field, start: Array,
                      event: Callable[[Array], float], target: float,
                      cfg: IntegratorConfig) -> Trajectory:
-    """Integrate until ``event(u)`` crosses the target (bisection-refined).
+    """Integrate one ``(d,)`` start until ``event(u)`` crosses the target
+    (bisection-refined): the one-row call of :func:`trajectories_until_event`,
+    with the field and event called on the row, so they keep the float
+    operands and speed of a lone state.
 
     When a crossing occurs within cfg.max_time, ``trajectory.t_event`` is its
     time and ``trajectory.end`` the refined event point; otherwise
     ``t_event`` is None and callers must check it.
     """
-    t_event, times, states = _kernels.rk4_until_event(
-        rhs, start, event, float(target), cfg.step, cfg.max_time, cfg.event_tol)
-    return Trajectory(times, states, t_event)
-
-
-def _row_batch(starts: Array) -> Array:
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 2:
-        raise ValueError(f"a row batch must have shape (m, d), got {starts.shape}")
-    return starts
+    (traj,) = trajectories_until_event(
+        lambda u: rhs(u[0])[None], np.asarray(start, dtype=float)[None],
+        lambda u: np.array([event(u[0])]), target, cfg)
+    return traj
 
 
 def flow_rows_until_event(rhs: Field, starts: Array,
@@ -108,7 +110,7 @@ def flow_rows_until_event(rhs: Field, starts: Array,
     when it did not cross within cfg.max_time, and ``ends[i]`` is then its
     state at max_time.
     """
-    return _kernels.rk4_until_event(rhs, _row_batch(starts), event, float(target), cfg.step,
+    return _kernels.rk4_until_event(rhs, starts, event, float(target), cfg.step,
                                     cfg.max_time, cfg.event_tol)
 
 
@@ -119,7 +121,7 @@ def trajectories_until_event(rhs: Field, starts: Array,
     row i's Trajectory equals a lone :func:`flow_until_event` from
     ``starts[i]`` bit for bit, times, points and t_event."""
     t_event, _, paths = _kernels.rk4_until_event(
-        rhs, _row_batch(starts), event, float(target), cfg.step, cfg.max_time,
+        rhs, starts, event, float(target), cfg.step, cfg.max_time,
         cfg.event_tol, record=True)
     return [Trajectory(times, states, None if math.isnan(t) else float(t))
             for t, (times, states) in zip(t_event, paths)]

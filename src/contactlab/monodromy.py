@@ -117,7 +117,12 @@ def _padded_rows(states: Sequence[Array], cols: list[Array], width: int) -> Arra
 def _flow_to_page(rhs, states: Array, nxy: int, nzw: int,
                   target: float, cfg: IntegratorConfig, missed: str) -> Array:
     """The points where each row's flow reaches the page value target, as
-    rows: one row flows alone, several flow as one row batch."""
+    rows: one row flows alone, several flow as one row batch.
+
+    The one-row branch keeps a lone start fast: the surgery fields read a
+    ``(1, d)`` row as NumPy columns, so the worked start's pipeline run as a
+    one-row batch took 25-46 ms against 8 ms alone (a shared 2-vCPU machine).
+    """
     page = surgery.page_value(nxy, nzw)
     if len(states) == 1:
         traj = flows.flow_until_event(rhs, states[0], page, target, cfg)

@@ -28,7 +28,7 @@ from .forms import KFormOracle, SmoothMap, exterior_derivative, one_form, reeb_c
 # rebinds openbook.pullback_eval to time it
 from .forms import pullback_eval  # noqa: F401
 from .profiles import BindingProfile, smoothstep, smoothstep_d
-from .sphere import SpherePoint, canonical_one_form, tangent_frame
+from .sphere import canonical_one_form, tangent_frames
 
 Array = np.ndarray
 
@@ -380,6 +380,8 @@ def giroux_correction(domain: ExactSymplecticDomain,
 
     ``h(x)`` and ``psi_hat(x)`` are one-row calls of
     :func:`giroux_flow_batch`, so each equals its row of a batch bit for bit.
+    The Y-flow reads only ``flow_cfg.step``; the argument stays an
+    :class:`IntegratorConfig` because ``perfbench/worker.py`` passes one.
     """
     d = domain.dim
     samples = domain.sample(rng, closedness_samples)
@@ -573,7 +575,7 @@ def legendrian_realization(n: int, lam: KFormOracle) -> LegendrianRealization:
                 "across detours); lam - p dq is not closed on the neighborhood")
         # the differential of lam - p dq on bundle tangent pairs: sees
         # mixed base/fiber defects that zero-section detours cannot
-        frame = tangent_frame(SpherePoint(q, p))
+        frame = tangent_frames(q[None], p[None])[0]
         x = np.concatenate([q, p])
         for i in range(len(frame)):
             for j in range(i + 1, len(frame)):

@@ -159,12 +159,6 @@ def dehn_twist_map(profile: DehnTwistProfile, n: int) -> SmoothMap:
     return SmoothMap(2 * d, func)
 
 
-def tangent_frame(pt: SpherePoint) -> list[Array]:
-    """A 2n-vector basis of the constraint tangent space at (q, p): the
-    one-row call of :func:`tangent_frames`."""
-    return list(tangent_frames(pt.q[None], pt.p[None])[0])
-
-
 def tangent_frames(q: Array, p: Array) -> Array:
     """The (m, 2n, 2(n+1)) tangent frames of (m, n+1) rows q, p on the bundle.
 
@@ -180,12 +174,6 @@ def tangent_frames(q: Array, p: Array) -> Array:
     frames[:, :d - 1, d:] = -np.vecdot(p[:, None], basis)[..., None] * q[:, None]
     frames[:, d - 1:, d:] = basis
     return frames
-
-
-def _orthonormal_complement(q: Array) -> list[Array]:
-    """An orthonormal basis of q-perp for a unit vector q: the one-row call of
-    :func:`_orthonormal_complements`."""
-    return list(_orthonormal_complements(q[None])[0])
 
 
 def _orthonormal_complements(q: Array) -> Array:

@@ -361,7 +361,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             u = np.concatenate([np.zeros(5), w])  # x | y | z(3) | w(3)
             if not abs(wnorm2(u) - 1.0) < surgery.S_TOL:
                 raise ValueError("point is not on the |w|^2 = 1 hypersurface")
-            for t in sphere._orthonormal_complement(w):
+            for t in sphere._orthonormal_complements(w[None])[0]:
                 if not abs(w @ t) <= surgery.S_TOL:
                     raise ValueError("vector is not tangent to the hypersurface")
                 v = np.zeros(8)
@@ -491,8 +491,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         worst = max(worst, abs(page(np.array([0.0, 0.0, 1.0, 0.0]))))
         # after Reeb time s the page value moves to -eps + s
         fld = surgery.reeb_field(0, 2)
-        cfg_i = IntegratorConfig(max_time=1.0)
-        out = flows.flow_fixed_time(fld, u, 0.3, cfg_i)
+        out = flows.flow_fixed_time(fld, u, 0.3, 1e-3)
         worst = max(worst, abs(float(out[:2] @ out[2:]) - (-0.1 + 0.3)))
         return worst, 3, {}
 
@@ -707,6 +706,10 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         for traj in flows.trajectories_until_event(fld, on_s1, surgery.page_value(0, 2),
                                                    +eps, flow_cfg):
             worst = max(worst, mono.page_speed_residual(traj, 0, 2, eps))
+            # at page speed 2 the flow from page -eps reaches page +eps at time eps
+            miss = 1.0 if traj.t_event is None else abs(traj.t_event - eps)
+            if miss > 1e-8:
+                worst = max(worst, miss)
         return worst, 20, {}
 
     @check("transfer-preserves-page",
@@ -802,8 +805,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
                                 pt.w * math.exp(-t_final)])
         errs = []
         for step in (0.02, 0.01):
-            cfg_i = IntegratorConfig(step=step, max_time=2.0)
-            out = flows.flow_fixed_time(fld, pt.as_array(), t_final, cfg_i)
+            out = flows.flow_fixed_time(fld, pt.as_array(), t_final, step)
             errs.append(float(np.max(np.abs(out - exact))))
         factor = errs[0] / errs[1]
         worst = 0.0 if factor >= 8.0 else 8.0 - factor
@@ -819,10 +821,9 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         # Reeb flow keeps alpha(R) = 1 and |w|^2 = 1 over time 1
         alpha = surgery.alpha_model_form(0, 2)
         fld = surgery.reeb_field(0, 2)
-        cfg_i = IntegratorConfig(max_time=2.0)
         unit_w = surgery.unit_w_projection(0, 2)
         starts = [surgery.random_s_minus1_point(rng, 0, 2).as_array() for _ in range(5)]
-        traj = flows.flow_record(fld, np.array(starts), 1.0, cfg_i, unit_w)
+        traj = flows.flow_record(fld, np.array(starts), 1.0, 1e-3, unit_w)
         sampled = traj.points[:: max(1, len(traj.points) // 20)]
         for i in range(len(starts)):
             for row in sampled[:, i]:
@@ -836,7 +837,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         level = surgery.level_value(0, 2, profile_l.delta)
         pts = surgery.sample_s1_points(check_rng(cfg.seed, "fi2"), 5, 0, 2, profile_l)
         for row in pts:
-            out = flows.flow_fixed_time(fld_h, row, 0.25, cfg_i, on_level)
+            out = flows.flow_fixed_time(fld_h, row, 0.25, 1e-3, on_level)
             worst = max(worst, abs(level(out)))
         return worst, 10, {}
 
@@ -845,10 +846,9 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            "conjugates the composed map",
            ["composed_monodromy_word", "recognize_dehn_twist"], 1e-8)
     def word_composition():
-        from contactlab.sphere import SpherePoint
         worst = 0.0
-        base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0, 0.0]),
-                                                np.array([0.0, 0.4, 0.2])))
+        base = mono.ChartPoint("A", sphere.SpherePoint(np.array([1.0, 0.0, 0.0]),
+                                                       np.array([0.0, 0.4, 0.2])))
         out = mono.composed_monodromy_word(base, [], config)
         worst = max(worst, float(np.max(np.abs(out.point.as_array()
                                                - base.point.as_array()))))
@@ -882,7 +882,9 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 # ===========================================================================
 
 # the correcting flow's integrator, and the Gauss-Legendre nodes per segment
-# of the line-integral primitives, in the giroux suite
+# of the line-integral primitives, in the giroux suite.  The correcting flow
+# reads only the step; GIROUX_FLOW and BUMP_FLOW stay IntegratorConfigs
+# because openbook.giroux_correction takes one
 GIROUX_FLOW = IntegratorConfig(step=0.02, max_time=2.0)
 QUAD_NODES = 32
 
@@ -1130,7 +1132,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         for _ in range(8):
             sp = sphere.random_sphere_point(rng, n, 0.0, 0.0)
             x = np.concatenate([sp.q, np.zeros(d)])
-            for u in sphere._orthonormal_complement(sp.q):
+            for u in sphere._orthonormal_complements(sp.q[None])[0]:
                 v = np.concatenate([u, np.zeros(d)])
                 worst = max(worst, abs(real.lam_tilde(x, v)))
                 worst = max(worst, abs(real.contact_form(np.concatenate([[0.0], x]),
@@ -1142,7 +1144,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
             for _ in range(4):
                 sp = sphere.random_sphere_point(rng, n, p_low, p_high)
                 x = np.concatenate([sp.q, sp.p])
-                frame = sphere.tangent_frame(sp)
+                frame = sphere.tangent_frames(sp.q[None], sp.p[None])[0]
                 for i in range(0, len(frame), 2):
                     for j in range(i + 1, len(frame), 3):
                         lhs = forms.exterior_derivative(real.lam_tilde, x,
@@ -1288,7 +1290,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
             for _ in range(4):
                 q = rng.standard_normal(4)
                 q /= np.linalg.norm(q)
-                tangent = sphere._orthonormal_complement(q)
+                tangent = sphere._orthonormal_complements(q[None])[0]
                 # orient the 3-frame so the boundary form is positive
                 lam_vol = forms.contact_volume(lam_b, q, tangent)
                 if lam_vol < 0:
@@ -1512,7 +1514,7 @@ def suite_moves(cfg: ScenarioConfig, check) -> None:
            ["cyclic_rotate", "conjugate", "stabilize", "destabilize"], 0.0)
     def chains():
         rng = np.random.default_rng([cfg.seed, 202])
-        base = _sample_page(rng)
+        _sample_page(rng)  # a discarded draw: it sets which chains every seed tests
         unknowns = 0
         for _ in range(cfg.n_chains):
             desc = _sample_page(rng)

@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .forms import KFormOracle, SmoothMap, one_form
 from .profiles import HandleProfile, handle_f, handle_f_d, handle_g, handle_g_d
-from .sphere import SpherePoint, _orthonormal_complement
+from .sphere import SpherePoint, _orthonormal_complements
 
 Array = np.ndarray
 
@@ -254,7 +254,7 @@ def s_minus1_tangent_frame(pt: ModelPoint) -> list[Array]:
     dim = 2 * pt.nxy + 2 * pt.nzw
     b = 2 * pt.nxy
     frame = [np.eye(dim)[i] for i in range(b + pt.nzw)]
-    for u in _orthonormal_complement(pt.w / np.linalg.norm(pt.w)):
+    for u in _orthonormal_complements((pt.w / np.linalg.norm(pt.w))[None])[0]:
         v = np.zeros(dim)
         v[b + pt.nzw:] = u
         frame.append(v)

@@ -2,7 +2,9 @@
 named by some other line of its code, or is on the allow-list with a reason;
 every defaulted parameter is passed by some call, or is on its allow-list
 with a reason; every dataclass field is read, or is on its allow-list with a
-reason; and every scenario setting is read by the code it configures.
+reason; every scenario setting is read by the code it configures; and every
+local name a package function binds is read, or is on its allow-list with a
+reason.
 
 A name counts when it appears as a code token; strings, comments and
 docstrings do not name anything.  Dunder methods are called by Python itself
@@ -16,7 +18,10 @@ the default names, does not set it.  A field of a package dataclass counts
 as read when an attribute of its name is loaded somewhere in the package,
 ``perfbench/worker.py`` or ``perfbench/layers.py``, other than in its own
 class's ``__post_init__``.  A ``ScenarioConfig`` field counts as read when
-some module other than ``config.py`` reads it as ``cfg.<field>``.
+some module other than ``config.py`` reads it as ``cfg.<field>``.  A local
+name counts as read when the function that binds it, or a function nested in
+it, loads it; a name bound by tuple unpacking, or with a leading underscore,
+is skipped, as is a name the function declares ``global`` or ``nonlocal``.
 """
 
 import ast
@@ -239,3 +244,59 @@ def unread_scenario_fields():
 
 def test_every_scenario_field_is_read():
     assert unread_scenario_fields() == []
+
+
+# local names that a package function binds and never reads
+UNREAD_LOCALS_ALLOWED = {}
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_nodes(scope):
+    """The nodes of a function's own scope: its body, without the bodies of
+    the functions, lambdas, classes and comprehensions nested in it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _functions(node, prefix):
+    """(qualified name, node) of every function under node, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qual = f"{prefix}{child.name}"
+            yield qual, child
+            yield from _functions(child, f"{qual}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def unread_locals():
+    """The names a package function binds, other than by tuple unpacking or
+    with a leading underscore, that no code in it, nested scopes included,
+    loads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, func in _functions(ast.parse(path.read_text()), f"{path.stem}."):
+            unpacked = {id(elt) for node in _own_nodes(func)
+                        if isinstance(node, (ast.Tuple, ast.List))
+                        for elt in ast.walk(node) if elt is not node}
+            declared = {name for node in _own_nodes(func)
+                        if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+            bound = {node.id for node in _own_nodes(func)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                     and id(node) not in unpacked and not node.id.startswith("_")}
+            loaded = {node.id for node in ast.walk(func)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            out.extend(f"{qual}.{name}" for name in bound - loaded - declared)
+    return sorted(out)
+
+
+def test_every_local_is_read():
+    assert unread_locals() == sorted(UNREAD_LOCALS_ALLOWED)

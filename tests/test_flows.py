@@ -26,7 +26,7 @@ def test_config_validation():
 def test_zero_time_is_identity():
     fld = surgery.reeb_field(0, 2)
     u0 = np.array([0.1, 0.2, 1.0, 0.0])
-    assert np.array_equal(flow_fixed_time(fld, u0, 0.0, CFG), u0)
+    assert np.array_equal(flow_fixed_time(fld, u0, 0.0, CFG.step), u0)
 
 
 def test_reeb_flow_matches_linear_transport():
@@ -34,7 +34,7 @@ def test_reeb_flow_matches_linear_transport():
     fld = surgery.reeb_field(0, 2)
     start = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
                        np.array([1.0, 0.0]))
-    out = flow_fixed_time(fld, start.as_array(), 0.2, CFG)
+    out = flow_fixed_time(fld, start.as_array(), 0.2, CFG.step)
     assert np.max(np.abs(out - np.array([0.1, 0.5, 1.0, 0.0]))) < 1e-12
 
 
@@ -44,16 +44,15 @@ def test_order_four_convergence():
     exact = np.concatenate([u0[:2] * math.exp(2.0), u0[2:] * math.exp(-1.0)])
     errs = []
     for step in (0.02, 0.01):
-        cfg = IntegratorConfig(step=step, max_time=2.0)
-        errs.append(np.max(np.abs(flow_fixed_time(fld, u0, 1.0, cfg) - exact)))
+        errs.append(np.max(np.abs(flow_fixed_time(fld, u0, 1.0, step) - exact)))
     assert errs[0] / errs[1] >= 8.0
 
 
 def test_backward_flow_inverts_forward():
     fld = surgery.liouville_field(1, 2)
     u0 = rng.standard_normal(6)
-    fwd = flow_fixed_time(fld, u0, 0.7, CFG)
-    back = flow_fixed_time(fld, fwd, -0.7, CFG)
+    fwd = flow_fixed_time(fld, u0, 0.7, CFG.step)
+    back = flow_fixed_time(fld, fwd, -0.7, CFG.step)
     assert np.max(np.abs(back - u0)) < 1e-11
 
 
@@ -89,9 +88,8 @@ def test_no_event_within_bound_reports_absence():
 
 def test_projection_unit_w_keeps_constraint():
     fld = surgery.reeb_field(0, 2)
-    cfg = IntegratorConfig(step=1e-3, max_time=2.0)
     start = np.array([-0.1, 0.5, 0.6, 0.8])
-    traj = flow_record(fld, start, 1.0, cfg, surgery.unit_w_projection(0, 2))
+    traj = flow_record(fld, start, 1.0, 1e-3, surgery.unit_w_projection(0, 2))
     for row in traj.points:
         assert abs(row[2:] @ row[2:] - 1.0) < 1e-12
 
@@ -102,8 +100,7 @@ def test_non_finite_state_raises():
             return np.array([u[0] ** 3, u[1] ** 3], dtype=float)
 
     with pytest.raises(ValueError, match="finite"):
-        flow_fixed_time(cubic, np.array([5.0, 5.0]), 10.0,
-                        IntegratorConfig(step=0.5, max_time=20.0))
+        flow_fixed_time(cubic, np.array([5.0, 5.0]), 10.0, 0.5)
 
 
 def test_trajectory_validation():
@@ -115,8 +112,7 @@ def test_trajectory_validation():
 
 def test_trajectory_csv_export(tmp_path):
     fld = surgery.reeb_field(0, 2)
-    traj = flow_record(fld, np.array([-0.1, 0.5, 1.0, 0.0]), 0.01,
-                       IntegratorConfig(step=2e-3, max_time=1.0))
+    traj = flow_record(fld, np.array([-0.1, 0.5, 1.0, 0.0]), 0.01, 2e-3)
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)
     with open(path) as fh:

@@ -399,9 +399,8 @@ def test_fixed_time_takes_no_residue_step():
 def test_record_end_equals_fixed_time_flow(step):
     fld = surgery.liouville_field(1, 2)
     u0 = np.array([0.3, -0.1, 0.2, 0.5, 0.7, 0.4])
-    cfg = IntegratorConfig(step=step, max_time=2.0)
-    assert np.array_equal(flows.flow_record(fld, u0, 1.0, cfg).end,
-                          flows.flow_fixed_time(fld, u0, 1.0, cfg))
+    assert np.array_equal(flows.flow_record(fld, u0, 1.0, step).end,
+                          flows.flow_fixed_time(fld, u0, 1.0, step))
 
 
 def test_batch_rows_equal_single_row_flows():
@@ -429,9 +428,9 @@ def test_bad_fields_raise_from_every_flow(rhs, match):
 
     start = np.zeros(2)
     with pytest.raises(ValueError, match=match):
-        flows.flow_fixed_time(rhs, start, 1.5, cfg)
+        flows.flow_fixed_time(rhs, start, 1.5, cfg.step)
     with pytest.raises(ValueError, match=match):
-        flows.flow_record(rhs, start, 1.5, cfg)
+        flows.flow_record(rhs, start, 1.5, cfg.step)
     with pytest.raises(ValueError, match=match):
         flows.flow_until_event(rhs, start, never, 0.0, cfg)
     with pytest.raises(ValueError, match=match):
@@ -447,16 +446,28 @@ def test_batch_field_returning_one_row_raises():
 
 def test_event_time_is_bisected_inside_the_last_step():
     # x' = 1 from 0 meets x = 0.2345 between steps of 0.1
-    t_ev, times, states = k.rk4_until_event(
+    traj = flows.flow_until_event(
         lambda u: np.ones_like(u), np.zeros(1), lambda u: float(u[0]), 0.2345,
-        0.1, 1.0, 1e-12)
-    assert math.isclose(t_ev, 0.2345, abs_tol=1e-12)
-    assert times[-1] == t_ev and len(times) == 4
-    assert abs(states[-1, 0] - 0.2345) <= 1e-12
+        IntegratorConfig(step=0.1, max_time=1.0, event_tol=1e-12))
+    assert math.isclose(traj.t_event, 0.2345, abs_tol=1e-12)
+    assert traj.times[-1] == traj.t_event and len(traj.times) == 4
+    assert abs(traj.end[0] - 0.2345) <= 1e-12
+
+
+def test_event_kernel_refuses_a_lone_start():
+    with pytest.raises(ValueError, match=r"row batch must have shape \(m, d\)"):
+        k.rk4_until_event(_pendulum, np.zeros(2), _x_event, 0.3, 0.05, 3.0, 1e-12)
 
 
 def _x_event(u):
     return u[..., 0]  # a float for a lone state, a column for a batch
+
+
+def _lone_pendulum_flow(start, direction):
+    """The lone flow of one start; backward as the forward flow of the
+    negated field, whose RK4 stages are the negated stages bit for bit."""
+    return flows.flow_until_event(lambda u: direction * _pendulum(u), start, _x_event, 0.3,
+                                  IntegratorConfig(step=0.05, max_time=3.0, event_tol=1e-12))
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0])
@@ -470,15 +481,14 @@ def test_batched_event_rows_equal_one_row_runs(direction):
                                       1e-12, direction=direction)
     crossing_steps = set()
     for start, t_row, end in zip(starts, t_batch, ends):
-        t_one, times, states = k.rk4_until_event(_pendulum, start, _x_event, 0.3, step,
-                                                 max_time, 1e-12, direction=direction)
-        assert np.array_equal(end, states[-1])
-        if t_one is None:
+        lone = _lone_pendulum_flow(start, direction)
+        assert np.array_equal(end, lone.end)
+        if lone.t_event is None:
             assert math.isnan(t_row)
-            assert times[-1] == pytest.approx(max_time)
+            assert lone.times[-1] == pytest.approx(max_time)
         else:
-            assert t_row == t_one
-            crossing_steps.add(math.floor(t_one / step))
+            assert t_row == lone.t_event
+            crossing_steps.add(math.floor(lone.t_event / step))
     assert t_batch[0] == 0.0 and np.isnan(t_batch[1]) and np.isnan(t_batch[2])
     assert len(crossing_steps) >= 4  # rows froze on different steps
 
@@ -492,11 +502,10 @@ def test_recorded_event_rows_equal_one_row_trajectories(direction):
     t_batch, ends, paths = k.rk4_until_event(_pendulum, starts, _x_event, 0.3, 0.05, 3.0,
                                              1e-12, direction=direction, record=True)
     for start, t_row, end, (times, states) in zip(starts, t_batch, ends, paths):
-        t_one, times_one, states_one = k.rk4_until_event(
-            _pendulum, start, _x_event, 0.3, 0.05, 3.0, 1e-12, direction=direction)
-        assert np.array_equal(times, times_one) and np.array_equal(states, states_one)
-        assert np.array_equal(end, states_one[-1])
-        assert (t_one is None and math.isnan(t_row)) or t_row == t_one
+        lone = _lone_pendulum_flow(start, direction)
+        assert np.array_equal(times, lone.times) and np.array_equal(states, lone.points)
+        assert np.array_equal(end, lone.end)
+        assert (lone.t_event is None and math.isnan(t_row)) or t_row == lone.t_event
     assert len(paths[0][0]) == 1 and len(paths[1][0]) == 61  # at rest, and all 60 steps
 
 
@@ -538,11 +547,10 @@ def test_liouville_a_field_and_unit_w_projection_rows_equal_lone_states():
 def test_batched_reeb_record_equals_lone_records():
     fld = surgery.reeb_field(0, 2)
     unit_w = surgery.unit_w_projection(0, 2)
-    cfg = IntegratorConfig(step=1e-3, max_time=2.0)
     starts = np.array([surgery.random_s_minus1_point(rng, 0, 2).as_array() for _ in range(5)])
-    traj = flows.flow_record(fld, starts, 0.3, cfg, unit_w)
+    traj = flows.flow_record(fld, starts, 0.3, 1e-3, unit_w)
     for i, start in enumerate(starts):
-        lone = flows.flow_record(fld, start, 0.3, cfg, unit_w)
+        lone = flows.flow_record(fld, start, 0.3, 1e-3, unit_w)
         assert np.array_equal(traj.times, lone.times)
         assert np.array_equal(traj.points[:, i], lone.points)
 

@@ -165,11 +165,11 @@ def test_window_deviation_does_not_depend_on_the_frame():
         assert abs(devs[0] - devs[1]) <= 1e-12
 
 
-def _run_window_check(monkeypatch, seed: int = 0):
-    """The monodromy suite's smoothing-window-bound record, with every other
-    check of the suite skipped."""
+def _run_monodromy_check(monkeypatch, check: str, seed: int = 0):
+    """The monodromy suite's record of one check, with every other check of
+    the suite skipped."""
     def one_check(name, *args):
-        if name == "smoothing-window-bound":
+        if name == check:
             return reports.run_check(name, *args)
         anchor, ops, tolerance, _ = args
         return reports.CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
@@ -177,12 +177,12 @@ def _run_window_check(monkeypatch, seed: int = 0):
 
     monkeypatch.setattr(suites, "run_check", one_check)
     report = suites.run_suite(config_from_dict({"suite": "monodromy", "seed": seed}))
-    return next(c for c in report.checks if c.name == "smoothing-window-bound")
+    return next(c for c in report.checks if c.name == check)
 
 
 @pytest.mark.parametrize("seed", [103, 115])
 def test_window_slopes_hold_at_default_settings(seed, monkeypatch):
-    record = _run_window_check(monkeypatch, seed)
+    record = _run_monodromy_check(monkeypatch, "smoothing-window-bound", seed)
     assert record.passed
     for fit in record.details.values():
         assert suites.WINDOW_EXPONENT_LOW <= fit["slope"] <= suites.WINDOW_EXPONENT_HIGH
@@ -208,7 +208,7 @@ def test_zero_deviation_fails_the_window_check(monkeypatch):
                         lambda rng, deltas, count, blocks, *rest: {
                             nzw: {d: (0.0 if i == 0 else d) for i, d in enumerate(deltas)}
                             for nzw in blocks})
-    record = _run_window_check(monkeypatch)
+    record = _run_monodromy_check(monkeypatch, "smoothing-window-bound")
     assert not record.passed
     assert record.details["error"].startswith("ValueError: a log slope needs")
 
@@ -246,6 +246,18 @@ def test_word_rejects_bad_power():
                                             np.array([0.0, 0.4])))
     with pytest.raises(ValueError):
         mono.composed_monodromy_word(base, [("A", 2)], CONFIG)
+
+
+def test_page_speed_law_fails_flows_that_stop_at_the_start(monkeypatch):
+    # with the page value sign-flipped, every start sits on the event at t = 0;
+    # its one-point trajectory fits -eps + 2s exactly, so only the stop time
+    # tells: the flat-piece flow from page -eps reaches page +eps at t = eps
+    page_value = surgery.page_value
+    monkeypatch.setattr(surgery, "page_value",
+                        lambda nxy, nzw: (lambda u, value=page_value(nxy, nzw): -value(u)))
+    record = _run_monodromy_check(monkeypatch, "page-speed-law")
+    assert not record.passed
+    assert record.max_residual == pytest.approx(EPS)
 
 
 def test_page_speed_residual_on_worked_point():
@@ -436,10 +448,11 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
         "finite-speed-transfer": [13],
         "finite-speed-convergence": [1, 4],  # the limit reference, then every finite a
         "smoothing-window-bound": [window, window]}
+    # every event flow is a row batch; the lone flows of worked-page-point and
+    # twist-angle-extremes are one-row batches
     batched = ["pre-surgery-trivial", "pipeline-vs-closed-form", "page-speed-law",
-               "finite-speed-transfer", "finite-speed-convergence", "smoothing-window-bound"]
+               "finite-speed-transfer", "finite-speed-convergence", "smoothing-window-bound",
+               "worked-page-point", "twist-angle-extremes"]
     expected = Counter({(name, "rk4_until_event", "batch"): 1 for name in batched})
     expected["flow-invariants", "rk4_record", "batch"] = 1
-    for name in ("worked-page-point", "twist-angle-extremes"):
-        expected[name, "rk4_until_event", "lone"] = 1
     assert calls == expected

@@ -417,7 +417,7 @@ def test_twist_carried_func_jac_equals_func_and_jac_bitwise():
     assert np.array_equal(img[40:], pts[40:])
 
 
-def _separate_integrations(domain, candidate, x, cfg):
+def _separate_integrations(domain, candidate, x, step):
     """h(x) and psi_hat(x) from their own one-point flows of the batched Y
     field: the augmented flow for h, with the one-point lambda, and the bare
     Y-flow for psi_hat."""
@@ -431,10 +431,10 @@ def _separate_integrations(domain, candidate, x, cfg):
         return np.append(y, domain.lam(state[:-1], y))
 
     def h_raw(p):
-        return float(flow_fixed_time(augmented, np.append(p, 0.0), 1.0, cfg)[-1])
+        return float(flow_fixed_time(augmented, np.append(p, 0.0), 1.0, step)[-1])
 
     return (-(h_raw(x) - h_raw(domain.sample_box.mean(axis=1))),
-            candidate.batched(flow_fixed_time(y_field, x, 1.0, cfg)[None, :])[0])
+            candidate.batched(flow_fixed_time(y_field, x, 1.0, step)[None, :])[0])
 
 
 @pytest.mark.parametrize("make", [lambda: ob.radial_twist_map(0.8, 0.8),
@@ -445,7 +445,7 @@ def test_shared_flow_matches_separate_integrations(make):
     coarse = IntegratorConfig(step=0.25, max_time=2.0)
     result = ob.giroux_correction(domain, candidate, coarse, rng=rng, closedness_samples=2)
     x = np.array([0.3, -0.2])
-    h_sep, psi_hat_sep = _separate_integrations(domain, candidate, x, coarse)
+    h_sep, psi_hat_sep = _separate_integrations(domain, candidate, x, coarse.step)
     # one ulp or so: the batch takes lambda(Y) by einsum, the reference by np.dot
     assert result.h(x) == pytest.approx(h_sep, rel=1e-15, abs=0.0)
     assert np.array_equal(result.psi_hat(x), psi_hat_sep)
@@ -468,7 +468,7 @@ def test_legendrian_realization_trivial_case():
         sp = sphere.random_sphere_point(rng, n, 0.0, 0.25)
         vals.append(real.g(sp.q, sp.p))
         x = np.concatenate([sp.q, sp.p])
-        for v in sphere.tangent_frame(sp):
+        for v in sphere.tangent_frames(sp.q[None], sp.p[None])[0]:
             assert abs(real.lam_tilde(x, v) - lam(x, v)) < 1e-10
     assert np.max(vals) - np.min(vals) < 1e-10
 
@@ -492,7 +492,7 @@ def test_legendrian_correction_is_exact_in_the_cutoff_band():
     for _ in range(6):
         sp = sphere.random_sphere_point(local, n, 0.32, 0.78)
         x = np.concatenate([sp.q, sp.p])
-        frame = sphere.tangent_frame(sp)
+        frame = sphere.tangent_frames(sp.q[None], sp.p[None])[0]
         for i in range(len(frame)):
             for j in range(i + 1, len(frame)):
                 pair = [frame[i], frame[j]]

@@ -9,7 +9,7 @@ from contactlab import sphere
 from contactlab.forms import fd_jacobian
 from contactlab.profiles import DehnTwistProfile
 from contactlab.sphere import (SpherePoint, canonical_form_eval, dehn_twist,
-                               dehn_twist_batch, geodesic_flow, tangent_frame)
+                               dehn_twist_batch, geodesic_flow, tangent_frames)
 
 rng = np.random.default_rng(5)
 
@@ -122,7 +122,7 @@ def test_twist_batch_agrees_with_pointwise():
 
 def test_tangent_frame_spans_constraint_directions():
     pt = sphere.random_sphere_point(rng, 3, 0.3, 1.0)
-    frame = tangent_frame(pt)
+    frame = tangent_frames(pt.q[None], pt.p[None])[0]
     assert len(frame) == 6
     d = pt.q.size
     for v in frame:
@@ -151,7 +151,7 @@ def _twist_residual_reference(rng, n, count, profile, h_fd):
         pt = sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0)
         u = pt.as_array()
         jac = fd_jacobian(twist.func, u, h_fd)
-        frame = tangent_frame(pt)
+        frame = tangent_frames(pt.q[None], pt.p[None])[0]
         for i in range(len(frame)):
             for j in range(i + 1, len(frame)):
                 lhs = _dlam_reference(jac @ frame[i], jac @ frame[j])
@@ -211,7 +211,7 @@ def test_frame_batch_repeats_the_lone_gram_schmidt_bitwise(n):
     for u, frame in zip(rows, frames):
         ref = _frame_reference(u[:d].copy(), u[d:].copy())
         assert np.array_equal(frame, ref)
-        assert np.array_equal(tangent_frame(SpherePoint(u[:d], u[d:])), ref)
+        assert np.array_equal(tangent_frames(u[None, :d], u[None, d:])[0], ref)
 
 
 def test_frame_callers_take_one_batch_per_dimension(monkeypatch):

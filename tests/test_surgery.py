@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab import _kernels, forms, sphere, surgery
+from contactlab import flows, forms, sphere, surgery
+from contactlab.flows import IntegratorConfig
 from contactlab.profiles import HandleProfile
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
@@ -533,7 +534,7 @@ def test_membership_desk_cases():
 
 def _membership_reference(pt, profile):
     """handle_membership as first written: lone flows from one point."""
-    step, max_time, event_tol = 1e-3, 12.0, 1e-10
+    flow_cfg = IntegratorConfig(step=1e-3, max_time=12.0, event_tol=1e-10)
     u0 = pt.as_array()
     nxy, nzw = pt.nxy, pt.nzw
     liouville = surgery.liouville_field(nxy, nzw)
@@ -545,22 +546,22 @@ def _membership_reference(pt, profile):
     if math.sqrt(w2_0) > 1.0 + 1e-12:
         reach_glue = False
     else:
-        t_hit, _, states = _kernels.rk4_until_event(
-            liouville, u0, surgery.wnorm2_value(nxy, nzw), 1.0, step, max_time, event_tol,
-            direction=-1.0)
-        if t_hit is None:
+        # the backward flow as the forward flow of the negated field: RK4
+        # negates every stage exactly, so the states are the same bits
+        traj = flows.flow_until_event(lambda u: -liouville(u), u0,
+                                      surgery.wnorm2_value(nxy, nzw), 1.0, flow_cfg)
+        if traj.t_event is None:
             return None
-        reach_glue = surgery._rho2_w2(states[-1].tolist(), nxy, nzw)[0] <= 1.5 ** 2
+        reach_glue = surgery._rho2_w2(traj.end.tolist(), nxy, nzw)[0] <= 1.5 ** 2
     level = surgery.level_value(nxy, nzw, profile.delta)
     f0 = level(u0)
     if f0 < 0.0 and math.sqrt(rho2_0) < 1e-14:
         reach_s1 = False
     else:
-        t_hit, _, states = _kernels.rk4_until_event(
-            liouville, u0, level, 0.0, step, max_time, event_tol)
-        if t_hit is not None:
+        traj = flows.flow_until_event(liouville, u0, level, 0.0, flow_cfg)
+        if traj.t_event is not None:
             reach_s1 = True
-        elif f0 > 0.0 and level(states[-1]) >= f0:
+        elif f0 > 0.0 and level(traj.end) >= f0:
             reach_s1 = False
         else:
             return None
@@ -657,7 +658,7 @@ def _strictness_reference(rng, n, k, count):
         y = rng.standard_normal(nxy)
         u = surgery.chart_pack(z, sp.q, sp.p, x, y)
         vecs = [eye[0]]
-        for v in sphere.tangent_frame(sp):
+        for v in sphere.tangent_frames(sp.q[None], sp.p[None])[0]:
             vv = np.zeros(dim_in)
             vv[1:1 + 2 * nzw] = v
             vecs.append(vv)
