@@ -171,7 +171,7 @@ def test_twist_residual_repeats_the_pointwise_reference_bitwise(n):
 
 
 def _frame_reference(q, p):
-    """tangent_frame as first written: Gram-Schmidt over the lone columns."""
+    """A point's tangent frame as first written: Gram-Schmidt over the lone columns."""
     d = q.size
     mat = np.eye(d) - np.outer(q, q)
     basis = []
