@@ -59,13 +59,6 @@ class SpherePoint:
         return SpherePoint(u[:d], u[d:])
 
 
-def canonical_form_eval(pt: SpherePoint, v: Array) -> float:
-    """p dq on a tangent vector v = (v_q, v_p)."""
-    v = np.asarray(v, dtype=float)
-    d = pt.q.size
-    return float(pt.p @ v[:d])
-
-
 def canonical_one_form(dim_total: int) -> KFormOracle:
     """p dq as an ambient 1-form on R^{2(n+1)}, with analytic derivative oracle."""
     d = dim_total // 2
@@ -88,7 +81,10 @@ def _rotate(q: Array, p: Array, norm, c, s) -> tuple[Array, Array]:
 
 
 def geodesic_flow(pt: SpherePoint, t: float) -> SpherePoint:
-    """Normalized geodesic flow for time t; requires p != 0, preserves |p|."""
+    """Normalized geodesic flow for time t; requires p != 0, preserves |p|.
+
+    The one public form of the rotation, not a one-row twin: dehn_twist_map
+    shares only the private formula _rotate, at its own angle per row."""
     norm = np.linalg.norm(pt.p)
     if norm == 0.0:
         raise ValueError("normalization undefined at p = 0")

@@ -33,13 +33,15 @@ Array = np.ndarray
 
 # every operation whose defining formula comes from the source model must be
 # exercised at least once by the "all" suite.  The labels name formulas, not
-# functions; the surgery model's are flat-state callables: "f_eval" is
-# surgery.level_value, "hamiltonian_field_xf" surgery.handle_hamiltonian_rhs,
-# "reeb_s_minus1" surgery.reeb_field, "liouville_X" surgery.liouville_field,
-# "liouville_X_a" surgery.liouville_a_field, "theta_page" surgery.page_value,
-# "omega0_eval" surgery.omega0_form, "alpha_s_minus1_eval"
-# surgery.alpha_model_form, "transversality_margin"
-# surgery.transversality_margins and "phi_c" surgery.phi_c_map.
+# functions: "psi_w" is surgery.psi_w_map and "canonical_form_eval"
+# sphere.canonical_one_form, and the surgery model's are flat-state callables:
+# "f_eval" is surgery.level_value, "hamiltonian_field_xf"
+# surgery.handle_hamiltonian_rhs, "reeb_s_minus1" surgery.reeb_field,
+# "liouville_X" surgery.liouville_field, "liouville_X_a"
+# surgery.liouville_a_field, "theta_page" surgery.page_value, "omega0_eval"
+# surgery.omega0_form, "alpha_s_minus1_eval" surgery.alpha_model_form,
+# "transversality_margin" surgery.transversality_margins and "phi_c"
+# surgery.phi_c_map.
 QUOTED_OPS = [
     "pullback_eval", "liouville_residual", "contact_volume", "psh_gram_matrix",
     "canonical_form_eval", "geodesic_flow", "dehn_twist",
@@ -185,14 +187,12 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
            "p dq vanishes on the zero section and on fiber directions, and pairs p with dq",
            ["canonical_form_eval"], 1e-12)
     def canonical_values():
-        worst = 0.0
-        pt = sphere.SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
-        worst = max(worst, abs(sphere.canonical_form_eval(pt, np.array([0.3, 0.7, 0.0, 0.1]))))
-        pt = sphere.SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.3]))
-        worst = max(worst, abs(sphere.canonical_form_eval(
-            pt, np.array([0.0, 1.0, 0.0, 0.0])) - 0.3))
-        worst = max(worst, abs(sphere.canonical_form_eval(
-            pt, np.array([0.0, 0.0, 0.4, -0.2]))))
+        lam = sphere.canonical_one_form(4)
+        # (q, p) = ((1, 0), 0) on the zero section, then ((1, 0), (0, 0.3))
+        zero, pt = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.3])
+        worst = max(abs(lam(zero, np.array([0.3, 0.7, 0.0, 0.1]))),
+                    abs(lam(pt, np.array([0.0, 1.0, 0.0, 0.0])) - 0.3),
+                    abs(lam(pt, np.array([0.0, 0.0, 0.4, -0.2]))))
         return worst, 3, {}
 
     @check("twist-smooth-across-zero-section",
@@ -311,12 +311,13 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            ["psi_w", "psi_w_inverse"], 1e-10)
     def roundtrip():
         rng = check_rng(cfg.seed, "psiw-roundtrip")
+        straighten = surgery.psi_w_map(2, 1)
         worst = 0.0
         for _ in range(100):
             pt = surgery.random_s_minus1_point(rng, 1, 2)
             z, sp, x, y = surgery.psi_w_inverse(pt)
-            back = surgery.psi_w(z, sp, x, y)
-            worst = max(worst, float(np.max(np.abs(back.as_array() - pt.as_array()))))
+            back = straighten(surgery.chart_pack(z, sp.q, sp.p, x, y))
+            worst = max(worst, float(np.max(np.abs(back - pt.as_array()))))
             worst = max(worst, abs(sp.q @ sp.p))
         # frozen hand projection: z-block (-0.1, 0.5) against w = (1, 0)
         pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([1.0, 0.0]))
@@ -646,12 +647,13 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             rng = check_rng(cfg.seed, f"pipeline-{nzw}")
             starts += [mono.admissible_start(rng, nzw, eps, profile.delta)
                        for _ in range(cfg.n_monodromy)]
-        for res in mono.post_surgery_pipeline_batch(starts, config, [profile] * len(starts),
-                                                    flow_cfg):
+        results = mono.post_surgery_pipeline_batch(starts, config, [profile] * len(starts),
+                                                   flow_cfg)
+        for start, res in zip(starts, results):
             worst = max(worst, res.closed_vs_pipeline)
             worst_wnorm = max(worst_wnorm, abs(
                 float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
-            tw = mono.recognize_dehn_twist(res, eps)
+            tw = mono.recognize_dehn_twist(start, res.closed_form_point, eps)
             worst_matrix = max(worst_matrix, tw.matrix_residual, tw.circle_defect)
         details = {"matrix_residual": worst_matrix, "wnorm_defect": worst_wnorm}
         if worst_matrix > TWIST_MATRIX_BOUND:
@@ -666,13 +668,11 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["post_surgery_closed_form", "recognize_dehn_twist"], 1e-6)
     def worked_point():
         start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), 0.1)
-        conf = SurgeryConfig(epsilon=0.1)
-        res = mono.post_surgery_pipeline(start, conf, HandleProfile(0.05), flow_cfg)
-        w_out = res.closed_form_point.w
-        worst = float(np.max(np.abs(w_out - np.array([12.0 / 13.0, 5.0 / 13.0]))))
-        tw = mono.recognize_dehn_twist(res, 0.1)
+        out = mono.post_surgery_closed_form(start, 0.1)
+        worst = float(np.max(np.abs(out.w - np.array([12.0 / 13.0, 5.0 / 13.0]))))
+        tw = mono.recognize_dehn_twist(start, out, 0.1)
         worst = max(worst, abs(-tw.cos_g - 12.0 / 13.0))
-        return worst, 1, {"w_out": [float(v) for v in w_out],
+        return worst, 1, {"w_out": [float(v) for v in out.w],
                           "minus_cos_g": -tw.cos_g, "sin_g": tw.sin_g}
 
     @check("twist-angle-extremes",
@@ -689,8 +689,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = 0.0 if displacement < 3e-3 else displacement
         # |r| = eps gives the quarter-circle matrix (0, 1/|r|; -|r|, 0)
         start2 = mono.build_start(w, np.array([0.0, eps]), eps)
-        res2 = mono.post_surgery_pipeline(start2, config, profile, flow_cfg)
-        tw = mono.recognize_dehn_twist(res2, eps)
+        tw = mono.recognize_dehn_twist(start2, mono.post_surgery_closed_form(start2, eps), eps)
         worst = max(worst, abs(tw.cos_g), abs(tw.sin_g - 1.0))
         return worst, 2, {"far_displacement": displacement}
 

@@ -269,12 +269,6 @@ def chart_pack(z: float, q: Array, p: Array, x: Array, y: Array) -> Array:
     return np.concatenate([[float(z)], q, p, x, y])
 
 
-def psi_w(z: float, sp: SpherePoint, x: Array, y: Array) -> ModelPoint:
-    """Straightening map (z, q, p, x, y) -> (x, y; z q + p, q) onto S_{-1}."""
-    return ModelPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                      z * sp.q + sp.p, sp.q.copy())
-
-
 def psi_w_inverse(pt: ModelPoint) -> tuple[float, SpherePoint, Array, Array]:
     """Decompose a point of S_{-1}: q = w, z = z.w, p = z - (z.w) w."""
     if not pt.on_s_minus1():
@@ -285,7 +279,8 @@ def psi_w_inverse(pt: ModelPoint) -> tuple[float, SpherePoint, Array, Array]:
 
 
 def psi_w_map(nzw: int, nxy: int) -> SmoothMap:
-    """psi_w on the flat chart [z | q | p | x | y] with analytic Jacobian.
+    """The straightening map psi_w: (z, q, p, x, y) -> (x, y; z q + p, q) onto
+    S_{-1}, on the flat chart [z | q | p | x | y] with analytic Jacobian.
 
     ``func`` and ``jac`` take a (d,) chart point, giving a (d_out,) image and a
     (d_out, d) Jacobian, or an (m, d) row batch, giving (m, d_out) images and

@@ -102,12 +102,13 @@ def test_criterion_04_monodromy_core():
     for nzw in (2, 3, 4):
         rng = np.random.default_rng([400, nzw])
         starts = [mono.admissible_start(rng, nzw, 0.1, profile.delta) for _ in range(200)]
-        for res in mono.post_surgery_pipeline_batch(starts, config, [profile] * 200,
-                                                    flow_cfg):
+        results = mono.post_surgery_pipeline_batch(starts, config, [profile] * 200,
+                                                   flow_cfg)
+        for start, res in zip(starts, results):
             worst_pipeline = max(worst_pipeline, res.closed_vs_pipeline)
             worst_wnorm = max(worst_wnorm, abs(
                 float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
-            tw = mono.recognize_dehn_twist(res, 0.1)
+            tw = mono.recognize_dehn_twist(start, res.closed_form_point, 0.1)
             worst_matrix = max(worst_matrix, tw.matrix_residual)
     elapsed = time.perf_counter() - t0
     passed = worst_pipeline < 1e-6 and worst_matrix < 1e-9 \

@@ -97,8 +97,8 @@ def test_pipeline_finite_speed_convergence():
 
 
 def test_recognition_reproduces_block_matrix():
-    res = mono.post_surgery_pipeline(worked_start(), CONFIG, PROFILE, FLOW)
-    tw = mono.recognize_dehn_twist(res, EPS)
+    start = worked_start()
+    tw = mono.recognize_dehn_twist(start, mono.post_surgery_closed_form(start, EPS), EPS)
     assert tw.matrix_residual < 1e-9
     assert tw.circle_defect < 1e-12
     # frozen circle functions for r^2 = 1/4, eps = 1/10
@@ -108,8 +108,7 @@ def test_recognition_reproduces_block_matrix():
 
 def test_recognition_quarter_circle_at_r_equals_eps():
     start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, EPS]), EPS)
-    res = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW)
-    tw = mono.recognize_dehn_twist(res, EPS)
+    tw = mono.recognize_dehn_twist(start, mono.post_surgery_closed_form(start, EPS), EPS)
     assert abs(tw.cos_g) < 1e-12
     assert tw.sin_g == pytest.approx(1.0)
 
@@ -117,9 +116,8 @@ def test_recognition_quarter_circle_at_r_equals_eps():
 def test_recognition_needs_fiber_part():
     start = mono.build_start(np.array([1.0, 0.0]), np.zeros(2), EPS)
     closed = mono.post_surgery_closed_form(start, EPS)
-    res = mono.MonodromyResult(start, closed, closed, 0.0)
     with pytest.raises(ValueError, match="r != 0"):
-        mono.recognize_dehn_twist(res, EPS)
+        mono.recognize_dehn_twist(start, closed, EPS)
 
 
 def test_far_fiber_transport_is_nearly_identity():
@@ -134,7 +132,7 @@ def test_recognized_angle_closed_form():
     for r_norm in (0.05, 0.3, 1.0):
         start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, r_norm]), EPS)
         closed = mono.post_surgery_closed_form(start, EPS)
-        g = mono.recognize_dehn_twist(mono.MonodromyResult(start, closed, closed, 0.0), EPS).g
+        g = mono.recognize_dehn_twist(start, closed, EPS).g
         assert abs(math.cos(g) - (EPS ** 2 - r_norm ** 2) / (EPS ** 2 + r_norm ** 2)) < 1e-12
         assert g == pytest.approx(2.0 * math.atan(r_norm / EPS), abs=1e-12)
 
@@ -270,8 +268,7 @@ def test_page_speed_residual_on_worked_point():
 
 
 def _same_result(a, b):
-    return (np.array_equal(a.start.as_array(), b.start.as_array())
-            and np.array_equal(a.pipeline_point.as_array(), b.pipeline_point.as_array())
+    return (np.array_equal(a.pipeline_point.as_array(), b.pipeline_point.as_array())
             and np.array_equal(a.closed_form_point.as_array(), b.closed_form_point.as_array())
             and a.closed_vs_pipeline == b.closed_vs_pipeline)
 
@@ -401,8 +398,8 @@ def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
 
 def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
     # counts, not times: every batched check makes one batched kernel call, and
-    # only the two single-start checks flow a lone start; every transfer
-    # search runs on row batches, one per check or per pipeline block group
+    # no check flows a lone start; every transfer search runs on row batches,
+    # one per check or per pipeline block group
     from collections import Counter
 
     from contactlab import _kernels
@@ -443,16 +440,13 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
     n, window = REDUCED_ALL["n_monodromy"], 3 * REDUCED_ALL["n_window"]
     assert searched == {
         "pipeline-vs-closed-form": [n, n, n],  # one search per z/w block size
-        "worked-page-point": [1], "twist-angle-extremes": [1],
         "page-speed-law": [20], "transfer-preserves-page": [101],
         "finite-speed-transfer": [13],
         "finite-speed-convergence": [1, 4],  # the limit reference, then every finite a
         "smoothing-window-bound": [window, window]}
-    # every event flow is a row batch; the lone flows of worked-page-point and
-    # twist-angle-extremes are one-row batches
+    # every event flow is a row batch
     batched = ["pre-surgery-trivial", "pipeline-vs-closed-form", "page-speed-law",
-               "finite-speed-transfer", "finite-speed-convergence", "smoothing-window-bound",
-               "worked-page-point", "twist-angle-extremes"]
+               "finite-speed-transfer", "finite-speed-convergence", "smoothing-window-bound"]
     expected = Counter({(name, "rk4_until_event", "batch"): 1 for name in batched})
     expected["flow-invariants", "rk4_record", "batch"] = 1
     assert calls == expected

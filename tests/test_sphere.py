@@ -8,7 +8,7 @@ import pytest
 from contactlab import sphere
 from contactlab.forms import fd_jacobian
 from contactlab.profiles import DehnTwistProfile
-from contactlab.sphere import (SpherePoint, canonical_form_eval, dehn_twist,
+from contactlab.sphere import (SpherePoint, canonical_one_form, dehn_twist,
                                dehn_twist_batch, geodesic_flow, tangent_frames)
 
 rng = np.random.default_rng(5)
@@ -50,11 +50,12 @@ def test_sphere_point_validates_constraints():
 
 
 def test_canonical_form_values():
-    pt = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.3]))
-    assert canonical_form_eval(pt, np.array([0.0, 1.0, 0.0, 0.0])) == pytest.approx(0.3)
-    assert canonical_form_eval(pt, np.array([0.0, 0.0, 1.0, -2.0])) == 0.0
-    zero = SpherePoint(np.array([0.0, 1.0]), np.zeros(2))
-    assert canonical_form_eval(zero, rng.standard_normal(4)) == 0.0
+    lam = canonical_one_form(4)
+    pt = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.3])).as_array()
+    assert lam(pt, np.array([0.0, 1.0, 0.0, 0.0])) == pytest.approx(0.3)
+    assert lam(pt, np.array([0.0, 0.0, 1.0, -2.0])) == 0.0
+    zero = SpherePoint(np.array([0.0, 1.0]), np.zeros(2)).as_array()
+    assert lam(zero, rng.standard_normal(4)) == 0.0
 
 
 def test_geodesic_flow_quarter_and_half_period():
