@@ -21,9 +21,8 @@ import numpy as np
 from . import flows, monodromy as mono, surgery
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .flows import IntegratorConfig, Trajectory
-from .profiles import HandleProfile
+from .profiles import handle_f, handle_g
 from .suites import run_suite, suite_names
-from .surgery import SurgeryConfig
 
 
 def emit_plot_data(obj, path) -> None:
@@ -51,22 +50,20 @@ def emit_plot_data(obj, path) -> None:
 def _emit_default_plots(out_dir: Path) -> list[Path]:
     """Profile scans plus the page flow of the worked start, for plotting."""
     written = []
-    profile = HandleProfile(0.1)
     ss = np.linspace(0.0, 2.0, 201)
     scan = {
         "s": ss,
-        "f": [profile.f(s) for s in ss],
-        "g": [profile.g(s) for s in ss],
+        "f": [handle_f(s, 0.1) for s in ss],
+        "g": [handle_g(s, 0.1) for s in ss],
     }
     path = out_dir / "handle_profile.csv"
     emit_plot_data(scan, path)
     written.append(path)
 
-    eps = SurgeryConfig().epsilon
+    eps, delta = 0.1, 0.05  # page half-angle and smoothing width
     start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), eps)
-    prof = HandleProfile(0.05)
-    on_s1 = surgery.limit_transfer_to_s1(start, prof)
-    fld = surgery.handle_hamiltonian_rhs(0, 2, prof.delta)
+    on_s1 = surgery.limit_transfers_to_s1(start.as_array()[None], 0, 2, delta)[0]
+    fld = surgery.handle_hamiltonian_rhs(0, 2, delta)
     icfg = IntegratorConfig(max_time=1.0, event_tol=1e-12)
     traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2), eps, icfg)
     path = out_dir / "page_flow.csv"

@@ -18,6 +18,10 @@ starts of different block sizes share it: each row is zero-padded to the
 widest blocks and flows under the widest block's field and event, which
 gives every row the bits of its lone flow.  The scans draw all their starts
 first, in their one-at-a-time order, and flow them as one batch.
+
+Every transport takes the page half-angle eps and the smoothing width delta
+as floats.  Only the one-start ``post_surgery_pipeline`` takes them in a
+``SurgeryConfig`` and a ``HandleProfile``: perfbench/worker.py calls it so.
 """
 
 from __future__ import annotations
@@ -178,28 +182,27 @@ def post_surgery_pipeline(start: ModelPoint, config: SurgeryConfig,
     The result carries the closed form beside the pipeline's answer and the
     distance between them.
     """
-    return post_surgery_pipeline_batch([start], config, [profile], cfg)[0]
+    return post_surgery_pipeline_batch([start], config.epsilon, profile.delta, cfg)[0]
 
 
-def post_surgery_pipeline_batch(starts: Sequence[ModelPoint], config: SurgeryConfig,
-                                profiles: Sequence[HandleProfile],
+def post_surgery_pipeline_batch(starts: Sequence[ModelPoint], epsilon: float, delta,
                                 cfg: IntegratorConfig) -> list[MonodromyResult]:
-    """post_surgery_pipeline of each start under its own handle profile, with
-    the stage-2 page flows run as one row batch (a lone flow for one start).
+    """post_surgery_pipeline of each start, under a smoothing width given once
+    or per start, with the stage-2 page flows run as one row batch (a lone
+    flow for one start).
 
     Starts of different block sizes share the batch, zero-padded to the
     widest.  Each result equals the one-start pipeline's bit for bit.
     """
-    if len(starts) != len(profiles):
-        raise ValueError("give one handle profile per start")
-    return _pipeline(starts, [math.inf] * len(starts), profiles, config.epsilon, cfg)
+    if np.ndim(delta) and len(delta) != len(starts):
+        raise ValueError("give the smoothing width once or once per start")
+    return _pipeline(starts, [math.inf] * len(starts), delta, epsilon, cfg)
 
 
-def _pipeline(starts: Sequence[ModelPoint], speeds: Sequence[float],
-              profiles: Sequence[HandleProfile], eps: float,
+def _pipeline(starts: Sequence[ModelPoint], speeds: Sequence[float], delta, eps: float,
               cfg: IntegratorConfig) -> list[MonodromyResult]:
     """The three stages for a batch of starts, each with its own Liouville
-    speed and handle profile."""
+    speed, under a smoothing width given once or per start."""
     if not starts:
         return []
     closed = [post_surgery_closed_form(start, eps) for start in starts]
@@ -209,7 +212,7 @@ def _pipeline(starts: Sequence[ModelPoint], speeds: Sequence[float],
     nxy, nzw, cols = _padding(starts)
     dim = 2 * nxy + 2 * nzw
     states = np.zeros((len(starts), dim + 1))
-    states[:, dim] = [p.delta for p in profiles]
+    states[:, dim] = delta
     groups = {}
     for i, (start, a) in enumerate(zip(starts, speeds)):
         groups.setdefault((start.nxy, start.nzw, a == math.inf), []).append(i)
@@ -311,7 +314,7 @@ def twist_letter_action(pt: SpherePoint, epsilon: float, power: int) -> SpherePo
 
 
 def composed_monodromy_word(start: ChartPoint, word: list[tuple[str, int]],
-                            config: SurgeryConfig) -> ChartPoint:
+                            epsilon: float) -> ChartPoint:
     """Apply twist letters in word order; letters in other charts act as the
     identity (plumbing-free composition)."""
     for _, power in word:
@@ -320,7 +323,7 @@ def composed_monodromy_word(start: ChartPoint, word: list[tuple[str, int]],
     current = start.point
     for chart, power in word:
         if chart == start.chart:
-            current = twist_letter_action(current, config.epsilon, power)
+            current = twist_letter_action(current, epsilon, power)
     return ChartPoint(start.chart, current)
 
 
@@ -359,7 +362,7 @@ def rounded_window_start(rng: np.random.Generator, nzw: int, epsilon: float,
 
 
 def delta_deviation_scan(rng: np.random.Generator, deltas: list[float],
-                         count: int, blocks: Sequence[int], config: SurgeryConfig,
+                         count: int, blocks: Sequence[int], epsilon: float,
                          cfg: IntegratorConfig) -> dict[int, dict[float, float]]:
     """max Euclidean pipeline-vs-closed-form deviation over rounded-window
     starts, per z/w block size and delta.
@@ -371,14 +374,13 @@ def delta_deviation_scan(rng: np.random.Generator, deltas: list[float],
     delta, and all of them run as one batch.
     """
     fracs = np.linspace(0.02, 0.98, count)
-    starts, profiles = [], []
+    starts, widths = [], []
     for nzw in blocks:
         for delta in deltas:
-            profile = HandleProfile(delta)
             for frac in fracs:
-                starts.append(rounded_window_start(rng, nzw, config.epsilon, delta, float(frac)))
-                profiles.append(profile)
-    results = iter(post_surgery_pipeline_batch(starts, config, profiles, cfg))
+                starts.append(rounded_window_start(rng, nzw, epsilon, delta, float(frac)))
+                widths.append(delta)
+    results = iter(post_surgery_pipeline_batch(starts, epsilon, widths, cfg))
     out = {}
     for nzw in blocks:
         out[nzw] = {}
@@ -404,14 +406,12 @@ def fit_log_slope(xs: list[float], ys: list[float]) -> float:
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
 
 
-def a_convergence_scan(start: ModelPoint, a_values: list[float],
-                       config: SurgeryConfig, profile: HandleProfile,
-                       cfg: IntegratorConfig) -> dict[float, float]:
+def a_convergence_scan(start: ModelPoint, a_values: list[float], epsilon: float,
+                       delta: float, cfg: IntegratorConfig) -> dict[float, float]:
     """Pipeline error against the infinite-speed answer, per finite a; the
     pipelines of the limit and of every a run as one batch."""
     speeds = [math.inf] + [float(a) for a in a_values]
-    ref, *finite = _pipeline([start] * len(speeds), speeds, [profile] * len(speeds),
-                             config.epsilon, cfg)
+    ref, *finite = _pipeline([start] * len(speeds), speeds, delta, epsilon, cfg)
     ref = ref.pipeline_point.as_array()
     return {a: float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
             for a, res in zip(speeds[1:], finite)}

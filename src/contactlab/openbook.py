@@ -402,9 +402,10 @@ def giroux_correction(domain: ExactSymplecticDomain,
         raise ValueError(f"psi^* lambda - lambda is not closed (residual {worst_dmu:.2e}); "
                          "the input does not preserve d(lambda)")
 
+    step = flow_cfg.step
     return GirouxResult(
-        psi_hat=SmoothMap(d, lambda x: giroux_flow_batch(domain, psi, x, flow_cfg).psi_hat[0]),
-        h=lambda x: float(giroux_flow_batch(domain, psi, x, flow_cfg).h[0]),
+        psi_hat=SmoothMap(d, lambda x: giroux_flow_batch(domain, psi, x, step).psi_hat[0]),
+        h=lambda x: float(giroux_flow_batch(domain, psi, x, step).h[0]),
         mu_closedness=worst_dmu, cond_max=float(np.linalg.cond(domain.dlambda_const)))
 
 
@@ -430,10 +431,10 @@ class GirouxBatchEval:
 
 def giroux_flow_batch(domain: ExactSymplecticDomain,
                       psi: SymplectomorphismCandidate, points: Array,
-                      flow_cfg: IntegratorConfig) -> GirouxBatchEval:
-    """One vectorized integration of the correcting flow with its quadrature
-    variable, for every requested point at once; h vanishes at the centre of
-    the sample box."""
+                      step: float) -> GirouxBatchEval:
+    """One vectorized integration to time 1 of the correcting flow with its
+    quadrature variable, at the RK4 step ``step``, for every requested point
+    at once; h vanishes at the centre of the sample box."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     base_point = domain.sample_box.mean(axis=1)
     y_batch = make_batched_y(domain, psi)
@@ -447,7 +448,7 @@ def giroux_flow_batch(domain: ExactSymplecticDomain,
         s_dot = np.einsum("mi,mi->m", domain.lam_coeffs(x), y)
         return np.concatenate([y, s_dot[:, None]], axis=1)
 
-    out = _kernels.rk4_final(field, aug, 1.0, flow_cfg.step)
+    out = _kernels.rk4_final(field, aug, 1.0, step)
     h_raw = out[:, d]
     h = -(h_raw[:-1] - h_raw[-1])
     psi_hat = psi.batched.func(out[:-1, :d])

@@ -3,9 +3,11 @@
 Every profile blends exact pieces (flat, linear, exponential) with quintic
 polynomials so the result is C^2 across the joints.  The model fields,
 events and batch scans call the plain functions below with the smoothing
-width or support radius as an argument; the handle functions and their
-derivatives take a float or a column of row values alike.  The dataclasses
-hold those parameters.
+width or support radius as an argument; the handle functions, their
+derivatives and the inverse of g take a float or a column of row values
+alike, with the width delta a float.  ``HandleProfile`` only validates a
+width, for the one-start pipeline of ``monodromy``; ``DehnTwistProfile`` and
+``BindingProfile`` hold the twist's and the collar's parameters.
 Transversality and contact positivity are *checked* numerically by the test
 suites, never assumed.
 """
@@ -86,6 +88,34 @@ def handle_g_d(s, delta):
                    + _smoothstep_d_poly(t) * (1.0 + delta - s) / delta)
 
 
+def handle_g_inverse(v, delta: float):
+    """Invert handle_g on [0, 1+delta), for a float or a column v: bisection
+    on the monotone blend window, each value to a bracket of width 1e-14.
+
+    A column is bisected with a mask, each value with the stopping rule and
+    arithmetic of a lone float.  Non-finite values and values g does not
+    attain raise ValueError.
+    """
+    v = np.asarray(v, dtype=float)
+    top = 1.0 + delta
+    if not np.isfinite(v).all():
+        raise ValueError(f"g_inverse needs finite values, got {v[~np.isfinite(v)][0]}")
+    if (v >= top).any():
+        raise ValueError(f"g saturates at {top}; {v[v >= top][0]} not attained")
+    lo, hi = np.ones(v.shape), np.full(v.shape, top)
+    open_ = v > 1.0
+    while True:
+        open_ &= hi - lo > 1e-14
+        if not open_.any():
+            break
+        mid = 0.5 * (lo + hi)
+        below = handle_g(mid, delta) < v
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    out = np.where(v > 1.0, 0.5 * (lo + hi), v)
+    return float(out) if out.ndim == 0 else out
+
+
 # initial-slope weight of the angle profile: small enough that twist
 # Jacobians across a 1e-3 sphere around the zero section match to 1e-4
 # (the antipodal mismatch scales like 4 |g1'(0)| * radius), yet strictly
@@ -140,7 +170,8 @@ def hermite_quintic_d(t: float, v0: float, d0: float, s0: float,
 
 @dataclass(frozen=True)
 class HandleProfile:
-    """The pair (f, g) shaping the surgered hypersurface, with smoothing width delta.
+    """The smoothing width delta of the pair (f, g) shaping the surgered
+    hypersurface, validated; the functions above take delta itself.
 
     f == 1 on [0, 1-delta], f(s) == s + delta for s >= 1 - delta/2, increasing.
     g(s) == s for s <= 1, g == 1 + delta for s >= 1 + delta, increasing.
@@ -151,39 +182,6 @@ class HandleProfile:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.25:
             raise ValueError(f"delta must lie in (0, 1/4), got {self.delta}")
-
-    def f(self, s: float) -> float:
-        return handle_f(s, self.delta)
-
-    def g(self, s: float) -> float:
-        return handle_g(s, self.delta)
-
-    def g_inverse(self, v):
-        """Invert g on [0, 1+delta), for a float or a column v: bisection on
-        the monotone blend window, each value to a bracket of width 1e-14.
-
-        A column is bisected with a mask, each value with the stopping rule
-        and arithmetic of a lone float.  Non-finite values and values g does
-        not attain raise ValueError.
-        """
-        v = np.asarray(v, dtype=float)
-        top = 1.0 + self.delta
-        if not np.isfinite(v).all():
-            raise ValueError(f"g_inverse needs finite values, got {v[~np.isfinite(v)][0]}")
-        if (v >= top).any():
-            raise ValueError(f"g saturates at {top}; {v[v >= top][0]} not attained")
-        lo, hi = np.ones(v.shape), np.full(v.shape, top)
-        open_ = v > 1.0
-        while True:
-            open_ &= hi - lo > 1e-14
-            if not open_.any():
-                break
-            mid = 0.5 * (lo + hi)
-            below = handle_g(mid, self.delta) < v
-            lo = np.where(open_ & below, mid, lo)
-            hi = np.where(open_ & ~below, mid, hi)
-        out = np.where(v > 1.0, 0.5 * (lo + hi), v)
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

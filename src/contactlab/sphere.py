@@ -92,7 +92,9 @@ def geodesic_flow(pt: SpherePoint, t: float) -> SpherePoint:
 
 
 def dehn_twist(pt: SpherePoint, profile: DehnTwistProfile) -> SpherePoint:
-    """Generalized right-handed Dehn twist: sigma_{g1(|p|)}, and (-1)^k q at p = 0."""
+    """Generalized right-handed Dehn twist: sigma_{g1(|p|)}, and (-1)^k q at p = 0.
+    The one-point call of dehn_twist_map, for perfbench/worker.py and the
+    tests; the checks map their rows with dehn_twist_map itself."""
     return SpherePoint.from_array(dehn_twist_map(profile, pt.n).func(pt.as_array()))
 
 

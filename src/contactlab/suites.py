@@ -25,16 +25,18 @@ import numpy as np
 from . import flows, forms, monodromy as mono, moves as mv, openbook as ob, sphere, surgery
 from .config import ScenarioConfig
 from .flows import IntegratorConfig
-from .profiles import BindingProfile, DehnTwistProfile, HandleProfile
+from .profiles import BindingProfile, DehnTwistProfile
 from .reports import VerificationReport, check_rng, run_check
-from .surgery import ModelPoint, SurgeryConfig
+from .surgery import ModelPoint
 
 Array = np.ndarray
 
 # every operation whose defining formula comes from the source model must be
 # exercised at least once by the "all" suite.  The labels name formulas, not
-# functions: "psi_w" is surgery.psi_w_map and "canonical_form_eval"
-# sphere.canonical_one_form, and the surgery model's are flat-state callables:
+# functions: "psi_w" is surgery.psi_w_map, "canonical_form_eval"
+# sphere.canonical_one_form, "dehn_twist" sphere.dehn_twist_map and
+# "limit_transfer_to_s1" surgery.limit_transfers_to_s1, and the surgery
+# model's are flat-state callables:
 # "f_eval" is surgery.level_value, "hamiltonian_field_xf"
 # surgery.handle_hamiltonian_rhs, "reeb_s_minus1" surgery.reeb_field,
 # "liouville_X" surgery.liouville_field, "liouville_X_a"
@@ -135,26 +137,20 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
            ["dehn_twist"], 0.0)
     def support():
         rng = check_rng(cfg.seed, "twist-support")
-        worst = 0.0
-        for _ in range(100):
-            pt = sphere.random_sphere_point(rng, 2, profile.p0, 3.0 * profile.p0)
-            out = sphere.dehn_twist(pt, profile)
-            worst = max(worst, float(np.max(np.abs(out.as_array() - pt.as_array()))))
-        return worst, 100, {}
+        rows = np.array([sphere.random_sphere_point(rng, 2, profile.p0, 3.0 * profile.p0)
+                         .as_array() for _ in range(100)])
+        out = sphere.dehn_twist_map(profile, 2).func(rows)
+        return float(np.max(np.abs(out - rows))), 100, {}
 
     @check("twist-zero-section-antipode",
            "a single twist acts on the zero section as q -> -q",
            ["dehn_twist"], 0.0)
     def zero_section():
         rng = check_rng(cfg.seed, "twist-zero-section")
-        worst = 0.0
-        for _ in range(50):
-            q = rng.standard_normal(3)
-            q /= np.linalg.norm(q)
-            pt = sphere.SpherePoint(q, np.zeros(3))
-            out = sphere.dehn_twist(pt, profile)
-            worst = max(worst, float(np.max(np.abs(out.q + q))),
-                        float(np.max(np.abs(out.p))))
+        draws = [rng.standard_normal(3) for _ in range(50)]
+        qs = np.array([q / np.linalg.norm(q) for q in draws])
+        out = sphere.dehn_twist_map(profile, 2).func(np.hstack([qs, np.zeros((50, 3))]))
+        worst = max(float(np.max(np.abs(out[:, :3] + qs))), float(np.max(np.abs(out[:, 3:]))))
         return worst, 50, {}
 
     @check("geodesic-flow-constraints",
@@ -220,17 +216,15 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
            ["dehn_twist", "geodesic_flow"], 1e-12)
     def k_fold():
         rng = check_rng(cfg.seed, "twist-kfold")
-        double = DehnTwistProfile(k=2)
-        worst = 0.0
-        for _ in range(100):
-            pt = sphere.random_sphere_point(rng, 2, 1e-3, 2.0 * profile.p0)
-            twice = sphere.dehn_twist(sphere.dehn_twist(pt, profile), profile)
-            once = sphere.dehn_twist(pt, double)
-            worst = max(worst, float(np.max(np.abs(twice.as_array() - once.as_array()))))
+        single = sphere.dehn_twist_map(profile, 2).func
+        double = sphere.dehn_twist_map(DehnTwistProfile(k=2), 2).func
+        rows = np.array([sphere.random_sphere_point(rng, 2, 1e-3, 2.0 * profile.p0).as_array()
+                         for _ in range(100)])
+        worst = float(np.max(np.abs(single(single(rows)) - double(rows))))
         # zero section: the double twist fixes q exactly
         q = np.array([0.0, 1.0, 0.0])
-        fixed = sphere.dehn_twist(sphere.SpherePoint(q, np.zeros(3)), double)
-        worst = max(worst, float(np.max(np.abs(fixed.q - q))))
+        fixed = double(np.concatenate([q, np.zeros(3)]))
+        worst = max(worst, float(np.max(np.abs(fixed[:3] - q))))
         return worst, 101, {}
 
     @check("twist-angle-profile",
@@ -412,16 +406,15 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         total = 0
         mins = {}
         for delta in (0.05, 0.1):
-            profile = HandleProfile(delta)
             rng = check_rng(cfg.seed, f"scan-{delta}")
-            pts = surgery.sample_s1_points(rng, cfg.n_surface_scan, 1, 2, profile)
-            margins = surgery.transversality_margins(pts, 1, 2, profile)
+            pts = surgery.sample_s1_points(rng, cfg.n_surface_scan, 1, 2, delta)
+            margins = surgery.transversality_margins(pts, 1, 2, delta)
             mins[str(delta)] = float(margins.min())
             worst_floor = max(worst_floor, POSITIVITY_FLOOR - float(margins.min()))
             total += cfg.n_surface_scan
         # frozen flat-piece values of the margin, rows (z | w) outer and inner
         frozen = np.array([[math.sqrt(1.5), 0.0, 1.0, 0.0], [1.0, 0.0, 0.8, 0.0]])
-        outer, inner = surgery.transversality_margins(frozen, 0, 2, HandleProfile(0.1))
+        outer, inner = surgery.transversality_margins(frozen, 0, 2, 0.1)
         worst = max(worst_floor, abs(outer - 1.0), abs(inner - 2.0))
         return worst, total + 2, {"min_margin": mins}
 
@@ -564,13 +557,12 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            "reach of the surgered hypersurface",
            ["handle_membership"], 0.0)
     def membership():
-        profile = HandleProfile(0.05)
         rng = check_rng(cfg.seed, "membership")
         origin = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
         far = ModelPoint(np.zeros(1), np.zeros(1), np.array([3.0, 0.0]), np.zeros(2))
-        pts = surgery.sample_s1_points(rng, 10, 1, 2, profile, rho2_max=1.8)
+        pts = surgery.sample_s1_points(rng, 10, 1, 2, 0.05, rho2_max=1.8)
         verdicts = surgery.handle_memberships(
-            np.vstack([origin.as_array(), far.as_array(), pts]), 1, 2, profile)
+            np.vstack([origin.as_array(), far.as_array(), pts]), 1, 2, 0.05)
         hits = sum(v is True for v in verdicts[2:])
         worst = 0.0 if all(v is False for v in verdicts[:2]) and hits >= 8 else 1.0
         return worst, 12, {"surface_hits": hits}
@@ -613,9 +605,7 @@ PAGE_BLOCKS = (2, 3, 4)
 
 @suite("monodromy")
 def suite_monodromy(cfg: ScenarioConfig, check) -> None:
-    config = SurgeryConfig()
-    eps = config.epsilon
-    profile = HandleProfile(0.05)
+    eps, delta = 0.1, 0.05  # page half-angle and smoothing width
     flow_cfg = IntegratorConfig(max_time=2.0, event_tol=1e-12)
 
     @check("pre-surgery-trivial",
@@ -645,10 +635,9 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         starts = []
         for nzw in PAGE_BLOCKS:
             rng = check_rng(cfg.seed, f"pipeline-{nzw}")
-            starts += [mono.admissible_start(rng, nzw, eps, profile.delta)
+            starts += [mono.admissible_start(rng, nzw, eps, delta)
                        for _ in range(cfg.n_monodromy)]
-        results = mono.post_surgery_pipeline_batch(starts, config, [profile] * len(starts),
-                                                   flow_cfg)
+        results = mono.post_surgery_pipeline_batch(starts, eps, delta, flow_cfg)
         for start, res in zip(starts, results):
             worst = max(worst, res.closed_vs_pipeline)
             worst_wnorm = max(worst_wnorm, abs(
@@ -698,9 +687,9 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["flow_until_event", "theta_page"], 1e-8)
     def page_speed():
         rng = check_rng(cfg.seed, "page-speed")
-        starts = [mono.admissible_start(rng, 2, eps, profile.delta).as_array() for _ in range(20)]
-        on_s1 = surgery.limit_transfers_to_s1(starts, 0, 2, profile.delta)
-        fld = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)
+        starts = [mono.admissible_start(rng, 2, eps, delta).as_array() for _ in range(20)]
+        on_s1 = surgery.limit_transfers_to_s1(starts, 0, 2, delta)
+        fld = surgery.handle_hamiltonian_rhs(0, 2, delta)
         worst = 0.0
         for traj in flows.trajectories_until_event(fld, on_s1, surgery.page_value(0, 2),
                                                    +eps, flow_cfg):
@@ -716,12 +705,12 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["limit_transfer_to_s1", "theta_page"], 1e-12)
     def transfer_theta():
         rng = check_rng(cfg.seed, "transfer-theta")
-        starts = [mono.admissible_start(rng, 3, eps, profile.delta) for _ in range(100)]
+        starts = [mono.admissible_start(rng, 3, eps, delta) for _ in range(100)]
         # last, the point z = (-0.1, 0.5, 0), w = (1, 0, 0), whose closed-form
         # image is (z/|z|, |z| w)
         example = np.array([-0.1, 0.5, 0.0, 1.0, 0.0, 0.0])
         outs = surgery.limit_transfers_to_s1([s.as_array() for s in starts] + [example], 0, 3,
-                                             profile.delta)
+                                             delta)
         worst = 0.0
         for start, out in zip(starts, outs):
             worst = max(worst, abs(float(out[:3] @ out[3:]) - start.theta()))
@@ -736,16 +725,16 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["transfer_to_s1_finite_a", "flow_until_event"], 1e-8)
     def finite_transfer():
         rng = check_rng(cfg.seed, "finite-transfer")
-        starts = [mono.admissible_start(rng, 2, eps, profile.delta).as_array() for _ in range(10)]
+        starts = [mono.admissible_start(rng, 2, eps, delta).as_array() for _ in range(10)]
         # and rows already on the surgered hypersurface, at speed 50: zero transfer time
         on_level = [row for row in surgery.sample_s1_points(check_rng(cfg.seed, "ft2"), 3, 0, 2,
-                                                            profile)
+                                                            delta)
                     if float(np.linalg.norm(row[:2])) != 0.0]
         outs = surgery.finite_transfers_to_s1(starts + on_level, 0, 2,
                                               [1000.0] * 10 + [50.0] * len(on_level),
-                                              profile.delta)
+                                              delta)
         fld = surgery.liouville_a_field(0, 2, 1000.0)
-        level = surgery.level_value(0, 2, profile.delta)
+        level = surgery.level_value(0, 2, delta)
         cfg_i = IntegratorConfig(step=1e-5, max_time=0.5, event_tol=1e-13)
         t_event, ends = flows.flow_rows_until_event(fld, starts, level, 0.0, cfg_i)
         worst = 0.0
@@ -763,9 +752,9 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["transfer_to_s1_finite_a", "post_surgery_pipeline"], 0.0)
     def a_convergence():
         rng = check_rng(cfg.seed, "a-conv")
-        start = mono.admissible_start(rng, 2, eps, profile.delta)
+        start = mono.admissible_start(rng, 2, eps, delta)
         a_values = (10.0, 100.0, 1000.0, 10000.0)
-        errs = mono.a_convergence_scan(start, list(a_values), config, profile, flow_cfg)
+        errs = mono.a_convergence_scan(start, list(a_values), eps, delta, flow_cfg)
         ordered = [errs[a] for a in a_values]
         monotone = all(ordered[i + 1] < ordered[i] for i in range(len(ordered) - 1))
         worst = 0.0 if monotone else 1.0
@@ -780,8 +769,8 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         deltas = (0.02, 0.01, 0.005)
         fits = {}
         worst = 0.0
-        scan = mono.delta_deviation_scan(rng, list(deltas), cfg.n_window, (2, 3),
-                                         SurgeryConfig(epsilon=0.24), flow_cfg)
+        scan = mono.delta_deviation_scan(rng, list(deltas), cfg.n_window, (2, 3), 0.24,
+                                         flow_cfg)
         for nzw, devs in scan.items():
             slope = mono.fit_log_slope(list(devs), list(devs.values()))
             cs = {str(d): devs[d] / d for d in devs}
@@ -830,11 +819,10 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
                 worst = max(worst, abs(float(w @ w) - 1.0))
                 worst = max(worst, abs(alpha(row, fld(row)) - 1.0))
         # Hamiltonian page flow preserves the level value
-        profile_l = HandleProfile(0.1)
-        fld_h = surgery.handle_hamiltonian_rhs(0, 2, profile_l.delta)
-        on_level = surgery.level_projection(0, 2, profile_l.delta)
-        level = surgery.level_value(0, 2, profile_l.delta)
-        pts = surgery.sample_s1_points(check_rng(cfg.seed, "fi2"), 5, 0, 2, profile_l)
+        fld_h = surgery.handle_hamiltonian_rhs(0, 2, 0.1)
+        on_level = surgery.level_projection(0, 2, 0.1)
+        level = surgery.level_value(0, 2, 0.1)
+        pts = surgery.sample_s1_points(check_rng(cfg.seed, "fi2"), 5, 0, 2, 0.1)
         for row in pts:
             out = flows.flow_fixed_time(fld_h, row, 0.25, 1e-3, on_level)
             worst = max(worst, abs(level(out)))
@@ -848,11 +836,11 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         base = mono.ChartPoint("A", sphere.SpherePoint(np.array([1.0, 0.0, 0.0]),
                                                        np.array([0.0, 0.4, 0.2])))
-        out = mono.composed_monodromy_word(base, [], config)
+        out = mono.composed_monodromy_word(base, [], eps)
         worst = max(worst, float(np.max(np.abs(out.point.as_array()
                                                - base.point.as_array()))))
         # one letter equals the recognized block matrix action
-        one = mono.composed_monodromy_word(base, [("A", 1)], config)
+        one = mono.composed_monodromy_word(base, [("A", 1)], eps)
         r_in = base.point.p
         r2 = float(r_in @ r_in)
         denom = r2 + eps ** 2
@@ -866,10 +854,10 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         word = [("A", 1), ("B", 1), ("A", -1), ("A", 1)]
         rotated = [word[-1]] + word[:-1]
         last = word[-1]
-        m_word = mono.composed_monodromy_word(base, word, config)
+        m_word = mono.composed_monodromy_word(base, word, eps)
         transported = mono.ChartPoint(base.chart, mono.twist_letter_action(
             base.point, eps, -last[1]))
-        m_rot = mono.composed_monodromy_word(transported, rotated, config)
+        m_rot = mono.composed_monodromy_word(transported, rotated, eps)
         m_expected = mono.twist_letter_action(m_word.point, eps, -last[1])
         worst = max(worst, float(np.max(np.abs(m_rot.point.as_array()
                                                - m_expected.as_array()))))
@@ -882,13 +870,14 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 
 # the correcting flow's integrator, and the Gauss-Legendre nodes per segment
 # of the line-integral primitives, in the giroux suite.  The correcting flow
-# reads only the step; GIROUX_FLOW and BUMP_FLOW stay IntegratorConfigs
-# because openbook.giroux_correction takes one
+# reads only the step, which giroux_flow_batch takes bare; GIROUX_FLOW and
+# BUMP_FLOW stay IntegratorConfigs because openbook.giroux_correction takes
+# one
 GIROUX_FLOW = IntegratorConfig(step=0.02, max_time=2.0)
 QUAD_NODES = 32
 
 
-def _giroux_batched_eval(domain, candidate, samples: Array, flow_cfg: IntegratorConfig):
+def _giroux_batched_eval(domain, candidate, samples: Array, step: float):
     """h, dh, psi_hat and its Jacobian over the samples from one vectorized
     integration of the correcting flow (center plus FD neighbors)."""
     fd = 1e-5
@@ -900,7 +889,7 @@ def _giroux_batched_eval(domain, candidate, samples: Array, flow_cfg: Integrator
         variants.append(samples + e)
         variants.append(samples - e)
     allpts = np.vstack(variants)
-    ev = ob.giroux_flow_batch(domain, candidate, allpts, flow_cfg)
+    ev = ob.giroux_flow_batch(domain, candidate, allpts, step)
     h = ev.h.reshape(2 * d + 1, m)
     ph = ev.psi_hat.reshape(2 * d + 1, m, d)
     dh = np.stack([(h[1 + 2 * i] - h[2 + 2 * i]) / (2.0 * fd)
@@ -912,15 +901,15 @@ def _giroux_batched_eval(domain, candidate, samples: Array, flow_cfg: Integrator
     return {"h": h[0], "dh": dh, "psi_hat": ph[0], "jac": jac, "nu": nu}
 
 
-def _giroux_case_residuals(cfg: ScenarioConfig, domain, candidate, name: str,
+def _giroux_case_residuals(seed: int, domain, candidate, name: str,
                            n_samples: int, flow_cfg: IntegratorConfig):
     """The checked correction, the residual of the exactness identity over a
     batched sample set, and the d(lambda) residual of the corrected map."""
-    rng = check_rng(cfg.seed, name)
+    rng = check_rng(seed, name)
     result = ob.giroux_correction(domain, candidate, flow_cfg, rng=rng,
                                   closedness_samples=8)
     samples = domain.sample(rng, n_samples)
-    ev = _giroux_batched_eval(domain, candidate, samples, flow_cfg)
+    ev = _giroux_batched_eval(domain, candidate, samples, flow_cfg.step)
     worst = float(np.max(np.abs(ev["nu"] + ev["dh"])))
     # d(lambda) is preserved by the corrected map
     b_mat = domain.dlambda_const
@@ -978,7 +967,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         # the closedness precondition draws its samples before these
         ob.giroux_correction(domain, candidate, GIROUX_FLOW, rng=rng)
         samples = domain.sample(rng, 40)
-        ev = ob.giroux_flow_batch(domain, candidate, samples, GIROUX_FLOW)
+        ev = ob.giroux_flow_batch(domain, candidate, samples, GIROUX_FLOW.step)
         worst = max(float(np.max(np.abs(ev.psi_hat - samples))), float(np.max(np.abs(ev.h))))
         return worst, 40, {}
 
@@ -989,7 +978,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     def twist_case():
         candidate = ob.radial_twist_map(0.8, 0.8)
         result, worst, dl = _giroux_case_residuals(
-            cfg, domain, candidate, "giroux-twist", cfg.n_giroux, GIROUX_FLOW)
+            cfg.seed, domain, candidate, "giroux-twist", cfg.n_giroux, GIROUX_FLOW)
         return worst, cfg.n_giroux, {"mu_closedness": result.mu_closedness,
                                      "cond_max": result.cond_max,
                                      "dlambda_residual": dl}
@@ -1001,7 +990,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     def shear_case():
         candidate, h0 = ob.strip_shear_map(0.5, 0.8)
         _, worst, dl = _giroux_case_residuals(
-            cfg, domain, candidate, "giroux-shear", cfg.n_giroux, GIROUX_FLOW)
+            cfg.seed, domain, candidate, "giroux-shear", cfg.n_giroux, GIROUX_FLOW)
         # the map already satisfies psi^* lambda = lambda - d h0: the
         # line-integral primitive of its defect recovers h0 up to a constant
         rng = check_rng(cfg.seed, "giroux-shear-h0")
@@ -1019,7 +1008,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
            ["giroux_correction"], GIROUX_RESIDUAL_TOL)
     def numeric_flow_case():
         result, worst, dl = _giroux_case_residuals(
-            cfg, domain, coarse_bump, "giroux-bump", cfg.n_giroux_numeric, BUMP_FLOW)
+            cfg.seed, domain, coarse_bump, "giroux-bump", cfg.n_giroux_numeric, BUMP_FLOW)
         return worst, cfg.n_giroux_numeric, {"mu_closedness": result.mu_closedness,
                                              "dlambda_residual": dl}
 
@@ -1069,7 +1058,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
             paths = ([(base, x)], [(base, corner), (corner, x)])
             quads = [ob.path_quadrature(segs, QUAD_NODES) for segs in paths]
             all_nodes = np.vstack([q[0] for q in quads] + [x[None, :]])
-            ev = _giroux_batched_eval(domain, candidate, all_nodes, GIROUX_FLOW)
+            ev = _giroux_batched_eval(domain, candidate, all_nodes, GIROUX_FLOW.step)
             rows, h_vals = ev["nu"], ev["h"]
             integrals = []
             offset = 0
@@ -1088,7 +1077,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     def support_case():
         candidate = ob.radial_twist_map(0.8, 0.8)
         boundary = np.array([[0.95, 0.9], [-0.95, 0.9], [0.95, -0.9], [0.9, 0.95]])
-        ev = ob.giroux_flow_batch(domain, candidate, boundary, GIROUX_FLOW)
+        ev = ob.giroux_flow_batch(domain, candidate, boundary, GIROUX_FLOW.step)
         worst = float(np.max(np.abs(ev.psi_hat - candidate.batched(boundary))))
         return worst, len(boundary), {}
 

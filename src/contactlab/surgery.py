@@ -14,7 +14,8 @@ type of random points, transfer starts and the straightening map.  The
 Liouville transfers between S_{-1} and S_1 return flat states; the two onto
 S_1 take (m, d) rows and share one masked lockstep bracket-and-bisect search
 for the zero of F along each row's path, a lone transfer being the one-row
-call.
+call.  Every function of the surgered hypersurface takes its smoothing width
+delta as a float (the transfers and the page field also per row).
 
 Flat ambient layout is the block vector [x | y | z | w]; the sphere-bundle
 chart for the neighborhood straightening map is [z_scalar | q | p | x | y].
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .forms import KFormOracle, SmoothMap, one_form
-from .profiles import HandleProfile, handle_f, handle_f_d, handle_g, handle_g_d
+from .profiles import handle_f, handle_f_d, handle_g, handle_g_d, handle_g_inverse
 from .sphere import SpherePoint, _orthonormal_complements
 
 Array = np.ndarray
@@ -90,8 +91,9 @@ class ModelPoint:
 @dataclass(frozen=True)
 class SurgeryConfig:
     """Page half-angle of a surgery run, whose transfers run at infinite
-    Liouville speed.  Nothing here reads ``delta``; perfbench/worker.py
-    ``check_page_transport`` passes it."""
+    Liouville speed.  Only ``monodromy.post_surgery_pipeline`` reads it, for
+    perfbench/worker.py, which also passes the unread ``delta``; the rest of
+    the package takes the half-angle as a float."""
 
     epsilon: float = 0.1
     delta: float = 0.05
@@ -370,8 +372,7 @@ def _handle_gradient(u: Array, rho2: float, w2: float, nzw: int, delta: float) -
     return grad
 
 
-def transversality_margins(points: Array, nxy: int, nzw: int,
-                           profile: HandleProfile) -> Array:
+def transversality_margins(points: Array, nxy: int, nzw: int, delta: float) -> Array:
     """(|x|^2/2 + |y|^2/2 + 2|z|^2) g' + |w|^2 f' of each row, positive on all of S_1.
 
     The Liouville directional derivative of the handle function is exactly
@@ -379,7 +380,7 @@ def transversality_margins(points: Array, nxy: int, nzw: int,
     the transversality statement.
     """
     v = _operands(np.asarray(points, dtype=float))
-    b, delta = 2 * nxy, profile.delta
+    b = 2 * nxy
     rho2, w2 = _rho2_w2(v, nxy, nzw)
     return (0.5 * _sum_sq(v[:b]) + 2.0 * _sum_sq(v[b:b + nzw])) \
         * handle_g_d(rho2, delta) + w2 * handle_f_d(w2, delta)
@@ -390,8 +391,8 @@ def handle_hamiltonian_rhs(nxy: int, nzw: int, delta: Optional[float] = None):
     in the w slot, on a (d,) state or an (m, d) row batch; i_X omega0 = -dF.
 
     With ``delta`` None the state carries one more coordinate, its row's
-    smoothing width, which the flow leaves fixed: rows under different handle
-    profiles then flow as one batch.
+    smoothing width, which the flow leaves fixed: rows of different smoothing
+    widths then flow as one batch.
     """
     b = 2 * nxy
     dim = b + 2 * nzw
@@ -595,9 +596,10 @@ def finite_transfers_to_s1(points: Array, nxy: int, nzw: int, a, delta) -> Array
     return _transfers(points, nxy, nzw, delta, path, lambda nz: [np.zeros(nz.size)], widen, 400)
 
 
-def limit_transfer_to_s1(pt: ModelPoint, profile: HandleProfile) -> Array:
-    """The one-row call of :func:`limit_transfers_to_s1`; returns the flat state."""
-    return limit_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, profile.delta)[0]
+def limit_transfer_to_s1(pt: ModelPoint, delta: float) -> Array:
+    """The one-row call of :func:`limit_transfers_to_s1`; returns the flat
+    state.  The tests' one-point transfer: no package code calls it."""
+    return limit_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, delta)[0]
 
 
 def transfer_to_s_minus1(u: Array, nxy: int, nzw: int) -> Array:
@@ -614,14 +616,14 @@ def transfer_to_s_minus1(u: Array, nxy: int, nzw: int) -> Array:
 # handle membership by flow oracle
 # ---------------------------------------------------------------------------
 
-def handle_membership(pt: ModelPoint, profile: HandleProfile) -> Optional[bool]:
+def handle_membership(pt: ModelPoint, delta: float) -> Optional[bool]:
     """Membership of one point in the handle region: the one-row case of
     :func:`handle_memberships`."""
-    return handle_memberships(pt.as_array()[None], pt.nxy, pt.nzw, profile)[0]
+    return handle_memberships(pt.as_array()[None], pt.nxy, pt.nzw, delta)[0]
 
 
 def handle_memberships(points: Array, nxy: int, nzw: int,
-                       profile: HandleProfile) -> list[Optional[bool]]:
+                       delta: float) -> list[Optional[bool]]:
     """Membership in the handle region of each row of an (m, d) batch, decided
     by flowing along the Liouville field.
 
@@ -653,7 +655,7 @@ def handle_memberships(points: Array, nxy: int, nzw: int,
         inconclusive[rows[~crossed]] = True
 
     # forward flow to S_1, except on the w axis, where the level value caps out below zero
-    level = level_value(nxy, nzw, profile.delta)
+    level = level_value(nxy, nzw, delta)
     f0 = level(u0)
     reach_s1 = np.zeros(len(u0), dtype=bool)
     on_axis = (f0 < 0.0) & (np.sqrt(rho2_0) < 1e-14)
@@ -686,7 +688,7 @@ def random_s_minus1_point(rng: np.random.Generator, nxy: int, nzw: int) -> Model
 
 
 def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
-                     profile: HandleProfile, rho2_max: float = 4.0) -> Array:
+                     delta: float, rho2_max: float = 4.0) -> Array:
     """Points of the surgered hypersurface, as rows in flat block layout.
 
     Mixes the inward piece (|w|^2 drawn in [0, 1], radial coordinate solved
@@ -695,7 +697,6 @@ def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
     Each point's draws are taken in turn; the inward radii, the rows and
     their projection are computed on columns.
     """
-    delta = profile.delta
     w2, rho2 = np.empty(count), np.empty(count)
     inward = np.zeros(count, dtype=bool)
     w_dir, r_dir = np.empty((count, nzw)), np.empty((count, 2 * nxy + nzw))
@@ -708,7 +709,7 @@ def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,
             rho2[i] = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
         w_dir[i] = rng.standard_normal(nzw)
         r_dir[i] = rng.standard_normal(2 * nxy + nzw)
-    rho2[inward] = profile.g_inverse(handle_f(w2[inward], delta))
+    rho2[inward] = handle_g_inverse(handle_f(w2[inward], delta), delta)
     w_dir /= np.sqrt(np.vecdot(w_dir, w_dir))[:, None]
     r_dir /= np.sqrt(np.vecdot(r_dir, r_dir))[:, None]
     out = np.hstack([np.sqrt(rho2)[:, None] * r_dir, np.sqrt(w2)[:, None] * w_dir])

@@ -13,11 +13,10 @@ import numpy as np
 from contactlab import flows, forms, monodromy as mono, moves as mv, openbook as ob, \
     sphere, surgery
 from contactlab.flows import IntegratorConfig
-from contactlab.profiles import BindingProfile, DehnTwistProfile, HandleProfile
+from contactlab.profiles import BindingProfile, DehnTwistProfile
 from contactlab.suites import (_giroux_batched_eval, strictness_residual,
                                twist_pullback_residual, _random_chain,
                                _sample_page)
-from contactlab.surgery import SurgeryConfig
 
 from conftest import ACCEPTANCE_RESULTS
 
@@ -81,9 +80,8 @@ def test_criterion_03_liouville_and_transversality():
                               forms.liouville_residual(fld, om, pt, frame))
     min_margin = math.inf
     for delta in (0.05, 0.1):
-        profile = HandleProfile(delta)
-        pts = surgery.sample_s1_points(rng, 10000, 1, 2, profile)
-        margins = surgery.transversality_margins(pts, 1, 2, profile)
+        pts = surgery.sample_s1_points(rng, 10000, 1, 2, delta)
+        margins = surgery.transversality_margins(pts, 1, 2, delta)
         min_margin = min(min_margin, float(margins.min()))
     elapsed = time.perf_counter() - t0
     passed = worst_liouville < 1e-6 and min_margin > 0.0 and elapsed < 30.0
@@ -93,17 +91,14 @@ def test_criterion_03_liouville_and_transversality():
 
 def test_criterion_04_monodromy_core():
     t0 = time.perf_counter()
-    profile = HandleProfile(0.05)
-    config = SurgeryConfig(epsilon=0.1, delta=0.05)
     flow_cfg = IntegratorConfig(step=1e-3, max_time=2.0, event_tol=1e-12)
     worst_pipeline = 0.0
     worst_matrix = 0.0
     worst_wnorm = 0.0
     for nzw in (2, 3, 4):
         rng = np.random.default_rng([400, nzw])
-        starts = [mono.admissible_start(rng, nzw, 0.1, profile.delta) for _ in range(200)]
-        results = mono.post_surgery_pipeline_batch(starts, config, [profile] * 200,
-                                                   flow_cfg)
+        starts = [mono.admissible_start(rng, nzw, 0.1, 0.05) for _ in range(200)]
+        results = mono.post_surgery_pipeline_batch(starts, 0.1, 0.05, flow_cfg)
         for start, res in zip(starts, results):
             worst_pipeline = max(worst_pipeline, res.closed_vs_pipeline)
             worst_wnorm = max(worst_wnorm, abs(
@@ -138,11 +133,10 @@ def test_criterion_06_correction_bounds():
     rng = np.random.default_rng(600)
     flow_cfg = IntegratorConfig(step=1e-3, max_time=2.0, event_tol=1e-12)
     # smoothing-window deviation shrinks linearly with the smoothing width
-    wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
     deltas = [0.02, 0.01, 0.005]
     slopes = {}
     proportional = True
-    for nzw, devs in mono.delta_deviation_scan(rng, deltas, 13, (2, 3), wconf,
+    for nzw, devs in mono.delta_deviation_scan(rng, deltas, 13, (2, 3), 0.24,
                                                flow_cfg).items():
         slope = mono.fit_log_slope(list(devs), list(devs.values()))
         slopes[nzw] = (slope, {d: devs[d] / d for d in devs})
@@ -151,11 +145,9 @@ def test_criterion_06_correction_bounds():
         if not devs[0.02] > devs[0.01] > devs[0.005]:
             proportional = False
     # finite-speed transfer error decreases monotonically in the speed
-    profile = HandleProfile(0.05)
-    config = SurgeryConfig(epsilon=0.1, delta=0.05)
     start = mono.admissible_start(rng, 2, 0.1, 0.05)
     errs = mono.a_convergence_scan(start, [10.0, 100.0, 1000.0, 10000.0],
-                                   config, profile, flow_cfg)
+                                   0.1, 0.05, flow_cfg)
     ordered = [errs[a] for a in (10.0, 100.0, 1000.0, 10000.0)]
     monotone = all(b < a for a, b in zip(ordered, ordered[1:]))
     detail = ", ".join(f"S^{n - 1} slope {s:.2f}" for n, (s, _) in slopes.items())
@@ -165,7 +157,7 @@ def test_criterion_06_correction_bounds():
 
 def test_criterion_07_exactness_correction():
     domain = ob.standard_disk_domain(1.0)
-    flow_cfg = IntegratorConfig(step=0.02, max_time=2.0)
+    step = 0.02  # the correcting flow's RK4 step
     rng = np.random.default_rng(700)
     worst = 0.0
     cases = [
@@ -175,7 +167,7 @@ def test_criterion_07_exactness_correction():
     ]
     for candidate in cases:
         samples = domain.sample(rng, 200)
-        ev = _giroux_batched_eval(domain, candidate, samples, flow_cfg)
+        ev = _giroux_batched_eval(domain, candidate, samples, step)
         worst = max(worst, float(np.max(np.abs(ev["nu"] + ev["dh"]))))
     # path independence of the primitive for the twist case
     candidate = ob.radial_twist_map(0.8, 0.8)
@@ -186,7 +178,7 @@ def test_criterion_07_exactness_correction():
         paths = ([(base, x)], [(base, corner), (corner, x)])
         quads = [ob.path_quadrature(segs, 32) for segs in paths]
         all_nodes = np.vstack([q[0] for q in quads])
-        rows = _giroux_batched_eval(domain, candidate, all_nodes, flow_cfg)["nu"]
+        rows = _giroux_batched_eval(domain, candidate, all_nodes, step)["nu"]
         vals = []
         offset = 0
         for nodes, weights, dirs in quads:

@@ -4,8 +4,10 @@ every defaulted parameter is passed by some call, or is on its allow-list
 with a reason; every dataclass field is read, or is on its allow-list with a
 reason; every scenario setting is read by the code it configures; and every
 local name a package function binds is read, or is on its allow-list with a
-reason.  An allow-list entry whose reason cites ``perfbench`` names a
-function that the benchmark's worker or layers still name.
+reason; and every parameter typed as a settings record is passed on whole
+or read through more than one field, or is on its allow-list with a reason.
+An allow-list entry whose reason cites ``perfbench`` names a function that
+the benchmark's worker or layers still name.
 
 A name counts when it appears as a code token; strings, comments and
 docstrings do not name anything.  Dunder methods are called by Python itself
@@ -23,6 +25,10 @@ some module other than ``config.py`` reads it as ``cfg.<field>``.  A local
 name counts as read when the function that binds it, or a function nested in
 it, loads it; a name bound by tuple unpacking, or with a leading underscore,
 is skipped, as is a name the function declares ``global`` or ``nonlocal``.
+A parameter annotated with one of the records in ``RECORDS`` is read through
+one field when every load of its name in its function, nested scopes
+included, is the object of an attribute, and those attributes have at most
+one name; such a parameter should take that field's value instead.
 """
 
 import ast
@@ -46,9 +52,12 @@ ALLOWED = {
         "the tests' reference for dlambda_const, and a perfbench span",
     "monodromy.post_surgery_pipeline":
         "perfbench/worker.py calls it and perfbench/layers.py traces it",
+    "sphere.dehn_twist": "perfbench/worker.py calls it and perfbench/layers.py traces it",
     "sphere.dehn_twist_batch": "perfbench/worker.py uses it as a reference",
     "surgery.handle_membership":
         "the one-point membership the tests call; perfbench/layers.py traces it",
+    "surgery.limit_transfer_to_s1":
+        "the tests' one-point transfer; perfbench/layers.py traces it",
     **{f"suites.suite_{name}": "registered by @suite and called through SUITES"
        for name in ("binding", "dehn_twist", "giroux", "monodromy", "moves", "weinstein")},
 }
@@ -192,8 +201,8 @@ def test_allow_list_benchmark_reasons_name_what_the_benchmark_uses():
     # (layers.py names the functions it traces in strings)
     bench = WORKER.read_text() + LAYERS.read_text()
     cited = [qual.split(".")[-1] for qual, why in ALLOWED.items() if "perfbench" in why]
-    cited += [qual.split(".")[-2] for qual, why in UNPASSED_ALLOWED.items()
-              if "perfbench" in why]
+    cited += [qual.split(".")[-2] for allowed in (UNPASSED_ALLOWED, ONE_FIELD_ALLOWED)
+              for qual, why in allowed.items() if "perfbench" in why]
     assert cited
     assert [name for name in cited if not re.search(rf"\b{name}\b", bench)] == []
 
@@ -316,3 +325,48 @@ def unread_locals():
 
 def test_every_local_is_read():
     assert unread_locals() == sorted(UNREAD_LOCALS_ALLOWED)
+
+
+# settings-record parameters that read one field and are never passed on whole
+RECORDS = {"ScenarioConfig", "IntegratorConfig", "SurgeryConfig", "HandleProfile"}
+ONE_FIELD_ALLOWED = {
+    "monodromy.post_surgery_pipeline.config":
+        "perfbench/worker.py passes post_surgery_pipeline a SurgeryConfig",
+    "monodromy.post_surgery_pipeline.profile":
+        "perfbench/worker.py passes post_surgery_pipeline a HandleProfile",
+    "openbook.giroux_correction.flow_cfg":
+        "perfbench/worker.py passes giroux_correction an IntegratorConfig",
+    "suites.suite_binding.cfg": "the registry calls every suite body as body(cfg, check)",
+}
+
+
+def one_field_records():
+    """The parameters annotated with a record of ``RECORDS`` that their
+    function, nested scopes included, never loads other than as the object
+    of an attribute, with at most one attribute name among those loads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, func in _functions(ast.parse(path.read_text()), f"{path.stem}."):
+            args = func.args
+            params = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+                      if (getattr(arg.annotation, "id", None)
+                          or getattr(arg.annotation, "attr", None)) in RECORDS}
+            if not params:
+                continue
+            through = {id(node.value): node.attr for node in ast.walk(func)
+                       if isinstance(node, ast.Attribute)}
+            fields_, whole = {name: set() for name in params}, set()
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        and node.id in params):
+                    if id(node) in through:
+                        fields_[node.id].add(through[id(node)])
+                    else:
+                        whole.add(node.id)
+            out.extend(f"{qual}.{name}" for name, read in fields_.items()
+                       if name not in whole and len(read) <= 1)
+    return sorted(out)
+
+
+def test_every_record_parameter_reads_more_than_one_field_or_is_allow_listed():
+    assert one_field_records() == sorted(ONE_FIELD_ALLOWED)

@@ -9,7 +9,6 @@ import pytest
 from contactlab import flows, surgery
 from contactlab.flows import (IntegratorConfig, flow_fixed_time,
                               flow_record, flow_until_event, trajectory_to_csv)
-from contactlab.profiles import HandleProfile
 from contactlab.surgery import ModelPoint
 
 rng = np.random.default_rng(21)
@@ -66,11 +65,10 @@ def test_event_already_satisfied_gives_zero_length():
 
 
 def test_event_detection_at_page_value():
-    prof = HandleProfile(0.05)
     start = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]),
                        np.array([1.0, 0.0]))
-    on_s1 = surgery.limit_transfer_to_s1(start, prof)
-    fld = surgery.handle_hamiltonian_rhs(0, 2, prof.delta)
+    on_s1 = surgery.limit_transfer_to_s1(start, 0.05)
+    fld = surgery.handle_hamiltonian_rhs(0, 2, 0.05)
     traj = flow_until_event(fld, on_s1, surgery.page_value(0, 2), 0.1, CFG)
     assert traj.t_event is not None
     # page speed two on the flat piece: the stop time is eps

@@ -14,8 +14,8 @@ from contactlab import _kernels as k
 from contactlab import flows, forms, sphere, surgery
 from contactlab.flows import IntegratorConfig
 from contactlab.surgery import ModelPoint
-from contactlab.profiles import (DehnTwistProfile, HandleProfile, handle_f, handle_f_d,
-                                 handle_g, handle_g_d, smoothstep, twist_g1)
+from contactlab.profiles import (DehnTwistProfile, handle_f, handle_f_d, handle_g, handle_g_d,
+                                 smoothstep, twist_g1)
 
 rng = np.random.default_rng(33)
 DELTA = 0.05
@@ -215,7 +215,7 @@ def test_model_events_match_scalar_loops():
 def _rows_across_the_windows(nxy, nzw):
     """Random rows, and rows of S_1 whose |w|^2 and rho^2 fall in the blend windows."""
     scaled = rng.standard_normal((40, 2 * nxy + 2 * nzw)) * rng.uniform(0.2, 1.5, (40, 1))
-    return np.vstack([scaled, surgery.sample_s1_points(rng, 40, nxy, nzw, HandleProfile(DELTA))])
+    return np.vstack([scaled, surgery.sample_s1_points(rng, 40, nxy, nzw, DELTA)])
 
 
 @pytest.mark.parametrize("nxy, nzw", [(0, 2), (1, 2), (1, 3)])
@@ -234,7 +234,7 @@ def test_margins_match_scalar_loop(nxy, nzw):
         rho2, _ = _loop_norms(pts[row], nxy, nzw)
         ref[row] = (0.5 * xy2 + 2.0 * z2) * _scalar_handle_g_d(rho2, DELTA) \
             + w2 * _scalar_handle_f_d(w2, DELTA)
-    got = surgery.transversality_margins(pts, nxy, nzw, HandleProfile(DELTA))
+    got = surgery.transversality_margins(pts, nxy, nzw, DELTA)
     assert np.array_equal(got, ref)
 
 
@@ -340,11 +340,8 @@ def test_fd_jacobian_refuses_a_row_that_turns_non_finite():
 
 
 def test_scalar_kernels_match_profile_dataclasses():
-    hp = HandleProfile(0.07)
     tw = DehnTwistProfile(1.3, 2)
     for s in np.linspace(0.0, 2.0, 300):
-        assert abs(hp.f(s) - handle_f(s, 0.07)) < 1e-15
-        assert abs(hp.g(s) - handle_g(s, 0.07)) < 1e-13
         assert abs(tw.g1(s) - twist_g1(s, 1.3, 2)) < 1e-13
 
 
@@ -512,7 +509,6 @@ def test_recorded_event_rows_equal_one_row_trajectories(direction):
 def test_batch_trajectories_equal_lone_page_flows():
     # the page flow from S_1 to page +eps, with a start already on that page
     # and one whose page value never reaches it within the time bound
-    profile = HandleProfile(DELTA)
     fld = surgery.handle_hamiltonian_rhs(0, 2, DELTA)
     page = surgery.page_value(0, 2)
     cfg = IntegratorConfig(step=1e-3, max_time=0.15, event_tol=1e-12)
@@ -520,7 +516,7 @@ def test_batch_trajectories_equal_lone_page_flows():
     for r_norm in (0.1, 0.3, 0.6, 0.8):
         start = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, r_norm]),
                            np.array([1.0, 0.0]))
-        starts.append(surgery.limit_transfer_to_s1(start, profile))
+        starts.append(surgery.limit_transfer_to_s1(start, DELTA))
     starts += [np.array([0.1, 0.5, 1.0, 0.0]), np.array([-0.5, 0.0, 1.0, 0.0])]
     trajs = flows.trajectories_until_event(fld, starts, page, 0.1, cfg)
     for start, traj in zip(starts, trajs):
@@ -580,9 +576,8 @@ def test_level_projection_rows_equal_lone_newton_steps(nxy, nzw):
     # rows already on the level, rows that need several steps, and the origin,
     # where the gradient vanishes
     # (the batch spans more than one block of Newton rows)
-    profile = HandleProfile(DELTA)
     d = 2 * nxy + 2 * nzw
-    rows = np.vstack([np.zeros(d), surgery.sample_s1_points(rng, 10, nxy, nzw, profile),
+    rows = np.vstack([np.zeros(d), surgery.sample_s1_points(rng, 10, nxy, nzw, DELTA),
                       rng.standard_normal((1100, d)) * rng.uniform(0.3, 1.5, (1100, 1))])
     project = surgery.level_projection(nxy, nzw, DELTA)
     lone = [project(u.copy()) for u in rows]

@@ -14,9 +14,10 @@ from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint, SurgeryConfig
 
 rng = np.random.default_rng(55)
-EPS = 0.1
-PROFILE = HandleProfile(0.05)
-CONFIG = SurgeryConfig(epsilon=EPS, delta=0.05)
+EPS, DELTA = 0.1, 0.05
+# the records that only the one-start post_surgery_pipeline takes
+PROFILE = HandleProfile(DELTA)
+CONFIG = SurgeryConfig(epsilon=EPS, delta=DELTA)
 FLOW = IntegratorConfig(step=1e-3, max_time=2.0, event_tol=1e-12)
 
 
@@ -80,8 +81,8 @@ def test_pipeline_matches_closed_form_on_worked_point():
     res = mono.post_surgery_pipeline(worked_start(), CONFIG, PROFILE, FLOW)
     assert res.closed_vs_pipeline < 1e-6
     # stage 1 lands on the surgered hypersurface, stage 3 back on |w| = 1
-    on_s1 = surgery.limit_transfer_to_s1(worked_start(), PROFILE)
-    assert abs(surgery.level_value(0, 2, PROFILE.delta)(on_s1)) < 1e-10
+    on_s1 = surgery.limit_transfer_to_s1(worked_start(), DELTA)
+    assert abs(surgery.level_value(0, 2, DELTA)(on_s1)) < 1e-10
     back = surgery.transfer_to_s_minus1(on_s1, 0, 2)
     assert abs(float(np.linalg.norm(back[2:])) - 1.0) < 1e-12
     assert abs(float(np.linalg.norm(res.pipeline_point.w)) - 1.0) < 1e-12
@@ -89,7 +90,7 @@ def test_pipeline_matches_closed_form_on_worked_point():
 
 def test_pipeline_finite_speed_convergence():
     errs = mono.a_convergence_scan(worked_start(), [10.0, 100.0, 1000.0, 10000.0],
-                                   CONFIG, PROFILE, FLOW)
+                                   EPS, DELTA, FLOW)
     ordered = [errs[a] for a in (10.0, 100.0, 1000.0, 10000.0)]
     assert all(b < a for a, b in zip(ordered, ordered[1:]))
     assert errs[1000.0] < 5e-3
@@ -141,24 +142,22 @@ def test_pipeline_dimensions_spot():
     for nzw in (2, 3, 4):
         worst = 0.0
         for _ in range(10):
-            start = mono.admissible_start(rng, nzw, EPS, PROFILE.delta)
+            start = mono.admissible_start(rng, nzw, EPS, DELTA)
             res = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW)
             worst = max(worst, res.closed_vs_pipeline)
         assert worst < 1e-6
 
 
 def test_window_scan_reports_linear_slope():
-    wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
-    devs = mono.delta_deviation_scan(rng, [0.02, 0.01, 0.005], 10, (2,), wconf, FLOW)[2]
+    devs = mono.delta_deviation_scan(rng, [0.02, 0.01, 0.005], 10, (2,), 0.24, FLOW)[2]
     slope = mono.fit_log_slope(list(devs), list(devs.values()))
     assert 0.7 <= slope <= 1.3
 
 
 def test_window_deviation_does_not_depend_on_the_frame():
-    wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
     for nzw in (2, 3):
         devs = [mono.delta_deviation_scan(np.random.default_rng(seed), [0.01], 1, (nzw,),
-                                          wconf, FLOW)[nzw][0.01]
+                                          0.24, FLOW)[nzw][0.01]
                 for seed in (1, 2)]
         assert abs(devs[0] - devs[1]) <= 1e-12
 
@@ -214,13 +213,13 @@ def test_zero_deviation_fails_the_window_check(monkeypatch):
 def test_word_identity_and_single_letter():
     base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
                                             np.array([0.0, 0.4])))
-    out = mono.composed_monodromy_word(base, [], CONFIG)
+    out = mono.composed_monodromy_word(base, [], EPS)
     assert np.allclose(out.point.as_array(), base.point.as_array())
     # one positive letter equals the closed-form transport on decompositions
     start = mono.build_start(base.point.q, base.point.p, EPS)
     closed = mono.post_surgery_closed_form(start, EPS)
     dec = mono.PageDecomposition.of(closed, +EPS)
-    one = mono.composed_monodromy_word(base, [("A", 1)], CONFIG)
+    one = mono.composed_monodromy_word(base, [("A", 1)], EPS)
     assert np.max(np.abs(one.point.q - dec.w)) < 1e-12
     assert np.max(np.abs(one.point.p - dec.r)) < 1e-12
 
@@ -228,14 +227,14 @@ def test_word_identity_and_single_letter():
 def test_word_inverse_letters_cancel():
     base = mono.ChartPoint("A", SpherePoint(np.array([0.0, 1.0, 0.0]),
                                             np.array([0.3, 0.0, 0.4])))
-    out = mono.composed_monodromy_word(base, [("A", 1), ("A", -1)], CONFIG)
+    out = mono.composed_monodromy_word(base, [("A", 1), ("A", -1)], EPS)
     assert np.max(np.abs(out.point.as_array() - base.point.as_array())) < 1e-12
 
 
 def test_word_other_chart_acts_as_identity():
     base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
                                             np.array([0.0, 0.4])))
-    out = mono.composed_monodromy_word(base, [("B", 1), ("B", 1)], CONFIG)
+    out = mono.composed_monodromy_word(base, [("B", 1), ("B", 1)], EPS)
     assert np.allclose(out.point.as_array(), base.point.as_array())
 
 
@@ -243,7 +242,7 @@ def test_word_rejects_bad_power():
     base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
                                             np.array([0.0, 0.4])))
     with pytest.raises(ValueError):
-        mono.composed_monodromy_word(base, [("A", 2)], CONFIG)
+        mono.composed_monodromy_word(base, [("A", 2)], EPS)
 
 
 def test_page_speed_law_fails_flows_that_stop_at_the_start(monkeypatch):
@@ -260,8 +259,8 @@ def test_page_speed_law_fails_flows_that_stop_at_the_start(monkeypatch):
 
 def test_page_speed_residual_on_worked_point():
     from contactlab import flows
-    on_s1 = surgery.limit_transfer_to_s1(worked_start(), PROFILE)
-    fld = surgery.handle_hamiltonian_rhs(0, 2, PROFILE.delta)
+    on_s1 = surgery.limit_transfer_to_s1(worked_start(), DELTA)
+    fld = surgery.handle_hamiltonian_rhs(0, 2, DELTA)
     traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2),
                                   EPS, FLOW)
     assert mono.page_speed_residual(traj, 0, 2, EPS) < 1e-8
@@ -276,16 +275,17 @@ def _same_result(a, b):
 @pytest.mark.parametrize("nzw", [2, 3, 4])
 def test_batched_pipeline_rows_equal_one_start_pipelines(nzw):
     local = np.random.default_rng(100 + nzw)
-    starts = [mono.admissible_start(local, nzw, EPS, PROFILE.delta) for _ in range(12)]
-    profiles = [PROFILE] * len(starts)
+    starts = [mono.admissible_start(local, nzw, EPS, DELTA) for _ in range(12)]
+    deltas = [DELTA] * len(starts)
     # smoothing-window starts, each under its own width, share the batch
     for delta in (0.02, 0.01, 0.005):
         for frac in (0.02, 0.5, 0.98):
             starts.append(mono.rounded_window_start(local, nzw, EPS, delta, frac))
-            profiles.append(HandleProfile(delta))
-    batch = mono.post_surgery_pipeline_batch(starts, CONFIG, profiles, FLOW)
-    for start, profile, res in zip(starts, profiles, batch):
-        assert _same_result(res, mono.post_surgery_pipeline(start, CONFIG, profile, FLOW))
+            deltas.append(delta)
+    batch = mono.post_surgery_pipeline_batch(starts, EPS, deltas, FLOW)
+    for start, delta, res in zip(starts, deltas, batch):
+        assert _same_result(res, mono.post_surgery_pipeline(start, CONFIG, HandleProfile(delta),
+                                                            FLOW))
 
 
 def test_batched_reeb_transport_equals_one_start_transports():
@@ -300,25 +300,25 @@ def test_batched_reeb_transport_equals_one_start_transports():
 def test_mixed_block_batches_equal_per_block_batches_and_lone_pipelines():
     # starts of three z/w sizes, drawn in turn, share one zero-padded batch
     local = np.random.default_rng(12)
-    starts, profiles = [], []
+    starts, deltas = [], []
     for i in range(18):
         nzw = (2, 4, 3)[i % 3]
         if i % 2:
-            starts.append(mono.admissible_start(local, nzw, EPS, PROFILE.delta))
-            profiles.append(PROFILE)
+            starts.append(mono.admissible_start(local, nzw, EPS, DELTA))
+            deltas.append(DELTA)
         else:
             delta = (0.02, 0.01, 0.005)[i % 3]
             starts.append(mono.rounded_window_start(local, nzw, EPS, delta, local.random()))
-            profiles.append(HandleProfile(delta))
-    mixed = mono.post_surgery_pipeline_batch(starts, CONFIG, profiles, FLOW)
+            deltas.append(delta)
+    mixed = mono.post_surgery_pipeline_batch(starts, EPS, deltas, FLOW)
     for nzw in (2, 3, 4):
         block = [i for i, s in enumerate(starts) if s.nzw == nzw]
         per_block = mono.post_surgery_pipeline_batch(
-            [starts[i] for i in block], CONFIG, [profiles[i] for i in block], FLOW)
+            [starts[i] for i in block], EPS, [deltas[i] for i in block], FLOW)
         for i, res in zip(block, per_block):
             assert _same_result(mixed[i], res)
-            assert _same_result(mixed[i], mono.post_surgery_pipeline(starts[i], CONFIG,
-                                                                     profiles[i], FLOW))
+            assert _same_result(mixed[i], mono.post_surgery_pipeline(
+                starts[i], CONFIG, HandleProfile(deltas[i]), FLOW))
     outs = mono.pre_surgery_monodromy(starts, EPS, FLOW)
     for start, out in zip(starts, outs):
         (lone,) = mono.pre_surgery_monodromy([start], EPS, FLOW)
@@ -330,19 +330,19 @@ def test_padded_page_flow_rows_keep_their_event_times():
     # the stage-2 flow of rows padded to the widest block, under that block's
     # field and event, against each block's own batch: t_event and end states
     local = np.random.default_rng(13)
-    starts = [mono.admissible_start(local, nzw, EPS, PROFILE.delta)
+    starts = [mono.admissible_start(local, nzw, EPS, DELTA)
               for nzw in (2, 3, 4, 2, 3, 4, 2)]
-    on_s1 = [surgery.limit_transfer_to_s1(s, PROFILE) for s in starts]
+    on_s1 = [surgery.limit_transfer_to_s1(s, DELTA) for s in starts]
     nxy, nzw, cols = mono._padding(starts)
     padded = mono._padded_rows(on_s1, cols, 2 * nxy + 2 * nzw)
     t_wide, ends_wide = flows.flow_rows_until_event(
-        surgery.handle_hamiltonian_rhs(nxy, nzw, PROFILE.delta), padded,
+        surgery.handle_hamiltonian_rhs(nxy, nzw, DELTA), padded,
         surgery.page_value(nxy, nzw), EPS, FLOW)
     assert not ends_wide[0, [2, 3, 6, 7]].any()  # the padding stays exactly zero
     for n in (2, 3, 4):
         block = [i for i, s in enumerate(starts) if s.nzw == n]
         t_own, ends_own = flows.flow_rows_until_event(
-            surgery.handle_hamiltonian_rhs(0, n, PROFILE.delta),
+            surgery.handle_hamiltonian_rhs(0, n, DELTA),
             np.array([on_s1[i] for i in block]), surgery.page_value(0, n), EPS, FLOW)
         assert np.array_equal(t_wide[block], t_own)
         assert np.array_equal(np.array([ends_wide[i, cols[i]] for i in block]), ends_own)
@@ -351,39 +351,39 @@ def test_padded_page_flow_rows_keep_their_event_times():
 def test_a_convergence_scan_equals_lone_pipelines():
     # the scan as first written: one pipeline per speed
     a_values = [10.0, 100.0, 1000.0, 10000.0]
-    for start in (worked_start(), mono.admissible_start(rng, 3, EPS, PROFILE.delta)):
+    for start in (worked_start(), mono.admissible_start(rng, 3, EPS, DELTA)):
         ref = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW).pipeline_point.as_array()
         expected = {}
         for a in a_values:
-            (res,) = mono._pipeline([start], [a], [PROFILE], EPS, FLOW)
+            (res,) = mono._pipeline([start], [a], DELTA, EPS, FLOW)
             expected[a] = float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
-        errs = mono.a_convergence_scan(start, a_values, CONFIG, PROFILE, FLOW)
+        errs = mono.a_convergence_scan(start, a_values, EPS, DELTA, FLOW)
         assert list(errs.items()) == list(expected.items())
 
 
 def test_window_scan_of_two_blocks_equals_one_block_scans():
-    wconf = SurgeryConfig(epsilon=0.24, delta=0.05)
     both = mono.delta_deviation_scan(np.random.default_rng(3), [0.02, 0.01], 4, (2, 3),
-                                     wconf, FLOW)
+                                     0.24, FLOW)
     local = np.random.default_rng(3)
     for nzw in (2, 3):
         assert both[nzw] == mono.delta_deviation_scan(local, [0.02, 0.01], 4, (nzw,),
-                                                      wconf, FLOW)[nzw]
+                                                      0.24, FLOW)[nzw]
 
 
-def test_pipeline_batch_refuses_missing_profiles():
+def test_pipeline_batch_refuses_a_wrong_length_delta_sequence():
     local = np.random.default_rng(8)
     starts = [mono.admissible_start(local, 2, EPS, 0.05),
               mono.admissible_start(local, 3, EPS, 0.05)]
-    with pytest.raises(ValueError, match="one handle profile per start"):
-        mono.post_surgery_pipeline_batch(starts[:1], CONFIG, [PROFILE] * 2, FLOW)
+    for count, deltas in ((1, [DELTA] * 2), (2, [DELTA])):
+        with pytest.raises(ValueError, match="once or once per start"):
+            mono.post_surgery_pipeline_batch(starts[:count], EPS, deltas, FLOW)
 
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
     # the pipeline point and the closed form; the stages pass flat rows
     local = np.random.default_rng(9)
-    starts = [mono.admissible_start(local, 3, EPS, PROFILE.delta) for _ in range(m)]
+    starts = [mono.admissible_start(local, 3, EPS, DELTA) for _ in range(m)]
     built = []
     validate = ModelPoint.__post_init__
 
@@ -392,7 +392,7 @@ def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
         validate(self)
 
     monkeypatch.setattr(ModelPoint, "__post_init__", counted)
-    mono.post_surgery_pipeline_batch(starts, CONFIG, [PROFILE] * m, FLOW)
+    mono.post_surgery_pipeline_batch(starts, EPS, DELTA, FLOW)
     assert len(built) == 2 * m
 
 

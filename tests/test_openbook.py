@@ -154,7 +154,7 @@ def test_batched_flow_agrees_with_pointwise(monkeypatch):
         assert result.cond_max == np.linalg.cond(domain.dlambda_const)
         # inside the support, off it, and the base point itself
         pts = np.vstack([domain.sample(rng, 5), [[0.9, 0.1], [0.0, 0.0]]])
-        ev = ob.giroux_flow_batch(domain, candidate, pts, cfg)
+        ev = ob.giroux_flow_batch(domain, candidate, pts, cfg.step)
         for i, x in enumerate(pts):
             assert result.h(x) == ev.h[i]
             assert np.array_equal(result.psi_hat(x), ev.psi_hat[i])

@@ -14,7 +14,7 @@ from contactlab.config import ConfigError, ScenarioConfig, config_from_dict
 from contactlab.flows import IntegratorConfig
 from contactlab.monodromy import (PageDecomposition, post_surgery_closed_form,
                                   pre_surgery_monodromy)
-from contactlab.profiles import DehnTwistProfile, HandleProfile
+from contactlab.profiles import DehnTwistProfile, handle_g_inverse
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint
 
@@ -141,9 +141,9 @@ ON_PAGE = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([
     (lambda: post_surgery_closed_form(ON_PAGE, math.nan), "-eps page"),
     (lambda: surgery.finite_transfers_to_s1(ON_PAGE.as_array()[None], 0, 2, math.nan, 0.05),
      "a must be positive"),
-    (lambda: HandleProfile(0.05).g_inverse(math.nan), "finite values"),
-    (lambda: HandleProfile(0.05).g_inverse(-math.inf), "finite values"),
-    (lambda: HandleProfile(0.05).g_inverse(np.array([0.5, 1.02, math.nan])), "finite values"),
+    (lambda: handle_g_inverse(math.nan, 0.05), "finite values"),
+    (lambda: handle_g_inverse(-math.inf, 0.05), "finite values"),
+    (lambda: handle_g_inverse(np.array([0.5, 1.02, math.nan]), 0.05), "finite values"),
 ])
 def test_validators_refuse_nan_and_inf(build, named):
     # a NaN fails every comparison, so each check states what must hold

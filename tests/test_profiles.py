@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab.profiles import (BindingProfile, DehnTwistProfile, HandleProfile,
-                                 handle_f_d, handle_g_d, hermite_quintic, hermite_quintic_d)
+from contactlab.profiles import (BindingProfile, DehnTwistProfile, HandleProfile, handle_f,
+                                 handle_f_d, handle_g, handle_g_d, handle_g_inverse,
+                                 hermite_quintic, hermite_quintic_d)
 
 
 def test_hermite_endpoint_conditions():
@@ -26,29 +27,27 @@ def test_hermite_endpoint_conditions():
 
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
 def test_handle_profile_piecewise_constraints(delta):
-    p = HandleProfile(delta)
     for s in np.linspace(0.0, 1.0 - delta, 20):
-        assert p.f(s) == 1.0
+        assert handle_f(s, delta) == 1.0
     for s in np.linspace(1.0 - delta / 2.0, 3.0, 20):
-        assert abs(p.f(s) - (s + delta)) < 1e-14
+        assert abs(handle_f(s, delta) - (s + delta)) < 1e-14
     for s in np.linspace(0.0, 1.0, 20):
-        assert p.g(s) == s
+        assert handle_g(s, delta) == s
     for s in np.linspace(1.0 + delta, 3.0, 20):
-        assert abs(p.g(s) - (1.0 + delta)) < 1e-14
+        assert abs(handle_g(s, delta) - (1.0 + delta)) < 1e-14
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.1])
 def test_handle_profile_monotone_with_consistent_derivatives(delta):
-    p = HandleProfile(delta)
     ss = np.linspace(0.0, 2.0, 4001)
-    f_vals = np.array([p.f(s) for s in ss])
-    g_vals = np.array([p.g(s) for s in ss])
+    f_vals = np.array([handle_f(s, delta) for s in ss])
+    g_vals = np.array([handle_g(s, delta) for s in ss])
     assert np.all(np.diff(f_vals) >= -1e-15)
     assert np.all(np.diff(g_vals) >= -1e-15)
     h = 1e-6
     for s in np.linspace(0.9, 1.15, 60):
-        fd = (p.f(s + h) - p.f(s - h)) / (2 * h)
-        gd = (p.g(s + h) - p.g(s - h)) / (2 * h)
+        fd = (handle_f(s + h, delta) - handle_f(s - h, delta)) / (2 * h)
+        gd = (handle_g(s + h, delta) - handle_g(s - h, delta)) / (2 * h)
         assert abs(fd - handle_f_d(s, delta)) < 1e-6
         assert abs(gd - handle_g_d(s, delta)) < 1e-6
 
@@ -63,20 +62,19 @@ def test_handle_profile_rejects_bad_delta():
 @given(st.floats(min_value=1.0, max_value=1.099))
 @settings(max_examples=40, deadline=None)
 def test_g_inverse_roundtrip(s):
-    p = HandleProfile(0.1)
-    assert abs(p.g_inverse(p.g(s)) - s) < 1e-10
+    assert abs(handle_g_inverse(handle_g(s, 0.1), 0.1) - s) < 1e-10
 
 
-def g_inverse_reference(profile, v):
-    """HandleProfile.g_inverse of one float as first written."""
+def g_inverse_reference(delta, v):
+    """handle_g_inverse of one float as first written."""
     if v <= 1.0:
         return v
-    if v >= 1.0 + profile.delta:
+    if v >= 1.0 + delta:
         raise ValueError("not attained")
-    lo, hi = 1.0, 1.0 + profile.delta
+    lo, hi = 1.0, 1.0 + delta
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
-        if profile.g(mid) < v:
+        if handle_g(mid, delta) < v:
             lo = mid
         else:
             hi = mid
@@ -85,18 +83,17 @@ def g_inverse_reference(profile, v):
 
 @pytest.mark.parametrize("delta", [0.01, 0.05, 0.1, 0.2])
 def test_g_inverse_column_and_float_equal_the_scalar_bisection(delta):
-    p = HandleProfile(delta)
     rng = np.random.default_rng(17)
     top = 1.0 + delta
     v = np.concatenate([rng.uniform(0.0, top, 400), rng.uniform(1.0, top, 400),
                         [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(top, 0.0)]])
-    ref = np.array([g_inverse_reference(p, float(x)) for x in v])
-    assert np.array_equal(p.g_inverse(v), ref)
-    lone = [p.g_inverse(float(x)) for x in v[::10]]
+    ref = np.array([g_inverse_reference(delta, float(x)) for x in v])
+    assert np.array_equal(handle_g_inverse(v, delta), ref)
+    lone = [handle_g_inverse(float(x), delta) for x in v[::10]]
     assert all(type(x) is float for x in lone) and np.array_equal(lone, ref[::10])
-    assert p.g_inverse(np.empty(0)).shape == (0,)
+    assert handle_g_inverse(np.empty(0), delta).shape == (0,)
     with pytest.raises(ValueError, match="not attained"):
-        p.g_inverse(np.array([0.5, top]))
+        handle_g_inverse(np.array([0.5, top]), delta)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

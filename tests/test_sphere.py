@@ -232,3 +232,43 @@ def test_frame_callers_take_one_batch_per_dimension(monkeypatch):
     for n, k in ((2, 1), (3, 1), (3, 2)):
         suites.strictness_residual(np.random.default_rng(n), n, k, 25)
     assert calls == [25, 25, 25]
+
+
+def test_twist_check_images_stay_on_the_bundle(monkeypatch):
+    # the twist checks map row batches, which no SpherePoint validates: every
+    # image row must still satisfy the bundle constraints to SpherePoint's 1e-10
+    from contactlab import reports, suites
+    from contactlab.config import config_from_dict
+    from contactlab.forms import SmoothMap
+
+    checks = ("twist-compact-support", "twist-zero-section-antipode", "twist-k-fold-composition")
+    images = []
+    twist_map = sphere.dehn_twist_map
+
+    def recorded(profile, n):
+        twist = twist_map(profile, n)
+
+        def func(u):
+            out = twist.func(u)
+            images.append(np.array(out, ndmin=2))
+            return out
+
+        return SmoothMap(twist.domain_dim, func)
+
+    def only_twist_checks(name, *args):
+        if name in checks:
+            return reports.run_check(name, *args)
+        anchor, ops, tolerance, _ = args
+        return reports.CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
+                                   tolerance=tolerance, passed=True, ops=ops)
+
+    monkeypatch.setattr(sphere, "dehn_twist_map", recorded)
+    monkeypatch.setattr(suites, "run_check", only_twist_checks)
+    for seed in (0, 5, 103):
+        report = suites.run_suite(config_from_dict({"suite": "dehn-twist", "seed": seed}))
+        assert all(c.passed for c in report.checks)
+    rows = np.vstack(images)
+    assert len(rows) == 3 * (100 + 50 + 3 * 100 + 1)
+    q, p = rows[:, :3], rows[:, 3:]
+    assert np.max(np.abs(np.vecdot(q, q) - 1.0)) < 1e-10
+    assert np.max(np.abs(np.vecdot(q, p))) < 1e-10

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactlab import flows, forms, sphere, surgery
 from contactlab.flows import IntegratorConfig
-from contactlab.profiles import HandleProfile
+from contactlab.profiles import handle_f
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
                                 limit_transfer_to_s1, psi_w_inverse, psi_w_map, phi_c_map,
@@ -18,7 +18,7 @@ from test_kernels import _scalar_handle_f, _scalar_handle_g
 from test_profiles import g_inverse_reference
 
 rng = np.random.default_rng(9)
-PROFILE = HandleProfile(0.05)
+DELTA = 0.05
 
 
 def legendrian_point(z, w):
@@ -101,9 +101,9 @@ def test_rescaling_values():
 
 
 def test_handle_function_frozen_values():
-    profile = HandleProfile(0.1)
+    delta = 0.1
     on_s1 = legendrian_point([math.sqrt(1.5), 0.0], [1.0, 0.0])
-    level = surgery.level_value(0, 2, profile.delta)
+    level = surgery.level_value(0, 2, delta)
     assert level(on_s1.as_array()) == pytest.approx(0.0, abs=1e-14)
     origin = legendrian_point([0.0, 0.0], [0.0, 0.0])
     assert level(origin.as_array()) == pytest.approx(-1.0)
@@ -112,34 +112,34 @@ def test_handle_function_frozen_values():
 
 
 def test_transversality_margin_frozen_values():
-    profile = HandleProfile(0.1)
+    delta = 0.1
     outer = legendrian_point([math.sqrt(1.5), 0.0], [1.0, 0.0])
     inner = legendrian_point([1.0, 0.0], [0.8, 0.0])
     margins = transversality_margins(np.array([outer.as_array(), inner.as_array()]),
-                                     0, 2, profile)
+                                     0, 2, delta)
     assert margins[0] == pytest.approx(1.0)
     assert margins[1] == pytest.approx(2.0)
 
 
 def test_margin_is_half_the_liouville_derivative():
     # dF(X) along the expanding field equals twice the reported margin
-    profile = HandleProfile(0.1)
+    delta = 0.1
     for _ in range(25):
         pt = ModelPoint(rng.standard_normal(1), rng.standard_normal(1),
                         rng.standard_normal(2), rng.standard_normal(2))
         u = pt.as_array()
-        grad = surgery.level_gradient(1, 2, profile.delta)(u)
+        grad = surgery.level_gradient(1, 2, delta)(u)
         x_vec = surgery.liouville_field(1, 2)(u)
-        margin = transversality_margins(u[None], 1, 2, profile)[0]
+        margin = transversality_margins(u[None], 1, 2, delta)[0]
         assert abs(float(grad @ x_vec) - 2.0 * margin) < 1e-10
 
 
 def test_hamiltonian_field_contracts_to_minus_df():
-    profile = HandleProfile(0.1)
+    delta = 0.1
     for _ in range(25):
         u = legendrian_point(rng.standard_normal(2), rng.standard_normal(2)).as_array()
-        xf = surgery.handle_hamiltonian_rhs(0, 2, profile.delta)(u)
-        grad = surgery.level_gradient(0, 2, profile.delta)(u)
+        xf = surgery.handle_hamiltonian_rhs(0, 2, delta)(u)
+        grad = surgery.level_gradient(0, 2, delta)(u)
         for v in np.eye(4):
             assert abs(surgery.omega0_form(0, 2)(u, xf, v) + grad @ v) < 1e-12
 
@@ -172,13 +172,13 @@ def test_level_gradient_is_the_gradient_level_projection_steps_with(monkeypatch)
         return grad
 
     monkeypatch.setattr(surgery, "_handle_gradient", recorded)
-    profile = HandleProfile(0.1)
+    delta = 0.1
     for nxy, nzw, u in _random_flat_states(np.random.default_rng(2)):
         steps.clear()
-        surgery.level_projection(nxy, nzw, profile.delta)(u)
+        surgery.level_projection(nxy, nzw, delta)(u)
         newton = list(steps)  # level_gradient below records too
         assert newton  # a random point is off the level set
-        level_gradient = surgery.level_gradient(nxy, nzw, profile.delta)
+        level_gradient = surgery.level_gradient(nxy, nzw, delta)
         for at, grad in newton:
             assert np.array_equal(level_gradient(at), grad)
 
@@ -197,7 +197,7 @@ def test_margin_takes_g_prime_at_the_level_functions_rho2(monkeypatch):
         for nzw in (2, 3):
             pts = local.standard_normal((100, 2 * nxy + 2 * nzw))
             args.clear()
-            surgery.transversality_margins(pts, nxy, nzw, PROFILE)
+            surgery.transversality_margins(pts, nxy, nzw, DELTA)
             [column] = args  # one g' evaluation, on the column of all rows
             assert len(column) == len(pts)
             for row, rho2 in zip(pts, column):
@@ -223,10 +223,10 @@ def _bisect_reference(fn, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _transfer_reference(pt, a, profile):
+def _transfer_reference(pt, a, delta):
     """The transfers as first written: ModelPoint paths under the handle
     function, a bracket search, then a bisection that evaluates both ends again."""
-    level = surgery.level_value(pt.nxy, pt.nzw, profile.delta)
+    level = surgery.level_value(pt.nxy, pt.nzw, delta)
 
     if a == math.inf:
         def path(u):
@@ -288,20 +288,20 @@ def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
                 w *= local.uniform(0.2, 0.9) / np.linalg.norm(w)
                 starts.append(ModelPoint(local.standard_normal(nxy), local.standard_normal(nxy),
                                          local.standard_normal(nzw), w))
-            rows = surgery.sample_s1_points(local, 4, nxy, nzw, PROFILE)
+            rows = surgery.sample_s1_points(local, 4, nxy, nzw, DELTA)
             starts += [ModelPoint.from_array(row, nxy, nzw) for row in rows]
             for start in starts:
-                f0 = surgery.level_value(nxy, nzw, PROFILE.delta)(start.as_array())
+                f0 = surgery.level_value(nxy, nzw, DELTA)(start.as_array())
                 signs.add(0 if abs(f0) <= 1e-12 else int(math.copysign(1.0, f0)))
                 for a in (50.0, 1000.0, math.inf):
-                    ref = _transfer_reference(start, a, PROFILE)
+                    ref = _transfer_reference(start, a, DELTA)
                     monkeypatch.setattr(ModelPoint, "__post_init__", counted)
                     built.clear()
                     if a == math.inf:
-                        out = limit_transfer_to_s1(start, PROFILE)
+                        out = limit_transfer_to_s1(start, DELTA)
                     else:
                         out = surgery.finite_transfers_to_s1(start.as_array()[None], nxy, nzw,
-                                                             a, PROFILE.delta)[0]
+                                                             a, DELTA)[0]
                     monkeypatch.setattr(ModelPoint, "__post_init__", validate)
                     assert not built  # flat states throughout, the result too
                     assert np.array_equal(out, ref.as_array())
@@ -390,7 +390,7 @@ def _transfer_rows(local, nxy, nzw, deltas):
             rows.append(surgery.random_s_minus1_point(local, nxy, nzw).as_array())
             continue
         if kind == 3:
-            rows.append(surgery.sample_s1_points(local, 1, nxy, nzw, HandleProfile(delta))[0])
+            rows.append(surgery.sample_s1_points(local, 1, nxy, nzw, delta)[0])
             continue
         w = local.standard_normal(nzw)
         z = local.standard_normal(nzw)
@@ -420,7 +420,7 @@ def test_row_transfers_repeat_the_lone_search_bitwise(nxy, nzw):
         assert lim.tobytes() == _lone_transfer(pt, math.inf, delta).tobytes()
         assert fin.tobytes() == _lone_transfer(pt, a, delta).tobytes()
         # the lone calls are the one-row batches
-        assert limit_transfer_to_s1(pt, HandleProfile(delta)).tobytes() == lim.tobytes()
+        assert limit_transfer_to_s1(pt, delta).tobytes() == lim.tobytes()
         lone = surgery.finite_transfers_to_s1(pt.as_array()[None], nxy, nzw, a, delta)[0]
         assert lone.tobytes() == fin.tobytes()
     # one smoothing width and one speed for all rows
@@ -454,10 +454,10 @@ def test_row_transfers_refuse_each_bad_row_as_the_lone_search():
 
 def test_limit_transfer_frozen_example():
     pt = legendrian_point([-0.1, 0.5], [1.0, 0.0])
-    out = limit_transfer_to_s1(pt, PROFILE)
+    out = limit_transfer_to_s1(pt, DELTA)
     assert np.allclose(out[:2], [-0.19611613513818404, 0.9805806756909202])
     assert np.allclose(out[2:], [0.5099019513592785, 0.0])
-    assert abs(surgery.level_value(0, 2, PROFILE.delta)(out)) < 1e-10
+    assert abs(surgery.level_value(0, 2, DELTA)(out)) < 1e-10
 
 
 @given(st.integers(0, 10 ** 6))
@@ -470,29 +470,29 @@ def test_limit_transfer_preserves_page_value(seed):
     if np.linalg.norm(z) < 1e-3:
         z = np.array([0.3, 0.1])
     pt = legendrian_point(z, w)
-    out = limit_transfer_to_s1(pt, PROFILE)
+    out = limit_transfer_to_s1(pt, DELTA)
     assert abs(float(out[:2] @ out[2:]) - surgery.page_value(0, 2)(pt.as_array())) < 1e-12
 
 
 def test_limit_transfer_identity_on_level_set():
     # |z| = 1 with |w| = 1 and rho^2 >= 1 + delta is already on the far flat piece
     pt = legendrian_point([1.2, 0.0], [1.0, 0.0])
-    assert abs(surgery.level_value(0, 2, PROFILE.delta)(pt.as_array())) < 1e-14
-    out = limit_transfer_to_s1(pt, PROFILE)
+    assert abs(surgery.level_value(0, 2, DELTA)(pt.as_array())) < 1e-14
+    out = limit_transfer_to_s1(pt, DELTA)
     assert np.allclose(out, pt.as_array())
 
 
 def test_limit_transfer_rejects_removed_locus():
     with pytest.raises(ValueError, match="removed"):
-        limit_transfer_to_s1(legendrian_point([0.0, 0.0], [1.0, 0.0]), PROFILE)
+        limit_transfer_to_s1(legendrian_point([0.0, 0.0], [1.0, 0.0]), DELTA)
 
 
 def test_finite_transfer_converges_to_limit():
     pt = legendrian_point([-0.1, 0.5], [1.0, 0.0])
-    lim = limit_transfer_to_s1(pt, PROFILE)
+    lim = limit_transfer_to_s1(pt, DELTA)
     errs = []
     for a in (10.0, 100.0, 1000.0):
-        out = surgery.finite_transfers_to_s1(pt.as_array()[None], 0, 2, a, PROFILE.delta)[0]
+        out = surgery.finite_transfers_to_s1(pt.as_array()[None], 0, 2, a, DELTA)[0]
         errs.append(np.max(np.abs(out - lim)))
     assert errs[0] > errs[1] > errs[2]
     # order 1/a: tenfold speed shrinks the error about tenfold
@@ -527,18 +527,18 @@ def test_inverse_transfer_repeats_the_model_point_formula_bitwise():
 
 def test_membership_desk_cases():
     origin = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
-    assert handle_membership(origin, PROFILE) is False
+    assert handle_membership(origin, DELTA) is False
     far = ModelPoint(np.zeros(1), np.zeros(1), np.array([3.0, 0.0]), np.zeros(2))
-    assert handle_membership(far, PROFILE) is False
+    assert handle_membership(far, DELTA) is False
     inflated = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.array([1.5, 0.0]))
-    assert handle_membership(inflated, PROFILE) is False
-    pts = surgery.sample_s1_points(rng, 6, 1, 2, PROFILE, rho2_max=1.8)
-    hits = sum(handle_membership(ModelPoint.from_array(row, 1, 2), PROFILE) is True
+    assert handle_membership(inflated, DELTA) is False
+    pts = surgery.sample_s1_points(rng, 6, 1, 2, DELTA, rho2_max=1.8)
+    hits = sum(handle_membership(ModelPoint.from_array(row, 1, 2), DELTA) is True
                for row in pts)
     assert hits >= 5
 
 
-def _membership_reference(pt, profile):
+def _membership_reference(pt, delta):
     """handle_membership as first written: lone flows from one point."""
     flow_cfg = IntegratorConfig(step=1e-3, max_time=12.0, event_tol=1e-10)
     u0 = pt.as_array()
@@ -559,7 +559,7 @@ def _membership_reference(pt, profile):
         if traj.t_event is None:
             return None
         reach_glue = surgery._rho2_w2(traj.end.tolist(), nxy, nzw)[0] <= 1.5 ** 2
-    level = surgery.level_value(nxy, nzw, profile.delta)
+    level = surgery.level_value(nxy, nzw, delta)
     f0 = level(u0)
     if f0 < 0.0 and math.sqrt(rho2_0) < 1e-14:
         reach_s1 = False
@@ -586,23 +586,22 @@ def test_batched_membership_repeats_the_lone_flows():
         [1.2, 0.3, 0.5, 0.1, 0.4, 0.2],               # F > 0: the level value recedes
     ]
     rows += [surgery.random_s_minus1_point(local, 1, 2).as_array() for _ in range(4)]
-    rows = np.vstack(rows + [surgery.sample_s1_points(local, 8, 1, 2, PROFILE, rho2_max=1.8)])
-    ref = [_membership_reference(ModelPoint.from_array(u, 1, 2), PROFILE) for u in rows]
+    rows = np.vstack(rows + [surgery.sample_s1_points(local, 8, 1, 2, DELTA, rho2_max=1.8)])
+    ref = [_membership_reference(ModelPoint.from_array(u, 1, 2), DELTA) for u in rows]
     assert {True, False, None} <= set(ref)
-    assert surgery.handle_memberships(rows, 1, 2, PROFILE) == ref
+    assert surgery.handle_memberships(rows, 1, 2, DELTA) == ref
 
 
-def _sampler_reference(rng, count, nxy, nzw, profile, rho2_max=4.0):
+def _sampler_reference(rng, count, nxy, nzw, delta, rho2_max=4.0):
     """sample_s1_points as first written: one row assembled and projected at a
     time, the projection in floats."""
     dim = 2 * nxy + 2 * nzw
     out = np.empty((count, dim))
-    delta = profile.delta
     project = surgery.level_projection(nxy, nzw, delta)
     for i in range(count):
         if rng.random() < 0.7:
             s = rng.random()
-            rho2 = g_inverse_reference(profile, profile.f(s))
+            rho2 = g_inverse_reference(delta, handle_f(s, delta))
         else:
             s = 1.0
             rho2 = (1.0 + delta) + (rho2_max - (1.0 + delta)) * rng.random()
@@ -622,18 +621,16 @@ def _sampler_reference(rng, count, nxy, nzw, profile, rho2_max=4.0):
 def test_s1_sampler_repeats_the_pointwise_reference_bitwise(nxy, nzw):
     for seed, delta, rho2_max in ((0, 0.05, 4.0), (1, 0.1, 1.8), (5, 0.2, 4.0)):
         ref_rng, rng_ = np.random.default_rng(seed), np.random.default_rng(seed)
-        profile = HandleProfile(delta)
-        ref = _sampler_reference(ref_rng, 60, nxy, nzw, profile, rho2_max)
-        assert np.array_equal(surgery.sample_s1_points(rng_, 60, nxy, nzw, profile, rho2_max),
+        ref = _sampler_reference(ref_rng, 60, nxy, nzw, delta, rho2_max)
+        assert np.array_equal(surgery.sample_s1_points(rng_, 60, nxy, nzw, delta, rho2_max),
                               ref)
         assert rng_.random() == ref_rng.random()
 
 
 def test_s1_sampler_lands_on_level_set():
     for delta in (0.05, 0.1):
-        profile = HandleProfile(delta)
-        pts = surgery.sample_s1_points(rng, 200, 1, 2, profile)
-        level = surgery.level_value(1, 2, profile.delta)
+        pts = surgery.sample_s1_points(rng, 200, 1, 2, delta)
+        level = surgery.level_value(1, 2, delta)
         for row in pts:
             assert abs(level(row)) < 1e-10
 
