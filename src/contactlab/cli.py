@@ -20,31 +20,28 @@ import numpy as np
 
 from . import flows, monodromy as mono, surgery
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
-from .flows import IntegratorConfig, Trajectory
+from .flows import IntegratorConfig
 from .profiles import handle_f, handle_g
 from .suites import run_suite, suite_names
 
 
-def emit_plot_data(obj, path) -> None:
-    """Write a trajectory or a named-column scan as CSV with a header row."""
+def emit_plot_data(scan: dict, path) -> None:
+    """Write named columns of equal length as CSV with a header row, each
+    value as the repr of a float."""
+    if not isinstance(scan, dict):
+        raise TypeError(f"cannot emit plot data for {type(scan).__name__}")
+    keys = list(scan.keys())
+    columns = [list(map(float, scan[k])) for k in keys]
+    length = len(columns[0]) if columns else 0
+    if any(len(c) != length for c in columns):
+        raise ValueError("scan columns must have equal length")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(obj, Trajectory):
-        flows.trajectory_to_csv(obj, path)
-        return
-    if isinstance(obj, dict):
-        keys = list(obj.keys())
-        columns = [list(map(float, obj[k])) for k in keys]
-        length = len(columns[0]) if columns else 0
-        if any(len(c) != length for c in columns):
-            raise ValueError("scan columns must have equal length")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for i in range(length):
-                writer.writerow([repr(c[i]) for c in columns])
-        return
-    raise TypeError(f"cannot emit plot data for {type(obj).__name__}")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(keys)
+        for i in range(length):
+            writer.writerow([repr(c[i]) for c in columns])
 
 
 def _emit_default_plots(out_dir: Path) -> list[Path]:
@@ -67,7 +64,8 @@ def _emit_default_plots(out_dir: Path) -> list[Path]:
     icfg = IntegratorConfig(max_time=1.0, event_tol=1e-12)
     traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2), eps, icfg)
     path = out_dir / "page_flow.csv"
-    emit_plot_data(traj, path)
+    emit_plot_data({"time": traj.times, **{f"c{i}": col for i, col in enumerate(traj.points.T)}},
+                   path)
     written.append(path)
     return written
 
@@ -111,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # the output directory must be usable before the suite runs, not after
-    if cfg.out_dir:
+    if cfg.out_dir is not None:
         out_dir = Path(cfg.out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"suite {cfg.suite}: {'PASS' if report.passed else 'FAIL'} "
           f"({sum(c.passed for c in report.checks)}/{len(report.checks)} checks)")
 
-    if cfg.out_dir:
+    if cfg.out_dir is not None:
         report_path = out_dir / f"report-{cfg.suite}.json"
         try:
             report_path.write_text(report.to_json())

@@ -74,6 +74,8 @@ _SAMPLE_COUNTS = tuple(f.name for f in fields(ScenarioConfig) if f.name.startswi
 _RULES = [
     (("seed", "search_depth"), lambda v: v >= 0, "must be non-negative"),
     (_SAMPLE_COUNTS, lambda v: v >= 1, "sample count must be >= 1"),
+    # None writes nothing; an empty path would run and write nothing as well
+    (("out_dir",), lambda v: v != "", "must be a non-empty path when given"),
 ]
 
 

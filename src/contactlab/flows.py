@@ -19,7 +19,6 @@ Every row of a batch repeats its lone flow bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -126,16 +125,3 @@ def trajectories_until_event(rhs: Field, starts: Array,
     return [Trajectory(times, states, None if math.isnan(t) else float(t))
             for t, (times, states) in zip(t_event, paths)]
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write rows (time, c0, c1, ...) with a header; deterministic ordering."""
-    dim = traj.points.shape[1] if len(traj.points) else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"c{i}" for i in range(dim)])
-        for t, row in zip(traj.times, traj.points):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])

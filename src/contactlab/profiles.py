@@ -6,8 +6,9 @@ events and batch scans call the plain functions below with the smoothing
 width or support radius as an argument; the handle functions, their
 derivatives and the inverse of g take a float or a column of row values
 alike, with the width delta a float.  ``HandleProfile`` only validates a
-width, for the one-start pipeline of ``monodromy``; ``DehnTwistProfile`` and
-``BindingProfile`` hold the twist's and the collar's parameters.
+width, for the one-start pipeline of ``monodromy``, and ``DehnTwistProfile``
+only validates the twist's support radius and multiplicity, which the twist
+angle functions take; ``BindingProfile`` holds the collar's parameters.
 Transversality and contact positivity are *checked* numerically by the test
 suites, never assumed.
 """
@@ -124,6 +125,9 @@ _TWIST_TILT = 0.005
 
 
 def twist_g1(s, p0, k):
+    """The twist angle of a k-fold twist of support radius p0 at |p| = s: it
+    decreases from k*pi at 0 (with strictly negative slope) to 0 at p0, and is
+    identically 0 beyond it."""
     if s <= 0.0:
         return k * math.pi
     if s >= p0:
@@ -186,11 +190,8 @@ class HandleProfile:
 
 @dataclass(frozen=True)
 class DehnTwistProfile:
-    """Amount of normalized geodesic flow for a k-fold twist.
-
-    g1 decreases from k*pi at 0 (with strictly negative slope) to 0 at the
-    support radius p0, and is identically 0 beyond it.
-    """
+    """The support radius p0 and multiplicity k of a k-fold twist, validated;
+    its angle is ``twist_g1(s, p0, k)``."""
 
     p0: float = 1.0
     k: int = 1
@@ -202,12 +203,6 @@ class DehnTwistProfile:
         # a fractional k moves the zero section by k % 2 while g1(0) = k*pi
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ValueError(f"twist multiplicity k must be a positive integer, got {self.k!r}")
-
-    def g1(self, s: float) -> float:
-        return twist_g1(s, self.p0, self.k)
-
-    def g1_d(self, s: float) -> float:
-        return twist_g1_d(s, self.p0, self.k)
 
 
 class BindingProfile:

@@ -148,7 +148,7 @@ def dehn_twist_map(profile: DehnTwistProfile, n: int) -> SmoothMap:
         rows[at_zero, :d] *= sign
         turn = np.flatnonzero(~(at_zero | (norm >= profile.p0)))
         if turn.size:
-            angles = [profile.g1(r) for r in norm[turn].tolist()]
+            angles = [twist_g1(r, profile.p0, profile.k) for r in norm[turn].tolist()]
             cos = np.array([[math.cos(t)] for t in angles])
             sin = np.array([[math.sin(t)] for t in angles])
             rows[turn, :d], rows[turn, d:] = _rotate(q[turn], p[turn], norm[turn, None], cos, sin)

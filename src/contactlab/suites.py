@@ -1,11 +1,13 @@
 """Named verification suites, declared in one registry.
 
 Each suite body is registered by ``@suite(name)``; definition order is the
-order in which the "all" suite runs them.  ``run_suite`` calls a body as
-``body(cfg, check)``, and the body declares each of its checks once, by
+order in which the "all" suite runs them.  A body is called as
+``body(cfg, check)`` and declares each of its checks once, by
 ``@check(name, anchor, ops, tolerance)`` directly above a closure that returns
-``(max_residual, samples, details)``.  The decorator runs the closure through
-:func:`contactlab.reports.run_check` and keeps the resulting
+``(max_residual, samples, details)``.  :func:`declared_checks` collects the
+declarations ``(name, anchor, ops, tolerance, body)`` without running a body;
+:func:`run_suite` runs each one as ``run_check(*declared)``, through
+:func:`contactlab.reports.run_check`, into a
 :class:`contactlab.reports.CheckRecord`.  Anchors quote the identity being
 verified; `ops` lists the public operations a check exercises (the "all"
 suite must cover every operation in QUOTED_OPS).  A check's tolerance, any
@@ -25,7 +27,7 @@ import numpy as np
 from . import flows, forms, monodromy as mono, moves as mv, openbook as ob, sphere, surgery
 from .config import ScenarioConfig
 from .flows import IntegratorConfig
-from .profiles import BindingProfile, DehnTwistProfile
+from .profiles import BindingProfile, DehnTwistProfile, twist_g1, twist_g1_d
 from .reports import VerificationReport, check_rng, run_check
 from .surgery import ModelPoint
 
@@ -233,14 +235,14 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
            ["dehn_twist"], 1e-12)
     def profile_shape():
         worst = 0.0
+        p0 = profile.p0
         for k in (1, 2, 3):
-            p = DehnTwistProfile(k=k)
-            worst = max(worst, abs(p.g1(0.0) - k * math.pi))
-            worst = max(worst, abs(p.g1(p.p0)), abs(p.g1(2.0 * p.p0)))
-            if p.g1_d(0.0) >= 0.0:
+            worst = max(worst, abs(twist_g1(0.0, p0, k) - k * math.pi))
+            worst = max(worst, abs(twist_g1(p0, p0, k)), abs(twist_g1(2.0 * p0, p0, k)))
+            if twist_g1_d(0.0, p0, k) >= 0.0:
                 worst = max(worst, 1.0)
-            ss = np.linspace(0.0, p.p0, 400)
-            vals = np.array([p.g1(s) for s in ss])
+            ss = np.linspace(0.0, p0, 400)
+            vals = np.array([twist_g1(s, p0, k) for s in ss])
             worst = max(worst, float(np.max(np.maximum(np.diff(vals), 0.0))))
         return worst, 3, {}
 
@@ -1553,21 +1555,29 @@ def suite_moves(cfg: ScenarioConfig, check) -> None:
 # runner
 # ===========================================================================
 
-def run_suite(cfg: ScenarioConfig) -> VerificationReport:
-    """Execute the configured suite (or all of them) into one report."""
+def declared_checks(cfg: ScenarioConfig) -> list[tuple]:
+    """The configured suite's (or every suite's) checks in run order, each as
+    ``(name, anchor, ops, tolerance, body)``, the arguments of ``run_check``;
+    no body runs."""
     if cfg.suite not in suite_names():
         raise ValueError(f"unknown suite {cfg.suite!r}; pick from {suite_names()}")
-    records = []
+    declared = []
 
     def check(name: str, anchor: str, ops: list[str], tolerance: float):
-        def record(body: Callable[[], tuple[float, int, dict]]):
-            # run_check is looked up at call time, so a tracer may rebind it
-            records.append(run_check(name, anchor, ops, tolerance, body))
+        def declare(body: Callable[[], tuple[float, int, dict]]):
+            declared.append((name, anchor, ops, tolerance, body))
             return body
-        return record
+        return declare
 
     for name in SUITES if cfg.suite == "all" else [cfg.suite]:
         SUITES[name](cfg, check)
+    return declared
+
+
+def run_suite(cfg: ScenarioConfig) -> VerificationReport:
+    """Execute the configured suite (or all of them) into one report."""
+    # run_check is looked up at call time, so a tracer may rebind it
+    records = [run_check(*declared) for declared in declared_checks(cfg)]
     echo = cfg.as_dict()
     echo.pop("out_dir", None)  # a write location must not affect report bytes
     return VerificationReport(suite=cfg.suite, config=echo, checks=records)

@@ -8,7 +8,7 @@ import pytest
 
 import contactlab
 from contactlab.config import config_from_dict
-from contactlab.suites import run_suite
+from contactlab.suites import declared_checks, run_suite
 
 ACCEPTANCE_RESULTS = []
 
@@ -17,6 +17,13 @@ REDUCED_ALL = dict(
     n_twist=25, n_strict=25, n_liouville=15, n_surface_scan=400,
     n_monodromy=12, n_giroux=12, n_giroux_numeric=2, n_chains=60,
     n_nonconnected=12, n_window=5)
+
+
+def declarations(**settings) -> dict:
+    """name -> ``(name, anchor, ops, tolerance, body)`` of each check that the
+    config of these settings declares, in run order; no body runs.  One check
+    runs alone as ``run_check(*declarations(...)[name])``."""
+    return {declared[0]: declared for declared in declared_checks(config_from_dict(settings))}
 
 
 @pytest.fixture(scope="session")

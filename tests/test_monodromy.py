@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import REDUCED_ALL, declarations
 from hypothesis import given, settings, strategies as st
 
 from contactlab import flows, monodromy as mono, reports, suites, surgery
-from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig
 from contactlab.profiles import HandleProfile
 from contactlab.sphere import SpherePoint
@@ -162,24 +162,14 @@ def test_window_deviation_does_not_depend_on_the_frame():
         assert abs(devs[0] - devs[1]) <= 1e-12
 
 
-def _run_monodromy_check(monkeypatch, check: str, seed: int = 0):
-    """The monodromy suite's record of one check, with every other check of
-    the suite skipped."""
-    def one_check(name, *args):
-        if name == check:
-            return reports.run_check(name, *args)
-        anchor, ops, tolerance, _ = args
-        return reports.CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
-                                   tolerance=tolerance, passed=True, ops=ops)
-
-    monkeypatch.setattr(suites, "run_check", one_check)
-    report = suites.run_suite(config_from_dict({"suite": "monodromy", "seed": seed}))
-    return next(c for c in report.checks if c.name == check)
+def _run_monodromy_check(check: str, seed: int = 0):
+    """The monodromy suite's record of one check, run alone."""
+    return reports.run_check(*declarations(suite="monodromy", seed=seed)[check])
 
 
 @pytest.mark.parametrize("seed", [103, 115])
-def test_window_slopes_hold_at_default_settings(seed, monkeypatch):
-    record = _run_monodromy_check(monkeypatch, "smoothing-window-bound", seed)
+def test_window_slopes_hold_at_default_settings(seed):
+    record = _run_monodromy_check("smoothing-window-bound", seed)
     assert record.passed
     for fit in record.details.values():
         assert suites.WINDOW_EXPONENT_LOW <= fit["slope"] <= suites.WINDOW_EXPONENT_HIGH
@@ -205,7 +195,7 @@ def test_zero_deviation_fails_the_window_check(monkeypatch):
                         lambda rng, deltas, count, blocks, *rest: {
                             nzw: {d: (0.0 if i == 0 else d) for i, d in enumerate(deltas)}
                             for nzw in blocks})
-    record = _run_monodromy_check(monkeypatch, "smoothing-window-bound")
+    record = _run_monodromy_check("smoothing-window-bound")
     assert not record.passed
     assert record.details["error"].startswith("ValueError: a log slope needs")
 
@@ -252,7 +242,7 @@ def test_page_speed_law_fails_flows_that_stop_at_the_start(monkeypatch):
     page_value = surgery.page_value
     monkeypatch.setattr(surgery, "page_value",
                         lambda nxy, nzw: (lambda u, value=page_value(nxy, nzw): -value(u)))
-    record = _run_monodromy_check(monkeypatch, "page-speed-law")
+    record = _run_monodromy_check("page-speed-law")
     assert not record.passed
     assert record.max_residual == pytest.approx(EPS)
 
@@ -403,17 +393,9 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
     from collections import Counter
 
     from contactlab import _kernels
-    from contactlab.config import config_from_dict
-
-    from conftest import REDUCED_ALL
 
     calls = Counter()
     running = []
-    run_check = suites.run_check
-
-    def named(name, *args):
-        running.append(name)
-        return run_check(name, *args)
 
     def counted(kernel):
         original = getattr(_kernels, kernel)
@@ -431,12 +413,12 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
         searched.setdefault(running[-1], []).append(len(starts[0]))
         return level_crossings(fn, starts, *args)
 
-    monkeypatch.setattr(suites, "run_check", named)
     for kernel in ("rk4_until_event", "rk4_record"):
         monkeypatch.setattr(_kernels, kernel, counted(kernel))
     monkeypatch.setattr(surgery, "_level_crossings", searched_rows)
-    report = suites.run_suite(config_from_dict(dict(REDUCED_ALL, suite="monodromy")))
-    assert report.passed
+    for name, declared in declarations(**dict(REDUCED_ALL, suite="monodromy")).items():
+        running.append(name)
+        assert reports.run_check(*declared).passed, name
     n, window = REDUCED_ALL["n_monodromy"], 3 * REDUCED_ALL["n_window"]
     assert searched == {
         "pipeline-vs-closed-form": [n, n, n],  # one search per z/w block size

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import declarations
 
 from contactlab import _kernels, forms, openbook as ob, sphere, suites
-from contactlab.config import config_from_dict
 from contactlab.flows import IntegratorConfig, flow_fixed_time
 from contactlab.forms import pullback_eval
 from contactlab.profiles import BindingProfile
@@ -332,24 +332,11 @@ def test_bump_single_row_flow_matches_its_row_of_a_batch(step):
         assert np.array_equal(jac_i[0], jac[i])
 
 
-def _giroux_bodies(monkeypatch):
-    """The tolerance and body of each giroux check at the default config,
-    seed 0, kept unrun."""
-    bodies = {}
-
-    def keep_body(name, anchor, ops, tolerance, body):
-        bodies[name] = (tolerance, body)
-
-    monkeypatch.setattr(suites, "run_check", keep_body)
-    suites.run_suite(config_from_dict({"suite": "giroux"}))
-    return bodies
-
-
 def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch):
     # X_H * (1 + 1e-7) with the Hessian left as it is: the integrated-flow
     # check, at step 0.05, reads 7.4e-8 against 1e-5, and 2.3e-7 even at
     # 1e-6, so only these two see it
-    bodies = _giroux_bodies(monkeypatch)
+    declared = declarations(suite="giroux")
     terms = ob.bump_variational_terms
 
     def scaled(*args):
@@ -358,13 +345,13 @@ def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch):
 
     monkeypatch.setattr(ob, "bump_variational_terms", scaled)
     for name in ("bump-map-exact-rotation", "bump-map-carried-jacobian"):
-        tolerance, body = bodies[name]
+        *_, tolerance, body = declared[name]
         assert body()[0] > tolerance
 
 
 def test_integrated_flow_check_fails_a_scaled_correcting_field(monkeypatch):
     # Y * (1 + 1e-4) reads 2.21e-5 against 1e-5 at step 0.05, as at step 0.02
-    bodies = _giroux_bodies(monkeypatch)
+    declared = declarations(suite="giroux")
     make_batched_y = ob.make_batched_y
 
     def scaled(domain, psi):
@@ -372,7 +359,7 @@ def test_integrated_flow_check_fails_a_scaled_correcting_field(monkeypatch):
         return lambda pts: y_batch(pts) * (1.0 + 1e-4)
 
     monkeypatch.setattr(ob, "make_batched_y", scaled)
-    tolerance, body = bodies["exactness-correction-integrated-flow"]
+    *_, tolerance, body = declared["exactness-correction-integrated-flow"]
     assert body()[0] > tolerance
 
 
@@ -380,7 +367,7 @@ def test_bump_checks_count_their_field_calls(monkeypatch):
     # counts, not times: the integrated-flow check flows Y at step 0.05 over
     # a bump map at step 0.05, 81 maps x 80 field calls plus 80 for the
     # closedness stencil; the two map checks make one step-0.02 map each
-    bodies = _giroux_bodies(monkeypatch)
+    declared = declarations(suite="giroux")
     terms = ob.bump_variational_terms
     calls = []
 
@@ -393,7 +380,7 @@ def test_bump_checks_count_their_field_calls(monkeypatch):
                            ("bump-map-exact-rotation", 200),
                            ("bump-map-carried-jacobian", 200)):
         calls.clear()
-        bodies[name][1]()
+        declared[name][-1]()
         assert len(calls) == expected, name
 
 

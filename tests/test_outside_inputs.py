@@ -109,6 +109,7 @@ def test_removed_settings_are_refused_as_unknown_fields(key, tmp_path, capsys):
     ({"n_window": 0}, "n_window: sample count must be >= 1"),
     ({"seed": True}, "seed"),
     ({"out_dir": 5}, "out_dir"),
+    ({"suite": "binding", "out_dir": ""}, "out_dir: must be a non-empty path when given"),
 ])
 def test_bad_config_values_are_named(data, field):
     with pytest.raises(ConfigError) as exc:

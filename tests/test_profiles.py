@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactlab.profiles import (BindingProfile, DehnTwistProfile, HandleProfile, handle_f,
-                                 handle_f_d, handle_g, handle_g_d, handle_g_inverse,
-                                 hermite_quintic, hermite_quintic_d)
+from contactlab.profiles import (BindingProfile, HandleProfile, handle_f, handle_f_d, handle_g,
+                                 handle_g_d, handle_g_inverse, hermite_quintic,
+                                 hermite_quintic_d, twist_g1, twist_g1_d)
 
 
 def test_hermite_endpoint_conditions():
@@ -98,20 +98,17 @@ def test_g_inverse_column_and_float_equal_the_scalar_bisection(delta):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_twist_profile_constraints(k):
-    tw = DehnTwistProfile(1.0, k)
-    assert abs(tw.g1(0.0) - k * math.pi) < 1e-12
-    assert tw.g1_d(0.0) < 0.0
-    assert tw.g1(1.0) == 0.0
-    assert tw.g1(5.0) == 0.0
-    vals = [tw.g1(s) for s in np.linspace(0, 1, 500)]
+    assert abs(twist_g1(0.0, 1.0, k) - k * math.pi) < 1e-12
+    assert twist_g1_d(0.0, 1.0, k) < 0.0
+    assert twist_g1(1.0, 1.0, k) == 0.0
+    assert twist_g1(5.0, 1.0, k) == 0.0
+    vals = [twist_g1(s, 1.0, k) for s in np.linspace(0, 1, 500)]
     assert all(b - a <= 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_twist_profile_linear_in_multiplicity():
-    one = DehnTwistProfile(1.0, 1)
-    three = DehnTwistProfile(1.0, 3)
     for s in np.linspace(0, 1, 50):
-        assert abs(three.g1(s) - 3.0 * one.g1(s)) < 1e-12
+        assert abs(twist_g1(s, 1.0, 3) - 3.0 * twist_g1(s, 1.0, 1)) < 1e-12
 
 
 def test_binding_profile_shape():

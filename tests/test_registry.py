@@ -4,75 +4,64 @@ once, and the config, the CLI and the runner all read the same registry."""
 import json
 
 import pytest
-from conftest import REDUCED_ALL
+from conftest import REDUCED_ALL, declarations
 
 from contactlab import cli, suites
 from contactlab.config import ConfigError, config_from_dict
-from contactlab.reports import CheckRecord
+from contactlab.reports import run_check
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Rebind ``suites.run_check`` the way the benchmark's tracer does, keeping
-    each call and skipping the check body, so a whole run takes milliseconds."""
-    seen = []
+def test_all_is_the_union_of_the_single_suites():
+    def declared(suite):
+        return suites.declared_checks(config_from_dict({"suite": suite}))
 
-    def recorded(name, *args):
-        seen.append((name, *args))
-        anchor, ops, tolerance, _ = args
-        return CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
-                           tolerance=tolerance, passed=True, ops=ops)
-
-    monkeypatch.setattr(suites, "run_check", recorded)
-    return seen
-
-
-def test_all_is_the_union_of_the_single_suites(calls):
-    singles = []
-    for name in suites.SUITES:
-        singles += [c.name for c in suites.run_suite(config_from_dict({"suite": name})).checks]
-    calls.clear()
-    names = [c.name for c in suites.run_suite(config_from_dict({"suite": "all"})).checks]
+    singles = [name for suite in suites.SUITES for name, *_ in declared(suite)]
+    names = [name for name, *_ in declared("all")]
     assert names == singles
     assert len(set(names)) == len(names) == 58
-    # a rebound run_check sees every check once, name first
-    assert [call[0] for call in calls] == names
-    assert all(callable(body) for *_, body in calls)
+    assert all(callable(body) for *_, body in declared("all"))
 
 
-def test_the_reduced_run_makes_every_registered_check(all_suite_report, calls):
-    suites.run_suite(config_from_dict({"suite": "all"}))
-    assert sorted(c.name for c in all_suite_report.checks) == sorted(call[0] for call in calls)
+def test_the_reduced_run_makes_every_registered_check(all_suite_report):
+    assert [c.name for c in all_suite_report.checks] == list(declarations(**REDUCED_ALL))
 
 
-def test_each_suite_alone_repeats_its_records_from_the_all_run(all_suite_report):
+def test_every_check_run_alone_repeats_its_record_from_the_all_run(all_suite_report):
     # check_rng keys each check by (seed, name), so a record must not depend
-    # on which suites ran before it
-    def record_bytes(report):
-        return {c.name: json.dumps(c.as_dict(), indent=2, sort_keys=True) for c in report.checks}
+    # on which checks ran before it: each runs alone, in reverse registry
+    # order, from a fresh declaration of its suite
+    def record_json(record):
+        return json.dumps(record.as_dict(), indent=2, sort_keys=True)
 
     alone = {}
-    for name in suites.SUITES:
-        cfg = config_from_dict(dict(REDUCED_ALL, suite=name))
-        alone.update(record_bytes(suites.run_suite(cfg)))
-    assert alone == record_bytes(all_suite_report)
+    for suite in reversed(suites.SUITES):
+        settings = dict(REDUCED_ALL, suite=suite)
+        for name in reversed(declarations(**settings)):
+            alone[name] = record_json(run_check(*declarations(**settings)[name]))
+    assert alone == {c.name: record_json(c) for c in all_suite_report.checks}
 
 
-def test_config_cli_and_runner_read_the_registry(monkeypatch, capsys, calls):
+def test_config_cli_and_runner_read_the_registry(monkeypatch, capsys):
     for name in [*suites.SUITES, "all"]:
         assert config_from_dict({"suite": name}).suite == name
     for name in ["nonesuch", "All", "dehn_twist", ""]:
         with pytest.raises(ConfigError, match="unknown name"):
             config_from_dict({"suite": name})
 
+    ran = []
+
     def extra(cfg, check):
         @check("extra-check", "an identity", [], 0.0)
         def body():
+            ran.append("extra-check")
             return 0.0, 1, {}
 
     monkeypatch.setitem(suites.SUITES, "extra", extra)
-    report = suites.run_suite(config_from_dict({"suite": "extra"}))
-    assert [c.name for c in report.checks] == ["extra-check"]
+    cfg = config_from_dict({"suite": "extra"})
+    # declaring runs no body; running runs each declared body once
+    assert [name for name, *_ in suites.declared_checks(cfg)] == ["extra-check"]
+    assert ran == []
+    assert [c.name for c in suites.run_suite(cfg).checks] == ran == ["extra-check"]
     assert cli.main(["--list-suites"]) == 0
     assert capsys.readouterr().out.split() == [*suites.SUITES, "all"]
 
@@ -112,9 +101,9 @@ TOLERANCES = {
 }
 
 
-def test_check_tolerances_and_bounds_are_pinned(calls):
-    suites.run_suite(config_from_dict({"suite": "all"}))
-    assert {name: tolerance for name, _, _, tolerance, _ in calls} == TOLERANCES
+def test_check_tolerances_and_bounds_are_pinned():
+    declared = declarations(suite="all").values()
+    assert {name: tolerance for name, _, _, tolerance, _ in declared} == TOLERANCES
     # the floor and bounds that check bodies share or compare against
     assert (suites.POSITIVITY_FLOOR, suites.LIOUVILLE_TOL, suites.GIROUX_RESIDUAL_TOL,
             suites.TWIST_MATRIX_BOUND, suites.WINDOW_EXPONENT_LOW,

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import declarations
 
 from contactlab import sphere
 from contactlab.forms import fd_jacobian
-from contactlab.profiles import DehnTwistProfile
+from contactlab.profiles import DehnTwistProfile, twist_g1
 from contactlab.sphere import (SpherePoint, canonical_one_form, dehn_twist,
                                dehn_twist_batch, geodesic_flow, tangent_frames)
 
@@ -103,7 +104,7 @@ def test_twist_identity_outside_support():
 def test_twist_matches_geodesic_flow_at_profile_angle():
     profile = DehnTwistProfile(1.0, 1)
     pt = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.5]))
-    expected = geodesic_flow(pt, profile.g1(0.5))
+    expected = geodesic_flow(pt, twist_g1(0.5, profile.p0, profile.k))
     out = dehn_twist(pt, profile)
     assert np.allclose(out.as_array(), expected.as_array(), atol=1e-14)
 
@@ -237,9 +238,8 @@ def test_frame_callers_take_one_batch_per_dimension(monkeypatch):
 def test_twist_check_images_stay_on_the_bundle(monkeypatch):
     # the twist checks map row batches, which no SpherePoint validates: every
     # image row must still satisfy the bundle constraints to SpherePoint's 1e-10
-    from contactlab import reports, suites
-    from contactlab.config import config_from_dict
     from contactlab.forms import SmoothMap
+    from contactlab.reports import run_check
 
     checks = ("twist-compact-support", "twist-zero-section-antipode", "twist-k-fold-composition")
     images = []
@@ -255,18 +255,10 @@ def test_twist_check_images_stay_on_the_bundle(monkeypatch):
 
         return SmoothMap(twist.domain_dim, func)
 
-    def only_twist_checks(name, *args):
-        if name in checks:
-            return reports.run_check(name, *args)
-        anchor, ops, tolerance, _ = args
-        return reports.CheckRecord(name=name, anchor=anchor, samples=0, max_residual=0.0,
-                                   tolerance=tolerance, passed=True, ops=ops)
-
     monkeypatch.setattr(sphere, "dehn_twist_map", recorded)
-    monkeypatch.setattr(suites, "run_check", only_twist_checks)
     for seed in (0, 5, 103):
-        report = suites.run_suite(config_from_dict({"suite": "dehn-twist", "seed": seed}))
-        assert all(c.passed for c in report.checks)
+        declared = declarations(suite="dehn-twist", seed=seed)
+        assert all(run_check(*declared[name]).passed for name in checks)
     rows = np.vstack(images)
     assert len(rows) == 3 * (100 + 50 + 3 * 100 + 1)
     q, p = rows[:, :3], rows[:, 3:]
