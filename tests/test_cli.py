@@ -130,6 +130,12 @@ def test_emit_plot_data_rejects_unknown_payload(tmp_path):
         cli.emit_plot_data({"a": [1.0, 2.0], "b": [1.0]}, tmp_path / "y.csv")
 
 
+def test_emit_plot_data_writes_a_header_for_empty_columns(tmp_path):
+    cli.emit_plot_data({"time": [], "c0": []}, tmp_path / "empty.csv")
+    with open(tmp_path / "empty.csv") as fh:
+        assert list(csv.reader(fh)) == [["time", "c0"]]
+
+
 def test_config_roundtrip_and_validation():
     cfg = small_config()
     assert config_from_dict(cfg.as_dict()) == cfg

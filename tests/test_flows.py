@@ -1,13 +1,11 @@
 """Fixed-step flows: order, events, projection, export."""
 
-import csv
 import math
 
 import numpy as np
 import pytest
 
 from contactlab import flows, surgery
-from contactlab.cli import emit_plot_data
 from contactlab.flows import IntegratorConfig, flow_fixed_time, flow_record, flow_until_event
 from contactlab.surgery import ModelPoint
 
@@ -106,25 +104,3 @@ def test_trajectory_validation():
         flows.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         flows.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 3)))
-
-
-def test_trajectory_csv_export(tmp_path):
-    def columns(traj):
-        return {"time": traj.times, **{f"c{i}": col for i, col in enumerate(traj.points.T)}}
-
-    fld = surgery.reeb_field(0, 2)
-    traj = flow_record(fld, np.array([-0.1, 0.5, 1.0, 0.0]), 0.01, 2e-3)
-    path = tmp_path / "traj.csv"
-    emit_plot_data(columns(traj), path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "c0", "c1", "c2", "c3"]
-    assert len(rows) == len(traj.times) + 1
-    assert float(rows[1][1]) == pytest.approx(-0.1)
-    # empty trajectory still writes the header
-    empty = flows.Trajectory(np.zeros(0), np.zeros((0, 4)))
-    path2 = tmp_path / "empty.csv"
-    emit_plot_data(columns(empty), path2)
-    with open(path2) as fh:
-        rows2 = list(csv.reader(fh))
-    assert len(rows2) == 1
