@@ -104,47 +104,46 @@ def radial_twist_map(amplitude: float, support_radius: float) -> Symplectomorphi
     compactly supported symplectomorphism of the standard plane."""
     r02 = support_radius ** 2
 
-    # the fifth power keeps the angle C^4 at the support circle, which the
-    # Gauss-Legendre line integrals downstream rely on
-    def angle_np(s):
-        return amplitude * np.clip(1.0 - s / r02, 0.0, None) ** 5
-
-    def angle_d_np(s):
-        return -5.0 * amplitude * np.clip(1.0 - s / r02, 0.0, None) ** 4 / r02
-
     def turn(pts):
-        # |u|^2 and the cosine and sine of its angle, which the image and the
-        # Jacobian share; the carried pair computes them once
-        s = np.einsum("mi,mi->m", pts, pts)
-        t = angle_np(s)
-        return s, np.cos(t), np.sin(t)
+        # the angle a(s) = A (1 - s/r0^2)_+^5 and its cosine and sine, which
+        # the image and the Jacobian share; the carried pair computes them
+        # once.  The fifth power keeps the angle C^4 at the support circle,
+        # which the Gauss-Legendre line integrals downstream rely on.  Powers
+        # are written as products, as in bump_variational_terms: NumPy picks
+        # its integer-power kernels by CPU, and their last bits with them
+        x0, x1 = pts[:, 0], pts[:, 1]
+        base = np.maximum(1.0 - (x0 * x0 + x1 * x1) / r02, 0.0)
+        b2 = base * base
+        b4 = b2 * b2
+        angle = amplitude * (b4 * base)
+        return x0, x1, b4, np.cos(angle), np.sin(angle)
 
-    def image(pts, c, sn):
-        return np.stack([c * pts[:, 0] - sn * pts[:, 1],
-                         sn * pts[:, 0] + c * pts[:, 1]], axis=1)
+    def image(x0, x1, _b4, c, sn):
+        out = np.empty((len(x0), 2))
+        out[:, 0] = c * x0 - sn * x1
+        out[:, 1] = sn * x0 + c * x1
+        return out
 
-    def jacobian(pts, s, c, sn):
-        rot = np.empty((len(pts), 2, 2))
-        rot[:, 0, 0] = c
-        rot[:, 0, 1] = -sn
-        rot[:, 1, 0] = sn
-        rot[:, 1, 1] = c
-        rot_d = np.empty_like(rot)
-        rot_d[:, 0, 0] = -sn
-        rot_d[:, 0, 1] = -c
-        rot_d[:, 1, 0] = c
-        rot_d[:, 1, 1] = -sn
-        rotated = np.einsum("mij,mj->mi", rot_d, pts)
-        return rot + 2.0 * angle_d_np(s)[:, None, None] * \
-            np.einsum("mi,mj->mij", rotated, pts)
+    def jacobian(x0, x1, b4, c, sn):
+        # R(a) + 2 a'(s) R'(a) u u^T, with R'(a) u = (-sn x0 - c x1, c x0 - sn x1)
+        # and a'(s) = -5A (1 - s/r0^2)_+^4 / r0^2
+        coeff = 2.0 * (-5.0 * amplitude * b4 / r02)
+        rd0 = -sn * x0 - c * x1
+        rd1 = c * x0 - sn * x1
+        jac = np.empty((len(x0), 2, 2))
+        jac[:, 0, 0] = c + coeff * (rd0 * x0)
+        jac[:, 0, 1] = -sn + coeff * (rd0 * x1)
+        jac[:, 1, 0] = sn + coeff * (rd1 * x0)
+        jac[:, 1, 1] = c + coeff * (rd1 * x1)
+        return jac
 
     def func_jac_batch(pts):
-        s, c, sn = turn(pts)
-        return image(pts, c, sn), jacobian(pts, s, c, sn)
+        parts = turn(pts)
+        return image(*parts), jacobian(*parts)
 
     return SymplectomorphismCandidate(
-        SmoothMap(2, lambda pts: image(pts, *turn(pts)[1:]),
-                  jac=lambda pts: jacobian(pts, *turn(pts)), func_jac=func_jac_batch))
+        SmoothMap(2, lambda pts: image(*turn(pts)),
+                  jac=lambda pts: jacobian(*turn(pts)), func_jac=func_jac_batch))
 
 
 def strip_shear_map(amplitude: float, half_width: float):
@@ -445,8 +444,10 @@ def giroux_flow_batch(domain: ExactSymplecticDomain,
     def field(u):
         x = u[:, :d]
         y = y_batch(x)
-        s_dot = np.einsum("mi,mi->m", domain.lam_coeffs(x), y)
-        return np.concatenate([y, s_dot[:, None]], axis=1)
+        out = np.empty_like(u)
+        out[:, :d] = y
+        out[:, d] = np.einsum("mi,mi->m", domain.lam_coeffs(x), y)
+        return out
 
     out = _kernels.rk4_final(field, aug, 1.0, step)
     h_raw = out[:, d]

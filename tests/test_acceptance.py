@@ -10,8 +10,8 @@ import time
 
 import numpy as np
 
-from contactlab import flows, forms, monodromy as mono, moves as mv, openbook as ob, \
-    sphere, surgery
+from contactlab import forms, monodromy as mono, moves as mv, openbook as ob, sphere, \
+    surgery
 from contactlab.flows import IntegratorConfig
 from contactlab.profiles import BindingProfile, DehnTwistProfile
 from contactlab.suites import (_giroux_batched_eval, strictness_residual,

@@ -1,6 +1,9 @@
 """Open book assembly: gluing, binding, exactness correction, realization."""
 
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from contactlab import _kernels, forms, openbook as ob, sphere, suites
 from contactlab.flows import IntegratorConfig, flow_fixed_time
 from contactlab.forms import pullback_eval
 from contactlab.profiles import BindingProfile
-from contactlab.reports import check_rng
+from contactlab.reports import check_rng, run_check
 
 rng = np.random.default_rng(41)
 FLOW = IntegratorConfig(step=0.02, max_time=2.0)
@@ -384,6 +387,54 @@ def test_bump_checks_count_their_field_calls(monkeypatch):
         assert len(calls) == expected, name
 
 
+def test_path_check_fails_a_scaled_correcting_field_at_both_steps(monkeypatch):
+    # Y * (1 + 1e-3) reads 4.27e-5 against 1e-5 at the shipped step 0.05 and
+    # at 0.02: the residual measures the quadrature, not the flow, so the
+    # coarser step still catches the defect.  Y * (1 + 1e-4) reads 4.3e-6
+    declared = declarations(suite="giroux")
+    make_batched_y = ob.make_batched_y
+
+    def scaled(domain, psi):
+        y_batch = make_batched_y(domain, psi)
+        return lambda pts: y_batch(pts) * (1.0 + 1e-3)
+
+    monkeypatch.setattr(ob, "make_batched_y", scaled)
+    *_, tolerance, body = declared["primitive-path-independence"]
+    assert body()[0] > tolerance
+
+    batched_eval = suites._giroux_batched_eval
+    steps = []
+
+    def at_fine_step(domain, candidate, samples, step):
+        # the check's own nodes, flowed at 0.02
+        steps.append(step)
+        return batched_eval(domain, candidate, samples, 0.02)
+
+    monkeypatch.setattr(suites, "_giroux_batched_eval", at_fine_step)
+    assert body()[0] > tolerance
+    assert steps == [suites.PATH_FLOW_STEP] * 4
+
+
+def test_path_check_counts_its_y_field_calls(monkeypatch):
+    # counts, not times: four flows of 1,926 rows, each 20 RK4 steps of 4
+    # stages at step 0.05, where step 0.02 made 800 calls
+    declared = declarations(suite="giroux")
+    make_batched_y = ob.make_batched_y
+    rows = []
+
+    def counted(domain, psi):
+        y_batch = make_batched_y(domain, psi)
+
+        def y(pts):
+            rows.append(len(pts))
+            return y_batch(pts)
+        return y
+
+    monkeypatch.setattr(ob, "make_batched_y", counted)
+    declared["primitive-path-independence"][-1]()
+    assert rows == [1926] * (4 * 20 * 4)
+
+
 def test_default_func_jac_pairs_func_and_jac():
     candidate, _ = ob.strip_shear_map(0.5, 0.8)
     pts = rng.uniform(-1.0, 1.0, (5, 2))
@@ -402,6 +453,38 @@ def test_twist_carried_func_jac_equals_func_and_jac_bitwise():
     assert img.tobytes() == candidate.batched.func(pts).tobytes()
     assert jac.tobytes() == candidate.batched.jac(pts).tobytes()
     assert np.array_equal(img[40:], pts[40:])
+
+
+TWIST_RECORDS = ("exactness-correction-twist", "primitive-path-independence",
+                 "correction-fixes-support")
+
+
+def test_twist_records_keep_their_bytes_under_lowered_cpu_kernels(fresh_interpreter_env):
+    # NumPy picks its SIMD kernels by CPU and OpenBLAS its core type, each at
+    # run time; a child with the dispatch targets above NumPy's baseline
+    # turned off and OpenBLAS held to Nehalem stands in for an older CPU.  On
+    # a CPU without those targets the child disables fewer and checks less
+    from numpy._core import _multiarray_umath as umath
+    lowered = [target for target in umath.__cpu_dispatch__
+               if target not in umath.__cpu_baseline__ and umath.__cpu_features__.get(target)]
+    code = ("import json, sys;"
+            "from contactlab.config import config_from_dict;"
+            "from contactlab.reports import run_check;"
+            "from contactlab.suites import declared_checks;"
+            "names = json.loads(sys.argv[1]);"
+            "print(json.dumps({d[0]: run_check(*d).as_dict() for d in"
+            " declared_checks(config_from_dict({'suite': 'giroux'})) if d[0] in names}))")
+    child = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(TWIST_RECORDS)],
+        env=dict(fresh_interpreter_env, NPY_DISABLE_CPU_FEATURES=" ".join(lowered),
+                 OPENBLAS_CORETYPE="Nehalem"),
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    lowered_records = json.loads(child.stdout)
+    declared = declarations(suite="giroux")
+    for name in TWIST_RECORDS:
+        here = json.dumps(run_check(*declared[name]).as_dict(), sort_keys=True)
+        assert json.dumps(lowered_records[name], sort_keys=True) == here, name
 
 
 def _separate_integrations(domain, candidate, x, step):
