@@ -59,7 +59,7 @@ def _emit_default_plots(out_dir: Path) -> list[Path]:
 
     eps, delta = 0.1, 0.05  # page half-angle and smoothing width
     start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), eps)
-    on_s1 = surgery.limit_transfers_to_s1(start.as_array()[None], 0, 2, delta)[0]
+    on_s1 = surgery.limit_transfers_to_s1(start[None], 0, 2, delta)[0]
     fld = surgery.handle_hamiltonian_rhs(0, 2, delta)
     icfg = IntegratorConfig(max_time=1.0, event_tol=1e-12)
     traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2), eps, icfg)

@@ -34,32 +34,54 @@ from .surgery import ModelPoint
 Array = np.ndarray
 
 # every operation whose defining formula comes from the source model must be
-# exercised at least once by the "all" suite.  The labels name formulas, not
-# functions: "psi_w" is surgery.psi_w_map, "canonical_form_eval"
-# sphere.canonical_one_form, "dehn_twist" sphere.dehn_twist_map and
-# "limit_transfer_to_s1" surgery.limit_transfers_to_s1, and the surgery
-# model's are flat-state callables:
-# "f_eval" is surgery.level_value, "hamiltonian_field_xf"
-# surgery.handle_hamiltonian_rhs, "reeb_s_minus1" surgery.reeb_field,
-# "liouville_X" surgery.liouville_field, "liouville_X_a"
-# surgery.liouville_a_field, "theta_page" surgery.page_value, "omega0_eval"
-# surgery.omega0_form, "alpha_s_minus1_eval" surgery.alpha_model_form,
-# "transversality_margin" surgery.transversality_margins and "phi_c"
-# surgery.phi_c_map.
-QUOTED_OPS = [
-    "pullback_eval", "liouville_residual", "contact_volume", "psh_gram_matrix",
-    "canonical_form_eval", "geodesic_flow", "dehn_twist",
-    "omega0_eval", "liouville_X", "liouville_X_a", "alpha_s_minus1_eval",
-    "reeb_s_minus1", "theta_page", "psi_w", "psi_w_inverse", "phi_c",
-    "f_eval", "transversality_margin", "hamiltonian_field_xf",
-    "limit_transfer_to_s1", "transfer_to_s1_finite_a", "handle_membership",
-    "flow_fixed_time", "flow_until_event",
-    "mapping_torus_form", "glue_map", "binding_form_polar",
-    "giroux_correction", "legendrian_realization", "reeb_transversality_check",
-    "pre_surgery_monodromy", "post_surgery_closed_form", "post_surgery_pipeline",
-    "recognize_dehn_twist", "composed_monodromy_word",
-    "cyclic_rotate", "conjugate", "subcritical_attach", "stabilize", "destabilize",
-]
+# exercised at least once by the "all" suite.  The labels name formulas; each
+# maps to the dotted path, within contactlab, of the callable that computes
+# the formula for the checks that quote the label.  "flow_until_event" is the
+# event-detected RK4 loop that every event flow runs, and
+# "recognize_dehn_twist" the block-matrix prediction that the recognizer and
+# twist-word-composition both read.
+QUOTED_OPS = {
+    "pullback_eval": "forms.pullback_eval",
+    "liouville_residual": "forms.liouville_residual",
+    "contact_volume": "forms.contact_volume",
+    "psh_gram_matrix": "forms.psh_gram_matrix",
+    "canonical_form_eval": "sphere.canonical_one_form",
+    "geodesic_flow": "sphere.geodesic_flow",
+    "dehn_twist": "sphere.dehn_twist_map",
+    "omega0_eval": "surgery.omega0_form",
+    "liouville_X": "surgery.liouville_field",
+    "liouville_X_a": "surgery.liouville_a_field",
+    "alpha_s_minus1_eval": "surgery.alpha_model_form",
+    "reeb_s_minus1": "surgery.reeb_field",
+    "theta_page": "surgery.page_value",
+    "psi_w": "surgery.psi_w_map",
+    "psi_w_inverse": "surgery.psi_w_inverse",
+    "phi_c": "surgery.phi_c_map",
+    "f_eval": "surgery.level_value",
+    "transversality_margin": "surgery.transversality_margins",
+    "hamiltonian_field_xf": "surgery.handle_hamiltonian_rhs",
+    "limit_transfer_to_s1": "surgery.limit_transfers_to_s1",
+    "transfer_to_s1_finite_a": "surgery.finite_transfers_to_s1",
+    "handle_membership": "surgery.handle_memberships",
+    "flow_fixed_time": "flows.flow_fixed_time",
+    "flow_until_event": "_kernels.rk4_until_event",
+    "mapping_torus_form": "openbook.mapping_torus_form",
+    "glue_map": "openbook.glue_map",
+    "binding_form_polar": "openbook.binding_form_polar",
+    "giroux_correction": "openbook.giroux_correction",
+    "legendrian_realization": "openbook.legendrian_realization",
+    "reeb_transversality_check": "openbook.reeb_transversality_check",
+    "pre_surgery_monodromy": "monodromy.pre_surgery_monodromy",
+    "post_surgery_closed_form": "monodromy.post_surgery_closed_form",
+    "post_surgery_pipeline": "monodromy.post_surgery_pipeline_batch",
+    "recognize_dehn_twist": "monodromy.twist_prediction",
+    "composed_monodromy_word": "monodromy.composed_monodromy_word",
+    "cyclic_rotate": "moves.cyclic_rotate",
+    "conjugate": "moves.conjugate",
+    "subcritical_attach": "moves.subcritical_attach",
+    "stabilize": "moves.stabilize",
+    "destabilize": "moves.destabilize",
+}
 
 
 # suite name -> body, filled by @suite in definition order, which is the
@@ -615,14 +637,17 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["pre_surgery_monodromy", "flow_until_event"], 1e-10)
     def pre_surgery():
         rng = check_rng(cfg.seed, "pre-surgery")
-        starts = [mono.admissible_start(rng, int(rng.choice(PAGE_BLOCKS)), eps, 0.05)
-                  for _ in range(50)]
+        drawn = {}  # block size, then start, per start
+        for _ in range(50):
+            nzw = int(rng.choice(PAGE_BLOCKS))
+            drawn.setdefault(nzw, []).append(mono.admissible_start(rng, nzw, eps, 0.05))
+        groups = [np.array(rows) for rows in drawn.values()]
         worst = 0.0
-        for start, out in zip(starts, mono.pre_surgery_monodromy(starts, eps, flow_cfg)):
-            dec_in = mono.PageDecomposition.of(start, -eps)
-            dec_out = mono.PageDecomposition.of(out, +eps)
-            worst = max(worst, float(np.max(np.abs(dec_out.w - dec_in.w))),
-                        float(np.max(np.abs(dec_out.r - dec_in.r))))
+        for starts, outs in zip(groups, mono.pre_surgery_monodromy(groups, eps, flow_cfg)):
+            w_in, r_in = mono.page_decomposition(starts, -eps)
+            w_out, r_out = mono.page_decomposition(outs, +eps)
+            worst = max(worst, float(np.max(np.abs(w_out - w_in))),
+                        float(np.max(np.abs(r_out - r_in))))
         return worst, 50, {}
 
     @check("pipeline-vs-closed-form",
@@ -634,37 +659,41 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         worst_matrix = 0.0
         worst_wnorm = 0.0
-        starts = []
+        groups = []
         for nzw in PAGE_BLOCKS:
             rng = check_rng(cfg.seed, f"pipeline-{nzw}")
-            starts += [mono.admissible_start(rng, nzw, eps, delta)
-                       for _ in range(cfg.n_monodromy)]
-        results = mono.post_surgery_pipeline_batch(starts, eps, delta, flow_cfg)
-        for start, res in zip(starts, results):
-            worst = max(worst, res.closed_vs_pipeline)
-            worst_wnorm = max(worst_wnorm, abs(
-                float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
-            tw = mono.recognize_dehn_twist(start, res.closed_form_point, eps)
-            worst_matrix = max(worst_matrix, tw.matrix_residual, tw.circle_defect)
+            groups.append(np.array([mono.admissible_start(rng, nzw, eps, delta)
+                                    for _ in range(cfg.n_monodromy)]))
+        for starts, ends in zip(groups, mono.post_surgery_pipeline_batch(groups, eps, delta,
+                                                                         flow_cfg)):
+            closed = mono.post_surgery_closed_form(starts, eps)
+            worst = max(worst, float(np.max(np.abs(ends - closed))))
+            w = closed[:, closed.shape[1] // 2:]
+            worst_wnorm = max(worst_wnorm, float(np.max(np.abs(np.sqrt(np.vecdot(w, w)) - 1.0))))
+            tw = mono.recognize_dehn_twist(starts, closed, eps)
+            worst_matrix = max(worst_matrix, float(np.max(tw.matrix_residual)),
+                               float(np.max(tw.circle_defect)))
         details = {"matrix_residual": worst_matrix, "wnorm_defect": worst_wnorm}
         if worst_matrix > TWIST_MATRIX_BOUND:
             worst = max(worst, 1.0)
         if worst_wnorm > 1e-12:
             worst = max(worst, 1.0)
-        return worst, len(starts), details
+        return worst, sum(map(len, groups)), details
 
     @check("worked-page-point",
            "the page point with w = (1,0), r = (0,1/2), eps = 1/10 lands on "
            "w = (12/13, 5/13) with matching circle functions",
            ["post_surgery_closed_form", "recognize_dehn_twist"], 1e-6)
     def worked_point():
-        start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), 0.1)
+        start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), 0.1)[None]
         out = mono.post_surgery_closed_form(start, 0.1)
-        worst = float(np.max(np.abs(out.w - np.array([12.0 / 13.0, 5.0 / 13.0]))))
+        w_out = out[0, 2:]
+        worst = float(np.max(np.abs(w_out - np.array([12.0 / 13.0, 5.0 / 13.0]))))
         tw = mono.recognize_dehn_twist(start, out, 0.1)
-        worst = max(worst, abs(-tw.cos_g - 12.0 / 13.0))
-        return worst, 1, {"w_out": [float(v) for v in out.w],
-                          "minus_cos_g": -tw.cos_g, "sin_g": tw.sin_g}
+        minus_cos_g, sin_g = -float(tw.cos_g[0]), float(tw.sin_g[0])
+        worst = max(worst, abs(minus_cos_g - 12.0 / 13.0))
+        return worst, 1, {"w_out": [float(v) for v in w_out],
+                          "minus_cos_g": minus_cos_g, "sin_g": sin_g}
 
     @check("twist-angle-extremes",
            "the recognized angle passes through the quarter circle at |r| = eps "
@@ -674,14 +703,14 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         # far from the surgered sphere the transport displacement shrinks to 2*eps/|r|
         w = np.array([1.0, 0.0])
         r_norm = 1000.0 * eps
-        start = mono.build_start(w, np.array([0.0, r_norm]), eps)
+        start = mono.build_start(w, np.array([0.0, r_norm]), eps)[None]
         out = mono.post_surgery_closed_form(start, eps)
-        displacement = float(np.max(np.abs(out.w - w)))
+        displacement = float(np.max(np.abs(out[0, 2:] - w)))
         worst = 0.0 if displacement < 3e-3 else displacement
         # |r| = eps gives the quarter-circle matrix (0, 1/|r|; -|r|, 0)
-        start2 = mono.build_start(w, np.array([0.0, eps]), eps)
+        start2 = mono.build_start(w, np.array([0.0, eps]), eps)[None]
         tw = mono.recognize_dehn_twist(start2, mono.post_surgery_closed_form(start2, eps), eps)
-        worst = max(worst, abs(tw.cos_g), abs(tw.sin_g - 1.0))
+        worst = max(worst, abs(float(tw.cos_g[0])), abs(float(tw.sin_g[0]) - 1.0))
         return worst, 2, {"far_displacement": displacement}
 
     @check("page-speed-law",
@@ -689,13 +718,13 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["flow_until_event", "theta_page"], 1e-8)
     def page_speed():
         rng = check_rng(cfg.seed, "page-speed")
-        starts = [mono.admissible_start(rng, 2, eps, delta).as_array() for _ in range(20)]
+        starts = np.array([mono.admissible_start(rng, 2, eps, delta) for _ in range(20)])
         on_s1 = surgery.limit_transfers_to_s1(starts, 0, 2, delta)
         fld = surgery.handle_hamiltonian_rhs(0, 2, delta)
         worst = 0.0
         for traj in flows.trajectories_until_event(fld, on_s1, surgery.page_value(0, 2),
                                                    +eps, flow_cfg):
-            worst = max(worst, mono.page_speed_residual(traj, 0, 2, eps))
+            worst = max(worst, mono.page_speed_residual(traj, eps))
             # at page speed 2 the flow from page -eps reaches page +eps at time eps
             miss = 1.0 if traj.t_event is None else abs(traj.t_event - eps)
             if miss > 1e-8:
@@ -711,11 +740,10 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         # last, the point z = (-0.1, 0.5, 0), w = (1, 0, 0), whose closed-form
         # image is (z/|z|, |z| w)
         example = np.array([-0.1, 0.5, 0.0, 1.0, 0.0, 0.0])
-        outs = surgery.limit_transfers_to_s1([s.as_array() for s in starts] + [example], 0, 3,
-                                             delta)
+        outs = surgery.limit_transfers_to_s1(starts + [example], 0, 3, delta)
         worst = 0.0
         for start, out in zip(starts, outs):
-            worst = max(worst, abs(float(out[:3] @ out[3:]) - start.theta()))
+            worst = max(worst, abs(float(out[:3] @ out[3:]) - float(start[:3] @ start[3:])))
         z_norm = math.sqrt(0.26)
         closed = np.array([-0.1 / z_norm, 0.5 / z_norm, 0.0, z_norm, 0.0, 0.0])
         worst = max(worst, float(np.max(np.abs(outs[-1] - closed))))
@@ -727,7 +755,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["transfer_to_s1_finite_a", "flow_until_event"], 1e-8)
     def finite_transfer():
         rng = check_rng(cfg.seed, "finite-transfer")
-        starts = [mono.admissible_start(rng, 2, eps, delta).as_array() for _ in range(10)]
+        starts = [mono.admissible_start(rng, 2, eps, delta) for _ in range(10)]
         # and rows already on the surgered hypersurface, at speed 50: zero transfer time
         on_level = [row for row in surgery.sample_s1_points(check_rng(cfg.seed, "ft2"), 3, 0, 2,
                                                             delta)
@@ -836,33 +864,23 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["composed_monodromy_word", "recognize_dehn_twist"], 1e-8)
     def word_composition():
         worst = 0.0
-        base = mono.ChartPoint("A", sphere.SpherePoint(np.array([1.0, 0.0, 0.0]),
-                                                       np.array([0.0, 0.4, 0.2])))
-        out = mono.composed_monodromy_word(base, [], eps)
-        worst = max(worst, float(np.max(np.abs(out.point.as_array()
-                                               - base.point.as_array()))))
+        base = np.array([[1.0, 0.0, 0.0, 0.0, 0.4, 0.2]])  # [q | p] in chart A
+        out = mono.composed_monodromy_word(base, "A", [], eps)
+        worst = max(worst, float(np.max(np.abs(out - base))))
         # one letter equals the recognized block matrix action
-        one = mono.composed_monodromy_word(base, [("A", 1)], eps)
-        r_in = base.point.p
-        r2 = float(r_in @ r_in)
-        denom = r2 + eps ** 2
-        cos_g = (eps ** 2 - r2) / denom
-        sin_g = 2.0 * eps * math.sqrt(r2) / denom
-        w_pred = -cos_g * base.point.q + (sin_g / math.sqrt(r2)) * r_in
-        r_pred = -sin_g * math.sqrt(r2) * base.point.q - cos_g * r_in
-        worst = max(worst, float(np.max(np.abs(one.point.q - w_pred))),
-                    float(np.max(np.abs(one.point.p - r_pred))))
+        one = mono.composed_monodromy_word(base, "A", [("A", 1)], eps)
+        w_pred, r_pred, _, _ = mono.twist_prediction(base[:, :3], base[:, 3:], eps)
+        worst = max(worst, float(np.max(np.abs(one[:, :3] - w_pred))),
+                    float(np.max(np.abs(one[:, 3:] - r_pred))))
         # cyclic rotation acts by conjugation at the orbit level
         word = [("A", 1), ("B", 1), ("A", -1), ("A", 1)]
         rotated = [word[-1]] + word[:-1]
         last = word[-1]
-        m_word = mono.composed_monodromy_word(base, word, eps)
-        transported = mono.ChartPoint(base.chart, mono.twist_letter_action(
-            base.point, eps, -last[1]))
-        m_rot = mono.composed_monodromy_word(transported, rotated, eps)
-        m_expected = mono.twist_letter_action(m_word.point, eps, -last[1])
-        worst = max(worst, float(np.max(np.abs(m_rot.point.as_array()
-                                               - m_expected.as_array()))))
+        m_word = mono.composed_monodromy_word(base, "A", word, eps)
+        transported = mono.twist_letter_action(base, eps, -last[1])
+        m_rot = mono.composed_monodromy_word(transported, "A", rotated, eps)
+        m_expected = mono.twist_letter_action(m_word, eps, -last[1])
+        worst = max(worst, float(np.max(np.abs(m_rot - m_expected))))
         return worst, 3, {}
 
 

@@ -602,14 +602,15 @@ def limit_transfer_to_s1(pt: ModelPoint, delta: float) -> Array:
     return limit_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, delta)[0]
 
 
-def transfer_to_s_minus1(u: Array, nxy: int, nzw: int) -> Array:
-    """Inverse transfer of a flat state onto |w|^2 = 1: (|w| z, w / |w|), keeping z.w."""
-    b = 2 * nxy
-    w = u[b + nzw:]
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
+def transfers_to_s_minus1(points: Array, nxy: int, nzw: int) -> Array:
+    """Inverse transfer of each (m, d) row onto |w|^2 = 1: (|w| z, w / |w|),
+    keeping z.w."""
+    points, b = np.asarray(points, dtype=float), 2 * nxy
+    w = points[:, b + nzw:]
+    nw = np.sqrt(np.vecdot(w, w))[:, None]
+    if (nw == 0.0).any():
         raise ValueError("cannot rescale onto |w| = 1 from w = 0")
-    return np.concatenate([u[:b], nw * u[b:b + nzw], w / nw])
+    return np.hstack([points[:, :b], nw * points[:, b:b + nzw], w / nw])
 
 
 # ---------------------------------------------------------------------------

@@ -97,14 +97,14 @@ def test_criterion_04_monodromy_core():
     worst_wnorm = 0.0
     for nzw in (2, 3, 4):
         rng = np.random.default_rng([400, nzw])
-        starts = [mono.admissible_start(rng, nzw, 0.1, 0.05) for _ in range(200)]
-        results = mono.post_surgery_pipeline_batch(starts, 0.1, 0.05, flow_cfg)
-        for start, res in zip(starts, results):
-            worst_pipeline = max(worst_pipeline, res.closed_vs_pipeline)
-            worst_wnorm = max(worst_wnorm, abs(
-                float(np.linalg.norm(res.closed_form_point.w)) - 1.0))
-            tw = mono.recognize_dehn_twist(start, res.closed_form_point, 0.1)
-            worst_matrix = max(worst_matrix, tw.matrix_residual)
+        starts = np.array([mono.admissible_start(rng, nzw, 0.1, 0.05) for _ in range(200)])
+        (ends,) = mono.post_surgery_pipeline_batch([starts], 0.1, 0.05, flow_cfg)
+        closed = mono.post_surgery_closed_form(starts, 0.1)
+        worst_pipeline = max(worst_pipeline, float(np.max(np.abs(ends - closed))))
+        worst_wnorm = max(worst_wnorm, float(np.max(np.abs(
+            np.linalg.norm(closed[:, nzw:], axis=1) - 1.0))))
+        tw = mono.recognize_dehn_twist(starts, closed, 0.1)
+        worst_matrix = max(worst_matrix, float(np.max(tw.matrix_residual)))
     elapsed = time.perf_counter() - t0
     passed = worst_pipeline < 1e-6 and worst_matrix < 1e-9 \
         and worst_wnorm < 1e-12 and elapsed < 60.0
@@ -116,15 +116,17 @@ def test_criterion_04_monodromy_core():
 def test_criterion_05_pre_surgery_triviality():
     flow_cfg = IntegratorConfig(step=1e-3, max_time=2.0, event_tol=1e-13)
     rng = np.random.default_rng(500)
-    worst = 0.0
+    drawn = {}  # block size, then start, per start; flowed as one batch
     for _ in range(100):
         nzw = int(rng.integers(2, 5))
-        start = mono.admissible_start(rng, nzw, 0.1, 0.05)
-        dec_in = mono.PageDecomposition.of(start, -0.1)
-        (out,) = mono.pre_surgery_monodromy([start], 0.1, flow_cfg)
-        dec_out = mono.PageDecomposition.of(out, +0.1)
-        worst = max(worst, float(np.max(np.abs(dec_out.w - dec_in.w))),
-                    float(np.max(np.abs(dec_out.r - dec_in.r))))
+        drawn.setdefault(nzw, []).append(mono.admissible_start(rng, nzw, 0.1, 0.05))
+    groups = [np.array(rows) for rows in drawn.values()]
+    worst = 0.0
+    for starts, outs in zip(groups, mono.pre_surgery_monodromy(groups, 0.1, flow_cfg)):
+        w_in, r_in = mono.page_decomposition(starts, -0.1)
+        w_out, r_out = mono.page_decomposition(outs, +0.1)
+        worst = max(worst, float(np.max(np.abs(w_out - w_in))),
+                    float(np.max(np.abs(r_out - r_in))))
     record(5, "transport before surgery fixes the page decomposition",
            worst < 1e-10, f"drift {worst:.2e}")
 

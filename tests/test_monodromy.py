@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from contactlab import flows, monodromy as mono, reports, suites, surgery
 from contactlab.flows import IntegratorConfig
 from contactlab.profiles import HandleProfile
-from contactlab.sphere import SpherePoint
+from contactlab.sphere import SpherePoint, geodesic_flow
 from contactlab.surgery import ModelPoint, SurgeryConfig
 
 rng = np.random.default_rng(55)
@@ -22,41 +22,53 @@ FLOW = IntegratorConfig(step=1e-3, max_time=2.0, event_tol=1e-12)
 
 
 def worked_start():
-    return mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), EPS)
+    """The page -eps row with w = (1, 0) and r = (0, 1/2), as a one-row batch."""
+    return mono.build_start(np.array([1.0, 0.0]), np.array([0.0, 0.5]), EPS)[None]
+
+
+def reeb_closed_form(starts):
+    """(z + 2 eps w, w): the Reeb flow moves z along w at unit page speed."""
+    n = starts.shape[1] // 2
+    return np.hstack([starts[:, :n] + 2.0 * EPS * starts[:, n:], starts[:, n:]])
 
 
 def test_page_decomposition_roundtrip():
     start = worked_start()
-    dec = mono.PageDecomposition.of(start, -EPS)
-    assert np.allclose(dec.w, [1.0, 0.0])
-    assert np.allclose(dec.r, [0.0, 0.5])
-    assert np.allclose(dec.z(), start.z)
-    with pytest.raises(ValueError):
-        mono.PageDecomposition.of(start, +EPS)
-    with pytest.raises(ValueError):
-        mono.PageDecomposition(np.array([1.0, 1.0]), np.zeros(2), -EPS)
+    w, r = mono.page_decomposition(start, -EPS)
+    assert np.allclose(w, [[1.0, 0.0]])
+    assert np.allclose(r, [[0.0, 0.5]])
+    assert np.allclose(-EPS * w + r, start[:, :2])
+    with pytest.raises(ValueError, match="sits on page"):
+        mono.page_decomposition(start, +EPS)
 
 
 def test_pre_surgery_monodromy_is_trivial():
     (out,) = mono.pre_surgery_monodromy([worked_start()], EPS, FLOW)
-    dec = mono.PageDecomposition.of(out, +EPS)
-    assert np.max(np.abs(dec.w - [1.0, 0.0])) < 1e-12
-    assert np.max(np.abs(dec.r - [0.0, 0.5])) < 1e-12
-    assert np.allclose(out.z, [0.1, 0.5])
+    w, r = mono.page_decomposition(out, +EPS)
+    assert np.max(np.abs(w - [1.0, 0.0])) < 1e-12
+    assert np.max(np.abs(r - [0.0, 0.5])) < 1e-12
+    assert np.allclose(out[0, :2], [0.1, 0.5])
 
 
 def test_pre_surgery_zero_fiber_runs_along_the_sphere():
-    start = mono.build_start(np.array([0.0, 1.0]), np.zeros(2), EPS)
+    start = mono.build_start(np.array([0.0, 1.0]), np.zeros(2), EPS)[None]
     (out,) = mono.pre_surgery_monodromy([start], EPS, FLOW)
-    assert np.max(np.abs(out.z - EPS * np.array([0.0, 1.0]))) < 1e-12
+    assert np.max(np.abs(out[0, :2] - EPS * np.array([0.0, 1.0]))) < 1e-12
+
+
+def test_pre_surgery_refuses_starts_off_the_page_or_the_hypersurface():
+    with pytest.raises(ValueError, match="-eps page"):
+        mono.pre_surgery_monodromy([worked_start()], -EPS, FLOW)
+    with pytest.raises(ValueError, match=r"\|w\|\^2 = 1"):
+        mono.pre_surgery_monodromy([np.array([[-0.05, 0.5, 2.0, 0.0]])], EPS, FLOW)
 
 
 def test_closed_form_frozen_worked_point():
-    out = mono.post_surgery_closed_form(worked_start(), EPS)
-    assert np.allclose(out.w, [0.9230769230769231, 0.38461538461538464])
-    assert np.allclose(out.z, [-0.1, 0.5])
-    assert abs(np.linalg.norm(out.w) - 1.0) < 1e-15
-    assert abs(out.theta() - EPS) < 1e-15
+    out = mono.post_surgery_closed_form(worked_start(), EPS)[0]
+    assert np.allclose(out[2:], [0.9230769230769231, 0.38461538461538464])
+    assert np.allclose(out[:2], [-0.1, 0.5])
+    assert abs(np.linalg.norm(out[2:]) - 1.0) < 1e-15
+    assert abs(out[:2] @ out[2:] - EPS) < 1e-15
 
 
 @given(st.integers(0, 10 ** 6))
@@ -65,31 +77,44 @@ def test_closed_form_lands_on_hypersurface(seed):
     local = np.random.default_rng(seed)
     nzw = int(local.integers(2, 5))
     start = mono.admissible_start(local, nzw, EPS, 0.05)
-    out = mono.post_surgery_closed_form(start, EPS)
+    z, w = np.split(mono.post_surgery_closed_form(start[None], EPS)[0], 2)
     # |w + 2 eps z / |z|^2| = 1 exactly because z.w = -eps
-    assert abs(float(out.w @ out.w) - 1.0) < 1e-12
-    assert abs(out.theta() - EPS) < 1e-12
+    assert abs(float(w @ w) - 1.0) < 1e-12
+    assert abs(float(z @ w) - EPS) < 1e-12
 
 
 def test_closed_form_rejects_surgered_locus():
-    bad = ModelPoint(np.zeros(0), np.zeros(0), np.zeros(2), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        mono.post_surgery_closed_form(bad, 0.0 + EPS)
+    # z = 0 sits on the page 0 only
+    with pytest.raises(ValueError, match="the z = 0 locus is removed by the surgery"):
+        mono.post_surgery_closed_form(np.array([[0.0, 0.0, 1.0, 0.0]]), 0.0)
 
 
-def test_pipeline_matches_closed_form_on_worked_point():
-    res = mono.post_surgery_pipeline(worked_start(), CONFIG, PROFILE, FLOW)
-    assert res.closed_vs_pipeline < 1e-6
+def test_one_start_pipeline_matches_closed_form_on_worked_point():
+    row = worked_start()
+    start = ModelPoint.from_array(row[0], 0, 2)
+    res = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW)
+    closed = mono.post_surgery_closed_form(row, EPS)[0]
+    assert np.max(np.abs(res.pipeline_point.as_array() - closed)) < 1e-6
     # stage 1 lands on the surgered hypersurface, stage 3 back on |w| = 1
-    on_s1 = surgery.limit_transfer_to_s1(worked_start(), DELTA)
-    assert abs(surgery.level_value(0, 2, DELTA)(on_s1)) < 1e-10
-    back = surgery.transfer_to_s_minus1(on_s1, 0, 2)
+    on_s1 = surgery.limit_transfers_to_s1(row, 0, 2, DELTA)
+    assert abs(surgery.level_value(0, 2, DELTA)(on_s1[0])) < 1e-10
+    back = surgery.transfers_to_s_minus1(on_s1, 0, 2)[0]
     assert abs(float(np.linalg.norm(back[2:])) - 1.0) < 1e-12
     assert abs(float(np.linalg.norm(res.pipeline_point.w)) - 1.0) < 1e-12
 
 
+def test_one_start_pipeline_is_the_one_row_batch():
+    local = np.random.default_rng(4)
+    for nzw in (2, 3):
+        row = mono.admissible_start(local, nzw, EPS, DELTA)[None]
+        res = mono.post_surgery_pipeline(ModelPoint.from_array(row[0], 0, nzw), CONFIG,
+                                         PROFILE, FLOW)
+        (batch,) = mono.post_surgery_pipeline_batch([row], EPS, DELTA, FLOW)
+        assert np.array_equal(res.pipeline_point.as_array(), batch[0])
+
+
 def test_pipeline_finite_speed_convergence():
-    errs = mono.a_convergence_scan(worked_start(), [10.0, 100.0, 1000.0, 10000.0],
+    errs = mono.a_convergence_scan(worked_start()[0], [10.0, 100.0, 1000.0, 10000.0],
                                    EPS, DELTA, FLOW)
     ordered = [errs[a] for a in (10.0, 100.0, 1000.0, 10000.0)]
     assert all(b < a for a, b in zip(ordered, ordered[1:]))
@@ -100,52 +125,72 @@ def test_pipeline_finite_speed_convergence():
 def test_recognition_reproduces_block_matrix():
     start = worked_start()
     tw = mono.recognize_dehn_twist(start, mono.post_surgery_closed_form(start, EPS), EPS)
-    assert tw.matrix_residual < 1e-9
-    assert tw.circle_defect < 1e-12
+    assert tw.matrix_residual[0] < 1e-9
+    assert tw.circle_defect[0] < 1e-12
     # frozen circle functions for r^2 = 1/4, eps = 1/10
-    assert -tw.cos_g == pytest.approx(0.24 / 0.26)
-    assert tw.sin_g == pytest.approx(2 * EPS * 0.5 / 0.26)
+    assert -tw.cos_g[0] == pytest.approx(0.24 / 0.26)
+    assert tw.sin_g[0] == pytest.approx(2 * EPS * 0.5 / 0.26)
 
 
 def test_recognition_quarter_circle_at_r_equals_eps():
-    start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, EPS]), EPS)
+    start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, EPS]), EPS)[None]
     tw = mono.recognize_dehn_twist(start, mono.post_surgery_closed_form(start, EPS), EPS)
-    assert abs(tw.cos_g) < 1e-12
-    assert tw.sin_g == pytest.approx(1.0)
+    assert abs(tw.cos_g[0]) < 1e-12
+    assert tw.sin_g[0] == pytest.approx(1.0)
 
 
 def test_recognition_needs_fiber_part():
-    start = mono.build_start(np.array([1.0, 0.0]), np.zeros(2), EPS)
+    start = mono.build_start(np.array([1.0, 0.0]), np.zeros(2), EPS)[None]
     closed = mono.post_surgery_closed_form(start, EPS)
     with pytest.raises(ValueError, match="r != 0"):
         mono.recognize_dehn_twist(start, closed, EPS)
 
 
+def test_recognition_refuses_an_image_off_the_plus_page():
+    start = worked_start()
+    closed = mono.post_surgery_closed_form(start, EPS)
+    closed[0, 0] += 1e-6  # z.w moves by 1e-6 off the +eps page
+    with pytest.raises(ValueError, match="point sits on page 1.000e-01, not 1.000e-01"):
+        mono.recognize_dehn_twist(start, closed, EPS)
+    with pytest.raises(ValueError, match="sits on page"):
+        mono.recognize_dehn_twist(closed, closed, EPS)
+
+
+def test_recognition_rows_equal_one_row_recognitions():
+    local = np.random.default_rng(6)
+    starts = np.array([mono.admissible_start(local, 3, EPS, DELTA) for _ in range(8)])
+    closed = mono.post_surgery_closed_form(starts, EPS)
+    rows = mono.recognize_dehn_twist(starts, closed, EPS)
+    for i in range(len(starts)):
+        one = mono.recognize_dehn_twist(starts[i:i + 1], closed[i:i + 1], EPS)
+        for name in ("cos_g", "sin_g", "g", "matrix_residual", "circle_defect"):
+            assert getattr(one, name)[0] == getattr(rows, name)[i]
+
+
 def test_far_fiber_transport_is_nearly_identity():
     w = np.array([1.0, 0.0])
-    start = mono.build_start(w, np.array([0.0, 1000.0 * EPS]), EPS)
+    start = mono.build_start(w, np.array([0.0, 1000.0 * EPS]), EPS)[None]
     out = mono.post_surgery_closed_form(start, EPS)
-    assert np.max(np.abs(out.w - w)) < 3e-3
+    assert np.max(np.abs(out[0, 2:] - w)) < 3e-3
 
 
 def test_recognized_angle_closed_form():
     # cos g = (eps^2 - r^2)/(r^2 + eps^2) means g = 2 atan(|r|/eps)
-    for r_norm in (0.05, 0.3, 1.0):
-        start = mono.build_start(np.array([1.0, 0.0]), np.array([0.0, r_norm]), EPS)
-        closed = mono.post_surgery_closed_form(start, EPS)
-        g = mono.recognize_dehn_twist(start, closed, EPS).g
+    r_norms = np.array([0.05, 0.3, 1.0])
+    starts = mono.build_start(np.tile([1.0, 0.0], (3, 1)),
+                              np.outer(r_norms, [0.0, 1.0]), EPS)
+    closed = mono.post_surgery_closed_form(starts, EPS)
+    for r_norm, g in zip(r_norms, mono.recognize_dehn_twist(starts, closed, EPS).g):
         assert abs(math.cos(g) - (EPS ** 2 - r_norm ** 2) / (EPS ** 2 + r_norm ** 2)) < 1e-12
         assert g == pytest.approx(2.0 * math.atan(r_norm / EPS), abs=1e-12)
 
 
 def test_pipeline_dimensions_spot():
-    for nzw in (2, 3, 4):
-        worst = 0.0
-        for _ in range(10):
-            start = mono.admissible_start(rng, nzw, EPS, DELTA)
-            res = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW)
-            worst = max(worst, res.closed_vs_pipeline)
-        assert worst < 1e-6
+    groups = [np.array([mono.admissible_start(rng, nzw, EPS, DELTA) for _ in range(10)])
+              for nzw in (2, 3, 4)]
+    for starts, ends in zip(groups, mono.post_surgery_pipeline_batch(groups, EPS, DELTA, FLOW)):
+        assert ends.shape == starts.shape
+        assert np.max(np.abs(ends - mono.post_surgery_closed_form(starts, EPS))) < 1e-6
 
 
 def test_window_scan_reports_linear_slope():
@@ -201,38 +246,51 @@ def test_zero_deviation_fails_the_window_check(monkeypatch):
 
 
 def test_word_identity_and_single_letter():
-    base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
-                                            np.array([0.0, 0.4])))
-    out = mono.composed_monodromy_word(base, [], EPS)
-    assert np.allclose(out.point.as_array(), base.point.as_array())
+    base = np.array([[1.0, 0.0, 0.0, 0.4]])  # [q | p] in chart A
+    out = mono.composed_monodromy_word(base, "A", [], EPS)
+    assert np.array_equal(out, base)
     # one positive letter equals the closed-form transport on decompositions
-    start = mono.build_start(base.point.q, base.point.p, EPS)
-    closed = mono.post_surgery_closed_form(start, EPS)
-    dec = mono.PageDecomposition.of(closed, +EPS)
-    one = mono.composed_monodromy_word(base, [("A", 1)], EPS)
-    assert np.max(np.abs(one.point.q - dec.w)) < 1e-12
-    assert np.max(np.abs(one.point.p - dec.r)) < 1e-12
+    start = mono.build_start(base[:, :2], base[:, 2:], EPS)
+    w, r = mono.page_decomposition(mono.post_surgery_closed_form(start, EPS), +EPS)
+    one = mono.composed_monodromy_word(base, "A", [("A", 1)], EPS)
+    assert np.max(np.abs(one[:, :2] - w)) < 1e-12
+    assert np.max(np.abs(one[:, 2:] - r)) < 1e-12
 
 
 def test_word_inverse_letters_cancel():
-    base = mono.ChartPoint("A", SpherePoint(np.array([0.0, 1.0, 0.0]),
-                                            np.array([0.3, 0.0, 0.4])))
-    out = mono.composed_monodromy_word(base, [("A", 1), ("A", -1)], EPS)
-    assert np.max(np.abs(out.point.as_array() - base.point.as_array())) < 1e-12
+    base = np.array([[0.0, 1.0, 0.0, 0.3, 0.0, 0.4]])
+    out = mono.composed_monodromy_word(base, "A", [("A", 1), ("A", -1)], EPS)
+    assert np.max(np.abs(out - base)) < 1e-12
 
 
 def test_word_other_chart_acts_as_identity():
-    base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
-                                            np.array([0.0, 0.4])))
-    out = mono.composed_monodromy_word(base, [("B", 1), ("B", 1)], EPS)
-    assert np.allclose(out.point.as_array(), base.point.as_array())
+    base = np.array([[1.0, 0.0, 0.0, 0.4]])
+    out = mono.composed_monodromy_word(base, "A", [("B", 1), ("B", 1)], EPS)
+    assert np.array_equal(out, base)
 
 
 def test_word_rejects_bad_power():
-    base = mono.ChartPoint("A", SpherePoint(np.array([1.0, 0.0]),
-                                            np.array([0.0, 0.4])))
+    base = np.array([[1.0, 0.0, 0.0, 0.4]])
     with pytest.raises(ValueError):
-        mono.composed_monodromy_word(base, [("A", 2)], EPS)
+        mono.composed_monodromy_word(base, "A", [("A", 2)], EPS)
+
+
+def test_twist_letter_refuses_the_surgered_locus_and_repeats_the_geodesic_flow():
+    local = np.random.default_rng(14)
+    q = local.standard_normal((6, 3))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    p = local.standard_normal((6, 3))
+    p -= np.vecdot(p, q)[:, None] * q
+    rows = np.hstack([q, p])
+    for power in (1, -1):
+        out = mono.twist_letter_action(rows, EPS, power)
+        for row, image in zip(rows, out):
+            # the twist letter as first written: the geodesic flow of one point
+            angle = power * (math.pi - 2.0 * math.atan2(float(np.linalg.norm(row[3:])), EPS))
+            expected = geodesic_flow(SpherePoint(row[:3], row[3:]), angle)
+            assert np.array_equal(image, expected.as_array())
+    with pytest.raises(ValueError, match="surgered locus r = 0"):
+        mono.twist_letter_action(np.array([[1.0, 0.0, 0.0, 0.0]]), EPS, 1)
 
 
 def test_page_speed_law_fails_flows_that_stop_at_the_start(monkeypatch):
@@ -248,22 +306,15 @@ def test_page_speed_law_fails_flows_that_stop_at_the_start(monkeypatch):
 
 
 def test_page_speed_residual_on_worked_point():
-    from contactlab import flows
-    on_s1 = surgery.limit_transfer_to_s1(worked_start(), DELTA)
+    on_s1 = surgery.limit_transfers_to_s1(worked_start(), 0, 2, DELTA)[0]
     fld = surgery.handle_hamiltonian_rhs(0, 2, DELTA)
     traj = flows.flow_until_event(fld, on_s1, surgery.page_value(0, 2),
                                   EPS, FLOW)
-    assert mono.page_speed_residual(traj, 0, 2, EPS) < 1e-8
-
-
-def _same_result(a, b):
-    return (np.array_equal(a.pipeline_point.as_array(), b.pipeline_point.as_array())
-            and np.array_equal(a.closed_form_point.as_array(), b.closed_form_point.as_array())
-            and a.closed_vs_pipeline == b.closed_vs_pipeline)
+    assert mono.page_speed_residual(traj, EPS) < 1e-8
 
 
 @pytest.mark.parametrize("nzw", [2, 3, 4])
-def test_batched_pipeline_rows_equal_one_start_pipelines(nzw):
+def test_batched_pipeline_rows_equal_per_group_batches_and_the_closed_form(nzw):
     local = np.random.default_rng(100 + nzw)
     starts = [mono.admissible_start(local, nzw, EPS, DELTA) for _ in range(12)]
     deltas = [DELTA] * len(starts)
@@ -272,82 +323,96 @@ def test_batched_pipeline_rows_equal_one_start_pipelines(nzw):
         for frac in (0.02, 0.5, 0.98):
             starts.append(mono.rounded_window_start(local, nzw, EPS, delta, frac))
             deltas.append(delta)
-    batch = mono.post_surgery_pipeline_batch(starts, EPS, deltas, FLOW)
-    for start, delta, res in zip(starts, deltas, batch):
-        assert _same_result(res, mono.post_surgery_pipeline(start, CONFIG, HandleProfile(delta),
-                                                            FLOW))
+    starts = np.array(starts)
+    (batch,) = mono.post_surgery_pipeline_batch([starts], EPS, deltas, FLOW)
+    # the same rows in groups of one smoothing width, one group per call
+    for lo, hi in ((0, 12), (12, 15), (15, 18), (18, 21)):
+        (part,) = mono.post_surgery_pipeline_batch([starts[lo:hi]], EPS, deltas[lo], FLOW)
+        assert np.array_equal(part, batch[lo:hi])
+    closed = mono.post_surgery_closed_form(starts[:12], EPS)
+    assert np.max(np.abs(batch[:12] - closed)) < 1e-6
 
 
-def test_batched_reeb_transport_equals_one_start_transports():
+def test_batched_reeb_transport_equals_per_group_batches_and_the_closed_form():
     local = np.random.default_rng(7)
-    starts = [mono.admissible_start(local, 3, EPS, 0.05) for _ in range(9)]
-    batch = mono.pre_surgery_monodromy(starts, EPS, FLOW)
-    for start, out in zip(starts, batch):
-        assert np.array_equal(out.as_array(),
-                              mono.pre_surgery_monodromy([start], EPS, FLOW)[0].as_array())
+    starts = np.array([mono.admissible_start(local, 3, EPS, 0.05) for _ in range(9)])
+    (batch,) = mono.pre_surgery_monodromy([starts], EPS, FLOW)
+    parts = mono.pre_surgery_monodromy([starts[:4]], EPS, FLOW) \
+        + mono.pre_surgery_monodromy([starts[4:]], EPS, FLOW)
+    assert np.array_equal(np.vstack(parts), batch)
+    assert np.max(np.abs(batch - reeb_closed_form(starts))) < 1e-12
 
 
-def test_mixed_block_batches_equal_per_block_batches_and_lone_pipelines():
-    # starts of three z/w sizes, drawn in turn, share one zero-padded batch
-    local = np.random.default_rng(12)
-    starts, deltas = [], []
+def _mixed_groups(seed):
+    """Starts of three z/w sizes, drawn in turn, grouped by size, with the
+    smoothing width of each row."""
+    local = np.random.default_rng(seed)
+    drawn = {2: [], 4: [], 3: []}
     for i in range(18):
         nzw = (2, 4, 3)[i % 3]
         if i % 2:
-            starts.append(mono.admissible_start(local, nzw, EPS, DELTA))
-            deltas.append(DELTA)
+            drawn[nzw].append((mono.admissible_start(local, nzw, EPS, DELTA), DELTA))
         else:
             delta = (0.02, 0.01, 0.005)[i % 3]
-            starts.append(mono.rounded_window_start(local, nzw, EPS, delta, local.random()))
-            deltas.append(delta)
-    mixed = mono.post_surgery_pipeline_batch(starts, EPS, deltas, FLOW)
-    for nzw in (2, 3, 4):
-        block = [i for i, s in enumerate(starts) if s.nzw == nzw]
-        per_block = mono.post_surgery_pipeline_batch(
-            [starts[i] for i in block], EPS, [deltas[i] for i in block], FLOW)
-        for i, res in zip(block, per_block):
-            assert _same_result(mixed[i], res)
-            assert _same_result(mixed[i], mono.post_surgery_pipeline(
-                starts[i], CONFIG, HandleProfile(deltas[i]), FLOW))
-    outs = mono.pre_surgery_monodromy(starts, EPS, FLOW)
-    for start, out in zip(starts, outs):
-        (lone,) = mono.pre_surgery_monodromy([start], EPS, FLOW)
-        assert (out.nxy, out.nzw) == (start.nxy, start.nzw)
-        assert np.array_equal(out.as_array(), lone.as_array())
+            drawn[nzw].append((mono.rounded_window_start(local, nzw, EPS, delta, local.random()),
+                               delta))
+    groups = [np.array([row for row, _ in rows]) for rows in drawn.values()]
+    deltas = [[delta for _, delta in rows] for rows in drawn.values()]
+    return groups, deltas
+
+
+def test_mixed_block_batches_equal_per_block_batches_and_the_closed_form():
+    # the groups of three z/w sizes share one zero-padded batch
+    groups, deltas = _mixed_groups(12)
+    mixed = mono.post_surgery_pipeline_batch(groups, EPS, sum(deltas, []), FLOW)
+    for starts, widths, ends in zip(groups, deltas, mixed):
+        (own,) = mono.post_surgery_pipeline_batch([starts], EPS, widths, FLOW)
+        assert ends.shape == starts.shape
+        assert np.array_equal(ends, own)
+        flat = np.array(widths) == DELTA
+        closed = mono.post_surgery_closed_form(starts[flat], EPS)
+        assert np.max(np.abs(ends[flat] - closed)) < 1e-6
+    outs = mono.pre_surgery_monodromy(groups, EPS, FLOW)
+    for starts, out in zip(groups, outs):
+        (own,) = mono.pre_surgery_monodromy([starts], EPS, FLOW)
+        assert np.array_equal(out, own)
+        assert np.max(np.abs(out - reeb_closed_form(starts))) < 1e-12
 
 
 def test_padded_page_flow_rows_keep_their_event_times():
     # the stage-2 flow of rows padded to the widest block, under that block's
     # field and event, against each block's own batch: t_event and end states
     local = np.random.default_rng(13)
-    starts = [mono.admissible_start(local, nzw, EPS, DELTA)
-              for nzw in (2, 3, 4, 2, 3, 4, 2)]
-    on_s1 = [surgery.limit_transfer_to_s1(s, DELTA) for s in starts]
-    nxy, nzw, cols = mono._padding(starts)
-    padded = mono._padded_rows(on_s1, cols, 2 * nxy + 2 * nzw)
+    sizes = (2, 3, 4, 2, 3, 4, 2)
+    starts = [mono.admissible_start(local, nzw, EPS, DELTA) for nzw in sizes]
+    on_s1 = [surgery.limit_transfers_to_s1(np.array([s for s, n in zip(starts, sizes)
+                                                     if n == nzw]), 0, nzw, DELTA)
+             for nzw in (2, 3, 4)]
+    wide, padded = mono._padded(on_s1)
     t_wide, ends_wide = flows.flow_rows_until_event(
-        surgery.handle_hamiltonian_rhs(nxy, nzw, DELTA), padded,
-        surgery.page_value(nxy, nzw), EPS, FLOW)
+        surgery.handle_hamiltonian_rhs(0, wide, DELTA), padded,
+        surgery.page_value(0, wide), EPS, FLOW)
     assert not ends_wide[0, [2, 3, 6, 7]].any()  # the padding stays exactly zero
-    for n in (2, 3, 4):
-        block = [i for i, s in enumerate(starts) if s.nzw == n]
+    lo = 0
+    for n, rows, ends in zip((2, 3, 4), on_s1, mono._unpadded(ends_wide, on_s1, wide)):
         t_own, ends_own = flows.flow_rows_until_event(
-            surgery.handle_hamiltonian_rhs(0, n, DELTA),
-            np.array([on_s1[i] for i in block]), surgery.page_value(0, n), EPS, FLOW)
-        assert np.array_equal(t_wide[block], t_own)
-        assert np.array_equal(np.array([ends_wide[i, cols[i]] for i in block]), ends_own)
+            surgery.handle_hamiltonian_rhs(0, n, DELTA), rows, surgery.page_value(0, n),
+            EPS, FLOW)
+        assert np.array_equal(t_wide[lo:lo + len(rows)], t_own)
+        assert np.array_equal(ends, ends_own)
+        lo += len(rows)
 
 
-def test_a_convergence_scan_equals_lone_pipelines():
+def test_a_convergence_scan_equals_one_pipeline_per_speed():
     # the scan as first written: one pipeline per speed
     a_values = [10.0, 100.0, 1000.0, 10000.0]
-    for start in (worked_start(), mono.admissible_start(rng, 3, EPS, DELTA)):
-        ref = mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW).pipeline_point.as_array()
+    for start in (worked_start(), mono.admissible_start(rng, 3, EPS, DELTA)[None]):
+        (ref,) = mono.post_surgery_pipeline_batch([start], EPS, DELTA, FLOW)
         expected = {}
         for a in a_values:
-            (res,) = mono._pipeline([start], [a], DELTA, EPS, FLOW)
-            expected[a] = float(np.max(np.abs(res.pipeline_point.as_array() - ref)))
-        errs = mono.a_convergence_scan(start, a_values, EPS, DELTA, FLOW)
+            (res,) = mono.post_surgery_pipeline_batch([start], EPS, DELTA, FLOW, [a])
+            expected[a] = float(np.max(np.abs(res - ref)))
+        errs = mono.a_convergence_scan(start[0], a_values, EPS, DELTA, FLOW)
         assert list(errs.items()) == list(expected.items())
 
 
@@ -362,18 +427,18 @@ def test_window_scan_of_two_blocks_equals_one_block_scans():
 
 def test_pipeline_batch_refuses_a_wrong_length_delta_sequence():
     local = np.random.default_rng(8)
-    starts = [mono.admissible_start(local, 2, EPS, 0.05),
-              mono.admissible_start(local, 3, EPS, 0.05)]
+    groups = [mono.admissible_start(local, 2, EPS, 0.05)[None],
+              mono.admissible_start(local, 3, EPS, 0.05)[None]]
     for count, deltas in ((1, [DELTA] * 2), (2, [DELTA])):
         with pytest.raises(ValueError, match="once or once per start"):
-            mono.post_surgery_pipeline_batch(starts[:count], EPS, deltas, FLOW)
+            mono.post_surgery_pipeline_batch(groups[:count], EPS, deltas, FLOW)
 
 
-@pytest.mark.parametrize("m", [1, 5])
-def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
-    # the pipeline point and the closed form; the stages pass flat rows
+def test_row_monodromy_builds_no_model_point(monkeypatch):
+    # the row functions pass arrays; only the one-start adapter, at the
+    # benchmark's ModelPoint boundary, builds its one answer
     local = np.random.default_rng(9)
-    starts = [mono.admissible_start(local, 3, EPS, DELTA) for _ in range(m)]
+    starts = np.array([mono.admissible_start(local, 3, EPS, DELTA) for _ in range(5)])
     built = []
     validate = ModelPoint.__post_init__
 
@@ -382,8 +447,17 @@ def test_pipeline_builds_two_model_points_per_start(monkeypatch, m):
         validate(self)
 
     monkeypatch.setattr(ModelPoint, "__post_init__", counted)
-    mono.post_surgery_pipeline_batch(starts, EPS, DELTA, FLOW)
-    assert len(built) == 2 * m
+    (ends,) = mono.post_surgery_pipeline_batch([starts], EPS, DELTA, FLOW)
+    closed = mono.post_surgery_closed_form(starts, EPS)
+    mono.recognize_dehn_twist(starts, closed, EPS)
+    mono.pre_surgery_monodromy([starts], EPS, FLOW)
+    mono.delta_deviation_scan(local, [0.02, 0.01], 2, (2, 3), 0.24, FLOW)
+    mono.a_convergence_scan(starts[0], [10.0, 100.0], EPS, DELTA, FLOW)
+    assert not built
+    start = ModelPoint.from_array(starts[0], 0, 3)
+    built.clear()
+    mono.post_surgery_pipeline(start, CONFIG, PROFILE, FLOW)
+    assert len(built) == 1
 
 
 def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):

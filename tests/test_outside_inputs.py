@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from contactlab import cli, moves as mv, surgery
 from contactlab.config import ConfigError, ScenarioConfig, config_from_dict
 from contactlab.flows import IntegratorConfig
-from contactlab.monodromy import (PageDecomposition, post_surgery_closed_form,
-                                  pre_surgery_monodromy)
-from contactlab.profiles import DehnTwistProfile, handle_g_inverse
+from contactlab.monodromy import (page_decomposition, post_surgery_closed_form,
+                                  post_surgery_pipeline, pre_surgery_monodromy)
+from contactlab.profiles import DehnTwistProfile, HandleProfile, handle_g_inverse
 from contactlab.sphere import SpherePoint
-from contactlab.surgery import ModelPoint
+from contactlab.surgery import ModelPoint, SurgeryConfig
 
 FIELDS = [f.name for f in fields(ScenarioConfig)]
 # the geometry and numerics that a scenario once set, with the values the
@@ -117,15 +117,12 @@ def test_bad_config_values_are_named(data, field):
     assert field in str(exc.value)
 
 
-# a start on the -0.1 page of S_{-1}
-ON_PAGE = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([1.0, 0.0]))
+# a start on the -0.1 page of S_{-1}, as a one-row batch [z | w]
+ON_PAGE = np.array([[-0.1, 0.5, 1.0, 0.0]])
 
 
 @pytest.mark.parametrize("build, named", [
-    (lambda: PageDecomposition(np.array([math.nan, 0.0]), np.zeros(2), -0.1), "unit vector"),
-    (lambda: PageDecomposition(np.array([1.0, 0.0]), np.array([0.0, math.nan]), -0.1),
-     "orthogonal"),
-    (lambda: PageDecomposition.of(ON_PAGE, math.nan), "sits on page"),
+    (lambda: page_decomposition(ON_PAGE, math.nan), "sits on page"),
     (lambda: SpherePoint(np.array([math.nan, 0.0]), np.zeros(2)), "q and p must be finite"),
     (lambda: SpherePoint(np.array([1.0, 0.0]), np.array([0.0, math.inf])),
      "q and p must be finite"),
@@ -140,7 +137,7 @@ ON_PAGE = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([
     (lambda: IntegratorConfig(event_tol=math.nan), "positive and finite"),
     (lambda: pre_surgery_monodromy([ON_PAGE], math.nan, IntegratorConfig()), "-eps page"),
     (lambda: post_surgery_closed_form(ON_PAGE, math.nan), "-eps page"),
-    (lambda: surgery.finite_transfers_to_s1(ON_PAGE.as_array()[None], 0, 2, math.nan, 0.05),
+    (lambda: surgery.finite_transfers_to_s1(ON_PAGE, 0, 2, math.nan, 0.05),
      "a must be positive"),
     (lambda: handle_g_inverse(math.nan, 0.05), "finite values"),
     (lambda: handle_g_inverse(-math.inf, 0.05), "finite values"),
@@ -150,6 +147,15 @@ def test_validators_refuse_nan_and_inf(build, named):
     # a NaN fails every comparison, so each check states what must hold
     with pytest.raises(ValueError, match=named):
         build()
+
+
+def test_one_start_pipeline_refuses_nonempty_x_and_y():
+    # the benchmark's one-start adapter takes a validated ModelPoint; the page
+    # monodromy computes on [z | w] rows and has no (x, y) blocks
+    start = ModelPoint(np.array([0.1]), np.array([0.0]), np.array([-0.1, 0.5]),
+                       np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="empty x and y blocks"):
+        post_surgery_pipeline(start, SurgeryConfig(), HandleProfile(0.05), IntegratorConfig())
 
 
 @pytest.mark.parametrize("data", [5, None, "abc", [1]])

@@ -1,6 +1,7 @@
 """The check registry: each check is declared once, each suite name is spelled
 once, and the config, the CLI and the runner all read the same registry."""
 
+import importlib
 import json
 
 import pytest
@@ -109,3 +110,13 @@ def test_check_tolerances_and_bounds_are_pinned():
     assert (suites.POSITIVITY_FLOOR, suites.LIOUVILLE_TOL, suites.GIROUX_RESIDUAL_TOL,
             suites.TWIST_MATRIX_BOUND, suites.WINDOW_EXPONENT_LOW,
             suites.WINDOW_EXPONENT_HIGH) == (1e-8, 1e-6, 1e-5, 1e-9, 0.7, 1.3)
+
+
+def test_every_quoted_operation_resolves_to_a_package_callable():
+    # each label names the dotted path of the callable that computes its
+    # formula, so a test can patch exactly that attribute
+    for label, path in suites.QUOTED_OPS.items():
+        module, _, name = path.rpartition(".")
+        owner = importlib.import_module(f"contactlab.{module}")
+        assert callable(getattr(owner, name, None)), f"{label} -> {path} names no callable"
+    assert len(suites.QUOTED_OPS) == 40

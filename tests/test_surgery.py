@@ -12,7 +12,7 @@ from contactlab.profiles import handle_f
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
                                 limit_transfer_to_s1, psi_w_inverse, psi_w_map, phi_c_map,
-                                transfer_to_s_minus1, transversality_margins)
+                                transfers_to_s_minus1, transversality_margins)
 
 from test_kernels import _scalar_handle_f, _scalar_handle_g
 from test_profiles import g_inverse_reference
@@ -503,7 +503,7 @@ def test_finite_transfer_converges_to_limit():
 def test_inverse_transfer_normalizes_w():
     pt = legendrian_point([-0.19611613513818404, 0.9805806756909202],
                           [0.5099019513592785, 0.0])
-    back = transfer_to_s_minus1(pt.as_array(), 0, 2)
+    back = transfers_to_s_minus1(pt.as_array()[None], 0, 2)[0]
     assert abs(np.linalg.norm(back[2:]) - 1.0) < 1e-14
     assert abs(float(back[:2] @ back[2:]) - surgery.page_value(0, 2)(pt.as_array())) < 1e-14
 
@@ -512,17 +512,18 @@ def test_inverse_transfer_repeats_the_model_point_formula_bitwise():
     local = np.random.default_rng(12)
     for nxy in (0, 1, 2):
         for nzw in (2, 3, 4):
-            for _ in range(20):
-                pt = ModelPoint(local.standard_normal(nxy), local.standard_normal(nxy),
-                                local.standard_normal(nzw),
-                                local.uniform(0.1, 2.0) * local.standard_normal(nzw))
+            pts = [ModelPoint(local.standard_normal(nxy), local.standard_normal(nxy),
+                              local.standard_normal(nzw),
+                              local.uniform(0.1, 2.0) * local.standard_normal(nzw))
+                   for _ in range(20)]
+            back = transfers_to_s_minus1(np.array([pt.as_array() for pt in pts]), nxy, nzw)
+            for pt, row in zip(pts, back):
                 # the inverse transfer as first written, on model points
                 nw = float(np.linalg.norm(pt.w))
                 ref = ModelPoint(pt.x, pt.y, nw * pt.z, pt.w / nw)
-                back = transfer_to_s_minus1(pt.as_array(), nxy, nzw)
-                assert np.array_equal(back, ref.as_array())
+                assert np.array_equal(row, ref.as_array())
     with pytest.raises(ValueError, match="w = 0"):
-        transfer_to_s_minus1(np.array([0.3, 0.1, 0.0, 0.0]), 0, 2)
+        transfers_to_s_minus1(np.array([[0.3, 0.1, 1.0, 0.0], [0.3, 0.1, 0.0, 0.0]]), 0, 2)
 
 
 def test_membership_desk_cases():
