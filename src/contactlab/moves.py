@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Optional, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Literal, Optional, Union
 
 Letter = tuple[str, int]
 
@@ -73,8 +74,31 @@ class LagrangianSphere:
             _check_token(f"support of sphere {self.label}", h, comma=True)
 
 
+_by_label = attrgetter("label")
+
+
+def _hash_once(value, fields: tuple) -> int:
+    # the search hashes every page and descriptor it meets, often more than
+    # once; the fields are immutable, so the hash is taken once per value
+    h = hash(fields)
+    object.__setattr__(value, "_hash", h)
+    return h
+
+
+def _state_without_hash(value) -> dict:
+    # string hashes differ between interpreters: a pickle carries no hash
+    return {k: v for k, v in value.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class AbstractPage:
+    """A page as its handle, sphere and disk inventories, each sorted by label.
+
+    The public constructor checks the inventories and refuses a page that a
+    move could not act on.  The moves build their pages from a checked page
+    and the labels it reserves, through :meth:`_from_checked`, which only
+    sorts: every move keeps the checks true, so they are not run again."""
+
     half_dim: int = 2
     handles: tuple[Handle, ...] = ()
     spheres: tuple[LagrangianSphere, ...] = ()
@@ -87,12 +111,9 @@ class AbstractPage:
             if not 0 <= h.index <= self.half_dim:
                 raise ValueError(f"handle {h.label} index {h.index} lies outside "
                                  f"[0, {self.half_dim}]")
-        object.__setattr__(self, "handles",
-                           tuple(sorted(self.handles, key=lambda h: h.label)))
-        object.__setattr__(self, "spheres",
-                           tuple(sorted(self.spheres, key=lambda s: s.label)))
-        object.__setattr__(self, "disks",
-                           tuple(sorted(self.disks, key=lambda d: d.label)))
+        object.__setattr__(self, "handles", tuple(sorted(self.handles, key=_by_label)))
+        object.__setattr__(self, "spheres", tuple(sorted(self.spheres, key=_by_label)))
+        object.__setattr__(self, "disks", tuple(sorted(self.disks, key=_by_label)))
         handle_labels = {h.label for h in self.handles}
         sphere_labels = {s.label for s in self.spheres}
         disk_labels = {d.label for d in self.disks}
@@ -124,19 +145,25 @@ class AbstractPage:
                 raise ValueError(f"labels {h_label} and {s_label} are reserved for "
                                  f"stabilizing along disk {d}")
 
+    @classmethod
+    def _from_checked(cls, half_dim: int, handles: Iterable[Handle],
+                      spheres: Iterable[LagrangianSphere],
+                      disks: Iterable[DiskBoundary]) -> AbstractPage:
+        """The page a move derives from a checked page: sorted, not re-checked."""
+        page = object.__new__(cls)
+        page.__dict__.update(half_dim=half_dim,
+                             handles=tuple(sorted(handles, key=_by_label)),
+                             spheres=tuple(sorted(spheres, key=_by_label)),
+                             disks=tuple(sorted(disks, key=_by_label)))
+        return page
+
     def __hash__(self):
-        # the search hashes every page it meets, often more than once; the
-        # fields are immutable, so the hash is taken once per page
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            h = hash((self.half_dim, self.handles, self.spheres, self.disks))
-            object.__setattr__(self, "_hash", h)
-            return h
+            return _hash_once(self, (self.half_dim, self.handles, self.spheres, self.disks))
 
-    def __getstate__(self):
-        # string hashes differ between interpreters: a pickle carries no hash
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    __getstate__ = _state_without_hash
 
     def sphere(self, label: str) -> LagrangianSphere:
         for s in self.spheres:
@@ -147,6 +174,12 @@ class AbstractPage:
 
 @dataclass(frozen=True)
 class OpenBookDesc:
+    """An abstract open book: a page and its monodromy as a word of twists.
+
+    The public constructor checks that every letter names a sphere of the
+    page with power +1 or -1.  The moves build their results from a checked
+    descriptor's letters through :meth:`_from_checked`, which checks nothing."""
+
     page: AbstractPage
     word: tuple[Letter, ...] = ()
 
@@ -157,6 +190,21 @@ class OpenBookDesc:
                 raise ValueError(f"word letter {label} has no sphere on the page")
             if power not in (1, -1):
                 raise ValueError(f"letter power must be +1 or -1, got {power}")
+
+    @classmethod
+    def _from_checked(cls, page: AbstractPage, word: tuple[Letter, ...]) -> OpenBookDesc:
+        """The descriptor a move derives from a checked one: not re-checked."""
+        desc = object.__new__(cls)
+        desc.__dict__.update(page=page, word=word)
+        return desc
+
+    def __hash__(self):
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            return _hash_once(self, (self.page, self.word))
+
+    __getstate__ = _state_without_hash
 
 
 def reduce_word(word: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -185,7 +233,7 @@ def cyclic_rotate(desc: OpenBookDesc) -> OpenBookDesc:
     if not desc.word:
         return desc
     rotated = (desc.word[-1],) + desc.word[:-1]
-    return OpenBookDesc(desc.page, reduce_word(rotated))
+    return OpenBookDesc._from_checked(desc.page, reduce_word(rotated))
 
 
 def cyclic_rotate_back(desc: OpenBookDesc) -> OpenBookDesc:
@@ -193,7 +241,7 @@ def cyclic_rotate_back(desc: OpenBookDesc) -> OpenBookDesc:
     if not desc.word:
         return desc
     rotated = desc.word[1:] + (desc.word[0],)
-    return OpenBookDesc(desc.page, reduce_word(rotated))
+    return OpenBookDesc._from_checked(desc.page, reduce_word(rotated))
 
 
 def conjugate(desc: OpenBookDesc, by: str, power: int = 1) -> OpenBookDesc:
@@ -202,7 +250,7 @@ def conjugate(desc: OpenBookDesc, by: str, power: int = 1) -> OpenBookDesc:
     if power not in (1, -1):
         raise ValueError("conjugating power must be +1 or -1")
     word = ((by, -power),) + desc.word + ((by, power),)
-    return OpenBookDesc(desc.page, reduce_word(word))
+    return OpenBookDesc._from_checked(desc.page, reduce_word(word))
 
 
 def subcritical_attach(desc: OpenBookDesc, label: str, index: int,
@@ -239,11 +287,11 @@ def stabilize(desc: OpenBookDesc, disk_label: str) -> OpenBookDesc:
     s_label = _stab_sphere_label(disk_label)
     handle = Handle(h_label, desc.page.half_dim, f"{disk.tag}+core")
     sphere = LagrangianSphere(s_label, (h_label,), from_disk=disk)
-    page = replace(desc.page,
-                   handles=desc.page.handles + (handle,),
-                   spheres=desc.page.spheres + (sphere,),
-                   disks=tuple(d for d in desc.page.disks if d.label != disk_label))
-    return OpenBookDesc(page, desc.word + ((s_label, 1),))
+    # the page reserves h(d) and S(d) for this move, so the checks still hold
+    page = AbstractPage._from_checked(
+        desc.page.half_dim, desc.page.handles + (handle,), desc.page.spheres + (sphere,),
+        (d for d in desc.page.disks if d.label != disk_label))
+    return OpenBookDesc._from_checked(page, desc.word + ((s_label, 1),))
 
 
 def destabilize(desc: OpenBookDesc) -> Optional[OpenBookDesc]:
@@ -264,11 +312,13 @@ def destabilize(desc: OpenBookDesc) -> Optional[OpenBookDesc]:
             return None
     if any(lbl == label for lbl, _ in desc.word[:-1]):
         return None
-    page = replace(desc.page,
-                   handles=tuple(h for h in desc.page.handles if h.label != h_label),
-                   spheres=tuple(s for s in desc.page.spheres if s.label != label),
-                   disks=desc.page.disks + (sphere.from_disk,))
-    return OpenBookDesc(page, desc.word[:-1])
+    # the recorded disk belongs to no other sphere and its labels to this
+    # sphere and handle alone, so the checks still hold
+    page = AbstractPage._from_checked(
+        desc.page.half_dim, (h for h in desc.page.handles if h.label != h_label),
+        (s for s in desc.page.spheres if s.label != label),
+        desc.page.disks + (sphere.from_disk,))
+    return OpenBookDesc._from_checked(page, desc.word[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +415,21 @@ def from_text(text: str) -> OpenBookDesc:
 # bounded equivalence search
 # ---------------------------------------------------------------------------
 
-def neighbors(desc: OpenBookDesc) -> list[OpenBookDesc]:
+def neighbors(desc: OpenBookDesc) -> Iterator[OpenBookDesc]:
+    """Every one-move neighbor, built as it is taken, so that a search that
+    stops at a meeting builds none of the rest."""
     # both rotation directions keep the search metric symmetric, which the
     # meet-in-the-middle strategy requires
-    out = [cyclic_rotate(desc), cyclic_rotate_back(desc)]
+    yield cyclic_rotate(desc)
+    yield cyclic_rotate_back(desc)
     for s in desc.page.spheres:
-        out.append(conjugate(desc, s.label, 1))
-        out.append(conjugate(desc, s.label, -1))
+        yield conjugate(desc, s.label, 1)
+        yield conjugate(desc, s.label, -1)
     for d in desc.page.disks:
-        out.append(stabilize(desc, d.label))
+        yield stabilize(desc, d.label)
     undone = destabilize(desc)
     if undone is not None:
-        out.append(undone)
-    return out
+        yield undone
 
 
 def equivalent_up_to_moves(d1: OpenBookDesc, d2: OpenBookDesc, depth: int = 6,

@@ -102,6 +102,18 @@ def suite_names() -> list[str]:
     return [*SUITES, "all"]
 
 
+def _worst_of(*values: float) -> float:
+    """The largest of the values, or the first NaN among them.
+
+    Python's max keeps its running maximum when a later argument is NaN
+    (max(0.0, nan) is 0.0), so a residual that turns NaN after the first
+    sample would pass.  Without a NaN this returns the object max returns."""
+    for value in values:
+        if value != value:
+            return value
+    return max(values)
+
+
 # the least contact volume or transversality margin a positivity check accepts;
 # its residual is this floor minus the smallest value seen
 POSITIVITY_FLOOR = 1e-8
@@ -136,7 +148,7 @@ def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
         for j in range(i + 1, frames.shape[1]):
             lhs = _dlam_can(pushed[:, i], pushed[:, j])
             rhs = _dlam_can(frames[:, i], frames[:, j])
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = _worst_of(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -152,7 +164,7 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         total = 0
         for n in (1, 2, 3):
             rng = check_rng(cfg.seed, f"twist-symplecto-{n}")
-            worst = max(worst, twist_pullback_residual(rng, n, cfg.n_twist, profile))
+            worst = _worst_of(worst, twist_pullback_residual(rng, n, cfg.n_twist, profile))
             total += cfg.n_twist
         return worst, total, {"dims": [1, 2, 3]}
 
@@ -188,19 +200,19 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
             pt = sphere.random_sphere_point(rng, n, 0.1, 3.0)
             t = float(rng.uniform(-10, 10))
             out = sphere.geodesic_flow(pt, t)
-            worst = max(worst,
-                        abs(out.q @ out.q - 1.0), abs(out.q @ out.p),
-                        abs(np.linalg.norm(out.p) - np.linalg.norm(pt.p)))
+            worst = _worst_of(worst,
+                              abs(out.q @ out.q - 1.0), abs(out.q @ out.p),
+                              abs(np.linalg.norm(out.p) - np.linalg.norm(pt.p)))
         # quarter period with |p| = 1 swaps (q, p) -> (p, -q)
         pt = sphere.SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         out = sphere.geodesic_flow(pt, math.pi / 2.0)
-        worst = max(worst, float(np.max(np.abs(out.q - pt.p))),
-                    float(np.max(np.abs(out.p + pt.q))))
+        worst = _worst_of(worst, float(np.max(np.abs(out.q - pt.p))),
+                          float(np.max(np.abs(out.p + pt.q))))
         # half period with |p| = 2 maps to the antipode: frozen arithmetic
         pt = sphere.SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
         out = sphere.geodesic_flow(pt, math.pi)
-        worst = max(worst, float(np.max(np.abs(out.q - np.array([-1.0, 0.0])))),
-                    float(np.max(np.abs(out.p - np.array([0.0, -2.0])))))
+        worst = _worst_of(worst, float(np.max(np.abs(out.q - np.array([-1.0, 0.0])))),
+                          float(np.max(np.abs(out.p - np.array([0.0, -2.0])))))
         return worst, 102, {}
 
     @check("canonical-form-values",
@@ -232,7 +244,7 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
             u_minus = np.concatenate([q, -1e-3 * d])
             j_plus = forms.fd_jacobian(twist.func, u_plus, 1e-5)
             j_minus = forms.fd_jacobian(twist.func, u_minus, 1e-5)
-            worst = max(worst, float(np.max(np.abs(j_plus - j_minus))))
+            worst = _worst_of(worst, float(np.max(np.abs(j_plus - j_minus))))
         return worst, 20, {}
 
     @check("twist-k-fold-composition",
@@ -248,7 +260,7 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         # zero section: the double twist fixes q exactly
         q = np.array([0.0, 1.0, 0.0])
         fixed = double(np.concatenate([q, np.zeros(3)]))
-        worst = max(worst, float(np.max(np.abs(fixed[:3] - q))))
+        worst = _worst_of(worst, float(np.max(np.abs(fixed[:3] - q))))
         return worst, 101, {}
 
     @check("twist-angle-profile",
@@ -259,13 +271,13 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         p0 = profile.p0
         for k in (1, 2, 3):
-            worst = max(worst, abs(twist_g1(0.0, p0, k) - k * math.pi))
-            worst = max(worst, abs(twist_g1(p0, p0, k)), abs(twist_g1(2.0 * p0, p0, k)))
+            worst = _worst_of(worst, abs(twist_g1(0.0, p0, k) - k * math.pi))
+            worst = _worst_of(worst, abs(twist_g1(p0, p0, k)), abs(twist_g1(2.0 * p0, p0, k)))
             if twist_g1_d(0.0, p0, k) >= 0.0:
-                worst = max(worst, 1.0)
+                worst = _worst_of(worst, 1.0)
             ss = np.linspace(0.0, p0, 400)
             vals = np.array([twist_g1(s, p0, k) for s in ss])
-            worst = max(worst, float(np.max(np.maximum(np.diff(vals), 0.0))))
+            worst = _worst_of(worst, float(np.max(np.maximum(np.diff(vals), 0.0))))
         return worst, 3, {}
 
 
@@ -320,7 +332,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         dims = ((2, 1), (3, 1), (3, 2))
         for n, k in dims:
             rng = check_rng(cfg.seed, f"strict-{n}-{k}")
-            worst = max(worst, strictness_residual(rng, n, k, cfg.n_strict))
+            worst = _worst_of(worst, strictness_residual(rng, n, k, cfg.n_strict))
             total += cfg.n_strict
         return worst, total, {"dims": [list(d) for d in dims]}
 
@@ -335,12 +347,13 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             pt = surgery.random_s_minus1_point(rng, 1, 2)
             z, sp, x, y = surgery.psi_w_inverse(pt)
             back = straighten(surgery.chart_pack(z, sp.q, sp.p, x, y))
-            worst = max(worst, float(np.max(np.abs(back - pt.as_array()))))
-            worst = max(worst, abs(sp.q @ sp.p))
+            worst = _worst_of(worst, float(np.max(np.abs(back - pt.as_array()))))
+            worst = _worst_of(worst, abs(sp.q @ sp.p))
         # frozen hand projection: z-block (-0.1, 0.5) against w = (1, 0)
         pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([1.0, 0.0]))
         z, sp, _, _ = surgery.psi_w_inverse(pt)
-        worst = max(worst, abs(z + 0.1), float(np.max(np.abs(sp.p - np.array([0.0, 0.5])))))
+        worst = _worst_of(worst, abs(z + 0.1),
+                          float(np.max(np.abs(sp.p - np.array([0.0, 0.5])))))
         return worst, 101, {}
 
     @check("rescaling-conformality",
@@ -363,7 +376,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             # the 7 basis vectors of every row, as one (7, 30, 7) stack
             vecs = np.broadcast_to(eye[:, None], (dim_in, len(rows), dim_in))
             lhs = forms.pullback_eval(mapping, source, u, [vecs])
-            worst = max(worst, float(np.max(np.abs(lhs - c_val * source(u, vecs)))))
+            worst = _worst_of(worst, float(np.max(np.abs(lhs - c_val * source(u, vecs)))))
         return worst, 90, {"C": [1.0, 4.0, 9.0]}
 
     @check("isotropic-sphere",
@@ -385,7 +398,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
                     raise ValueError("vector is not tangent to the hypersurface")
                 v = np.zeros(8)
                 v[5:8] = t  # w-block of the flat layout (nxy=1, nzw=3)
-                worst = max(worst, abs(alpha(u, v)))
+                worst = _worst_of(worst, abs(alpha(u, v)))
         return worst, 50, {}
 
     @check("liouville-expansion",
@@ -414,11 +427,12 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             fld = surgery.liouville_a_field(0, 2, a)
             pts = np.array([ModelPoint(np.zeros(0), np.zeros(0), rng.standard_normal(2),
                                        rng.standard_normal(2)).as_array() for _ in range(30)])
-            worst = max(worst, float(np.max(forms.liouville_residual(fld, om, pts, frame))))
+            worst = _worst_of(worst,
+                              float(np.max(forms.liouville_residual(fld, om, pts, frame))))
         fld = surgery.liouville_a_field(0, 2, 1.0)
         vec = fld(ModelPoint(np.zeros(0), np.zeros(0), np.array([1.0, 0.0]),
                              np.array([0.0, 1.0])).as_array())
-        worst = max(worst, float(np.max(np.abs(vec - np.array([2.0, 0.0, 0.0, -1.0])))))
+        worst = _worst_of(worst, float(np.max(np.abs(vec - np.array([2.0, 0.0, 0.0, -1.0])))))
         return worst, 91, {"a": [0.0, 1.0, 10.0]}
 
     @check("level-set-transversality",
@@ -434,12 +448,12 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             pts = surgery.sample_s1_points(rng, cfg.n_surface_scan, 1, 2, delta)
             margins = surgery.transversality_margins(pts, 1, 2, delta)
             mins[str(delta)] = float(margins.min())
-            worst_floor = max(worst_floor, POSITIVITY_FLOOR - float(margins.min()))
+            worst_floor = _worst_of(worst_floor, POSITIVITY_FLOOR - float(margins.min()))
             total += cfg.n_surface_scan
         # frozen flat-piece values of the margin, rows (z | w) outer and inner
         frozen = np.array([[math.sqrt(1.5), 0.0, 1.0, 0.0], [1.0, 0.0, 0.8, 0.0]])
         outer, inner = surgery.transversality_margins(frozen, 0, 2, 0.1)
-        worst = max(worst_floor, abs(outer - 1.0), abs(inner - 2.0))
+        worst = _worst_of(worst_floor, abs(outer - 1.0), abs(inner - 2.0))
         return worst, total + 2, {"min_margin": mins}
 
     @check("handle-function-values",
@@ -449,8 +463,8 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
     def f_values():
         level = surgery.level_value(0, 2, 0.1)  # flat layout z(2) | w(2)
         worst = abs(level(np.array([math.sqrt(1.5), 0.0, 1.0, 0.0])))
-        worst = max(worst, abs(level(np.zeros(4)) + 1.0))
-        worst = max(worst, abs(level(np.array([0.0, 0.0, 2.0, 0.0])) + (4.0 + 0.1)))
+        worst = _worst_of(worst, abs(level(np.zeros(4)) + 1.0))
+        worst = _worst_of(worst, abs(level(np.array([0.0, 0.0, 2.0, 0.0])) + (4.0 + 0.1)))
         return worst, 3, {}
 
     @check("page-hamiltonian-sign",
@@ -468,12 +482,12 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             xf = xf_field(u)
             grad = gradient(u)
             for v in np.eye(4):
-                worst = max(worst, abs(omega(u, xf, v) + grad @ v))
+                worst = _worst_of(worst, abs(omega(u, xf, v) + grad @ v))
         # flat piece |z| = 1: the field is 2 z in the w slot
         u = np.array([1.0, 0.0, 0.3, 0.1])
         xf = xf_field(u)
-        worst = max(worst, float(np.max(np.abs(xf[2:] - 2.0 * u[:2]))),
-                    float(np.max(np.abs(xf[:2]))))
+        worst = _worst_of(worst, float(np.max(np.abs(xf[2:] - 2.0 * u[:2]))),
+                          float(np.max(np.abs(xf[:2]))))
         return worst, 101, {"convention": "i_X omega = -dF"}
 
     @check("reeb-field-on-model",
@@ -489,14 +503,14 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             pt = surgery.random_s_minus1_point(rng, 0, 2)
             u = pt.as_array()
             r_vec = reeb(u)
-            worst = max(worst, abs(alpha(u, r_vec) - 1.0))
+            worst = _worst_of(worst, abs(alpha(u, r_vec) - 1.0))
             for v in surgery.s_minus1_tangent_frame(pt):
                 dval = forms.exterior_derivative(alpha, u, [r_vec, v])
-                worst = max(worst, abs(dval))
+                worst = _worst_of(worst, abs(dval))
         u = np.array([0.2, -0.4, 1.0, 0.0])
         r_vec = reeb(u)
-        worst = max(worst, float(np.max(np.abs(r_vec[:2] - u[2:]))),
-                    float(np.max(np.abs(r_vec[2:]))))
+        worst = _worst_of(worst, float(np.max(np.abs(r_vec[:2] - u[2:]))),
+                          float(np.max(np.abs(r_vec[2:]))))
         return worst, 21, {}
 
     @check("page-function-values",
@@ -506,11 +520,11 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         page = surgery.page_value(0, 2)  # flat layout z(2) | w(2)
         u = np.array([-0.1, 0.5, 1.0, 0.0])
         worst = abs(page(u) + 0.1)
-        worst = max(worst, abs(page(np.array([0.0, 0.0, 1.0, 0.0]))))
+        worst = _worst_of(worst, abs(page(np.array([0.0, 0.0, 1.0, 0.0]))))
         # after Reeb time s the page value moves to -eps + s
         fld = surgery.reeb_field(0, 2)
         out = flows.flow_fixed_time(fld, u, 0.3, 1e-3)
-        worst = max(worst, abs(float(out[:2] @ out[2:]) - (-0.1 + 0.3)))
+        worst = _worst_of(worst, abs(float(out[:2] @ out[2:]) - (-0.1 + 0.3)))
         return worst, 3, {}
 
     @check("symplectic-form-values",
@@ -521,10 +535,10 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         u = np.zeros(6)
         e = np.eye(6)  # layout x | y | z(2) | w(2)
         worst = abs(omega(u, e[0], e[1]) - 1.0)   # (e_x1, e_y1)
-        worst = max(worst, abs(omega(u, e[0], e[0])))
+        worst = _worst_of(worst, abs(omega(u, e[0], e[0])))
         v1 = e[2] + e[4]   # e_z1 + e_w1
         v2 = e[2] - e[4]
-        worst = max(worst, abs(omega(u, v1, v2) + 2.0))
+        worst = _worst_of(worst, abs(omega(u, v1, v2) + 2.0))
         return worst, 3, {}
 
     @check("plurisubharmonic-metric",
@@ -535,20 +549,20 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         # f = |u|^2/4 on the plane: the candidate metric is the identity
         gram = forms.psh_gram_matrix(lambda u: 0.5 * u, np.array([0.3, -0.2]), list(np.eye(2)))
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(2)))))
+        worst = _worst_of(worst, float(np.max(np.abs(gram - np.eye(2)))))
         # constant f = 1.5: zero matrix, not positive definite
         gram = forms.psh_gram_matrix(lambda u: np.zeros(2), np.array([0.1, 0.4]), list(np.eye(2)))
-        worst = max(worst, float(np.max(np.abs(gram))))
+        worst = _worst_of(worst, float(np.max(np.abs(gram))))
         # harmonic saddle f = u0^2 - u1^2: zero matrix as well (fails positivity)
         gram = forms.psh_gram_matrix(lambda u: np.array([2.0 * u[0], -2.0 * u[1]]),
                                      np.array([0.2, 0.3]), list(np.eye(2)))
-        worst = max(worst, float(np.max(np.abs(gram))))
+        worst = _worst_of(worst, float(np.max(np.abs(gram))))
         # f = (u0^2 + u1^2)/4 - (u2^2 + u3^2)/4: genuinely indefinite on two complex lines
         gram = forms.psh_gram_matrix(lambda u: 0.5 * np.array([u[0], u[1], -u[2], -u[3]]),
                                      0.1 * np.ones(4), list(np.eye(4)))
         eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
         if not (eig.min() < -0.5 and eig.max() > 0.5):
-            worst = max(worst, 1.0)
+            worst = _worst_of(worst, 1.0)
         return worst, 4, {}
 
     @check("hypersurface-contact-volume",
@@ -573,8 +587,8 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
                 frame[-1] = -frame[-1]
             vol = forms.contact_volume(alpha, pt.as_array(), frame)
             vol_min = min(vol_min, vol)
-            worst = max(worst, POSITIVITY_FLOOR - vol)
-        return max(worst, 0.0), 30, {"min_volume": vol_min}
+            worst = _worst_of(worst, POSITIVITY_FLOOR - vol)
+        return _worst_of(worst, 0.0), 30, {"min_volume": vol_min}
 
     @check("handle-membership-oracle",
            "flow conditions: backward reach of the gluing collar and forward "
@@ -646,8 +660,8 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         for starts, outs in zip(groups, mono.pre_surgery_monodromy(groups, eps, flow_cfg)):
             w_in, r_in = mono.page_decomposition(starts, -eps)
             w_out, r_out = mono.page_decomposition(outs, +eps)
-            worst = max(worst, float(np.max(np.abs(w_out - w_in))),
-                        float(np.max(np.abs(r_out - r_in))))
+            worst = _worst_of(worst, float(np.max(np.abs(w_out - w_in))),
+                              float(np.max(np.abs(r_out - r_in))))
         return worst, 50, {}
 
     @check("pipeline-vs-closed-form",
@@ -667,17 +681,18 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         for starts, ends in zip(groups, mono.post_surgery_pipeline_batch(groups, eps, delta,
                                                                          flow_cfg)):
             closed = mono.post_surgery_closed_form(starts, eps)
-            worst = max(worst, float(np.max(np.abs(ends - closed))))
+            worst = _worst_of(worst, float(np.max(np.abs(ends - closed))))
             w = closed[:, closed.shape[1] // 2:]
-            worst_wnorm = max(worst_wnorm, float(np.max(np.abs(np.sqrt(np.vecdot(w, w)) - 1.0))))
+            worst_wnorm = _worst_of(worst_wnorm,
+                                    float(np.max(np.abs(np.sqrt(np.vecdot(w, w)) - 1.0))))
             tw = mono.recognize_dehn_twist(starts, closed, eps)
-            worst_matrix = max(worst_matrix, float(np.max(tw.matrix_residual)),
-                               float(np.max(tw.circle_defect)))
+            worst_matrix = _worst_of(worst_matrix, float(np.max(tw.matrix_residual)),
+                                     float(np.max(tw.circle_defect)))
         details = {"matrix_residual": worst_matrix, "wnorm_defect": worst_wnorm}
         if worst_matrix > TWIST_MATRIX_BOUND:
-            worst = max(worst, 1.0)
+            worst = _worst_of(worst, 1.0)
         if worst_wnorm > 1e-12:
-            worst = max(worst, 1.0)
+            worst = _worst_of(worst, 1.0)
         return worst, sum(map(len, groups)), details
 
     @check("worked-page-point",
@@ -691,7 +706,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = float(np.max(np.abs(w_out - np.array([12.0 / 13.0, 5.0 / 13.0]))))
         tw = mono.recognize_dehn_twist(start, out, 0.1)
         minus_cos_g, sin_g = -float(tw.cos_g[0]), float(tw.sin_g[0])
-        worst = max(worst, abs(minus_cos_g - 12.0 / 13.0))
+        worst = _worst_of(worst, abs(minus_cos_g - 12.0 / 13.0))
         return worst, 1, {"w_out": [float(v) for v in w_out],
                           "minus_cos_g": minus_cos_g, "sin_g": sin_g}
 
@@ -710,7 +725,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         # |r| = eps gives the quarter-circle matrix (0, 1/|r|; -|r|, 0)
         start2 = mono.build_start(w, np.array([0.0, eps]), eps)[None]
         tw = mono.recognize_dehn_twist(start2, mono.post_surgery_closed_form(start2, eps), eps)
-        worst = max(worst, abs(float(tw.cos_g[0])), abs(float(tw.sin_g[0]) - 1.0))
+        worst = _worst_of(worst, abs(float(tw.cos_g[0])), abs(float(tw.sin_g[0]) - 1.0))
         return worst, 2, {"far_displacement": displacement}
 
     @check("page-speed-law",
@@ -724,11 +739,11 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         for traj in flows.trajectories_until_event(fld, on_s1, surgery.page_value(0, 2),
                                                    +eps, flow_cfg):
-            worst = max(worst, mono.page_speed_residual(traj, eps))
+            worst = _worst_of(worst, mono.page_speed_residual(traj, eps))
             # at page speed 2 the flow from page -eps reaches page +eps at time eps
             miss = 1.0 if traj.t_event is None else abs(traj.t_event - eps)
             if miss > 1e-8:
-                worst = max(worst, miss)
+                worst = _worst_of(worst, miss)
         return worst, 20, {}
 
     @check("transfer-preserves-page",
@@ -743,10 +758,11 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         outs = surgery.limit_transfers_to_s1(starts + [example], 0, 3, delta)
         worst = 0.0
         for start, out in zip(starts, outs):
-            worst = max(worst, abs(float(out[:3] @ out[3:]) - float(start[:3] @ start[3:])))
+            worst = _worst_of(worst,
+                              abs(float(out[:3] @ out[3:]) - float(start[:3] @ start[3:])))
         z_norm = math.sqrt(0.26)
         closed = np.array([-0.1 / z_norm, 0.5 / z_norm, 0.0, z_norm, 0.0, 0.0])
-        worst = max(worst, float(np.max(np.abs(outs[-1] - closed))))
+        worst = _worst_of(worst, float(np.max(np.abs(outs[-1] - closed))))
         return worst, 101, {}
 
     @check("finite-speed-transfer",
@@ -770,11 +786,11 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         for t, end, closed_end in zip(t_event, ends, outs):
             if math.isnan(t):
-                worst = max(worst, 1.0)
+                worst = _worst_of(worst, 1.0)
                 continue
-            worst = max(worst, float(np.max(np.abs(end - closed_end))))
+            worst = _worst_of(worst, float(np.max(np.abs(end - closed_end))))
         for row, out in zip(on_level, outs[10:]):
-            worst = max(worst, float(np.max(np.abs(out - row))))
+            worst = _worst_of(worst, float(np.max(np.abs(out - row))))
         return worst, 13, {}
 
     @check("finite-speed-convergence",
@@ -807,7 +823,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
             fits[str(nzw)] = {"slope": slope, "fitted_C": cs,
                               "deviations": {str(d): devs[d] for d in devs}}
             if not WINDOW_EXPONENT_LOW <= slope <= WINDOW_EXPONENT_HIGH:
-                worst = max(worst, abs(slope - 1.0))
+                worst = _worst_of(worst, abs(slope - 1.0))
         return worst, 2 * cfg.n_window * len(deltas), fits
 
     @check("integrator-order",
@@ -846,8 +862,8 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         for i in range(len(starts)):
             for row in sampled[:, i]:
                 w = row[2:]
-                worst = max(worst, abs(float(w @ w) - 1.0))
-                worst = max(worst, abs(alpha(row, fld(row)) - 1.0))
+                worst = _worst_of(worst, abs(float(w @ w) - 1.0))
+                worst = _worst_of(worst, abs(alpha(row, fld(row)) - 1.0))
         # Hamiltonian page flow preserves the level value
         fld_h = surgery.handle_hamiltonian_rhs(0, 2, 0.1)
         on_level = surgery.level_projection(0, 2, 0.1)
@@ -855,7 +871,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         pts = surgery.sample_s1_points(check_rng(cfg.seed, "fi2"), 5, 0, 2, 0.1)
         for row in pts:
             out = flows.flow_fixed_time(fld_h, row, 0.25, 1e-3, on_level)
-            worst = max(worst, abs(level(out)))
+            worst = _worst_of(worst, abs(level(out)))
         return worst, 10, {}
 
     @check("twist-word-composition",
@@ -866,12 +882,12 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         base = np.array([[1.0, 0.0, 0.0, 0.0, 0.4, 0.2]])  # [q | p] in chart A
         out = mono.composed_monodromy_word(base, "A", [], eps)
-        worst = max(worst, float(np.max(np.abs(out - base))))
+        worst = _worst_of(worst, float(np.max(np.abs(out - base))))
         # one letter equals the recognized block matrix action
         one = mono.composed_monodromy_word(base, "A", [("A", 1)], eps)
         w_pred, r_pred, _, _ = mono.twist_prediction(base[:, :3], base[:, 3:], eps)
-        worst = max(worst, float(np.max(np.abs(one[:, :3] - w_pred))),
-                    float(np.max(np.abs(one[:, 3:] - r_pred))))
+        worst = _worst_of(worst, float(np.max(np.abs(one[:, :3] - w_pred))),
+                          float(np.max(np.abs(one[:, 3:] - r_pred))))
         # cyclic rotation acts by conjugation at the orbit level
         word = [("A", 1), ("B", 1), ("A", -1), ("A", 1)]
         rotated = [word[-1]] + word[:-1]
@@ -880,7 +896,7 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         transported = mono.twist_letter_action(base, eps, -last[1])
         m_rot = mono.composed_monodromy_word(transported, "A", rotated, eps)
         m_expected = mono.twist_letter_action(m_word, eps, -last[1])
-        worst = max(worst, float(np.max(np.abs(m_rot - m_expected))))
+        worst = _worst_of(worst, float(np.max(np.abs(m_rot - m_expected))))
         return worst, 3, {}
 
 
@@ -1026,7 +1042,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         h_lines = _line_primitives(domain, candidate, targets)
         offsets = [h_line - h0(x) for h_line, x in zip(h_lines, targets)]
         spread = float(np.max(offsets) - np.min(offsets))
-        worst = max(worst, spread)
+        worst = _worst_of(worst, spread)
         return worst, cfg.n_giroux, {"h0_offset_spread": spread,
                                      "dlambda_residual": dl}
 
@@ -1094,8 +1110,8 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
                 chunk = rows[offset:offset + len(nodes)]
                 integrals.append(-float(np.einsum("m,mi,mi->", weights, chunk, dirs)))
                 offset += len(nodes)
-            worst = max(worst, abs(integrals[0] - integrals[1]))
-            worst = max(worst, abs(integrals[0] - h_vals[-1]))
+            worst = _worst_of(worst, abs(integrals[0] - integrals[1]))
+            worst = _worst_of(worst, abs(integrals[0] - h_vals[-1]))
         return worst, 4, {}
 
     @check("correction-fixes-support",
@@ -1143,16 +1159,16 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
             sp = sphere.random_sphere_point(rng, n, 0.0, 0.25)
             x = np.concatenate([sp.q, sp.p])
             offsets.append(real.g(sp.q, sp.p) - xi(x))
-        worst = max(worst, float(np.max(offsets) - np.min(offsets)))
+        worst = _worst_of(worst, float(np.max(offsets) - np.min(offsets)))
         # corrected primitive vanishes on zero-section tangents
         for _ in range(8):
             sp = sphere.random_sphere_point(rng, n, 0.0, 0.0)
             x = np.concatenate([sp.q, np.zeros(d)])
             for u in sphere._orthonormal_complements(sp.q[None])[0]:
                 v = np.concatenate([u, np.zeros(d)])
-                worst = max(worst, abs(real.lam_tilde(x, v)))
-                worst = max(worst, abs(real.contact_form(np.concatenate([[0.0], x]),
-                                                         np.concatenate([[0.0], v]))))
+                worst = _worst_of(worst, abs(real.lam_tilde(x, v)))
+                worst = _worst_of(worst, abs(real.contact_form(np.concatenate([[0.0], x]),
+                                                               np.concatenate([[0.0], v]))))
         # the correction is exact: d lambda_tilde = d lambda on tangent frames,
         # inside the cut-off and then in its band RHO_IN < |p| < RHO_OUT,
         # where d(rho g) carries rho'
@@ -1166,7 +1182,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
                         lhs = forms.exterior_derivative(real.lam_tilde, x,
                                                         [frame[i], frame[j]], 1e-4)
                         rhs = forms.exterior_derivative(lam, x, [frame[i], frame[j]], 1e-4)
-                        worst = max(worst, abs(lhs - rhs))
+                        worst = _worst_of(worst, abs(lhs - rhs))
         return worst, 24, {}
 
 
@@ -1212,13 +1228,13 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
             x = np.append(domain.sample(rng, 1)[0], rng.uniform(0, 2 * math.pi))
             vol = forms.contact_volume(alpha, x, frame)
             vol_min = min(vol_min, vol)
-            worst = max(worst, POSITIVITY_FLOOR - vol)
+            worst = _worst_of(worst, POSITIVITY_FLOOR - vol)
         # frozen values: the circle direction pairs to 1, page vectors with
         # lambda(v) = 0 pair to 0
         x = np.array([0.3, 0.0, 1.0])
-        worst = max(worst, abs(alpha(x, np.array([0.0, 0.0, 1.0])) - 1.0))
-        worst = max(worst, abs(alpha(x, np.array([1.0, 0.0, 0.0]))))
-        return max(worst, 0.0), 102, {"min_volume": vol_min}
+        worst = _worst_of(worst, abs(alpha(x, np.array([0.0, 0.0, 1.0])) - 1.0))
+        worst = _worst_of(worst, abs(alpha(x, np.array([1.0, 0.0, 0.0]))))
+        return _worst_of(worst, 0.0), 102, {"min_volume": vol_min}
 
     @check("glue-map-pullback",
            "(x, r, phi) -> (1/2 - r, x, phi) pulls exp(s) boundary-form + dphi "
@@ -1238,10 +1254,10 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
             for v in np.eye(3):
                 lhs = forms.pullback_eval(glue, collar, u, [v])
                 rhs = math.exp(0.5 - r) * v[0] + v[2]
-                worst = max(worst, abs(lhs - rhs))
+                worst = _worst_of(worst, abs(lhs - rhs))
         # frozen values of the collar coordinate
-        worst = max(worst, abs(glue(np.array([0.3, 0.5, 1.0]))[0]))
-        worst = max(worst, abs(glue(np.array([0.3, 0.9, 1.0]))[0] + 0.4))
+        worst = _worst_of(worst, abs(glue(np.array([0.3, 0.5, 1.0]))[0]))
+        worst = _worst_of(worst, abs(glue(np.array([0.3, 0.9, 1.0]))[0] + 0.4))
         return worst, 42, {}
 
     @check("collar-binding-overlap",
@@ -1259,14 +1275,14 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                           rng.uniform(profile.MATCHING_RADIUS, 0.9999),
                           rng.uniform(0, 2 * math.pi)])
             for v in np.eye(3):
-                worst = max(worst, abs(forms.pullback_eval(glue, collar, u, [v])
-                                       - beta(u, v)))
+                worst = _worst_of(worst, abs(forms.pullback_eval(glue, collar, u, [v])
+                                             - beta(u, v)))
         # binding-side frozen values: the phi coefficient saturates at 1,
         # and at the axis the boundary form is scaled by h1(0)
         u = np.array([0.7, profile.MATCHING_RADIUS + 0.1, 0.2])
-        worst = max(worst, abs(beta(u, np.array([0.0, 0.0, 1.0])) - 1.0))
+        worst = _worst_of(worst, abs(beta(u, np.array([0.0, 0.0, 1.0])) - 1.0))
         u0 = np.array([0.7, 0.0, 0.2])
-        worst = max(worst, abs(beta(u0, np.array([1.0, 0.0, 0.0])) - profile.h1(0.0)))
+        worst = _worst_of(worst, abs(beta(u0, np.array([1.0, 0.0, 0.0])) - profile.h1(0.0)))
         return worst, 62, {}
 
     @check("binding-volume-circle",
@@ -1285,11 +1301,11 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 u = np.array([theta, r, 0.7])
                 vol = forms.contact_volume(beta, u, frame)
                 pred = profile.h1(r) * profile.h2_d(r) - profile.h1_d(r) * profile.h2(r)
-                worst = max(worst, POSITIVITY_FLOOR - vol,
-                            abs(vol - pred) - 1e-7)
+                worst = _worst_of(worst, POSITIVITY_FLOOR - vol,
+                                  abs(vol - pred) - 1e-7)
                 vol_min = min(vol_min, vol)
                 count += 1
-        return max(worst, 0.0), count, {"min_volume": vol_min}
+        return _worst_of(worst, 0.0), count, {"min_volume": vol_min}
 
     @check("binding-volume-three-sphere",
            "the collar form over the standard contact three-sphere binding has "
@@ -1317,9 +1333,9 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 u = np.concatenate([q, [r, 1.3]])
                 vol = forms.contact_volume(beta, u, frame)
                 vol_min = min(vol_min, vol)
-                worst = max(worst, POSITIVITY_FLOOR - vol)
+                worst = _worst_of(worst, POSITIVITY_FLOOR - vol)
                 count += 1
-        return max(worst, 0.0), count, {"min_volume": vol_min}
+        return _worst_of(worst, 0.0), count, {"min_volume": vol_min}
 
     @check("binding-smooth-across-axis",
            "in Cartesian disk coordinates the collar form extends evenly and "
@@ -1337,11 +1353,11 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 plus = np.array([0.4, rad * d[0], rad * d[1]])
                 minus = np.array([0.4, -rad * d[0], -rad * d[1]])
                 for v in np.eye(3):
-                    worst = max(worst, abs(beta_c(plus, v) + beta_c(minus, v)
-                                           - 2.0 * beta_c(np.array([0.4, 0.0, 0.0]), v)))
+                    worst = _worst_of(worst, abs(beta_c(plus, v) + beta_c(minus, v)
+                                                 - 2.0 * beta_c(np.array([0.4, 0.0, 0.0]), v)))
         # the phi-part coefficient ratio h2/r^2 is exactly 1 near the axis
-        worst = max(worst, abs(profile.h2_over_r2(0.0) - 1.0))
-        worst = max(worst, abs(profile.h2_over_r2(1e-6) - 1.0))
+        worst = _worst_of(worst, abs(profile.h2_over_r2(0.0) - 1.0))
+        worst = _worst_of(worst, abs(profile.h2_over_r2(1e-6) - 1.0))
         return worst, 38, {}
 
     @check("binding-profile-shape",
@@ -1358,18 +1374,18 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         if h1.min() <= 0:
             worst = 1.0
-        worst = max(worst, float(h1d.max()))  # non-increasing
-        worst = max(worst, float((-h2d).max()))  # non-decreasing
+        worst = _worst_of(worst, float(h1d.max()))  # non-increasing
+        worst = _worst_of(worst, float((-h2d).max()))  # non-decreasing
         # exponential matching beyond the matching radius
         for r in (profile.MATCHING_RADIUS, 0.8, 0.95):
-            worst = max(worst, abs(profile.h1(r) - math.exp(0.5 - r)))
+            worst = _worst_of(worst, abs(profile.h1(r) - math.exp(0.5 - r)))
         for r in (profile.MATCHING_RADIUS, 0.9):
-            worst = max(worst, abs(profile.h2(r) - 1.0))
+            worst = _worst_of(worst, abs(profile.h2(r) - 1.0))
         for r in (0.05, 0.2):
-            worst = max(worst, abs(profile.h2(r) - r * r))
+            worst = _worst_of(worst, abs(profile.h2(r) - r * r))
         pos = h1 * h2d - h1d * h2
-        worst = max(worst, POSITIVITY_FLOOR - float(pos.min()))
-        return max(worst, 0.0), len(rs), {"min_positivity": float(pos.min())}
+        worst = _worst_of(worst, POSITIVITY_FLOOR - float(pos.min()))
+        return _worst_of(worst, 0.0), len(rs), {"min_positivity": float(pos.min())}
 
     @check("reeb-page-transversality",
            "the Reeb derivative of the page function is 1 for the model open "
@@ -1387,7 +1403,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
             x = np.append(domain.sample(rng, 1)[0], rng.uniform(0, 2 * math.pi))
             samples.append((x, list(np.eye(3))))
         val = ob.reeb_transversality_check(alpha, lambda u: np.array([0.0, 0.0, 1.0]), samples)
-        worst = max(worst, abs(val - 1.0))
+        worst = _worst_of(worst, abs(val - 1.0))
         # constructed failure: the Reeb field is tangent to the pages of y = u[1]
         alpha_bad = forms.one_form(3, lambda u: np.array([0.0, u[0], 1.0]),
                                    lambda u: np.array([[0.0, 0.0, 0.0],
@@ -1395,7 +1411,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                                                        [0.0, 0.0, 0.0]]))
         val_bad = ob.reeb_transversality_check(
             alpha_bad, lambda u: np.array([0.0, 1.0, 0.0]), samples)
-        worst = max(worst, abs(val_bad))
+        worst = _worst_of(worst, abs(val_bad))
         # the surgery model page function z . w against its Reeb field
         alpha_model = surgery.alpha_model_form(0, 2)
         samples_m = []
@@ -1404,7 +1420,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
             samples_m.append((pt.as_array(), surgery.s_minus1_tangent_frame(pt)))
         val_m = ob.reeb_transversality_check(
             alpha_model, lambda u: np.concatenate([u[2:], u[:2]]), samples_m)
-        worst = max(worst, abs(val_m - 1.0))
+        worst = _worst_of(worst, abs(val_m - 1.0))
         return worst, 30, {"model": val_m, "bad": val_bad}
 
 
@@ -1436,7 +1452,8 @@ def _random_chain(rng, desc: mv.OpenBookDesc, length: int) -> mv.OpenBookDesc:
             options.append("conj")
         if cur.page.disks:
             options.append("stab")
-        if mv.destabilize(cur) is not None:
+        undone = mv.destabilize(cur)
+        if undone is not None:
             options.append("destab")
         op = options[int(rng.integers(0, len(options)))]
         if op == "rot":
@@ -1450,7 +1467,7 @@ def _random_chain(rng, desc: mv.OpenBookDesc, length: int) -> mv.OpenBookDesc:
             disk = cur.page.disks[int(rng.integers(0, len(cur.page.disks)))]
             cur = mv.stabilize(cur, disk.label)
         else:
-            cur = mv.destabilize(cur)
+            cur = undone
     return cur
 
 

@@ -305,6 +305,22 @@ def test_page_speed_law_fails_flows_that_stop_at_the_start(monkeypatch):
     assert record.max_residual == pytest.approx(EPS)
 
 
+def test_page_speed_law_fails_a_residual_that_turns_nan_after_the_first_trajectory(monkeypatch):
+    # max(0.0, nan) is 0.0: a fold by max would keep the first trajectory's
+    # finite residual and pass the check
+    residual = mono.page_speed_residual
+    calls = []
+
+    def nan_from_the_second(traj, eps):
+        calls.append(traj)
+        return math.nan if len(calls) == 2 else residual(traj, eps)
+
+    monkeypatch.setattr(mono, "page_speed_residual", nan_from_the_second)
+    record = _run_monodromy_check("page-speed-law")
+    assert len(calls) == 20
+    assert not record.passed and math.isnan(record.max_residual)
+
+
 def test_page_speed_residual_on_worked_point():
     on_s1 = surgery.limit_transfers_to_s1(worked_start(), 0, 2, DELTA)[0]
     fld = surgery.handle_hamiltonian_rhs(0, 2, DELTA)

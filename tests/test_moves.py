@@ -198,16 +198,29 @@ def test_serialization_roundtrips_randomized(desc):
     assert mv.from_text(mv.to_text(desc)) == desc
 
 
-@given(descriptors())
+def _rebuilt(desc):
+    """The descriptor built again through the public constructors, which run every check."""
+    page = desc.page
+    return mv.OpenBookDesc(mv.AbstractPage(page.half_dim, page.handles, page.spheres,
+                                           page.disks), desc.word)
+
+
+@given(descriptors(), st.lists(st.integers(0, 99), min_size=2, max_size=2))
 @settings(max_examples=60, deadline=None)
-def test_moves_preserve_descriptor_invariants(desc):
-    # applying any available move yields a valid descriptor (constructors
-    # re-check label consistency on every build)
-    for nb in mv.neighbors(desc):
-        assert isinstance(nb, mv.OpenBookDesc)
-        if desc.page.disks:
-            stab = mv.stabilize(desc, desc.page.disks[0].label)
-            assert mv.destabilize(stab) == desc
+def test_moves_preserve_descriptor_invariants(desc, picks):
+    # the moves build their results without running the constructors' checks,
+    # so every neighbor along chains of two or three moves must pass them and
+    # equal its rebuild; the chains start at the descriptor and at each of its
+    # stabilizations, so that stabilization spheres and destabilize are reached
+    for cur in [desc] + [mv.stabilize(desc, d.label) for d in desc.page.disks]:
+        for pick in picks:
+            nbs = list(mv.neighbors(cur))
+            for nb in nbs:
+                rebuilt = _rebuilt(nb)
+                assert nb == rebuilt and hash(nb) == hash(rebuilt)
+            cur = nbs[pick % len(nbs)]
+    for d in desc.page.disks:
+        assert mv.destabilize(mv.stabilize(desc, d.label)) == desc
 
 
 def test_word_reduction():
@@ -392,3 +405,12 @@ def test_a_page_hashes_its_fields_once_and_pickles_without_the_hash():
     assert page.__dict__["_hash"] == hash(page)
     copy = pickle.loads(pickle.dumps(page))
     assert copy == page and "_hash" not in copy.__dict__
+
+
+def test_a_descriptor_hashes_its_fields_once_and_pickles_without_the_hash():
+    desc = mv.stabilize(sample_desc(), "d1")
+    assert hash(desc) == hash((desc.page, desc.word))
+    assert desc.__dict__["_hash"] == hash(desc)
+    copy = pickle.loads(pickle.dumps(desc))
+    assert copy == desc and "_hash" not in copy.__dict__
+    assert "_hash" not in copy.page.__dict__
