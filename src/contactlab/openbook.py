@@ -630,12 +630,16 @@ def reeb_transversality_check(alpha: KFormOracle, grad_theta: Callable[[Array], 
 
     Each sample is (point, tangent frame); the Reeb field is solved from
     alpha(R) = 1, i_R d(alpha) = 0 in the frame.  Positivity of the returned
-    minimum is the adaptedness condition.
+    minimum is the adaptedness condition.  A NaN derivative is returned as
+    the minimum (Python's min would keep the running minimum past it).
     """
     worst = math.inf
     for pt, frame in samples:
         coeff = reeb_coefficients(alpha, pt, frame)
         r_vec = sum(c * np.asarray(v, dtype=float) for c, v in zip(coeff, frame))
         grad = grad_theta(pt)
-        worst = min(worst, float(grad @ r_vec))
+        value = float(grad @ r_vec)
+        if value != value:
+            return value
+        worst = min(worst, value)
     return worst

@@ -186,7 +186,8 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         draws = [rng.standard_normal(3) for _ in range(50)]
         qs = np.array([q / np.linalg.norm(q) for q in draws])
         out = sphere.dehn_twist_map(profile, 2).func(np.hstack([qs, np.zeros((50, 3))]))
-        worst = max(float(np.max(np.abs(out[:, :3] + qs))), float(np.max(np.abs(out[:, 3:]))))
+        worst = _worst_of(float(np.max(np.abs(out[:, :3] + qs))),
+                          float(np.max(np.abs(out[:, 3:]))))
         return worst, 50, {}
 
     @check("geodesic-flow-constraints",
@@ -222,9 +223,9 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         lam = sphere.canonical_one_form(4)
         # (q, p) = ((1, 0), 0) on the zero section, then ((1, 0), (0, 0.3))
         zero, pt = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.3])
-        worst = max(abs(lam(zero, np.array([0.3, 0.7, 0.0, 0.1]))),
-                    abs(lam(pt, np.array([0.0, 1.0, 0.0, 0.0])) - 0.3),
-                    abs(lam(pt, np.array([0.0, 0.0, 0.4, -0.2]))))
+        worst = _worst_of(abs(lam(zero, np.array([0.3, 0.7, 0.0, 0.1]))),
+                          abs(lam(pt, np.array([0.0, 1.0, 0.0, 0.0])) - 0.3),
+                          abs(lam(pt, np.array([0.0, 0.0, 0.4, -0.2]))))
         return worst, 3, {}
 
     @check("twist-smooth-across-zero-section",
@@ -1012,7 +1013,8 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         ob.giroux_correction(domain, candidate, GIROUX_FLOW, rng=rng)
         samples = domain.sample(rng, 40)
         ev = ob.giroux_flow_batch(domain, candidate, samples, GIROUX_FLOW.step)
-        worst = max(float(np.max(np.abs(ev.psi_hat - samples))), float(np.max(np.abs(ev.h))))
+        worst = _worst_of(float(np.max(np.abs(ev.psi_hat - samples))),
+                          float(np.max(np.abs(ev.h))))
         return worst, 40, {}
 
     @check("exactness-correction-twist",

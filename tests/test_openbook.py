@@ -589,6 +589,20 @@ def test_reeb_transversality_three_cases():
     assert abs(val_bad) < 1e-9
 
 
+def test_reeb_transversality_check_returns_a_nan_after_the_first_sample():
+    # min(1.0, nan) is 1.0: a fold by min would report the first sample's
+    # positive derivative and pass the adaptedness condition
+    domain = ob.standard_disk_domain()
+    alpha = ob.mapping_torus_form(domain.lam)
+    samples = [(np.array([0.2, -0.3, 1.0]), list(np.eye(3))),
+               (np.array([0.1, 0.4, 2.0]), list(np.eye(3))),
+               (np.array([-0.3, 0.1, 0.5]), list(np.eye(3)))]
+    grads = iter([np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, math.nan]),
+                  np.array([0.0, 0.0, 1.0])])
+    val = ob.reeb_transversality_check(alpha, lambda u: next(grads), samples)
+    assert math.isnan(val)
+
+
 def test_legendrian_realization_detects_path_dependence():
     n = 2
     d = n + 1

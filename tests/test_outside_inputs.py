@@ -209,7 +209,13 @@ def test_any_text_gives_a_round_tripping_descriptor_or_value_error(text):
     except ValueError:
         return
     assert mv.from_text(mv.to_text(desc)) == desc
-    mv.neighbors(desc)  # every move applies to a page that parses
+    # every move applies to a page that parses, and builds what the public
+    # constructors, which run every check, build again from its parts
+    for nb in mv.neighbors(desc):
+        page = nb.page
+        rebuilt = mv.OpenBookDesc(mv.AbstractPage(page.half_dim, page.handles,
+                                                  page.spheres, page.disks), nb.word)
+        assert nb == rebuilt and hash(nb) == hash(rebuilt)
 
 
 @pytest.mark.parametrize("text", [
