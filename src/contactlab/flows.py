@@ -57,10 +57,6 @@ class Trajectory:
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
 
-    @property
-    def end(self) -> Array:
-        return self.points[-1]
-
 
 Field = Callable[[Array], Array]
 Projection = Optional[Callable[[Array], Array]]
@@ -89,7 +85,7 @@ def flow_until_event(rhs: Field, start: Array,
     operands and speed of a lone state.
 
     When a crossing occurs within cfg.max_time, ``trajectory.t_event`` is its
-    time and ``trajectory.end`` the refined event point; otherwise
+    time and ``trajectory.points[-1]`` the refined event point; otherwise
     ``t_event`` is None and callers must check it.
     """
     (traj,) = trajectories_until_event(

@@ -2,6 +2,9 @@
 
 A report is a JSON document with stable key order and deterministic float
 formatting: identical configuration and seed produce byte-identical files.
+JSON has no token for a non-finite number, so an infinite or NaN float (the
+residual of a check that raised, or of one that computed NaN) is written as
+the string "inf", "-inf" or "nan", and the document stays valid JSON.
 The environment stamp carries versions only (no wall-clock data), so it
 never breaks reproducibility on a fixed machine.
 """
@@ -9,6 +12,7 @@ never breaks reproducibility on a fixed machine.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import sys
 import zlib
@@ -46,9 +50,12 @@ class CheckRecord:
 
 
 def _plain(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays for JSON round-tripping."""
+    """Recursively convert numpy scalars/arrays for JSON round-tripping, and
+    a non-finite float to its name."""
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)  # 'inf', '-inf', 'nan'
     if isinstance(value, np.ndarray):
         return [_plain(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -89,7 +96,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -7,6 +7,11 @@ The canonical 1-form is p dq, the normalized geodesic flow is the rotation
 
 and the generalized right-handed Dehn twist applies sigma through the angle
 profile g1(|p|), extended across p = 0 by (-1)^k * q.
+
+The module computes on (q, p) arrays and on (m, 2(n+1)) rows [q | p]: the
+sampler draws rows, and the twist map, its frames and the geodesic flow take
+arrays.  ``SpherePoint`` is only the type of :func:`dehn_twist`, the
+one-point adapter that perfbench/worker.py drives.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ CONSTRAINT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """A point of the embedded cotangent bundle: unit base vector q, fiber covector p."""
+    """A point of the embedded cotangent bundle: unit base vector q, fiber
+    covector p; the argument and image of the one-point :func:`dehn_twist`."""
 
     q: Array
     p: Array
@@ -80,21 +86,22 @@ def _rotate(q: Array, p: Array, norm, c, s) -> tuple[Array, Array]:
     return c * q + (s / norm) * p, -norm * s * q + c * p
 
 
-def geodesic_flow(pt: SpherePoint, t: float) -> SpherePoint:
-    """Normalized geodesic flow for time t; requires p != 0, preserves |p|.
+def geodesic_flow(q: Array, p: Array, t: float) -> tuple[Array, Array]:
+    """Normalized geodesic flow of the point (q, p) for time t; requires
+    p != 0, preserves |p|.
 
     The one public form of the rotation, not a one-row twin: dehn_twist_map
     shares only the private formula _rotate, at its own angle per row."""
-    norm = np.linalg.norm(pt.p)
+    norm = np.linalg.norm(p)
     if norm == 0.0:
         raise ValueError("normalization undefined at p = 0")
-    return SpherePoint(*_rotate(pt.q, pt.p, norm, math.cos(t), math.sin(t)))
+    return _rotate(q, p, norm, math.cos(t), math.sin(t))
 
 
 def dehn_twist(pt: SpherePoint, profile: DehnTwistProfile) -> SpherePoint:
     """Generalized right-handed Dehn twist: sigma_{g1(|p|)}, and (-1)^k q at p = 0.
-    The one-point call of dehn_twist_map, for perfbench/worker.py and the
-    tests; the checks map their rows with dehn_twist_map itself."""
+    The one-point adapter of dehn_twist_map that perfbench/worker.py drives
+    and perfbench/layers.py traces; the checks map rows with dehn_twist_map."""
     return SpherePoint.from_array(dehn_twist_map(profile, pt.n).func(pt.as_array()))
 
 
@@ -204,22 +211,27 @@ def _orthonormal_complements(q: Array) -> Array:
     return vecs
 
 
-def random_sphere_point(rng: np.random.Generator, n: int,
-                        p_low: float = 0.0, p_high: float = 2.0) -> SpherePoint:
-    """Uniform random direction on the sphere with fiber norm in [p_low, p_high).
+def random_sphere_points(rng: np.random.Generator, count: int, n: int,
+                         p_low: float, p_high: float) -> Array:
+    """(count, 2(n+1)) rows [q | p], drawn one point at a time: a uniform
+    random direction q on the sphere and a fiber covector p with norm in
+    [p_low, p_high).
 
     Needs n >= 1: the fibers of S^0 are zero-dimensional, so no direction
     exists to scale.
     """
     if n < 1:
         raise ValueError(f"the sphere dimension must be at least 1, got {n}")
-    while True:
-        q = rng.standard_normal(n + 1)
-        q /= np.linalg.norm(q)
-        v = rng.standard_normal(n + 1)
-        v -= (v @ q) * q
-        norm = np.linalg.norm(v)
-        if norm >= 1e-12:
-            break
-    target = p_low + (p_high - p_low) * rng.random()
-    return SpherePoint(q, v / norm * target)
+    rows = np.empty((count, 2 * (n + 1)))
+    for row in rows:
+        while True:
+            q = rng.standard_normal(n + 1)
+            q /= np.linalg.norm(q)
+            v = rng.standard_normal(n + 1)
+            v -= (v @ q) * q
+            norm = np.linalg.norm(v)
+            if norm >= 1e-12:
+                break
+        target = p_low + (p_high - p_low) * rng.random()
+        row[:n + 1], row[n + 1:] = q, v / norm * target
+    return rows

@@ -29,7 +29,6 @@ from .config import ScenarioConfig
 from .flows import IntegratorConfig
 from .profiles import BindingProfile, DehnTwistProfile, twist_g1, twist_g1_d
 from .reports import VerificationReport, check_rng, run_check
-from .surgery import ModelPoint
 
 Array = np.ndarray
 
@@ -138,8 +137,7 @@ def twist_pullback_residual(rng: np.random.Generator, n: int, count: int,
     """
     if not count:
         return 0.0
-    points = np.array([sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0).as_array()
-                       for _ in range(count)])
+    points = sphere.random_sphere_points(rng, count, n, 1e-3, 2.0 * profile.p0)
     frames = sphere.tangent_frames(points[:, :n + 1], points[:, n + 1:])
     jac = forms.fd_jacobian(sphere.dehn_twist_map(profile, n).func, points)
     pushed = (jac[:, None] @ frames[..., None])[..., 0]
@@ -173,8 +171,7 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
            ["dehn_twist"], 0.0)
     def support():
         rng = check_rng(cfg.seed, "twist-support")
-        rows = np.array([sphere.random_sphere_point(rng, 2, profile.p0, 3.0 * profile.p0)
-                         .as_array() for _ in range(100)])
+        rows = sphere.random_sphere_points(rng, 100, 2, profile.p0, 3.0 * profile.p0)
         out = sphere.dehn_twist_map(profile, 2).func(rows)
         return float(np.max(np.abs(out - rows))), 100, {}
 
@@ -198,22 +195,20 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         for _ in range(100):
             n = int(rng.integers(1, 4))
-            pt = sphere.random_sphere_point(rng, n, 0.1, 3.0)
+            (row,) = sphere.random_sphere_points(rng, 1, n, 0.1, 3.0)
+            q, p = row[:n + 1], row[n + 1:]
             t = float(rng.uniform(-10, 10))
-            out = sphere.geodesic_flow(pt, t)
-            worst = _worst_of(worst,
-                              abs(out.q @ out.q - 1.0), abs(out.q @ out.p),
-                              abs(np.linalg.norm(out.p) - np.linalg.norm(pt.p)))
+            q_t, p_t = sphere.geodesic_flow(q, p, t)
+            worst = _worst_of(worst, abs(q_t @ q_t - 1.0), abs(q_t @ p_t),
+                              abs(np.linalg.norm(p_t) - np.linalg.norm(p)))
         # quarter period with |p| = 1 swaps (q, p) -> (p, -q)
-        pt = sphere.SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        out = sphere.geodesic_flow(pt, math.pi / 2.0)
-        worst = _worst_of(worst, float(np.max(np.abs(out.q - pt.p))),
-                          float(np.max(np.abs(out.p + pt.q))))
+        q, p = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        q_t, p_t = sphere.geodesic_flow(q, p, math.pi / 2.0)
+        worst = _worst_of(worst, float(np.max(np.abs(q_t - p))), float(np.max(np.abs(p_t + q))))
         # half period with |p| = 2 maps to the antipode: frozen arithmetic
-        pt = sphere.SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-        out = sphere.geodesic_flow(pt, math.pi)
-        worst = _worst_of(worst, float(np.max(np.abs(out.q - np.array([-1.0, 0.0])))),
-                          float(np.max(np.abs(out.p - np.array([0.0, -2.0])))))
+        q_t, p_t = sphere.geodesic_flow(np.array([1.0, 0.0]), np.array([0.0, 2.0]), math.pi)
+        worst = _worst_of(worst, float(np.max(np.abs(q_t - np.array([-1.0, 0.0])))),
+                          float(np.max(np.abs(p_t - np.array([0.0, -2.0])))))
         return worst, 102, {}
 
     @check("canonical-form-values",
@@ -255,8 +250,7 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         rng = check_rng(cfg.seed, "twist-kfold")
         single = sphere.dehn_twist_map(profile, 2).func
         double = sphere.dehn_twist_map(DehnTwistProfile(k=2), 2).func
-        rows = np.array([sphere.random_sphere_point(rng, 2, 1e-3, 2.0 * profile.p0).as_array()
-                         for _ in range(100)])
+        rows = sphere.random_sphere_points(rng, 100, 2, 1e-3, 2.0 * profile.p0)
         worst = float(np.max(np.abs(single(single(rows)) - double(rows))))
         # zero section: the double twist fixes q exactly
         q = np.array([0.0, 1.0, 0.0])
@@ -306,11 +300,11 @@ def strictness_residual(rng: np.random.Generator, n: int, k: int, count: int) ->
     vecs[0, :, 0] = 1.0
     vecs[1 + n_frame:, :, 1 + 2 * nzw:] = np.eye(2 * nxy)[:, None]
     for i in range(count):
-        sp = sphere.random_sphere_point(rng, nzw - 1, 0.05, 1.5)
+        (row,) = sphere.random_sphere_points(rng, 1, nzw - 1, 0.05, 1.5)
         z = float(rng.uniform(-1.0, 1.0))
         x = rng.standard_normal(nxy)
         y = rng.standard_normal(nxy)
-        u[i] = surgery.chart_pack(z, sp.q, sp.p, x, y)
+        u[i] = surgery.chart_pack(z, row[:nzw], row[nzw:], x, y)
     frames = sphere.tangent_frames(u[:, 1:1 + nzw], u[:, 1 + nzw:1 + 2 * nzw])
     vecs[1:1 + n_frame, :, 1:1 + 2 * nzw] = frames.transpose(1, 0, 2)
     lhs = forms.pullback_eval(mapping, target, u, [vecs])
@@ -342,19 +336,15 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            ["psi_w", "psi_w_inverse"], 1e-10)
     def roundtrip():
         rng = check_rng(cfg.seed, "psiw-roundtrip")
-        straighten = surgery.psi_w_map(2, 1)
-        worst = 0.0
-        for _ in range(100):
-            pt = surgery.random_s_minus1_point(rng, 1, 2)
-            z, sp, x, y = surgery.psi_w_inverse(pt)
-            back = straighten(surgery.chart_pack(z, sp.q, sp.p, x, y))
-            worst = _worst_of(worst, float(np.max(np.abs(back - pt.as_array()))))
-            worst = _worst_of(worst, abs(sp.q @ sp.p))
+        rows = surgery.random_s_minus1_points(rng, 100, 1, 2)
+        chart = surgery.psi_w_inverse(rows, 1, 2)  # [z | q(2) | p(2) | x | y]
+        back = surgery.psi_w_map(2, 1).func(chart)
+        worst = _worst_of(float(np.max(np.abs(back - rows))),
+                          float(np.max(np.abs(np.vecdot(chart[:, 1:3], chart[:, 3:5])))))
         # frozen hand projection: z-block (-0.1, 0.5) against w = (1, 0)
-        pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([-0.1, 0.5]), np.array([1.0, 0.0]))
-        z, sp, _, _ = surgery.psi_w_inverse(pt)
-        worst = _worst_of(worst, abs(z + 0.1),
-                          float(np.max(np.abs(sp.p - np.array([0.0, 0.5])))))
+        (chart,) = surgery.psi_w_inverse(np.array([[-0.1, 0.5, 1.0, 0.0]]), 0, 2)
+        worst = _worst_of(worst, abs(chart[0] + 0.1),
+                          float(np.max(np.abs(chart[3:] - np.array([0.0, 0.5])))))
         return worst, 101, {}
 
     @check("rescaling-conformality",
@@ -370,8 +360,8 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             mapping = surgery.phi_c_map(2, 1, c_val)
             rows = []
             for _ in range(30):
-                sp = sphere.random_sphere_point(rng, 1, 0.05, 1.0)
-                rows.append(surgery.chart_pack(float(rng.uniform(-1, 1)), sp.q, sp.p,
+                (row,) = sphere.random_sphere_points(rng, 1, 1, 0.05, 1.0)
+                rows.append(surgery.chart_pack(float(rng.uniform(-1, 1)), row[:2], row[2:],
                                                rng.standard_normal(1), rng.standard_normal(1)))
             u = np.array(rows)
             # the 7 basis vectors of every row, as one (7, 30, 7) stack
@@ -410,9 +400,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         fld = surgery.liouville_field(1, 2)
         om = surgery.omega0_form(1, 2)
         frame = list(np.eye(6))
-        pts = np.array([ModelPoint(rng.standard_normal(1), rng.standard_normal(1),
-                                   rng.standard_normal(2), rng.standard_normal(2)).as_array()
-                        for _ in range(cfg.n_liouville)])
+        pts = rng.standard_normal((cfg.n_liouville, 6))  # x | y | z(2) | w(2) of each point
         worst = float(np.max(forms.liouville_residual(fld, om, pts, frame)))
         return worst, cfg.n_liouville, {}
 
@@ -426,13 +414,11 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         frame = list(np.eye(4))
         for a in (0.0, 1.0, 10.0):
             fld = surgery.liouville_a_field(0, 2, a)
-            pts = np.array([ModelPoint(np.zeros(0), np.zeros(0), rng.standard_normal(2),
-                                       rng.standard_normal(2)).as_array() for _ in range(30)])
+            pts = rng.standard_normal((30, 4))  # z(2) | w(2) of each point
             worst = _worst_of(worst,
                               float(np.max(forms.liouville_residual(fld, om, pts, frame))))
         fld = surgery.liouville_a_field(0, 2, 1.0)
-        vec = fld(ModelPoint(np.zeros(0), np.zeros(0), np.array([1.0, 0.0]),
-                             np.array([0.0, 1.0])).as_array())
+        vec = fld(np.array([1.0, 0.0, 0.0, 1.0]))
         worst = _worst_of(worst, float(np.max(np.abs(vec - np.array([2.0, 0.0, 0.0, -1.0])))))
         return worst, 91, {"a": [0.0, 1.0, 10.0]}
 
@@ -500,12 +486,11 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         alpha = surgery.alpha_model_form(0, 2)
         reeb = surgery.reeb_field(0, 2)  # flat layout z(2) | w(2)
-        for _ in range(20):
-            pt = surgery.random_s_minus1_point(rng, 0, 2)
-            u = pt.as_array()
+        rows = surgery.random_s_minus1_points(rng, 20, 0, 2)
+        for u, frame in zip(rows, surgery.s_minus1_tangent_frames(rows, 0, 2)):
             r_vec = reeb(u)
             worst = _worst_of(worst, abs(alpha(u, r_vec) - 1.0))
-            for v in surgery.s_minus1_tangent_frame(pt):
+            for v in frame:
                 dval = forms.exterior_derivative(alpha, u, [r_vec, v])
                 worst = _worst_of(worst, abs(dval))
         u = np.array([0.2, -0.4, 1.0, 0.0])
@@ -578,15 +563,14 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
         pair_order = [0, 1, 2, 4, 3, 5]  # block layout x|y|z(2)|w(2) reordered
         worst = -math.inf
         vol_min = math.inf
-        for _ in range(30):
-            pt = surgery.random_s_minus1_point(rng, 1, 2)
-            frame = surgery.s_minus1_tangent_frame(pt)
+        rows = surgery.random_s_minus1_points(rng, 30, 1, 2)
+        for u, frame in zip(rows, surgery.s_minus1_tangent_frames(rows, 1, 2)):
             # flip one frame vector so that (Liouville direction, frame) is a
             # positive ambient basis: the volume's sign is then intrinsic
-            full = np.column_stack([liouville(pt.as_array())] + list(frame))
+            full = np.column_stack([liouville(u)] + list(frame))
             if np.linalg.det(full[pair_order, :]) < 0:
                 frame[-1] = -frame[-1]
-            vol = forms.contact_volume(alpha, pt.as_array(), frame)
+            vol = forms.contact_volume(alpha, u, frame)
             vol_min = min(vol_min, vol)
             worst = _worst_of(worst, POSITIVITY_FLOOR - vol)
         return _worst_of(worst, 0.0), 30, {"min_volume": vol_min}
@@ -597,11 +581,10 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            ["handle_membership"], 0.0)
     def membership():
         rng = check_rng(cfg.seed, "membership")
-        origin = ModelPoint(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
-        far = ModelPoint(np.zeros(1), np.zeros(1), np.array([3.0, 0.0]), np.zeros(2))
+        # the origin and a point far out the z axis: rows x | y | z(2) | w(2)
+        origin_far = np.array([[0.0] * 6, [0.0, 0.0, 3.0, 0.0, 0.0, 0.0]])
         pts = surgery.sample_s1_points(rng, 10, 1, 2, 0.05, rho2_max=1.8)
-        verdicts = surgery.handle_memberships(
-            np.vstack([origin.as_array(), far.as_array(), pts]), 1, 2, 0.05)
+        verdicts = surgery.handle_memberships(np.vstack([origin_far, pts]), 1, 2, 0.05)
         hits = sum(v is True for v in verdicts[2:])
         worst = 0.0 if all(v is False for v in verdicts[:2]) and hits >= 8 else 1.0
         return worst, 12, {"surface_hits": hits}
@@ -832,15 +815,13 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
            ["flow_fixed_time"], 0.0)
     def flow_order():
         # quartic error decay against the closed-form linear flow
-        pt = ModelPoint(np.zeros(0), np.zeros(0), np.array([0.3, -0.2]),
-                        np.array([0.7, 0.4]))
+        z, w = np.array([0.3, -0.2]), np.array([0.7, 0.4])
         fld = surgery.liouville_field(0, 2)
         t_final = 1.0
-        exact = np.concatenate([pt.z * math.exp(2.0 * t_final),
-                                pt.w * math.exp(-t_final)])
+        exact = np.concatenate([z * math.exp(2.0 * t_final), w * math.exp(-t_final)])
         errs = []
         for step in (0.02, 0.01):
-            out = flows.flow_fixed_time(fld, pt.as_array(), t_final, step)
+            out = flows.flow_fixed_time(fld, np.concatenate([z, w]), t_final, step)
             errs.append(float(np.max(np.abs(out - exact))))
         factor = errs[0] / errs[1]
         worst = 0.0 if factor >= 8.0 else 8.0 - factor
@@ -857,8 +838,8 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
         alpha = surgery.alpha_model_form(0, 2)
         fld = surgery.reeb_field(0, 2)
         unit_w = surgery.unit_w_projection(0, 2)
-        starts = [surgery.random_s_minus1_point(rng, 0, 2).as_array() for _ in range(5)]
-        traj = flows.flow_record(fld, np.array(starts), 1.0, 1e-3, unit_w)
+        starts = surgery.random_s_minus1_points(rng, 5, 0, 2)
+        traj = flows.flow_record(fld, starts, 1.0, 1e-3, unit_w)
         sampled = traj.points[:: max(1, len(traj.points) // 20)]
         for i in range(len(starts)):
             for row in sampled[:, i]:
@@ -1157,16 +1138,14 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         worst = 0.0
         # the potential is recovered up to a constant
         offsets = []
-        for _ in range(8):
-            sp = sphere.random_sphere_point(rng, n, 0.0, 0.25)
-            x = np.concatenate([sp.q, sp.p])
-            offsets.append(real.g(sp.q, sp.p) - xi(x))
+        for x in sphere.random_sphere_points(rng, 8, n, 0.0, 0.25):
+            offsets.append(real.g(x[:d], x[d:]) - xi(x))
         worst = _worst_of(worst, float(np.max(offsets) - np.min(offsets)))
         # corrected primitive vanishes on zero-section tangents
-        for _ in range(8):
-            sp = sphere.random_sphere_point(rng, n, 0.0, 0.0)
-            x = np.concatenate([sp.q, np.zeros(d)])
-            for u in sphere._orthonormal_complements(sp.q[None])[0]:
+        qs = sphere.random_sphere_points(rng, 8, n, 0.0, 0.0)[:, :d]
+        for q, basis in zip(qs, sphere._orthonormal_complements(qs)):
+            x = np.concatenate([q, np.zeros(d)])
+            for u in basis:
                 v = np.concatenate([u, np.zeros(d)])
                 worst = _worst_of(worst, abs(real.lam_tilde(x, v)))
                 worst = _worst_of(worst, abs(real.contact_form(np.concatenate([[0.0], x]),
@@ -1175,10 +1154,8 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         # inside the cut-off and then in its band RHO_IN < |p| < RHO_OUT,
         # where d(rho g) carries rho'
         for p_low, p_high in ((0.05, 0.2), (0.32, 0.78)):
-            for _ in range(4):
-                sp = sphere.random_sphere_point(rng, n, p_low, p_high)
-                x = np.concatenate([sp.q, sp.p])
-                frame = sphere.tangent_frames(sp.q[None], sp.p[None])[0]
+            rows = sphere.random_sphere_points(rng, 4, n, p_low, p_high)
+            for x, frame in zip(rows, sphere.tangent_frames(rows[:, :d], rows[:, d:])):
                 for i in range(0, len(frame), 2):
                     for j in range(i + 1, len(frame), 3):
                         lhs = forms.exterior_derivative(real.lam_tilde, x,
@@ -1416,10 +1393,8 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         worst = _worst_of(worst, abs(val_bad))
         # the surgery model page function z . w against its Reeb field
         alpha_model = surgery.alpha_model_form(0, 2)
-        samples_m = []
-        for _ in range(10):
-            pt = surgery.random_s_minus1_point(rng, 0, 2)
-            samples_m.append((pt.as_array(), surgery.s_minus1_tangent_frame(pt)))
+        rows = surgery.random_s_minus1_points(rng, 10, 0, 2)
+        samples_m = list(zip(rows, surgery.s_minus1_tangent_frames(rows, 0, 2)))
         val_m = ob.reeb_transversality_check(
             alpha_model, lambda u: np.concatenate([u[2:], u[:2]]), samples_m)
         worst = _worst_of(worst, abs(val_m - 1.0))

@@ -9,13 +9,16 @@ F = -f(|w|^2) + g(|x|^2 + |y|^2 + |z|^2), models the result of the surgery.
 Each model quantity (F, its gradient, the page field X_F, the Reeb field,
 the Liouville field, the page function and the forms) is written once, as a
 plain callable on the flat state; flows, events, projections and the
-pointwise checks all call that one form.  ``ModelPoint`` is the boundary
-type of random points, transfer starts and the straightening map.  The
-Liouville transfers between S_{-1} and S_1 return flat states; the two onto
-S_1 take (m, d) rows and share one masked lockstep bracket-and-bisect search
-for the zero of F along each row's path, a lone transfer being the one-row
-call.  Every function of the surgered hypersurface takes its smoothing width
-delta as a float (the transfers and the page field also per row).
+pointwise checks all call that one form.  The samplers, the tangent frames
+of S_{-1} and the inverse straightening take or give (m, d) rows;
+``ModelPoint`` is only the type of the one-point adapters that the benchmark
+drives (:func:`limit_transfer_to_s1`, :func:`handle_membership` and
+``monodromy.post_surgery_pipeline``).  The Liouville transfers between S_{-1}
+and S_1 return flat states; the two onto S_1 take (m, d) rows and share one
+masked lockstep bracket-and-bisect search for the zero of F along each row's
+path, a lone transfer being the one-row call.  Every function of the
+surgered hypersurface takes its smoothing width delta as a float (the
+transfers and the page field also per row).
 
 Flat ambient layout is the block vector [x | y | z | w]; the sphere-bundle
 chart for the neighborhood straightening map is [z_scalar | q | p | x | y].
@@ -32,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .forms import KFormOracle, SmoothMap, one_form
 from .profiles import handle_f, handle_f_d, handle_g, handle_g_d, handle_g_inverse
-from .sphere import SpherePoint, _orthonormal_complements
+from .sphere import _orthonormal_complements
 
 Array = np.ndarray
 
@@ -41,7 +44,8 @@ S_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """A point of the model split into (x, y, z, w) blocks; x, y may be empty."""
+    """A point of the model split into (x, y, z, w) blocks; x, y may be empty.
+    The argument of the one-point adapters."""
 
     x: Array
     y: Array
@@ -79,13 +83,6 @@ class ModelPoint:
         u = np.asarray(u, dtype=float)
         return ModelPoint(u[:nxy], u[nxy:2 * nxy],
                           u[2 * nxy:2 * nxy + nzw], u[2 * nxy + nzw:])
-
-    def theta(self) -> float:
-        return float(self.z @ self.w)
-
-    def on_s_minus1(self) -> bool:
-        _, w2 = _rho2_w2(self.as_array().tolist(), self.nxy, self.nzw)
-        return abs(w2 - 1.0) < S_TOL
 
 
 @dataclass(frozen=True)
@@ -251,16 +248,15 @@ def unit_w_projection(nxy: int, nzw: int):
     return project
 
 
-def s_minus1_tangent_frame(pt: ModelPoint) -> list[Array]:
-    """Basis of the tangent space of S_{-1}: all x, y, z directions plus w-perp."""
-    dim = 2 * pt.nxy + 2 * pt.nzw
-    b = 2 * pt.nxy
-    frame = [np.eye(dim)[i] for i in range(b + pt.nzw)]
-    for u in _orthonormal_complements((pt.w / np.linalg.norm(pt.w))[None])[0]:
-        v = np.zeros(dim)
-        v[b + pt.nzw:] = u
-        frame.append(v)
-    return frame
+def s_minus1_tangent_frames(points: Array, nxy: int, nzw: int) -> Array:
+    """(m, d-1, d) bases of the tangent spaces of S_{-1} at (m, d) rows: all
+    x, y, z directions, then an orthonormal basis of w-perp in the w slots."""
+    b = 2 * nxy + nzw
+    w = points[:, b:]
+    frames = np.zeros((len(points), b + nzw - 1, b + nzw))
+    frames[:, :b, :b] = np.eye(b)
+    frames[:, b:, b:] = _orthonormal_complements(w / np.sqrt(np.vecdot(w, w))[:, None])
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +267,15 @@ def chart_pack(z: float, q: Array, p: Array, x: Array, y: Array) -> Array:
     return np.concatenate([[float(z)], q, p, x, y])
 
 
-def psi_w_inverse(pt: ModelPoint) -> tuple[float, SpherePoint, Array, Array]:
-    """Decompose a point of S_{-1}: q = w, z = z.w, p = z - (z.w) w."""
-    if not pt.on_s_minus1():
+def psi_w_inverse(points: Array, nxy: int, nzw: int) -> Array:
+    """The chart rows [z | q | p | x | y] of (m, d) rows of S_{-1}: q = w,
+    z = z.w and p = z - (z.w) w; a row off |w|^2 = 1 is refused."""
+    if not (np.abs(wnorm2_value(nxy, nzw)(points) - 1.0) < S_TOL).all():
         raise ValueError("inverse straightening needs |w|^2 = 1")
-    z_val = float(pt.z @ pt.w)
-    p = pt.z - z_val * pt.w
-    return z_val, SpherePoint(pt.w.copy(), p), pt.x.copy(), pt.y.copy()
+    b = 2 * nxy
+    z, w = points[:, b:b + nzw], points[:, b + nzw:]
+    z_val = np.vecdot(z, w)[:, None]
+    return np.hstack([z_val, w, z - z_val * w, points[:, :b]])
 
 
 def psi_w_map(nzw: int, nxy: int) -> SmoothMap:
@@ -598,7 +596,8 @@ def finite_transfers_to_s1(points: Array, nxy: int, nzw: int, a, delta) -> Array
 
 def limit_transfer_to_s1(pt: ModelPoint, delta: float) -> Array:
     """The one-row call of :func:`limit_transfers_to_s1`; returns the flat
-    state.  The tests' one-point transfer: no package code calls it."""
+    state.  A one-point adapter that perfbench/layers.py traces and the
+    tests call: no package code calls it."""
     return limit_transfers_to_s1(pt.as_array()[None], pt.nxy, pt.nzw, delta)[0]
 
 
@@ -619,7 +618,8 @@ def transfers_to_s_minus1(points: Array, nxy: int, nzw: int) -> Array:
 
 def handle_membership(pt: ModelPoint, delta: float) -> Optional[bool]:
     """Membership of one point in the handle region: the one-row case of
-    :func:`handle_memberships`."""
+    :func:`handle_memberships`, a one-point adapter that perfbench/layers.py
+    traces and the tests call."""
     return handle_memberships(pt.as_array()[None], pt.nxy, pt.nzw, delta)[0]
 
 
@@ -678,14 +678,19 @@ def handle_memberships(points: Array, nxy: int, nzw: int,
 # samplers
 # ---------------------------------------------------------------------------
 
-def random_s_minus1_point(rng: np.random.Generator, nxy: int, nzw: int) -> ModelPoint:
-    """A point of S_{-1}: uniform unit w, Gaussian z and x, y of scales 0.8 and 0.5."""
-    w = rng.standard_normal(nzw)
-    w /= np.linalg.norm(w)
-    z = rng.standard_normal(nzw) * 0.8 / math.sqrt(nzw)
-    x = rng.standard_normal(nxy) * 0.5 if nxy else np.zeros(0)
-    y = rng.standard_normal(nxy) * 0.5 if nxy else np.zeros(0)
-    return ModelPoint(x, y, z, w)
+def random_s_minus1_points(rng: np.random.Generator, count: int, nxy: int,
+                           nzw: int) -> Array:
+    """(count, d) rows of S_{-1} in flat block layout, drawn one point at a
+    time: uniform unit w, Gaussian z and x, y of scales 0.8 and 0.5."""
+    rows = np.empty((count, 2 * nxy + 2 * nzw))
+    for row in rows:
+        w = rng.standard_normal(nzw)
+        w /= np.linalg.norm(w)
+        z = rng.standard_normal(nzw) * 0.8 / math.sqrt(nzw)
+        x = rng.standard_normal(nxy) * 0.5
+        y = rng.standard_normal(nxy) * 0.5
+        row[:] = np.concatenate([x, y, z, w])
+    return rows
 
 
 def sample_s1_points(rng: np.random.Generator, count: int, nxy: int, nzw: int,

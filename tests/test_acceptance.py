@@ -36,11 +36,9 @@ def test_criterion_01_dehn_twist_symplectomorphism():
     # pointwise identity beyond the support radius, exactly
     rng = np.random.default_rng(101)
     support_defect = 0.0
-    for _ in range(100):
-        pt = sphere.random_sphere_point(rng, 2, 1.0, 3.0)
-        out = sphere.dehn_twist(pt, profile)
-        support_defect = max(support_defect,
-                             float(np.max(np.abs(out.as_array() - pt.as_array()))))
+    for row in sphere.random_sphere_points(rng, 100, 2, 1.0, 3.0):
+        out = sphere.dehn_twist(sphere.SpherePoint(row[:3], row[3:]), profile)
+        support_defect = max(support_defect, float(np.max(np.abs(out.as_array() - row))))
     # the zero section maps to its antipode, exactly
     antipode_defect = 0.0
     for _ in range(50):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 from contactlab import cli
 from contactlab.config import ConfigError, config_from_dict, load_config
-from contactlab.reports import check_rng
+from contactlab.reports import VerificationReport, check_rng, run_check
 from contactlab.suites import QUOTED_OPS
 
 from test_kernels import _scalar_handle_f, _scalar_handle_g
@@ -147,6 +148,26 @@ def test_report_environment_holds_versions_and_schema(all_suite_report):
     env = json.loads(all_suite_report.to_json())["environment"]
     assert set(env) == {"numpy", "platform", "python", "schema_version"}
     assert env["schema_version"] == 2
+
+
+def test_a_report_with_non_finite_residuals_is_strict_json():
+    # a check that raises is recorded with an infinite residual, and a NaN
+    # residual is kept; JSON (RFC 8259) has no token for either
+    def raises():
+        raise RuntimeError("no residual")
+
+    checks = [run_check("raises", "-", [], 1e-8, raises),
+              run_check("nan", "-", [], 1e-8,
+                        lambda: (math.nan, 1, {"low": np.float64(-math.inf)}))]
+    text = VerificationReport("unit", {"seed": 0}, checks).to_json()
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    records = {c["name"]: c for c in json.loads(text, parse_constant=refuse)["checks"]}
+    assert records["raises"]["max_residual"] == "inf" and not records["raises"]["passed"]
+    assert records["nan"]["max_residual"] == "nan" and not records["nan"]["passed"]
+    assert records["nan"]["details"] == {"low": "-inf"}
 
 
 def test_check_rng_stable():

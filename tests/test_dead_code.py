@@ -1,6 +1,6 @@
 """Dead-code guards: every top-level function and method of the package is
-named by some other line of its code, or is on the allow-list with a reason;
-every defaulted parameter is passed by some call, or is on its allow-list
+loaded by code outside its own definition, or is on the allow-list with a
+reason; every defaulted parameter is passed by some call, or is on its allow-list
 with a reason; every dataclass field is read, or is on its allow-list with a
 reason; every scenario setting is read by the code it configures; and every
 local name a package function binds is read, or is on its allow-list with a
@@ -9,10 +9,12 @@ or read through more than one field, or is on its allow-list with a reason.
 An allow-list entry whose reason cites ``perfbench`` names a function that
 the benchmark's worker or layers still name.
 
-A name counts when it appears as a code token; strings, comments and
-docstrings do not name anything.  Dunder methods are called by Python itself
-and are skipped.  A function that loses its last caller fails here until it
-is deleted or allow-listed.  A defaulted parameter of a package function,
+A function counts as loaded when some code outside its definition loads
+its name as a bare name, as an attribute or by import; a method only when
+its name is loaded as an attribute, so a local variable of the same name
+does not keep it.  Strings, comments and docstrings load nothing.  Dunder
+methods are called by Python itself and are skipped.  A function that loses
+its last caller fails here until it is deleted or allow-listed.  A defaulted parameter of a package function,
 nested functions included, counts as passed when a call in the package or in
 ``perfbench/worker.py`` to a function of its name passes it by keyword, by
 position, or through ``*args``/``**kwargs``, with a value other than the
@@ -64,14 +66,26 @@ ALLOWED = {
 
 
 def _definitions(module, tree):
-    """(qualified name, name, line) of the top-level functions and methods."""
+    """(qualified name, node, whether a method) of the top-level functions and methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{module}.{node.name}", node.name, node.lineno
+            yield f"{module}.{node.name}", node, False
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub.lineno
+                    yield f"{module}.{node.name}.{sub.name}", sub, True
+
+
+def _loads(tree):
+    """(name, line, whether as an attribute) of every name a module loads as
+    a bare name, as an attribute or by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno, True
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno, False) for alias in node.names)
 
 
 def _code_tokens(text):
@@ -80,21 +94,48 @@ def _code_tokens(text):
             if tok.type in (tokenize.NAME, tokenize.OP)]
 
 
-def unnamed_definitions():
-    defs, uses = [], {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text()
-        defs.extend((path, *d) for d in _definitions(path.stem, ast.parse(text)))
-        for tok in _code_tokens(text):
-            if tok.type == tokenize.NAME:
-                uses.setdefault(tok.string, set()).add((path, tok.start[0]))
-    return sorted(qual for path, qual, name, line in defs
-                  if not (name.startswith("__") and name.endswith("__"))
-                  and not uses[name] - {(path, line)})
+def unnamed_definitions(sources):
+    """The functions and methods of ``sources`` (module name -> text) that
+    no code outside their own definition loads."""
+    defs, loads = [], {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defs.extend((module, *d) for d in _definitions(module, tree))
+        for name, line, as_attribute in _loads(tree):
+            loads.setdefault(name, []).append((module, line, as_attribute))
+
+    def loaded(module, node, is_method):
+        return any((as_attribute or not is_method)
+                   and not (where == module and node.lineno <= line <= node.end_lineno)
+                   for where, line, as_attribute in loads.get(node.name, []))
+
+    return sorted(qual for module, qual, node, is_method in defs
+                  if not (node.name.startswith("__") and node.name.endswith("__"))
+                  and not loaded(module, node, is_method))
 
 
 def test_every_function_is_named_or_allow_listed():
-    assert unnamed_definitions() == sorted(ALLOWED)
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_definitions(sources) == sorted(ALLOWED)
+
+
+def test_a_local_named_like_a_method_does_not_keep_the_method():
+    # a local of the method's name, a string and a comment load no method;
+    # an attribute load does, and a function also counts when loaded by name
+    text = ("class Point:\n"
+            "    def theta(self):\n"
+            "        return 0.0\n"
+            "\n\n"
+            "def page(z, w):\n"
+            "    theta = z * w  # theta\n"
+            "    return theta, 'theta'\n"
+            "\n\n"
+            "def unused(n):\n"
+            "    return unused(n - 1)\n"
+            "\n\n"
+            "page(1, 2)\n")
+    assert unnamed_definitions({"scratch": text}) == ["scratch.Point.theta", "scratch.unused"]
+    assert unnamed_definitions({"scratch": text + "Point().theta()\nunused(3)\n"}) == []
 
 
 # defaulted parameters that only callers outside the package and the worker set

@@ -261,8 +261,7 @@ def _twist_reference(u, profile, d):
 def _twist_rows(n, profile):
     """Points with p = 0, with 0 < |p| < p0 and with |p| >= p0."""
     d = n + 1
-    rows = np.array([sphere.random_sphere_point(rng, n, 0.0, 2.0 * profile.p0).as_array()
-                     for _ in range(40)])
+    rows = sphere.random_sphere_points(rng, 40, n, 0.0, 2.0 * profile.p0)
     rows[:3, d:] = 0.0
     norms = np.linalg.norm(rows[:, d:], axis=1)
     assert (norms == 0.0).any() and (norms >= profile.p0).any()
@@ -390,7 +389,7 @@ def test_fixed_time_takes_no_residue_step():
 def test_record_end_equals_fixed_time_flow(step):
     fld = surgery.liouville_field(1, 2)
     u0 = np.array([0.3, -0.1, 0.2, 0.5, 0.7, 0.4])
-    assert np.array_equal(flows.flow_record(fld, u0, 1.0, step).end,
+    assert np.array_equal(flows.flow_record(fld, u0, 1.0, step).points[-1],
                           flows.flow_fixed_time(fld, u0, 1.0, step))
 
 
@@ -442,7 +441,7 @@ def test_event_time_is_bisected_inside_the_last_step():
         IntegratorConfig(step=0.1, max_time=1.0, event_tol=1e-12))
     assert math.isclose(traj.t_event, 0.2345, abs_tol=1e-12)
     assert traj.times[-1] == traj.t_event and len(traj.times) == 4
-    assert abs(traj.end[0] - 0.2345) <= 1e-12
+    assert abs(traj.points[-1][0] - 0.2345) <= 1e-12
 
 
 def test_event_kernel_refuses_a_lone_start():
@@ -473,7 +472,7 @@ def test_batched_event_rows_equal_one_row_runs(direction):
     crossing_steps = set()
     for start, t_row, end in zip(starts, t_batch, ends):
         lone = _lone_pendulum_flow(start, direction)
-        assert np.array_equal(end, lone.end)
+        assert np.array_equal(end, lone.points[-1])
         if lone.t_event is None:
             assert math.isnan(t_row)
             assert lone.times[-1] == pytest.approx(max_time)
@@ -495,7 +494,7 @@ def test_recorded_event_rows_equal_one_row_trajectories(direction):
     for start, t_row, end, (times, states) in zip(starts, t_batch, ends, paths):
         lone = _lone_pendulum_flow(start, direction)
         assert np.array_equal(times, lone.times) and np.array_equal(states, lone.points)
-        assert np.array_equal(end, lone.end)
+        assert np.array_equal(end, lone.points[-1])
         assert (lone.t_event is None and math.isnan(t_row)) or t_row == lone.t_event
     assert len(paths[0][0]) == 1 and len(paths[1][0]) == 61  # at rest, and all 60 steps
 
@@ -537,7 +536,7 @@ def test_liouville_a_field_and_unit_w_projection_rows_equal_lone_states():
 def test_batched_reeb_record_equals_lone_records():
     fld = surgery.reeb_field(0, 2)
     unit_w = surgery.unit_w_projection(0, 2)
-    starts = np.array([surgery.random_s_minus1_point(rng, 0, 2).as_array() for _ in range(5)])
+    starts = surgery.random_s_minus1_points(rng, 5, 0, 2)
     traj = flows.flow_record(fld, starts, 0.3, 1e-3, unit_w)
     for i, start in enumerate(starts):
         lone = flows.flow_record(fld, start, 0.3, 1e-3, unit_w)

@@ -534,11 +534,10 @@ def test_legendrian_realization_trivial_case():
     lam = sphere.canonical_one_form(2 * (n + 1))
     real = ob.legendrian_realization(n, lam)
     vals = []
-    for _ in range(5):
-        sp = sphere.random_sphere_point(rng, n, 0.0, 0.25)
-        vals.append(real.g(sp.q, sp.p))
-        x = np.concatenate([sp.q, sp.p])
-        for v in sphere.tangent_frames(sp.q[None], sp.p[None])[0]:
+    rows = sphere.random_sphere_points(rng, 5, n, 0.0, 0.25)
+    for x, frame in zip(rows, sphere.tangent_frames(rows[:, :n + 1], rows[:, n + 1:])):
+        vals.append(real.g(x[:n + 1], x[n + 1:]))
+        for v in frame:
             assert abs(real.lam_tilde(x, v) - lam(x, v)) < 1e-10
     assert np.max(vals) - np.min(vals) < 1e-10
 
@@ -559,10 +558,8 @@ def test_legendrian_correction_is_exact_in_the_cutoff_band():
     real = ob.legendrian_realization(n, lam)
     local = np.random.default_rng(5)
     worst = 0.0
-    for _ in range(6):
-        sp = sphere.random_sphere_point(local, n, 0.32, 0.78)
-        x = np.concatenate([sp.q, sp.p])
-        frame = sphere.tangent_frames(sp.q[None], sp.p[None])[0]
+    rows = sphere.random_sphere_points(local, 6, n, 0.32, 0.78)
+    for x, frame in zip(rows, sphere.tangent_frames(rows[:, :d], rows[:, d:])):
         for i in range(len(frame)):
             for j in range(i + 1, len(frame)):
                 pair = [frame[i], frame[j]]

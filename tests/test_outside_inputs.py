@@ -18,6 +18,8 @@ from contactlab.profiles import DehnTwistProfile, HandleProfile, handle_g_invers
 from contactlab.sphere import SpherePoint
 from contactlab.surgery import ModelPoint, SurgeryConfig
 
+from test_moves import descriptors
+
 FIELDS = [f.name for f in fields(ScenarioConfig)]
 # the geometry and numerics that a scenario once set, with the values the
 # checks now declare themselves
@@ -198,7 +200,45 @@ lines = st.one_of(
                        min_size=1, max_size=9),
               st.integers(0, 9)),
 )
-texts = st.lists(lines, max_size=7).map("\n".join) | st.text(max_size=40)
+
+
+def _edit(draw, items):
+    """items with one of them dropped, duplicated or swapped with another."""
+    i = draw(st.integers(0, len(items) - 1))
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+    if kind == "drop":
+        return items[:i] + items[i + 1:]
+    if kind == "duplicate":
+        return items[:i + 1] + items[i:]
+    j = draw(st.integers(0, len(items) - 1))
+    items = list(items)
+    items[i], items[j] = items[j], items[i]
+    return items
+
+
+@st.composite
+def edited_texts(draw):
+    """The text of a valid descriptor, stabilized along some of its disks in
+    a drawn order, with one line, or one token of one line, dropped,
+    duplicated or swapped: such texts often parse, and their pages have
+    handles, spheres, disks and stabilization spheres for the moves to sort.
+    The spheres B0, B1, ... may be renamed T0, T1, ..., which sort after the
+    stabilization spheres S(d)."""
+    desc = draw(descriptors())
+    order = draw(st.permutations([d.label for d in desc.page.disks]))
+    for label in order[:draw(st.integers(0, len(order)))]:
+        desc = mv.stabilize(desc, label)
+    # no other token of the text holds a B
+    items = mv.to_text(desc).replace("B", draw(st.sampled_from("BT"))).splitlines()
+    if draw(st.booleans()):
+        items = _edit(draw, items)
+    else:
+        line = draw(st.integers(0, len(items) - 1))
+        items[line] = " ".join(_edit(draw, items[line].split(" ")))
+    return "\n".join(items) + "\n"
+
+
+texts = st.lists(lines, max_size=7).map("\n".join) | st.text(max_size=40) | edited_texts()
 
 
 @given(texts)

@@ -1,4 +1,4 @@
-"""Embedded sphere cotangent bundle: points, geodesic flow, twists."""
+"""Embedded sphere cotangent bundle: sampled rows, geodesic flow, twists."""
 
 import math
 
@@ -28,19 +28,46 @@ class _ScriptedRng:
         return 0.5
 
 
-def test_random_sphere_point_redraws_a_degenerate_direction():
+def test_sphere_sampler_redraws_a_degenerate_direction():
     # the first fiber draw is parallel to q, so its tangent part vanishes
     rng_s = _ScriptedRng([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-    pt = sphere.random_sphere_point(rng_s, 1, 0.0, 2.0)
-    assert np.array_equal(pt.q, [0.0, 1.0])
-    assert np.allclose(pt.p, [1.0, 0.0])
+    (row,) = sphere.random_sphere_points(rng_s, 1, 1, 0.0, 2.0)
+    assert np.array_equal(row[:2], [0.0, 1.0])
+    assert np.allclose(row[2:], [1.0, 0.0])
     assert not rng_s.normals
 
 
 @pytest.mark.parametrize("n", [0, -1])
-def test_random_sphere_point_rejects_dimension_below_one(n):
+def test_sphere_sampler_rejects_dimension_below_one(n):
     with pytest.raises(ValueError, match="at least 1"):
-        sphere.random_sphere_point(np.random.default_rng(0), n)
+        sphere.random_sphere_points(np.random.default_rng(0), 3, n, 0.0, 2.0)
+
+
+def _sphere_point_reference(rng, n, p_low, p_high):
+    """random_sphere_point as first written: one validated point per call."""
+    while True:
+        q = rng.standard_normal(n + 1)
+        q /= np.linalg.norm(q)
+        v = rng.standard_normal(n + 1)
+        v -= (v @ q) * q
+        norm = np.linalg.norm(v)
+        if norm >= 1e-12:
+            break
+    target = p_low + (p_high - p_low) * rng.random()
+    return SpherePoint(q, v / norm * target)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_rows_repeat_the_lone_points_bitwise(n):
+    for seed, (p_low, p_high) in enumerate([(0.0, 2.0), (1e-3, 2.0), (0.0, 0.0), (1.0, 3.0)]):
+        ref_rng, rng_ = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+        ref = [_sphere_point_reference(ref_rng, n, p_low, p_high).as_array()
+               for _ in range(300)]
+        rows = sphere.random_sphere_points(rng_, 300, n, p_low, p_high)
+        assert rows.shape == (300, 2 * (n + 1))
+        assert np.array_equal(rows, ref)
+        assert rng_.random() == ref_rng.random()  # the same draws, in the same order
+    assert sphere.random_sphere_points(rng, 0, n, 0.0, 2.0).shape == (0, 2 * (n + 1))
 
 
 def test_sphere_point_validates_constraints():
@@ -52,38 +79,37 @@ def test_sphere_point_validates_constraints():
 
 def test_canonical_form_values():
     lam = canonical_one_form(4)
-    pt = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.3])).as_array()
+    pt = np.array([1.0, 0.0, 0.0, 0.3])  # [q | p]
     assert lam(pt, np.array([0.0, 1.0, 0.0, 0.0])) == pytest.approx(0.3)
     assert lam(pt, np.array([0.0, 0.0, 1.0, -2.0])) == 0.0
-    zero = SpherePoint(np.array([0.0, 1.0]), np.zeros(2)).as_array()
+    zero = np.array([0.0, 1.0, 0.0, 0.0])
     assert lam(zero, rng.standard_normal(4)) == 0.0
 
 
 def test_geodesic_flow_quarter_and_half_period():
-    pt = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    out = geodesic_flow(pt, math.pi / 2.0)
-    assert np.allclose(out.q, [0.0, 1.0], atol=1e-12)
-    assert np.allclose(out.p, [-1.0, 0.0], atol=1e-12)
-    pt2 = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-    out2 = geodesic_flow(pt2, math.pi)
-    assert np.allclose(out2.q, [-1.0, 0.0], atol=1e-12)
-    assert np.allclose(out2.p, [0.0, -2.0], atol=1e-12)
-    assert np.allclose(geodesic_flow(pt2, 0.0).as_array(), pt2.as_array())
+    q, p = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    q_t, p_t = geodesic_flow(q, p, math.pi / 2.0)
+    assert np.allclose(q_t, [0.0, 1.0], atol=1e-12)
+    assert np.allclose(p_t, [-1.0, 0.0], atol=1e-12)
+    p2 = np.array([0.0, 2.0])
+    q_t, p_t = geodesic_flow(q, p2, math.pi)
+    assert np.allclose(q_t, [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(p_t, [0.0, -2.0], atol=1e-12)
+    assert np.allclose(np.concatenate(geodesic_flow(q, p2, 0.0)), [1.0, 0.0, 0.0, 2.0])
 
 
 def test_geodesic_flow_preserves_norm_and_constraints():
-    for _ in range(50):
-        pt = sphere.random_sphere_point(rng, 2, 0.2, 3.0)
-        t = float(rng.uniform(-10, 10))
-        out = geodesic_flow(pt, t)
-        assert abs(np.linalg.norm(out.p) - np.linalg.norm(pt.p)) < 1e-9
-        assert abs(out.q @ out.q - 1.0) < 1e-9
-        assert abs(out.q @ out.p) < 1e-9
+    for row in sphere.random_sphere_points(rng, 50, 2, 0.2, 3.0):
+        q, p = row[:3], row[3:]
+        q_t, p_t = geodesic_flow(q, p, float(rng.uniform(-10, 10)))
+        assert abs(np.linalg.norm(p_t) - np.linalg.norm(p)) < 1e-9
+        assert abs(q_t @ q_t - 1.0) < 1e-9
+        assert abs(q_t @ p_t) < 1e-9
 
 
 def test_geodesic_flow_rejects_zero_fiber():
     with pytest.raises(ValueError, match="normalization"):
-        geodesic_flow(SpherePoint(np.array([1.0, 0.0]), np.zeros(2)), 0.5)
+        geodesic_flow(np.array([1.0, 0.0]), np.zeros(2), 0.5)
 
 
 def test_twist_zero_fiber_parity():
@@ -104,14 +130,15 @@ def test_twist_identity_outside_support():
 def test_twist_matches_geodesic_flow_at_profile_angle():
     profile = DehnTwistProfile(1.0, 1)
     pt = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.5]))
-    expected = geodesic_flow(pt, twist_g1(0.5, profile.p0, profile.k))
+    expected = geodesic_flow(pt.q, pt.p, twist_g1(0.5, profile.p0, profile.k))
     out = dehn_twist(pt, profile)
-    assert np.allclose(out.as_array(), expected.as_array(), atol=1e-14)
+    assert np.allclose(out.as_array(), np.concatenate(expected), atol=1e-14)
 
 
 def test_twist_batch_agrees_with_pointwise():
     profile = DehnTwistProfile(1.0, 2)
-    pts = [sphere.random_sphere_point(rng, 2, 0.0, 2.0) for _ in range(40)]
+    rows = sphere.random_sphere_points(rng, 40, 2, 0.0, 2.0)
+    pts = [SpherePoint(row[:3], row[3:]) for row in rows]
     pts.append(SpherePoint(np.array([0.0, 0.0, 1.0]), np.zeros(3)))
     q = np.array([p.q for p in pts])
     p = np.array([p.p for p in pts])
@@ -123,13 +150,14 @@ def test_twist_batch_agrees_with_pointwise():
 
 
 def test_tangent_frame_spans_constraint_directions():
-    pt = sphere.random_sphere_point(rng, 3, 0.3, 1.0)
-    frame = tangent_frames(pt.q[None], pt.p[None])[0]
+    (row,) = sphere.random_sphere_points(rng, 1, 3, 0.3, 1.0)
+    d = 4
+    q, p = row[:d], row[d:]
+    frame = tangent_frames(q[None], p[None])[0]
     assert len(frame) == 6
-    d = pt.q.size
     for v in frame:
-        assert abs(pt.q @ v[:d]) < 1e-12
-        assert abs(pt.q @ v[d:] + pt.p @ v[:d]) < 1e-12
+        assert abs(q @ v[:d]) < 1e-12
+        assert abs(q @ v[d:] + p @ v[:d]) < 1e-12
     assert np.linalg.matrix_rank(np.array(frame)) == 6
 
 
@@ -150,7 +178,7 @@ def _twist_residual_reference(rng, n, count, profile, h_fd):
     twist = sphere.dehn_twist_map(profile, n)
     worst = 0.0
     for _ in range(count):
-        pt = sphere.random_sphere_point(rng, n, 1e-3, 2.0 * profile.p0)
+        pt = _sphere_point_reference(rng, n, 1e-3, 2.0 * profile.p0)
         u = pt.as_array()
         jac = fd_jacobian(twist.func, u, h_fd)
         frame = tangent_frames(pt.q[None], pt.p[None])[0]
@@ -198,9 +226,8 @@ def _frame_rows(n, count):
     qs += [np.array([1.0, 1.0] + [0.0] * (d - 2)) / math.sqrt(2.0),
            np.array([0.0] * (d - 2) + [0.6, -0.8])]
     rows = [np.concatenate([q, 0.7 * np.roll(q, 1) - 0.7 * (q @ np.roll(q, 1)) * q]) for q in qs]
-    rows += [sphere.random_sphere_point(frame_rng, n, 0.0, 2.0).as_array()
-             for _ in range(count - len(rows))]
-    return np.array(rows)
+    return np.vstack([rows, sphere.random_sphere_points(frame_rng, count - len(rows), n,
+                                                         0.0, 2.0)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

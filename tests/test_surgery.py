@@ -16,6 +16,7 @@ from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
 
 from test_kernels import _scalar_handle_f, _scalar_handle_g
 from test_profiles import g_inverse_reference
+from test_sphere import _sphere_point_reference
 
 rng = np.random.default_rng(9)
 DELTA = 0.05
@@ -54,40 +55,108 @@ def test_liouville_field_formula():
     assert np.allclose(out.z, [0.0, 0.0]) and np.allclose(out.w, [-1.0, 0.0])
 
 
-def straighten(z, sp, x, y):
-    """psi_w of one chart point, as a model point."""
-    u = surgery.chart_pack(z, sp.q, sp.p, x, y)
-    return ModelPoint.from_array(psi_w_map(sp.q.size, x.size)(u), x.size, sp.q.size)
+def on_s_minus1(u, nxy, nzw):
+    return abs(surgery.wnorm2_value(nxy, nzw)(u) - 1.0) < surgery.S_TOL
 
 
 def test_straightening_frozen_example():
-    sp = SpherePoint(np.array([1.0, 0.0]), np.array([0.0, 0.3]))
-    out = straighten(0.2, sp, np.zeros(0), np.zeros(0))
-    assert np.allclose(out.z, [0.2, 0.3])
-    assert np.allclose(out.w, [1.0, 0.0])
-    assert abs(out.w @ out.w - 1.0) < 1e-14
+    out = psi_w_map(2, 0).func(np.array([0.2, 1.0, 0.0, 0.0, 0.3]))  # [z | q | p] to [z | w]
+    assert np.allclose(out[:2], [0.2, 0.3])
+    assert np.allclose(out[2:], [1.0, 0.0])
+    assert abs(out[2:] @ out[2:] - 1.0) < 1e-14
 
 
 def test_straightening_zero_section_is_isotropic_sphere():
-    sp = SpherePoint(np.array([0.0, 1.0]), np.zeros(2))
-    out = straighten(0.0, sp, np.zeros(0), np.zeros(0))
-    assert np.allclose(out.z, 0.0)
-    assert abs(np.linalg.norm(out.w) - 1.0) < 1e-14
+    out = psi_w_map(2, 0).func(np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+    assert np.allclose(out[:2], 0.0)
+    assert abs(np.linalg.norm(out[2:]) - 1.0) < 1e-14
     # tangent directions of the sphere pair to zero under the contact form
     v = np.array([0.0, 0.0, 1.0, 0.0])  # w-direction orthogonal to w = (0, 1)
-    assert out.on_s_minus1() and abs(out.w @ v[2:]) < surgery.S_TOL
-    assert abs(surgery.alpha_model_form(0, 2)(out.as_array(), v)) < 1e-14
+    assert on_s_minus1(out, 0, 2) and abs(out[2:] @ v[2:]) < surgery.S_TOL
+    assert abs(surgery.alpha_model_form(0, 2)(out, v)) < 1e-14
 
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_straightening_roundtrip(seed):
-    local = np.random.default_rng(seed)
-    pt = surgery.random_s_minus1_point(local, 1, 3)
-    z, sp, x, y = psi_w_inverse(pt)
-    assert abs(sp.q @ sp.p) < 1e-12
-    back = straighten(z, sp, x, y)
-    assert np.max(np.abs(back.as_array() - pt.as_array())) < 1e-10
+    rows = surgery.random_s_minus1_points(np.random.default_rng(seed), 1, 1, 3)
+    chart = psi_w_inverse(rows, 1, 3)  # [z | q(3) | p(3) | x | y]
+    assert abs(chart[0, 1:4] @ chart[0, 4:7]) < 1e-12
+    back = psi_w_map(3, 1).func(chart)
+    assert np.max(np.abs(back - rows)) < 1e-10
+
+
+def _s_minus1_point_reference(rng, nxy, nzw):
+    """random_s_minus1_point as first written: one validated point per call."""
+    w = rng.standard_normal(nzw)
+    w /= np.linalg.norm(w)
+    z = rng.standard_normal(nzw) * 0.8 / math.sqrt(nzw)
+    x = rng.standard_normal(nxy) * 0.5 if nxy else np.zeros(0)
+    y = rng.standard_normal(nxy) * 0.5 if nxy else np.zeros(0)
+    return ModelPoint(x, y, z, w)
+
+
+def _tangent_frame_reference(pt):
+    """s_minus1_tangent_frame as first written: the frame of one point."""
+    dim = 2 * pt.nxy + 2 * pt.nzw
+    b = 2 * pt.nxy
+    frame = [np.eye(dim)[i] for i in range(b + pt.nzw)]
+    for u in sphere._orthonormal_complements((pt.w / np.linalg.norm(pt.w))[None])[0]:
+        v = np.zeros(dim)
+        v[b + pt.nzw:] = u
+        frame.append(v)
+    return frame
+
+
+def _psi_w_inverse_reference(pt):
+    """psi_w_inverse as first written, with ModelPoint.on_s_minus1 inlined:
+    one point of S_{-1} to its chart point, packed as a chart row."""
+    _, w2 = surgery._rho2_w2(pt.as_array().tolist(), pt.nxy, pt.nzw)
+    if not abs(w2 - 1.0) < surgery.S_TOL:
+        raise ValueError("inverse straightening needs |w|^2 = 1")
+    z_val = float(pt.z @ pt.w)
+    p = pt.z - z_val * pt.w
+    sp = SpherePoint(pt.w.copy(), p)
+    return surgery.chart_pack(z_val, sp.q, sp.p, pt.x.copy(), pt.y.copy())
+
+
+@pytest.mark.parametrize("nxy, nzw", [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+def test_s_minus1_rows_frames_and_charts_repeat_the_lone_forms_bitwise(nxy, nzw):
+    ref_rng, rng_ = np.random.default_rng([nxy, nzw]), np.random.default_rng([nxy, nzw])
+    pts = [_s_minus1_point_reference(ref_rng, nxy, nzw) for _ in range(300)]
+    rows = surgery.random_s_minus1_points(rng_, 300, nxy, nzw)
+    assert np.array_equal(rows, [pt.as_array() for pt in pts])
+    assert rng_.random() == ref_rng.random()  # the same draws, in the same order
+    # frames also where w lies on an axis or in a coordinate plane, which
+    # Gram-Schmidt meets as a vanishing column
+    units = [np.eye(nzw)[i] * s for i in range(nzw) for s in (1.0, -1.0)]
+    units += [np.array([0.6, -0.8] + [0.0] * (nzw - 2))] if nzw > 1 else []
+    pts += [ModelPoint(np.full(nxy, 0.3), np.full(nxy, -0.2), np.full(nzw, 0.1), w)
+            for w in units]
+    rows = np.array([pt.as_array() for pt in pts])
+    d = 2 * nxy + 2 * nzw
+    frames = surgery.s_minus1_tangent_frames(rows, nxy, nzw)
+    charts = surgery.psi_w_inverse(rows, nxy, nzw)
+    assert frames.shape == (len(rows), d - 1, d) and charts.shape == (len(rows), d + 1)
+    for pt, frame, chart in zip(pts, frames, charts):
+        assert np.array_equal(frame, _tangent_frame_reference(pt))
+        assert np.array_equal(chart, _psi_w_inverse_reference(pt))
+
+
+def test_inverse_straightening_refuses_rows_off_the_hypersurface():
+    rows = surgery.random_s_minus1_points(np.random.default_rng(3), 4, 1, 2)
+    for scale in (1.0 + 1e-6, 0.5, 0.0, math.nan):
+        bad = rows.copy()
+        bad[2, 4:] *= scale  # the w block of one row
+        with pytest.raises(ValueError, match=r"needs \|w\|\^2 = 1"):
+            psi_w_inverse(bad, 1, 2)
+        if scale == scale:
+            with pytest.raises(ValueError, match=r"needs \|w\|\^2 = 1"):
+                _psi_w_inverse_reference(ModelPoint.from_array(bad[2], 1, 2))
+    # within the tolerance, as the lone form accepted it
+    rows[2, 4:] *= 1.0 + 1e-12
+    assert np.array_equal(psi_w_inverse(rows, 1, 2)[2],
+                          _psi_w_inverse_reference(ModelPoint.from_array(rows[2], 1, 2)))
 
 
 def test_rescaling_values():
@@ -149,7 +218,7 @@ def test_reeb_field_values():
     pt = legendrian_point([0.2, -0.1], [1.0, 0.0])
     r = reeb(pt.as_array())
     assert np.allclose(r[:2], [1.0, 0.0]) and np.allclose(r[2:], 0.0)
-    assert pt.on_s_minus1() and abs(pt.w @ r[2:]) < surgery.S_TOL
+    assert on_s_minus1(pt.as_array(), 0, 2) and abs(pt.w @ r[2:]) < surgery.S_TOL
     assert abs(surgery.alpha_model_form(0, 2)(pt.as_array(), r) - 1.0) < 1e-14
     pt2 = legendrian_point([0.0, 0.0], [0.0, 1.0])
     assert np.allclose(reeb(pt2.as_array())[:2], [0.0, 1.0])
@@ -281,7 +350,8 @@ def test_transfers_repeat_the_reference_search_bitwise(monkeypatch):
     signs = set()
     for nxy in (0, 1):
         for nzw in (2, 3):
-            starts = [surgery.random_s_minus1_point(local, nxy, nzw) for _ in range(6)]
+            starts = [ModelPoint.from_array(row, nxy, nzw)
+                      for row in surgery.random_s_minus1_points(local, 6, nxy, nzw)]
             # |w| below 1 raises F above zero; rows of the S_1 sampler start on it
             for _ in range(6):
                 w = local.standard_normal(nzw)
@@ -387,7 +457,7 @@ def _transfer_rows(local, nxy, nzw, deltas):
     for i, delta in enumerate(deltas):
         kind = i % 4
         if kind == 0:  # |w| = 1: the handle function is negative, the search widens up
-            rows.append(surgery.random_s_minus1_point(local, nxy, nzw).as_array())
+            rows.append(surgery.random_s_minus1_points(local, 1, nxy, nzw)[0])
             continue
         if kind == 3:
             rows.append(surgery.sample_s1_points(local, 1, nxy, nzw, delta)[0])
@@ -559,7 +629,7 @@ def _membership_reference(pt, delta):
                                       surgery.wnorm2_value(nxy, nzw), 1.0, flow_cfg)
         if traj.t_event is None:
             return None
-        reach_glue = surgery._rho2_w2(traj.end.tolist(), nxy, nzw)[0] <= 1.5 ** 2
+        reach_glue = surgery._rho2_w2(traj.points[-1].tolist(), nxy, nzw)[0] <= 1.5 ** 2
     level = surgery.level_value(nxy, nzw, delta)
     f0 = level(u0)
     if f0 < 0.0 and math.sqrt(rho2_0) < 1e-14:
@@ -568,7 +638,7 @@ def _membership_reference(pt, delta):
         traj = flows.flow_until_event(liouville, u0, level, 0.0, flow_cfg)
         if traj.t_event is not None:
             reach_s1 = True
-        elif f0 > 0.0 and level(traj.end) >= f0:
+        elif f0 > 0.0 and level(traj.points[-1]) >= f0:
             reach_s1 = False
         else:
             return None
@@ -586,7 +656,7 @@ def test_batched_membership_repeats_the_lone_flows():
         [0.3, 0.0, 0.2, 0.0, 1e-8, 0.0],              # backward flow inconclusive
         [1.2, 0.3, 0.5, 0.1, 0.4, 0.2],               # F > 0: the level value recedes
     ]
-    rows += [surgery.random_s_minus1_point(local, 1, 2).as_array() for _ in range(4)]
+    rows += list(surgery.random_s_minus1_points(local, 4, 1, 2))
     rows = np.vstack(rows + [surgery.sample_s1_points(local, 8, 1, 2, DELTA, rho2_max=1.8)])
     ref = [_membership_reference(ModelPoint.from_array(u, 1, 2), DELTA) for u in rows]
     assert {True, False, None} <= set(ref)
@@ -656,7 +726,7 @@ def _strictness_reference(rng, n, k, count):
     eye = np.eye(dim_in)
     worst = 0.0
     for _ in range(count):
-        sp = sphere.random_sphere_point(rng, nzw - 1, 0.05, 1.5)
+        sp = _sphere_point_reference(rng, nzw - 1, 0.05, 1.5)
         z = float(rng.uniform(-1.0, 1.0))
         x = rng.standard_normal(nxy)
         y = rng.standard_normal(nxy)
