@@ -682,6 +682,8 @@ def random_s_minus1_points(rng: np.random.Generator, count: int, nxy: int,
                            nzw: int) -> Array:
     """(count, d) rows of S_{-1} in flat block layout, drawn one point at a
     time: uniform unit w, Gaussian z and x, y of scales 0.8 and 0.5."""
+    if nzw < 1:
+        raise ValueError(f"the (z, w) blocks must be nonempty, got nzw = {nzw}")
     rows = np.empty((count, 2 * nxy + 2 * nzw))
     for row in rows:
         w = rng.standard_normal(nzw)

@@ -143,6 +143,14 @@ def test_s_minus1_rows_frames_and_charts_repeat_the_lone_forms_bitwise(nxy, nzw)
         assert np.array_equal(chart, _psi_w_inverse_reference(pt))
 
 
+def test_s_minus1_sampler_refuses_empty_z_and_w_blocks():
+    # as the sampler's ModelPoint refused them: S_{-1} needs a w block
+    with pytest.raises(ValueError, match="blocks must be nonempty"):
+        surgery.random_s_minus1_points(np.random.default_rng(0), 3, 1, 0)
+    with pytest.raises(ValueError, match="blocks must be nonempty"):
+        _s_minus1_point_reference(np.random.default_rng(0), 1, 0)
+
+
 def test_inverse_straightening_refuses_rows_off_the_hypersurface():
     rows = surgery.random_s_minus1_points(np.random.default_rng(3), 4, 1, 2)
     for scale in (1.0 + 1e-6, 0.5, 0.0, math.nan):
