@@ -8,8 +8,10 @@ event ``event(u) -> (m,)``.  :func:`rk4_final` and :func:`rk4_record` take
 ``(d,)`` vectors or ``(m, d)`` row batches, which they advance in lockstep;
 :func:`rk4_until_event` takes only ``(m, d)`` batches, so a lone start is
 its one-row batch, and it records the trajectory of every row on request.
-A right-hand side of the wrong output shape, a state that turns non-finite,
-or an event start that is not a row batch raises ``ValueError``.
+Every flow runs forward in time: the backward flow of a field is the forward
+flow of the negated field, which RK4 steps with the same bits.  A negative
+time, a right-hand side of the wrong output shape, a state that turns
+non-finite, or an event start that is not a row batch raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ import math
 
 import numpy as np
 
-# |t| / step may exceed a whole number of steps by rounding alone; a residue
+# t / step may exceed a whole number of steps by rounding alone; a residue
 # below this fraction of a step is not a further step
 _SCHEDULE_SLACK = 1e-9
 
 
 def rk4_step(rhs, u, h):
-    """One classical RK4 step of signed size h."""
+    """One classical RK4 step of size h."""
     k1 = rhs(u)
     if np.shape(k1) != u.shape:
         raise ValueError(f"right-hand side returned shape {np.shape(k1)} "
@@ -36,11 +38,14 @@ def rk4_step(rhs, u, h):
 
 
 def _schedule(t, step):
-    """Step sizes covering |t|: ceil(|t| / step) steps, each the smaller of
+    """Step sizes covering t >= 0: ceil(t / step) steps, each the smaller of
     step and the time still to go."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    remaining = abs(t)
+    if t < 0.0:
+        raise ValueError(f"flow time {t} is negative: flow the negated field "
+                         "forward for the backward flow")
+    remaining = t
     for _ in range(math.ceil(remaining / step - _SCHEDULE_SLACK)):
         h = min(step, remaining)
         remaining -= h
@@ -57,43 +62,39 @@ def _advance(rhs, u, h, project):
 
 
 def rk4_final(rhs, u0, t, step, project=None):
-    """The state after flowing for signed time t; u0 is (d,) or (m, d)."""
+    """The state after flowing for time t >= 0; u0 is (d,) or (m, d)."""
     u = np.array(u0, dtype=float)
-    sgn = 1.0 if t >= 0.0 else -1.0
     for h in _schedule(t, step):
-        u = _advance(rhs, u, sgn * h, project)
+        u = _advance(rhs, u, h, project)
     return u
 
 
 def rk4_record(rhs, u0, t, step, project=None):
     """Like rk4_final, but returns (times, states) of the whole sampled
-    trajectory; times are the elapsed |t| whatever the direction."""
+    trajectory."""
     u = np.array(u0, dtype=float)
-    sgn = 1.0 if t >= 0.0 else -1.0
     times, states = [0.0], [u]
     elapsed = 0.0
     for h in _schedule(t, step):
-        u = _advance(rhs, u, sgn * h, project)
+        u = _advance(rhs, u, h, project)
         elapsed += h
         times.append(elapsed)
         states.append(u)
     return np.array(times), np.array(states)
 
 
-def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
-                    direction=1.0, record=False):
+def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol, record=False):
     """March an ``(m, d)`` batch of starts in lockstep until each row's
     ``event(u) - target`` changes sign or comes within event_tol, then
     bisect every crossing inside its last step.
 
     ``event`` maps the batch to an ``(m,)`` column.  Each row freezes at its
     own crossing, and one vectorised bisection then refines every frozen row,
-    row for row the same arithmetic as a one-row batch of that row.
-    ``direction`` is +1.0 (forward) or -1.0 (backward); times are the elapsed
-    |t|.  Returns ``(t_event, ends)``: t_event is NaN for a row that did not
-    cross, and its end is then its state at max_time.  With ``record`` it
-    also returns each row's ``(times, states)``, its start, its state after
-    every step it marched past and its refined event point.
+    row for row the same arithmetic as a one-row batch of that row.  Returns
+    ``(t_event, ends)``: t_event is NaN for a row that did not cross, and its
+    end is then its state at max_time.  With ``record`` it also returns each
+    row's ``(times, states)``, its start, its state after every step it
+    marched past and its refined event point.
     """
     u = np.array(u0, dtype=float)
     if u.ndim != 2:
@@ -116,7 +117,7 @@ def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
     for h in _schedule(max_time, step):
         if not rows.size:
             break
-        u_next = _advance(rhs, u, direction * h, None)
+        u_next = _advance(rhs, u, h, None)
         hit = side * (event(u_next) - target) <= event_tol
         n_hit = np.count_nonzero(hit)  # cheaper than hit.any() on small arrays
         if n_hit:
@@ -132,7 +133,7 @@ def rk4_until_event(rhs, u0, event, target, step, max_time, event_tol,
     if frozen:
         hit_rows, side, u_pre, u_hit, h_hit, t_pre = (np.concatenate(part)
                                                      for part in zip(*frozen))
-        t_hit, ends[hit_rows] = _bisect_crossings(rhs, event, target, event_tol, direction,
+        t_hit, ends[hit_rows] = _bisect_crossings(rhs, event, target, event_tol,
                                                   side, u_pre, u_hit, h_hit)
         t_event[hit_rows] = t_pre + t_hit
     if not record:
@@ -163,7 +164,7 @@ def _trajectories(starts, t_event, ends, marched):
     return out
 
 
-def _bisect_crossings(rhs, event, target, event_tol, direction, side, u_pre, u_hit, h):
+def _bisect_crossings(rhs, event, target, event_tol, side, u_pre, u_hit, h):
     """Refine each frozen row's crossing inside (0, h] by bisection on its
     substep size; returns the substeps and states of the refined points.
 
@@ -184,7 +185,7 @@ def _bisect_crossings(rhs, event, target, event_tol, direction, side, u_pre, u_h
         if not rows.size:
             break
         mid = 0.5 * (lo + hi)
-        u_mid = _advance(rhs, u_pre, direction * mid[:, None], None)
+        u_mid = _advance(rhs, u_pre, mid[:, None], None)
         x = side * (event(u_mid) - target)
         take = x <= event_tol  # crossed, or within event_tol
         t_hit = np.where(take, mid, t_hit)

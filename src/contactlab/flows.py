@@ -6,9 +6,11 @@ which takes the field, event and projection as plain callables: a field
 ``event(u) -> float`` such as :func:`surgery.page_value`, and a projection
 ``project(u) -> u`` such as :func:`surgery.unit_w_projection`, which keeps a
 flow on its constraint set and is applied after every step of a fixed-time
-flow; the event flows take none.  The fixed-time flows take a bare RK4
-step; :class:`IntegratorConfig` holds the event flows' step, time bound and
-event tolerance.
+flow; the event flows take none.  Every flow runs forward in time; a
+backward flow is the forward flow of the negated field, and a negative time
+raises ``ValueError``.  The fixed-time flows take a bare RK4 step;
+:class:`IntegratorConfig` holds the event flows' step, time bound and event
+tolerance.
 :func:`flow_rows_until_event` flows an ``(m, d)`` batch of starts in
 lockstep; its callables take the batch, and its event gives one value per row.
 :func:`trajectories_until_event` runs the same batch and keeps each row's
@@ -64,13 +66,13 @@ Projection = Optional[Callable[[Array], Array]]
 
 def flow_fixed_time(rhs: Field, start: Array, t: float,
                     step: float, project: Projection = None) -> Array:
-    """Classical RK4 for signed time t with post-step constraint projection."""
+    """Classical RK4 for time t >= 0 with post-step constraint projection."""
     return _kernels.rk4_final(rhs, start, float(t), step, project)
 
 
 def flow_record(rhs: Field, start: Array, t: float,
                 step: float, project: Projection = None) -> Trajectory:
-    """The sampled trajectory over signed time t; an (m, d) batch of starts
+    """The sampled trajectory over time t >= 0; an (m, d) batch of starts
     gives points of shape (steps + 1, m, d)."""
     times, states = _kernels.rk4_record(rhs, start, float(t), step, project)
     return Trajectory(times, states)

@@ -46,22 +46,41 @@ def fd_directional(func: Callable[[Array], float], x: Array, v: Array,
     return d
 
 
+def fd_stencil(x: Array, h: float) -> Array:
+    """The rows x, x + h e_0, x - h e_0, x + h e_1, ... of (m, d) rows x, block
+    by block; the quotients need only the shifted rows, ``[m:]``."""
+    x = np.asarray(x, dtype=float)
+    offsets = h * np.eye(x.shape[-1])[:, None, None, :]
+    shifted = np.concatenate([x + offsets, x - offsets], axis=1)  # (d, 2, m, d)
+    return np.concatenate([x, shifted.reshape(-1, x.shape[-1])])
+
+
+def fd_quotients(values: Array, m: int, h: float) -> Array:
+    """The central quotients, of shape (m, ..., d), from the (2 d m, ...)
+    values of the shifted rows of an :func:`fd_stencil` of m rows."""
+    blocks = np.asarray(values, dtype=float).reshape(-1, 2, m, *np.shape(values)[1:])
+    quot = np.moveaxis((blocks[:, 0] - blocks[:, 1]) / (2.0 * h), 0, -1)
+    if not np.isfinite(quot).all():
+        raise ValueError("central-difference quotient is not finite: non-finite "
+                         "values, a point where the function is not differentiable, "
+                         "or too small a step")
+    return np.ascontiguousarray(quot)
+
+
 def fd_jacobian(func: Callable[[Array], Array], x: Array,
                 h: float = DEFAULT_FD_STEP) -> Array:
-    """Jacobian by central differences, one column per coordinate direction.
+    """Jacobian by central differences from one call of the row function
+    ``func``, (k, d) rows to (k, out) rows, on the shifted rows of
+    :func:`fd_stencil`.
 
-    A (d,) point gives the (out, d) Jacobian.  An (m, d) row batch, for a
-    ``func`` that maps (m, d) rows to (m, out) rows, gives the C-contiguous
-    (m, out, d) Jacobians of its rows, each equal to its lone Jacobian when
-    ``func`` treats rows so.
+    A (d,) point gives the (out, d) Jacobian and an (m, d) row batch the
+    C-contiguous (m, out, d) Jacobians of its rows, each equal to its lone
+    Jacobian when ``func`` treats rows so.
     """
     x = np.asarray(x, dtype=float)
-    eye = np.eye(x.shape[-1])
-    jac = np.stack([(np.asarray(func(x + h * e)) - np.asarray(func(x - h * e))) / (2.0 * h)
-                    for e in eye], axis=-1)
-    if not np.all(np.isfinite(jac)):
-        raise ValueError("Jacobian evaluation produced non-finite entries")
-    return jac
+    rows = np.atleast_2d(x)
+    jac = fd_quotients(func(fd_stencil(rows, h)[len(rows):]), len(rows), h)
+    return jac if x.ndim == 2 else jac[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from . import flows, surgery
 from .flows import IntegratorConfig, Trajectory
 from .profiles import HandleProfile
-from .sphere import _rotate
+from .sphere import _rotate, random_frame
 from .surgery import ModelPoint, SurgeryConfig
 
 Array = np.ndarray
@@ -307,21 +307,11 @@ def composed_monodromy_word(rows: Array, chart: str, word: list[tuple[str, int]]
 # samplers and scans
 # ---------------------------------------------------------------------------
 
-def _random_frame(rng: np.random.Generator, nzw: int) -> tuple[Array, Array]:
-    """A random unit direction w and a random unit v orthogonal to it."""
-    w = rng.standard_normal(nzw)
-    w /= np.linalg.norm(w)
-    v = rng.standard_normal(nzw)
-    v -= (v @ w) * w
-    v /= np.linalg.norm(v)
-    return w, v
-
-
 def admissible_start(rng: np.random.Generator, nzw: int, epsilon: float,
                      delta: float) -> Array:
     """A page -eps row whose transfer image stays on the inward flat piece:
     |z|^2 = eps^2 + |r|^2 < 1 - delta, with |r| at least 0.05."""
-    w, v = _random_frame(rng, nzw)
+    w, v = random_frame(rng, nzw)
     r_cap = math.sqrt(max((1.0 - delta) - epsilon ** 2, 0.0)) * 0.98
     r_norm = 0.05 + (r_cap - 0.05) * rng.random()
     return build_start(w, r_norm * v, epsilon)
@@ -331,7 +321,7 @@ def rounded_window_start(rng: np.random.Generator, nzw: int, epsilon: float,
                          delta: float, frac: float) -> Array:
     """A page -eps row with |z|^2 inside the smoothing window (1-delta, 1+delta),
     at the fraction ``frac`` of the window; rng draws its frame."""
-    w, v = _random_frame(rng, nzw)
+    w, v = random_frame(rng, nzw)
     z2 = 1.0 - delta + 2.0 * delta * frac
     r_norm = math.sqrt(z2 - epsilon ** 2)
     return build_start(w, r_norm * v, epsilon)

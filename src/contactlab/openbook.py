@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, forms
 from .flows import IntegratorConfig
 from .forms import KFormOracle, SmoothMap, exterior_derivative, one_form, reeb_coefficients
 # not called here; kept as a module attribute because perfbench/layers.py
@@ -374,28 +374,20 @@ def giroux_correction(domain: ExactSymplecticDomain,
     differentiates to -(psi_hat^* lambda - lambda) when the correction
     succeeds; the identity is a *checked* output, not an assumption.  Inputs
     with |d(psi^* lambda - lambda)| > 1e-6 at a sample are rejected; d mu is
-    taken by central differences of step 1e-4 from one batch of 2 d rows per
-    sample.
+    taken by :func:`forms.fd_jacobian` of step 1e-4, one batch for all samples.
 
-    ``h(x)`` and ``psi_hat(x)`` are one-row calls of
-    :func:`giroux_flow_batch`, so each equals its row of a batch bit for bit.
+    ``h(x)`` is the one-row call of :func:`giroux_flow_batch`, and
+    ``psi_hat`` maps a point or rows through one call, keeping the shape of
+    its input; each equals its row of a batch bit for bit.
     The Y-flow reads only ``flow_cfg.step``; the argument stays an
     :class:`IntegratorConfig` because ``perfbench/worker.py`` passes one.
     """
     d = domain.dim
     samples = domain.sample(rng, closedness_samples)
-    fd = 1e-4
-    offsets = fd * np.eye(d)
-    stencil = np.concatenate([samples[:, None, :] + offsets, samples[:, None, :] - offsets],
-                             axis=1)
-    mu = _pullback_defect_rows(domain, psi, stencil.reshape(-1, d)).reshape(-1, 2, d, d)
-    # grad[n, i, j]: the derivative of mu_j along e_i at sample n
-    grad = (mu[:, 0] - mu[:, 1]) / (2.0 * fd)
-    if not np.isfinite(grad).all():
-        raise ValueError("directional derivative is not finite; "
-                         "function not differentiable here or step too small")
+    # grad[n, j, i]: the derivative of mu_j along e_i at sample n
+    grad = forms.fd_jacobian(lambda pts: _pullback_defect_rows(domain, psi, pts), samples, 1e-4)
     i, j = np.triu_indices(d, 1)
-    dmu = grad[:, i, j] - grad[:, j, i]
+    dmu = grad[:, j, i] - grad[:, i, j]
     worst_dmu = float(np.max(np.abs(dmu), initial=0.0))
     if worst_dmu > 1e-6:
         raise ValueError(f"psi^* lambda - lambda is not closed (residual {worst_dmu:.2e}); "
@@ -403,7 +395,8 @@ def giroux_correction(domain: ExactSymplecticDomain,
 
     step = flow_cfg.step
     return GirouxResult(
-        psi_hat=SmoothMap(d, lambda x: giroux_flow_batch(domain, psi, x, step).psi_hat[0]),
+        psi_hat=SmoothMap(d, lambda x: giroux_flow_batch(domain, psi, x, step)
+                          .psi_hat.reshape(np.shape(x))),
         h=lambda x: float(giroux_flow_batch(domain, psi, x, step).h[0]),
         mu_closedness=worst_dmu, cond_max=float(np.linalg.cond(domain.dlambda_const)))
 

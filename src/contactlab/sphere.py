@@ -9,7 +9,8 @@ and the generalized right-handed Dehn twist applies sigma through the angle
 profile g1(|p|), extended across p = 0 by (-1)^k * q.
 
 The module computes on (q, p) arrays and on (m, 2(n+1)) rows [q | p]: the
-sampler draws rows, and the twist map, its frames and the geodesic flow take
+sampler draws rows, each from :func:`random_frame`, the package's one random
+orthonormal pair, and the twist map, its frames and the geodesic flow take
 arrays.  ``SpherePoint`` is only the type of :func:`dehn_twist`, the
 one-point adapter that perfbench/worker.py drives.
 """
@@ -224,14 +225,22 @@ def random_sphere_points(rng: np.random.Generator, count: int, n: int,
         raise ValueError(f"the sphere dimension must be at least 1, got {n}")
     rows = np.empty((count, 2 * (n + 1)))
     for row in rows:
-        while True:
-            q = rng.standard_normal(n + 1)
-            q /= np.linalg.norm(q)
-            v = rng.standard_normal(n + 1)
-            v -= (v @ q) * q
-            norm = np.linalg.norm(v)
-            if norm >= 1e-12:
-                break
-        target = p_low + (p_high - p_low) * rng.random()
-        row[:n + 1], row[n + 1:] = q, v / norm * target
+        q, v = random_frame(rng, n + 1)
+        row[:n + 1], row[n + 1:] = q, v * (p_low + (p_high - p_low) * rng.random())
     return rows
+
+
+def random_frame(rng: np.random.Generator, d: int) -> tuple[Array, Array]:
+    """A random unit vector q of R^d and a random unit v orthogonal to it;
+    both are drawn again while the part of v orthogonal to q has norm below
+    1e-12.  Needs d >= 2, where such a v exists."""
+    if d < 2:
+        raise ValueError(f"a random frame needs dimension at least 2, got {d}")
+    while True:
+        q = rng.standard_normal(d)
+        q /= np.linalg.norm(q)
+        v = rng.standard_normal(d)
+        v -= (v @ q) * q
+        norm = np.linalg.norm(v)
+        if norm >= 1e-12:
+            return q, v / norm

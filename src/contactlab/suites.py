@@ -104,13 +104,16 @@ def suite_names() -> list[str]:
 def _worst_of(*values: float) -> float:
     """The largest of the values, or the first NaN among them.
 
-    Python's max keeps its running maximum when a later argument is NaN
-    (max(0.0, nan) is 0.0), so a residual that turns NaN after the first
+    Python's max and min keep their running value when a later argument is
+    NaN (max(0.0, nan) is 0.0), so a residual that turns NaN after the first
     sample would pass.  Without a NaN this returns the object max returns."""
-    for value in values:
-        if value != value:
-            return value
-    return max(values)
+    return next((value for value in values if value != value), max(values))
+
+
+def _least_of(*values: float) -> float:
+    """The smallest of the values, or the first NaN among them: the fold of
+    a least value, by the rule of :func:`_worst_of`."""
+    return next((value for value in values if value != value), min(values))
 
 
 # the least contact volume or transversality margin a positivity check accepts;
@@ -231,15 +234,10 @@ def suite_dehn_twist(cfg: ScenarioConfig, check) -> None:
         twist = sphere.dehn_twist_map(profile, 2)
         worst = 0.0
         for _ in range(20):
-            q = rng.standard_normal(3)
-            q /= np.linalg.norm(q)
-            d = rng.standard_normal(3)
-            d -= (d @ q) * q
-            d /= np.linalg.norm(d)
-            u_plus = np.concatenate([q, 1e-3 * d])
-            u_minus = np.concatenate([q, -1e-3 * d])
-            j_plus = forms.fd_jacobian(twist.func, u_plus, 1e-5)
-            j_minus = forms.fd_jacobian(twist.func, u_minus, 1e-5)
+            q, d = sphere.random_frame(rng, 3)
+            # u+ and u- = (q, +-1e-3 d), across the zero section, in one call
+            rows = np.array([np.concatenate([q, s * d]) for s in (1e-3, -1e-3)])
+            j_plus, j_minus = forms.fd_jacobian(twist.func, rows, 1e-5)
             worst = _worst_of(worst, float(np.max(np.abs(j_plus - j_minus))))
         return worst, 20, {}
 
@@ -571,7 +569,7 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
             if np.linalg.det(full[pair_order, :]) < 0:
                 frame[-1] = -frame[-1]
             vol = forms.contact_volume(alpha, u, frame)
-            vol_min = min(vol_min, vol)
+            vol_min = _least_of(vol_min, vol)
             worst = _worst_of(worst, POSITIVITY_FLOOR - vol)
         return _worst_of(worst, 0.0), 30, {"min_volume": vol_min}
 
@@ -594,8 +592,9 @@ def suite_weinstein(cfg: ScenarioConfig, check) -> None:
            [], 0.0)
     def fd_order():
         # halving the step must cut the central-difference Jacobian error ~4x
-        def func(u):
-            return np.array([math.sin(u[0]) * u[1] ** 2, math.exp(0.3 * u[0] - u[1])])
+        def func(rows):
+            return np.array([[math.sin(u[0]) * u[1] ** 2, math.exp(0.3 * u[0] - u[1])]
+                             for u in rows])
 
         def jac(u):
             return np.array([
@@ -906,25 +905,13 @@ PATH_FLOW_STEP = 0.05
 def _giroux_batched_eval(domain, candidate, samples: Array, step: float):
     """h, dh, psi_hat and its Jacobian over the samples from one vectorized
     integration of the correcting flow (center plus FD neighbors)."""
-    fd = 1e-5
-    m, d = samples.shape
-    variants = [samples]
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = fd
-        variants.append(samples + e)
-        variants.append(samples - e)
-    allpts = np.vstack(variants)
-    ev = ob.giroux_flow_batch(domain, candidate, allpts, step)
-    h = ev.h.reshape(2 * d + 1, m)
-    ph = ev.psi_hat.reshape(2 * d + 1, m, d)
-    dh = np.stack([(h[1 + 2 * i] - h[2 + 2 * i]) / (2.0 * fd)
-                   for i in range(d)], axis=1)
-    jac = np.stack([(ph[1 + 2 * i] - ph[2 + 2 * i]) / (2.0 * fd)
-                    for i in range(d)], axis=2)
-    nu = np.einsum("mi,mik->mk", domain.lam_coeffs(ph[0]), jac) \
+    fd, m = 1e-5, len(samples)
+    ev = ob.giroux_flow_batch(domain, candidate, forms.fd_stencil(samples, fd), step)
+    dh = forms.fd_quotients(ev.h[m:], m, fd)
+    jac = forms.fd_quotients(ev.psi_hat[m:], m, fd)
+    nu = np.einsum("mi,mik->mk", domain.lam_coeffs(ev.psi_hat[:m]), jac) \
         - domain.lam_coeffs(samples)
-    return {"h": h[0], "dh": dh, "psi_hat": ph[0], "jac": jac, "nu": nu}
+    return {"h": ev.h[:m], "dh": dh, "psi_hat": ev.psi_hat[:m], "jac": jac, "nu": nu}
 
 
 def _giroux_case_residuals(seed: int, domain, candidate, name: str,
@@ -1060,14 +1047,11 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
     def bump_jacobian():
         rng = check_rng(cfg.seed, "bump-jacobian")
         pts = rng.uniform(-BUMP_RADIUS, BUMP_RADIUS, (12, 2))
-        fd = 1e-5
+        fd, m = 1e-5, len(pts)
         # the points, then their +e0, -e0, +e1, -e1 neighbours, as one flow
-        shifts = fd * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        img, jac = bump.batched.func_jac(np.vstack([pts, *(pts + e for e in shifts)]))
-        img = img.reshape(5, len(pts), 2)
-        central = np.stack([(img[1] - img[2]) / (2.0 * fd),
-                            (img[3] - img[4]) / (2.0 * fd)], axis=2)
-        return float(np.max(np.abs(jac[:len(pts)] - central))), len(pts), {}
+        img, jac = bump.batched.func_jac(forms.fd_stencil(pts, fd))
+        central = forms.fd_quotients(img[m:], m, fd)
+        return float(np.max(np.abs(jac[:m] - central))), m, {}
 
     @check("primitive-path-independence",
            "the line-integral primitive agrees across independent paths and with "
@@ -1206,7 +1190,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
         for _ in range(100):
             x = np.append(domain.sample(rng, 1)[0], rng.uniform(0, 2 * math.pi))
             vol = forms.contact_volume(alpha, x, frame)
-            vol_min = min(vol_min, vol)
+            vol_min = _least_of(vol_min, vol)
             worst = _worst_of(worst, POSITIVITY_FLOOR - vol)
         # frozen values: the circle direction pairs to 1, page vectors with
         # lambda(v) = 0 pair to 0
@@ -1282,7 +1266,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 pred = profile.h1(r) * profile.h2_d(r) - profile.h1_d(r) * profile.h2(r)
                 worst = _worst_of(worst, POSITIVITY_FLOOR - vol,
                                   abs(vol - pred) - 1e-7)
-                vol_min = min(vol_min, vol)
+                vol_min = _least_of(vol_min, vol)
                 count += 1
         return _worst_of(worst, 0.0), count, {"min_volume": vol_min}
 
@@ -1311,7 +1295,7 @@ def suite_binding(cfg: ScenarioConfig, check) -> None:
                 frame.append(np.eye(6)[5])
                 u = np.concatenate([q, [r, 1.3]])
                 vol = forms.contact_volume(beta, u, frame)
-                vol_min = min(vol_min, vol)
+                vol_min = _least_of(vol_min, vol)
                 worst = _worst_of(worst, POSITIVITY_FLOOR - vol)
                 count += 1
         return _worst_of(worst, 0.0), count, {"min_volume": vol_min}

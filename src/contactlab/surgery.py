@@ -361,12 +361,13 @@ def _handle_value(rho2, w2, delta: float):
     return -handle_f(w2, delta) + handle_g(rho2, delta)
 
 
-def _handle_gradient(u: Array, rho2: float, w2: float, nzw: int, delta: float) -> Array:
-    """The gradient 2 g'(rho^2) (x, y, z) and -2 f'(|w|^2) w of a flat state."""
-    b = u.size - nzw
-    grad = np.empty(u.size)
-    grad[:b] = (2.0 * handle_g_d(rho2, delta)) * u[:b]
-    grad[b:] = (-2.0 * handle_f_d(w2, delta)) * u[b:]
+def _handle_gradient(u: Array, rho2, w2, nzw: int, delta: float) -> Array:
+    """The gradient 2 g'(rho^2) (x, y, z) and -2 f'(|w|^2) w of a (d,) flat
+    state with float rho2, w2, or of (m, d) rows with their columns."""
+    b = u.shape[-1] - nzw
+    grad = u.copy()  # products in place, on columns: no (m, d) temporaries
+    grad.T[:b] *= 2.0 * handle_g_d(rho2, delta)
+    grad.T[b:] *= -2.0 * handle_f_d(w2, delta)
     return grad
 
 
@@ -445,16 +446,12 @@ def level_projection(nxy: int, nzw: int, delta: float):
     float steps stay for the five lone flows of flow-invariants, which take
     about half as long in floats as in one batch.
     """
-    b = 2 * nxy + nzw
-
     def project_rows(u):
         rows, sub = np.arange(len(u)), u.copy()  # the rows still stepping
         for _ in range(8):
             rho2, w2 = _rho2_w2(_operands(sub), nxy, nzw)
             fval = _handle_value(rho2, w2, delta)
-            grad = sub.copy()  # products in place: no (m, d) temporaries
-            grad[:, :b] *= (2.0 * handle_g_d(rho2, delta))[:, None]
-            grad[:, b:] *= (-2.0 * handle_f_d(w2, delta))[:, None]
+            grad = _handle_gradient(sub, rho2, w2, nzw, delta)
             gnorm2 = _sum_sq(list(grad.T))
             step = ~(np.abs(fval) < 1e-13) & ~(gnorm2 == 0.0)
             if not step.all():
@@ -632,7 +629,8 @@ def handle_memberships(points: Array, nxy: int, nzw: int,
     (within radius 1.5 of the core) and its forward flow meets the surgered
     hypersurface; False when either is provably unreachable; None when the
     flow oracle is inconclusive within the time bound.  The rows that flow
-    backward march as one batch, and then the rows that flow forward.
+    backward march as one batch along the negated field, and then the rows
+    that flow forward.
     """
     step, max_time, event_tol = 1e-3, 12.0, 1e-10  # the flow oracle's RK4
     u0 = np.array(points, dtype=float)
@@ -647,9 +645,12 @@ def handle_memberships(points: Array, nxy: int, nzw: int,
     reach_glue = np.zeros(len(u0), dtype=bool)
     rows = np.flatnonzero(~ruled_out & ~(np.sqrt(w2_0) > 1.0 + 1e-12))
     if rows.size:
+        # the forward flow of the negated field: the Liouville field scales
+        # u by s = liouville(1), and (-s) u has the bits of -(s u)
+        backward = -liouville(np.ones(u0.shape[1]))
         t_hit, ends = _kernels.rk4_until_event(
-            liouville, u0[rows], wnorm2_value(nxy, nzw), 1.0, step, max_time, event_tol,
-            direction=-1.0)
+            lambda u: backward * u, u0[rows], wnorm2_value(nxy, nzw), 1.0, step, max_time,
+            event_tol)
         crossed = ~np.isnan(t_hit)
         rho2, _ = _rho2_w2(_operands(ends), nxy, nzw)
         reach_glue[rows] = crossed & (rho2 <= 1.5 ** 2)  # the gluing collar's radius

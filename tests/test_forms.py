@@ -124,8 +124,9 @@ def test_pullback_functoriality():
 
 
 def test_fd_jacobian_second_order():
-    def func(u):
-        return np.array([math.sin(u[0]) * u[1], math.exp(u[0] - 0.5 * u[1])])
+    def func(rows):
+        x, y = rows[:, 0], rows[:, 1]
+        return np.stack([np.sin(x) * y, np.exp(x - 0.5 * y)], axis=1)
 
     def jac(u):
         return np.array([

@@ -325,6 +325,23 @@ def test_fd_jacobian_rows_match_lone_jacobians():
         assert np.array_equal(jac, [forms.fd_jacobian(func, u, 1e-5) for u in rows])
 
 
+def _fd_jacobian_reference(func, x, h):
+    """fd_jacobian as first written: one pair of calls per coordinate direction."""
+    eye = np.eye(x.shape[-1])
+    return np.stack([(func(x + h * e) - func(x - h * e)) / (2.0 * h) for e in eye], axis=-1)
+
+
+def test_fd_jacobian_repeats_one_call_per_direction_bitwise():
+    for func, rows in ((sphere.dehn_twist_map(DehnTwistProfile(1.0, 1), 3).func,
+                        _twist_rows(3, DehnTwistProfile(1.0, 1))),
+                       (surgery.psi_w_map(2, 1).func, rng.standard_normal((30, 7)))):
+        for h in (1e-5, 1e-3):
+            assert np.array_equal(forms.fd_jacobian(func, rows, h),
+                                  _fd_jacobian_reference(func, rows, h))
+            assert np.array_equal(forms.fd_jacobian(func, rows[0], h),
+                                  _fd_jacobian_reference(func, rows[:1], h)[0])
+
+
 def test_fd_jacobian_refuses_a_row_that_turns_non_finite():
     def func(u):
         return np.where(u > 1.0, np.inf, u)
@@ -393,11 +410,48 @@ def test_record_end_equals_fixed_time_flow(step):
                           flows.flow_fixed_time(fld, u0, 1.0, step))
 
 
+def _backward_pendulum(u):
+    return -_pendulum(u)
+
+
 def test_batch_rows_equal_single_row_flows():
     starts = rng.uniform(-1.0, 1.0, (7, 2))
-    batch = k.rk4_final(_pendulum, starts, -0.73, 0.05)
+    batch = k.rk4_final(_backward_pendulum, starts, 0.73, 0.05)
     for row, start in zip(batch, starts):
-        assert np.array_equal(row, k.rk4_final(_pendulum, start, -0.73, 0.05))
+        assert np.array_equal(row, k.rk4_final(_backward_pendulum, start, 0.73, 0.05))
+
+
+def _signed_rk4_reference(rhs, u, t, step):
+    """rk4_final as first written, for signed time t: |t| in steps of sign t."""
+    sgn, remaining = (1.0 if t >= 0.0 else -1.0), abs(t)
+    for _ in range(math.ceil(remaining / step - 1e-9)):
+        h = min(step, remaining)
+        remaining -= h
+        u = k.rk4_step(rhs, u, sgn * h)
+    return u
+
+
+def test_negated_field_repeats_the_signed_backward_flow():
+    # RK4 stages of the negated field are the negated stages, so the forward
+    # flow of -X is the old signed-time backward flow of X bit for bit
+    liouville = surgery.liouville_field(1, 2)
+    for rhs, starts in ((_pendulum, rng.uniform(-1.0, 1.0, (7, 2))),
+                        (liouville, rng.standard_normal((5, 6)))):
+        back = k.rk4_final(lambda u: -rhs(u), starts, 0.73, 0.05)
+        assert np.array_equal(back, _signed_rk4_reference(rhs, starts, -0.73, 0.05))
+    # handle_memberships' form of the negated Liouville field: (-s) u is -(s u)
+    starts = rng.standard_normal((5, 6))
+    backward = -liouville(np.ones(6))
+    assert np.array_equal(k.rk4_final(lambda u: backward * u, starts, 0.73, 0.05),
+                          _signed_rk4_reference(liouville, starts, -0.73, 0.05))
+
+
+@pytest.mark.parametrize("kernel", [k.rk4_final, k.rk4_record])
+def test_fixed_time_flows_refuse_a_negative_time(kernel):
+    with pytest.raises(ValueError, match="negated field"):
+        kernel(_pendulum, np.array([0.5, 0.0]), -0.1, 0.05)
+    with pytest.raises(ValueError, match="negated field"):
+        kernel(_pendulum, np.zeros((3, 2)), -1e-300, 0.05)
 
 
 def _bad_shape(u):
@@ -453,25 +507,24 @@ def _x_event(u):
     return u[..., 0]  # a float for a lone state, a column for a batch
 
 
-def _lone_pendulum_flow(start, direction):
-    """The lone flow of one start; backward as the forward flow of the
-    negated field, whose RK4 stages are the negated stages bit for bit."""
-    return flows.flow_until_event(lambda u: direction * _pendulum(u), start, _x_event, 0.3,
+def _lone_pendulum_flow(field, start):
+    """The lone flow of one start along the field."""
+    return flows.flow_until_event(field, start, _x_event, 0.3,
                                   IntegratorConfig(step=0.05, max_time=3.0, event_tol=1e-12))
 
 
-@pytest.mark.parametrize("direction", [1.0, -1.0])
-def test_batched_event_rows_equal_one_row_runs(direction):
+# forward, and backward as the forward flow of the negated field
+@pytest.mark.parametrize("field", [_pendulum, _backward_pendulum], ids=["forward", "backward"])
+def test_batched_event_rows_equal_one_row_runs(field):
     step, max_time = 0.05, 3.0
     starts = np.vstack([[0.3, 0.0],    # on the event at t = 0
                         [0.0, 0.0],    # an equilibrium: never crosses
                         [0.1, 0.0],    # oscillates below the target: never crosses
                         rng.uniform(-1.0, 1.0, (9, 2))])
-    t_batch, ends = k.rk4_until_event(_pendulum, starts, _x_event, 0.3, step, max_time,
-                                      1e-12, direction=direction)
+    t_batch, ends = k.rk4_until_event(field, starts, _x_event, 0.3, step, max_time, 1e-12)
     crossing_steps = set()
     for start, t_row, end in zip(starts, t_batch, ends):
-        lone = _lone_pendulum_flow(start, direction)
+        lone = _lone_pendulum_flow(field, start)
         assert np.array_equal(end, lone.points[-1])
         if lone.t_event is None:
             assert math.isnan(t_row)
@@ -483,16 +536,16 @@ def test_batched_event_rows_equal_one_row_runs(direction):
     assert len(crossing_steps) >= 4  # rows froze on different steps
 
 
-@pytest.mark.parametrize("direction", [1.0, -1.0])
-def test_recorded_event_rows_equal_one_row_trajectories(direction):
+@pytest.mark.parametrize("field", [_pendulum, _backward_pendulum], ids=["forward", "backward"])
+def test_recorded_event_rows_equal_one_row_trajectories(field):
     # a row on the event at t = 0, rows that never cross, and rows that cross
     # on different steps; each row keeps its lone times, states and t_event
     starts = np.vstack([[0.3, 0.0], [0.0, 0.0], [0.1, 0.0],
                         rng.uniform(-1.0, 1.0, (9, 2))])
-    t_batch, ends, paths = k.rk4_until_event(_pendulum, starts, _x_event, 0.3, 0.05, 3.0,
-                                             1e-12, direction=direction, record=True)
+    t_batch, ends, paths = k.rk4_until_event(field, starts, _x_event, 0.3, 0.05, 3.0,
+                                             1e-12, record=True)
     for start, t_row, end, (times, states) in zip(starts, t_batch, ends, paths):
-        lone = _lone_pendulum_flow(start, direction)
+        lone = _lone_pendulum_flow(field, start)
         assert np.array_equal(times, lone.times) and np.array_equal(states, lone.points)
         assert np.array_equal(end, lone.points[-1])
         assert (lone.t_event is None and math.isnan(t_row)) or t_row == lone.t_event

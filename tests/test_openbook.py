@@ -189,6 +189,69 @@ def test_batched_mu_closedness_matches_pointwise_exterior_derivative(make):
     assert abs(result.mu_closedness - ref) < 1e-12
 
 
+def _closedness_reference(domain, candidate, samples):
+    """The closedness precondition of giroux_correction as first written: a
+    hand-built stencil, sample by sample, and its own quotients."""
+    d, fd = samples.shape[1], 1e-4
+    offsets = fd * np.eye(d)
+    stencil = np.concatenate([samples[:, None, :] + offsets, samples[:, None, :] - offsets],
+                             axis=1)
+    mu = ob._pullback_defect_rows(domain, candidate, stencil.reshape(-1, d)).reshape(-1, 2, d, d)
+    grad = (mu[:, 0] - mu[:, 1]) / (2.0 * fd)
+    i, j = np.triu_indices(d, 1)
+    return float(np.max(np.abs(grad[:, i, j] - grad[:, j, i]), initial=0.0))
+
+
+def _giroux_batched_eval_reference(domain, candidate, samples, step):
+    """suites._giroux_batched_eval as first written, its stencil by hand."""
+    fd = 1e-5
+    m, d = samples.shape
+    variants = [samples]
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = fd
+        variants.append(samples + e)
+        variants.append(samples - e)
+    ev = ob.giroux_flow_batch(domain, candidate, np.vstack(variants), step)
+    h = ev.h.reshape(2 * d + 1, m)
+    ph = ev.psi_hat.reshape(2 * d + 1, m, d)
+    dh = np.stack([(h[1 + 2 * i] - h[2 + 2 * i]) / (2.0 * fd) for i in range(d)], axis=1)
+    jac = np.stack([(ph[1 + 2 * i] - ph[2 + 2 * i]) / (2.0 * fd) for i in range(d)], axis=2)
+    nu = np.einsum("mi,mik->mk", domain.lam_coeffs(ph[0]), jac) - domain.lam_coeffs(samples)
+    return {"h": h[0], "dh": dh, "psi_hat": ph[0], "jac": jac, "nu": nu}
+
+
+@pytest.mark.parametrize("make", [lambda: ob.radial_twist_map(0.8, 0.8),
+                                  lambda: ob.strip_shear_map(0.5, 0.8)[0],
+                                  lambda: ob.hamiltonian_bump_map(0.15, 0.8, step=0.05)])
+def test_giroux_stencils_repeat_the_hand_written_ones_bitwise(make):
+    domain = ob.standard_disk_domain()
+    candidate = make()
+    result = ob.giroux_correction(domain, candidate, FLOW, rng=np.random.default_rng(3),
+                                  closedness_samples=8)
+    samples = domain.sample(np.random.default_rng(3), 8)
+    assert result.mu_closedness == _closedness_reference(domain, candidate, samples)
+    ev = suites._giroux_batched_eval(domain, candidate, samples, 0.05)
+    ref = _giroux_batched_eval_reference(domain, candidate, samples, 0.05)
+    assert ev.keys() == ref.keys()
+    for key in ref:
+        assert np.array_equal(ev[key], ref[key]), key
+
+
+def test_bump_jacobian_stencil_repeats_the_hand_written_one_bitwise():
+    # bump-map-carried-jacobian as first written: the points, then their
+    # +e0, -e0, +e1, -e1 neighbours, and the quotients by hand
+    bump = ob.hamiltonian_bump_map(0.15, 0.8, step=0.02)
+    pts, fd = rng.uniform(-0.8, 0.8, (12, 2)), 1e-5
+    shifts = fd * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    rows = np.vstack([pts, *(pts + e for e in shifts)])
+    assert np.array_equal(forms.fd_stencil(pts, fd), rows)
+    img = bump.batched.func(rows)
+    central = np.stack([(img[12:24] - img[24:36]) / (2.0 * fd),
+                        (img[36:48] - img[48:]) / (2.0 * fd)], axis=2)
+    assert np.array_equal(forms.fd_quotients(img[12:], 12, fd), central)
+
+
 def test_giroux_refuses_a_non_finite_defect():
     domain = ob.standard_disk_domain()
     undefined = forms.SmoothMap(2, lambda pts: np.full_like(pts, np.nan),

@@ -3,6 +3,7 @@ either parse or fail with a named ValueError, never with a stray exception."""
 
 import json
 import math
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -202,15 +203,21 @@ lines = st.one_of(
 )
 
 
+def _index(draw, items):
+    """An index into items, spread over all of them: Hypothesis draws small
+    integers first, so the drawn index is offset by a hash of the items."""
+    return (draw(st.integers(0, len(items) - 1)) + zlib.crc32(repr(items).encode())) % len(items)
+
+
 def _edit(draw, items):
     """items with one of them dropped, duplicated or swapped with another."""
-    i = draw(st.integers(0, len(items) - 1))
+    i = _index(draw, items)
     kind = draw(st.sampled_from(["drop", "duplicate", "swap"]))
     if kind == "drop":
         return items[:i] + items[i + 1:]
     if kind == "duplicate":
         return items[:i + 1] + items[i:]
-    j = draw(st.integers(0, len(items) - 1))
+    j = _index(draw, items)
     items = list(items)
     items[i], items[j] = items[j], items[i]
     return items
@@ -233,7 +240,7 @@ def edited_texts(draw):
     if draw(st.booleans()):
         items = _edit(draw, items)
     else:
-        line = draw(st.integers(0, len(items) - 1))
+        line = _index(draw, items)
         items[line] = " ".join(_edit(draw, items[line].split(" ")))
     return "\n".join(items) + "\n"
 

@@ -3,6 +3,7 @@ once, and the config, the CLI and the runner all read the same registry."""
 
 import importlib
 import json
+import math
 
 import pytest
 from conftest import REDUCED_ALL, declarations
@@ -120,3 +121,24 @@ def test_every_quoted_operation_resolves_to_a_package_callable():
         owner = importlib.import_module(f"contactlab.{module}")
         assert callable(getattr(owner, name, None)), f"{label} -> {path} names no callable"
     assert len(suites.QUOTED_OPS) == 40
+
+
+# the contact_volume call that gives each check's second volume: the
+# three-sphere check first orients each frame by the boundary form's volume
+@pytest.mark.parametrize("name,call", [("hypersurface-contact-volume", 2),
+                                       ("mapping-torus-volume", 2),
+                                       ("binding-volume-circle", 2),
+                                       ("binding-volume-three-sphere", 4)])
+def test_min_volume_keeps_a_volume_that_turns_nan(monkeypatch, name, call):
+    # min(2.0, nan) is 2.0: a fold by min would report the first finite volume
+    volume = suites.forms.contact_volume
+    calls = []
+
+    def nan_on_one_call(*args):
+        calls.append(None)
+        return math.nan if len(calls) == call else volume(*args)
+
+    monkeypatch.setattr(suites.forms, "contact_volume", nan_on_one_call)
+    record = run_check(*declarations(suite="all")[name])
+    assert len(calls) > call
+    assert not record.passed and record.as_dict()["details"]["min_volume"] == "nan"

@@ -37,6 +37,54 @@ def test_sphere_sampler_redraws_a_degenerate_direction():
     assert not rng_s.normals
 
 
+def test_random_frame_redraws_both_vectors_of_a_degenerate_draw():
+    rng_s = _ScriptedRng([[3.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.0, -1.0]])
+    q, v = sphere.random_frame(rng_s, 2)
+    assert np.array_equal(q, [0.0, 1.0]) and np.allclose(v, [1.0, 0.0])
+    assert not rng_s.normals
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_random_frame_rejects_dimension_below_two(d):
+    with pytest.raises(ValueError, match="at least 2"):
+        sphere.random_frame(np.random.default_rng(0), d)
+
+
+def _monodromy_frame_reference(rng, nzw):
+    """monodromy._random_frame as first written, which the twist-smooth
+    check also wrote out by hand: no redraw."""
+    w = rng.standard_normal(nzw)
+    w /= np.linalg.norm(w)
+    v = rng.standard_normal(nzw)
+    v -= (v @ w) * w
+    v /= np.linalg.norm(v)
+    return w, v
+
+
+def _sampler_frame_reference(rng, d):
+    """The frame of random_sphere_points' loop as first written."""
+    while True:
+        q = rng.standard_normal(d)
+        q /= np.linalg.norm(q)
+        v = rng.standard_normal(d)
+        v -= (v @ q) * q
+        norm = np.linalg.norm(v)
+        if norm >= 1e-12:
+            break
+    return q, v / norm
+
+
+@pytest.mark.parametrize("reference", [_monodromy_frame_reference, _sampler_frame_reference])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_frame_repeats_the_hand_written_draws_bitwise(reference, d):
+    frame_rng, ref_rng = np.random.default_rng(d), np.random.default_rng(d)
+    for _ in range(200):
+        q, v = sphere.random_frame(frame_rng, d)
+        q_ref, v_ref = reference(ref_rng, d)
+        assert np.array_equal(q, q_ref) and np.array_equal(v, v_ref)
+    assert frame_rng.random() == ref_rng.random()  # the same draws, in the same order
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_sphere_sampler_rejects_dimension_below_one(n):
     with pytest.raises(ValueError, match="at least 1"):

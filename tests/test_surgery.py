@@ -260,6 +260,26 @@ def test_level_gradient_is_the_gradient_level_projection_steps_with(monkeypatch)
             assert np.array_equal(level_gradient(at), grad)
 
 
+def test_handle_gradient_repeats_the_hand_written_products_bitwise():
+    # the lone gradient and level_projection's row Newton step as first written
+    delta = 0.1
+    for nxy in (0, 1, 2):
+        for nzw in (2, 3):
+            rows = np.random.default_rng(nxy + nzw).standard_normal((200, 2 * nxy + 2 * nzw))
+            b = 2 * nxy + nzw
+            rho2, w2 = surgery._rho2_w2(list(rows.T), nxy, nzw)
+            inline = rows.copy()
+            inline[:, :b] *= (2.0 * surgery.handle_g_d(rho2, delta))[:, None]
+            inline[:, b:] *= (-2.0 * surgery.handle_f_d(w2, delta))[:, None]
+            assert np.array_equal(surgery._handle_gradient(rows, rho2, w2, nzw, delta), inline)
+            for u in rows[:20]:
+                rho2, w2 = surgery._rho2_w2(u.tolist(), nxy, nzw)
+                lone = np.empty(u.size)
+                lone[:b] = (2.0 * surgery.handle_g_d(rho2, delta)) * u[:b]
+                lone[b:] = (-2.0 * surgery.handle_f_d(w2, delta)) * u[b:]
+                assert np.array_equal(surgery._handle_gradient(u, rho2, w2, nzw, delta), lone)
+
+
 def test_margin_takes_g_prime_at_the_level_functions_rho2(monkeypatch):
     args = []
     g_d = surgery.handle_g_d
