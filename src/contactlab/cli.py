@@ -7,12 +7,19 @@ check fails.
     contactlab --suite monodromy --seed 1 --out reports/
     contactlab --config scenario.json
     contactlab --list-suites
+
+``contactlab diff OLD.json NEW.json`` compares two reports record by record:
+it prints each record whose bytes differ, with its verdict and max_residual
+old -> new and the field paths that moved, and exits 0 when the reports are
+equal, 1 when something moved, 2 when a verdict changed and 3 when a file is
+not a readable report or the arguments are wrong.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -22,6 +29,7 @@ from . import flows, monodromy as mono, surgery
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .flows import IntegratorConfig
 from .profiles import handle_f, handle_g
+from .reports import diff_reports
 from .suites import run_suite, suite_names
 
 
@@ -73,7 +81,8 @@ def _emit_default_plots(out_dir: Path) -> list[Path]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contactlab",
-        description="run verification suites for the surgery and open book models")
+        description="run verification suites for the surgery and open book models",
+        epilog="contactlab diff OLD.json NEW.json compares two reports record by record")
     parser.add_argument("--config", help="path to a JSON scenario config")
     parser.add_argument("--suite", help="suite name (overrides the config field)")
     parser.add_argument("--seed", type=int, help="seed (overrides the config field)")
@@ -83,7 +92,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def diff_main(argv: list[str]) -> int:
+    """``contactlab diff``: 0 equal, 1 moved, 2 a verdict changed, 3 an
+    unusable input."""
+    parser = argparse.ArgumentParser(
+        prog="contactlab diff", description="compare two reports record by record")
+    parser.add_argument("old", help="the report to compare from")
+    parser.add_argument("new", help="the report to compare to")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error exits 2, a changed verdict here
+        return 3 if exc.code else 0
+    reports = []
+    for path in (args.old, args.new):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                reports.append(json.load(fh))
+        except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
+            return 3
+    try:
+        diff = diff_reports(*reports)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    for line in diff.lines():
+        print(line)
+    return diff.exit_code
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["diff"]:
+        return diff_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list_suites:
         for name in suite_names():

@@ -6,7 +6,8 @@ JSON has no token for a non-finite number, so an infinite or NaN float (the
 residual of a check that raised, or of one that computed NaN) is written as
 the string "inf", "-inf" or "nan", and the document stays valid JSON.
 The environment stamp carries versions only (no wall-clock data), so it
-never breaks reproducibility on a fixed machine.
+never breaks reproducibility on a fixed machine.  :func:`diff_reports`
+compares two reports record by record.
 """
 
 from __future__ import annotations
@@ -128,3 +129,105 @@ def run_check(name: str, anchor: str, ops: list[str], tolerance: float,
                            max_residual=float("inf"), tolerance=tolerance,
                            passed=False, ops=ops,
                            details={"error": f"{type(exc).__name__}: {exc}"})
+
+
+# ---------------------------------------------------------------------------
+# comparing two reports
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RecordDiff:
+    """One check whose record differs between two reports: its verdict and
+    worst residual on each side (None where the record is absent) and the
+    field paths that moved."""
+
+    name: str
+    passed: tuple
+    max_residual: tuple
+    paths: list[str]
+
+    @property
+    def verdict_changed(self) -> bool:
+        return self.passed[0] != self.passed[1]
+
+    def line(self) -> str:
+        verdicts = " -> ".join({True: "PASS", False: "FAIL", None: "absent"}[v]
+                               for v in self.passed)
+        # a non-finite residual is stored as its name
+        residuals = " -> ".join("absent" if v is None else v if isinstance(v, str) else repr(v)
+                                for v in self.max_residual)
+        return f"{self.name}: {verdicts}, max_residual {residuals}; moved {', '.join(self.paths)}"
+
+
+@dataclass
+class ReportDiff:
+    """The records of two reports that differ, and the other report fields
+    (suite, config, environment, ...) that moved."""
+
+    records: list[RecordDiff]
+    fields: list[str]
+
+    @property
+    def exit_code(self) -> int:
+        """0 when the reports are equal, 1 when something moved, 2 when a
+        verdict changed (a record that appears or disappears changes one)."""
+        if any(r.verdict_changed for r in self.records):
+            return 2
+        return 1 if self.records or self.fields else 0
+
+    def lines(self) -> list[str]:
+        out = [r.line() for r in self.records]
+        if self.fields:
+            out.append(f"report fields moved: {', '.join(self.fields)}")
+        changed = sum(r.verdict_changed for r in self.records)
+        out.append(f"{len(self.records)} records moved, {changed} verdicts changed")
+        return out
+
+
+_ABSENT = object()  # a key that one side of a comparison lacks
+
+
+def _moved_paths(old: Any, new: Any, path: str) -> list[str]:
+    """The dotted paths under which two JSON values differ; a list item is
+    ``path[i]``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [p for key in sorted(old.keys() | new.keys())
+                for p in _moved_paths(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                      f"{path}.{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in _moved_paths(a, b, f"{path}[{i}]")]
+    same = type(old) is type(new) and old == new  # 1 and 1.0 or True differ in bytes
+    return [] if same else [path]
+
+
+def _records_by_name(report: Any, label: str) -> dict:
+    checks = report.get("checks") if isinstance(report, dict) else None
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("name"), str)
+            and isinstance(c.get("passed"), bool) for c in checks):
+        raise ValueError(f"{label} is not a report: it needs a list of named checks "
+                         "with verdicts")
+    records = {c["name"]: c for c in checks}
+    if len(records) != len(checks):
+        raise ValueError(f"{label} names a check twice")
+    return records
+
+
+def diff_reports(old: dict, new: dict) -> ReportDiff:
+    """The records of two parsed report JSON documents that differ, in name
+    order, and the moved fields outside the records; raises ValueError when
+    either is not a report."""
+    old_records = _records_by_name(old, "the old report")
+    new_records = _records_by_name(new, "the new report")
+    records = []
+    for name in sorted(old_records.keys() | new_records.keys()):
+        a, b = old_records.get(name), new_records.get(name)
+        paths = ["record"] if a is None or b is None else _moved_paths(a, b, "")
+        if paths:
+            records.append(RecordDiff(
+                name, tuple(None if r is None else r.get("passed") for r in (a, b)),
+                tuple(None if r is None else r.get("max_residual") for r in (a, b)), paths))
+    rest = _moved_paths({k: v for k, v in old.items() if k != "checks"},
+                        {k: v for k, v in new.items() if k != "checks"}, "")
+    return ReportDiff(records, rest)

@@ -437,14 +437,12 @@ _NEWTON_ROWS = 1024
 
 
 def level_projection(nxy: int, nzw: int, delta: float):
-    """Newton steps, in place, onto the zero level of the handle function.
+    """Newton steps, in place, onto the zero level of the handle function,
+    for an (m, d) row batch.
 
-    A (d,) state steps in floats, for the lone projected flows; an (m, d)
-    batch steps its rows on columns, a block of rows at a time, each row with
-    the lone stopping rules (|value| < 1e-13, a zero gradient, 8 steps) and
-    the lone arithmetic.  Both call the one form of each handle function; the
-    float steps stay for the five lone flows of flow-invariants, which take
-    about half as long in floats as in one batch.
+    The rows step on columns, a block of rows at a time, each row with its
+    own stopping rules (|value| < 1e-13, a zero gradient, 8 steps) and the
+    arithmetic of one state in floats.  A lone state is the one-row batch.
     """
     def project_rows(u):
         rows, sub = np.arange(len(u)), u.copy()  # the rows still stepping
@@ -463,20 +461,10 @@ def level_projection(nxy: int, nzw: int, delta: float):
             u[rows] = sub
 
     def project(u):
-        if u.ndim == 2:
-            for lo in range(0, len(u), _NEWTON_ROWS):
-                project_rows(u[lo:lo + _NEWTON_ROWS])  # a view, projected in place
-            return u
-        for _ in range(8):
-            rho2, w2 = _rho2_w2(u.tolist(), nxy, nzw)
-            fval = _handle_value(rho2, w2, delta)
-            if abs(fval) < 1e-13:
-                break
-            grad = _handle_gradient(u, rho2, w2, nzw, delta)
-            gnorm2 = _sum_sq(grad.tolist())
-            if gnorm2 == 0.0:
-                break
-            u -= (fval / gnorm2) * grad
+        if u.ndim != 2:
+            raise ValueError(f"a row batch must have shape (m, d), got {u.shape}")
+        for lo in range(0, len(u), _NEWTON_ROWS):
+            project_rows(u[lo:lo + _NEWTON_ROWS])  # a view, projected in place
         return u
 
     return project

@@ -11,7 +11,7 @@ import pytest
 
 from contactlab import cli
 from contactlab.config import ConfigError, config_from_dict, load_config
-from contactlab.reports import VerificationReport, check_rng, run_check
+from contactlab.reports import VerificationReport, check_rng, diff_reports, run_check
 from contactlab.suites import QUOTED_OPS
 
 from test_kernels import _scalar_handle_f, _scalar_handle_g
@@ -168,6 +168,63 @@ def test_a_report_with_non_finite_residuals_is_strict_json():
     assert records["raises"]["max_residual"] == "inf" and not records["raises"]["passed"]
     assert records["nan"]["max_residual"] == "nan" and not records["nan"]["passed"]
     assert records["nan"]["details"] == {"low": "-inf"}
+
+
+def _report_file(path, *records):
+    """A report of records (name, residual, details, tolerance) written to path."""
+    checks = [run_check(name, "-", [], tol, lambda r=residual, d=details: (r, 1, d))
+              for name, residual, details, tol in records]
+    path.write_text(VerificationReport("unit", {"seed": 0}, checks).to_json())
+    return str(path)
+
+
+def test_diff_exits_0_equal_1_moved_2_verdict_changed_3_unreadable(tmp_path, capsys):
+    base = [("a", 1e-9, {"errors": {"10.0": 0.5}}, 1e-6), ("b", 0.0, {}, 0.0),
+            ("n", math.nan, {}, 1.0)]
+    old = _report_file(tmp_path / "old.json", *base)
+    assert cli.main(["diff", old, _report_file(tmp_path / "same.json", *base)]) == 0
+    assert capsys.readouterr().out == "0 records moved, 0 verdicts changed\n"
+
+    moved = _report_file(tmp_path / "moved.json", ("a", 2e-9, {"errors": {"10.0": 0.25}}, 1e-6),
+                         base[1], ("n", math.inf, {}, 1.0))
+    assert cli.main(["diff", old, moved]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a: PASS -> PASS, max_residual 1e-09 -> 2e-09; moved details.errors.10.0, max_residual",
+        "n: FAIL -> FAIL, max_residual nan -> inf; moved max_residual",
+        "2 records moved, 0 verdicts changed"]
+
+    failing = _report_file(tmp_path / "failing.json", base[0], ("b", 1.0, {}, 0.0),
+                           base[2], ("c", 0.0, {}, 0.0))
+    assert cli.main(["diff", old, failing]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "b: PASS -> FAIL, max_residual 0.0 -> 1.0; moved max_residual, passed",
+        "c: absent -> PASS, max_residual absent -> 0.0; moved record",
+        "2 records moved, 2 verdicts changed"]
+
+    (tmp_path / "not-a-report.json").write_text('{"checks": 3}')
+    for args in ([old, str(tmp_path / "missing.json")], [old, str(tmp_path / "not-a-report.json")],
+                 [old]):
+        assert cli.main(["diff"] + args) == 3
+    assert "cannot read report" in capsys.readouterr().err
+
+
+def test_diff_names_every_moved_path_once():
+    # a value whose type changes moves, as do list items and keys on one side
+    old = {"checks": [{"name": "x", "passed": True, "max_residual": 1.0,
+                       "details": {"v": [1, 2, 3], "k": 1, "gone": 0}}], "config": {"seed": 0}}
+    new = {"checks": [{"name": "x", "passed": True, "max_residual": 1.0,
+                       "details": {"v": [1, 5, 3], "k": 1.0, "added": 0}}], "config": {"seed": 1}}
+    diff = diff_reports(old, new)
+    assert [r.paths for r in diff.records] == [
+        ["details.added", "details.gone", "details.k", "details.v[1]"]]
+    assert diff.fields == ["config.seed"] and diff.exit_code == 1
+    assert diff.lines()[1:] == ["report fields moved: config.seed",
+                                "1 records moved, 0 verdicts changed"]
+    with pytest.raises(ValueError, match="names a check twice"):
+        diff_reports(old, {"checks": old["checks"] * 2})
+    for checks in (3, [{"name": "x"}], [{"name": "x", "passed": "yes"}], [{"passed": True}]):
+        with pytest.raises(ValueError, match="not a report"):
+            diff_reports(old, {"checks": checks})
 
 
 def test_check_rng_stable():

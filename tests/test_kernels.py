@@ -283,6 +283,16 @@ def test_twist_map_rows_match_lone_images(n, profile):
     assert np.array_equal(lone, [_twist_reference(u, profile, n + 1) for u in rows])
 
 
+@pytest.mark.parametrize("n, profile", [(1, DehnTwistProfile(1.0, 1)),
+                                        (3, DehnTwistProfile(0.7, 3))])
+def test_twist_map_rotates_in_blocks_with_the_bits_of_one_block(monkeypatch, n, profile):
+    # blocks of 7 turning rows, the last one short, against the whole batch
+    rows = _twist_rows(n, profile)
+    whole = sphere.dehn_twist_map(profile, n).func(rows)
+    monkeypatch.setattr(sphere, "_TWIST_ROWS", 7)
+    assert np.array_equal(sphere.dehn_twist_map(profile, n).func(rows), whole)
+
+
 @pytest.mark.parametrize("nzw, nxy", [(2, 0), (2, 1), (3, 0)])
 def test_straightening_rows_match_lone_points(nzw, nxy):
     rows = rng.standard_normal((30, 1 + 2 * nzw + 2 * nxy))
@@ -374,8 +384,10 @@ def test_projection_kernels():
     out = surgery.unit_w_projection(0, 2)(u.copy())
     assert abs(out[2:] @ out[2:] - 1.0) < 1e-15
     v = np.array([0.9, 0.1, 0.1, 0.95])
-    out = surgery.level_projection(0, 2, 0.1)(v.copy())
-    assert abs(surgery.level_value(0, 2, 0.1)(out)) < 1e-12
+    out = surgery.level_projection(0, 2, 0.1)(v[None].copy())
+    assert abs(surgery.level_value(0, 2, 0.1)(out)[0]) < 1e-12
+    with pytest.raises(ValueError, match="row batch"):
+        surgery.level_projection(0, 2, 0.1)(v.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +638,7 @@ def test_level_projection_rows_equal_lone_newton_steps(nxy, nzw):
     rows = np.vstack([np.zeros(d), surgery.sample_s1_points(rng, 10, nxy, nzw, DELTA),
                       rng.standard_normal((1100, d)) * rng.uniform(0.3, 1.5, (1100, 1))])
     project = surgery.level_projection(nxy, nzw, DELTA)
-    lone = [project(u.copy()) for u in rows]
+    lone = [project(u[None].copy())[0] for u in rows]
     ref = [_newton_reference(u.copy(), nxy, nzw, DELTA) for u in rows[:50]]
     out = rows.copy()
     assert project(out) is out

@@ -1,5 +1,6 @@
 """Page transport before and after surgery, twist recognition, words."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -218,6 +219,31 @@ def test_window_slopes_hold_at_default_settings(seed):
     assert record.passed
     for fit in record.details.values():
         assert suites.WINDOW_EXPONENT_LOW <= fit["slope"] <= suites.WINDOW_EXPONENT_HIGH
+
+
+# the checks that flow at a declared step coarser than 1e-3: the constant
+# that declares it, and its value at step 1e-3
+PAGE_FLOW_1E3 = dataclasses.replace(suites.PAGE_FLOW, step=1e-3)
+COARSE_STEP_CHECKS = [("pre-surgery-trivial", "PAGE_FLOW", PAGE_FLOW_1E3),
+                      ("pipeline-vs-closed-form", "PAGE_FLOW", PAGE_FLOW_1E3),
+                      ("finite-speed-convergence", "PAGE_FLOW", PAGE_FLOW_1E3),
+                      ("flow-invariants", "INVARIANT_FLOW_STEP", 1e-3)]
+
+
+@pytest.mark.parametrize("check, constant, at_1e3", COARSE_STEP_CHECKS)
+def test_declared_steps_read_what_step_1e3_reads(monkeypatch, check, constant, at_1e3):
+    # each declared step keeps the verdict and the residual of step 1e-3 to
+    # within 1e-3 of the check's tolerance; finite-speed-convergence, whose
+    # tolerance is 0, keeps every transfer error to within 1e-10
+    coarse = _run_monodromy_check(check)
+    monkeypatch.setattr(suites, constant, at_1e3)
+    fine = _run_monodromy_check(check)
+    assert coarse.passed and fine.passed
+    assert abs(coarse.max_residual - fine.max_residual) <= 1e-3 * coarse.tolerance
+    if check == "finite-speed-convergence":
+        assert coarse.details["errors"].keys() == fine.details["errors"].keys()
+        for a, err in coarse.details["errors"].items():
+            assert abs(err - fine.details["errors"][a]) <= 1e-10
 
 
 def test_log_slope_needs_two_distinct_abscissae():
@@ -478,20 +504,23 @@ def test_row_monodromy_builds_no_model_point(monkeypatch):
 
 def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
     # counts, not times: every batched check makes one batched kernel call, and
-    # no check flows a lone start; every transfer search runs on row batches,
-    # one per check or per pipeline block group
+    # no check but integrator-order flows a lone start; every transfer search
+    # runs on row batches, one per check or per pipeline block group.  Each
+    # check flows at its declared step, none at IntegratorConfig's default
     from collections import Counter
 
     from contactlab import _kernels
 
     calls = Counter()
+    steps = {}
     running = []
 
-    def counted(kernel):
+    def counted(kernel, step_at):
         original = getattr(_kernels, kernel)
 
         def wrapper(rhs, u0, *args, **kwargs):
             calls[running[-1], kernel, "lone" if np.ndim(u0) == 1 else "batch"] += 1
+            steps.setdefault(running[-1], set()).add(args[step_at])
             return original(rhs, u0, *args, **kwargs)
 
         return wrapper
@@ -503,8 +532,9 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
         searched.setdefault(running[-1], []).append(len(starts[0]))
         return level_crossings(fn, starts, *args)
 
-    for kernel in ("rk4_until_event", "rk4_record"):
-        monkeypatch.setattr(_kernels, kernel, counted(kernel))
+    # the step follows the event target, or the flow time
+    for kernel, step_at in (("rk4_until_event", 2), ("rk4_record", 1), ("rk4_final", 1)):
+        monkeypatch.setattr(_kernels, kernel, counted(kernel, step_at))
     monkeypatch.setattr(surgery, "_level_crossings", searched_rows)
     for name, declared in declarations(**dict(REDUCED_ALL, suite="monodromy")).items():
         running.append(name)
@@ -521,4 +551,15 @@ def test_monodromy_suite_flows_one_event_batch_per_batched_check(monkeypatch):
                "finite-speed-transfer", "finite-speed-convergence", "smoothing-window-bound"]
     expected = Counter({(name, "rk4_until_event", "batch"): 1 for name in batched})
     expected["flow-invariants", "rk4_record", "batch"] = 1
+    expected["flow-invariants", "rk4_final", "batch"] = 1
+    expected["integrator-order", "rk4_final", "lone"] = 2  # the closed-form linear flow
     assert calls == expected
+    page, window = suites.PAGE_FLOW, suites.WINDOW_FLOW
+    assert (page.step, window.step, suites.INVARIANT_FLOW_STEP) == (5e-3, 1e-3, 1e-2)
+    assert (page.max_time, page.event_tol) == (window.max_time, window.event_tol) == (2.0, 1e-12)
+    assert steps == {
+        "pre-surgery-trivial": {page.step}, "pipeline-vs-closed-form": {page.step},
+        "finite-speed-convergence": {page.step},
+        "smoothing-window-bound": {window.step}, "page-speed-law": {window.step},
+        "flow-invariants": {suites.INVARIANT_FLOW_STEP},
+        "finite-speed-transfer": {1e-5}, "integrator-order": {0.02, 0.01}}

@@ -230,8 +230,14 @@ def edited_texts(draw):
     duplicated or swapped: such texts often parse, and their pages have
     handles, spheres, disks and stabilization spheres for the moves to sort.
     The spheres B0, B1, ... may be renamed T0, T1, ..., which sort after the
-    stabilization spheres S(d)."""
+    stabilization spheres S(d).  Up to three more disks e0, e1, ... sort
+    after the drawn ones: descriptors() draws at most two, and a text of two
+    or more disks is what shows a destabilization's disk out of order."""
     desc = draw(descriptors())
+    page = desc.page
+    extra = tuple(mv.DiskBoundary(f"e{i}", f"u{i}") for i in range(draw(st.integers(0, 3))))
+    desc = mv.OpenBookDesc(mv.AbstractPage(page.half_dim, page.handles, page.spheres,
+                                           page.disks + extra), desc.word)
     order = draw(st.permutations([d.label for d in desc.page.disks]))
     for label in order[:draw(st.integers(0, len(order)))]:
         desc = mv.stabilize(desc, label)
@@ -259,10 +265,19 @@ def test_any_text_gives_a_round_tripping_descriptor_or_value_error(text):
     # every move applies to a page that parses, and builds what the public
     # constructors, which run every check, build again from its parts
     for nb in mv.neighbors(desc):
-        page = nb.page
-        rebuilt = mv.OpenBookDesc(mv.AbstractPage(page.half_dim, page.handles,
-                                                  page.spheres, page.disks), nb.word)
-        assert nb == rebuilt and hash(nb) == hash(rebuilt)
+        _assert_rebuilds(nb)
+    # a stabilization along each disk is undone, its disk returned among the others
+    for disk in desc.page.disks:
+        back = mv.destabilize(mv.stabilize(desc, disk.label))
+        assert back == desc
+        _assert_rebuilds(back)
+
+
+def _assert_rebuilds(desc):
+    page = desc.page
+    rebuilt = mv.OpenBookDesc(mv.AbstractPage(page.half_dim, page.handles,
+                                              page.spheres, page.disks), desc.word)
+    assert desc == rebuilt and hash(desc) == hash(rebuilt)
 
 
 @pytest.mark.parametrize("text", [

@@ -14,7 +14,7 @@ from contactlab.surgery import (ModelPoint, SurgeryConfig, handle_membership,
                                 limit_transfer_to_s1, psi_w_inverse, psi_w_map, phi_c_map,
                                 transfers_to_s_minus1, transversality_margins)
 
-from test_kernels import _scalar_handle_f, _scalar_handle_g
+from test_kernels import _newton_reference, _scalar_handle_f, _scalar_handle_g
 from test_profiles import g_inverse_reference
 from test_sphere import _sphere_point_reference
 
@@ -245,18 +245,18 @@ def test_level_gradient_is_the_gradient_level_projection_steps_with(monkeypatch)
 
     def recorded(u, *args):
         grad = gradient(u, *args)
-        steps.append((u.copy(), grad))
+        steps.append((u.copy(), grad.copy()))  # the row step scales grad in place
         return grad
 
     monkeypatch.setattr(surgery, "_handle_gradient", recorded)
     delta = 0.1
     for nxy, nzw, u in _random_flat_states(np.random.default_rng(2)):
         steps.clear()
-        surgery.level_projection(nxy, nzw, delta)(u)
+        surgery.level_projection(nxy, nzw, delta)(u[None])
         newton = list(steps)  # level_gradient below records too
         assert newton  # a random point is off the level set
         level_gradient = surgery.level_gradient(nxy, nzw, delta)
-        for at, grad in newton:
+        for (at,), (grad,) in newton:
             assert np.array_equal(level_gradient(at), grad)
 
 
@@ -696,7 +696,6 @@ def _sampler_reference(rng, count, nxy, nzw, delta, rho2_max=4.0):
     time, the projection in floats."""
     dim = 2 * nxy + 2 * nzw
     out = np.empty((count, dim))
-    project = surgery.level_projection(nxy, nzw, delta)
     for i in range(count):
         if rng.random() < 0.7:
             s = rng.random()
@@ -712,7 +711,7 @@ def _sampler_reference(rng, count, nxy, nzw, delta, rho2_max=4.0):
         u[:2 * nxy] = math.sqrt(rho2) * r_dir[:2 * nxy]
         u[2 * nxy:2 * nxy + nzw] = math.sqrt(rho2) * r_dir[2 * nxy:]
         u[2 * nxy + nzw:] = math.sqrt(s) * w_dir
-        out[i] = project(u)
+        out[i] = _newton_reference(u, nxy, nzw, delta)
     return out
 
 
