@@ -13,6 +13,14 @@ it prints each record whose bytes differ, with its verdict and max_residual
 old -> new and the field paths that moved, and exits 0 when the reports are
 equal, 1 when something moved, 2 when a verdict changed and 3 when a file is
 not a readable report or the arguments are wrong.
+
+``contactlab sweep --suite S --seeds A-B [--only CHECK]`` runs the suite's
+checks at each seed from A to B in one process and writes
+``sweep-<suite>.json``: per check, the worst and median max_residual, the
+worst seed, the worst headroom (max_residual / tolerance) and the failing
+seeds.  It prints the checks nearest their bound and exits 0 when every
+check passes at every seed, 1 when any fails and 3 on bad arguments.  It
+writes no report.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -29,8 +38,8 @@ from . import flows, monodromy as mono, surgery
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .flows import IntegratorConfig
 from .profiles import handle_f, handle_g
-from .reports import diff_reports
-from .suites import run_suite, suite_names
+from .reports import diff_reports, run_check, sweep_lines, sweep_summary
+from .suites import declared_checks, run_suite, suite_names
 
 
 def emit_plot_data(scan: dict, path) -> None:
@@ -82,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contactlab",
         description="run verification suites for the surgery and open book models",
-        epilog="contactlab diff OLD.json NEW.json compares two reports record by record")
+        epilog="contactlab diff OLD.json NEW.json compares two reports record by record; "
+               "contactlab sweep --suite S --seeds A-B sums up a suite over seeds")
     parser.add_argument("--config", help="path to a JSON scenario config")
     parser.add_argument("--suite", help="suite name (overrides the config field)")
     parser.add_argument("--seed", type=int, help="seed (overrides the config field)")
@@ -121,10 +131,71 @@ def diff_main(argv: list[str]) -> int:
     return diff.exit_code
 
 
+def _seed_range(text: str) -> range:
+    match = re.fullmatch(r"(\d+)(?:-(\d+))?", text)
+    if match is None or int(match[2] or match[1]) < int(match[1]):
+        raise argparse.ArgumentTypeError(f"expected A-B with 0 <= A <= B, or one seed; got {text!r}")
+    return range(int(match[1]), int(match[2] or match[1]) + 1)
+
+
+def sweep_main(argv: list[str]) -> int:
+    """``contactlab sweep``: 0 every check passes at every seed, 1 one fails,
+    3 bad arguments."""
+    parser = argparse.ArgumentParser(
+        prog="contactlab sweep",
+        description="run a suite's checks at each seed of a range, in one process, "
+                    "and sum up each check's records")
+    parser.add_argument("--suite", required=True, help="suite name, or all")
+    parser.add_argument("--seeds", required=True, type=_seed_range,
+                        help="the seeds A-B, both included, or one seed")
+    parser.add_argument("--only", action="append", metavar="CHECK",
+                        help="run only this check (repeatable)")
+    parser.add_argument("--config", help="a JSON scenario config for the other settings")
+    parser.add_argument("--out", default=".", help="directory for sweep-<suite>.json")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error exits 2, a failing check here
+        return 3 if exc.code else 0
+    try:
+        data = (load_config(args.config) if args.config else ScenarioConfig()).as_dict()
+        configs = [config_from_dict(dict(data, suite=args.suite, seed=seed))
+                   for seed in args.seeds]
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    names = [declared[0] for declared in declared_checks(configs[0])]
+    unknown = sorted(set(args.only or []) - set(names))
+    if unknown:
+        print(f"error: suite {args.suite!r} declares no check {unknown}", file=sys.stderr)
+        return 3
+    path = Path(args.out) / f"sweep-{args.suite}.json"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output directory {path.parent}: {exc}", file=sys.stderr)
+        return 3
+    runs = [(cfg.seed, [run_check(*declared) for declared in declared_checks(cfg)
+                        if args.only is None or declared[0] in args.only])
+            for cfg in configs]
+    summary = dict(suite=args.suite, **sweep_summary(runs))
+    try:
+        path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 3
+    for line in sweep_lines(summary):
+        print(line)
+    print(f"sweep {args.suite}: {'PASS' if summary['passed'] else 'FAIL'}; "
+          f"written to {path}")
+    return 0 if summary["passed"] else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["diff"]:
         return diff_main(argv[1:])
+    if argv[:1] == ["sweep"]:
+        return sweep_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list_suites:
         for name in suite_names():

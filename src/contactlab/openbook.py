@@ -184,15 +184,18 @@ def strip_shear_map(amplitude: float, half_width: float):
     return SymplectomorphismCandidate(SmoothMap(2, func_batch, jac=jac_batch)), h0
 
 
-def bump_variational_terms(amplitude, r02, x, y, j00, j01, j10, j11):
-    """The variational field of the bump H = A (1 - |u|^2/r0^2)_+^4 as the six
-    terms (X_H, d/dt J) for the state components (x, y, J00, J01, J10, J11).
+def bump_variational_terms(amplitude, r02, u):
+    """The variational field of the bump H = A (1 - |u|^2/r0^2)_+^4 as one
+    ``(6, m)`` array (X_H, d/dt J) for the ``(6, m)`` state u, whose rows are
+    the components (x, y, J00, J01, J10, J11) of m points.
 
-    Operands are the component rows of a ``(6, m)`` state.  Powers are written
-    as products, the arithmetic of the matrix-form reference that tier-1 pins
-    the map against; only the scalar prefactors that this arithmetic takes
-    first are computed once.
+    Powers are written as products, the arithmetic of the matrix-form
+    reference that tier-1 pins the map against; only the scalar prefactors
+    that this arithmetic takes first are computed once.  The Jacobian rows
+    (J00, J01) and (J10, J11) enter as two ``(2, m)`` blocks.
     """
+    x, y = u[0], u[1]
+    j0, j1 = u[2:4], u[4:6]
     xx, yy = x * x, y * y
     base = np.maximum(1.0 - (xx + yy) / r02, 0.0)
     base2 = base * base
@@ -206,10 +209,12 @@ def bump_variational_terms(amplitude, r02, x, y, j00, j01, j10, j11):
     h01 = outer * (x * y)
     h11 = diag + outer * yy
     # J_std = [[0, 1], [-1, 0]] turns Hess H into rows (h01, h11), (-h00, -h01)
-    nh00 = -h00
-    return (coeff * y, -coeff * x,
-            h01 * j00 + h11 * j10, h01 * j01 + h11 * j11,
-            nh00 * j00 - h01 * j10, nh00 * j01 - h01 * j11)
+    out = np.empty(u.shape)
+    out[0] = coeff * y
+    out[1] = -coeff * x
+    out[2:4] = h01 * j0 + h11 * j1
+    out[4:6] = (-h00) * j0 - h01 * j1
+    return out
 
 
 def hamiltonian_bump_map(amplitude: float, support_radius: float,
@@ -226,7 +231,7 @@ def hamiltonian_bump_map(amplitude: float, support_radius: float,
     r02 = support_radius ** 2
 
     def row_field(u):
-        return np.array(bump_variational_terms(amplitude, r02, *u))
+        return bump_variational_terms(amplitude, r02, u)
 
     def func_jac_batch(pts):
         # the variational flow carries the trajectory: its first two rows are the map
@@ -477,18 +482,6 @@ def path_quadrature(segments: Sequence[tuple[Array, Array]], nodes: int):
 # Lagrangian sphere -> Legendrian realization over the sphere bundle
 # ---------------------------------------------------------------------------
 
-def _slerp(q0: Array, q1: Array, t: float) -> tuple[Array, Array]:
-    """Great-circle interpolation on the unit sphere with velocity."""
-    dot = float(np.clip(q0 @ q1, -1.0, 1.0))
-    ang = math.acos(dot)
-    if ang < 1e-12:
-        return q0.copy(), np.zeros_like(q0)
-    s = math.sin(ang)
-    point = (math.sin((1.0 - t) * ang) * q0 + math.sin(t * ang) * q1) / s
-    vel = ang * (-math.cos((1.0 - t) * ang) * q0 + math.cos(t * ang) * q1) / s
-    return point, vel
-
-
 @dataclass
 class LegendrianRealization:
     lam_tilde: KFormOracle
@@ -508,11 +501,14 @@ def legendrian_realization(n: int, lam: KFormOracle) -> LegendrianRealization:
 
     Requires n > 1 so that every closed 1-form on the sphere is exact and the
     potential g of (lam - p dq) is recoverable by line integration.  Paths run
-    from the base point e_0 along a great circle on the zero section and then
-    straight up the fiber.  The potential is re-integrated through detour
-    waypoints at ``PATH_CHECK_DETOURS`` points, and a mismatch (a closedness
-    failure of lam - p dq) raises instead of silently returning a
-    path-dependent g.
+    from the base point e_0 along a great circle on the zero section, through
+    a quarter-circle waypoint when the end lies in the far hemisphere, and
+    then straight up the fiber.  ``lam`` must take (m, 2(n+1)) row batches,
+    as :func:`forms.one_form` builds them: g evaluates the nodes of each path
+    leg as one row call, and a form that does not take rows is refused with a
+    ValueError.  The potential is re-integrated through detour waypoints at
+    ``PATH_CHECK_DETOURS`` points, and a mismatch (a closedness failure of
+    lam - p dq) raises instead of silently returning a path-dependent g.
     """
     if n <= 1:
         raise ValueError("realization needs sphere dimension n > 1 "
@@ -526,16 +522,47 @@ def legendrian_realization(n: int, lam: KFormOracle) -> LegendrianRealization:
         return lam(x, v) - lam_can(x, v)
 
     gl_x, gl_w = np.polynomial.legendre.leggauss(REALIZATION_NODES)
+    nodes, half_w = (0.5 * (gl_x + 1.0))[:, None], 0.5 * gl_w
 
-    def _zero_section_leg(q_from: Array, q_to: Array) -> float:
-        total = 0.0
-        for xi, wi in zip(gl_x, gl_w):
-            t = 0.5 * (xi + 1.0)
-            point, vel = _slerp(q_from, q_to, t)
-            x = np.concatenate([point, np.zeros(d)])
-            v = np.concatenate([vel, np.zeros(d)])
-            total += 0.5 * wi * mu(x, v)
+    def leg(x: Array, v: Array, total: float) -> float:
+        # the leg's terms w_i mu(x_i)(v_i) from one row call of mu, added to
+        # the running total in node order
+        try:
+            values = lam(x, v)
+            if np.shape(values) != (len(x),):
+                raise ValueError(f"it gives shape {np.shape(values)} for {len(x)} rows")
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValueError("legendrian_realization needs a 1-form that takes "
+                             f"(m, {dim}) row batches, as forms.one_form builds them; "
+                             f"this one fails on rows: {exc}") from exc
+        for term in half_w * (values - lam_can(x, v)):
+            total += term
         return total
+
+    def arc(q_from: Array, q_to: Array, total: float) -> float:
+        # the great circle from q_from to q_to on the zero section
+        ang = math.acos(float(np.clip(q_from @ q_to, -1.0, 1.0)))
+        if ang < 1e-12:
+            return total
+        s = math.sin(ang)
+        x, v = np.zeros((2, len(nodes), dim))
+        x[:, :d] = (np.sin((1.0 - nodes) * ang) * q_from + np.sin(nodes * ang) * q_to) / s
+        v[:, :d] = ang * (-np.cos((1.0 - nodes) * ang) * q_from
+                          + np.cos(nodes * ang) * q_to) / s
+        return leg(x, v, total)
+
+    def zero_section_path(q_from: Array, q_to: Array, total: float) -> float:
+        if q_from @ q_to >= 0.0:
+            return arc(q_from, q_to, total)
+        # near -q_from the great circle is undefined (sin(pi) is 1.2e-16):
+        # go through the point a quarter circle from q_from towards q_to,
+        # which g, path-independent by closedness, does not see
+        waypoint = q_to - (q_to @ q_from) * q_from
+        if not waypoint.any():
+            waypoint = np.eye(d)[np.argmin(np.abs(q_from))]
+            waypoint -= (waypoint @ q_from) * q_from
+        waypoint /= np.linalg.norm(waypoint)
+        return arc(waypoint, q_to, arc(q_from, waypoint, total))
 
     def g(q: Array, p: Array, waypoint: Optional[Array] = None) -> float:
         q = np.asarray(q, dtype=float)
@@ -543,15 +570,14 @@ def legendrian_realization(n: int, lam: KFormOracle) -> LegendrianRealization:
         # great circle(s) on the zero section from base_q to q, then straight
         # up the fiber from (q, 0) to (q, p)
         if waypoint is None:
-            total = _zero_section_leg(base_q, q)
+            total = zero_section_path(base_q, q, 0.0)
         else:
-            total = _zero_section_leg(base_q, waypoint) + _zero_section_leg(waypoint, q)
-        for xi, wi in zip(gl_x, gl_w):
-            t = 0.5 * (xi + 1.0)
-            x = np.concatenate([q, t * p])
-            v = np.concatenate([np.zeros(d), p])
-            total += 0.5 * wi * mu(x, v)
-        return total
+            total = zero_section_path(waypoint, q, zero_section_path(base_q, waypoint, 0.0))
+        x, v = np.zeros((2, len(nodes), dim))
+        x[:, :d] = q
+        x[:, d:] = nodes * p
+        v[:, d:] = p
+        return float(leg(x, v, total))
 
     mu_form = KFormOracle(1, dim, mu)
     check_rng_local = np.random.default_rng(PATH_CHECK_DETOURS)

@@ -44,33 +44,42 @@ def smoothstep_d(t):
     return _smoothstep_d_poly(t)
 
 
-def _pieces(s, lo, hi, width, low, high, blend):
-    """low where s <= lo, high where s >= hi, and between them blend(t) at the
-    window coordinate t = (s - lo) / width capped at 1, where the smoothstep
-    polynomials meet the flat pieces exactly.
+def _pieces(s, delta, lo, hi, width, low, high, blend):
+    """low where s <= lo, high where s >= hi, and between them
+    blend(t, s, delta) at the window coordinate t = (s - lo) / width capped at
+    1, where the smoothstep polynomials meet the flat pieces exactly.
 
     One form for a Python float s, which computes only its own piece with
-    ``if`` and ``min`` and gives a float, and for a NumPy column s or lo,
-    which computes every piece with ``np.where`` and ``np.minimum``.
+    ``if`` and ``min`` and gives a float, and for a NumPy column s or delta,
+    which takes ``np.where(below, low, high)`` and computes the blend only on
+    the rows inside the window (on the whole column when every row is), each
+    with the arithmetic of a lone row.
     """
     below = s <= lo
-    if isinstance(below, np.ndarray):
-        return np.where(below, low, np.where(s >= hi, high,
-                                             blend(np.minimum((s - lo) / width, 1.0))))
-    return low if below else high if s >= hi else blend(min((s - lo) / width, 1.0))
+    if not isinstance(below, np.ndarray):
+        return low if below else high if s >= hi else blend(min((s - lo) / width, 1.0), s, delta)
+    window = ~(below | (s >= hi))  # a NaN row takes the blend, as NaN
+    if window.all():
+        return blend(np.minimum((s - lo) / width, 1.0), s, delta)
+    out = np.where(below, low, high)
+    if window.any():
+        s, delta, lo, width = (a[window] if isinstance(a, np.ndarray) else a
+                               for a in (s, delta, lo, width))
+        out[window] = blend(np.minimum((s - lo) / width, 1.0), s, delta)
+    return out
 
 
 # The handle functions and their derivatives, each over a float or a column
 # s with delta a float or a column.
 
 def handle_f(s, delta):
-    return _pieces(s, 1.0 - delta, 1.0 - 0.5 * delta, 0.5 * delta, 1.0, s + delta,
-                   lambda t: 1.0 + (s + delta - 1.0) * _smoothstep_poly(t))
+    return _pieces(s, delta, 1.0 - delta, 1.0 - 0.5 * delta, 0.5 * delta, 1.0, s + delta,
+                   lambda t, s, delta: 1.0 + (s + delta - 1.0) * _smoothstep_poly(t))
 
 
 def handle_f_d(s, delta):
-    return _pieces(s, 1.0 - delta, 1.0 - 0.5 * delta, 0.5 * delta, 0.0, 1.0,
-                   lambda t: _smoothstep_poly(t)
+    return _pieces(s, delta, 1.0 - delta, 1.0 - 0.5 * delta, 0.5 * delta, 0.0, 1.0,
+                   lambda t, s, delta: _smoothstep_poly(t)
                    + (s + delta - 1.0) * _smoothstep_d_poly(t) * (2.0 / delta))
 
 
@@ -79,13 +88,13 @@ def _g_blend(s, sm, delta):
 
 
 def handle_g(s, delta):
-    return _pieces(s, 1.0, 1.0 + delta, delta, s, 1.0 + delta,
-                   lambda t: _g_blend(s, _smoothstep_poly(t), delta))
+    return _pieces(s, delta, 1.0, 1.0 + delta, delta, s, 1.0 + delta,
+                   lambda t, s, delta: _g_blend(s, _smoothstep_poly(t), delta))
 
 
 def handle_g_d(s, delta):
-    return _pieces(s, 1.0, 1.0 + delta, delta, 1.0, 0.0,
-                   lambda t: (1.0 - _smoothstep_poly(t))
+    return _pieces(s, delta, 1.0, 1.0 + delta, delta, 1.0, 0.0,
+                   lambda t, s, delta: (1.0 - _smoothstep_poly(t))
                    + _smoothstep_d_poly(t) * (1.0 + delta - s) / delta)
 
 

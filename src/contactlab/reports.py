@@ -7,7 +7,8 @@ residual of a check that raised, or of one that computed NaN) is written as
 the string "inf", "-inf" or "nan", and the document stays valid JSON.
 The environment stamp carries versions only (no wall-clock data), so it
 never breaks reproducibility on a fixed machine.  :func:`diff_reports`
-compares two reports record by record.
+compares two reports record by record, and :func:`sweep_summary` sums up
+the records of one suite's checks over many seeds.
 """
 
 from __future__ import annotations
@@ -231,3 +232,70 @@ def diff_reports(old: dict, new: dict) -> ReportDiff:
     rest = _moved_paths({k: v for k, v in old.items() if k != "checks"},
                         {k: v for k, v in new.items() if k != "checks"}, "")
     return ReportDiff(records, rest)
+
+
+# ---------------------------------------------------------------------------
+# a seed sweep
+# ---------------------------------------------------------------------------
+
+def _headroom(record: CheckRecord) -> float:
+    """The share of its tolerance that a record's residual uses, 1 at the
+    bound; a zero tolerance reads 0 for a residual at or below 0, else inf,
+    and a NaN residual reads inf."""
+    value = record.max_residual
+    if math.isnan(value):
+        return math.inf
+    if record.tolerance > 0.0:
+        return value / record.tolerance
+    return 0.0 if value <= 0.0 else math.inf
+
+
+def sweep_summary(runs: list[tuple[int, list[CheckRecord]]]) -> dict:
+    """Per check, in run order, over ``(seed, records)`` runs of the same
+    declarations: the tolerance, the worst and median ``max_residual`` (a NaN
+    counts as inf), the seed of the worst headroom, the worst headroom and
+    the failing seeds.  The result is plain JSON data."""
+    seen: dict[str, list[tuple[int, CheckRecord]]] = {}
+    for seed, records in runs:
+        for record in records:
+            seen.setdefault(record.name, []).append((seed, record))
+    checks = {}
+    for name, pairs in seen.items():
+        residuals = np.array([r.max_residual for _, r in pairs])
+        residuals[np.isnan(residuals)] = math.inf
+        worst_seed, worst = max(pairs, key=lambda pair: _headroom(pair[1]))
+        checks[name] = _plain({
+            "tolerance": worst.tolerance,
+            "seeds": len(pairs),
+            "worst_max_residual": float(residuals.max()),
+            "median_max_residual": float(np.median(residuals)),
+            "worst_seed": worst_seed,
+            "worst_headroom": _headroom(worst),
+            "failing_seeds": [seed for seed, r in pairs if not r.passed],
+        })
+    return {"seeds": [seed for seed, _ in runs],
+            "passed": not any(c["failing_seeds"] for c in checks.values()),
+            "checks": checks}
+
+
+def sweep_lines(summary: dict) -> list[str]:
+    """The ten checks with a nonzero tolerance nearest their bound,
+    the count at or below 1e-5 of it on every seed, and each failing check
+    with its seeds."""
+    checks = summary["checks"]
+    bounded = [(name, c) for name, c in checks.items() if c["tolerance"] > 0.0]
+    # a headroom of inf is stored as its name
+    ranked = sorted(bounded, key=lambda nc: float(nc[1]["worst_headroom"]), reverse=True)
+    out = [f"{len(checks)} checks over {len(summary['seeds'])} seeds; "
+           "nearest their bound (worst max_residual / tolerance):"]
+    for name, c in ranked[:10]:
+        out.append(f"  {name}: {float(c['worst_headroom']):.3g} at seed {c['worst_seed']} "
+                   f"(worst {float(c['worst_max_residual']):.3e}, "
+                   f"median {float(c['median_max_residual']):.3e}, tol {c['tolerance']:.1e})")
+    quiet = sum(float(c["worst_headroom"]) <= 1e-5 for _, c in bounded)
+    out.append(f"{quiet} of {len(bounded)} checks with a nonzero tolerance stay at or "
+               "below 1e-5 of it on every seed")
+    for name, c in checks.items():
+        if c["failing_seeds"]:
+            out.append(f"FAIL {name} at seeds {c['failing_seeds']}")
+    return out

@@ -67,11 +67,13 @@ class SpherePoint:
 
 
 def canonical_one_form(dim_total: int) -> KFormOracle:
-    """p dq as an ambient 1-form on R^{2(n+1)}, with analytic derivative oracle."""
+    """p dq as an ambient 1-form on R^{2(n+1)}, with analytic derivative
+    oracle; it takes a point or (m, 2(n+1)) rows."""
     d = dim_total // 2
 
     def coeffs(u):
-        return np.concatenate([u[d:], np.zeros(d)])
+        p = u[..., d:]
+        return np.concatenate([p, np.zeros(p.shape)], axis=-1)
 
     def coeffs_jac(u):
         j = np.zeros((dim_total, dim_total))

@@ -903,19 +903,26 @@ def suite_monodromy(cfg: ScenarioConfig, check) -> None:
 
 # the correcting flow's integrator, and the Gauss-Legendre nodes per segment
 # of the line-integral primitives, in the giroux suite.  The correcting flow
-# reads only the step, which giroux_flow_batch takes bare; GIROUX_FLOW and
-# BUMP_FLOW stay IntegratorConfigs because openbook.giroux_correction takes
-# one.  The identity, twist and shear checks and correction-fixes-support
-# flow at GIROUX_FLOW's step 0.02, the integrated-flow check at BUMP_FLOW's
-# 0.05, and primitive-path-independence at PATH_FLOW_STEP
-GIROUX_FLOW = IntegratorConfig(step=0.02, max_time=2.0)
+# reads only the step, which giroux_flow_batch takes bare; GIROUX_FLOW stays
+# an IntegratorConfig because openbook.giroux_correction takes one.
+# GIROUX_FLOW serves the identity, twist and shear checks,
+# correction-fixes-support, and the integrated-flow check and its bump map.
+# At step 0.05 the twist reads at worst 5.9e-10 over seeds 0-39 (8.5e-11 at
+# 0.02), the shear 6.2e-9 at both steps, and identity and support read 0; a
+# Y scaled by 1 + 1e-4 fails twist and shear at both steps (1.27e-5 and
+# 3.15e-5 at seed 0).  The integrated flow reads 1.14e-7 at worst; its Y at
+# step 0.1 reads 1.8e-6, 16 times more, and a bump map at step 0.1 fails the
+# closedness precondition, so 0.05 is the coarsest step that keeps its reading
+GIROUX_FLOW = IntegratorConfig(step=0.05, max_time=2.0)
 QUAD_NODES = 32
 # primitive-path-independence's correcting-flow step.  Its residual compares
 # line integrals of psi_hat^* lambda - lambda along two paths, and with h: it
-# measures the quadrature, not the flow, and reads 3.09e-9 at seed 0 at this
-# step as at 0.02.  Four flows of 1,926 rows make 320 Y-field calls here, 800
-# at 0.02, and a Y scaled by 1 + 1e-3 fails the check at both steps
-PATH_FLOW_STEP = 0.05
+# measures the quadrature, not the flow, and reads at worst 7.3e-8 over seeds
+# 0-39 at this step (7.4e-8 at 0.05); at step 0.2 it reads 2.43e-8 at seed
+# 0, 8 times its 3.09e-9 at 0.05, so it starts to follow the step.  Four
+# flows of 1,926 rows make 160 Y-field calls here, 320 at 0.05, and a Y
+# scaled by 1 + 1e-3 fails the check at both steps (4.27e-5 at seed 0)
+PATH_FLOW_STEP = 0.1
 
 
 def _giroux_batched_eval(domain, candidate, samples: Array, step: float):
@@ -971,21 +978,19 @@ GIROUX_RESIDUAL_TOL = 1e-5
 # the Hamiltonian bump of the integrated-flow check and of the two checks on
 # its map.  The two map checks hold the map at step 0.02 to 1e-8: they catch
 # a defect in the bump field.  The integrated-flow check runs its Y-flow and
-# its own bump map at step 0.05: the Y-flow evaluates the map 4/step + 1
-# times and each map makes 4/step field calls, 81 x 80 where step 0.02 makes
-# 201 x 200.  RK4's O(h^4) error raises its residual about 2.5^4-fold, to
-# 5.7e-8 at seed 0 and at most 1.2e-7 over seeds 0-39, still 87 times below
-# GIROUX_RESIDUAL_TOL
+# its own bump map at GIROUX_FLOW's step 0.05: the Y-flow evaluates the map
+# 4/step + 1 times and each map makes 4/step field calls, 81 x 80 where step
+# 0.02 makes 201 x 200.  RK4's O(h^4) error raises its residual about
+# 2.5^4-fold, to 5.7e-8 at seed 0 and at most 1.2e-7 over seeds 0-39, still
+# 87 times below GIROUX_RESIDUAL_TOL
 BUMP_AMPLITUDE, BUMP_RADIUS = 0.15, 0.8
-# the integrated-flow check's Y-flow; its bump map takes the same step
-BUMP_FLOW = IntegratorConfig(step=0.05, max_time=2.0)
 
 
 @suite("giroux")
 def suite_giroux(cfg: ScenarioConfig, check) -> None:
     domain = ob.standard_disk_domain()
     bump = ob.hamiltonian_bump_map(BUMP_AMPLITUDE, BUMP_RADIUS, step=0.02)
-    coarse_bump = ob.hamiltonian_bump_map(BUMP_AMPLITUDE, BUMP_RADIUS, step=BUMP_FLOW.step)
+    coarse_bump = ob.hamiltonian_bump_map(BUMP_AMPLITUDE, BUMP_RADIUS, step=GIROUX_FLOW.step)
 
     @check("exactness-correction-identity",
            "the identity needs no correction: zero field, constant primitive",
@@ -1038,7 +1043,7 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
            ["giroux_correction"], GIROUX_RESIDUAL_TOL)
     def numeric_flow_case():
         result, worst, dl = _giroux_case_residuals(
-            cfg.seed, domain, coarse_bump, "giroux-bump", cfg.n_giroux_numeric, BUMP_FLOW)
+            cfg.seed, domain, coarse_bump, "giroux-bump", cfg.n_giroux_numeric, GIROUX_FLOW)
         return worst, cfg.n_giroux_numeric, {"mu_closedness": result.mu_closedness,
                                              "dlambda_residual": dl}
 
@@ -1117,23 +1122,21 @@ def suite_giroux(cfg: ScenarioConfig, check) -> None:
         n = 2
         d = n + 1
         dim = 2 * d
-        lam_can = sphere.canonical_one_form(dim)
-
-        # exact perturbation lambda = lambda_can + d(xi) with a known potential
+        # exact perturbation lambda = p dq + d(xi) with a known potential, a
+        # row form whose d(lambda) is taken by finite differences
         cvec = np.array([0.3, -0.2, 0.4])
 
         def xi(x):
             q, p = x[:d], x[d:]
             return float((q @ cvec) * (1.0 + p @ p))
 
-        def grad_xi(x):
-            q, p = x[:d], x[d:]
-            return np.concatenate([cvec * (1.0 + p @ p), 2.0 * (q @ cvec) * p])
+        def lam_coeffs(x):
+            q, p = x[..., :d], x[..., d:]
+            pp = np.vecdot(p, p)[..., None]
+            return np.concatenate([p + cvec * (1.0 + pp), 2.0 * (q @ cvec)[..., None] * p],
+                                  axis=-1)
 
-        def lam_eval(x, v):
-            return lam_can(x, v) + float(grad_xi(x) @ np.asarray(v, dtype=float))
-
-        lam = forms.KFormOracle(1, dim, lam_eval)
+        lam = forms.one_form(dim, lam_coeffs)
         real = ob.legendrian_realization(n, lam)
         worst = 0.0
         # the potential is recovered up to a constant

@@ -9,11 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from contactlab import cli
+from contactlab import cli, openbook as ob
 from contactlab.config import ConfigError, config_from_dict, load_config
-from contactlab.reports import VerificationReport, check_rng, diff_reports, run_check
+from contactlab.reports import (CheckRecord, VerificationReport, check_rng, diff_reports,
+                                run_check, sweep_summary)
 from contactlab.suites import QUOTED_OPS
 
+from conftest import REDUCED_ALL
 from test_kernels import _scalar_handle_f, _scalar_handle_g
 
 
@@ -225,6 +227,73 @@ def test_diff_names_every_moved_path_once():
     for checks in (3, [{"name": "x"}], [{"name": "x", "passed": "yes"}], [{"passed": True}]):
         with pytest.raises(ValueError, match="not a report"):
             diff_reports(old, {"checks": checks})
+
+
+def test_sweep_sums_up_each_check_over_seeds_at_the_reduced_config(tmp_path, monkeypatch,
+                                                                    capsys):
+    config = tmp_path / "reduced.json"
+    config.write_text(json.dumps(REDUCED_ALL))
+    out = tmp_path / "sweeps"
+    records = {}
+
+    def recorded(*declared):
+        record = run_check(*declared)
+        records.setdefault(record.name, []).append(record.max_residual)
+        return record
+
+    monkeypatch.setattr(cli, "run_check", recorded)
+    assert cli.main(["sweep", "--suite", "giroux", "--seeds", "0-2", "--config", str(config),
+                     "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    summary = json.loads((out / "sweep-giroux.json").read_text())
+    assert summary["suite"] == "giroux" and summary["seeds"] == [0, 1, 2] and summary["passed"]
+    # each check's entry is what its three records say, in run order
+    assert list(summary["checks"]) == list(records)
+    for name, residuals in records.items():
+        entry = summary["checks"][name]
+        assert entry["worst_max_residual"] == max(residuals)
+        assert entry["median_max_residual"] == sorted(residuals)[1]
+        assert entry["worst_seed"] == residuals.index(max(residuals))
+        assert entry["failing_seeds"] == [] and entry["seeds"] == 3
+    nearest = max((c for c in summary["checks"].values()), key=lambda c: c["worst_headroom"])
+    assert [n for n, c in summary["checks"].items() if c is nearest][0] in printed.splitlines()[1]
+    assert printed.splitlines()[-1].startswith("sweep giroux: PASS")
+
+
+def test_sweep_exits_1_on_a_failing_check_and_3_on_bad_arguments(tmp_path, monkeypatch,
+                                                                  capsys):
+    # Y * (1 + 1e-4) fails the twist check at every seed
+    make_batched_y = ob.make_batched_y
+    monkeypatch.setattr(ob, "make_batched_y", lambda domain, psi: (
+        lambda pts, y=make_batched_y(domain, psi): y(pts) * (1.0 + 1e-4)))
+    only = ["--suite", "giroux", "--only", "exactness-correction-twist", "--out", str(tmp_path)]
+    assert cli.main(["sweep", "--seeds", "4-5"] + only) == 1
+    summary = json.loads((tmp_path / "sweep-giroux.json").read_text())
+    assert list(summary["checks"]) == ["exactness-correction-twist"]
+    assert summary["checks"]["exactness-correction-twist"]["failing_seeds"] == [4, 5]
+    assert "FAIL exactness-correction-twist at seeds [4, 5]" in capsys.readouterr().out
+    (tmp_path / "file").write_text("")
+    for bad in (["--seeds", "5-2"] + only, ["--seeds", "x"] + only, ["--seeds", "-1"] + only,
+                only, ["--seeds", "0", "--suite", "bogus"],
+                ["--seeds", "0", "--suite", "giroux", "--only", "no-such-check"],
+                ["--seeds", "0", "--suite", "giroux", "--config", str(tmp_path / "none.json")],
+                ["--seeds", "0", "--suite", "giroux", "--out", str(tmp_path / "file")]):
+        assert cli.main(["sweep"] + bad) == 3, bad
+
+
+def test_sweep_summary_ranks_nan_and_zero_tolerances():
+    def record(name, residual, tolerance):
+        return CheckRecord(name, "", 1, residual, tolerance, residual <= tolerance)
+
+    summary = sweep_summary([(7, [record("a", 1e-9, 1e-6), record("z", 0.0, 0.0)]),
+                             (8, [record("a", math.nan, 1e-6), record("z", 1.0, 0.0)]),
+                             (9, [record("a", 2e-9, 1e-6), record("z", 0.0, 0.0)])])
+    assert not summary["passed"]
+    a, z = summary["checks"]["a"], summary["checks"]["z"]
+    assert (a["worst_max_residual"], a["median_max_residual"]) == ("inf", 2e-9)
+    assert (a["worst_seed"], a["worst_headroom"], a["failing_seeds"]) == (8, "inf", [8])
+    assert (z["worst_seed"], z["worst_headroom"], z["failing_seeds"]) == (8, "inf", [8])
+    json.dumps(summary, allow_nan=False)
 
 
 def test_check_rng_stable():

@@ -179,6 +179,9 @@ def _assert_one_form_matches(one_form, scalar, delta):
     assert _same_bits(one_form(s, delta), ref)
     # a column of smoothing widths gives each row its own scalar result
     assert _same_bits(one_form(s, np.full(s.size, delta)), ref)
+    # one-row columns lie on one piece each: flat rows skip the blend, and a
+    # window row computes it alone
+    assert _same_bits(np.concatenate([one_form(s[i:i + 1], delta) for i in range(s.size)]), ref)
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])

@@ -406,8 +406,9 @@ def test_bump_map_checks_catch_a_scaled_hamiltonian_field(monkeypatch):
     terms = ob.bump_variational_terms
 
     def scaled(*args):
-        x_h0, x_h1, *dj = terms(*args)
-        return (x_h0 * (1.0 + 1e-7), x_h1 * (1.0 + 1e-7), *dj)
+        out = terms(*args)
+        out[:2] *= 1.0 + 1e-7  # X_H; the Jacobian rows are left as they are
+        return out
 
     monkeypatch.setattr(ob, "bump_variational_terms", scaled)
     for name in ("bump-map-exact-rotation", "bump-map-carried-jacobian"):
@@ -451,9 +452,9 @@ def test_bump_checks_count_their_field_calls(monkeypatch):
 
 
 def test_path_check_fails_a_scaled_correcting_field_at_both_steps(monkeypatch):
-    # Y * (1 + 1e-3) reads 4.27e-5 against 1e-5 at the shipped step 0.05 and
-    # at 0.02: the residual measures the quadrature, not the flow, so the
-    # coarser step still catches the defect.  Y * (1 + 1e-4) reads 4.3e-6
+    # Y * (1 + 1e-3) reads 4.27e-5 against 1e-5 at the shipped step 0.1, at
+    # 0.05 and at 0.02: the residual measures the quadrature, not the flow,
+    # so the coarser step still catches the defect.  Y * (1 + 1e-4) reads 4.3e-6
     declared = declarations(suite="giroux")
     make_batched_y = ob.make_batched_y
 
@@ -478,9 +479,51 @@ def test_path_check_fails_a_scaled_correcting_field_at_both_steps(monkeypatch):
     assert steps == [suites.PATH_FLOW_STEP] * 4
 
 
+# the checks whose correcting flow moved to a coarser declared step, the
+# constant that declares it, and the finer step it moved from
+COARSE_GIROUX_STEPS = [
+    ("exactness-correction-identity", "GIROUX_FLOW", IntegratorConfig(step=0.02, max_time=2.0)),
+    ("exactness-correction-twist", "GIROUX_FLOW", IntegratorConfig(step=0.02, max_time=2.0)),
+    ("exactness-correction-shear", "GIROUX_FLOW", IntegratorConfig(step=0.02, max_time=2.0)),
+    ("correction-fixes-support", "GIROUX_FLOW", IntegratorConfig(step=0.02, max_time=2.0)),
+    ("primitive-path-independence", "PATH_FLOW_STEP", 0.05)]
+
+
+@pytest.mark.parametrize("check, constant, finer", COARSE_GIROUX_STEPS)
+def test_declared_giroux_steps_read_what_the_finer_step_reads(monkeypatch, check, constant,
+                                                                finer):
+    # the verdict and the residual of the finer step, to within 1e-3 of the
+    # tolerance.  The integrated-flow check also reads GIROUX_FLOW but kept
+    # its step 0.05; its reading follows the step (5.7e-8 at seed 0, about
+    # 2.5^4 times that at 0.02), and its own pins are the field-call counts
+    coarse = run_check(*declarations(suite="giroux")[check])
+    monkeypatch.setattr(suites, constant, finer)
+    fine = run_check(*declarations(suite="giroux")[check])
+    assert coarse.passed and fine.passed
+    assert abs(coarse.max_residual - fine.max_residual) < 1e-3 * coarse.tolerance
+
+
+@pytest.mark.parametrize("check", ["exactness-correction-twist", "exactness-correction-shear"])
+@pytest.mark.parametrize("step", [None, 0.02])
+def test_twist_and_shear_checks_fail_a_scaled_correcting_field(monkeypatch, check, step):
+    # Y * (1 + 1e-4) reads 1.27e-5 (twist) and 3.15e-5 (shear) against 1e-5
+    # at the shipped step 0.05, as at 0.02
+    if step is not None:
+        monkeypatch.setattr(suites, "GIROUX_FLOW", IntegratorConfig(step=step, max_time=2.0))
+    make_batched_y = ob.make_batched_y
+
+    def scaled(domain, psi):
+        y_batch = make_batched_y(domain, psi)
+        return lambda pts: y_batch(pts) * (1.0 + 1e-4)
+
+    monkeypatch.setattr(ob, "make_batched_y", scaled)
+    *_, tolerance, body = declarations(suite="giroux")[check]
+    assert body()[0] > tolerance
+
+
 def test_path_check_counts_its_y_field_calls(monkeypatch):
-    # counts, not times: four flows of 1,926 rows, each 20 RK4 steps of 4
-    # stages at step 0.05, where step 0.02 made 800 calls
+    # counts, not times: four flows of 1,926 rows, each 10 RK4 steps of 4
+    # stages at step 0.1, where step 0.05 made 320 calls and 0.02 made 800
     declared = declarations(suite="giroux")
     make_batched_y = ob.make_batched_y
     rows = []
@@ -495,7 +538,7 @@ def test_path_check_counts_its_y_field_calls(monkeypatch):
 
     monkeypatch.setattr(ob, "make_batched_y", counted)
     declared["primitive-path-independence"][-1]()
-    assert rows == [1926] * (4 * 20 * 4)
+    assert rows == [1926] * (4 * 10 * 4)
 
 
 def test_default_func_jac_pairs_func_and_jac():
@@ -605,19 +648,29 @@ def test_legendrian_realization_trivial_case():
     assert np.max(vals) - np.min(vals) < 1e-10
 
 
+def xi_perturbed_form(d):
+    """lambda = p dq + d(xi) for xi = (q . c)(1 + |p|^2), as the
+    legendrian-realization check builds it: a row form without a coefficient
+    Jacobian.  Returns the form and xi."""
+    cvec = np.array([0.3, -0.2, 0.4])
+
+    def coeffs(x):
+        q, p = x[..., :d], x[..., d:]
+        pp = np.vecdot(p, p)[..., None]
+        return np.concatenate([p + cvec * (1.0 + pp), 2.0 * (q @ cvec)[..., None] * p],
+                              axis=-1)
+
+    def xi(q, p):
+        return float((q @ cvec) * (1.0 + p @ p))
+
+    return forms.one_form(2 * d, coeffs), xi
+
+
 def test_legendrian_correction_is_exact_in_the_cutoff_band():
     # lambda = lambda_can + d(xi), as in the legendrian-realization check; in
     # the band RHO_IN < |p| < RHO_OUT the correction d(rho g) carries rho'
     n, d = 2, 3
-    lam_can = sphere.canonical_one_form(2 * d)
-    cvec = np.array([0.3, -0.2, 0.4])
-
-    def lam_eval(x, v):
-        q, p = x[:d], x[d:]
-        grad_xi = np.concatenate([cvec * (1.0 + p @ p), 2.0 * (q @ cvec) * p])
-        return lam_can(x, v) + float(grad_xi @ np.asarray(v, dtype=float))
-
-    lam = forms.KFormOracle(1, 2 * d, lam_eval)
+    lam, _ = xi_perturbed_form(d)
     real = ob.legendrian_realization(n, lam)
     local = np.random.default_rng(5)
     worst = 0.0
@@ -629,6 +682,80 @@ def test_legendrian_correction_is_exact_in_the_cutoff_band():
                 worst = max(worst, abs(forms.exterior_derivative(real.lam_tilde, x, pair, 1e-4)
                                        - forms.exterior_derivative(lam, x, pair, 1e-4)))
     assert worst < 1e-6
+
+
+def _float_loop_potential(lam, q, p):
+    """g(q, p) of lambda - p dq by the realization's rule, one node at a time:
+    the great circle from e_0 to q (q . e_0 >= 0), then the fiber, with the
+    terms added in node order."""
+    d = len(q)
+    lam_can = sphere.canonical_one_form(2 * d)
+    base = np.eye(d)[0]
+    gl_x, gl_w = np.polynomial.legendre.leggauss(ob.REALIZATION_NODES)
+    ang = math.acos(float(np.clip(base @ q, -1.0, 1.0)))
+    total = 0.0
+    for xi_node, wi in zip(gl_x, gl_w):
+        t = 0.5 * (xi_node + 1.0)
+        point = (math.sin((1.0 - t) * ang) * base + math.sin(t * ang) * q) / math.sin(ang)
+        vel = ang * (-math.cos((1.0 - t) * ang) * base + math.cos(t * ang) * q) / math.sin(ang)
+        x, v = np.concatenate([point, np.zeros(d)]), np.concatenate([vel, np.zeros(d)])
+        total += 0.5 * wi * (lam(x, v) - lam_can(x, v))
+    for xi_node, wi in zip(gl_x, gl_w):
+        t = 0.5 * (xi_node + 1.0)
+        x, v = np.concatenate([q, t * p]), np.concatenate([np.zeros(d), p])
+        total += 0.5 * wi * (lam(x, v) - lam_can(x, v))
+    return total
+
+
+def test_legendrian_potential_on_rows_equals_a_float_loop_quadrature():
+    n, d = 2, 3
+    lam, _ = xi_perturbed_form(d)
+    real = ob.legendrian_realization(n, lam)
+    local = np.random.default_rng(17)
+    rows = sphere.random_sphere_points(local, 12, n, 0.0, 0.25)
+    checked = 0
+    for x in rows:
+        q, p = x[:d], x[d:]
+        if q[0] < 0.0:
+            continue  # the far hemisphere goes through a waypoint
+        loop = _float_loop_potential(lam, q, p)
+        assert abs(loop) > 0.05
+        assert real.g(q, p) == pytest.approx(loop, rel=1e-14, abs=0.0)
+        checked += 1
+    assert checked >= 4
+
+
+def test_legendrian_potential_is_defined_at_the_antipode_of_the_base():
+    # the great circle from e_0 to -e_0 is undefined (sin(pi) = 1.2e-16): g
+    # goes through a quarter-circle waypoint, and g - xi stays the constant
+    # it reads everywhere else, at -e_0 and within 1e-9 of it
+    n, d = 2, 3
+    lam, xi = xi_perturbed_form(d)
+    real = ob.legendrian_realization(n, lam)
+    base = np.eye(d)[0]
+    offset = real.g(base, np.zeros(d)) - xi(base, np.zeros(d))
+    near = -base + 1e-9 * np.eye(d)[1]
+    near /= np.linalg.norm(near)
+    fiber = np.array([0.0, 0.1, -0.15])
+    cases = [(-base, np.zeros(d)), (-base, fiber), (near, np.zeros(d)),
+             (near, fiber - (fiber @ near) * near)]
+    for x in sphere.random_sphere_points(np.random.default_rng(3), 6, n, 0.0, 0.25):
+        cases.append((x[:d], x[d:]))
+    for q, p in cases:
+        assert abs(real.g(q, p) - xi(q, p) - offset) < 1e-9, q
+
+
+def test_legendrian_realization_refuses_a_pointwise_form():
+    # a form that cannot take (m, d) rows is named, not integrated wrongly
+    n, d = 2, 3
+    lam_can = sphere.canonical_one_form(2 * d)
+    pointwise = forms.KFormOracle(1, 2 * d, lambda x, v: float(lam_can(x, v)))
+    with pytest.raises(ValueError, match="row batches"):
+        ob.legendrian_realization(n, pointwise)
+    # a form that gives one value for the whole batch is refused too
+    summed = forms.KFormOracle(1, 2 * d, lambda x, v: np.sum(lam_can(x, v)))
+    with pytest.raises(ValueError, match="row batches"):
+        ob.legendrian_realization(n, summed)
 
 
 def test_reeb_transversality_three_cases():
@@ -667,13 +794,14 @@ def test_legendrian_realization_detects_path_dependence():
     n = 2
     d = n + 1
 
-    def bad_eval(x, v):
-        # canonical form plus a term whose differential survives on tangent pairs
-        val = float(x[d:] @ np.asarray(v, dtype=float)[:d])
-        val += float(x[0] * x[d + 1] * np.asarray(v, dtype=float)[1])
-        return val
+    def bad_coeffs(x):
+        # canonical form plus x0 x_{d+1} dx_1, whose differential survives on
+        # tangent pairs
+        c = np.concatenate([x[..., d:], np.zeros(x[..., d:].shape)], axis=-1)
+        c[..., 1] += x[..., 0] * x[..., d + 1]
+        return c
 
-    bad = forms.KFormOracle(1, 2 * d, bad_eval)
+    bad = forms.one_form(2 * d, bad_coeffs)
     with pytest.raises(ValueError, match="path-dependence"):
         ob.legendrian_realization(n, bad)
     # the honest canonical form sails through the same validation
